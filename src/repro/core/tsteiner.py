@@ -122,12 +122,14 @@ class TSteiner:
 
     @staticmethod
     def _make_validator(netlist: Netlist, forest: SteinerForest, scenarios=None):
-        """Fast sign-off-lite probe: pattern route + STA at candidate coords.
+        """Sign-off-lite probe: full global route + STA at candidate coords.
 
         Used by the hybrid acceptance mode to anchor the evaluator's
-        accepted trajectory to real timing.  The probe shares the
-        production flow's physics (layer assignment, coupling-aware
-        STA) but skips rip-up rounds for speed.
+        accepted trajectory to real timing.  The probe runs the
+        production global router under the default
+        :class:`~repro.groute.router.RouterConfig` (pattern routes, maze
+        escalation and both rip-up rounds), then layer assignment and
+        coupling-aware STA — the same physics as the final routing pass.
 
         One probe forest and one incremental STA query object are
         hoisted out of the closure: successive probes in a refinement

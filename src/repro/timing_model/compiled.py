@@ -89,7 +89,6 @@ class CompiledObjective:
         from repro.core.penalty import smoothed_penalty
 
         self.model = model
-        self.graph = graph
         self.congestion = graph.congestion
         self.gamma = float(gamma)
         self.endpoints = graph.endpoints

@@ -161,6 +161,35 @@ class TestGlobalRouter:
         crossings = [(x1, y1) for (x1, y1), (x2, y2) in zip(path, path[1:]) if y1 == y2 and min(x1, x2) == 4]
         assert all(y == 0 for _, y in crossings)
 
+    def test_maze_uses_configured_overflow_penalty(self):
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        from repro.groute.flat_route import cost_fields
+
+        grid = GCellGrid(60.0, 60.0, default_technology())
+        # An overflowed wall (utilization 2.5) with a free gap on row 0:
+        # crossing costs 1 + p * 1.5**2 extra, the detour 10 extra edges.
+        # At p=2 the straight crossing is cheaper, at the default p=8 the
+        # detour is.
+        grid.use_h[4, :] = grid.cap_h[4, :] * 2.5 - 1.0
+        grid.use_h[4, 0] = 0.0
+        router = GlobalRouter(grid, RouterConfig(overflow_penalty=2.0))
+        path = router._maze((0, 5), (9, 5))
+        assert path == [(x, 5) for x in range(10)]
+
+        ny = grid.ny
+        cost_h, cost_v = cost_fields(grid, 2.0)
+        rows, cols, vals = [], [], []
+        for (i, j), c in np.ndenumerate(cost_h):
+            rows.append(i * ny + j), cols.append((i + 1) * ny + j), vals.append(c)
+        for (i, j), c in np.ndenumerate(cost_v):
+            rows.append(i * ny + j), cols.append(i * ny + j + 1), vals.append(c)
+        n = grid.nx * ny
+        graph = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        dist = dijkstra(graph, directed=False, indices=5)[9 * ny + 5]
+        assert router._path_cost(path) == pytest.approx(dist, rel=1e-12)
+
 
 class TestLayerAssignment:
     def test_layers_respect_directions(self, routed):

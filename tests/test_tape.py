@@ -280,6 +280,28 @@ def test_tape_cache_hit_miss_counters(tmp_path):
     assert snap["counters"]["tape.cache_hits"] == 1
 
 
+def test_compiled_objective_freed_with_its_graph():
+    """The objective cached on ``graph._static`` must not point back at
+    the graph: that cycle kept every flow's tape (≈38 MB on picorv32a)
+    alive until the cyclic collector happened to run."""
+    import gc
+    import weakref
+
+    from repro.flow.pipeline import prepare_design
+
+    netlist, forest = prepare_design("spm")
+    graph = build_timing_graph(netlist, forest)
+    model = TimingEvaluator(EvaluatorConfig(seed=0))
+    obj = weakref.ref(get_compiled_objective(model, graph, PenaltyConfig().gamma))
+    assert obj() is not None
+    gc.disable()
+    try:
+        del graph
+        assert obj() is None
+    finally:
+        gc.enable()
+
+
 # ----------------------------------------------------------------------
 # Fault injection: interrupted replays must not leak stale buffers
 # ----------------------------------------------------------------------
