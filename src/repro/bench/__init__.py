@@ -339,19 +339,16 @@ def bench_mcmm_sta(netlist, forest, repeats: int = 3) -> Dict[str, float]:
     slow_setup, fast_hold) two ways: one scenario-batched
     :class:`~repro.mcmm.ScenarioSTA` pass sharing the topology walk
     across all scenarios, and N independent single-scenario passes.
-    Both sides use the same batched kernel (``force_batched``) so the
-    ratio isolates the cross-scenario sharing, and the per-scenario
+    Both sides use the same batched kernel, so the ratio isolates the
+    cross-scenario sharing, and the per-scenario
     metrics are asserted bitwise identical before any timing is
     reported (docs/MCMM.md).
     """
     from repro.mcmm import ScenarioSTA, ScenarioSet
 
     scenarios = ScenarioSet.signoff()
-    batched = ScenarioSTA(netlist, forest, scenarios, force_batched=True)
-    singles = [
-        ScenarioSTA(netlist, forest, ScenarioSet((sc,)), force_batched=True)
-        for sc in scenarios
-    ]
+    batched = ScenarioSTA(netlist, forest, scenarios)
+    singles = [ScenarioSTA(netlist, forest, ScenarioSet((sc,))) for sc in scenarios]
 
     # Warm (levelization, flat build) and check parity once.
     batched_report = batched.run()
@@ -727,19 +724,86 @@ def bench_eco_loop(
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-#: Every benchmarkable kernel, in run order.
-ALL_KERNELS: Tuple[str, ...] = (
-    "forest_build",
-    "groute",
-    "full_sta",
-    "mcmm_sta",
-    "incremental",
-    "evaluator",
-    "evaluator_backward",
-    "refine_iter",
-    "serve_throughput",
-    "eco_loop",
+#: One row per kernel, in run order: (name, call, span annotation
+#: fields, log line).  ``call(netlist, forest, design, repeats,
+#: queries)`` returns the kernel's report dict; the log line is
+#: formatted with that dict.
+_KERNEL_RUNS: Tuple[Tuple[str, Callable[..., Dict], Tuple[str, ...], str], ...] = (
+    (
+        "forest_build",
+        lambda nl, fo, name, reps, q: bench_forest_build(nl, repeats=reps),
+        ("reference_ms", "flat_ms", "speedup"),
+        "reference {reference_ms:.2f} ms, flat {flat_ms:.2f} ms  ({speedup:.1f}x; "
+        "cached {cached_ms:.2f} ms, bitwise parity {trees_bitwise_equal:.0f})",
+    ),
+    (
+        "groute",
+        lambda nl, fo, name, reps, q: bench_groute(nl, fo, repeats=reps),
+        ("reference_ms", "flat_ms", "speedup"),
+        "reference {reference_ms:.2f} ms, flat {flat_ms:.2f} ms  ({speedup:.1f}x; "
+        "bitwise parity {routes_bitwise_equal:.0f})",
+    ),
+    (
+        "full_sta",
+        lambda nl, fo, name, reps, q: bench_full_sta(nl, fo, repeats=reps),
+        ("reference_ms", "flat_ms", "speedup"),
+        "reference {reference_ms:.2f} ms, flat {flat_ms:.2f} ms  ({speedup:.1f}x)",
+    ),
+    (
+        "mcmm_sta",
+        lambda nl, fo, name, reps, q: bench_mcmm_sta(nl, fo, repeats=reps),
+        ("independent_ms", "batched_ms", "speedup"),
+        "{scenarios:.0f} scenarios, independent {independent_ms:.2f} ms, "
+        "batched {batched_ms:.2f} ms  ({speedup:.1f}x)",
+    ),
+    (
+        "incremental",
+        lambda nl, fo, name, reps, q: bench_incremental(
+            nl, fo, queries=q, repeats=max(1, reps - 1)
+        ),
+        ("incremental_ms_per_query", "speedup_vs_reference", "speedup_vs_flat"),
+        "{incremental_ms_per_query:.2f} ms/query ({speedup_vs_reference:.1f}x vs "
+        "reference, {speedup_vs_flat:.1f}x vs full flat; single-point "
+        "{polish_incremental_ms_per_query:.2f} ms, {polish_speedup_vs_flat:.1f}x vs flat)",
+    ),
+    (
+        "evaluator",
+        lambda nl, fo, name, reps, q: bench_evaluator(nl, fo, repeats=reps),
+        ("closure_ms", "tape_ms", "speedup"),
+        "closure {closure_ms:.2f} ms, tape {tape_ms:.2f} ms  ({speedup:.1f}x; "
+        "compile {compile_ms:.1f} ms)",
+    ),
+    (
+        "evaluator_backward",
+        lambda nl, fo, name, reps, q: bench_evaluator_backward(nl, fo, repeats=reps),
+        ("closure_ms", "tape_ms", "speedup"),
+        "closure {closure_ms:.2f} ms, tape {tape_ms:.2f} ms  ({speedup:.1f}x)",
+    ),
+    (
+        "refine_iter",
+        lambda nl, fo, name, reps, q: bench_refine_iter(nl, fo),
+        ("closure_ms_per_iter", "tape_ms_per_iter", "speedup"),
+        "closure {closure_ms_per_iter:.1f} ms/iter, tape {tape_ms_per_iter:.1f} ms/iter  "
+        "({speedup:.1f}x warm, {speedup_cold:.1f}x cold)",
+    ),
+    (
+        "serve_throughput",
+        lambda nl, fo, name, reps, q: bench_serve_throughput(name, repeats=reps),
+        ("unfused_jobs_per_s", "fused_jobs_per_s", "speedup"),
+        "unfused {unfused_jobs_per_s:.1f} jobs/s, fused {fused_jobs_per_s:.1f} jobs/s  "
+        "({speedup:.1f}x; fusion ratio {fusion_ratio:.2f}, mean width {mean_batch_width:.2f})",
+    ),
+    (
+        "eco_loop",
+        lambda nl, fo, name, reps, q: bench_eco_loop(nl, fo, repeats=reps),
+        ("cold_ms_per_op", "warm_ms_per_op", "speedup"),
+        "cold {cold_ms_per_op:.2f} ms/op, warm {warm_ms_per_op:.2f} ms/op  "
+        "({speedup:.1f}x; bitwise parity {verdicts_bitwise_equal:.0f})",
+    ),
 )
+
+#: Every benchmarkable kernel, in run order.
+ALL_KERNELS: Tuple[str, ...] = tuple(row[0] for row in _KERNEL_RUNS)
 
 
 def run_benchmarks(
@@ -783,145 +847,14 @@ def run_benchmarks(
         log(f"[bench] preparing {name} ...")
         with tel.span("bench.prepare", design=name):
             netlist, forest = prepare_design(name)
-        if "forest_build" in wanted:
-            with tel.span("bench.forest_build", design=name) as sp:
-                r = bench_forest_build(netlist, repeats=repeats)
-                sp.annotate(
-                    reference_ms=r["reference_ms"],
-                    flat_ms=r["flat_ms"],
-                    speedup=r["speedup"],
-                )
-            report["kernels"]["forest_build"][name] = r
-            log(
-                f"[bench] {name} forest_build: reference {r['reference_ms']:.2f} ms, "
-                f"flat {r['flat_ms']:.2f} ms  ({r['speedup']:.1f}x; "
-                f"cached {r['cached_ms']:.2f} ms, bitwise parity "
-                f"{r['trees_bitwise_equal']:.0f})"
-            )
-        if "groute" in wanted:
-            with tel.span("bench.groute", design=name) as sp:
-                r = bench_groute(netlist, forest, repeats=repeats)
-                sp.annotate(
-                    reference_ms=r["reference_ms"],
-                    flat_ms=r["flat_ms"],
-                    speedup=r["speedup"],
-                )
-            report["kernels"]["groute"][name] = r
-            log(
-                f"[bench] {name} groute: reference {r['reference_ms']:.2f} ms, "
-                f"flat {r['flat_ms']:.2f} ms  ({r['speedup']:.1f}x; "
-                f"bitwise parity {r['routes_bitwise_equal']:.0f})"
-            )
-        if "full_sta" in wanted:
-            with tel.span("bench.full_sta", design=name) as sp:
-                r = bench_full_sta(netlist, forest, repeats=repeats)
-                sp.annotate(
-                    reference_ms=r["reference_ms"], flat_ms=r["flat_ms"], speedup=r["speedup"]
-                )
-            report["kernels"]["full_sta"][name] = r
-            log(
-                f"[bench] {name} full_sta: reference {r['reference_ms']:.2f} ms, "
-                f"flat {r['flat_ms']:.2f} ms  ({r['speedup']:.1f}x)"
-            )
-        if "mcmm_sta" in wanted:
-            with tel.span("bench.mcmm_sta", design=name) as sp:
-                r = bench_mcmm_sta(netlist, forest, repeats=repeats)
-                sp.annotate(
-                    independent_ms=r["independent_ms"],
-                    batched_ms=r["batched_ms"],
-                    speedup=r["speedup"],
-                )
-            report["kernels"]["mcmm_sta"][name] = r
-            log(
-                f"[bench] {name} mcmm_sta: {int(r['scenarios'])} scenarios, "
-                f"independent {r['independent_ms']:.2f} ms, "
-                f"batched {r['batched_ms']:.2f} ms  ({r['speedup']:.1f}x)"
-            )
-        if "incremental" in wanted:
-            with tel.span("bench.incremental", design=name) as sp:
-                r = bench_incremental(
-                    netlist, forest, queries=queries, repeats=max(1, repeats - 1)
-                )
-                sp.annotate(
-                    incremental_ms_per_query=r["incremental_ms_per_query"],
-                    speedup_vs_reference=r["speedup_vs_reference"],
-                    speedup_vs_flat=r["speedup_vs_flat"],
-                )
-            report["kernels"]["incremental"][name] = r
-            log(
-                f"[bench] {name} incremental: {r['incremental_ms_per_query']:.2f} ms/query "
-                f"({r['speedup_vs_reference']:.1f}x vs reference, "
-                f"{r['speedup_vs_flat']:.1f}x vs full flat; single-point "
-                f"{r['polish_incremental_ms_per_query']:.2f} ms, "
-                f"{r['polish_speedup_vs_flat']:.1f}x vs flat)"
-            )
-        if "evaluator" in wanted:
-            with tel.span("bench.evaluator", design=name) as sp:
-                r = bench_evaluator(netlist, forest, repeats=repeats)
-                sp.annotate(
-                    closure_ms=r["closure_ms"], tape_ms=r["tape_ms"], speedup=r["speedup"]
-                )
-            report["kernels"]["evaluator"][name] = r
-            log(
-                f"[bench] {name} evaluator: closure {r['closure_ms']:.2f} ms, "
-                f"tape {r['tape_ms']:.2f} ms  ({r['speedup']:.1f}x; "
-                f"compile {r['compile_ms']:.1f} ms)"
-            )
-        if "evaluator_backward" in wanted:
-            with tel.span("bench.evaluator_backward", design=name) as sp:
-                r = bench_evaluator_backward(netlist, forest, repeats=repeats)
-                sp.annotate(
-                    closure_ms=r["closure_ms"], tape_ms=r["tape_ms"], speedup=r["speedup"]
-                )
-            report["kernels"]["evaluator_backward"][name] = r
-            log(
-                f"[bench] {name} evaluator_backward: closure {r['closure_ms']:.2f} ms, "
-                f"tape {r['tape_ms']:.2f} ms  ({r['speedup']:.1f}x)"
-            )
-        if "refine_iter" in wanted:
-            with tel.span("bench.refine_iter", design=name) as sp:
-                r = bench_refine_iter(netlist, forest)
-                sp.annotate(
-                    closure_ms_per_iter=r["closure_ms_per_iter"],
-                    tape_ms_per_iter=r["tape_ms_per_iter"],
-                    speedup=r["speedup"],
-                )
-            report["kernels"]["refine_iter"][name] = r
-            log(
-                f"[bench] {name} refine_iter: closure {r['closure_ms_per_iter']:.1f} ms/iter, "
-                f"tape {r['tape_ms_per_iter']:.1f} ms/iter  ({r['speedup']:.1f}x warm, "
-                f"{r['speedup_cold']:.1f}x cold)"
-            )
-        if "serve_throughput" in wanted:
-            with tel.span("bench.serve_throughput", design=name) as sp:
-                r = bench_serve_throughput(name, repeats=repeats)
-                sp.annotate(
-                    unfused_jobs_per_s=r["unfused_jobs_per_s"],
-                    fused_jobs_per_s=r["fused_jobs_per_s"],
-                    speedup=r["speedup"],
-                )
-            report["kernels"]["serve_throughput"][name] = r
-            log(
-                f"[bench] {name} serve_throughput: unfused "
-                f"{r['unfused_jobs_per_s']:.1f} jobs/s, fused "
-                f"{r['fused_jobs_per_s']:.1f} jobs/s  ({r['speedup']:.1f}x; "
-                f"fusion ratio {r['fusion_ratio']:.2f}, "
-                f"mean width {r['mean_batch_width']:.2f})"
-            )
-        if "eco_loop" in wanted:
-            with tel.span("bench.eco_loop", design=name) as sp:
-                r = bench_eco_loop(netlist, forest, repeats=repeats)
-                sp.annotate(
-                    cold_ms_per_op=r["cold_ms_per_op"],
-                    warm_ms_per_op=r["warm_ms_per_op"],
-                    speedup=r["speedup"],
-                )
-            report["kernels"]["eco_loop"][name] = r
-            log(
-                f"[bench] {name} eco_loop: cold {r['cold_ms_per_op']:.2f} ms/op, "
-                f"warm {r['warm_ms_per_op']:.2f} ms/op  ({r['speedup']:.1f}x; "
-                f"bitwise parity {r['verdicts_bitwise_equal']:.0f})"
-            )
+        for kernel, call, fields, line in _KERNEL_RUNS:
+            if kernel not in wanted:
+                continue
+            with tel.span(f"bench.{kernel}", design=name) as sp:
+                r = call(netlist, forest, name, repeats, queries)
+                sp.annotate(**{f: r[f] for f in fields})
+            report["kernels"][kernel][name] = r
+            log(f"[bench] {name} {kernel}: " + line.format(**r))
     return report
 
 

@@ -131,34 +131,27 @@ class TSteiner:
         escalation and both rip-up rounds), then layer assignment and
         coupling-aware STA — the same physics as the final routing pass.
 
-        One probe forest and one incremental STA query object are
-        hoisted out of the closure: successive probes in a refinement
-        run move a sparse subset of Steiner points, so the incremental
-        engine re-times only the affected cones instead of the whole
-        design.  The returned callable carries a ``reset`` attribute
-        that drops the incremental state; :func:`repro.core.refine.refine`
-        invokes it after checkpoint restores and validated reverts.
+        One probe forest and one incremental
+        :class:`~repro.mcmm.sta.ScenarioSTA` are hoisted out of the
+        closure: successive probes in a refinement run move a sparse
+        subset of Steiner points, so the engine re-times only the
+        affected cones instead of the whole design.  The returned
+        callable carries a ``reset`` attribute that drops the
+        incremental state; :func:`repro.core.refine.refine` invokes it
+        after checkpoint restores and validated reverts.
 
-        With a non-neutral ``scenarios`` set the probe times every
-        scenario through `repro.mcmm.ScenarioSTA` and returns the
-        *merged* (worst-WNS, summed-TNS) verdict, matching the merged
-        acceptance rule inside :func:`refine`.
+        The probe times every scenario of ``scenarios`` (default: the
+        neutral ``typ@func`` set) and returns the *merged* (worst-WNS,
+        summed-TNS) verdict, matching the merged acceptance rule inside
+        :func:`refine`; for the neutral set that is the nominal WNS/TNS.
         """
         from repro.groute.layer_assign import assign_layers
         from repro.groute.router import GlobalRouter, RouterConfig
+        from repro.mcmm.sta import ScenarioSTA
         from repro.routegrid.grid import GCellGrid
-        from repro.sta.engine import STAEngine
-        from repro.sta.incremental import IncrementalSTA
 
-        engine = STAEngine(netlist)
         probe = forest.copy()
-        mcmm = scenarios is not None and not scenarios.is_single_neutral()
-        if mcmm:
-            from repro.mcmm.sta import ScenarioSTA
-
-            inc = ScenarioSTA(netlist, probe, scenarios, engine=engine)
-        else:
-            inc = IncrementalSTA(netlist, probe, engine=engine)
+        sta = ScenarioSTA(netlist, probe, scenarios)
 
         def validator(coords):
             probe.set_steiner_coords(probe.clamp_coords(coords))
@@ -168,12 +161,10 @@ class TSteiner:
             router = GlobalRouter(grid, RouterConfig())
             rr = router.route(probe)
             assign_layers(rr, netlist.technology, grid.nx * grid.ny)
-            report = inc.run(route_result=rr, utilization=grid.utilization_map())
-            if mcmm:
-                return report.merged_wns, report.merged_tns
-            return report.wns, report.tns
+            report = sta.run(route_result=rr, utilization=grid.utilization_map())
+            return report.merged_wns, report.merged_tns
 
-        validator.reset = inc.invalidate
+        validator.reset = sta.invalidate
         return validator
 
     @staticmethod

@@ -168,9 +168,7 @@ class EcoContext:
     Coordinate/topology ops re-time through the pinned
     ``ScenarioSTA``'s incremental path; netlist-mutating ops rebuild
     the engine (arcs and pin caps bind at construction) — ``rebuilds``
-    counts how often.  ``force_batched=True`` keeps even neutral
-    scenario sets on the batched kernel so warm and cold answers are
-    bitwise-comparable.
+    counts how often.
     """
 
     def __init__(
@@ -193,7 +191,6 @@ class EcoContext:
             self.forest,
             scenarios=self.scenarios,
             engine=self.engine,
-            force_batched=True,
         )
 
     def rebuild(self) -> None:

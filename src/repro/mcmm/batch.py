@@ -7,7 +7,8 @@ physics enters through three inputs only:
 
 * ``wire_delay`` / ``wire_deg`` / ``net_load`` rows carry each
   scenario's derated Elmore results (wire R/C derates);
-* ``cell_derate`` (``(S, 1)``) scales NLDM delays and output slews;
+* ``cell_derate`` (``(S, 1)``, or ``None`` when every row is 1.0)
+  scales NLDM delays and output slews;
 * ``early=True`` flips the arc reduction from latest (setup) to
   earliest (hold) arrival.
 
@@ -27,7 +28,13 @@ import numpy as np
 
 from repro.pdk.clocks import ClockSpec
 from repro.sta import flat as flatmod
-from repro.sta.engine import DEFAULT_INPUT_SLEW, LevelizedPins, PertLevel, STAEngine
+from repro.sta.engine import (
+    DEFAULT_INPUT_SLEW,
+    LevelizedPins,
+    PertLevel,
+    STAEngine,
+    _arc_tables,
+)
 
 
 def launch_arrays_batched(
@@ -61,7 +68,7 @@ def _eval_cell_arcs_batched(
     start: np.ndarray,
     counts: np.ndarray,
     arc_rows: Optional[np.ndarray],
-    cell_derate: np.ndarray,
+    cell_derate: Optional[np.ndarray],
     early: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched max/min-arrival and winner slew per destination.
@@ -70,76 +77,33 @@ def _eval_cell_arcs_batched(
     ``early`` selects the hold-style earliest-arrival reduction.
     Returns ``(best, winner_slew, valid)`` each ``(S, n_dests)``.
     """
-    if arc_rows is None:
-        cell_in = lv.cell_in
-        n_arc = cell_in.size
-        group_iter = lv.arc_groups
-    else:
-        cell_in = lv.cell_in[arc_rows]
-        n_arc = arc_rows.size
-        gids = lv.arc_group_id[arc_rows]
-        group_iter = []
-        if gids.size:
-            order = np.argsort(gids, kind="stable")
-            sg = gids[order]
-            bnd = np.flatnonzero(sg[1:] != sg[:-1]) + 1
-            g_starts = np.concatenate((np.zeros(1, dtype=np.int64), bnd))
-            g_ends = np.append(bnd, sg.size)
-            group_iter = [
-                (lv.arc_groups[int(sg[s])][0], order[s:e])
-                for s, e in zip(g_starts, g_ends)
-            ]
+    cell_in = lv.cell_in if arc_rows is None else lv.cell_in[arc_rows]
+    n_arc = cell_in.size
     S = arrival.shape[0]
     a_in = arrival[:, cell_in]
     s_in = slew[:, cell_in]
     safe_net = np.maximum(dest_net, 0)
     load_dest = np.where(dest_net >= 0, net_load[:, safe_net], 0.0)
     load_arc = np.repeat(load_dest, counts, axis=1)
-    delays = np.empty((S, n_arc), dtype=np.float64)
-    oslews = np.empty((S, n_arc), dtype=np.float64)
-    if pert.shared_axes is not None:
-        sa, la = pert.shared_axes
-        s = np.minimum(np.maximum(s_in, sa[0]), sa[-1])
-        c = np.minimum(np.maximum(load_arc, la[0]), la[-1])
-        i = np.minimum(np.maximum(np.searchsorted(sa, s) - 1, 0), sa.size - 2)
-        j = np.minimum(np.maximum(np.searchsorted(la, c) - 1, 0), la.size - 2)
-        s0, s1 = sa[i], sa[i + 1]
-        c0, c1 = la[j], la[j + 1]
-        ts = (s - s0) / (s1 - s0)
-        tc = (c - c0) / (c1 - c0)
-        omts = 1 - ts
-        omtc = 1 - tc
-        for arc, pos in group_iter:
-            ip, jp = i[:, pos], j[:, pos]
-            tsp, tcp = ts[:, pos], tc[:, pos]
-            omtsp, omtcp = omts[:, pos], omtc[:, pos]
-            for tbl, out in ((arc.delay, delays), (arc.output_slew, oslews)):
-                v = tbl.values
-                out[:, pos] = (
-                    v[ip, jp] * omtsp * omtcp
-                    + v[ip + 1, jp] * tsp * omtcp
-                    + v[ip, jp + 1] * omtsp * tcp
-                    + v[ip + 1, jp + 1] * tsp * tcp
-                )
-    else:
-        for arc, pos in group_iter:
-            delays[:, pos] = arc.delay.lookup_many(s_in[:, pos], load_arc[:, pos])
-            oslews[:, pos] = arc.output_slew.lookup_many(
-                s_in[:, pos], load_arc[:, pos]
-            )
-    # PVT derate on cell timing; 1.0 rows are bitwise no-ops.
-    delays *= cell_derate
-    oslews *= cell_derate
+    delays, oslews = _arc_tables(pert, lv, arc_rows, s_in, load_arc)
+    # PVT derate on cell timing; 1.0 rows are bitwise no-ops, so an
+    # all-neutral block passes None and skips the multiply.
+    if cell_derate is not None:
+        delays *= cell_derate
+        oslews *= cell_derate
     sentinel = np.inf if early else -np.inf
     cand = np.where(np.isnan(a_in), sentinel, a_in + delays)
     seg_starts = start[:-1]
     reduce = np.minimum if early else np.maximum
     best = reduce.reduceat(cand, seg_starts, axis=1)
-    row_ids = np.arange(n_arc, dtype=np.int64)
-    masked = np.where(cand == np.repeat(best, counts, axis=1), row_ids, n_arc)
+    # First arc achieving the best wins ties, found as a flat index into
+    # the (S, n_arc) block so the winner slew is a single 1-D gather.
+    n_flat = S * n_arc
+    flat_ids = np.arange(n_flat, dtype=np.int64).reshape(S, n_arc)
+    masked = np.where(cand == np.repeat(best, counts, axis=1), flat_ids, n_flat)
     first = np.minimum.reduceat(masked, seg_starts, axis=1)
     valid = best < np.inf if early else best > -np.inf
-    gather = np.take_along_axis(oslews, np.minimum(first, max(n_arc - 1, 0)), axis=1)
+    gather = oslews.ravel()[np.minimum(first, max(n_flat - 1, 0))]
     winner_slew = np.where(valid, gather, DEFAULT_INPUT_SLEW)
     return best, winner_slew, valid
 
@@ -152,7 +116,7 @@ def propagate_levels_batched(
     wire_slew_deg: np.ndarray,
     net_load: np.ndarray,
     net_has_tree: np.ndarray,
-    cell_derate: np.ndarray,
+    cell_derate: Optional[np.ndarray],
     early: bool = False,
 ) -> None:
     """One full batched PERT pass over all levels (in place).
@@ -191,7 +155,7 @@ def propagate_from_batched(
     wire_slew_deg: np.ndarray,
     net_load: np.ndarray,
     net_has_tree: np.ndarray,
-    cell_derate: np.ndarray,
+    cell_derate: Optional[np.ndarray],
     recompute: np.ndarray,
     early: bool = False,
 ) -> int:

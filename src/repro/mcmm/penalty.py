@@ -37,7 +37,7 @@ from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
 from repro.core.penalty import PenaltyConfig, smoothed_from_slack
 from repro.mcmm.scenario import ScenarioSet
-from repro.sta.hold import DEFAULT_HOLD_TIME
+from repro.pdk.corners import DEFAULT_HOLD_TIME
 from repro.timing_model.graph import TimingGraph
 
 

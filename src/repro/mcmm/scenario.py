@@ -139,8 +139,9 @@ class ScenarioSet:
     def is_single_neutral(self) -> bool:
         """True when this set is exactly the pre-MCMM single scenario.
 
-        Callers use this to route one-element neutral sets through the
-        unbatched engine, preserving bitwise-identical behaviour.
+        ``refine()`` and the flow use this to keep one-element neutral
+        sets on the single-scenario objective and report, preserving
+        bitwise-identical behaviour.
         """
         return len(self.scenarios) == 1 and self.scenarios[0].is_neutral
 

@@ -10,15 +10,17 @@ what is the merged verdict?*  It owns:
 * **check blocks** — setup scenarios batch into one ``(S_setup, n_pins)``
   latest-arrival propagation, hold scenarios into one earliest-arrival
   propagation (repro.mcmm.batch);
-* **incremental state** — the same dirty-tree/frontier machinery as
-  :class:`repro.sta.incremental.IncrementalSTA`, widened by the
-  scenario axis.  Every incremental answer is bitwise-identical to a
-  full batched rebuild.
+* **incremental state** — dirty trees are found by exact coordinate
+  (pre-route) or per-edge RC (routed) comparison, re-Elmored alone,
+  and a levelized frontier re-times only the pins whose inputs changed
+  bitwise.  Every incremental answer is bitwise-identical to a full
+  batched rebuild.
 
-A one-element *neutral* scenario set (``typ@func``) delegates to the
-plain `IncrementalSTA`, keeping the pre-MCMM path bitwise untouched;
-``force_batched=True`` routes even that case through the batched
-kernels (the parity tests compare both).
+This is the repo's only incremental timing engine.  A single-corner
+query is simply S=1: the neutral set (``typ@func``) runs the same
+batched kernels and reproduces ``STAEngine.run`` bit for bit, and
+:class:`repro.sta.incremental.IncrementalSTA` and
+:func:`repro.sta.hold.run_hold_analysis` are format adapters over it.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from repro.groute.router import GlobalRouteResult
 from repro.netlist.netlist import Netlist
 from repro.obs import get_telemetry
 from repro.sta import flat as flatmod
-from repro.sta.engine import STAEngine, TimingReport
-from repro.sta.hold import DEFAULT_HOLD_TIME
-from repro.sta.incremental import IncrementalSTA
+from repro.pdk.corners import DEFAULT_HOLD_TIME
+from repro.sta.engine import STAEngine
 from repro.steiner.forest import SteinerForest
 from repro.mcmm.batch import (
     launch_arrays_batched,
@@ -86,7 +87,7 @@ class ScenarioReport:
 
 
 @dataclass
-class _BatchState:
+class BatchState:
     """Everything cached between batched queries."""
 
     flat: flatmod.FlatForest
@@ -112,9 +113,12 @@ class _BatchState:
 class ScenarioSTA:
     """MCMM STA query object bound to one (netlist, forest) pair.
 
-    Same contract as `IncrementalSTA`: callers move Steiner points on
-    ``forest`` and re-query; topology edits trigger a full rebuild; any
-    exception mid-update drops the cache before propagating.
+    Callers move Steiner points on ``forest`` and re-query; the forest's
+    tree *topology* must stay fixed between queries — a topology edit
+    changes the flat fingerprint and triggers a full rebuild.  Any
+    exception mid-update (including a budget timeout) drops the cache
+    before propagating, so an interrupted query never leaves a stale
+    dirty set behind (docs/RESILIENCE.md).
     """
 
     def __init__(
@@ -123,20 +127,12 @@ class ScenarioSTA:
         forest: SteinerForest,
         scenarios: Optional[ScenarioSet] = None,
         engine: Optional[STAEngine] = None,
-        tol: float = 0.0,
-        force_batched: bool = False,
     ) -> None:
         self.netlist = netlist
         self.forest = forest
         self.scenarios = scenarios if scenarios is not None else ScenarioSet.default()
         self.engine = engine if engine is not None else STAEngine(netlist)
-        self.tol = float(tol)
-        self._delegate: Optional[IncrementalSTA] = None
-        if self.scenarios.is_single_neutral() and not force_batched:
-            self._delegate = IncrementalSTA(
-                netlist, forest, engine=self.engine, tol=tol
-            )
-        self._state: Optional[_BatchState] = None
+        self._state: Optional[BatchState] = None
         self.num_queries = 0
         self.num_full = 0
         self.last_dirty_trees = 0
@@ -155,10 +151,28 @@ class ScenarioSTA:
             self._group_of.append(keys.index(k))
         self._wire_keys = keys
 
-        # Check blocks.
+        # Check blocks: (scenario indices, early, wire-group rows, cell
+        # derates) for each non-empty check.  Group rows that form a
+        # contiguous range are a slice, so the block reads views of the
+        # group arrays instead of copies; an all-1.0 derate is None
+        # because ``x * 1.0`` is a bitwise no-op the kernel can skip.
         self._setup_idx = list(self.scenarios.setup_indices())
         self._hold_idx = list(self.scenarios.hold_indices())
         self._clocks = [sc.clock(netlist.clock) for sc in self.scenarios]
+        self._blocks = []
+        for idx, early in ((self._setup_idx, False), (self._hold_idx, True)):
+            if not idx:
+                continue
+            g = [self._group_of[s] for s in idx]
+            rows = (
+                slice(g[0], g[-1] + 1)
+                if g == list(range(g[0], g[-1] + 1))
+                else np.array(g, dtype=np.int64)
+            )
+            derate = np.array([[self.scenarios[s].corner.cell_derate] for s in idx])
+            self._blocks.append(
+                (idx, early, rows, None if np.all(derate == 1.0) else derate)
+            )
 
         # Per-scenario finalize data.
         pert = self.engine.pert()
@@ -168,17 +182,16 @@ class ScenarioSTA:
             sc = self.scenarios[s]
             self._setup_req.append(self._required_array(sc))
             self._setup_enabled.append(self._enabled_mask(sc, pert.endpoints_arr))
-        # Hold endpoints: register data pins in register iteration order
-        # (matches repro.sta.hold.run_hold_analysis).
+        #: Hold endpoints: register data pins in register iteration order.
         hold_ep: List[int] = []
         for cell in netlist.registers():
             ct = cell.cell_type
             for in_name in ct.input_pins:
                 if in_name != ct.clock_pin:
                     hold_ep.append(cell.pin_indices[in_name])
-        self._hold_ep = np.array(hold_ep, dtype=np.int64)
+        self.hold_endpoints = np.array(hold_ep, dtype=np.int64)
         self._hold_enabled: List[Optional[np.ndarray]] = [
-            self._enabled_mask(self.scenarios[s], self._hold_ep)
+            self._enabled_mask(self.scenarios[s], self.hold_endpoints)
             for s in self._hold_idx
         ]
 
@@ -211,9 +224,11 @@ class ScenarioSTA:
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop all cached state; the next query runs a full pass."""
-        if self._delegate is not None:
-            self._delegate.invalidate()
+        """Drop all cached state; the next query runs a full pass.
+
+        Call after any event that may desynchronize the cache from the
+        forest — checkpoint resume, validated revert, topology edits.
+        """
         self._state = None
 
     reset = invalidate
@@ -233,17 +248,24 @@ class ScenarioSTA:
         utilization: Optional[np.ndarray] = None,
     ) -> ScenarioReport:
         """Scenario-merged timing under the current Steiner coordinates."""
+        st = self.update(route_result=route_result, utilization=utilization)
+        return self._finalize_blocks(st.arr_setup, st.arr_hold)
+
+    def update(
+        self,
+        route_result: Optional[GlobalRouteResult] = None,
+        utilization: Optional[np.ndarray] = None,
+    ) -> BatchState:
+        """Bring the propagated state up to the forest's current
+        coordinates (incrementally when possible) and return it.
+
+        The returned state is live and owned by this object: read its
+        ``(S_block, n_pins)`` arrays before the next query.
+        """
         self.num_queries += 1
         tel = get_telemetry()
         if tel.enabled:
             tel.count("mcmm.sta_queries")
-        if self._delegate is not None:
-            report = self._delegate.run(
-                route_result=route_result, utilization=utilization
-            )
-            self.num_full = self._delegate.num_full
-            self.last_dirty_trees = self._delegate.last_dirty_trees
-            return self._wrap_single(report)
         pert = self.engine.pert()
         flat = flatmod.flat_forest_of(self.forest, pert.pin_caps)
         coords = self.forest.get_steiner_coords()
@@ -251,23 +273,11 @@ class ScenarioSTA:
         if st is None or st.flat is not flat:
             return self._full(flat, coords, route_result, utilization)
         try:
-            return self._incremental(st, coords, route_result, utilization)
+            self._incremental(st, coords, route_result, utilization)
         except Exception:
             self._state = None
             raise
-
-    def _wrap_single(self, report: TimingReport) -> ScenarioReport:
-        sc = self.scenarios[0]
-        m = ScenarioMetrics(
-            name=sc.name,
-            check="setup",
-            wns=report.wns,
-            tns=report.tns,
-            num_violations=report.num_violations,
-            slack=dict(report.slack),
-            arrival=report.arrival,
-        )
-        return ScenarioReport.merge([m])
+        return st
 
     # ------------------------------------------------------------------
     def _full(
@@ -276,7 +286,7 @@ class ScenarioSTA:
         coords: np.ndarray,
         route_result: Optional[GlobalRouteResult],
         utilization: Optional[np.ndarray],
-    ) -> ScenarioReport:
+    ) -> BatchState:
         self.num_full += 1
         self.last_dirty_trees = flat.n_trees
         tel = get_telemetry()
@@ -314,7 +324,7 @@ class ScenarioSTA:
         net_has_tree = np.zeros(pert.n_nets, dtype=bool)
         net_has_tree[flat.net_of_tree] = True
 
-        st = _BatchState(
+        st = BatchState(
             flat=flat,
             coords=np.array(coords, dtype=np.float64, copy=True),
             xy=xy,
@@ -333,46 +343,29 @@ class ScenarioSTA:
             arr_hold=None,
             slew_hold=None,
         )
-        for idx, early in ((self._setup_idx, False), (self._hold_idx, True)):
-            if not idx:
-                continue
+        for idx, early, rows, derate in self._blocks:
             arrival, slew = launch_arrays_batched(
                 engine, [self._clocks[s] for s in idx]
             )
-            wd, deg, nl, derate = self._block_arrays(st, idx)
             propagate_levels_batched(
-                pert, arrival, slew, wd, deg, nl, net_has_tree, derate, early=early
+                pert, arrival, slew, wire_delay_G[rows], wire_deg_G[rows],
+                net_load_G[rows], net_has_tree, derate, early=early,
             )
             if early:
                 st.arr_hold, st.slew_hold = arrival, slew
             else:
                 st.arr_setup, st.slew_setup = arrival, slew
         self._state = st
-        return self._finalize(st)
-
-    def _block_arrays(
-        self, st: _BatchState, idx: List[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Expand group-level wire arrays to one row per block scenario."""
-        g_rows = np.array([self._group_of[s] for s in idx], dtype=np.int64)
-        derate = np.array(
-            [[self.scenarios[s].corner.cell_derate] for s in idx]
-        )
-        return (
-            st.wire_delay_G[g_rows],
-            st.wire_deg_G[g_rows],
-            st.net_load_G[g_rows],
-            derate,
-        )
+        return st
 
     # ------------------------------------------------------------------
     def _incremental(
         self,
-        st: _BatchState,
+        st: BatchState,
         coords: np.ndarray,
         route_result: Optional[GlobalRouteResult],
         utilization: Optional[np.ndarray],
-    ) -> ScenarioReport:
+    ) -> None:
         engine = self.engine
         pert = engine.pert()
         flat = st.flat
@@ -380,6 +373,9 @@ class ScenarioSTA:
 
         dirty_mask = np.zeros(flat.n_trees, dtype=bool)
         if routed or st.routed:
+            # Post-route (or a mode switch): per-edge RC diffing is the
+            # exact dirtiness criterion — it catches coordinate moves
+            # (fallback edges), re-routes, layer changes and coupling.
             xy = st.xy
             if flat.steiner_rows.size:
                 xy[flat.steiner_rows] = coords[flat.steiner_flat]
@@ -395,11 +391,9 @@ class ScenarioSTA:
             st.base_r, st.base_c = new_r, new_c
             st.coords = np.array(coords, dtype=np.float64, copy=True)
         else:
-            delta = np.abs(coords - st.coords)
-            if self.tol > 0.0:
-                moved = np.any(delta > self.tol, axis=1)
-            else:
-                moved = np.any(coords != st.coords, axis=1)
+            # Pre-route: dirty = trees with any coordinate that changed
+            # bitwise since the last query.
+            moved = np.any(coords != st.coords, axis=1)
             dirty_mask[flat.steiner_tree[moved]] = True
             coord_rows = dirty_mask[flat.steiner_tree]
             st.coords[coord_rows] = coords[coord_rows]
@@ -421,52 +415,51 @@ class ScenarioSTA:
         tel = get_telemetry()
         if tel.enabled:
             tel.hist("mcmm.dirty_trees", int(dirty.size))
+        if dirty.size == 0:
+            return
         recompute = np.zeros(pert.n_pins, dtype=bool)
-        if dirty.size:
-            e_rows = flat.edge_rows_of_trees(dirty)
-            sink_sel = flat.sink_rows_of_trees(dirty)
-            pins = flat.sink_pin[sink_sel]
-            nets = flat.net_of_tree[dirty]
-            for g, (rd, cd) in enumerate(self._wire_keys):
-                # Refresh the derated rows of the dirty trees, then the
-                # partial Elmore pass (bitwise-identical to full).
-                st.group_r[g, e_rows] = st.base_r[e_rows] * rd
-                st.group_c[g, e_rows] = st.base_c[e_rows] * cd
-                el = st.elmores[g]
-                flatmod.elmore_update(
-                    flat, st.group_r[g], st.group_c[g], el, trees=dirty
-                )
-                new_wd = el.sink_delay[sink_sel]
-                new_deg = el.sink_slew_deg[sink_sel]
-                w_ch = (st.wire_delay_G[g, pins] != new_wd) | (
-                    st.wire_deg_G[g, pins] != new_deg
-                )
-                st.wire_delay_G[g, pins] = new_wd
-                st.wire_deg_G[g, pins] = new_deg
-                recompute[pins[w_ch]] = True
-                new_load = el.total_cap[dirty]
-                l_ch = st.net_load_G[g, nets] != new_load
-                st.net_load_G[g, nets] = new_load
-                recompute[pert.net_driver[nets[l_ch]]] = True
+        e_rows = flat.edge_rows_of_trees(dirty)
+        sink_sel = flat.sink_rows_of_trees(dirty)
+        pins = flat.sink_pin[sink_sel]
+        nets = flat.net_of_tree[dirty]
+        for g, (rd, cd) in enumerate(self._wire_keys):
+            # Refresh the derated rows of the dirty trees, then the
+            # partial Elmore pass (bitwise-identical to full).
+            st.group_r[g, e_rows] = st.base_r[e_rows] * rd
+            st.group_c[g, e_rows] = st.base_c[e_rows] * cd
+            el = st.elmores[g]
+            flatmod.elmore_update(
+                flat, st.group_r[g], st.group_c[g], el, trees=dirty
+            )
+            # Seed sinks whose wire timing changed and drivers whose
+            # output load changed.
+            new_wd = el.sink_delay[sink_sel]
+            new_deg = el.sink_slew_deg[sink_sel]
+            w_ch = (st.wire_delay_G[g, pins] != new_wd) | (
+                st.wire_deg_G[g, pins] != new_deg
+            )
+            st.wire_delay_G[g, pins] = new_wd
+            st.wire_deg_G[g, pins] = new_deg
+            recompute[pins[w_ch]] = True
+            new_load = el.total_cap[dirty]
+            l_ch = st.net_load_G[g, nets] != new_load
+            st.net_load_G[g, nets] = new_load
+            recompute[pert.net_driver[nets[l_ch]]] = True
 
-        if recompute.any():
-            for idx, early in ((self._setup_idx, False), (self._hold_idx, True)):
-                if not idx:
-                    continue
-                arrival = st.arr_hold if early else st.arr_setup
-                slew = st.slew_hold if early else st.slew_setup
-                wd, deg, nl, derate = self._block_arrays(st, idx)
-                propagate_from_batched(
-                    pert, arrival, slew, wd, deg, nl, st.net_has_tree,
-                    derate, recompute, early=early,
-                )
-        return self._finalize(st)
+        if not recompute.any():
+            return
+        for idx, early, rows, derate in self._blocks:
+            levels = propagate_from_batched(
+                pert,
+                st.arr_hold if early else st.arr_setup,
+                st.slew_hold if early else st.slew_setup,
+                st.wire_delay_G[rows], st.wire_deg_G[rows], st.net_load_G[rows],
+                st.net_has_tree, derate, recompute, early=early,
+            )
+            if tel.enabled:
+                tel.hist("mcmm.frontier_levels", levels)
 
     # ------------------------------------------------------------------
-    def _finalize(self, st: _BatchState) -> ScenarioReport:
-        """Per-scenario slacks/WNS/TNS from the propagated blocks."""
-        return self._finalize_blocks(st.arr_setup, st.arr_hold)
-
     def _finalize_blocks(
         self,
         arr_setup: Optional[np.ndarray],
@@ -515,7 +508,7 @@ class ScenarioSTA:
             launch = clock.launch_time()
             requirement = DEFAULT_HOLD_TIME + sc.corner.hold_margin + clock.uncertainty
             arrival = arr_hold[row]
-            eps = self._hold_ep
+            eps = self.hold_endpoints
             enabled = self._hold_enabled[row]
             if enabled is not None:
                 eps = eps[enabled]
@@ -562,16 +555,8 @@ class ScenarioSTA:
         exactly as before the call.  Returns ``(base_report, probes)``
         where ``base_report`` re-synchronizes with the forest's current
         coordinates first.  Probe reports are "light": WNS/TNS and
-        violation counts only (empty slack maps).
-
-        Requires ``force_batched=True`` (the delegate path has no
-        scenario axis to widen) and pre-route probing.
+        violation counts only (empty slack maps).  Probing is pre-route.
         """
-        if self._delegate is not None:
-            raise ValueError(
-                "probe_batch requires force_batched=True — the neutral "
-                "delegate has no scenario axis to widen"
-            )
         base = self.run()
         st = self._state
         engine = self.engine
@@ -589,23 +574,17 @@ class ScenarioSTA:
         # One (K * S_block, n_pins) workspace per check block, seeded
         # with the committed propagated state tiled K times.
         blocks = []
-        for idx, early in ((self._setup_idx, False), (self._hold_idx, True)):
-            if not idx:
-                blocks.append(None)
-                continue
-            bwd, bdeg, bnl, derate = self._block_arrays(st, idx)
-            arr0 = st.arr_hold if early else st.arr_setup
-            slew0 = st.slew_hold if early else st.slew_setup
+        for idx, early, rows, derate in self._blocks:
             blocks.append(
                 {
                     "idx": idx,
                     "early": early,
-                    "wd": np.tile(bwd, (K, 1)),
-                    "deg": np.tile(bdeg, (K, 1)),
-                    "nl": np.tile(bnl, (K, 1)),
-                    "derate": np.tile(derate, (K, 1)),
-                    "arr": np.tile(arr0, (K, 1)),
-                    "slew": np.tile(slew0, (K, 1)),
+                    "wd": np.tile(st.wire_delay_G[rows], (K, 1)),
+                    "deg": np.tile(st.wire_deg_G[rows], (K, 1)),
+                    "nl": np.tile(st.net_load_G[rows], (K, 1)),
+                    "derate": None if derate is None else np.tile(derate, (K, 1)),
+                    "arr": np.tile(st.arr_hold if early else st.arr_setup, (K, 1)),
+                    "slew": np.tile(st.slew_hold if early else st.slew_setup, (K, 1)),
                 }
             )
 
@@ -661,8 +640,6 @@ class ScenarioSTA:
                             flat, st.group_r[g], st.group_c[g], el, trees=dirty
                         )
                     for block in blocks:
-                        if block is None:
-                            continue
                         S = len(block["idx"])
                         for row_s, s in enumerate(block["idx"]):
                             g = self._group_of[s]
@@ -697,8 +674,6 @@ class ScenarioSTA:
 
             if recompute.any():
                 for block in blocks:
-                    if block is None:
-                        continue
                     propagate_from_batched(
                         pert, block["arr"], block["slew"], block["wd"],
                         block["deg"], block["nl"], st.net_has_tree,
@@ -710,22 +685,15 @@ class ScenarioSTA:
             self._state = None
             raise
 
-        setup_block, hold_block = blocks
-        S_su = len(self._setup_idx)
-        S_h = len(self._hold_idx)
         probes: List[ScenarioReport] = []
         for k in range(K):
-            a_su = (
-                setup_block["arr"][k * S_su:(k + 1) * S_su]
-                if setup_block is not None
-                else None
+            arr = {}
+            for block in blocks:
+                S = len(block["idx"])
+                arr[block["early"]] = block["arr"][k * S:(k + 1) * S]
+            probes.append(
+                self._finalize_blocks(arr.get(False), arr.get(True), light=True)
             )
-            a_h = (
-                hold_block["arr"][k * S_h:(k + 1) * S_h]
-                if hold_block is not None
-                else None
-            )
-            probes.append(self._finalize_blocks(a_su, a_h, light=True))
         return base, probes
 
 

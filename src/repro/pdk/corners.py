@@ -25,6 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+#: assumed register hold requirement (ns); libraries would provide this
+DEFAULT_HOLD_TIME = 0.03
+
 
 @dataclass(frozen=True)
 class Corner:

@@ -120,32 +120,24 @@ def _whatif(cache: WarmStateCache, job, ctx):
 
 
 # ----------------------------------------------------------------------
-# signoff — full WNS/TNS report, optionally under MCMM corners
+# signoff — full WNS/TNS report under a corner set (default: typ)
 # ----------------------------------------------------------------------
+def _signoff_key(params: Dict[str, Any]) -> Tuple[Tuple[str, ...], str]:
+    """``(corners, mode)`` of a sign-off job; no corners means ``typ``."""
+    return tuple(params.get("corners") or ("typ",)), str(params.get("mode", "func"))
+
+
 def _signoff_one(cache: WarmStateCache, design: str, params: Dict[str, Any]) -> Dict[str, Any]:
     ws = cache.workspace(design)
-    corners = tuple(params.get("corners") or ())
-    mode = str(params.get("mode", "func"))
-    if corners and (corners != ("typ",) or mode != "func"):
-        sta = ws.scenario_sta(corners, mode=mode)
-        rep = sta.run()
-        value = {
-            "design": design,
-            "wns": float(rep.merged_wns),
-            "tns": float(rep.merged_tns),
-            "corners": list(corners),
-            "mode": mode,
-            "scenarios": {m.name: float(m.wns) for m in rep.scenarios},
-            "stale": False,
-        }
-    else:
-        rep = ws.incremental().run()
-        value = {
-            "design": design,
-            "wns": float(rep.wns),
-            "tns": float(rep.tns),
-            "stale": False,
-        }
+    corners, mode = _signoff_key(params)
+    sta = ws.scenario_sta(corners, mode=mode)
+    rep = sta.run()
+    value = {"design": design, "wns": float(rep.merged_wns), "tns": float(rep.merged_tns)}
+    if not sta.scenarios.is_single_neutral():
+        value["corners"] = list(corners)
+        value["mode"] = mode
+        value["scenarios"] = {m.name: float(m.wns) for m in rep.scenarios}
+    value["stale"] = False
     ws.signoff_queries += 1
     ws.record_signoff(value)
     return value
@@ -165,10 +157,7 @@ def _signoff(cache: WarmStateCache, job, ctx):
     memo: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
     values = []
     for m in job.members:
-        key = (
-            tuple(m.params.get("corners") or ()),
-            str(m.params.get("mode", "func")),
-        )
+        key = _signoff_key(m.params)
         hit = memo.get(key)
         if hit is None:
             hit = memo[key] = _signoff_one(cache, job.design, m.params)

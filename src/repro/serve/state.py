@@ -5,9 +5,11 @@ that the expensive per-design artifacts stay hot between queries:
 
 * the prepared design (placed netlist + Steiner forest),
 * the STA engine with its FlatForest topology caches,
-* the :class:`~repro.sta.incremental.IncrementalSTA` dirty-tree state
-  (a what-if move re-times only the affected cones),
-* MCMM :class:`~repro.mcmm.sta.ScenarioSTA` objects per corner set,
+* one :class:`~repro.mcmm.sta.ScenarioSTA` per corner set, each with
+  its dirty-tree state (a what-if move re-times only the affected
+  cones); the neutral ``(typ, func)`` engine is shared by what-if
+  probes, neutral sign-off and the
+  :class:`~repro.sta.incremental.IncrementalSTA` view,
 * the :class:`~repro.timing_model.graph.TimingGraph` + compiled tapes
   the refine jobs consume,
 * the trained evaluator, shared across designs and swappable by a
@@ -65,38 +67,42 @@ class DesignWorkspace:
         return self
 
     def incremental(self):
-        """The pinned IncrementalSTA (neutral scenario)."""
+        """The neutral engine in the single-scenario report format: an
+        :class:`~repro.sta.incremental.IncrementalSTA` over
+        :meth:`probe_sta`, sharing its timing state."""
         if self._inc is None:
             from repro.sta.incremental import IncrementalSTA
 
-            self.ensure_loaded()
-            self._inc = IncrementalSTA(self.netlist, self.forest, engine=self.engine)
+            self._inc = IncrementalSTA.over(self.probe_sta())
         return self._inc
 
     def probe_sta(self):
-        """The pinned what-if probe engine: a neutral force-batched
-        :class:`~repro.mcmm.sta.ScenarioSTA` whose ``probe_batch`` times
-        K candidate moves in one batched PERT pass.  Serial and fused
-        ``whatif`` handlers both query through this object (K=1 vs K=W),
-        which is what makes fused answers bitwise-equal to unbatched
-        execution (docs/SERVING.md)."""
+        """The shared neutral :class:`~repro.mcmm.sta.ScenarioSTA`.
+
+        What-if probes go through its ``probe_batch``, which times K
+        candidate moves in one batched PERT pass.  Serial and fused
+        ``whatif`` handlers both query through this object (K=1 vs
+        K=W), which is what makes fused answers bitwise-equal to
+        unbatched execution (docs/SERVING.md).  Neutral sign-off and
+        :meth:`incremental` read the same state.
+        """
         if self._probe_sta is None:
             from repro.mcmm.scenario import ScenarioSet
             from repro.mcmm.sta import ScenarioSTA
 
             self.ensure_loaded()
             self._probe_sta = ScenarioSTA(
-                self.netlist,
-                self.forest,
-                ScenarioSet.default(),
-                engine=self.engine,
-                force_batched=True,
+                self.netlist, self.forest, ScenarioSet.default(), engine=self.engine
             )
         return self._probe_sta
 
-    def scenario_sta(self, corners: Tuple[str, ...], mode: str = "func"):
-        """A pinned ScenarioSTA for an MCMM corner set (docs/MCMM.md)."""
+    def scenario_sta(self, corners: Tuple[str, ...] = ("typ",), mode: str = "func"):
+        """The pinned ScenarioSTA for one corner set (docs/MCMM.md);
+        ``(typ, func)`` is the shared neutral engine of :meth:`probe_sta`.
+        Unknown corner or mode names raise ``KeyError``."""
         key = tuple(corners) + ("@", mode)
+        if key == ("typ", "@", "func"):
+            return self.probe_sta()
         sta = self._scenario_stas.get(key)
         if sta is None:
             from repro.mcmm.scenario import ScenarioSet
@@ -132,13 +138,13 @@ class DesignWorkspace:
         engines rebind to the same netlist topology on the next query.
 
         ``structural=True`` (an ECO mutated cells/pins/nets) goes
-        further: the probe STA, pinned scenario STAs, incremental
-        state, timing graph and congestion map are *discarded* — their
-        engines captured arcs, pin caps and endpoint order at
-        construction — the STA engine is rebuilt against the mutated
-        netlist, and the forest's cached flat digest
-        (``flat_forest_of``) is dropped so the next query re-CSRs the
-        mutated forest.  Every invalidation is counted and traced.
+        further: the pinned STA engines, timing graph and congestion
+        map are *discarded* — the engines captured arcs, pin caps and
+        endpoint order at construction — the STA engine is rebuilt
+        against the mutated netlist, and the forest's cached flat
+        digest (``flat_forest_of``) is dropped so the next query
+        re-CSRs the mutated forest.  Every invalidation is counted and
+        traced.
         """
         tel = get_telemetry()
         if tel.enabled:
@@ -150,8 +156,6 @@ class DesignWorkspace:
                 structural=bool(structural),
             )
         if not structural:
-            if self._inc is not None:
-                self._inc.invalidate()
             if self._probe_sta is not None:
                 self._probe_sta.invalidate()
             for sta in self._scenario_stas.values():

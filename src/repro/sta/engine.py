@@ -71,6 +71,10 @@ class PertLevel:
     cell_dest_net: np.ndarray  # (n_dests,) driven net (-1 if none)
     arc_groups: List[Tuple[object, np.ndarray]]  # (TimingArc, arc rows)
     arc_group_id: np.ndarray  # (n_cell_arcs,) index into arc_groups
+    # Per arc row, the offset of its delay / output-slew table inside
+    # ``LevelizedPins.table_values`` (None without shared table axes).
+    delay_base: Optional[np.ndarray] = None
+    slew_base: Optional[np.ndarray] = None
 
 
 class LevelizedPins:
@@ -216,6 +220,28 @@ class LevelizedPins:
                 break
         if shared and axes is not None:
             self.shared_axes = axes
+        # With shared axes every table is one (n_slew, n_load) grid, so
+        # all of them stack into one flat value array and each arc row
+        # records where its two tables start: the kernels interpolate a
+        # whole level in one gather instead of one pass per timing arc.
+        self.table_values: Optional[np.ndarray] = None
+        if self.shared_axes is not None:
+            offsets: Dict[int, int] = {}
+            values: List[np.ndarray] = []
+
+            def offset(tbl) -> int:
+                if id(tbl) not in offsets:
+                    offsets[id(tbl)] = len(values) * tbl.values.size
+                    values.append(tbl.values.ravel())
+                return offsets[id(tbl)]
+
+            for lv in self.levels:
+                lv.delay_base = np.zeros(lv.cell_in.size, dtype=np.int64)
+                lv.slew_base = np.zeros(lv.cell_in.size, dtype=np.int64)
+                for arc, pos in lv.arc_groups:
+                    lv.delay_base[pos] = offset(arc.delay)
+                    lv.slew_base[pos] = offset(arc.output_slew)
+            self.table_values = np.concatenate(values)
         # Sinks of every net (used by the incremental engine to seed
         # recomputation when a net's wire timing changes).
         self.net_driver = np.array(
@@ -245,42 +271,59 @@ def propagate_levels(
                 has_t, np.sqrt(s_drv * s_drv + wire_slew_deg[dst]), s_drv
             )
         if lv.cell_dest.size:
-            best, winner_slew, valid = _eval_cell_arcs(
-                pert, lv, arrival, slew, net_load,
-                lv.cell_dest_net, lv.cell_start, lv.cell_counts, None,
-            )
+            best, winner_slew, valid = _eval_cell_arcs(pert, lv, arrival, slew, net_load)
             dsts = lv.cell_dest[valid]
             arrival[dsts] = best[valid]
             slew[dsts] = winner_slew[valid]
 
 
-def _eval_cell_arcs(
+def _arc_tables(
     pert: LevelizedPins,
     lv: PertLevel,
-    arrival: np.ndarray,
-    slew: np.ndarray,
-    net_load: np.ndarray,
-    dest_net: np.ndarray,
-    start: np.ndarray,
-    counts: np.ndarray,
     arc_rows: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-arrival/winner-slew per destination over NLDM cell arcs.
+    s_in: np.ndarray,
+    load_arc: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """NLDM delay and output slew of each arc row of a level.
 
-    ``arc_rows`` restricts evaluation to a subset of the level's arc
-    rows (incremental path); ``start``/``counts`` must then be the CSR
-    of that subset.  Returns (best_arrival, winner_slew, valid_mask)
-    aligned with the destinations described by ``start``.
+    ``s_in``/``load_arc`` hold one column per selected arc row (all of
+    the level's rows when ``arc_rows`` is None) and may carry leading
+    axes — the scenario-batched kernels pass ``(S, n_arc)``.  Same math
+    as ``LookupTable.lookup_many`` (clamped bilinear, same operation
+    order term for term), so the result is bitwise-identical to looking
+    every arc up on its own table.
     """
+    if pert.table_values is not None:
+        # Axis work once per level, then one gather per table corner.
+        sa, la = pert.shared_axes
+        s = np.minimum(np.maximum(s_in, sa[0]), sa[-1])
+        c = np.minimum(np.maximum(load_arc, la[0]), la[-1])
+        i = np.minimum(np.maximum(np.searchsorted(sa, s) - 1, 0), sa.size - 2)
+        j = np.minimum(np.maximum(np.searchsorted(la, c) - 1, 0), la.size - 2)
+        s0, s1 = sa[i], sa[i + 1]
+        c0, c1 = la[j], la[j + 1]
+        ts = (s - s0) / (s1 - s0)
+        tc = (c - c0) / (c1 - c0)
+        omts = 1 - ts
+        omtc = 1 - tc
+        nl = la.size
+        cell = i * nl + j
+        v = pert.table_values
+        out = []
+        for base in (lv.delay_base, lv.slew_base):
+            k = cell + (base if arc_rows is None else base[arc_rows])
+            out.append(
+                v[k] * omts * omtc
+                + v[k + nl] * ts * omtc
+                + v[k + 1] * omts * tc
+                + v[k + nl + 1] * ts * tc
+            )
+        return out[0], out[1]
     if arc_rows is None:
-        cell_in = lv.cell_in
-        n_arc = cell_in.size
         group_iter = lv.arc_groups
     else:
-        cell_in = lv.cell_in[arc_rows]
-        n_arc = arc_rows.size
         # Group the selected rows by timing arc without touching any
-        # level-sized scratch array (the incremental path selects few).
+        # level-sized scratch array (an incremental pass selects few).
         gids = lv.arc_group_id[arc_rows]
         group_iter = []
         if gids.size:
@@ -293,48 +336,37 @@ def _eval_cell_arcs(
                 (lv.arc_groups[int(sg[s])][0], order[s:e])
                 for s, e in zip(g_starts, g_ends)
             ]
-    a_in = arrival[cell_in]
-    s_in = slew[cell_in]
-    safe_net = np.maximum(dest_net, 0)
-    load_dest = np.where(dest_net >= 0, net_load[safe_net], 0.0)
+    delays = np.empty(s_in.shape, dtype=np.float64)
+    oslews = np.empty(s_in.shape, dtype=np.float64)
+    for arc, pos in group_iter:
+        s_p, l_p = s_in[..., pos], load_arc[..., pos]
+        delays[..., pos] = arc.delay.lookup_many(s_p, l_p)
+        oslews[..., pos] = arc.output_slew.lookup_many(s_p, l_p)
+    return delays, oslews
+
+
+def _eval_cell_arcs(
+    pert: LevelizedPins,
+    lv: PertLevel,
+    arrival: np.ndarray,
+    slew: np.ndarray,
+    net_load: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-arrival/winner-slew per destination over a level's NLDM
+    cell arcs.  Returns (best_arrival, winner_slew, valid_mask) aligned
+    with ``lv.cell_dest``."""
+    counts = lv.cell_counts
+    a_in = arrival[lv.cell_in]
+    s_in = slew[lv.cell_in]
+    safe_net = np.maximum(lv.cell_dest_net, 0)
+    load_dest = np.where(lv.cell_dest_net >= 0, net_load[safe_net], 0.0)
     load_arc = np.repeat(load_dest, counts)
-    delays = np.empty(n_arc, dtype=np.float64)
-    oslews = np.empty(n_arc, dtype=np.float64)
-    if pert.shared_axes is not None:
-        # Same math as LookupTable.lookup_many (clamped bilinear, same
-        # operation order term for term) with the axis work hoisted out
-        # of the per-table loop.
-        sa, la = pert.shared_axes
-        s = np.minimum(np.maximum(s_in, sa[0]), sa[-1])
-        c = np.minimum(np.maximum(load_arc, la[0]), la[-1])
-        i = np.minimum(np.maximum(np.searchsorted(sa, s) - 1, 0), sa.size - 2)
-        j = np.minimum(np.maximum(np.searchsorted(la, c) - 1, 0), la.size - 2)
-        s0, s1 = sa[i], sa[i + 1]
-        c0, c1 = la[j], la[j + 1]
-        ts = (s - s0) / (s1 - s0)
-        tc = (c - c0) / (c1 - c0)
-        omts = 1 - ts
-        omtc = 1 - tc
-        for arc, pos in group_iter:
-            ip, jp = i[pos], j[pos]
-            tsp, tcp = ts[pos], tc[pos]
-            omtsp, omtcp = omts[pos], omtc[pos]
-            for tbl, out in ((arc.delay, delays), (arc.output_slew, oslews)):
-                v = tbl.values
-                out[pos] = (
-                    v[ip, jp] * omtsp * omtcp
-                    + v[ip + 1, jp] * tsp * omtcp
-                    + v[ip, jp + 1] * omtsp * tcp
-                    + v[ip + 1, jp + 1] * tsp * tcp
-                )
-    else:
-        for arc, pos in group_iter:
-            delays[pos] = arc.delay.lookup_many(s_in[pos], load_arc[pos])
-            oslews[pos] = arc.output_slew.lookup_many(s_in[pos], load_arc[pos])
+    delays, oslews = _arc_tables(pert, lv, None, s_in, load_arc)
     cand = np.where(np.isnan(a_in), -np.inf, a_in + delays)
-    seg_starts = start[:-1]
+    seg_starts = lv.cell_start[:-1]
     best = np.maximum.reduceat(cand, seg_starts)
     # First arc achieving the max wins ties (reference uses strict >).
+    n_arc = lv.cell_in.size
     row_ids = np.arange(n_arc, dtype=np.int64)
     masked = np.where(cand == np.repeat(best, counts), row_ids, n_arc)
     first = np.minimum.reduceat(masked, seg_starts)

@@ -11,24 +11,24 @@ The paper optimizes setup WNS/TNS only, but a sign-off substitute that
 cannot report hold would be incomplete — and the test suite uses hold
 analysis as an independent cross-check of the PERT machinery (earliest
 arrivals can never exceed latest ones).
+
+Earliest arrivals come from the batched engine
+(:class:`repro.mcmm.sta.ScenarioSTA`) over one neutral hold scenario;
+this module applies the hold requirement.  The scalar per-net form is
+the test oracle ``repro.testing.oracles.reference_hold_analysis``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.groute.router import GlobalRouteResult
-from repro.netlist.netlist import Netlist, PinDirection
-from repro.sta.engine import DEFAULT_INPUT_SLEW, STAEngine
-from repro.sta.rctree import compute_net_timing
+from repro.pdk.corners import DEFAULT_HOLD_TIME, Corner
+from repro.sta.engine import STAEngine
 from repro.steiner.forest import SteinerForest
-
-#: assumed register hold requirement (ns); libraries would provide this
-DEFAULT_HOLD_TIME = 0.03
 
 
 @dataclass
@@ -49,105 +49,25 @@ def run_hold_analysis(
     hold_time: float = DEFAULT_HOLD_TIME,
 ) -> HoldReport:
     """Min-delay PERT traversal over the same timing graph."""
-    netlist = engine.netlist
-    n_pins = netlist.num_pins
-    arrival = np.full(n_pins, np.nan)
-    slew = np.full(n_pins, DEFAULT_INPUT_SLEW)
+    # Imported here: repro.mcmm imports this package's engine.
+    from repro.mcmm.scenario import Scenario, ScenarioSet, get_mode
+    from repro.mcmm.sta import ScenarioSTA
 
-    pin_caps = {
-        p.index: p.cap for p in netlist.pins if p.direction == PinDirection.INPUT
-    }
-    net_timing = {}
-    net_load: Dict[int, float] = {}
-    for t_idx, tree in enumerate(forest.trees):
-        sink_caps = {p: pin_caps.get(p, 0.0) for p in tree.pin_ids[1:]}
-        nt = compute_net_timing(
-            tree,
-            sink_caps,
-            engine.technology,
-            route_result=route_result,
-            tree_idx=t_idx,
-            utilization=utilization,
-            coupling_k=engine.COUPLING_K,
-        )
-        net_timing[tree.net_index] = nt
-        net_load[tree.net_index] = nt.total_cap
-    for net in netlist.nets:
-        net_load.setdefault(
-            net.index, sum(pin_caps.get(s, 0.0) for s in net.sinks)
-        )
+    neutral_hold = Scenario(Corner("typ_hold", check="hold"), get_mode("func"))
+    sta = ScenarioSTA(engine.netlist, forest, ScenarioSet([neutral_hold]), engine=engine)
+    st = sta.update(route_result=route_result, utilization=utilization)
+    arrival = st.arr_hold[0].copy()
 
     launch = engine.clock.launch_time()
-    for port in netlist.primary_inputs():
-        arrival[port.index] = launch + engine.clock.input_delay
-    clock_pins = set()
-    for cell in netlist.registers():
-        ck = cell.pin_indices[cell.cell_type.clock_pin]
-        clock_pins.add(ck)
-        arrival[ck] = launch
-
-    driver_of: Dict[int, int] = {}
-    for net in netlist.nets:
-        for s in net.sinks:
-            driver_of[s] = net.index
-
-    for pin_idx in netlist.topological_pin_order():
-        pin = netlist.pins[pin_idx]
-        if pin_idx in clock_pins or (
-            pin.is_port and pin.direction == PinDirection.OUTPUT
-        ):
-            continue
-        if pin.direction == PinDirection.OUTPUT:
-            arcs = engine._cell_arcs.get(pin_idx, [])
-            net_idx = netlist.pin_net_map()[pin_idx]
-            load = net_load.get(int(net_idx), 0.0) if net_idx >= 0 else 0.0
-            best = np.inf
-            best_slew = DEFAULT_INPUT_SLEW
-            for in_pin, arc in arcs:
-                a_in = arrival[in_pin]
-                if np.isnan(a_in):
-                    continue
-                a_out = a_in + arc.delay.lookup(float(slew[in_pin]), load)
-                if a_out < best:  # earliest arrival: min over arcs
-                    best = a_out
-                    best_slew = arc.output_slew.lookup(float(slew[in_pin]), load)
-            if best < np.inf:
-                arrival[pin_idx] = best
-                slew[pin_idx] = best_slew
-        else:
-            net_idx = driver_of.get(pin_idx)
-            if net_idx is None:
-                continue
-            driver = netlist.nets[net_idx].driver
-            a_drv = arrival[driver]
-            if np.isnan(a_drv):
-                continue
-            nt = net_timing.get(net_idx)
-            if nt is None:
-                arrival[pin_idx] = a_drv
-            else:
-                arrival[pin_idx] = a_drv + nt.sink_delay.get(pin_idx, 0.0)
-                slew[pin_idx] = math.sqrt(
-                    float(slew[driver]) ** 2
-                    + nt.sink_slew_degradation.get(pin_idx, 0.0)
-                )
-
     requirement = hold_time + engine.clock.uncertainty
-    hold_slack: Dict[int, float] = {}
-    for cell in netlist.registers():
-        ct = cell.cell_type
-        for in_name in ct.input_pins:
-            if in_name == ct.clock_pin:
-                continue
-            ep = cell.pin_indices[in_name]
-            arr = arrival[ep]
-            if not np.isnan(arr):
-                hold_slack[ep] = float(arr - launch - requirement)
-    whs = min(hold_slack.values()) if hold_slack else 0.0
-    vios = sum(1 for s in hold_slack.values() if s < 0)
+    eps = sta.hold_endpoints
+    arr_ep = arrival[eps]
+    ok = ~np.isnan(arr_ep)
+    svals = arr_ep[ok] - launch - requirement
+    hold_slack = {int(ep): float(v) for ep, v in zip(eps[ok], svals)}
     return HoldReport(
         early_arrival=arrival,
         hold_slack=hold_slack,
-        whs=float(whs),
-        num_violations=vios,
+        whs=float(svals.min()) if svals.size else 0.0,
+        num_violations=int(np.count_nonzero(svals < 0.0)),
     )

@@ -1,72 +1,32 @@
-"""Incremental sign-off STA with dirty-net tracking.
+"""Incremental sign-off STA in the single-scenario report format.
 
 Algorithm 1's inner loop asks for WNS/TNS after every candidate Steiner
 move, but an accepted step usually perturbs a small subset of trees.
-`IncrementalSTA` caches the previous query's RC arrays and propagated
-arrival/slew state and, on the next query:
-
-1. finds **dirty trees** — pre-route, trees whose Steiner coordinates
-   moved more than ``tol`` since the last *applied* query (``tol=0.0``,
-   the default, means any bitwise change); post-route, trees whose
-   per-edge RC changed (covers re-routes, layer re-assignment and
-   congestion-coupling changes exactly);
-2. re-runs the batched Elmore kernels only over those trees' flat rows
-   (bit-identical to a full pass — see `repro.sta.flat`);
-3. seeds the levelized PERT frontier with the pins whose wire timing or
-   driver load actually changed, and sweeps level by level, expanding
-   the frontier only where recomputed values differ **bitwise** from
-   the cached ones.
-
-Consequently, with ``tol=0.0`` every report is bit-identical to a full
-recompute; ``tol > 0`` trades exactness for fewer dirty trees.
+`IncrementalSTA` answers those queries with the repo's one incremental
+timing engine, :class:`repro.mcmm.sta.ScenarioSTA`, run over the
+neutral scenario set (``typ@func``, S=1): dirty trees are found by
+exact coordinate or per-edge RC comparison, only their flat rows are
+re-Elmored, and a levelized frontier re-times the pins whose inputs
+changed bitwise.  Every report is bit-identical to a full
+``STAEngine.run``; this class only reshapes the engine's propagated
+state into a :class:`~repro.sta.engine.TimingReport`.
 
 Safety: if anything raises mid-update (including a budget timeout from
 the resilience runtime), the cached state is dropped before the
-exception propagates — an interrupted query can never leave a stale
-dirty set behind (docs/RESILIENCE.md).  `full_recompute()` is the
-explicit escape hatch; ``parity_check=True`` re-runs the full kernel
-after every incremental query and asserts bitwise agreement (use with
-``tol=0.0``).
+exception propagates (docs/RESILIENCE.md).  `full_recompute()` is the
+explicit escape hatch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.groute.router import GlobalRouteResult
 from repro.netlist.netlist import Netlist
-from repro.obs import get_telemetry
-from repro.sta import flat as flatmod
-from repro.sta.engine import (
-    DEFAULT_INPUT_SLEW,
-    STAEngine,
-    TimingReport,
-    _eval_cell_arcs,
-    propagate_levels,
-)
+from repro.sta.engine import STAEngine, TimingReport
 from repro.steiner.forest import SteinerForest
-
-
-@dataclass
-class _IncState:
-    """Everything cached between queries."""
-
-    flat: flatmod.FlatForest
-    coords: np.ndarray  # (S, 2) coordinates the state was computed with
-    xy: np.ndarray  # (N, 2) flat node positions under ``coords``
-    routed: bool
-    edge_r: np.ndarray
-    edge_c: np.ndarray
-    elmore: flatmod.ElmoreState
-    wire_delay: np.ndarray  # (n_pins,)
-    wire_deg: np.ndarray  # (n_pins,)
-    net_load: np.ndarray  # (n_nets,)
-    net_has_tree: np.ndarray  # (n_nets,) bool
-    arrival: np.ndarray  # (n_pins,)
-    slew: np.ndarray  # (n_pins,)
 
 
 class IncrementalSTA:
@@ -84,18 +44,27 @@ class IncrementalSTA:
         netlist: Netlist,
         forest: SteinerForest,
         engine: Optional[STAEngine] = None,
-        tol: float = 0.0,
-        parity_check: bool = False,
     ) -> None:
-        self.engine = engine if engine is not None else STAEngine(netlist)
-        self.forest = forest
-        self.tol = float(tol)
-        self.parity_check = parity_check
-        self._state: Optional[_IncState] = None
-        # Query statistics (observability; reset with the state).
-        self.num_queries = 0
-        self.num_full = 0
-        self.last_dirty_trees = 0
+        # Imported here: repro.mcmm imports this package's engine.
+        from repro.mcmm.scenario import ScenarioSet
+        from repro.mcmm.sta import ScenarioSTA
+
+        self.sta = ScenarioSTA(netlist, forest, ScenarioSet.default(), engine=engine)
+
+    @classmethod
+    def over(cls, sta) -> "IncrementalSTA":
+        """An adapter sharing an existing neutral ``ScenarioSTA``'s state."""
+        if not sta.scenarios.is_single_neutral():
+            raise ValueError(f"IncrementalSTA needs the neutral scenario, got {sta.scenarios}")
+        inc = cls.__new__(cls)
+        inc.sta = sta
+        return inc
+
+    # Query statistics and state live on the shared engine.
+    num_queries = property(lambda self: self.sta.num_queries)
+    num_full = property(lambda self: self.sta.num_full)
+    last_dirty_trees = property(lambda self: self.sta.last_dirty_trees)
+    _state = property(lambda self: self.sta._state)
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
@@ -104,9 +73,8 @@ class IncrementalSTA:
         Call after any event that may desynchronize the cache from the
         forest — checkpoint resume, validated revert, topology edits.
         """
-        self._state = None
+        self.sta.invalidate()
 
-    # The hybrid validator exposes this under ``.reset``.
     reset = invalidate
 
     def full_recompute(
@@ -118,283 +86,16 @@ class IncrementalSTA:
         self.invalidate()
         return self.run(route_result=route_result, utilization=utilization)
 
-    # ------------------------------------------------------------------
     def run(
         self,
         route_result: Optional[GlobalRouteResult] = None,
         utilization: Optional[np.ndarray] = None,
     ) -> TimingReport:
         """Timing under the forest's current Steiner coordinates."""
-        self.num_queries += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("incsta.queries")
-        pert = self.engine.pert()
-        flat = flatmod.flat_forest_of(self.forest, pert.pin_caps)
-        coords = self.forest.get_steiner_coords()
-        st = self._state
-        if st is None or st.flat is not flat:
-            return self._full(flat, coords, route_result, utilization)
-        try:
-            report = self._incremental(st, coords, route_result, utilization)
-        except Exception:
-            # Never leave a stale dirty set: an interrupted update keeps
-            # no partial state (budget timeouts land here too).
-            self._state = None
-            raise
-        if self.parity_check:
-            if tel.enabled:
-                tel.count("incsta.parity_checks")
-            self._assert_parity(report, route_result, utilization)
-        return report
-
-    # ------------------------------------------------------------------
-    def _full(
-        self,
-        flat: flatmod.FlatForest,
-        coords: np.ndarray,
-        route_result: Optional[GlobalRouteResult],
-        utilization: Optional[np.ndarray],
-    ) -> TimingReport:
-        self.num_full += 1
-        self.last_dirty_trees = flat.n_trees
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("incsta.full_rebuilds")
-            tel.hist("incsta.dirty_trees", flat.n_trees)
-        engine = self.engine
-        pert = engine.pert()
-        xy = flatmod.node_positions(flat, coords)
-        routed = route_result is not None
-        if routed:
-            edge_r, edge_c = flatmod.routed_edge_rc(
-                flat, engine.technology, xy, route_result,
-                utilization, engine.COUPLING_K,
-            )
-        else:
-            edge_r, edge_c = flatmod.preroute_edge_rc(flat, engine.technology, xy)
-        elmore = flatmod.elmore_forest(flat, edge_r, edge_c)
-
-        n_pins = pert.n_pins
-        wire_delay = np.zeros(n_pins)
-        wire_deg = np.zeros(n_pins)
-        wire_delay[flat.sink_pin] = elmore.sink_delay
-        wire_deg[flat.sink_pin] = elmore.sink_slew_deg
-        net_load = pert.lumped_net_cap.copy()
-        net_load[flat.net_of_tree] = elmore.total_cap
-        net_has_tree = np.zeros(pert.n_nets, dtype=bool)
-        net_has_tree[flat.net_of_tree] = True
-
-        arrival, slew = engine.launch_arrays()
-        propagate_levels(
-            pert, arrival, slew, wire_delay, wire_deg, net_load, net_has_tree
+        st = self.sta.update(route_result=route_result, utilization=utilization)
+        return self.sta.engine.finalize_report(
+            st.arr_setup[0], st.slew_setup[0], st.net_load_G[0], copy_arrays=True
         )
-        self._state = _IncState(
-            flat=flat,
-            coords=np.array(coords, dtype=np.float64, copy=True),
-            xy=xy,
-            routed=routed,
-            edge_r=edge_r,
-            edge_c=edge_c,
-            elmore=elmore,
-            wire_delay=wire_delay,
-            wire_deg=wire_deg,
-            net_load=net_load,
-            net_has_tree=net_has_tree,
-            arrival=arrival,
-            slew=slew,
-        )
-        return engine.finalize_report(arrival, slew, net_load, copy_arrays=True)
-
-    # ------------------------------------------------------------------
-    def _incremental(
-        self,
-        st: _IncState,
-        coords: np.ndarray,
-        route_result: Optional[GlobalRouteResult],
-        utilization: Optional[np.ndarray],
-    ) -> TimingReport:
-        engine = self.engine
-        pert = engine.pert()
-        flat = st.flat
-        routed = route_result is not None
-
-        dirty_mask = np.zeros(flat.n_trees, dtype=bool)
-        if routed or st.routed:
-            xy = st.xy
-            if flat.steiner_rows.size:
-                xy[flat.steiner_rows] = coords[flat.steiner_flat]
-            # Post-route (or a mode switch): per-edge RC diffing is the
-            # exact dirtiness criterion — it catches coordinate moves
-            # (fallback edges), re-routes, layer changes and coupling.
-            if routed:
-                new_r, new_c = flatmod.routed_edge_rc(
-                    flat, engine.technology, xy, route_result,
-                    utilization, engine.COUPLING_K,
-                )
-            else:
-                new_r, new_c = flatmod.preroute_edge_rc(
-                    flat, engine.technology, xy
-                )
-            diff = (new_r != st.edge_r) | (new_c != st.edge_c)
-            dirty_mask[flat.edge_tree[diff]] = True
-            st.edge_r, st.edge_c = new_r, new_c
-            st.coords = np.array(coords, dtype=np.float64, copy=True)
-        else:
-            # Pre-route: dirty = trees whose coordinates moved > tol
-            # since the last applied query.
-            delta = np.abs(coords - st.coords)
-            if self.tol > 0.0:
-                moved = np.any(delta > self.tol, axis=1)
-            else:
-                moved = np.any(coords != st.coords, axis=1)
-            dirty_mask[flat.steiner_tree[moved]] = True
-            coord_rows = dirty_mask[flat.steiner_tree]
-            st.coords[coord_rows] = coords[coord_rows]
-            # Apply only the dirty trees' positions to the cached node
-            # coordinates — with tol > 0 the rest stay at their last
-            # *applied* values, matching ``st.coords``.
-            xy = st.xy
-            m = coord_rows[flat.steiner_flat]
-            if m.any():
-                xy[flat.steiner_rows[m]] = coords[flat.steiner_flat[m]]
-            dirty = np.flatnonzero(dirty_mask)
-            if dirty.size:
-                e_rows = flat.edge_rows_of_trees(dirty)
-                flatmod.preroute_edge_rc(
-                    flat, engine.technology, xy,
-                    edge_rows=e_rows, out_r=st.edge_r, out_c=st.edge_c,
-                )
-        st.routed = routed
-
-        dirty = np.flatnonzero(dirty_mask)
-        self.last_dirty_trees = int(dirty.size)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.hist("incsta.dirty_trees", int(dirty.size))
-        n_pins = pert.n_pins
-        recompute = np.zeros(n_pins, dtype=bool)
-        if dirty.size:
-            flatmod.elmore_update(flat, st.edge_r, st.edge_c, st.elmore, trees=dirty)
-            # Seed sinks whose wire timing changed ...
-            sink_sel = flat.sink_rows_of_trees(dirty)
-            pins = flat.sink_pin[sink_sel]
-            new_wd = st.elmore.sink_delay[sink_sel]
-            new_deg = st.elmore.sink_slew_deg[sink_sel]
-            w_ch = (st.wire_delay[pins] != new_wd) | (st.wire_deg[pins] != new_deg)
-            st.wire_delay[pins] = new_wd
-            st.wire_deg[pins] = new_deg
-            recompute[pins[w_ch]] = True
-            # ... and drivers whose output load changed.
-            nets = flat.net_of_tree[dirty]
-            new_load = st.elmore.total_cap[dirty]
-            l_ch = st.net_load[nets] != new_load
-            st.net_load[nets] = new_load
-            recompute[pert.net_driver[nets[l_ch]]] = True
-
-        if recompute.any():
-            self._propagate_from(st, recompute)
-        return engine.finalize_report(
-            st.arrival, st.slew, st.net_load, copy_arrays=True
-        )
-
-    def _propagate_from(self, st: _IncState, recompute: np.ndarray) -> None:
-        """Levelized cone propagation from the seeded frontier.
-
-        A pin is re-evaluated when it is seeded or any of its fan-in
-        pins changed; the frontier stops expanding wherever recomputed
-        values equal the cached ones bitwise.
-        """
-        pert = self.engine.pert()
-        arrival, slew = st.arrival, st.slew
-        changed = np.zeros(pert.n_pins, dtype=bool)
-        levels_touched = 0
-        for lv in pert.levels:
-            level_touched = False
-            if lv.net_dst.size:
-                m = recompute[lv.net_dst] | changed[lv.net_src]
-                if m.any():
-                    level_touched = True
-                    src = lv.net_src[m]
-                    dst = lv.net_dst[m]
-                    a_drv = arrival[src]
-                    ok = ~np.isnan(a_drv)
-                    new_a = np.where(ok, a_drv + st.wire_delay[dst], np.nan)
-                    s_drv = slew[src]
-                    ht = st.net_has_tree[lv.net_net[m]]
-                    peri = np.sqrt(s_drv * s_drv + st.wire_deg[dst])
-                    new_s = np.where(
-                        ok, np.where(ht, peri, s_drv), DEFAULT_INPUT_SLEW
-                    )
-                    old_a = arrival[dst]
-                    ch = ~((new_a == old_a) | (np.isnan(new_a) & np.isnan(old_a)))
-                    ch |= new_s != slew[dst]
-                    arrival[dst] = new_a
-                    slew[dst] = new_s
-                    changed[dst] |= ch
-            if lv.cell_dest.size:
-                dsel = recompute[lv.cell_dest]
-                if lv.cell_in.size:
-                    dsel = dsel | np.logical_or.reduceat(
-                        changed[lv.cell_in], lv.cell_start[:-1]
-                    )
-                idx = np.flatnonzero(dsel)
-                if idx.size == 0:
-                    if level_touched:
-                        levels_touched += 1
-                    continue
-                level_touched = True
-                starts = lv.cell_start[:-1][idx]
-                ends = lv.cell_start[1:][idx]
-                arc_rows = flatmod._expand_ranges(starts, ends)
-                counts = ends - starts
-                sub_start = np.zeros(idx.size + 1, dtype=np.int64)
-                np.cumsum(counts, out=sub_start[1:])
-                best, wslew, valid = _eval_cell_arcs(
-                    pert, lv, arrival, slew, st.net_load,
-                    lv.cell_dest_net[idx], sub_start, counts, arc_rows,
-                )
-                dsts = lv.cell_dest[idx]
-                new_a = np.where(valid, best, np.nan)
-                old_a = arrival[dsts]
-                ch = ~((new_a == old_a) | (np.isnan(new_a) & np.isnan(old_a)))
-                ch |= wslew != slew[dsts]
-                arrival[dsts] = new_a
-                slew[dsts] = wslew
-                changed[dsts] |= ch
-            if level_touched:
-                levels_touched += 1
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.hist("incsta.frontier_levels", levels_touched)
-
-    # ------------------------------------------------------------------
-    def _assert_parity(
-        self,
-        report: TimingReport,
-        route_result: Optional[GlobalRouteResult],
-        utilization: Optional[np.ndarray],
-    ) -> None:
-        full = self.engine.run(
-            self.forest, route_result=route_result,
-            utilization=utilization, kernel="flat",
-        )
-        if not (
-            np.array_equal(report.arrival, full.arrival, equal_nan=True)
-            and np.array_equal(report.slew, full.slew)
-            and report.wns == full.wns
-            and report.tns == full.tns
-        ):
-            m = ~np.isnan(full.arrival)
-            diff = float(
-                np.max(np.abs(report.arrival[m] - full.arrival[m]))
-            ) if m.any() else 0.0
-            raise AssertionError(
-                "incremental STA diverged from full recompute "
-                f"(max |d arrival| = {diff:.3e}, d wns = "
-                f"{abs(report.wns - full.wns):.3e}); with tol > 0 this "
-                "is expected — parity_check is meant for tol == 0.0"
-            )
 
 
 __all__ = ["IncrementalSTA"]

@@ -12,11 +12,17 @@ test suite asserts the two agree bitwise.
   maze search prices edges with the configured ``overflow_penalty`` and
   its rip-up rounds poll the budget every 64 victims, as the production
   router does.
+* :func:`reference_hold_analysis` — the per-net scalar hold analysis
+  (RC trees from ``repro.sta.rctree``, one pin at a time in topological
+  order).  :func:`repro.sta.hold.run_hold_analysis` must report the
+  same hold slacks, WHS and violation count, with earliest arrivals
+  equal up to float re-association (tests/test_sta_extras.py).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,7 +34,12 @@ from repro.groute.router import (
     SegmentKey,
     SegmentRoute,
 )
+from repro.netlist.netlist import PinDirection
+from repro.pdk.corners import DEFAULT_HOLD_TIME
 from repro.routegrid.grid import GCellGrid
+from repro.sta.engine import DEFAULT_INPUT_SLEW, STAEngine
+from repro.sta.hold import HoldReport
+from repro.sta.rctree import compute_net_timing
 from repro.steiner.forest import SteinerForest
 
 
@@ -310,4 +321,117 @@ class ReferenceGlobalRouter:
         )
 
 
-__all__ = ["ReferenceGlobalRouter"]
+def reference_hold_analysis(
+    engine: STAEngine,
+    forest: SteinerForest,
+    route_result: Optional[GlobalRouteResult] = None,
+    utilization: Optional[np.ndarray] = None,
+    hold_time: float = DEFAULT_HOLD_TIME,
+) -> HoldReport:
+    """Scalar min-delay PERT traversal: the parity oracle of
+    :func:`repro.sta.hold.run_hold_analysis`."""
+    netlist = engine.netlist
+    n_pins = netlist.num_pins
+    arrival = np.full(n_pins, np.nan)
+    slew = np.full(n_pins, DEFAULT_INPUT_SLEW)
+
+    pin_caps = {
+        p.index: p.cap for p in netlist.pins if p.direction == PinDirection.INPUT
+    }
+    net_timing = {}
+    net_load: Dict[int, float] = {}
+    for t_idx, tree in enumerate(forest.trees):
+        sink_caps = {p: pin_caps.get(p, 0.0) for p in tree.pin_ids[1:]}
+        nt = compute_net_timing(
+            tree,
+            sink_caps,
+            engine.technology,
+            route_result=route_result,
+            tree_idx=t_idx,
+            utilization=utilization,
+            coupling_k=engine.COUPLING_K,
+        )
+        net_timing[tree.net_index] = nt
+        net_load[tree.net_index] = nt.total_cap
+    for net in netlist.nets:
+        net_load.setdefault(
+            net.index, sum(pin_caps.get(s, 0.0) for s in net.sinks)
+        )
+
+    launch = engine.clock.launch_time()
+    for port in netlist.primary_inputs():
+        arrival[port.index] = launch + engine.clock.input_delay
+    clock_pins = set()
+    for cell in netlist.registers():
+        ck = cell.pin_indices[cell.cell_type.clock_pin]
+        clock_pins.add(ck)
+        arrival[ck] = launch
+
+    driver_of: Dict[int, int] = {}
+    for net in netlist.nets:
+        for s in net.sinks:
+            driver_of[s] = net.index
+
+    for pin_idx in netlist.topological_pin_order():
+        pin = netlist.pins[pin_idx]
+        if pin_idx in clock_pins or (
+            pin.is_port and pin.direction == PinDirection.OUTPUT
+        ):
+            continue
+        if pin.direction == PinDirection.OUTPUT:
+            arcs = engine._cell_arcs.get(pin_idx, [])
+            net_idx = netlist.pin_net_map()[pin_idx]
+            load = net_load.get(int(net_idx), 0.0) if net_idx >= 0 else 0.0
+            best = np.inf
+            best_slew = DEFAULT_INPUT_SLEW
+            for in_pin, arc in arcs:
+                a_in = arrival[in_pin]
+                if np.isnan(a_in):
+                    continue
+                a_out = a_in + arc.delay.lookup(float(slew[in_pin]), load)
+                if a_out < best:  # earliest arrival: min over arcs
+                    best = a_out
+                    best_slew = arc.output_slew.lookup(float(slew[in_pin]), load)
+            if best < np.inf:
+                arrival[pin_idx] = best
+                slew[pin_idx] = best_slew
+        else:
+            net_idx = driver_of.get(pin_idx)
+            if net_idx is None:
+                continue
+            driver = netlist.nets[net_idx].driver
+            a_drv = arrival[driver]
+            if np.isnan(a_drv):
+                continue
+            nt = net_timing.get(net_idx)
+            if nt is None:
+                arrival[pin_idx] = a_drv
+            else:
+                arrival[pin_idx] = a_drv + nt.sink_delay.get(pin_idx, 0.0)
+                slew[pin_idx] = math.sqrt(
+                    float(slew[driver]) ** 2
+                    + nt.sink_slew_degradation.get(pin_idx, 0.0)
+                )
+
+    requirement = hold_time + engine.clock.uncertainty
+    hold_slack: Dict[int, float] = {}
+    for cell in netlist.registers():
+        ct = cell.cell_type
+        for in_name in ct.input_pins:
+            if in_name == ct.clock_pin:
+                continue
+            ep = cell.pin_indices[in_name]
+            arr = arrival[ep]
+            if not np.isnan(arr):
+                hold_slack[ep] = float(arr - launch - requirement)
+    whs = min(hold_slack.values()) if hold_slack else 0.0
+    vios = sum(1 for s in hold_slack.values() if s < 0)
+    return HoldReport(
+        early_arrival=arrival,
+        hold_slack=hold_slack,
+        whs=float(whs),
+        num_violations=vios,
+    )
+
+
+__all__ = ["ReferenceGlobalRouter", "reference_hold_analysis"]

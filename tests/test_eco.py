@@ -395,7 +395,7 @@ def test_des3_discrete_ops_close_violations_steiner_cannot():
     netlist, forest = prepare_design("des3")
 
     def endpoint_slacks(nl, fo):
-        rep = ScenarioSTA(nl, fo, _seeded_scenarios(), force_batched=True).run()
+        rep = ScenarioSTA(nl, fo, _seeded_scenarios()).run()
         return {(m.name, m.check): dict(m.slack) for m in rep.scenarios}
 
     base = endpoint_slacks(netlist, forest)

@@ -130,10 +130,10 @@ class TestEngineParity:
 # ----------------------------------------------------------------------
 class TestIncrementalParity:
     def test_move_revert_sequence_bitwise(self, design):
-        """parity_check=True asserts incremental==full inside every query."""
+        """Incremental == a fresh full flat run after every query."""
         netlist, forest = design
         work = forest.copy()
-        inc = IncrementalSTA(netlist, work, parity_check=True)
+        inc = IncrementalSTA(netlist, work)
         engine = STAEngine(netlist)
         rng = np.random.default_rng(11)
         base = work.get_steiner_coords()
@@ -152,7 +152,7 @@ class TestIncrementalParity:
         netlist, forest = design
         rr, util = routed
         work = forest.copy()
-        inc = IncrementalSTA(netlist, work, parity_check=True)
+        inc = IncrementalSTA(netlist, work)
         engine = STAEngine(netlist)
         rng = np.random.default_rng(5)
         for mode in ("pre", "routed", "pre", "routed"):
@@ -166,22 +166,10 @@ class TestIncrementalParity:
             assert rep.wns == full.wns and rep.tns == full.tns
             assert np.array_equal(rep.arrival, full.arrival, equal_nan=True)
 
-    def test_tolerance_skips_subthreshold_moves(self, design):
-        netlist, forest = design
-        work = forest.copy()
-        inc = IncrementalSTA(netlist, work, tol=0.5)
-        first = inc.run()
-        c = work.get_steiner_coords()
-        if len(c):
-            c[0] += 0.1  # below tolerance: timing must not budge
-        work.set_steiner_coords(c)
-        second = inc.run()
-        assert second.wns == first.wns and second.tns == first.tns
-
     def test_invalidate_forces_full_rebuild(self, design):
         netlist, forest = design
         work = forest.copy()
-        inc = IncrementalSTA(netlist, work, parity_check=True)
+        inc = IncrementalSTA(netlist, work)
         r1 = inc.run()
         inc.invalidate()
         r2 = inc.run()
@@ -212,6 +200,47 @@ class TestIncrementalParity:
         full = STAEngine(netlist).run(work, kernel="flat")
         assert rep.wns == full.wns and rep.tns == full.tns
         assert np.array_equal(rep.arrival, full.arrival, equal_nan=True)
+
+
+class TestAdapterSequences:
+    """`IncrementalSTA` is a report adapter over the batched
+    ``ScenarioSTA`` at S=1: after every step of a seeded mix of
+    pre-route and routed queries, mode switches and invalidations, its
+    report equals a fresh full ``STAEngine.run`` bitwise."""
+
+    @pytest.mark.parametrize("name", ["spm", "picorv32a"])
+    def test_mixed_sequence_bitwise(self, name):
+        netlist, forest = prepare_design(name)
+        work = forest.copy()
+        # One engine for both sides: the flat-forest cache is keyed on
+        # the engine's pin caps, so a second engine would force every
+        # adapter query down the full-rebuild path.
+        engine = STAEngine(netlist)
+        inc = IncrementalSTA(netlist, work, engine=engine)
+        rng = np.random.default_rng(23)
+        actions = ["pre", "routed", "pre", "pre", "invalidate", "routed",
+                   "routed", "pre", "invalidate", "pre", "routed"]
+        for step, action in enumerate(actions):
+            if action == "invalidate":
+                inc.invalidate()
+            else:
+                work.set_steiner_coords(_random_moves(work, rng))
+            rr = util = None
+            if action == "routed":
+                grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+                rr = GlobalRouter(grid).route(work)
+                assign_layers(rr, netlist.technology, grid.nx * grid.ny)
+                util = grid.utilization_map()
+            got = inc.run(route_result=rr, utilization=util)
+            want = engine.run(work, rr, utilization=util, kernel="flat")
+            assert np.array_equal(got.arrival, want.arrival, equal_nan=True), step
+            assert np.array_equal(got.slew, want.slew, equal_nan=True), step
+            assert got.slack == want.slack, step
+            assert got.net_load == want.net_load, step
+            assert (got.wns, got.tns, got.num_violations) == (
+                want.wns, want.tns, want.num_violations
+            ), step
+        assert inc.num_full == 3  # first query + two invalidations
 
 
 # ----------------------------------------------------------------------

@@ -142,7 +142,7 @@ class TestScenarioSTA:
         engine = STAEngine(netlist)
         want = engine.run(forest)
         rep = ScenarioSTA(
-            netlist, forest, ScenarioSet.default(), engine=engine, force_batched=True
+            netlist, forest, ScenarioSet.default(), engine=engine
         ).run()
         m = rep.scenarios[0]
         assert m.wns == want.wns
@@ -153,10 +153,10 @@ class TestScenarioSTA:
     def test_batched_rows_match_independent_runs(self, spm_design):
         netlist, forest, _ = spm_design
         scenarios = ScenarioSet.signoff()
-        batched = ScenarioSTA(netlist, forest, scenarios, force_batched=True).run()
+        batched = ScenarioSTA(netlist, forest, scenarios).run()
         for sc, got in zip(scenarios, batched.scenarios):
             want = ScenarioSTA(
-                netlist, forest, ScenarioSet((sc,)), force_batched=True
+                netlist, forest, ScenarioSet((sc,))
             ).run().scenarios[0]
             _assert_metrics_bitwise(got, want)
         assert batched.merged_wns == min(m.wns for m in batched.scenarios)
@@ -166,12 +166,12 @@ class TestScenarioSTA:
         netlist, forest, _ = spm_design
         rr, util = _route(netlist, forest)
         scenarios = ScenarioSet.signoff()
-        batched = ScenarioSTA(netlist, forest, scenarios, force_batched=True).run(
+        batched = ScenarioSTA(netlist, forest, scenarios).run(
             route_result=rr, utilization=util
         )
         for sc, got in zip(scenarios, batched.scenarios):
             want = ScenarioSTA(
-                netlist, forest, ScenarioSet((sc,)), force_batched=True
+                netlist, forest, ScenarioSet((sc,))
             ).run(route_result=rr, utilization=util).scenarios[0]
             _assert_metrics_bitwise(got, want)
 
@@ -182,8 +182,7 @@ class TestScenarioSTA:
         # engine's pin-caps identity, so inc and the fresh rebuilds must
         # agree on it for the incremental path to stay warm.
         engine = STAEngine(netlist)
-        inc = ScenarioSTA(netlist, forest, scenarios, engine=engine,
-                          force_batched=True)
+        inc = ScenarioSTA(netlist, forest, scenarios, engine=engine)
         base = forest.get_steiner_coords()
         inc.run()  # warm
         rng = np.random.default_rng(11)
@@ -197,7 +196,6 @@ class TestScenarioSTA:
                 assert inc.last_dirty_trees < inc.forest.num_trees
                 fresh = ScenarioSTA(
                     netlist, forest, scenarios, engine=engine,
-                    force_batched=True,
                 ).run()
                 for g, w in zip(got.scenarios, fresh.scenarios):
                     _assert_metrics_bitwise(g, w)
@@ -222,7 +220,6 @@ class TestScenarioSTA:
             netlist,
             forest,
             ScenarioSet([Scenario(get_corner("typ"), mode)]),
-            force_batched=True,
         ).run()
         m = rep.scenarios[0]
         assert worst_ep not in m.slack

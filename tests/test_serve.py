@@ -446,6 +446,34 @@ class TestLoadgenChaosSmoke:
         assert svc.chaos.kills_fired >= 1  # the fault plan actually fired
 
 
+class TestSignoffModes:
+    """A sign-off job's ``corners`` default to ``["typ"]``; its ``mode``
+    applies either way (docs/SERVING.md)."""
+
+    def test_mode_only_job_matches_explicit_typ(self):
+        from repro.serve.handlers import _signoff_one
+
+        cache = WarmStateCache()
+        nominal = _signoff_one(cache, "spm", {})
+        implicit = _signoff_one(cache, "spm", {"mode": "overdrive"})
+        explicit = _signoff_one(cache, "spm", {"corners": ["typ"], "mode": "overdrive"})
+        assert implicit == explicit
+        assert implicit["scenarios"] == {"typ@overdrive": implicit["wns"]}
+        assert implicit["wns"] < nominal["wns"]  # a shorter clock cycle
+        assert set(nominal) == {"design", "wns", "tns", "stale"}
+        assert _signoff_one(cache, "spm", {"corners": ["typ"]}) == nominal
+
+    def test_unknown_mode_raises_like_unknown_corner(self):
+        from repro.serve.handlers import _signoff_one
+
+        cache = WarmStateCache()
+        with pytest.raises(KeyError, match="unknown corner"):
+            _signoff_one(cache, "spm", {"corners": ["no_such_corner"]})
+        with pytest.raises(KeyError, match="unknown mode"):
+            _signoff_one(cache, "spm", {"mode": "no_such_mode"})
+        assert cache.workspace("spm").signoff_queries == 0
+
+
 class TestReportSection:
     def test_serving_events_summarized(self):
         from repro.obs.report import summarize_serving

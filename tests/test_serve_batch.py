@@ -519,3 +519,57 @@ class TestFusedParity:
             assert fused == serial
 
         run(scenario(), timeout=240.0)
+
+
+class TestSharedNeutralEngine:
+    """One neutral ``ScenarioSTA`` per workspace serves what-if probes,
+    neutral sign-off and the ``IncrementalSTA`` view (docs/SERVING.md)."""
+
+    def test_incremental_and_probe_share_one_state(self):
+        from repro.serve import DesignWorkspace
+
+        ws = DesignWorkspace("spm")
+        inc = ws.incremental()
+        assert inc.sta is ws.probe_sta() is ws.scenario_sta()
+        assert ws.scenario_sta(("typ",), "func") is ws.probe_sta()
+        inc.run()
+        assert inc._state is not None and inc._state is ws.probe_sta()._state
+        ws.probe_sta().run()
+        assert ws.probe_sta().num_full == 1  # the second query reused the state
+        ws.invalidate_timing()
+        assert inc._state is None
+
+    def test_whatif_then_signoff_equals_fresh_full_sta(self):
+        import numpy as np
+
+        from repro.serve.handlers import default_handlers
+        from repro.sta.engine import STAEngine
+
+        cache = WarmStateCache(scale=0.5)
+        move = {"point": 3, "dx": 2.5, "dy": -1.5}
+
+        async def scenario():
+            async with SignoffService(
+                handlers=default_handlers(cache), warm=cache, workers=1
+            ) as svc:
+                whatif = await svc.submit("whatif", "spm", move).wait()
+                signoff = await svc.submit("signoff", "spm", {}).wait()
+            return whatif.value, signoff.value
+
+        whatif, signoff = run(scenario(), timeout=120.0)
+        ws = cache.workspace("spm")
+        warm = ws.incremental().run()
+        assert ws.probe_sta().num_full == 1  # whatif, sign-off and view share one state
+        fresh = STAEngine(ws.netlist).run(ws.forest)
+        assert signoff == {"design": "spm", "wns": fresh.wns, "tns": fresh.tns, "stale": False}
+        assert warm.slack == fresh.slack
+        assert np.array_equal(warm.arrival, fresh.arrival, equal_nan=True)
+
+        moved = ws.forest.copy()
+        coords = moved.get_steiner_coords()
+        coords[move["point"] % len(coords)] += (move["dx"], move["dy"])
+        moved.set_steiner_coords(moved.clamp_coords(coords))
+        probe = STAEngine(ws.netlist).run(moved)
+        assert (whatif["wns"], whatif["tns"]) == (probe.wns, probe.tns)
+        assert whatif["delta_wns"] == probe.wns - fresh.wns
+

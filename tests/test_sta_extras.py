@@ -8,6 +8,7 @@ from repro.sta.engine import STAEngine
 from repro.sta.hold import run_hold_analysis
 from repro.sta.paths import extract_critical_paths, trace_path
 from repro.steiner import build_forest
+from repro.testing.oracles import reference_hold_analysis
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +84,33 @@ class TestHoldAnalysis:
         strict = run_hold_analysis(engine, forest, hold_time=10.0)
         assert strict.num_violations >= relaxed_vios
         assert strict.num_violations == len(strict.hold_slack)
+
+    @pytest.mark.parametrize("name", ["cic_decimator", "spm", "picorv32a"])
+    @pytest.mark.parametrize("routed", [False, True])
+    def test_matches_scalar_oracle(self, name, routed):
+        """The batched hold analysis reports the scalar oracle's slacks,
+        WHS and violation count exactly; earliest arrivals agree up to
+        float re-association of the Elmore sums."""
+        from repro.groute.layer_assign import assign_layers
+        from repro.groute.router import GlobalRouter
+        from repro.routegrid.grid import GCellGrid
+
+        netlist, forest = prepare_design(name)
+        engine = STAEngine(netlist)
+        rr = util = None
+        if routed:
+            grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+            rr = GlobalRouter(grid).route(forest)
+            assign_layers(rr, netlist.technology, grid.nx * grid.ny)
+            util = grid.utilization_map()
+        got = run_hold_analysis(engine, forest, rr, utilization=util)
+        want = reference_hold_analysis(engine, forest, rr, utilization=util)
+        assert got.whs == want.whs
+        assert got.num_violations == want.num_violations
+        assert set(got.hold_slack) == set(want.hold_slack)
+        for ep, slack in want.hold_slack.items():
+            assert got.hold_slack[ep] == pytest.approx(slack, abs=1e-12)
+        assert np.array_equal(np.isnan(got.early_arrival), np.isnan(want.early_arrival))
+        assert np.allclose(
+            got.early_arrival, want.early_arrival, rtol=0.0, atol=1e-12, equal_nan=True
+        )
