@@ -5,13 +5,13 @@ a machine-readable report (``BENCH_timing.json``):
 
 * ``forest_build`` — full-design initial Steiner construction: the
   per-net reference constructor vs the flat degree-bucketed kernels
-  (``build_forest(kernel=...)``); trees asserted bitwise equal.
+  of ``build_forest``; trees asserted bitwise equal.
 * ``groute`` — whole-design single-pass L-pattern routing (the
   congestion probe): per-edge python vs the batched ``(n_edges, 2)``
   scorer (``repro.groute.flat_route``); routes asserted bitwise equal.
 * ``full_sta`` — one sign-off STA pass over a whole design: the
   reference per-net Python engine vs the flat CSR/batched-Elmore
-  kernel (``STAEngine.run(kernel=...)``).
+  kernel of ``STAEngine.run``.
 * ``mcmm_sta`` — cross-scenario sign-off over the MCMM ``signoff``
   preset: one scenario-batched :class:`~repro.mcmm.ScenarioSTA` pass
   vs N independent single-scenario passes (docs/MCMM.md).
@@ -36,8 +36,10 @@ a machine-readable report (``BENCH_timing.json``):
   :class:`~repro.eco.driver.EcoContext` vs a cold context rebuilt per
   candidate, per-candidate WNS/TNS verdicts asserted bitwise equal.
 
-Every kernel records a *speedup* ratio comparing the fast kernel
-against the reference kernel **on the same workload** — never
+The reference kernels are the parity oracles of
+:mod:`repro.testing.oracles`.  Every kernel records a *speedup* ratio
+comparing the fast kernel against the reference kernel **on the same
+workload** — never
 warm-vs-cold of one kernel — so the committed baseline stays
 meaningful across machines.  ``compare_reports`` flags any kernel whose
 speedup regressed by more than ``tolerance`` (default 25%) — the
@@ -150,9 +152,10 @@ def bench_forest_build(netlist, repeats: int = 3) -> Dict[str, float]:
     the geometry-digest memo (the serve warm-state rebuild path).
     """
     from repro.steiner.forest import build_forest, clear_forest_cache
+    from repro.testing.oracles import reference_forest
 
-    ref_forest = build_forest(netlist, kernel="reference", cache=False)
-    flat_forest = build_forest(netlist, kernel="flat", cache=False)
+    ref_forest = reference_forest(netlist)
+    flat_forest = build_forest(netlist, cache=False)
     if not _trees_bitwise_equal(ref_forest, flat_forest):
         raise RuntimeError(
             "flat forest construction diverged bitwise from the per-net reference"
@@ -162,11 +165,9 @@ def bench_forest_build(netlist, repeats: int = 3) -> Dict[str, float]:
     # Construction is milliseconds-scale on the small designs;
     # amortized samples keep the speedup ratio the regression gate
     # compares from flapping on scheduler noise.
-    ref_s = _best_amortized(
-        lambda: build_forest(netlist, kernel="reference", cache=False), max(repeats, 5)
-    )
+    ref_s = _best_amortized(lambda: reference_forest(netlist), max(repeats, 5))
     flat_s = _best_amortized(
-        lambda: build_forest(netlist, kernel="flat", cache=False), max(repeats, 5)
+        lambda: build_forest(netlist, cache=False), max(repeats, 5)
     )
     clear_forest_cache()
     build_forest(netlist)  # prime the digest memo
@@ -190,8 +191,9 @@ def bench_groute(netlist, forest, repeats: int = 3) -> Dict[str, float]:
     asserts shape choices, path costs, committed usage, and overflow
     are **bitwise equal** first.
     """
-    from repro.groute.flat_route import pattern_route_flat, pattern_route_reference
+    from repro.groute.flat_route import pattern_route_flat
     from repro.routegrid.grid import GCellGrid
+    from repro.testing.oracles import pattern_route_reference
 
     grid_ref = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
     grid_flat = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
@@ -233,13 +235,14 @@ def bench_groute(netlist, forest, repeats: int = 3) -> Dict[str, float]:
 def bench_full_sta(netlist, forest, repeats: int = 3) -> Dict[str, float]:
     """Whole-design sign-off STA: reference engine vs flat kernel."""
     from repro.sta.engine import STAEngine
+    from repro.testing.oracles import reference_sta
 
     engine = STAEngine(netlist)
     # Warm both paths once (library parsing, levelization, flat build).
-    ref_report = engine.run(forest, kernel="reference")
-    flat_report = engine.run(forest, kernel="flat")
-    ref_s = _best(lambda: engine.run(forest, kernel="reference"), repeats)
-    flat_s = _best(lambda: engine.run(forest, kernel="flat"), repeats)
+    ref_report = reference_sta(engine, forest)
+    flat_report = engine.run(forest)
+    ref_s = _best(lambda: reference_sta(engine, forest), repeats)
+    flat_s = _best(lambda: engine.run(forest), repeats)
     return {
         "reference_ms": ref_s * 1e3,
         "flat_ms": flat_s * 1e3,
@@ -266,6 +269,7 @@ def bench_incremental(
     """
     from repro.sta.engine import STAEngine
     from repro.sta.incremental import IncrementalSTA
+    from repro.testing.oracles import reference_sta
 
     engine = STAEngine(netlist)
     base = forest.get_steiner_coords()
@@ -294,10 +298,10 @@ def bench_incremental(
         return (time.perf_counter() - t0) / len(move_set)
 
     def ref_query():
-        engine.run(forest, kernel="reference")
+        reference_sta(engine, forest)
 
     def flat_query():
-        engine.run(forest, kernel="flat")
+        engine.run(forest)
 
     inc = IncrementalSTA(netlist, forest, engine=engine)
 
@@ -306,8 +310,8 @@ def bench_incremental(
 
     # Warm each path on the base coordinates first.
     forest.set_steiner_coords(base)
-    engine.run(forest, kernel="reference")
-    engine.run(forest, kernel="flat")
+    reference_sta(engine, forest)
+    engine.run(forest)
     inc.run()
 
     reps = max(1, repeats)

@@ -179,11 +179,11 @@ class RefinementResult:
 class _Oracle:
     """Caches the evaluator forward/backward machinery for one design.
 
-    Dispatches on ``model.kernel`` (mirroring ``STAEngine``): "tape"
-    replays the compiled instruction tape cached on the graph's
-    topology cache (falling back to closures when the graph cannot be
-    compiled), "closure" always runs the reference engine, and
-    "tape-parity" runs both and raises on any bitwise divergence.
+    Dispatches on ``model.kernel``: "tape" replays the compiled
+    instruction tape cached on the graph's topology cache (falling back
+    to closures when the graph cannot be compiled), "closure" always
+    runs the reference engine, and "tape-parity" runs both and raises
+    on any bitwise divergence.
     """
 
     def __init__(

@@ -88,19 +88,15 @@ def prepare_design(
     scale: float = 1.0,
     edge_shift_passes: int = 1,
     placement_config: Optional[PlacementConfig] = None,
-    forest_kernel: str = "flat",
 ) -> Tuple[Netlist, SteinerForest]:
     """Generate, place and Steinerize one named benchmark.
 
     Deterministic: repeated calls return byte-identical geometry, so
     baseline and TSteiner arms can be compared fairly.
-    ``forest_kernel`` selects the construction implementation
-    (``"flat"`` batched kernels or the per-net ``"reference"``; both
-    are bitwise-equal, docs/PERFORMANCE.md).
     """
     netlist = build_benchmark(name, scale=scale)
     place(netlist, placement_config)
-    forest = build_forest(netlist, kernel=forest_kernel)
+    forest = build_forest(netlist)
     if edge_shift_passes > 0:
         shift_edges(forest, passes=edge_shift_passes)
     return netlist, forest

@@ -11,7 +11,6 @@ from repro.groute.flat_route import (
     FlatRouteResult,
     estimate_congestion,
     pattern_route_flat,
-    pattern_route_reference,
 )
 from repro.groute.layer_assign import assign_layers
 
@@ -23,6 +22,5 @@ __all__ = [
     "FlatRouteResult",
     "estimate_congestion",
     "pattern_route_flat",
-    "pattern_route_reference",
     "assign_layers",
 ]

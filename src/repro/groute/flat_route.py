@@ -14,11 +14,10 @@ the run lengths instead of per-edge python — picks the cheaper shape
 per edge, and commits all usage with two ``bincount`` scatters.  The
 semantics are deliberately single-pass: every edge is costed against
 the *incoming* usage state (no sequential commit feedback), which makes
-the estimate order-free and batchable.  A per-edge reference
-implementation with identical semantics (:func:`pattern_route_reference`)
-is kept as the parity oracle; the two agree **bitwise** on shape
-choice, path cost, committed usage, and overflow
-(tests/test_flat_steiner.py).
+the estimate order-free and batchable.  A per-edge implementation with
+identical semantics in :mod:`repro.testing.oracles` is the parity
+oracle; the two agree **bitwise** on shape choice, path cost,
+committed usage, and overflow (tests/test_flat_steiner.py).
 
 Shape convention, shared with the Steiner construction corner rule
 (``steiner/rsmt.py::_corner_for``): shape 0 bends at ``(x2, y1)``,
@@ -220,84 +219,19 @@ def pattern_route_flat(
     )
 
 
-def pattern_route_reference(
-    grid: GCellGrid,
-    forest: SteinerForest,
-    overflow_penalty: float = 8.0,
-    commit: bool = True,
-) -> FlatRouteResult:
-    """Per-edge python implementation of the same single-pass estimate.
-
-    The parity oracle for :func:`pattern_route_flat`: same edge order
-    (tree order, then edge order), same H-leg-then-V-leg accumulation,
-    same tie-break — but through :meth:`GCellGrid.edge_cost` calls.
-    """
-    choices: List[int] = []
-    costs: List[float] = []
-    runs: List[Tuple[int, int, int, int, int, int]] = []
-    for tree in forest.trees:
-        xy = tree.node_xy()
-        for u, v in tree.edges:
-            x1, y1 = grid.locate(xy[u][0], xy[u][1])
-            x2, y2 = grid.locate(xy[v][0], xy[v][1])
-            h_lo, h_hi = min(x1, x2), max(x1, x2)
-            v_lo, v_hi = min(y1, y2), max(y1, y2)
-            cost0 = 0.0
-            for i in range(h_lo, h_hi):
-                cost0 += grid.edge_cost("H", i, y1, overflow_penalty)
-            for j in range(v_lo, v_hi):
-                cost0 += grid.edge_cost("V", x2, j, overflow_penalty)
-            cost1 = 0.0
-            for i in range(h_lo, h_hi):
-                cost1 += grid.edge_cost("H", i, y2, overflow_penalty)
-            for j in range(v_lo, v_hi):
-                cost1 += grid.edge_cost("V", x1, j, overflow_penalty)
-            pick = 0 if cost0 <= cost1 else 1
-            choices.append(pick)
-            costs.append(cost0 if pick == 0 else cost1)
-            runs.append(
-                (h_lo, h_hi, y1 if pick == 0 else y2, v_lo, v_hi, x2 if pick == 0 else x1)
-            )
-    if commit:
-        # Committed after scoring: every edge is costed against the
-        # incoming usage state, exactly like the batched kernel.
-        for h_lo, h_hi, row, v_lo, v_hi, col in runs:
-            for i in range(h_lo, h_hi):
-                grid.add_usage("H", i, row)
-            for j in range(v_lo, v_hi):
-                grid.add_usage("V", col, j)
-    return FlatRouteResult(
-        choice=np.asarray(choices, dtype=np.int64),
-        cost=np.asarray(costs, dtype=np.float64),
-        overflow=grid.overflow(),
-        max_utilization=grid.max_utilization(),
-    )
-
-
-def estimate_congestion(
-    netlist, forest: SteinerForest, kernel: str = "flat"
-) -> np.ndarray:
+def estimate_congestion(netlist, forest: SteinerForest) -> np.ndarray:
     """Congestion field estimate for the timing evaluator.
 
     Replaces the sequential pattern+maze probe on the hot path: builds
     a fresh grid, one-shot routes every edge, returns the utilization
-    map.  ``kernel="reference"`` runs the per-edge oracle instead.
+    map.
     """
     from repro.obs import get_telemetry
 
     tel = get_telemetry()
     grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
-    with tel.span("groute.flat_estimate", design=netlist.name, kernel=kernel):
-        if kernel == "flat":
-            if tel.enabled:
-                tel.count("groute.estimates_flat")
-            pattern_route_flat(grid, forest)
-        elif kernel == "reference":
-            if tel.enabled:
-                tel.count("groute.estimates_reference")
-            pattern_route_reference(grid, forest)
-        else:
-            raise ValueError(f"unknown pattern-route kernel {kernel!r}")
+    with tel.span("groute.flat_estimate", design=netlist.name):
+        pattern_route_flat(grid, forest)
     return grid.utilization_map()
 
 
@@ -305,6 +239,5 @@ __all__ = [
     "FlatRouteResult",
     "cost_fields",
     "pattern_route_flat",
-    "pattern_route_reference",
     "estimate_congestion",
 ]

@@ -4,10 +4,9 @@ Makes every sign-off query scenario-aware:
 
 * :mod:`repro.mcmm.scenario` — `Corner` x `Mode` scenario model with
   named presets (``typ``, ``slow_setup``, ``fast_hold``, …);
-* :mod:`repro.mcmm.batch` — scenario-batched PERT kernels (one leading
-  scenario axis over the shared levelized topology);
 * :mod:`repro.mcmm.sta` — `ScenarioSTA`, the incremental cross-scenario
-  facade with per-scenario and merged WNS/TNS/violations;
+  facade with per-scenario and merged WNS/TNS/violations, over the
+  scenario-batched PERT kernels of :mod:`repro.sta.engine`;
 * :mod:`repro.mcmm.penalty` — the LSE-merged worst-over-scenarios
   refinement penalty;
 * :mod:`repro.mcmm.prune` — dominance pruning of non-critical scenarios

@@ -9,7 +9,7 @@ what is the merged verdict?*  It owns:
   scales with distinct wire corners, not scenarios;
 * **check blocks** — setup scenarios batch into one ``(S_setup, n_pins)``
   latest-arrival propagation, hold scenarios into one earliest-arrival
-  propagation (repro.mcmm.batch);
+  propagation (the batched kernels of repro.sta.engine);
 * **incremental state** — dirty trees are found by exact coordinate
   (pre-route) or per-edge RC (routed) comparison, re-Elmored alone,
   and a levelized frontier re-times only the pins whose inputs changed
@@ -35,13 +35,13 @@ from repro.netlist.netlist import Netlist
 from repro.obs import get_telemetry
 from repro.sta import flat as flatmod
 from repro.pdk.corners import DEFAULT_HOLD_TIME
-from repro.sta.engine import STAEngine
-from repro.steiner.forest import SteinerForest
-from repro.mcmm.batch import (
+from repro.sta.engine import (
+    STAEngine,
     launch_arrays_batched,
     propagate_from_batched,
     propagate_levels_batched,
 )
+from repro.steiner.forest import SteinerForest
 from repro.mcmm.scenario import Scenario, ScenarioSet
 
 
@@ -546,7 +546,7 @@ class ScenarioSTA:
         shared :func:`propagate_from_batched` sweep with the **union**
         recompute mask re-times every probe row at once.  Rows whose
         inputs did not change recompute to bitwise-equal values (see
-        ``repro.mcmm.batch``), so every probe report is bitwise-identical
+        ``repro.sta.engine``), so every probe report is bitwise-identical
         to running that move alone — ``probe_batch([c])`` *is* the
         serial path, which is what makes fused and unfused serving
         byte-comparable.

@@ -207,13 +207,6 @@ def summarize_serving(events: Sequence[Dict[str, Any]]) -> Optional[Dict[str, An
         "fused_jobs": fused_jobs,
         "mean_batch_width": fused_jobs / len(batch_events) if batch_events else 0.0,
         "fusion_ratio": fused_jobs / done_total if done_total else 0.0,
-        "shard_kills": sum(1 for e in events if e.get("kind") == "shard_killed"),
-        "shard_restarts": sum(
-            1 for e in events if e.get("kind") == "shard_restarted"
-        ),
-        "redispatched": sum(
-            1 for e in events if e.get("kind") == "job_redispatched"
-        ),
     }
 
 
@@ -427,12 +420,6 @@ def render_report(
                 f"{serving['fused_jobs']} member jobs, "
                 f"mean width {serving['mean_batch_width']:.2f}, "
                 f"fusion ratio {serving['fusion_ratio']:.2f}"
-            )
-        if serving["shard_kills"] or serving["redispatched"]:
-            lines.append(
-                f"  sharding: {serving['shard_kills']} shard kills, "
-                f"{serving['shard_restarts']} restarts, "
-                f"{serving['redispatched']} jobs redispatched"
             )
         if serving["worker_deaths"] or serving["chaos"]:
             chaos = serving["chaos"]

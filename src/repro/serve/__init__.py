@@ -15,8 +15,6 @@ design flow (docs/SERVING.md):
   retries, quarantine, deadlines, checkpoint durability;
 * :mod:`repro.serve.batcher` — query fusion: concurrent whatif/signoff
   jobs per design coalesce into one scenario-batched dispatch;
-* :mod:`repro.serve.shard` — warm-shard design sharding behind a
-  rendezvous-hashed front end with shard-death redispatch;
 * :mod:`repro.serve.executors` — inline vs process-backed execution;
 * :mod:`repro.serve.chaos` — deterministic worker kills, queue delays
   and checkpoint corruption for the chaos tests;
@@ -52,7 +50,6 @@ from repro.serve.service import (
     SignoffService,
     virtual_asleep,
 )
-from repro.serve.shard import ShardedService, rendezvous_shard
 from repro.serve.state import DesignWorkspace, WarmStateCache
 
 __all__ = [
@@ -76,13 +73,11 @@ __all__ = [
     "ProcessExecutor",
     "QueryBatcher",
     "ServiceStats",
-    "ShardedService",
     "SignoffService",
     "TrafficConfig",
     "WarmStateCache",
     "WorkerKilled",
     "make_jobs",
     "run_load",
-    "rendezvous_shard",
     "virtual_asleep",
 ]

@@ -29,7 +29,6 @@ from repro.serve.chaos import (
 from repro.serve.batcher import BatchConfig
 from repro.serve.loadgen import TrafficConfig, run_load
 from repro.serve.service import SignoffService
-from repro.serve.shard import ShardedService
 from repro.serve.state import WarmStateCache
 
 
@@ -77,15 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         action="store_true",
         help="inject deterministic faults: kill a worker mid-refine, "
-        "delay dispatches, corrupt one checkpoint (and with --shards > 1, "
-        "kill shard 0 mid-load)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="run N warm shards behind a rendezvous-routed front end "
-        "(1 = single service; docs/SERVING.md, Scaling)",
+        "delay dispatches, corrupt one checkpoint",
     )
     parser.add_argument(
         "--batch",
@@ -176,30 +167,16 @@ async def _serve(args, chaos, checkpoint_dir: Path, objectives):
         if args.batch
         else None
     )
-    if args.shards > 1:
-        service = ShardedService(
-            shards=args.shards,
-            scale=args.scale,
-            workers=args.workers,
-            admission=AdmissionConfig(max_pending=args.max_pending),
-            chaos=chaos,
-            checkpoint_dir=checkpoint_dir,
-            process_jobs=args.process_jobs,
-            slo=objectives or None,
-            batching=batching,
-        )
-    else:
-        warm = WarmStateCache(scale=args.scale)
-        service = SignoffService(
-            warm=warm,
-            workers=args.workers,
-            admission=AdmissionConfig(max_pending=args.max_pending),
-            chaos=chaos,
-            checkpoint_dir=checkpoint_dir,
-            process_jobs=args.process_jobs,
-            slo=objectives or None,
-            batching=batching,
-        )
+    service = SignoffService(
+        warm=WarmStateCache(scale=args.scale),
+        workers=args.workers,
+        admission=AdmissionConfig(max_pending=args.max_pending),
+        chaos=chaos,
+        checkpoint_dir=checkpoint_dir,
+        process_jobs=args.process_jobs,
+        slo=objectives or None,
+        batching=batching,
+    )
     traffic = TrafficConfig(
         jobs=args.jobs,
         designs=tuple(
@@ -211,17 +188,8 @@ async def _serve(args, chaos, checkpoint_dir: Path, objectives):
         burst_size=max(1, args.burst),
         eco_arm=args.eco_arm,
     )
-    chaos_hooks = None
-    if chaos is not None and args.shards > 1:
-        # The shard-level fault: halfway through the load, kill the
-        # home shard of the first design — the slot guaranteed to hold
-        # in-flight work — asserting redispatch and zero loss.
-        victim = service.shard_for(traffic.designs[0])
-        chaos_hooks = {
-            max(1, args.jobs // 2): lambda: service.kill_shard(victim)
-        }
     async with service:
-        report = await run_load(service, traffic, chaos_hooks=chaos_hooks)
+        report = await run_load(service, traffic)
     return service, report
 
 
@@ -262,12 +230,6 @@ def main(argv=None) -> int:
             f"fusion: batches {summary['batches']}  "
             f"mean width {summary['mean_batch_width']:.2f}  "
             f"ratio {summary['fusion_ratio']:.2f}"
-        )
-    if args.shards > 1:
-        _say(
-            f"shards: {args.shards}  killed {service.shards_killed}  "
-            f"restarted {service.shards_restarted}  "
-            f"redispatched {service.redispatched}"
         )
     if chaos is not None:
         _say(

@@ -122,20 +122,13 @@ def make_jobs(config: TrafficConfig) -> List[Dict[str, Any]]:
 
 
 async def run_load(
-    service,
-    config: Optional[TrafficConfig] = None,
-    chaos_hooks: Optional[Dict[int, Any]] = None,
+    service, config: Optional[TrafficConfig] = None
 ) -> LoadReport:
     """Drive a *started* service with the config's traffic; await drain.
 
     Shed jobs are counted, not resubmitted — backpressure is the
     feature under test, and the zero-lost invariant covers accepted
     jobs only (a shed job was answered with ``retry_after``, not lost).
-
-    ``chaos_hooks`` maps a submit index to an async callable awaited
-    right after that job is submitted — the deterministic injection
-    point for mid-load faults the service can't self-inflict, e.g.
-    ``{jobs // 2: lambda: sharded.kill_shard(0)}``.
     """
     import asyncio
 
@@ -147,8 +140,6 @@ async def run_load(
         tickets.append(ticket)
         report.submitted += 1
         report.by_kind[spec["kind"]] = report.by_kind.get(spec["kind"], 0) + 1
-        if chaos_hooks and i in chaos_hooks:
-            await chaos_hooks[i]()
         if config.burst_size > 1:
             # Burst mode: groups of burst_size land in one event-loop
             # tick (so the batcher can fuse them); yield between groups.

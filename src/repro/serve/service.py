@@ -155,7 +155,6 @@ class SignoffService:
         degrade_signoff: bool = True,
         slo: Optional[Union[SLOEngine, List[SLObjective], tuple]] = None,
         batching: Optional[Union[BatchConfig, bool]] = None,
-        id_prefix: str = "job",
     ) -> None:
         if handlers is None:
             from repro.serve.handlers import default_handlers
@@ -203,7 +202,6 @@ class SignoffService:
         self._batcher: Optional[QueryBatcher] = (
             QueryBatcher(self, batching) if batching else None
         )
-        self._id_prefix = str(id_prefix)
 
         self._queue: asyncio.PriorityQueue = asyncio.PriorityQueue()
         self._pending_by_kind: Dict[str, int] = {}
@@ -306,7 +304,7 @@ class SignoffService:
                 kind=kind_or_job, design=design, params=dict(params or {}), **job_fields
             )
         self._id_seq += 1
-        job.job_id = f"{self._id_prefix}-{self._id_seq:04d}"
+        job.job_id = f"job-{self._id_seq:04d}"
         job.submitted_t = self._clock()
         future: asyncio.Future = self._loop.create_future()
         ticket = JobTicket(job, future)

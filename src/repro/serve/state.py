@@ -33,10 +33,9 @@ from repro.obs import get_telemetry
 class DesignWorkspace:
     """Warm timing state for one design; built lazily, queried often."""
 
-    def __init__(self, name: str, scale: float = 1.0, forest_kernel: str = "flat") -> None:
+    def __init__(self, name: str, scale: float = 1.0) -> None:
         self.name = name
         self.scale = float(scale)
-        self.forest_kernel = forest_kernel
         self.netlist = None
         self.forest = None
         self.engine = None
@@ -58,9 +57,7 @@ class DesignWorkspace:
 
             tel = get_telemetry()
             with tel.span("serve.warm_design", design=self.name):
-                self.netlist, self.forest = prepare_design(
-                    self.name, scale=self.scale, forest_kernel=self.forest_kernel
-                )
+                self.netlist, self.forest = prepare_design(self.name, scale=self.scale)
                 self.engine = STAEngine(self.netlist)
             if tel.enabled:
                 tel.count("serve.designs_warmed")
@@ -202,11 +199,8 @@ class WarmStateCache:
     committed ``refine`` immediately visible to ``signoff`` queries.
     """
 
-    def __init__(
-        self, scale: float = 1.0, evaluator_config=None, forest_kernel: str = "flat"
-    ) -> None:
+    def __init__(self, scale: float = 1.0, evaluator_config=None) -> None:
         self.scale = float(scale)
-        self.forest_kernel = forest_kernel
         self._lock = threading.Lock()
         self._workspaces: Dict[str, DesignWorkspace] = {}
         self._evaluator = None
@@ -216,9 +210,7 @@ class WarmStateCache:
         with self._lock:
             ws = self._workspaces.get(name)
             if ws is None:
-                ws = self._workspaces[name] = DesignWorkspace(
-                    name, scale=self.scale, forest_kernel=self.forest_kernel
-                )
+                ws = self._workspaces[name] = DesignWorkspace(name, scale=self.scale)
         return ws.ensure_loaded()
 
     def peek(self, name: str) -> Optional[DesignWorkspace]:

@@ -19,7 +19,6 @@ Two operating points:
 
 from repro.sta.engine import STAEngine, TimingReport
 from repro.sta.incremental import IncrementalSTA
-from repro.sta.rctree import NetTiming, compute_net_timing
 from repro.sta.metrics import timing_metrics
 from repro.sta.paths import TimingPath, extract_critical_paths, trace_path
 from repro.sta.hold import HoldReport, run_hold_analysis
@@ -28,8 +27,6 @@ __all__ = [
     "STAEngine",
     "TimingReport",
     "IncrementalSTA",
-    "NetTiming",
-    "compute_net_timing",
     "timing_metrics",
     "TimingPath",
     "extract_critical_paths",

@@ -1,6 +1,6 @@
 """PERT-traversal timing engine.
 
-One pass over the pins in topological order computes lumped
+One pass over the pins in level order computes lumped
 (worst-of-rise/fall) arrival times and slews:
 
 * startpoints (PIs, register CK pins) get launch values from the clock
@@ -11,21 +11,37 @@ One pass over the pins in topological order computes lumped
   slew degradation.
 
 Endpoint slacks, WNS, TNS and the violation count follow Eq. (1).
+
+The PERT kernels carry a leading scenario axis: every per-pin array is
+``(S, n_pins)``, one row per scenario, over the *shared* levelized
+topology.  Per-scenario physics enters through three inputs only:
+
+* ``wire_delay`` / ``wire_deg`` / ``net_load`` rows carry each
+  scenario's derated Elmore results (wire R/C derates);
+* ``cell_derate`` (``(S, 1)``, or ``None`` when every row is 1.0)
+  scales NLDM delays and output slews;
+* ``early=True`` flips the arc reduction from latest (setup) to
+  earliest (hold) arrival.
+
+Every operation is elementwise or an ``axis=1`` segmented reduction, so
+each row of a batch is bitwise-identical to running that scenario alone
+(tests/test_mcmm.py).  :meth:`STAEngine.run` is the S=1 case, and a
+neutral row (all derates exactly 1.0) reproduces it bit for bit because
+``x * 1.0`` is a bitwise no-op on finite floats.
+The scalar per-pin form is :func:`repro.testing.oracles.reference_sta`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.groute.router import GlobalRouteResult
 from repro.netlist.netlist import Netlist, PinDirection
-from repro.obs import get_telemetry
+from repro.pdk.clocks import ClockSpec
 from repro.sta import flat as flatmod
-from repro.sta.rctree import compute_net_timing
 from repro.steiner.forest import SteinerForest
 
 DEFAULT_INPUT_SLEW = 0.08  # ns at startpoints
@@ -57,7 +73,7 @@ class PertLevel:
 
     Cell arcs are grouped contiguously per destination pin (CSR via
     ``cell_start``), arcs within a destination in library order — the
-    order the reference scalar loop uses for its strict-``>`` max, so
+    order the scalar oracle uses for its strict-``>`` max, so
     first-occurrence winner selection reproduces its tie-breaking.
     """
 
@@ -249,34 +265,6 @@ class LevelizedPins:
         )
 
 
-def propagate_levels(
-    pert: LevelizedPins,
-    arrival: np.ndarray,
-    slew: np.ndarray,
-    wire_delay: np.ndarray,
-    wire_slew_deg: np.ndarray,
-    net_load: np.ndarray,
-    net_has_tree: np.ndarray,
-) -> None:
-    """One full vectorized PERT pass over all levels (in place)."""
-    for lv in pert.levels:
-        if lv.net_dst.size:
-            a_drv = arrival[lv.net_src]
-            ok = ~np.isnan(a_drv)
-            dst = lv.net_dst[ok]
-            arrival[dst] = a_drv[ok] + wire_delay[dst]
-            s_drv = slew[lv.net_src[ok]]
-            has_t = net_has_tree[lv.net_net[ok]]
-            slew[dst] = np.where(
-                has_t, np.sqrt(s_drv * s_drv + wire_slew_deg[dst]), s_drv
-            )
-        if lv.cell_dest.size:
-            best, winner_slew, valid = _eval_cell_arcs(pert, lv, arrival, slew, net_load)
-            dsts = lv.cell_dest[valid]
-            arrival[dsts] = best[valid]
-            slew[dsts] = winner_slew[valid]
-
-
 def _arc_tables(
     pert: LevelizedPins,
     lv: PertLevel,
@@ -345,47 +333,180 @@ def _arc_tables(
     return delays, oslews
 
 
-def _eval_cell_arcs(
+def _eval_cell_arcs_batched(
     pert: LevelizedPins,
     lv: PertLevel,
     arrival: np.ndarray,
     slew: np.ndarray,
     net_load: np.ndarray,
+    dest_net: np.ndarray,
+    start: np.ndarray,
+    counts: np.ndarray,
+    arc_rows: Optional[np.ndarray],
+    cell_derate: Optional[np.ndarray],
+    early: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-arrival/winner-slew per destination over a level's NLDM
-    cell arcs.  Returns (best_arrival, winner_slew, valid_mask) aligned
-    with ``lv.cell_dest``."""
-    counts = lv.cell_counts
-    a_in = arrival[lv.cell_in]
-    s_in = slew[lv.cell_in]
-    safe_net = np.maximum(lv.cell_dest_net, 0)
-    load_dest = np.where(lv.cell_dest_net >= 0, net_load[safe_net], 0.0)
-    load_arc = np.repeat(load_dest, counts)
-    delays, oslews = _arc_tables(pert, lv, None, s_in, load_arc)
-    cand = np.where(np.isnan(a_in), -np.inf, a_in + delays)
-    seg_starts = lv.cell_start[:-1]
-    best = np.maximum.reduceat(cand, seg_starts)
-    # First arc achieving the max wins ties (reference uses strict >).
-    n_arc = lv.cell_in.size
-    row_ids = np.arange(n_arc, dtype=np.int64)
-    masked = np.where(cand == np.repeat(best, counts), row_ids, n_arc)
-    first = np.minimum.reduceat(masked, seg_starts)
-    valid = best > -np.inf
-    winner_slew = np.full(best.size, DEFAULT_INPUT_SLEW, dtype=np.float64)
-    winner_slew[valid] = oslews[first[valid]]
+    """Batched max/min-arrival and winner slew per destination.
+
+    ``early`` selects the hold-style earliest-arrival reduction.
+    Returns ``(best, winner_slew, valid)`` each ``(S, n_dests)``.
+    """
+    cell_in = lv.cell_in if arc_rows is None else lv.cell_in[arc_rows]
+    n_arc = cell_in.size
+    S = arrival.shape[0]
+    a_in = arrival[:, cell_in]
+    s_in = slew[:, cell_in]
+    safe_net = np.maximum(dest_net, 0)
+    load_dest = np.where(dest_net >= 0, net_load[:, safe_net], 0.0)
+    load_arc = np.repeat(load_dest, counts, axis=1)
+    delays, oslews = _arc_tables(pert, lv, arc_rows, s_in, load_arc)
+    # PVT derate on cell timing; 1.0 rows are bitwise no-ops, so an
+    # all-neutral block passes None and skips the multiply.
+    if cell_derate is not None:
+        delays *= cell_derate
+        oslews *= cell_derate
+    sentinel = np.inf if early else -np.inf
+    cand = np.where(np.isnan(a_in), sentinel, a_in + delays)
+    seg_starts = start[:-1]
+    reduce = np.minimum if early else np.maximum
+    best = reduce.reduceat(cand, seg_starts, axis=1)
+    # First arc achieving the best wins ties, found as a flat index into
+    # the (S, n_arc) block so the winner slew is a single 1-D gather.
+    n_flat = S * n_arc
+    flat_ids = np.arange(n_flat, dtype=np.int64).reshape(S, n_arc)
+    masked = np.where(cand == np.repeat(best, counts, axis=1), flat_ids, n_flat)
+    first = np.minimum.reduceat(masked, seg_starts, axis=1)
+    valid = best < np.inf if early else best > -np.inf
+    gather = oslews.ravel()[np.minimum(first, max(n_flat - 1, 0))]
+    winner_slew = np.where(valid, gather, DEFAULT_INPUT_SLEW)
     return best, winner_slew, valid
 
 
-class STAEngine:
-    """Reusable engine bound to a netlist; run per Steiner solution.
+def propagate_levels_batched(
+    pert: LevelizedPins,
+    arrival: np.ndarray,
+    slew: np.ndarray,
+    wire_delay: np.ndarray,
+    wire_slew_deg: np.ndarray,
+    net_load: np.ndarray,
+    net_has_tree: np.ndarray,
+    cell_derate: Optional[np.ndarray],
+    early: bool = False,
+) -> None:
+    """One full batched PERT pass over all levels (in place).
 
-    ``telemetry`` pins this engine's observations to one run; when
-    omitted every query resolves the process-global telemetry, so a
-    ``telemetry_session`` installed later still sees the counters.
+    All per-pin/per-net inputs carry a leading scenario axis except the
+    shared ``net_has_tree`` topology mask.
     """
+    for lv in pert.levels:
+        if lv.net_dst.size:
+            src, dst = lv.net_src, lv.net_dst
+            a_drv = arrival[:, src]
+            ok = ~np.isnan(a_drv)
+            arrival[:, dst] = np.where(ok, a_drv + wire_delay[:, dst], arrival[:, dst])
+            s_drv = slew[:, src]
+            has_t = net_has_tree[lv.net_net]
+            peri = np.sqrt(s_drv * s_drv + wire_slew_deg[:, dst])
+            slew[:, dst] = np.where(
+                ok, np.where(has_t, peri, s_drv), slew[:, dst]
+            )
+        if lv.cell_dest.size:
+            best, winner_slew, valid = _eval_cell_arcs_batched(
+                pert, lv, arrival, slew, net_load,
+                lv.cell_dest_net, lv.cell_start, lv.cell_counts, None,
+                cell_derate, early,
+            )
+            dsts = lv.cell_dest
+            arrival[:, dsts] = np.where(valid, best, arrival[:, dsts])
+            slew[:, dsts] = np.where(valid, winner_slew, slew[:, dsts])
 
-    def __init__(self, netlist: Netlist, telemetry=None) -> None:
-        self.telemetry = telemetry
+
+def propagate_from_batched(
+    pert: LevelizedPins,
+    arrival: np.ndarray,
+    slew: np.ndarray,
+    wire_delay: np.ndarray,
+    wire_slew_deg: np.ndarray,
+    net_load: np.ndarray,
+    net_has_tree: np.ndarray,
+    cell_derate: Optional[np.ndarray],
+    recompute: np.ndarray,
+    early: bool = False,
+) -> int:
+    """Batched levelized cone propagation from a seeded frontier.
+
+    ``recompute`` is a shared ``(n_pins,)`` seed mask — the union over
+    scenarios of pins whose wire timing or driver load changed.  The
+    frontier mask is likewise shared (a pin re-evaluates everywhere if
+    it changed in *any* scenario); rows whose inputs did not change
+    recompute to bitwise-equal values, so the result matches a full
+    batched pass exactly.  Returns the number of levels touched.
+    """
+    changed = np.zeros(pert.n_pins, dtype=bool)
+    levels_touched = 0
+    for lv in pert.levels:
+        level_touched = False
+        if lv.net_dst.size:
+            m = recompute[lv.net_dst] | changed[lv.net_src]
+            if m.any():
+                level_touched = True
+                src = lv.net_src[m]
+                dst = lv.net_dst[m]
+                a_drv = arrival[:, src]
+                ok = ~np.isnan(a_drv)
+                new_a = np.where(ok, a_drv + wire_delay[:, dst], np.nan)
+                s_drv = slew[:, src]
+                ht = net_has_tree[lv.net_net[m]]
+                peri = np.sqrt(s_drv * s_drv + wire_slew_deg[:, dst])
+                new_s = np.where(
+                    ok, np.where(ht, peri, s_drv), DEFAULT_INPUT_SLEW
+                )
+                old_a = arrival[:, dst]
+                ch = ~((new_a == old_a) | (np.isnan(new_a) & np.isnan(old_a)))
+                ch |= new_s != slew[:, dst]
+                arrival[:, dst] = new_a
+                slew[:, dst] = new_s
+                changed[dst] |= ch.any(axis=0)
+        if lv.cell_dest.size:
+            dsel = recompute[lv.cell_dest]
+            if lv.cell_in.size:
+                dsel = dsel | np.logical_or.reduceat(
+                    changed[lv.cell_in], lv.cell_start[:-1]
+                )
+            idx = np.flatnonzero(dsel)
+            if idx.size == 0:
+                if level_touched:
+                    levels_touched += 1
+                continue
+            level_touched = True
+            starts = lv.cell_start[:-1][idx]
+            ends = lv.cell_start[1:][idx]
+            arc_rows = flatmod._expand_ranges(starts, ends)
+            counts = ends - starts
+            sub_start = np.zeros(idx.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=sub_start[1:])
+            best, wslew, valid = _eval_cell_arcs_batched(
+                pert, lv, arrival, slew, net_load,
+                lv.cell_dest_net[idx], sub_start, counts, arc_rows,
+                cell_derate, early,
+            )
+            dsts = lv.cell_dest[idx]
+            new_a = np.where(valid, best, np.nan)
+            old_a = arrival[:, dsts]
+            ch = ~((new_a == old_a) | (np.isnan(new_a) & np.isnan(old_a)))
+            ch |= wslew != slew[:, dsts]
+            arrival[:, dsts] = new_a
+            slew[:, dsts] = wslew
+            changed[dsts] |= ch.any(axis=0)
+        if level_touched:
+            levels_touched += 1
+    return levels_touched
+
+
+class STAEngine:
+    """Reusable engine bound to a netlist; run per Steiner solution."""
+
+    def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
         self.technology = netlist.technology
         self.library = netlist.library
@@ -430,10 +551,6 @@ class STAEngine:
     #: coupling-capacitance coefficient: c_eff = c * (1 + K * utilization)
     COUPLING_K = 0.8
 
-    #: kernel used when ``run`` is called without an explicit choice:
-    #: "flat" (vectorized, default) or "reference" (scalar loops).
-    default_kernel = "flat"
-
     def pert(self) -> LevelizedPins:
         """Levelized arc structure (built lazily, once per netlist)."""
         if self._pert_struct is None:
@@ -445,37 +562,14 @@ class STAEngine:
         forest: SteinerForest,
         route_result: Optional[GlobalRouteResult] = None,
         utilization: Optional[np.ndarray] = None,
-        kernel: Optional[str] = None,
     ) -> TimingReport:
         """Time the design under the given Steiner forest / routes.
 
         ``utilization`` is the post-route GCell congestion field; when
         provided, wire capacitance picks up a coupling term that grows
-        with local density (see ``repro.sta.rctree._coupling_factor``).
-        ``kernel`` selects the implementation: ``"flat"`` runs the
-        vectorized batched kernels (docs/PERFORMANCE.md), ``"reference"``
-        the original per-net/per-pin scalar loops; both agree to within
-        float re-association noise (see tests/test_flat_sta.py).
+        with local density (``c_eff = c * (1 + COUPLING_K * u)``, see
+        ``repro.sta.flat.routed_edge_rc``).
         """
-        k = kernel or self.default_kernel
-        tel = self.telemetry if self.telemetry is not None else get_telemetry()
-        if k == "flat":
-            if tel.enabled:
-                tel.count("sta.runs_flat")
-            return self._run_flat(forest, route_result, utilization)
-        if k == "reference":
-            if tel.enabled:
-                tel.count("sta.runs_reference")
-            return self._run_reference(forest, route_result, utilization)
-        raise ValueError(f"unknown STA kernel {k!r}")
-
-    # -- vectorized path ------------------------------------------------
-    def _run_flat(
-        self,
-        forest: SteinerForest,
-        route_result: Optional[GlobalRouteResult],
-        utilization: Optional[np.ndarray],
-    ) -> TimingReport:
         pert = self.pert()
         flat = flatmod.flat_forest_of(forest, pert.pin_caps)
         xy = flatmod.node_positions(flat, forest.get_steiner_coords())
@@ -498,23 +592,13 @@ class STAEngine:
         net_has_tree = np.zeros(pert.n_nets, dtype=bool)
         net_has_tree[flat.net_of_tree] = True
 
-        arrival, slew = self.launch_arrays()
-        propagate_levels(
-            pert, arrival, slew, wire_delay, wire_deg, net_load, net_has_tree
+        # One full batched pass at S=1.
+        arrival, slew = launch_arrays_batched(self, [self.clock])
+        propagate_levels_batched(
+            pert, arrival, slew, wire_delay[None], wire_deg[None],
+            net_load[None], net_has_tree, None,
         )
-        return self.finalize_report(arrival, slew, net_load)
-
-    def launch_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Fresh (arrival, slew) arrays with launch values applied."""
-        n_pins = self.netlist.num_pins
-        arrival = np.full(n_pins, np.nan)
-        slew = np.full(n_pins, DEFAULT_INPUT_SLEW)
-        launch = self.clock.launch_time()
-        for port in self.netlist.primary_inputs():
-            arrival[port.index] = launch + self.clock.input_delay
-        for ck_pin in self._clock_pins:
-            arrival[ck_pin] = launch
-        return arrival, slew
+        return self.finalize_report(arrival[0], slew[0], net_load)
 
     def finalize_report(
         self,
@@ -547,113 +631,23 @@ class STAEngine:
             net_load={i: float(v) for i, v in enumerate(net_load)},
         )
 
-    # -- reference scalar path -----------------------------------------
-    def _run_reference(
-        self,
-        forest: SteinerForest,
-        route_result: Optional[GlobalRouteResult] = None,
-        utilization: Optional[np.ndarray] = None,
-    ) -> TimingReport:
-        netlist = self.netlist
-        n_pins = netlist.num_pins
-        arrival = np.full(n_pins, np.nan)
-        slew = np.full(n_pins, DEFAULT_INPUT_SLEW)
 
-        # ---- per-net wire timing ----
-        pin_caps = {p.index: p.cap for p in netlist.pins if p.direction == PinDirection.INPUT}
-        net_timing: Dict[int, object] = {}
-        net_load: Dict[int, float] = {}
-        tree_idx_of_net: Dict[int, int] = {}
-        for t_idx, tree in enumerate(forest.trees):
-            sink_caps = {p: pin_caps.get(p, 0.0) for p in tree.pin_ids[1:]}
-            nt = compute_net_timing(
-                tree,
-                sink_caps,
-                self.technology,
-                route_result=route_result,
-                tree_idx=t_idx,
-                utilization=utilization,
-                coupling_k=self.COUPLING_K,
-            )
-            net_timing[tree.net_index] = nt
-            net_load[tree.net_index] = nt.total_cap
-            tree_idx_of_net[tree.net_index] = t_idx
-
-        # Nets without trees (degenerate): zero wire delay, lumped caps.
-        for net in netlist.nets:
-            if net.index not in net_timing:
-                total = sum(pin_caps.get(s, 0.0) for s in net.sinks)
-                net_load[net.index] = total
-
-        # ---- launch values ----
-        launch = self.clock.launch_time()
-        for port in netlist.primary_inputs():
-            arrival[port.index] = launch + self.clock.input_delay
-            slew[port.index] = DEFAULT_INPUT_SLEW
-        for ck_pin in self._clock_pins:
-            arrival[ck_pin] = launch
-            slew[ck_pin] = DEFAULT_INPUT_SLEW
-
-        # ---- PERT traversal ----
-        for pin_idx in self._topo:
-            pin = netlist.pins[pin_idx]
-            if pin_idx in self._clock_pins or (pin.is_port and pin.direction == PinDirection.OUTPUT):
-                continue  # launch values already set
-            if pin.direction == PinDirection.OUTPUT:
-                arcs = self._cell_arcs.get(pin_idx, [])
-                net_idx = netlist.pin_net_map()[pin_idx]
-                load = net_load.get(int(net_idx), 0.0) if net_idx >= 0 else 0.0
-                best_arr = -np.inf
-                best_slew = DEFAULT_INPUT_SLEW
-                for in_pin, arc in arcs:
-                    a_in = arrival[in_pin]
-                    if np.isnan(a_in):
-                        continue
-                    d = arc.delay.lookup(float(slew[in_pin]), load)
-                    a_out = a_in + d
-                    if a_out > best_arr:
-                        best_arr = a_out
-                        best_slew = arc.output_slew.lookup(float(slew[in_pin]), load)
-                if best_arr > -np.inf:
-                    arrival[pin_idx] = best_arr
-                    slew[pin_idx] = best_slew
-            else:
-                # Net sink: wire delay from the driving net.
-                net_idx = self._driver_of.get(pin_idx)
-                if net_idx is None:
-                    continue
-                nt = net_timing.get(net_idx)
-                driver = netlist.nets[net_idx].driver
-                a_drv = arrival[driver]
-                if np.isnan(a_drv):
-                    continue
-                if nt is None:
-                    arrival[pin_idx] = a_drv
-                    slew[pin_idx] = slew[driver]
-                else:
-                    wire_d = nt.sink_delay.get(pin_idx, 0.0)
-                    arrival[pin_idx] = a_drv + wire_d
-                    slew[pin_idx] = math.sqrt(
-                        float(slew[driver]) ** 2 + nt.sink_slew_degradation.get(pin_idx, 0.0)
-                    )
-
-        # ---- slacks ----
-        slack: Dict[int, float] = {}
-        for ep in self._endpoints:
-            req = self._required[ep]
-            arr = arrival[ep]
-            slack[ep] = float(req - arr) if not np.isnan(arr) else float(req - launch)
-        wns = min(slack.values()) if slack else 0.0
-        tns = sum(min(0.0, s) for s in slack.values())
-        num_vios = sum(1 for s in slack.values() if s < 0.0)
-
-        return TimingReport(
-            arrival=arrival,
-            slew=slew,
-            required=dict(self._required),
-            slack=slack,
-            wns=float(wns),
-            tns=float(tns),
-            num_violations=num_vios,
-            net_load=net_load,
-        )
+def launch_arrays_batched(
+    engine: STAEngine, clocks: Sequence[ClockSpec]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fresh ``(S, n_pins)`` arrival/slew arrays with per-scenario launch."""
+    n_pins = engine.netlist.num_pins
+    S = len(clocks)
+    arrival = np.full((S, n_pins), np.nan)
+    slew = np.full((S, n_pins), DEFAULT_INPUT_SLEW)
+    pi = np.array(
+        [port.index for port in engine.netlist.primary_inputs()], dtype=np.int64
+    )
+    ck = np.array(sorted(engine._clock_pins), dtype=np.int64)
+    for s, clock in enumerate(clocks):
+        launch = clock.launch_time()
+        if pi.size:
+            arrival[s, pi] = launch + clock.input_delay
+        if ck.size:
+            arrival[s, ck] = launch
+    return arrival, slew

@@ -1,10 +1,10 @@
 """Flattened RC forest: CSR-style arrays + batched Elmore kernels.
 
-The reference path (`repro.sta.rctree.compute_net_timing`) walks one
-Python BFS per net per query.  This module flattens every Steiner tree
-of a design into contiguous flat-node arrays built **once** per forest
-topology, then evaluates Elmore delay for *all* nets with a handful of
-numpy scans:
+This module is the production wire-timing path.  It flattens every
+Steiner tree of a design into contiguous flat-node arrays built
+**once** per forest topology, then evaluates Elmore delay for *all*
+nets with a handful of numpy scans (the per-net oracle that walks one
+Python BFS per net is `repro.testing.oracles.compute_net_timing`):
 
 * downstream (subtree) capacitance — one ``np.add.at`` scatter per BFS
   depth, deepest level first;
@@ -303,7 +303,7 @@ def preroute_edge_rc(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized pre-route edge RC (H span on one layer, V on another).
 
-    Matches ``rctree._edge_rc``'s unrouted fallback term for term.  When
+    Matches the per-net oracle's unrouted fallback term for term.  When
     ``edge_rows`` is given only those rows are (re)computed, writing
     into ``out_r`` / ``out_c``.
     """

@@ -24,9 +24,9 @@ over CSR pin arrays (same idiom as ``sta/flat.py``):
 The contract is **bitwise equality**: for every net, the flat builder
 produces the same pin order, the same Steiner coordinates (same floats,
 not just close), and the same edge list as ``construct_tree``.  The
-per-net constructor stays available as the oracle
-(``build_forest(kernel="reference")``) and as the fallback arm a future
-learned topology seeder will need.
+per-net constructor stays in production for coincident-node nets, is
+the oracle's building block (``repro.testing.oracles.reference_forest``)
+and is the fallback arm a future learned topology seeder will need.
 
 Corner-choice rule (shared with ``rsmt._corner_for``): of the two
 L-shapes between ``a`` and ``b``, take the corner closer (L1) to the

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.netlist.netlist import Netlist
 from repro.obs import get_telemetry
-from repro.steiner.rsmt import construct_tree
+from repro.steiner.flat_build import construct_trees_flat
 from repro.steiner.tree import SteinerTree
 
 
@@ -135,13 +135,13 @@ class SteinerForest:
             tree.pin_xy = pos[np.array(tree.pin_ids, dtype=np.int64)]
 
 
-#: Forest memo keyed by (geometry digest, skip_degenerate, kernel).
+#: Forest memo keyed by (geometry digest, skip_degenerate).
 #: Content-addressed rather than object-identity-addressed: serve
 #: warm-state rebuilds and repeated flow runs construct *new* Netlist
 #: objects with byte-identical geometry, which an identity cache would
 #: always miss.  Bounded LRU; entries are master copies, callers get
 #: private forks (refinement mutates Steiner coordinates in place).
-_FOREST_CACHE: "OrderedDict[Tuple[bytes, bool, str], SteinerForest]" = OrderedDict()
+_FOREST_CACHE: "OrderedDict[Tuple[bytes, bool], SteinerForest]" = OrderedDict()
 _FOREST_CACHE_CAP = 8
 
 
@@ -178,26 +178,23 @@ def clear_forest_cache() -> None:
 def build_forest(
     netlist: Netlist,
     skip_degenerate: bool = True,
-    kernel: str = "flat",
     cache: bool = True,
 ) -> SteinerForest:
     """Construct initial Steiner trees for every net of ``netlist``.
 
-    ``kernel`` selects the implementation: ``"flat"`` runs the batched
-    whole-design kernels of :mod:`repro.steiner.flat_build`,
-    ``"reference"`` the original per-net constructor; the two are
-    bitwise-equal (tests/test_flat_steiner.py).  ``cache=True``
-    memoizes by geometry digest so repeated builds of identical
-    geometry (serve warm-state rebuilds, flow re-runs) return a fork of
-    the cached forest instead of reconstructing.
+    Runs the batched whole-design kernels of
+    :mod:`repro.steiner.flat_build`, bitwise-equal to one per-net
+    ``construct_tree`` call each (the oracle
+    ``repro.testing.oracles.reference_forest``; tests/test_flat_steiner.py).
+    ``cache=True`` memoizes by geometry digest so repeated builds of
+    identical geometry (serve warm-state rebuilds, flow re-runs) return
+    a fork of the cached forest instead of reconstructing.
     """
-    if kernel not in ("flat", "reference"):
-        raise ValueError(f"unknown forest kernel {kernel!r}")
     tel = get_telemetry()
     pos = netlist.pin_positions()
     key = None
     if cache:
-        key = (_forest_digest(netlist, pos), bool(skip_degenerate), kernel)
+        key = (_forest_digest(netlist, pos), bool(skip_degenerate))
         master = _FOREST_CACHE.get(key)
         if master is not None:
             _FOREST_CACHE.move_to_end(key)
@@ -207,32 +204,16 @@ def build_forest(
         if tel.enabled:
             tel.count("steiner.cache_misses")
 
-    with tel.span("forest_build", design=netlist.name, kernel=kernel) as span:
-        if kernel == "flat":
-            if tel.enabled:
-                tel.count("steiner.builds_flat")
-            net_indices: List[int] = []
-            net_pins: List[List[int]] = []
-            for net in netlist.nets:
-                pins = net.pins
-                if skip_degenerate and len(pins) < 2:
-                    continue
-                net_indices.append(net.index)
-                net_pins.append(pins)
-            from repro.steiner.flat_build import construct_trees_flat
-
-            trees = construct_trees_flat(net_indices, net_pins, pos)
-        else:
-            if tel.enabled:
-                tel.count("steiner.builds_reference")
-            trees = []
-            for net in netlist.nets:
-                pins = net.pins
-                if skip_degenerate and len(pins) < 2:
-                    continue
-                trees.append(
-                    construct_tree(net.index, pins, pos[np.array(pins, dtype=np.int64)])
-                )
+    with tel.span("forest_build", design=netlist.name) as span:
+        net_indices: List[int] = []
+        net_pins: List[List[int]] = []
+        for net in netlist.nets:
+            pins = net.pins
+            if skip_degenerate and len(pins) < 2:
+                continue
+            net_indices.append(net.index)
+            net_pins.append(pins)
+        trees = construct_trees_flat(net_indices, net_pins, pos)
         forest = SteinerForest(netlist, trees)
         if tel.enabled:
             buckets = {1: 0, 2: 0, 3: 0, 4: 0}

@@ -1,1 +1,2 @@
-"""Test-only oracles: slow reference forms of production kernels."""
+"""Parity oracles: slow reference forms of production kernels, imported
+by the tests and by the perf bench (``repro.bench``) only."""

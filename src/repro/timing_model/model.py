@@ -70,13 +70,12 @@ class TimingEvaluator(nn.Module):
     N_CELL_FEATS = 4  # from TimingGraph.cell_feat
     N_START_FEATS = 2  # PI vs register launch
 
-    #: Execution kernel for the hot forward/gradient paths (mirrors
-    #: ``STAEngine.default_kernel``): "tape" replays a compiled
-    #: instruction tape (fast path; falls back transparently when a
-    #: graph uses an op the compiler does not know), "closure" runs the
-    #: reference closure-graph engine, "tape-parity" runs both and
-    #: raises on any bitwise mismatch.  Class attribute — override per
-    #: instance to pin a kernel.
+    #: Execution kernel for the hot forward/gradient paths: "tape"
+    #: replays a compiled instruction tape (fast path; falls back
+    #: transparently when a graph uses an op the compiler does not
+    #: know), "closure" runs the reference closure-graph engine,
+    #: "tape-parity" runs both and raises on any bitwise mismatch.
+    #: Class attribute — override per instance to pin a kernel.
     kernel = "tape"
 
     def __init__(self, config: Optional[EvaluatorConfig] = None) -> None:

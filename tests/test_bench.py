@@ -4,8 +4,7 @@
 kernel's speedup regressed more than 25% against the committed
 ``BENCH_timing.json`` — the same check as
 ``python -m repro.bench --quick --check BENCH_timing.json``.
-Deselect with ``-m 'not bench_smoke'`` when timing noise is unwanted
-(e.g. under heavy parallel CI load).
+``addopts`` deselects it by default; run it with ``-m bench_smoke``.
 """
 
 from pathlib import Path
@@ -107,6 +106,27 @@ def test_baseline_report_is_committed():
 def test_unknown_kernel_filter_rejected():
     with pytest.raises(ValueError, match="unknown bench kernels"):
         run_benchmarks(kernels=["nope"], log=lambda m: None)
+
+
+def test_oracle_denominators_agree_with_production():
+    """The four oracle-backed kernels run and their parity checks hold.
+
+    No timing assertion: this only keeps the oracle imports and the
+    bitwise/1e-9 agreement of each denominator in the tier-1 run.
+    """
+    report = run_benchmarks(
+        designs=["spm"],
+        repeats=1,
+        queries=2,
+        kernels=["forest_build", "groute", "full_sta", "incremental"],
+        log=lambda m: None,
+    )
+    kernels = report["kernels"]
+    assert kernels["forest_build"]["spm"]["trees_bitwise_equal"] == 1
+    assert kernels["groute"]["spm"]["routes_bitwise_equal"] == 1
+    assert kernels["full_sta"]["spm"]["wns_delta"] <= 1e-9
+    assert kernels["full_sta"]["spm"]["tns_delta"] <= 1e-9
+    assert kernels["incremental"]["spm"]["queries"] == 2
 
 
 @pytest.mark.bench_smoke

@@ -4,8 +4,9 @@ Three contracts (docs/PERFORMANCE.md):
 
 * the batched CSR Elmore kernel reproduces the per-net reference
   analysis to 1e-12;
-* ``STAEngine.run(kernel="flat")`` agrees with ``kernel="reference"``
-  to 1e-9 on WNS/TNS and endpoint slacks (float re-association only);
+* ``STAEngine.run`` agrees with the scalar oracle
+  ``repro.testing.oracles.reference_sta`` to 1e-9 on WNS/TNS and
+  endpoint slacks (float re-association only);
 * :class:`~repro.sta.incremental.IncrementalSTA` is *bitwise* equal to
   a from-scratch flat run after arbitrary move / revert / mode-switch /
   resume sequences, and stale caches (topology edits, interrupted
@@ -23,7 +24,7 @@ from repro.routegrid.grid import GCellGrid
 from repro.runtime import faults
 from repro.sta import IncrementalSTA, STAEngine
 from repro.sta import flat as flatmod
-from repro.sta.rctree import compute_net_timing
+from repro.testing.oracles import compute_net_timing, reference_sta
 
 from tests.test_failure_injection import _FaultyModel, _QuadraticModel
 from tests.test_checkpoint_resume import _assert_refinement_identical
@@ -105,7 +106,7 @@ class TestElmoreParity:
 
 
 # ----------------------------------------------------------------------
-# Flat engine vs reference engine
+# Engine vs scalar oracle
 # ----------------------------------------------------------------------
 class TestEngineParity:
     @pytest.mark.parametrize("mode", ["preroute", "routed"])
@@ -113,8 +114,8 @@ class TestEngineParity:
         netlist, forest = design
         rr, util = (None, None) if mode == "preroute" else routed
         engine = STAEngine(netlist)
-        ref = engine.run(forest, rr, utilization=util, kernel="reference")
-        fast = engine.run(forest, rr, utilization=util, kernel="flat")
+        ref = reference_sta(engine, forest, rr, utilization=util)
+        fast = engine.run(forest, rr, utilization=util)
         assert fast.wns == pytest.approx(ref.wns, abs=1e-9)
         assert fast.tns == pytest.approx(ref.tns, abs=1e-9)
         assert fast.num_violations == ref.num_violations
@@ -143,7 +144,7 @@ class TestIncrementalParity:
             else:
                 work.set_steiner_coords(_random_moves(work, rng))
             rep = inc.run()
-            full = engine.run(work, kernel="flat")
+            full = engine.run(work)
             assert rep.wns == full.wns and rep.tns == full.tns
             assert np.array_equal(rep.arrival, full.arrival, equal_nan=True)
             assert np.array_equal(rep.slew, full.slew, equal_nan=True)
@@ -159,10 +160,10 @@ class TestIncrementalParity:
             work.set_steiner_coords(_random_moves(work, rng))
             if mode == "routed":
                 rep = inc.run(route_result=rr, utilization=util)
-                full = engine.run(work, rr, utilization=util, kernel="flat")
+                full = engine.run(work, rr, utilization=util)
             else:
                 rep = inc.run()
-                full = engine.run(work, kernel="flat")
+                full = engine.run(work)
             assert rep.wns == full.wns and rep.tns == full.tns
             assert np.array_equal(rep.arrival, full.arrival, equal_nan=True)
 
@@ -197,7 +198,7 @@ class TestIncrementalParity:
         assert inc._state is None  # stale state dropped, not half-updated
 
         rep = inc.run()  # full rebuild
-        full = STAEngine(netlist).run(work, kernel="flat")
+        full = STAEngine(netlist).run(work)
         assert rep.wns == full.wns and rep.tns == full.tns
         assert np.array_equal(rep.arrival, full.arrival, equal_nan=True)
 
@@ -232,7 +233,7 @@ class TestAdapterSequences:
                 assign_layers(rr, netlist.technology, grid.nx * grid.ny)
                 util = grid.utilization_map()
             got = inc.run(route_result=rr, utilization=util)
-            want = engine.run(work, rr, utilization=util, kernel="flat")
+            want = engine.run(work, rr, utilization=util)
             assert np.array_equal(got.arrival, want.arrival, equal_nan=True), step
             assert np.array_equal(got.slew, want.slew, equal_nan=True), step
             assert got.slack == want.slack, step
@@ -251,7 +252,7 @@ class TestTopologyInvalidation:
         netlist, forest = design
         work = forest.copy()
         engine = STAEngine(netlist)
-        engine.run(work, kernel="flat")  # populate the flat cache
+        engine.run(work)  # populate the flat cache
         flat_before = flatmod.flat_forest_of(work, engine.pert().pin_caps)
 
         for tree in work.trees:
@@ -261,8 +262,8 @@ class TestTopologyInvalidation:
 
         # Post-prune timing agrees with a never-cached engine run.
         fresh = STAEngine(netlist)
-        a = engine.run(work, kernel="flat")
-        b = fresh.run(work, kernel="flat")
+        a = engine.run(work)
+        b = fresh.run(work)
         assert a.wns == b.wns and a.tns == b.tns
         assert np.array_equal(a.arrival, b.arrival, equal_nan=True)
 

@@ -7,11 +7,12 @@ Two bitwise contracts (docs/PERFORMANCE.md, layer 4):
   (coordinates, edge lists, wirelength) across every degree bucket,
   including duplicate-coordinate nets that take the merge/prune path;
 * :func:`repro.groute.flat_route.pattern_route_flat` reproduces the
-  per-edge reference router bitwise (shape choice, cost, usage fields,
-  overflow).
+  per-edge oracle ``repro.testing.oracles.pattern_route_reference``
+  bitwise (shape choice, cost, usage fields, overflow).
 
-Plus the forest cache: hit/miss counters, fork insulation, digest
-invalidation, and the preserved ``kernel="reference"`` dispatch arm.
+Plus ``build_forest`` against the per-net oracle
+``repro.testing.oracles.reference_forest`` and the forest cache:
+hit/miss counters, fork insulation, digest invalidation.
 """
 
 import numpy as np
@@ -27,11 +28,8 @@ from repro.routegrid.grid import GCellGrid
 from repro.steiner import build_forest, clear_forest_cache, construct_trees_flat
 from repro.steiner.forest import SteinerForest
 from repro.steiner.rsmt import _corner_for, construct_tree
-from repro.groute.flat_route import (
-    estimate_congestion,
-    pattern_route_flat,
-    pattern_route_reference,
-)
+from repro.groute.flat_route import estimate_congestion, pattern_route_flat
+from repro.testing.oracles import pattern_route_reference, reference_forest
 
 # Continuous coordinates rarely coincide; the small integer grid forces
 # duplicate pins, coincident corners (merge path) and medians that land
@@ -156,13 +154,14 @@ class TestFlatRouteParity:
         )
         place(nl)
         forest = build_forest(nl, cache=False)
-        flat = estimate_congestion(nl, forest, kernel="flat")
-        ref = estimate_congestion(nl, forest, kernel="reference")
-        np.testing.assert_array_equal(flat, ref)
+        flat = estimate_congestion(nl, forest)
+        grid = GCellGrid(nl.die_width, nl.die_height, nl.technology)
+        pattern_route_reference(grid, forest)
+        np.testing.assert_array_equal(flat, grid.utilization_map())
 
 
 # ----------------------------------------------------------------------
-# build_forest dispatch + cache
+# build_forest vs the per-net oracle + cache
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def small_design():
@@ -178,15 +177,11 @@ def small_design():
 class TestBuildForestDispatch:
     def test_flat_and_reference_kernels_bitwise_equal(self, small_design):
         nl = small_design
-        flat = build_forest(nl, kernel="flat", cache=False)
-        ref = build_forest(nl, kernel="reference", cache=False)
+        flat = build_forest(nl, cache=False)
+        ref = reference_forest(nl)
         assert flat.num_trees == ref.num_trees
         for a, b in zip(flat.trees, ref.trees):
             _assert_tree_equal(a, b)
-
-    def test_unknown_kernel_rejected(self, small_design):
-        with pytest.raises(ValueError, match="kernel"):
-            build_forest(small_design, kernel="bogus")
 
     def test_cache_hit_and_counters(self, small_design, tmp_path):
         nl = small_design

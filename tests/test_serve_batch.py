@@ -1,4 +1,4 @@
-"""Serving v2 tests: query fusion and warm-shard design sharding.
+"""Serving v2 tests: query fusion.
 
 The contract under test (docs/SERVING.md, "Scaling"):
 
@@ -7,9 +7,6 @@ The contract under test (docs/SERVING.md, "Scaling"):
   unbatched execution (hypothesis-tested on a real design);
 * fused members keep their own tickets, accounting stays per member,
   and a worker death mid-batch requeues the carrier whole — zero lost;
-* rendezvous sharding routes each design's jobs to its warm shard and
-  killing a shard remaps nothing, redispatches its in-flight jobs and
-  loses none of them;
 * SLO burn-rate alerting still fires and clears with batching enabled
   (members are observed individually, not per carrier).
 """
@@ -27,10 +24,8 @@ from repro.serve import (
     BatchConfig,
     ChaosMonkey,
     KillWorker,
-    ShardedService,
     SignoffService,
     WarmStateCache,
-    rendezvous_shard,
     virtual_asleep,
 )
 from repro.serve.jobs import DEFAULT_PRIORITY
@@ -298,144 +293,6 @@ class TestSLOWithBatching:
             assert svc.stats.batches >= 2
 
         run(scenario())
-
-
-# ----------------------------------------------------------------------
-# Rendezvous hashing and the sharded front end
-# ----------------------------------------------------------------------
-class TestRendezvous:
-    def test_deterministic_and_total(self):
-        ids = ["shard-0", "shard-1", "shard-2"]
-        for d in ("spm", "des3", "usb_cdc_core", "picorv32a"):
-            assert rendezvous_shard(d, ids) == rendezvous_shard(d, ids)
-            assert rendezvous_shard(d, ids) in ids
-
-    def test_removing_a_shard_only_remaps_its_designs(self):
-        designs = [f"design-{i}" for i in range(64)]
-        ids = ["shard-0", "shard-1", "shard-2"]
-        before = {d: rendezvous_shard(d, ids) for d in designs}
-        survivors = ["shard-0", "shard-1"]
-        after = {d: rendezvous_shard(d, survivors) for d in designs}
-        for d in designs:
-            if before[d] != "shard-2":
-                assert after[d] == before[d], d
-        # The dead shard actually owned something (sanity of the split).
-        assert any(owner == "shard-2" for owner in before.values())
-
-    def test_empty_shard_list_rejected(self):
-        with pytest.raises(ValueError):
-            rendezvous_shard("spm", [])
-
-
-class TestShardedService:
-    def _factory(self, rec, **kw):
-        def factory(slot, generation, id_prefix):
-            return SignoffService(
-                handlers=rec.make(),
-                workers=1,
-                retry_backoff=0.0,
-                id_prefix=id_prefix,
-                **kw,
-            )
-
-        return factory
-
-    def test_designs_route_to_their_home_shard(self):
-        async def scenario():
-            rec = FusedRecorder()
-            svc = ShardedService(shards=3, shard_factory=self._factory(rec))
-            async with svc:
-                designs = [f"d{i}" for i in range(12)]
-                ts = [svc.submit("whatif", d) for d in designs]
-                results = [await t.wait() for t in ts]
-                homes = {d: svc.shard_for(d) for d in designs}
-            assert all(r.ok for r in results)
-            assert len(set(homes.values())) > 1  # the split is real
-            assert svc.lost() == 0
-            assert svc.stats.done == 12
-
-        run(scenario())
-
-    def test_kill_shard_mid_batch_redispatches_zero_lost(self):
-        async def scenario():
-            rec = FusedRecorder()
-            svc = ShardedService(
-                shards=2,
-                shard_factory=self._factory(
-                    rec, batching=BatchConfig(max_batch=4, linger_s=0.0)
-                ),
-            )
-            async with svc:
-                home = svc.shard_for("spm")
-                rec.block = asyncio.Event()
-                ts = [svc.submit("whatif", "spm") for _ in range(4)]
-                # Let the bucket flush and a worker pick up the carrier.
-                for _ in range(8):
-                    await asyncio.sleep(0)
-                redispatched = await svc.kill_shard(home)
-                assert redispatched == 4
-                rec.block.set()
-                await svc.drain()
-                results = [await t.wait() for t in ts]
-            assert all(r.ok for r in results)
-            assert svc.lost() == 0
-            assert svc.shards_killed == 1
-            assert svc.shards_restarted == 1
-            assert svc.redispatched == 4
-            # Fusion happened on both shard generations; the aggregate
-            # stats keep counting across the respawn.
-            assert svc.stats.batches >= 1
-            fused_widths = [c[3] for c in rec.calls if c[2]]
-            assert fused_widths and max(fused_widths) == 4
-
-        run(scenario())
-
-    def test_kill_shard_with_unrelated_designs_untouched(self):
-        async def scenario():
-            rec = FusedRecorder()
-            svc = ShardedService(shards=2, shard_factory=self._factory(rec))
-            async with svc:
-                designs = [f"d{i}" for i in range(8)]
-                homes = {d: svc.shard_for(d) for d in designs}
-                victim = homes[designs[0]]
-                survivors = [d for d in designs if homes[d] != victim]
-                assert survivors  # both shards own something
-                ts = {d: svc.submit("whatif", d) for d in designs}
-                results = {d: await t.wait() for d, t in ts.items()}
-                await svc.kill_shard(victim)
-                # Routing is a pure function of the slot labels: nothing
-                # remapped, and post-kill queries still succeed.
-                assert {d: svc.shard_for(d) for d in designs} == homes
-                again = await svc.submit("whatif", designs[0]).wait()
-            assert all(r.ok for r in results.values())
-            assert again.ok
-            assert svc.lost() == 0
-
-        run(scenario())
-
-    def test_shard_events_reach_the_report_section(self):
-        from repro.obs.report import summarize_serving
-
-        async def scenario():
-            rec = FusedRecorder()
-            svc = ShardedService(shards=2, shard_factory=self._factory(rec))
-            async with svc:
-                rec.block = asyncio.Event()
-                ts = [svc.submit("whatif", "spm") for _ in range(2)]
-                for _ in range(6):
-                    await asyncio.sleep(0)
-                await svc.kill_shard(svc.shard_for("spm"))
-                rec.block.set()
-                for t in ts:
-                    assert (await t.wait()).ok
-
-        with Telemetry() as tel, telemetry_session(tel):
-            run(scenario())
-            events = list(tel.events)
-        summary = summarize_serving(events)
-        assert summary["shard_kills"] == 1
-        assert summary["shard_restarts"] == 1
-        assert summary["redispatched"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.pdk.technology import default_technology
 from repro.placement import place
 from repro.sta.engine import STAEngine
 from repro.sta.metrics import improvement_ratio, timing_metrics
-from repro.sta.rctree import compute_net_timing
+from repro.testing.oracles import compute_net_timing
 from repro.steiner import build_forest
 from repro.steiner.tree import SteinerTree
 
@@ -73,7 +73,7 @@ class TestElmore:
         )
         # Pre-route mode ignores coupling (it has no routed path), so
         # exercise the factor directly.
-        from repro.sta.rctree import _coupling_factor
+        from repro.testing.oracles import _coupling_factor
 
         util = np.full((5, 5), 0.5)
         factor = _coupling_factor([(0, 0), (1, 0)], util, coupling_k=0.8)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.pdk.clocks import ClockSpec
 from repro.pdk.liberty import default_library
 from repro.pdk.technology import default_technology
-from repro.sta.rctree import compute_net_timing
+from repro.testing.oracles import compute_net_timing
 from repro.steiner.tree import SteinerTree
 
 TECH = default_technology()
