@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.refine import RefinementConfig, RefinementResult, refine
+from repro.groute.router import GlobalRouter, RouteMemo
 from repro.netlist.netlist import Netlist
 from repro.obs import get_telemetry
 from repro.steiner.forest import SteinerForest
@@ -53,6 +54,9 @@ class TSteiner:
         resume: bool = False,
         graph=None,
         telemetry=None,
+        *,
+        _router_config=None,
+        _route_memo=None,
     ) -> RefinementResult:
         """Refine ``forest`` in place; returns the refinement record.
 
@@ -72,6 +76,12 @@ class TSteiner:
         :func:`repro.core.refine.refine` (see docs/RESILIENCE.md), and
         ``telemetry`` likewise (docs/OBSERVABILITY.md; defaults to the
         process-global telemetry).
+
+        ``_router_config`` and ``_route_memo`` are how
+        :func:`repro.flow.pipeline.run_routing_flow` hands the probes
+        its own router configuration and its per-flow
+        :class:`~repro.groute.router.RouteMemo`; left unset, probes use
+        the default configuration and a memo of this call alone.
         """
         tel = telemetry if telemetry is not None else get_telemetry()
         with tel.span("tsteiner.congestion_probe", design=netlist.name):
@@ -93,7 +103,13 @@ class TSteiner:
                 forest.get_steiner_coords(),
                 config=self.config,
                 clamp_fn=forest.clamp_coords,
-                validator=self._make_validator(netlist, forest, self.scenarios),
+                validator=self._make_validator(
+                    netlist,
+                    forest,
+                    self.scenarios,
+                    router_config=_router_config,
+                    memo=_route_memo if _route_memo is not None else RouteMemo(tel),
+                ),
                 budget=budget,
                 checkpoint_path=checkpoint_path,
                 resume=resume,
@@ -121,15 +137,27 @@ class TSteiner:
         return result
 
     @staticmethod
-    def _make_validator(netlist: Netlist, forest: SteinerForest, scenarios=None):
+    def _make_validator(
+        netlist: Netlist,
+        forest: SteinerForest,
+        scenarios=None,
+        router_config=None,
+        memo=None,
+    ):
         """Sign-off-lite probe: full global route + STA at candidate coords.
 
         Used by the hybrid acceptance mode to anchor the evaluator's
         accepted trajectory to real timing.  The probe runs the
-        production global router under the default
-        :class:`~repro.groute.router.RouterConfig` (pattern routes, maze
+        production global router under ``router_config`` (default
+        :class:`~repro.groute.router.RouterConfig`: pattern routes, maze
         escalation and both rip-up rounds), then layer assignment and
-        coupling-aware STA — the same physics as the final routing pass.
+        coupling-aware STA — the same physics as the final routing pass
+        when the flow's own config is passed.
+
+        Given a :class:`~repro.groute.router.RouteMemo`, a probe whose
+        segments keep the GCell endpoints of an earlier route —
+        typically a re-probe of the refine anchor — replays that route
+        bitwise instead of searching again.
 
         One probe forest and one incremental
         :class:`~repro.mcmm.sta.ScenarioSTA` are hoisted out of the
@@ -146,7 +174,6 @@ class TSteiner:
         :func:`refine`; for the neutral set that is the nominal WNS/TNS.
         """
         from repro.groute.layer_assign import assign_layers
-        from repro.groute.router import GlobalRouter, RouterConfig
         from repro.mcmm.sta import ScenarioSTA
         from repro.routegrid.grid import GCellGrid
 
@@ -156,10 +183,7 @@ class TSteiner:
         def validator(coords):
             probe.set_steiner_coords(probe.clamp_coords(coords))
             grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
-            # Default router config so probe timing matches the final
-            # production routing pass bit-for-bit.
-            router = GlobalRouter(grid, RouterConfig())
-            rr = router.route(probe)
+            rr = GlobalRouter(grid, router_config, memo=memo).route(probe)
             assign_layers(rr, netlist.technology, grid.nx * grid.ny)
             report = sta.run(route_result=rr, utilization=grid.utilization_map())
             return report.merged_wns, report.merged_tns

@@ -21,7 +21,7 @@ from repro.runtime import Budget, StageError
 from repro.core.tsteiner import TSteiner
 from repro.droute.detailed import DetailedRouter, DetailedRouterConfig
 from repro.groute.layer_assign import assign_layers
-from repro.groute.router import GlobalRouteResult, GlobalRouter, RouterConfig
+from repro.groute.router import GlobalRouteResult, GlobalRouter, RouteMemo, RouterConfig
 from repro.netlist.benchmarks import BENCHMARKS, build_benchmark
 from repro.netlist.netlist import Netlist
 from repro.obs import get_telemetry
@@ -161,6 +161,10 @@ def run_routing_flow(
     stage_errors: Dict[str, str] = {}
     timed_out = False
     mcmm = scenarios is not None and not scenarios.is_single_neutral()
+    # One memo for this call: the hybrid probes and the final GR route
+    # under the same config, so the final GR replays the probe route of
+    # the accepted anchor when its GCell endpoints match.
+    memo = RouteMemo(tel)
 
     def guard(stage: str, exc: Exception) -> None:
         if tel.enabled:
@@ -193,6 +197,8 @@ def run_routing_flow(
                     resume=resume,
                     graph=timing_graph,
                     telemetry=tel,
+                    _router_config=router_config,
+                    _route_memo=memo,
                 )
                 timed_out = timed_out or refinement.timed_out
             except Exception as exc:
@@ -203,10 +209,11 @@ def run_routing_flow(
     route_result: Optional[GlobalRouteResult] = None
     grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
     t0 = time.perf_counter()
-    with tel.span("flow.groute", design=netlist.name):
+    with tel.span("flow.groute", design=netlist.name) as sp:
         try:
-            router = GlobalRouter(grid, router_config)
+            router = GlobalRouter(grid, router_config, memo=memo)
             route_result = router.route(work, budget=budget)
+            sp.annotate(memo_hit=route_result.memo_hit)
             assign_layers(route_result, netlist.technology, grid.nx * grid.ny)
             timed_out = timed_out or route_result.timed_out
         except Exception as exc:

@@ -24,12 +24,17 @@ the lexicographic ``(dist, x, y)`` order, so ties resolve exactly as
 over ``(x, y)`` tuples.  The scalar per-edge form of this router lives
 in :mod:`repro.testing.oracles` and the two agree bitwise
 (tests/test_router_parity.py).
+
+Determinism also makes routes reusable: a :class:`RouteMemo` handed to
+the router replays a route whose GCell endpoints it has seen before
+and re-measures only the um lengths.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.groute.flat_route import _geometry_of, cost_fields
+from repro.obs import get_telemetry
 from repro.routegrid.grid import GCellGrid
 from repro.steiner.forest import SteinerForest
 
@@ -84,6 +90,7 @@ class GlobalRouteResult:
     total_wirelength: float
     maze_routed: int
     timed_out: bool = False  # budget expired; negotiation degraded/cut short
+    memo_hit: bool = False  # replayed from a RouteMemo instead of searched
 
     def segment(self, key: SegmentKey) -> SegmentRoute:
         return self.segments[key]
@@ -92,7 +99,7 @@ class GlobalRouteResult:
 @lru_cache(maxsize=4096)
 def _z_mids(lo: int, hi: int, k: int) -> Tuple[int, ...]:
     """``k`` evenly spaced interior x-coordinates in ``[lo, hi]``."""
-    return tuple(np.linspace(lo, hi, k).astype(int))
+    return tuple(np.linspace(lo, hi, k).astype(int).tolist())
 
 
 class _CostTable:
@@ -185,12 +192,111 @@ class _CostTable:
         return range(base + ya - 1, base + yb - 1, -1)
 
 
+_GRID_STATE = ("use_h", "use_v", "hist_h", "hist_v")
+
+
+class _MemoEntry:
+    """One finished route: paths as flat points plus offsets, the maze
+    count and the four grid arrays the route left behind."""
+
+    __slots__ = ("xs", "ys", "offsets", "maze_count", "arrays")
+
+    def __init__(self, paths: List[List[GridPoint]], maze_count: int, grid: GCellGrid) -> None:
+        dtype = np.min_scalar_type(max(grid.nx, grid.ny))
+        points = np.array(list(chain.from_iterable(paths)), dtype=dtype).reshape(-1, 2)
+        self.xs = points[:, 0].copy()
+        self.ys = points[:, 1].copy()
+        offsets = np.cumsum([0] + [len(p) for p in paths])
+        self.offsets = offsets.astype(np.min_scalar_type(offsets[-1]))
+        self.maze_count = maze_count
+        self.arrays = tuple(getattr(grid, name).copy() for name in _GRID_STATE)
+
+    def restore(self, grid: GCellGrid) -> Tuple[List[List[GridPoint]], int]:
+        """Write the stored usage and history to ``grid``; returns the
+        paths (tuples of plain ints, as routed) and the maze count."""
+        for name, array in zip(_GRID_STATE, self.arrays):
+            getattr(grid, name)[...] = array
+        points = list(zip(self.xs.tolist(), self.ys.tolist()))
+        offsets = self.offsets.tolist()
+        paths = [points[a:b] for a, b in zip(offsets, offsets[1:])]
+        return paths, self.maze_count
+
+
+class RouteMemo:
+    """Finished global routes of one flow, keyed by what decides them.
+
+    A route's paths, maze count and final usage/history arrays depend
+    only on the segments' GCell endpoints and tree-edge topology, the
+    grid's shape and capacity and the :class:`RouterConfig`; the um
+    deltas reach nothing but :meth:`GlobalRouter._measure`.  So a
+    forest that lands on an already routed key (a Steiner move that
+    stays inside its GCells, or a re-probe of the refine anchor)
+    replays the stored paths and arrays and is re-measured with its own
+    deltas — bitwise the route a fresh search returns
+    (tests/test_router_parity.py).  A timed-out route is never stored.
+
+    The owner bounds the lifetime: one memo per ``run_routing_flow``
+    call (the hybrid validator's probes and the final GR share it) or
+    per standalone ``TSteiner.optimize``.  A longer-lived memo would
+    turn every repeat run of one forest into pure hits.
+    """
+
+    def __init__(self, telemetry=None) -> None:
+        self.telemetry = telemetry if telemetry is not None else get_telemetry()
+        self._entries: Dict[bytes, _MemoEntry] = {}
+
+    @staticmethod
+    def digest(
+        ends: Sequence[np.ndarray],
+        eu: np.ndarray,
+        ev: np.ndarray,
+        grid: GCellGrid,
+        config: RouterConfig,
+    ) -> bytes:
+        """Key of a route: endpoint columns ``(x1, y1, x2, y2)`` in
+        forest edge order, the edge topology, grid and config."""
+        h = hashlib.blake2b(digest_size=20)
+        h.update(repr((grid.nx, grid.ny, len(eu), astuple(config))).encode())
+        for array in (*ends, eu, ev):
+            h.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+        for array in (grid.cap_h, grid.cap_v):
+            h.update(repr(array.shape).encode())
+            h.update(np.ascontiguousarray(array).tobytes())
+        return h.digest()
+
+    def lookup(self, key: bytes, budget=None) -> Optional[_MemoEntry]:
+        """The stored route of ``key``, or ``None``.  Under an expired
+        budget a hit counts as a miss: a fresh route would wind down at
+        its first poll."""
+        entry = self._entries.get(key)
+        if entry is not None and budget is not None and budget.expired():
+            entry = None
+        tel = self.telemetry
+        if tel.enabled:
+            tel.count("groute.memo_hits" if entry is not None else "groute.memo_misses")
+        return entry
+
+    def store(
+        self, key: bytes, paths: List[List[GridPoint]], maze_count: int, grid: GCellGrid
+    ) -> None:
+        self._entries[key] = _MemoEntry(paths, maze_count, grid)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class GlobalRouter:
     """Routes a Steiner forest onto a GCell grid."""
 
-    def __init__(self, grid: GCellGrid, config: Optional[RouterConfig] = None) -> None:
+    def __init__(
+        self,
+        grid: GCellGrid,
+        config: Optional[RouterConfig] = None,
+        memo: Optional[RouteMemo] = None,
+    ) -> None:
         self.grid = grid
         self.config = config or RouterConfig()
+        self.memo = memo
         self._table: Optional[_CostTable] = None  # live while route() runs
 
     def _costs(self) -> _CostTable:
@@ -209,46 +315,77 @@ class GlobalRouter:
         negotiation rounds stop (checked every 64 victims), so the caller
         always gets a complete — if congestion-degraded — routing
         flagged ``timed_out=True``.
+
+        With a :class:`RouteMemo`, a forest whose segments were routed
+        before under this grid and config replays that route (flagged
+        ``memo_hit=True``) instead of searching again, provided the
+        budget is still live.
         """
-        grid = self.grid
+        grid, memo = self.grid, self.memo
         grid.reset_usage()
-        self._table = _CostTable(grid, self.config.overflow_penalty)
-        try:
-            return self._route(forest, budget, self._table)
-        finally:
-            self._table = None
-
-    def _route(self, forest: SteinerForest, budget, table: _CostTable) -> GlobalRouteResult:
-        grid, cfg = self.grid, self.config
-        timed_out = False
-
         geom = _geometry_of(forest)
         xy = geom.gather_coords(forest)
         gx = np.clip(xy[:, 0] / grid.gcell, 0, grid.nx - 1).astype(np.int64)
         gy = np.clip(xy[:, 1] / grid.gcell, 0, grid.ny - 1).astype(np.int64)
         eu, ev = geom.eu, geom.ev
-        keys = [(t, e) for t, tree in enumerate(forest.trees) for e in range(len(tree.edges))]
-        nets = [tree.net_index for tree in forest.trees for _ in tree.edges]
+        ends = (gx[eu], gy[eu], gx[ev], gy[ev])
+        digest = entry = None
+        if memo is not None:
+            digest = memo.digest(ends, eu, ev, grid, self.config)
+            entry = memo.lookup(digest, budget)
         # Long segments first: they need contiguous corridors, short
         # ones fit in the gaps (standard global-routing ordering).
-        span = np.abs(gx[eu] - gx[ev]) + np.abs(gy[eu] - gy[ev])
+        span = np.abs(ends[0] - ends[2]) + np.abs(ends[1] - ends[3])
         order = np.argsort(-span, kind="stable")
-        columns = (
-            gx[eu],
-            gy[eu],
-            gx[ev],
-            gy[ev],
-            np.abs(xy[eu, 0] - xy[ev, 0]),
-            np.abs(xy[eu, 1] - xy[ev, 1]),
-        )
-        jobs = zip(order.tolist(), *(col[order].tolist() for col in columns))
+        if entry is not None:
+            paths, maze_count = entry.restore(grid)
+            timed_out = False
+        else:
+            self._table = _CostTable(grid, self.config.overflow_penalty)
+            try:
+                jobs = zip(*(col[order].tolist() for col in ends))
+                paths, maze_count, timed_out = self._route(jobs, budget, self._table)
+            finally:
+                self._table = None
+            if memo is not None and not timed_out:
+                memo.store(digest, paths, maze_count, grid)
 
+        keys = [(t, e) for t, tree in enumerate(forest.trees) for e in range(len(tree.edges))]
+        nets = [tree.net_index for tree in forest.trees for _ in tree.edges]
+        deltas = zip(
+            np.abs(xy[eu, 0] - xy[ev, 0])[order].tolist(),
+            np.abs(xy[eu, 1] - xy[ev, 1])[order].tolist(),
+        )
         segments: Dict[SegmentKey, SegmentRoute] = {}
-        edges: Dict[SegmentKey, List[int]] = {}
-        deltas: Dict[SegmentKey, Tuple[float, float]] = {}
+        for j, path, (dx, dy) in zip(order.tolist(), paths, deltas):
+            segments[keys[j]] = self._measure(keys[j], nets[j], path[0], path[-1], dx, dy, path)
+        total_wl = sum(s.length for s in segments.values())
+        return GlobalRouteResult(
+            segments=segments,
+            overflow=grid.overflow(),
+            max_utilization=grid.max_utilization(),
+            total_wirelength=total_wl,
+            maze_routed=maze_count,
+            timed_out=timed_out,
+            memo_hit=entry is not None,
+        )
+
+    def _route(
+        self, jobs, budget, table: _CostTable
+    ) -> Tuple[List[List[GridPoint]], int, bool]:
+        """Route ``jobs`` (``x1, y1, x2, y2`` GCell endpoints, in routing
+        order) on ``table`` and store the final usage to the grid.
+
+        Returns one path per job, the maze count and whether the budget
+        cut the negotiation short.  Paths are measured by the caller,
+        once each, after rip-up settles them.
+        """
+        grid, cfg = self.grid, self.config
+        timed_out = False
+        paths: List[List[GridPoint]] = []
+        edges: List[List[int]] = []
         maze_count = 0
-        for job_idx, (j, x1, y1, x2, y2, dx, dy) in enumerate(jobs):
-            key = keys[j]
+        for job_idx, (x1, y1, x2, y2) in enumerate(jobs):
             p1, p2 = (x1, y1), (x2, y2)
             if not timed_out and budget is not None and job_idx % 64 == 0 and budget.expired():
                 timed_out = True
@@ -261,9 +398,8 @@ class GlobalRouter:
             if used_maze:
                 maze_count += 1
             table.commit(ids, 1.0)
-            edges[key] = ids
-            deltas[key] = (dx, dy)
-            segments[key] = self._measure(key, nets[j], p1, p2, dx, dy, path)
+            paths.append(path)
+            edges.append(ids)
 
         # Negotiation rounds: rip up segments crossing overflowed edges.
         for _ in range(cfg.ripup_rounds):
@@ -275,34 +411,21 @@ class GlobalRouter:
                 break
             grid.bump_history(cfg.history_increment)
             table.load()
-            victims = [k for k, ids in edges.items() if table.crosses_overflow(ids)]
-            for v_idx, key in enumerate(victims):
+            victims = [i for i, ids in enumerate(edges) if table.crosses_overflow(ids)]
+            for v_idx, i in enumerate(victims):
                 if v_idx and v_idx % 64 == 0 and budget is not None and budget.expired():
                     timed_out = True
                     break
-                seg = segments[key]
-                table.commit(edges[key], -1.0)
-                path, ids, _ = self._route_segment(seg.path[0], seg.path[-1], force_maze=True)
+                table.commit(edges[i], -1.0)
+                path, ids, _ = self._route_segment(paths[i][0], paths[i][-1], force_maze=True)
                 maze_count += 1
                 table.commit(ids, 1.0)
-                edges[key] = ids
-                dx, dy = deltas[key]
-                segments[key] = self._measure(
-                    key, seg.net_index, path[0], path[-1], dx, dy, path
-                )
+                paths[i] = path
+                edges[i] = ids
             if timed_out:
                 break
         table.store()
-
-        total_wl = sum(s.length for s in segments.values())
-        return GlobalRouteResult(
-            segments=segments,
-            overflow=grid.overflow(),
-            max_utilization=grid.max_utilization(),
-            total_wirelength=total_wl,
-            maze_routed=maze_count,
-            timed_out=timed_out,
-        )
+        return paths, maze_count, timed_out
 
     # ------------------------------------------------------------------
     # Per-segment routing.  Each returns the path with the ids of the
@@ -393,16 +516,17 @@ class GlobalRouter:
         dist[src] = 0.0
         prev = [-1] * n
         via = [-1] * n
-        visited = bytearray(n)
         heap = [(0.0, src)]
         pop, push = heapq.heappop, heapq.heappush
         while heap:
             d, node = pop(heap)
-            if visited[node]:
+            # Pushes only follow a strict improvement and every edge costs
+            # >= 1, so a node's entry is stale exactly when it lies above
+            # the node's distance, and each node is expanded once.
+            if d > dist[node]:
                 continue
             if node == dst:
                 break
-            visited[node] = 1
             for nxt, e in nbrs[node]:
                 nd = d + cost[e]
                 if nd < dist[nxt]:

@@ -462,7 +462,7 @@ class ReferenceGlobalRouter:
         if x2 - x1 < 2:
             return []
         k = min(self.config.zshape_candidates, x2 - x1 - 1)
-        return list(np.linspace(x1 + 1, x2 - 1, k).astype(int))
+        return np.linspace(x1 + 1, x2 - 1, k).astype(int).tolist()
 
     @staticmethod
     def _straight(p1: GridPoint, p2: GridPoint) -> List[GridPoint]:

@@ -7,6 +7,8 @@ one live per-edge table and runs Dijkstra over integer nodes;
 nodes).  Both must return the same :class:`GlobalRouteResult` field by
 field — paths, lengths, bends, overflow, wirelength, maze count,
 ``timed_out`` — and leave the same usage and history arrays on the grid.
+A :class:`RouteMemo` replay is held to the same standard against a
+fresh route.
 """
 
 import numpy as np
@@ -14,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flow.pipeline import prepare_design
+from repro.core.refine import RefinementConfig
+from repro.flow.pipeline import prepare_design, run_routing_flow
 from repro.groute.flat_route import cost_fields
-from repro.groute.router import GlobalRouter, RouterConfig, _CostTable
+from repro.groute.router import GlobalRouter, RouteMemo, RouterConfig, _CostTable
+from repro.obs import Telemetry
 from repro.pdk.technology import default_technology
 from repro.routegrid.grid import GCellGrid
 from repro.steiner import construct_trees_flat
@@ -44,7 +48,8 @@ def _assert_results_equal(new, ref):
         other = ref.segments[key]
         assert seg.key == other.key and seg.net_index == other.net_index
         assert seg.path == other.path
-        # Same element types too: Z-shape interiors carry numpy ints.
+        # Same element types too: paths hold plain ints, Z-shape
+        # interiors included.
         assert [type(v) for p in seg.path for v in p] == [
             type(v) for p in other.path for v in p
         ]
@@ -166,6 +171,133 @@ class TestRealDesign:
                     expected_v[x1, min(y1, y2)] += 1
         np.testing.assert_array_equal(grid.use_h, expected_h)
         np.testing.assert_array_equal(grid.use_v, expected_v)
+
+
+def _assert_grids_equal(a, b):
+    for name in GRID_ARRAYS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestRouteMemo:
+    @pytest.fixture(scope="class")
+    def picorv(self):
+        netlist, forest = prepare_design("picorv32a")
+
+        def make_grid():
+            return GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+
+        return forest, make_grid
+
+    def test_sub_gcell_move_replays_a_fresh_route(self, picorv):
+        """Moving every Steiner point inside its GCell keeps the memo key;
+        the replay re-measures with the new um deltas and matches a fresh
+        route on a fresh grid, arrays included."""
+        forest, make_grid = picorv
+        memo = RouteMemo()
+        first = GlobalRouter(make_grid(), memo=memo).route(forest)
+        assert not first.memo_hit and len(memo) == 1
+
+        grid = make_grid()
+        coords = forest.get_steiner_coords()
+        cell = np.clip(np.floor(coords / grid.gcell), 0, [[grid.nx - 1, grid.ny - 1]])
+        frac = np.random.default_rng(7).uniform(0.05, 0.95, coords.shape)
+        moved = forest.copy()
+        moved.set_steiner_coords((cell + frac) * grid.gcell)
+
+        hit = GlobalRouter(grid, memo=memo).route(moved)
+        fresh_grid = make_grid()
+        fresh = GlobalRouter(fresh_grid).route(moved)
+        assert hit.memo_hit and not fresh.memo_hit and len(memo) == 1
+        assert fresh.maze_routed > 0 and fresh.overflow > 0
+        _assert_results_equal(hit, fresh)
+        _assert_grids_equal(grid, fresh_grid)
+        assert hit.total_wirelength != first.total_wirelength  # re-measured
+
+    def test_timed_out_route_is_not_stored(self, picorv):
+        forest, make_grid = picorv
+        memo = RouteMemo()
+        degraded = GlobalRouter(make_grid(), memo=memo).route(forest, budget=_Countdown(2))
+        assert degraded.timed_out and len(memo) == 0
+        grid, fresh_grid = make_grid(), make_grid()
+        full = GlobalRouter(grid, memo=memo).route(forest)
+        assert not full.memo_hit and not full.timed_out and len(memo) == 1
+        _assert_results_equal(full, GlobalRouter(fresh_grid).route(forest))
+        _assert_grids_equal(grid, fresh_grid)
+
+    def test_hit_under_an_expired_budget_routes_afresh(self, picorv):
+        forest, make_grid = picorv
+        memo = RouteMemo()
+        GlobalRouter(make_grid(), memo=memo).route(forest)
+        late = GlobalRouter(make_grid(), memo=memo).route(forest, budget=_Countdown(1))
+        assert late.timed_out and not late.memo_hit
+        _assert_results_equal(
+            late, GlobalRouter(make_grid()).route(forest, budget=_Countdown(1))
+        )
+
+
+class TestFlowMemo:
+    """The memo lives for one ``run_routing_flow`` call: probes and the
+    final GR share it, and the probes route under the flow's config."""
+
+    @pytest.fixture(scope="class")
+    def spm(self):
+        from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
+
+        netlist, forest = prepare_design("spm")
+        return netlist, forest, TimingEvaluator(EvaluatorConfig(hidden=8))
+
+    def _run(self, spm, monkeypatch, router_config=None, telemetry=None):
+        netlist, forest, model = spm
+        lookups, configs = [], []
+        lookup, route = RouteMemo.lookup, GlobalRouter.route
+
+        def spy_lookup(self, key, budget=None):
+            entry = lookup(self, key, budget)
+            lookups.append((self, key, entry is not None))
+            return entry
+
+        def spy_route(self, forest, budget=None):
+            configs.append(self.config)
+            return route(self, forest, budget)
+
+        monkeypatch.setattr(RouteMemo, "lookup", spy_lookup)
+        monkeypatch.setattr(GlobalRouter, "route", spy_route)
+        result = run_routing_flow(
+            netlist,
+            forest,
+            model=model,
+            refinement_config=RefinementConfig(
+                max_iterations=4, validate_every=2, polish_probes=3
+            ),
+            router_config=router_config,
+            telemetry=telemetry,
+        )
+        monkeypatch.undo()
+        assert not result.stage_errors
+        return result, lookups, configs
+
+    def test_back_to_back_flows_share_nothing(self, spm, monkeypatch, tmp_path):
+        with Telemetry(path=str(tmp_path / "t.jsonl")) as tel:
+            first, calls_1, _ = self._run(spm, monkeypatch, telemetry=tel)
+            hits = sum(hit for _, _, hit in calls_1)
+            assert tel.counters.get("groute.memo_hits", 0) == hits
+            assert tel.counters.get("groute.memo_misses", 0) == len(calls_1) - hits
+        _, calls_2, _ = self._run(spm, monkeypatch)
+        # Probes and the final GR of one call share one memo, and the
+        # final GR replays the validated anchor's probe route.
+        assert len({id(memo) for memo, _, _ in calls_1}) == 1
+        assert first.route_result.memo_hit and calls_1[-1][2]
+        # The second call starts from the same forest, so its first key
+        # was routed by the first call; a longer-lived memo would hit.
+        assert calls_2[0][1] == calls_1[0][1]
+        assert not calls_2[0][2]
+        assert calls_2[0][0] is not calls_1[0][0]
+
+    def test_probes_route_under_the_flow_config(self, spm, monkeypatch):
+        config = RouterConfig(ripup_rounds=1, zshape_candidates=2)
+        _, lookups, configs = self._run(spm, monkeypatch, router_config=config)
+        assert len(configs) == len(lookups) > 1
+        assert all(c == config for c in configs)
 
 
 class TestCostTable:
