@@ -202,6 +202,16 @@ class CompiledLoss:
 # ----------------------------------------------------------------------
 # Topology-keyed caches (on graph._static, like the flat STA kernels)
 # ----------------------------------------------------------------------
+def _span_attrs(tape: Tape) -> Dict[str, int]:
+    """Attributes of a successful ``tape_compile`` span."""
+    return {
+        "n_instructions": tape.n_instructions,
+        "n_slots": tape.n_slots,
+        "slab_bytes": tape.stats["slab_bytes"],
+        "slab_chunks": tape.stats["slab_chunks"],
+    }
+
+
 def _cache_lookup(graph, key, model, telemetry):
     tel = telemetry if telemetry is not None else get_telemetry()
     cached = graph._static.get(key)
@@ -240,7 +250,7 @@ def get_compiled_objective(
                 span.annotate(unsupported=str(exc))
             graph._static[key] = _Unsupported(model, graph.congestion, str(exc))
             return None
-        span.annotate(n_instructions=obj.tape.n_instructions, n_slots=obj.tape.n_slots)
+        span.annotate(**_span_attrs(obj.tape))
     graph._static[key] = obj
     return obj
 
@@ -267,6 +277,6 @@ def get_compiled_loss(
                 span.annotate(unsupported=str(exc))
             graph._static[key] = _Unsupported(model, graph.congestion, str(exc))
             return None
-        span.annotate(n_instructions=compiled.tape.n_instructions, n_slots=compiled.tape.n_slots)
+        span.annotate(**_span_attrs(compiled.tape))
     graph._static[key] = compiled
     return compiled

@@ -8,6 +8,10 @@ bench designs, on synthetic graphs exercising the scatter planner, and
 under injected mid-replay faults.
 """
 
+import json
+import mmap
+import os
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,7 @@ from repro.core.penalty import PenaltyConfig, smoothed_penalty
 from repro.core.refine import RefinementConfig, refine
 from repro.runtime.errors import FaultInjected
 from repro.runtime.faults import FaultSpec, wrap
-from repro.timing_model.compiled import get_compiled_objective
+from repro.timing_model.compiled import CompiledObjective, get_compiled_objective
 from repro.timing_model.graph import build_timing_graph
 from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
 
@@ -278,6 +282,13 @@ def test_tape_cache_hit_miss_counters(tmp_path):
     assert a is b
     assert snap["counters"]["tape.cache_misses"] == 1
     assert snap["counters"]["tape.cache_hits"] == 1
+    ends = [
+        rec for rec in map(json.loads, (tmp_path / "t.jsonl").read_text().splitlines())
+        if rec.get("name") == "tape_compile" and rec.get("kind") == "span_end"
+    ]
+    assert len(ends) == 1
+    assert ends[0]["attrs"]["slab_bytes"] == a.tape.stats["slab_bytes"] > 0
+    assert ends[0]["attrs"]["slab_chunks"] == len(a.tape.slab.chunks) >= 1
 
 
 def test_compiled_objective_freed_with_its_graph():
@@ -300,6 +311,162 @@ def test_compiled_objective_freed_with_its_graph():
         assert obj() is None
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# Tape memory: every owned buffer lives in the tape's private slab
+# ----------------------------------------------------------------------
+#: Instruction arguments that name memory the replay writes.
+_BUFFER_ARGS = frozenset(
+    {"buf", "dst", "g", "s", "s2", "scr", "mask", "scale", "winner",
+     "ix", "iy", "ix2", "iy2", "ftmp", "root_adj"}
+)
+
+
+def _root(arr):
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.base
+
+
+def _written_buffers(tape):
+    """Every array the tape's program writes into: the buffer arguments
+    bound into each instruction (following nested helpers such as the
+    bilinear index function and adjoint stores) plus the adjoints."""
+    out = [b for b in tape._grad_bufs.values() if b is not None]
+    stack = list(tape._fwd) + list(tape._bwd)
+    seen = set()
+    while stack:
+        fn = stack.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        code, defaults = fn.__code__, fn.__defaults__ or ()
+        names = code.co_varnames[code.co_argcount - len(defaults):code.co_argcount]
+        for name, value in zip(names, defaults):
+            if hasattr(value, "__code__"):
+                stack.append(value)
+            elif name == "pieces":  # concat: views into the output buffer
+                out.extend(view for _, view in value)
+            elif name in _BUFFER_ARGS and isinstance(value, np.ndarray):
+                out.append(value)
+    return out
+
+
+def _spm_objective():
+    """(objective, graph, model, coords) on a fresh spm graph whose
+    congestion field makes the tape carry bilinear index packs."""
+    from repro.flow.pipeline import prepare_design
+
+    netlist, forest = prepare_design("spm")
+    field = np.random.default_rng(9).uniform(0.0, 1.2, size=(10, 10))
+    graph = build_timing_graph(netlist, forest, congestion=field)
+    model = TimingEvaluator(EvaluatorConfig(seed=0))
+    obj = CompiledObjective(model, graph, PenaltyConfig().gamma)
+    return obj, graph, model, forest.get_steiner_coords()
+
+
+class TestSlab:
+    def test_buffers_are_views_of_own_chunks(self):
+        obj, graph, model, _ = _spm_objective()
+        assert "bilinear" in obj.tape.fwd_ops
+        other = CompiledObjective(model, graph, PenaltyConfig().gamma)
+        for tape in (obj.tape, other.tape):
+            chunks = {id(c) for c in tape.slab.chunks}
+            buffers = _written_buffers(tape)
+            assert len(buffers) > tape.stats["fwd_buffers"]
+            for buf in buffers:
+                assert id(_root(buf)) in chunks
+                if isinstance(buf.base, mmap.mmap):  # an allocation, not a view
+                    assert buf.ctypes.data % 64 == 0
+            assert tape.stats["slab_chunks"] == len(tape.slab.chunks)
+            assert 0 < tape.stats["slab_bytes"] <= sum(len(c) for c in tape.slab.chunks)
+        mine = {id(c) for c in obj.tape.slab.chunks}
+        assert mine.isdisjoint(id(c) for c in other.tape.slab.chunks)
+
+    def test_chunks_unmapped_without_collector(self):
+        """Dropping the objective and its graph frees every chunk by
+        reference counting alone — no cycle keeps a tape mapped."""
+        import gc
+        import weakref
+
+        graph, model = _spm_objective()[1:3]
+        obj = get_compiled_objective(model, graph, PenaltyConfig().gamma)  # cached on graph
+        refs = [weakref.ref(c) for c in obj.tape.slab.chunks]
+        assert refs
+        gc.disable()
+        try:
+            del obj, graph
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_interleaved_replays_match_isolated(self):
+        """Two tapes compiled from one model share no memory: replaying
+        them alternately gives bitwise what each gives alone."""
+        obj_a, graph, model, coords = _spm_objective()
+        obj_b = CompiledObjective(model, graph, PenaltyConfig().gamma)
+        pcfg = PenaltyConfig()
+        seq_a = [coords + 0.3 * i for i in range(3)]
+        seq_b = [coords - 0.2 * i for i in range(3)]
+
+        def step(obj, c):
+            grad, arrival, penalty = obj.gradient(c, pcfg)
+            return grad, arrival.copy(), penalty, obj.evaluate(c + 0.1).copy()
+
+        interleaved_a, interleaved_b = [], []
+        for ca, cb in zip(seq_a, seq_b):
+            interleaved_a.append(step(obj_a, ca))
+            interleaved_b.append(step(obj_b, cb))
+        for seq, got in ((seq_a, interleaved_a), (seq_b, interleaved_b)):
+            alone = CompiledObjective(model, graph, PenaltyConfig().gamma)
+            for c, res in zip(seq, got):
+                ref = step(alone, c)
+                for x, y in zip(res, ref):
+                    assert np.array_equal(x, y, equal_nan=True)
+
+    def test_pooling_decisions_unchanged_on_picorv32a(self):
+        """The slab changes only the memory behind each buffer: the
+        program and its buffer, reuse and alias counts are those the
+        heap-backed pool compiled."""
+        graph, model, _, _ = _design("picorv32a")
+        stats = CompiledObjective(model, graph, PenaltyConfig().gamma).tape.stats
+        heap_pool = {
+            "fwd_instructions": 1937, "bwd_instructions": 1170, "slots": 2672,
+            "cse_hits": 39, "alias_contributions": 747,
+            "fwd_buffers": 568, "fwd_buffer_reuses": 1369,
+            "adj_buffers": 580, "adj_buffer_reuses": 255,
+        }
+        assert {k: stats[k] for k in heap_pool} == heap_pool
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_replays_into_its_own_pages(self):
+        """A forked child (process pools fork on Linux) that replays the
+        inherited tape must not write into the parent's buffers."""
+        import time
+
+        obj, _graph, _model, coords = _spm_objective()
+        before = obj.evaluate(coords).copy()
+        pid = os.fork()
+        if pid == 0:  # child: replay elsewhere, report whether it moved
+            code = 1
+            try:
+                moved = obj.evaluate(coords + 0.5)
+                code = 0 if not np.array_equal(moved, before) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child did not finish")
+            time.sleep(0.01)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert np.array_equal(obj.tape.value("arrival"), before)
 
 
 # ----------------------------------------------------------------------
