@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, concatenate, stack, where  # noqa: F401 (re-export)
+from repro.autodiff.tensor import Tensor, concatenate, where  # noqa: F401 (re-export)
 
 
 def gather(x: Tensor, index: np.ndarray) -> Tensor:

@@ -63,7 +63,7 @@ and re-derived from live inputs on every replay rather than baked as
 constants.
 
 Replay parity with the closure engine is *bitwise* (asserted by
-``tests/test_tape.py`` and the ``tape-parity`` kernels): every value
+``tests/test_tape.py`` and the ``refine_iter`` bench): every value
 and every gradient matches ``np.array_equal`` with the reference,
 which tolerates only ±0.0 sign differences (e.g. a duplicate-free
 scatter assigns ``-0.0`` where ``0.0 + -0.0`` would give ``+0.0``).

@@ -462,20 +462,6 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tuple(items), backward, "concat", ctx=axis)
 
 
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable stack along a new axis."""
-    items: List[Tensor] = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in items], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        slices = np.moveaxis(grad, axis, 0)
-        for t, g in zip(items, slices):
-            if t.requires_grad:
-                t._accumulate(g)
-
-    return Tensor._make(out_data, tuple(items), backward, "stack")
-
-
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable select; ``condition`` is a plain boolean array."""
     a_t = a if isinstance(a, Tensor) else Tensor(a)

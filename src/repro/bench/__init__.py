@@ -495,65 +495,52 @@ def bench_refine_iter(netlist, forest, iterations: int = 10) -> Dict[str, float]
     """End-to-end ``refine()`` per kernel with bitwise trajectory check.
 
     Runs a short evaluator-acceptance refinement three times — closure
-    reference, tape with a cold cache (compile included), tape warm —
-    and *asserts* the closure and tape trajectories (every history
-    entry plus the best WNS/TNS) are bitwise identical before reporting
-    any timing.  ``speedup`` is closure over warm tape; ``speedup_cold``
-    charges the tape its one-off compile.
+    reference (the model behind :class:`~repro.testing.parity.ClosureOnly`),
+    tape with a cold cache (compile included), tape warm — and *asserts*
+    the closure and tape trajectories (coordinates, every history entry,
+    the best WNS/TNS) are bitwise identical before reporting any timing.
+    ``speedup`` is closure over warm tape; ``speedup_cold`` charges the
+    tape its one-off compile.
     """
     from repro.core.refine import RefinementConfig, refine
+    from repro.testing.parity import ClosureOnly, assert_same_trajectory
     from repro.timing_model.graph import build_timing_graph
     from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
 
     graph = build_timing_graph(netlist, forest)
     model = TimingEvaluator(EvaluatorConfig(seed=0))
+    closure = ClosureOnly(model)
     coords = forest.get_steiner_coords()
     cfg = RefinementConfig(
         max_iterations=iterations, acceptance="evaluator", polish_probes=0
     )
 
-    saved_kernel = model.kernel
     timings: Dict[str, float] = {}
     results: Dict[str, object] = {}
     # Closure and warm-tape run twice (min taken, like ``_best``); the
     # cold run is once by construction — repeating it would re-measure
     # a warm cache.
     sequence = (
-        ("closure", "closure", True),
-        ("tape_cold", "tape", True),
-        ("tape_warm", "tape", False),
-        ("closure", "closure", False),
-        ("tape_warm", "tape", False),
+        ("reference", closure, True),
+        ("tape_cold", model, True),
+        ("tape_warm", model, False),
+        ("reference", closure, False),
+        ("tape_warm", model, False),
     )
-    try:
-        for label, kernel, clear in sequence:
-            model.kernel = kernel
-            if clear:
-                graph._static.clear()
-            t0 = time.perf_counter()
-            result = refine(model, graph, coords, config=cfg, clamp_fn=forest.clamp_coords)
-            elapsed = time.perf_counter() - t0
-            timings[label] = min(elapsed, timings.get(label, float("inf")))
-            results.setdefault(label, result)
-    finally:
-        model.kernel = saved_kernel
+    for label, evaluator, clear in sequence:
+        if clear:
+            graph._static.clear()
+        t0 = time.perf_counter()
+        result = refine(evaluator, graph, coords, config=cfg, clamp_fn=forest.clamp_coords)
+        elapsed = time.perf_counter() - t0
+        timings[label] = min(elapsed, timings.get(label, float("inf")))
+        results.setdefault(label, result)
 
-    ref, tape = results["closure"], results["tape_cold"]
-    same = (
-        ref.best_wns == tape.best_wns
-        and ref.best_tns == tape.best_tns
-        and len(ref.history) == len(tape.history)
-        and all(tuple(a) == tuple(b) for a, b in zip(ref.history, tape.history))
-    )
-    if not same:
-        raise RuntimeError(
-            "refine() trajectory diverged between closure and tape kernels "
-            f"(closure best WNS/TNS {ref.best_wns}/{ref.best_tns}, "
-            f"tape {tape.best_wns}/{tape.best_tns})"
-        )
+    ref = results["reference"]
+    assert_same_trajectory(ref, results["tape_cold"])
     n = max(1, ref.iterations)
     closure_s, tape_cold_s, tape_warm_s = (
-        timings["closure"],
+        timings["reference"],
         timings["tape_cold"],
         timings["tape_warm"],
     )

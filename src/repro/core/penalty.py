@@ -72,6 +72,22 @@ def smoothed_penalty(
     return smoothed_from_slack(slack, config)
 
 
+def refinement_penalty(
+    arrival: Tensor, graph, config: PenaltyConfig, merge=None, active=None
+) -> Tensor:
+    """The objective ``refine()`` descends, as a differentiable scalar.
+
+    The Eq. (6) penalty over ``graph``'s endpoints, or with ``merge`` (a
+    ``repro.mcmm.ScenarioPenalty``) the LSE merge of the per-scenario
+    penalties over the scenarios ``active`` selects.  The compiled tape
+    traces it and the closure fallback runs it, so both descend one
+    objective.
+    """
+    if merge is None:
+        return smoothed_penalty(arrival, graph.endpoints, graph.required, config)[0]
+    return merge.merged_penalty(arrival, config, active=active)
+
+
 def hard_metrics(
     arrival: np.ndarray, endpoints: np.ndarray, required: np.ndarray
 ) -> Tuple[float, float, int]:

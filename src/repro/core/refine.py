@@ -30,7 +30,7 @@ import numpy as np
 from repro.autodiff.optim import AccumulatingSO, PaperSO
 from repro.autodiff.tensor import Tensor
 from repro.core.adaptive import adaptive_theta
-from repro.core.penalty import PenaltyConfig, hard_metrics, smoothed_penalty
+from repro.core.penalty import PenaltyConfig, hard_metrics, refinement_penalty
 from repro.obs import SCHEMA_VERSION, get_telemetry
 from repro.runtime import (
     Budget,
@@ -85,22 +85,18 @@ class RefinementConfig:
     # regressed — guarding against the evaluator being over-optimized
     # into regions where its own error masquerades as improvement.
     acceptance: str = "hybrid"
+    # A validated candidate is kept only when its real metrics improve
+    # the Eq. (6)-weighted score |lambda_w|*WNS + |lambda_t|*TNS, so a
+    # WNS gain cannot silently sacrifice an outsized amount of TNS.
     validate_every: int = 5
-    # Validation acceptance rule: "penalty" scores real metrics with the
-    # Eq. (6) weights (|lambda_w|*WNS + |lambda_t|*TNS must improve), so a
-    # WNS gain cannot silently sacrifice an outsized amount of TNS;
-    # "either" mirrors Algorithm 1's line-9 OR-rule.
-    validation_rule: str = "penalty"
-    # Fraction of Steiner points moved per iteration, chosen by gradient
-    # magnitude (criticality).  1.0 reproduces Eq. (7)'s move-everything
-    # semantics; smaller fractions concentrate the move on critical
-    # points, which raises the real-acceptance rate of validated steps.
-    move_fraction: float = 1.0
-    # Proposal schedule for hybrid mode: after each validated revert the
-    # loop rotates to the next (move_fraction, theta_scale) profile, so
-    # rejected dense moves are followed by sparser, smaller, more
-    # surgical candidates — mirroring how greedy per-point search finds
-    # the improving moves dense concurrent steps miss.
+    # Proposal schedule for hybrid mode: (move fraction, theta scale)
+    # profiles.  The move fraction is the share of Steiner points moved
+    # per iteration, chosen by gradient magnitude (criticality); 1.0 is
+    # Eq. (7)'s move-everything step.  After each validated revert the
+    # loop rotates to the next profile, so rejected dense moves are
+    # followed by sparser, smaller, more surgical candidates — mirroring
+    # how greedy per-point search finds the improving moves dense
+    # concurrent steps miss.  Evaluator mode always moves every point.
     proposal_schedule: Tuple[Tuple[float, float], ...] = (
         (1.0, 1.0),
         (0.3, 0.5),
@@ -177,166 +173,130 @@ class RefinementResult:
 
 
 class _Oracle:
-    """Caches the evaluator forward/backward machinery for one design.
+    """The evaluator's forward/backward for one refinement run.
 
-    Dispatches on ``model.kernel``: "tape" replays the compiled
-    instruction tape cached on the graph's topology cache (falling back
-    to closures when the graph cannot be compiled), "closure" always
-    runs the reference engine, and "tape-parity" runs both and raises
-    on any bitwise divergence.
+    ``gradient`` differentiates the refinement objective w.r.t. the
+    Steiner coordinates: the Eq. (6) penalty, or under MCMM
+    (docs/MCMM.md) the LSE merge of the per-scenario penalties over the
+    dominance pruner's *active* scenarios.  ``gradient``/``evaluate``
+    report hard metrics — under MCMM the merged (worst-WNS, summed-TNS)
+    verdict over *all* scenarios, so the Algorithm 1 accept/revert rule
+    judges sign-off across every corner.
+
+    Both replay the compiled tape cached on the graph's topology cache
+    (one per active mask under MCMM).  The closure engine runs instead
+    only when the graph cannot be compiled or the model exposes no
+    ``named_parameters()`` for the tape to read live.
     """
 
     def __init__(
         self,
         model: TimingEvaluator,
         graph: TimingGraph,
+        cfg: "RefinementConfig",
+        scenarios=None,
         telemetry=None,
-        gamma: Optional[float] = None,
     ) -> None:
         self.model = model
         self.graph = graph
-        self.endpoints = graph.endpoints
-        self.required = graph.required
         self.telemetry = telemetry
-        self.gamma = float(gamma) if gamma is not None else PenaltyConfig().gamma
-        self.kernel = getattr(model, "kernel", "closure")
+        self.gamma = cfg.penalty.gamma
+        self.compilable = callable(getattr(model, "named_parameters", None))
+        self.merge = self.pruner = self.scenario_names = None
+        self.last_wns_vector: Optional[np.ndarray] = None
+        if scenarios is not None and not scenarios.is_single_neutral():
+            from repro.mcmm.penalty import ScenarioPenalty
+            from repro.mcmm.prune import DominancePruner
+
+            self.scenario_names = list(scenarios.names)
+            self.merge = ScenarioPenalty(graph, scenarios, mcmm_gamma=cfg.mcmm_gamma)
+            self.pruner = DominancePruner(
+                scenarios.names,
+                prune_after=cfg.mcmm_prune_after,
+                recheck_every=cfg.mcmm_recheck_every,
+                margin=cfg.mcmm_dominance_margin,
+                telemetry=telemetry,
+            )
 
     def _tel(self):
         return self.telemetry if self.telemetry is not None else get_telemetry()
 
+    @property
+    def _active(self) -> Optional[np.ndarray]:
+        return None if self.pruner is None else self.pruner.active
+
     def _compiled(self):
+        if not self.compilable:
+            return None
         from repro.timing_model.compiled import get_compiled_objective
 
         return get_compiled_objective(
-            self.model, self.graph, self.gamma, telemetry=self._tel()
+            self.model,
+            self.graph,
+            self.gamma,
+            telemetry=self._tel(),
+            merge=self.merge,
+            active=self._active,
         )
+
+    def _hard(self, arrival: np.ndarray) -> Tuple[float, float]:
+        if self.merge is None:
+            wns, tns, _ = hard_metrics(arrival, self.graph.endpoints, self.graph.required)
+            return wns, tns
+        self.last_wns_vector, _, wns, tns = self.merge.hard_all(arrival)
+        return wns, tns
 
     def gradient(
         self, coords: np.ndarray, pcfg: PenaltyConfig
     ) -> Tuple[np.ndarray, float, float, float]:
         """(dP/dcoords, evaluated WNS, evaluated TNS, penalty) at ``coords``."""
-        obj = self._compiled() if self.kernel in ("tape", "tape-parity") else None
-        if obj is None:
-            return self._closure_gradient(coords, pcfg)
-        grad, arrival, penalty = obj.gradient(coords, pcfg)
+        if self.pruner is not None:
+            self.pruner.tick()
+        obj = self._compiled()
+        if obj is not None:
+            grad, arrival, penalty = obj.gradient(coords, pcfg)
+        else:
+            t_coords = Tensor(coords, requires_grad=True)
+            out = self.model(self.graph, t_coords)
+            root = refinement_penalty(out["arrival"], self.graph, pcfg, self.merge, self._active)
+            root.backward()
+            grad = t_coords.grad if t_coords.grad is not None else np.zeros_like(coords)
+            arrival, penalty = out["arrival"].data, root.item()
         self._tel().count("evaluator.backward")
-        wns, tns, _ = hard_metrics(arrival, self.endpoints, self.required)
-        if self.kernel == "tape-parity":
-            from repro.timing_model.compiled import assert_bitwise_equal
-
-            ref = self._closure_gradient(coords, pcfg)
-            assert_bitwise_equal("gradient", grad, ref[0])
-            assert_bitwise_equal("wns", wns, ref[1])
-            assert_bitwise_equal("tns", tns, ref[2])
-            assert_bitwise_equal("penalty", penalty, ref[3])
-        return grad, wns, tns, float(penalty)
-
-    def _closure_gradient(
-        self, coords: np.ndarray, pcfg: PenaltyConfig
-    ) -> Tuple[np.ndarray, float, float, float]:
-        t_coords = Tensor(coords, requires_grad=True)
-        out = self.model(self.graph, t_coords)
-        penalty, _, _ = smoothed_penalty(out["arrival"], self.endpoints, self.required, pcfg)
-        penalty.backward()
-        self._tel().count("evaluator.backward")
-        grad = t_coords.grad if t_coords.grad is not None else np.zeros_like(coords)
-        wns, tns, _ = hard_metrics(out["arrival"].numpy(), self.endpoints, self.required)
-        return np.asarray(grad, dtype=np.float64), wns, tns, float(penalty.item())
+        wns, tns = self._hard(arrival)
+        return np.asarray(grad, dtype=np.float64), wns, tns, float(penalty)
 
     def evaluate(self, coords: np.ndarray) -> Tuple[float, float]:
-        obj = self._compiled() if self.kernel in ("tape", "tape-parity") else None
-        if obj is None:
-            return self._closure_evaluate(coords)
-        arrival = obj.evaluate(coords)
-        wns, tns, _ = hard_metrics(arrival, self.endpoints, self.required)
-        if self.kernel == "tape-parity":
-            from repro.timing_model.compiled import assert_bitwise_equal
-
-            ref = self._closure_evaluate(coords)
-            assert_bitwise_equal("eval_wns", wns, ref[0])
-            assert_bitwise_equal("eval_tns", tns, ref[1])
-        return wns, tns
-
-    def _closure_evaluate(self, coords: np.ndarray) -> Tuple[float, float]:
-        arrival = self.model.predict_arrivals(self.graph, coords)
-        wns, tns, _ = hard_metrics(arrival, self.endpoints, self.required)
-        return wns, tns
-
-    def invalidate(self) -> None:
-        """Drop cached static evaluator tensors bound to ``self.graph``."""
-        static = getattr(self.graph, "_static", None)
-        if static is not None:
-            static.clear()
-
-
-class _ScenarioOracle:
-    """MCMM oracle: merged-over-scenarios metrics with the `_Oracle`
-    interface (docs/MCMM.md).
-
-    ``gradient``/``evaluate`` return MERGED (worst-WNS, summed-TNS)
-    metrics, so the Algorithm 1 accept/revert rule operates on the
-    sign-off verdict across all scenarios.  The gradient descends the
-    LSE-merged penalty over the dominance pruner's *active* scenarios;
-    hard metrics always score every scenario.  Runs the closure
-    autodiff engine only (the compiled tape is single-scenario).
-    """
-
-    def __init__(
-        self,
-        model: TimingEvaluator,
-        graph: TimingGraph,
-        scenarios,
-        cfg: "RefinementConfig",
-        telemetry=None,
-    ) -> None:
-        from repro.mcmm.penalty import ScenarioPenalty
-        from repro.mcmm.prune import DominancePruner
-
-        self.model = model
-        self.graph = graph
-        self.scenarios = scenarios
-        self.telemetry = telemetry
-        self.penalty = ScenarioPenalty(graph, scenarios, mcmm_gamma=cfg.mcmm_gamma)
-        self.pruner = DominancePruner(
-            scenarios.names,
-            prune_after=cfg.mcmm_prune_after,
-            recheck_every=cfg.mcmm_recheck_every,
-            margin=cfg.mcmm_dominance_margin,
-            telemetry=telemetry,
-        )
-        self.last_wns_vector: Optional[np.ndarray] = None
-
-    def _tel(self):
-        return self.telemetry if self.telemetry is not None else get_telemetry()
-
-    def gradient(
-        self, coords: np.ndarray, pcfg: PenaltyConfig
-    ) -> Tuple[np.ndarray, float, float, float]:
-        self.pruner.tick()
-        t_coords = Tensor(coords, requires_grad=True)
-        out = self.model(self.graph, t_coords)
-        merged = self.penalty.merged_penalty(
-            out["arrival"], pcfg, active=self.pruner.active
-        )
-        merged.backward()
-        self._tel().count("evaluator.backward")
-        grad = t_coords.grad if t_coords.grad is not None else np.zeros_like(coords)
-        per_wns, _, m_wns, m_tns = self.penalty.hard_all(out["arrival"].numpy())
-        self.last_wns_vector = per_wns
-        return np.asarray(grad, dtype=np.float64), m_wns, m_tns, float(merged.item())
-
-    def evaluate(self, coords: np.ndarray) -> Tuple[float, float]:
-        arrival = self.model.predict_arrivals(self.graph, coords)
-        per_wns, _, m_wns, m_tns = self.penalty.hard_all(arrival)
-        self.last_wns_vector = per_wns
-        return m_wns, m_tns
+        obj = self._compiled()
+        if obj is not None:
+            return self._hard(obj.evaluate(coords))
+        return self._hard(self.model.predict_arrivals(self.graph, coords))
 
     def on_accept(self) -> None:
         """Feed the accepted candidate's per-scenario WNS to the pruner."""
-        if self.last_wns_vector is not None:
+        if self.pruner is not None and self.last_wns_vector is not None:
             self.pruner.observe(self.last_wns_vector)
 
+    def save_state(self, arrays: dict, meta: dict) -> None:
+        """Add the pruner state and scenario names to a checkpoint."""
+        if self.pruner is not None:
+            arrays.update(self.pruner.state_arrays())
+            meta["mcmm_scenarios"] = self.scenario_names
+
+    def load_state(self, arrays, meta: dict) -> None:
+        """Restore :meth:`save_state`; a snapshot taken under another
+        scenario set cannot seed this run."""
+        ckpt_scen = meta.get("mcmm_scenarios")
+        if ckpt_scen != self.scenario_names:
+            raise CheckpointError(
+                f"checkpoint scenario set {ckpt_scen} does not match this "
+                f"run's {self.scenario_names}"
+            )
+        if self.pruner is not None:
+            self.pruner.load_state_arrays(arrays)
+
     def invalidate(self) -> None:
+        """Drop cached static evaluator tensors bound to ``self.graph``."""
         static = getattr(self.graph, "_static", None)
         if static is not None:
             static.clear()
@@ -415,11 +375,7 @@ def refine(
             f"{graph.num_steiner} Steiner nodes"
         )
     clamp = clamp_fn or (lambda c: c)
-    mcmm = scenarios is not None and not scenarios.is_single_neutral()
-    if mcmm:
-        oracle = _ScenarioOracle(model, graph, scenarios, cfg, telemetry=tel)
-    else:
-        oracle = _Oracle(model, graph, telemetry=tel, gamma=cfg.penalty.gamma)
+    oracle = _Oracle(model, graph, cfg, scenarios=scenarios, telemetry=tel)
     use_validator = cfg.acceptance == "hybrid" and validator is not None
     degraded = False
     skipped_steps = 0
@@ -470,15 +426,8 @@ def refine(
                 f"checkpoint coords shape {np.asarray(ckpt['coords']).shape} does "
                 f"not match design shape {coords.shape}"
             )
-        # Scenario state must survive resume exactly: a snapshot taken
-        # under one scenario set cannot seed a run under another.
-        ckpt_scen = meta.get("mcmm_scenarios")
-        run_scen = list(scenarios.names) if mcmm else None
-        if ckpt_scen != run_scen:
-            raise CheckpointError(
-                f"checkpoint scenario set {ckpt_scen} does not match this "
-                f"run's {run_scen}"
-            )
+        # Scenario state must survive resume exactly.
+        oracle.load_state(ckpt, meta)
         # Stitch this trace onto the interrupted run's trajectory: the
         # snapshot carries the run-id of the telemetry that wrote it.
         tel.event(
@@ -530,7 +479,7 @@ def refine(
     real_wns = real_tns = None
     real_coords = coords.copy()
     prop_idx = 0
-    schedule: Sequence[Tuple[float, float]] = cfg.proposal_schedule or ((cfg.move_fraction, 1.0),)
+    schedule: Sequence[Tuple[float, float]] = cfg.proposal_schedule or ((1.0, 1.0),)
 
     if ckpt is not None:
         coords = np.array(ckpt["coords"], dtype=np.float64, copy=True)
@@ -559,8 +508,6 @@ def refine(
             so._m = np.array(ckpt["so_m"], dtype=np.float64, copy=True)
             so._v = np.array(ckpt["so_v"], dtype=np.float64, copy=True)
             so._t = int(ckpt["so_t"])
-        if mcmm:
-            oracle.pruner.load_state_arrays(ckpt)
         # A resumed run may hand us a live oracle/validator from the
         # interrupted attempt whose caches describe coordinates the
         # restored trajectory never visited — drop them.
@@ -622,9 +569,7 @@ def refine(
             "telemetry_run": tel.run_id,
             "telemetry_schema": SCHEMA_VERSION,
         }
-        if mcmm:
-            arrays.update(oracle.pruner.state_arrays())
-            meta["mcmm_scenarios"] = list(scenarios.names)
+        oracle.save_state(arrays, meta)
         atomic_save_npz(checkpoint_path, arrays, meta=meta)
         checkpoint_saves += 1
         tel.count("refine.checkpoint_saves")
@@ -652,19 +597,10 @@ def refine(
             pending_accepts = 0
             return
         rw, rt = probed
-        if cfg.validation_rule == "penalty":
-            w_w = abs(cfg.penalty.lambda_wns)
-            w_t = abs(cfg.penalty.lambda_tns)
-            improved = (w_w * rw + w_t * rt) > (w_w * real_wns + w_t * real_tns)
-        else:
-            improved = rw > real_wns or rt > real_tns
-        if improved:
-            if cfg.validation_rule == "penalty":
-                # Anchor metrics must describe the anchor coordinates.
-                real_wns, real_tns = rw, rt
-            else:
-                real_wns = max(real_wns, rw)
-                real_tns = max(real_tns, rt)
+        w_w = abs(cfg.penalty.lambda_wns)
+        w_t = abs(cfg.penalty.lambda_tns)
+        if (w_w * rw + w_t * rt) > (w_w * real_wns + w_t * real_tns):
+            real_wns, real_tns = rw, rt
             real_coords = rounded.copy()
         else:
             validated_reverts += 1
@@ -705,9 +641,7 @@ def refine(
         if check_finite(grad, "refinement gradient", policy):
             candidate = so.update(coords, grad)
             step = np.clip(candidate - coords, -move_cap, move_cap)
-            fraction = cfg.move_fraction
-            if use_validator:
-                fraction = min(fraction, schedule[prop_idx % len(schedule)][0])
+            fraction = schedule[prop_idx % len(schedule)][0] if use_validator else 1.0
             if fraction < 1.0 and coords.shape[0] > 4:
                 # Concentrate the move on the most critical points.
                 magnitude = np.abs(grad).sum(axis=1)
@@ -745,10 +679,9 @@ def refine(
                     accepted += 1
                     step_accepted = True
                     pending_accepts += 1
-                    if mcmm:
-                        # Accepted candidate's per-scenario WNS drives
-                        # dominance pruning of the merged gradient.
-                        oracle.on_accept()
+                    # Under MCMM the accepted candidate's per-scenario
+                    # WNS drives dominance pruning of the merged gradient.
+                    oracle.on_accept()
                     so.theta = min(so.theta * cfg.expand_on_accept, theta)
                     if use_validator and pending_accepts >= cfg.validate_every:
                         validate_candidate()
@@ -784,11 +717,13 @@ def refine(
                 checkpoint_saves=checkpoint_saves,
             )
 
+    polished = False
     if use_validator:
         if pending_accepts and not timed_out:
             validate_candidate()
         # ---- oracle-polish stage ----
         if use_validator and cfg.polish_probes > 0 and coords.size and not timed_out:
+            polished = True
             real_coords, real_wns, real_tns, probes, polish_timed_out = _polish(
                 oracle,
                 call_validator,
@@ -803,14 +738,15 @@ def refine(
             )
             validations += probes
             timed_out = timed_out or polish_timed_out
-    if use_validator or (degraded and cfg.acceptance == "hybrid"):
-        if use_validator:
-            best_coords = real_coords
-        else:
-            # Degraded mid-run: the surviving coordinates are the
-            # evaluator's accepted trajectory; round them so the
-            # hybrid-mode contract (routable snapped geometry) holds.
-            best_coords = SteinerForest.round_array(best_coords)
+    if use_validator or polished:
+        # The last validated point — also when the validator went down
+        # during polish, which hands back its best validated probe.
+        best_coords = real_coords
+    elif degraded and cfg.acceptance == "hybrid":
+        # Degraded mid-run: the surviving coordinates are the
+        # evaluator's accepted trajectory; round them so the
+        # hybrid-mode contract (routable snapped geometry) holds.
+        best_coords = SteinerForest.round_array(best_coords)
 
     if tel.enabled:
         tel.event(

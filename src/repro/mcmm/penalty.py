@@ -21,8 +21,11 @@ hybrid mode the validator re-times candidates with the exact batched
 `ScenarioSTA`.  Dominance pruning (repro.mcmm.prune) may drop scenarios
 from the merged *gradient*, never from the hard metrics.
 
-The neutral single-scenario case never reaches this module: `refine()`
-routes it through the original oracle, keeping that path bitwise
+Refinement replays this merge on the compiled tape
+(``repro.timing_model.compiled``), one tape per active mask, so the
+merge is built only from ops the tape compiler knows (``concat``
+feeds the LSE).  The neutral single-scenario case never reaches this
+module: `refine()` keeps it on the plain Eq. (6) objective, bitwise
 untouched (tests/test_mcmm.py pins this down).
 """
 
@@ -174,7 +177,9 @@ class ScenarioPenalty:
             raise ValueError("no active scenario with endpoints to penalize")
         if len(terms) == 1:
             return terms[0]
-        return F.logsumexp(F.stack(terms), gamma=self.mcmm_gamma)
+        return F.logsumexp(
+            F.concatenate([t.reshape(1) for t in terms]), gamma=self.mcmm_gamma
+        )
 
     # ------------------------------------------------------------------
     def hard_all(

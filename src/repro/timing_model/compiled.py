@@ -3,20 +3,22 @@
 Two hot paths rebuild the evaluator's closure graph from scratch on
 every call:
 
-* the refinement oracle (``core/refine.py``), which differentiates the
-  Eq. (6) penalty w.r.t. the Steiner coordinates once per Algorithm 1
-  iteration; and
+* the refinement oracle (``core/refine.py``), which differentiates its
+  objective w.r.t. the Steiner coordinates once per Algorithm 1
+  iteration — the Eq. (6) penalty, or under MCMM the LSE merge of the
+  per-scenario penalties (``ScenarioPenalty.merged_penalty``); and
 * the trainer (``timing_model/train.py``), which differentiates the
   masked arrival MSE w.r.t. the model parameters once per sample per
   epoch.
 
 Both objectives have a fixed op sequence per ``(graph topology, model,
-smoothing gamma)``: only the input arrays change between calls.  This
-module traces each objective once with the closure engine, lifts the
-recorded graph into a :class:`~repro.autodiff.tape.Tape`, and caches
-the result on ``graph._static`` — the same topology-identity cache the
-flat STA kernels key on, cleared by ``_Oracle.invalidate()`` so a
-checkpoint restore recompiles from clean state.
+smoothing gamma)`` — plus, under MCMM, the scenario set and the
+dominance pruner's active mask: only the input arrays change between
+calls.  This module traces each objective once with the closure
+engine, lifts the recorded graph into a :class:`~repro.autodiff.tape.Tape`,
+and caches the result on ``graph._static`` — the same topology-identity
+cache the flat STA kernels key on, cleared by ``_Oracle.invalidate()``
+so a checkpoint restore recompiles from clean state.
 
 Replay is bitwise identical to the closure engine (tape.py replicates
 its accumulation order); graphs using an op the tape compiler does not
@@ -35,21 +37,6 @@ from repro.obs import get_telemetry
 from repro.timing_model.model import TimingEvaluator
 
 
-class TapeParityError(AssertionError):
-    """Raised in ``kernel="tape-parity"`` mode on any bitwise mismatch."""
-
-
-def assert_bitwise_equal(name: str, tape_value, closure_value) -> None:
-    """Fail loudly unless the two results are bit-for-bit the same."""
-    a = np.asarray(tape_value)
-    b = np.asarray(closure_value)
-    if a.shape != b.shape or not np.array_equal(a, b, equal_nan=True):
-        raise TapeParityError(
-            f"tape kernel diverged from closure reference on {name!r}: "
-            f"max |delta| = {float(np.max(np.abs(a - b))) if a.shape == b.shape else 'shape mismatch'}"
-        )
-
-
 class _Unsupported:
     """Cached marker: this (graph, model) cannot be tape-compiled."""
 
@@ -64,7 +51,7 @@ class _Unsupported:
 class _TensorPenaltyConfig:
     """Duck-typed ``PenaltyConfig`` whose lambdas are live tape inputs.
 
-    ``smoothed_penalty`` multiplies by ``config.lambda_wns`` /
+    The penalty multiplies by ``config.lambda_wns`` /
     ``config.lambda_tns``; handing it scalar Tensors records the
     lambdas as graph leaves, so one compiled tape survives the per-
     iteration ``escalated()`` weight updates.  ``gamma`` stays a float
@@ -78,29 +65,42 @@ class _TensorPenaltyConfig:
 
 
 class CompiledObjective:
-    """Eq. (6) penalty + arrival prefix, compiled for one design.
+    """Refinement objective + arrival prefix, compiled for one design.
 
+    The objective is the Eq. (6) penalty, or with ``merge`` (a
+    :class:`~repro.mcmm.penalty.ScenarioPenalty`) the LSE merge of the
+    per-scenario penalties over the scenarios ``active`` selects.
     Inputs read live on every replay: the flat Steiner coordinates, the
     two penalty weights, and every model parameter (by ``.data``
     rebinding, so ``load_state_dict`` is picked up without recompiling).
     """
 
-    def __init__(self, model: TimingEvaluator, graph, gamma: float) -> None:
-        from repro.core.penalty import smoothed_penalty
+    def __init__(
+        self,
+        model: TimingEvaluator,
+        graph,
+        gamma: float,
+        merge=None,
+        active: Optional[np.ndarray] = None,
+    ) -> None:
+        from repro.core.penalty import refinement_penalty
 
         self.model = model
         self.congestion = graph.congestion
         self.gamma = float(gamma)
-        self.endpoints = graph.endpoints
-        self.required = graph.required
 
         # ---- trace: one closure-engine forward defines the program ----
         coords_t = Tensor(np.zeros((graph.num_steiner, 2)), requires_grad=True)
-        lam_w = Tensor(np.asarray(-1.0))
-        lam_t = Tensor(np.asarray(-1.0))
+        # The lambdas are gradient-carrying leaves so that every op on
+        # them is recorded: the MCMM merge subtracts a zero-slack baseline
+        # that depends on the lambdas alone, which grad-free leaves would
+        # bake into the tape as a constant.  grad_targets below still
+        # prunes their adjoint.
+        lam_w = Tensor(np.asarray(-1.0), requires_grad=True)
+        lam_t = Tensor(np.asarray(-1.0), requires_grad=True)
         pcfg = _TensorPenaltyConfig(lam_w, lam_t, self.gamma)
         out = model(graph, coords_t)
-        penalty, _, _ = smoothed_penalty(out["arrival"], self.endpoints, self.required, pcfg)
+        penalty = refinement_penalty(out["arrival"], graph, pcfg, merge, active)
 
         inputs: Dict[str, Tensor] = {"coords": coords_t, "lam_w": lam_w, "lam_t": lam_t}
         for name, p in model.named_parameters():
@@ -223,17 +223,26 @@ def _cache_lookup(graph, key, model, telemetry):
 
 
 def get_compiled_objective(
-    model: TimingEvaluator, graph, gamma: float, telemetry=None
+    model: TimingEvaluator,
+    graph,
+    gamma: float,
+    telemetry=None,
+    merge=None,
+    active: Optional[np.ndarray] = None,
 ) -> Optional[CompiledObjective]:
     """Cached :class:`CompiledObjective`, or ``None`` if unsupported.
 
-    Keyed by ``(model identity, gamma)`` on the graph's topology cache;
-    entries are dropped when the model or congestion field they were
-    compiled against is no longer the live one (``TSteiner.optimize``
-    rebinds ``graph.congestion`` after the probe stage) and by
+    Keyed by ``(model identity, gamma)`` on the graph's topology cache,
+    plus the scenario set, merge temperature and active mask under MCMM
+    (``merge``), so each pruner mask keeps its own tape; entries are
+    dropped when the model or congestion field they were compiled
+    against is no longer the live one (``TSteiner.optimize`` rebinds
+    ``graph.congestion`` after the probe stage) and by
     ``graph._static.clear()`` on checkpoint restore.
     """
     key = ("tape", id(model), float(gamma))
+    if merge is not None:
+        key += (merge.scenarios, merge.mcmm_gamma, None if active is None else active.tobytes())
     cached, tel = _cache_lookup(graph, key, model, telemetry)
     if isinstance(cached, _Unsupported):
         return None
@@ -243,7 +252,7 @@ def get_compiled_objective(
         tel.count("tape.cache_misses")
     with tel.span("tape_compile", what="objective", gamma=float(gamma)) as span:
         try:
-            obj = CompiledObjective(model, graph, gamma)
+            obj = CompiledObjective(model, graph, gamma, merge=merge, active=active)
         except TapeUnsupported as exc:
             if tel.enabled:
                 tel.count("tape.fallbacks")

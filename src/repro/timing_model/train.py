@@ -102,39 +102,18 @@ def _sample_loss(model: TimingEvaluator, sample: DesignSample) -> Tensor:
 def _loss_backward(model: TimingEvaluator, sample: DesignSample, telemetry=None) -> float:
     """Forward+backward on one sample; grads land on the parameters.
 
-    Dispatches on ``model.kernel`` like the refinement oracle: "tape"
-    replays the per-sample compiled loss (cached on the sample graph's
-    topology cache, so every epoch after the first replays for free),
-    "closure" builds the reference graph, "tape-parity" runs both and
-    raises on any bitwise difference in loss or parameter gradients.
+    Replays the per-sample compiled loss, cached on the sample graph's
+    topology cache so every epoch after the first replays for free; the
+    closure engine runs only when the graph cannot be compiled.
     """
-    kernel = getattr(model, "kernel", "closure")
-    compiled = None
-    if kernel in ("tape", "tape-parity"):
-        from repro.timing_model.compiled import get_compiled_loss
+    from repro.timing_model.compiled import get_compiled_loss
 
-        compiled = get_compiled_loss(model, sample, _sample_loss, telemetry=telemetry)
-    if compiled is None:
-        loss = _sample_loss(model, sample)
-        loss.backward()
-        return loss.item()
-    if kernel == "tape-parity":
-        from repro.timing_model.compiled import assert_bitwise_equal
-
-        loss = _sample_loss(model, sample)
-        loss.backward()
-        ref_value = loss.item()
-        ref_grads = [None if p.grad is None else p.grad.copy() for p in model.parameters()]
-        for p in model.parameters():
-            p.zero_grad()
-        value = compiled.loss_backward()
-        assert_bitwise_equal("loss", value, ref_value)
-        for (name, p), ref in zip(model.named_parameters(), ref_grads):
-            got = np.zeros(0) if p.grad is None else p.grad
-            want = np.zeros(0) if ref is None else ref
-            assert_bitwise_equal(f"grad/{name}", got, want)
-        return value
-    return compiled.loss_backward()
+    compiled = get_compiled_loss(model, sample, _sample_loss, telemetry=telemetry)
+    if compiled is not None:
+        return compiled.loss_backward()
+    loss = _sample_loss(model, sample)
+    loss.backward()
+    return loss.item()
 
 
 def train_evaluator(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import Tensor, concatenate, no_grad, stack, tensor, where
+from repro.autodiff.tensor import Tensor, concatenate, no_grad, tensor, where
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -283,14 +283,6 @@ class TestCombinators:
         out.sum().backward()
         assert a.grad.shape == (2, 2)
         assert b.grad.shape == (2, 3)
-
-    def test_stack(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        out = stack([a, b])
-        assert out.shape == (2, 2)
-        out.sum().backward()
-        assert np.allclose(a.grad, [1.0, 1.0])
 
     def test_where(self):
         a = Tensor([1.0, 2.0], requires_grad=True)

@@ -109,19 +109,21 @@ def test_unknown_kernel_filter_rejected():
 
 
 def test_oracle_denominators_agree_with_production():
-    """The four oracle-backed kernels run and their parity checks hold.
+    """The oracle-backed kernels run and their parity checks hold.
 
     No timing assertion: this only keeps the oracle imports and the
-    bitwise/1e-9 agreement of each denominator in the tier-1 run.
+    bitwise/1e-9 agreement of each denominator in the tier-1 run —
+    including the closure-vs-tape ``refine()`` trajectory check.
     """
     report = run_benchmarks(
         designs=["spm"],
         repeats=1,
         queries=2,
-        kernels=["forest_build", "groute", "full_sta", "incremental"],
+        kernels=["forest_build", "groute", "full_sta", "incremental", "refine_iter"],
         log=lambda m: None,
     )
     kernels = report["kernels"]
+    assert kernels["refine_iter"]["spm"]["trajectory_bitwise_equal"] == 1
     assert kernels["forest_build"]["spm"]["trees_bitwise_equal"] == 1
     assert kernels["groute"]["spm"]["routes_bitwise_equal"] == 1
     assert kernels["full_sta"]["spm"]["wns_delta"] <= 1e-9

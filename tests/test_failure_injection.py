@@ -258,6 +258,33 @@ class TestValidatorFailureMidRefinement:
         assert np.isfinite(result.coords).all()
         assert result.coords.shape == forest.get_steiner_coords().reshape(-1, 2).shape
 
+    def test_outage_during_polish_keeps_validated_point(self, spm_design):
+        """A validator that dies during polish hands back the polish
+        stage's best *validated* probe, not the unprobed pre-polish
+        point the evaluator-only fallback would round."""
+        _, forest, graph = spm_design
+        c0 = forest.get_steiner_coords().reshape(-1, 2)
+        probes = []
+
+        def validator(coords):
+            if len(probes) >= 13:  # probe 14 on: the oracle is down
+                raise RuntimeError("validator down")
+            s = float(np.abs(np.asarray(coords) - 0.8 * c0).sum())
+            probes.append((np.array(coords, copy=True), -s * 1e-3, -s * 2e-3))
+            return probes[-1][1:]
+
+        cfg = RefinementConfig(
+            max_iterations=2, validate_every=1, polish_probes=12, validator_retries=0
+        )
+        result = refine(
+            _QuadraticModel(), graph, forest.get_steiner_coords(), cfg,
+            clamp_fn=forest.clamp_coords, validator=validator,
+        )
+        assert result.degraded is True
+        w_w, w_t = abs(cfg.penalty.lambda_wns), abs(cfg.penalty.lambda_tns)
+        best = max(probes, key=lambda p: w_w * p[1] + w_t * p[2])
+        assert result.coords.tobytes() == best[0].tobytes()
+
     def test_transient_validator_failure_is_retried(self, spm_design):
         """One blip within the retry allowance never degrades the run."""
         _, forest, graph = spm_design

@@ -11,8 +11,12 @@ The load-bearing contracts pinned down here:
   fast-hold corner improves the merged verdict without wrecking any
   individual scenario;
 * checkpoint/resume restores per-scenario state byte-identically and
-  rejects scenario-set mismatches in both directions.
+  rejects scenario-set mismatches in both directions;
+* a real evaluator's merged-objective refinement on the compiled tape
+  matches the closure reference bitwise across a pruner mask switch.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -30,13 +34,16 @@ from repro.mcmm import (
     ScenarioSTA,
     get_mode,
 )
+from repro.obs import Telemetry
 from repro.pdk.clocks import ClockSpec
 from repro.pdk.corners import Corner, get_corner
 from repro.routegrid.grid import GCellGrid
 from repro.runtime import CheckpointError, faults
 from repro.sta.engine import STAEngine
 from repro.sta.hold import DEFAULT_HOLD_TIME
+from repro.testing.parity import ClosureOnly, assert_same_trajectory
 from repro.timing_model.graph import build_timing_graph
+from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
 
 from tests.test_failure_injection import _FaultyModel, _QuadraticModel
 
@@ -372,6 +379,45 @@ class TestRefineMCMM:
         assert neutral.history == plain.history
         assert neutral.best_wns == plain.best_wns
         assert neutral.best_tns == plain.best_tns
+
+    def test_tape_matches_closure_bitwise(self, tmp_path):
+        """A real evaluator's MCMM run replays the merged penalty on the
+        compiled tape, one tape per pruner mask, and matches the closure
+        reference bit for bit — coordinates, history, best WNS/TNS and
+        every ``refine_iter`` penalty — across a mask switch."""
+        netlist, forest = prepare_design("usb_cdc_core")
+        graph = build_timing_graph(netlist, forest)
+        model = TimingEvaluator(EvaluatorConfig(seed=0))
+        coords0 = forest.get_steiner_coords()
+        runs = {}
+        for label, evaluator in (("closure", ClosureOnly(model)), ("tape", model)):
+            graph._static.clear()
+            path = tmp_path / f"{label}.jsonl"
+            with Telemetry(path=str(path)) as tel:
+                result = refine(
+                    evaluator, graph, coords0, self._cfg(iters=16),
+                    clamp_fn=forest.clamp_coords,
+                    scenarios=ScenarioSet.signoff(), telemetry=tel,
+                )
+            runs[label] = result, [json.loads(line) for line in path.read_text().splitlines()]
+
+        def kinds(events, kind):
+            return [e for e in events if e.get("kind") == kind]
+
+        def per_run(pick):
+            return {label: pick(events) for label, (_, events) in runs.items()}
+
+        prunes = per_run(lambda ev: [(e["action"], e.get("scenarios")) for e in kinds(ev, "mcmm_prune")])
+        assert prunes["tape"] == prunes["closure"] != []  # the mask switched
+        compiles = per_run(
+            lambda ev: [e for e in kinds(ev, "span_end") if e["name"] == "tape_compile"]
+        )
+        assert compiles["closure"] == []
+        assert len(compiles["tape"]) >= 2  # one tape per visited mask
+        assert_same_trajectory(runs["closure"][0], runs["tape"][0])
+        penalties = per_run(lambda ev: [e["penalty"] for e in kinds(ev, "refine_iter")])
+        assert len(penalties["tape"]) == 16
+        assert penalties["tape"] == penalties["closure"]
 
     def test_conflicting_corner_improves_merged_without_regressions(
         self, spm_design

@@ -22,6 +22,7 @@ from repro.core.penalty import PenaltyConfig, smoothed_penalty
 from repro.core.refine import RefinementConfig, refine
 from repro.runtime.errors import FaultInjected
 from repro.runtime.faults import FaultSpec, wrap
+from repro.testing.parity import ClosureOnly, assert_same_trajectory
 from repro.timing_model.compiled import CompiledObjective, get_compiled_objective
 from repro.timing_model.graph import build_timing_graph
 from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
@@ -220,53 +221,55 @@ def _refine_pair(name, iterations=4):
     cfg = RefinementConfig(
         max_iterations=iterations, acceptance="evaluator", polish_probes=0
     )
-    saved = model.kernel
-    try:
-        results = {}
-        for kernel in ("closure", "tape"):
-            model.kernel = kernel
-            graph._static.clear()
-            results[kernel] = refine(
-                model, graph, coords, config=cfg, clamp_fn=forest.clamp_coords
-            )
-    finally:
-        model.kernel = saved
-    return results["closure"], results["tape"]
-
-
-def _assert_trajectories_equal(ref, tape):
-    assert tape.best_wns == ref.best_wns
-    assert tape.best_tns == ref.best_tns
-    assert tape.accepted == ref.accepted
-    assert len(tape.history) == len(ref.history)
-    for a, b in zip(ref.history, tape.history):
-        assert tuple(a) == tuple(b)
+    results = []
+    for evaluator in (ClosureOnly(model), model):
+        graph._static.clear()
+        results.append(
+            refine(evaluator, graph, coords, config=cfg, clamp_fn=forest.clamp_coords)
+        )
+    return tuple(results)
 
 
 class TestRefineTrajectoryParity:
     def test_usb_cdc_core(self):
-        _assert_trajectories_equal(*_refine_pair("usb_cdc_core"))
+        assert_same_trajectory(*_refine_pair("usb_cdc_core"))
 
     @pytest.mark.slow
     def test_picorv32a(self):
-        _assert_trajectories_equal(*_refine_pair("picorv32a"))
+        assert_same_trajectory(*_refine_pair("picorv32a"))
 
     @pytest.mark.slow
     def test_des3(self):
-        _assert_trajectories_equal(*_refine_pair("des3"))
+        assert_same_trajectory(*_refine_pair("des3"))
 
 
-def test_tape_parity_kernel_mode():
-    """kernel='tape-parity' runs both engines and raises on divergence."""
-    graph, model, coords, forest = _design("usb_cdc_core")
-    cfg = RefinementConfig(max_iterations=2, acceptance="evaluator", polish_probes=0)
-    saved = model.kernel
-    try:
-        model.kernel = "tape-parity"
-        graph._static.clear()
-        refine(model, graph, coords, config=cfg, clamp_fn=forest.clamp_coords)
-    finally:
-        model.kernel = saved
+def test_mcmm_objective_cached_per_mask():
+    """The MCMM tape is keyed by the pruner's active mask: each mask
+    compiles once, a switch back hits its tape, and each replays the
+    closure's merged penalty bit for bit — value (with its lambda-only
+    zero-slack baseline) and gradient."""
+    from repro.mcmm import ScenarioPenalty, ScenarioSet
+
+    graph, model, coords, _ = _design("spm")
+    merge = ScenarioPenalty(graph, ScenarioSet.signoff())
+    pcfg = PenaltyConfig().escalated(1.5)
+    full = np.ones(len(merge.specs), dtype=bool)
+    part = np.array([False, True, False])
+    graph._static.clear()
+    tapes = {
+        name: get_compiled_objective(model, graph, pcfg.gamma, merge=merge, active=mask)
+        for name, mask in (("full", full), ("part", part))
+    }
+    assert tapes["full"] is not tapes["part"]
+    assert get_compiled_objective(model, graph, pcfg.gamma, merge=merge, active=full) is tapes["full"]
+    assert get_compiled_objective(model, graph, pcfg.gamma) not in tapes.values()
+    for name, mask in (("full", full), ("part", part)):
+        t = Tensor(coords, requires_grad=True)
+        ref = merge.merged_penalty(model(graph, t)["arrival"], pcfg, active=mask)
+        ref.backward()
+        grad, _, penalty = tapes[name].gradient(coords, pcfg)
+        assert np.array_equal(grad, t.grad, equal_nan=True)
+        assert penalty == ref.item()
 
 
 def test_tape_cache_hit_miss_counters(tmp_path):
@@ -511,28 +514,23 @@ class TestFaultedReplay:
         cfg = RefinementConfig(
             max_iterations=4, acceptance="evaluator", polish_probes=0
         )
-        saved = model.kernel
-        try:
-            model.kernel = "closure"
-            graph._static.clear()
-            ref = refine(model, graph, coords, config=cfg, clamp_fn=forest.clamp_coords)
+        graph._static.clear()
+        ref = refine(
+            ClosureOnly(model), graph, coords, config=cfg, clamp_fn=forest.clamp_coords
+        )
 
-            model.kernel = "tape"
-            graph._static.clear()
-            obj = get_compiled_objective(model, graph, PenaltyConfig().gamma)
-            mid = len(obj.tape._bwd) // 2
-            original = obj.tape._bwd[mid]
-            obj.tape._bwd[mid] = wrap(original, FaultSpec(at_call=2))
-            try:
-                with pytest.raises(FaultInjected):
-                    refine(model, graph, coords, config=cfg, clamp_fn=forest.clamp_coords)
-            finally:
-                obj.tape._bwd[mid] = original
-            # Same tape object (still cached on the graph) — replay must
-            # start clean despite the interrupted backward above.
-            tape_result = refine(
-                model, graph, coords, config=cfg, clamp_fn=forest.clamp_coords
-            )
+        obj = get_compiled_objective(model, graph, PenaltyConfig().gamma)
+        mid = len(obj.tape._bwd) // 2
+        original = obj.tape._bwd[mid]
+        obj.tape._bwd[mid] = wrap(original, FaultSpec(at_call=2))
+        try:
+            with pytest.raises(FaultInjected):
+                refine(model, graph, coords, config=cfg, clamp_fn=forest.clamp_coords)
         finally:
-            model.kernel = saved
-        _assert_trajectories_equal(ref, tape_result)
+            obj.tape._bwd[mid] = original
+        # Same tape object (still cached on the graph) — replay must
+        # start clean despite the interrupted backward above.
+        tape_result = refine(
+            model, graph, coords, config=cfg, clamp_fn=forest.clamp_coords
+        )
+        assert_same_trajectory(ref, tape_result)
