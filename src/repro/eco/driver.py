@@ -47,6 +47,7 @@ from repro.netlist.netlist import Netlist
 from repro.obs import get_telemetry
 from repro.runtime.budget import Budget
 from repro.sta.engine import STAEngine
+from repro.sta.flat import flat_cache_entry, restore_flat_cache
 from repro.steiner.forest import SteinerForest
 
 #: Routing layer used for quick wire-RC gain estimates (the default
@@ -168,7 +169,10 @@ class EcoContext:
     Coordinate/topology ops re-time through the pinned
     ``ScenarioSTA``'s incremental path; netlist-mutating ops rebuild
     the engine (arcs and pin caps bind at construction) — ``rebuilds``
-    counts how often.
+    counts those engine constructions.  Such an op's ``revert`` does
+    not rebuild: by the ops' LIFO apply+revert == identity contract the
+    pre-apply engine, ``ScenarioSTA`` and flat forest are exact again,
+    so they are put back and the next query is an incremental no-op.
     """
 
     def __init__(
@@ -181,7 +185,9 @@ class EcoContext:
         self.forest = forest
         self.scenarios = scenarios if scenarios is not None else ScenarioSet.default()
         self.rebuilds = 0
-        self.queries = 0
+        #: (op, engine, sta, flat cache entry) from before the last
+        #: netlist-mutating apply; its matching revert restores them.
+        self._undo: Optional[Tuple[EcoOp, STAEngine, ScenarioSTA, object]] = None
         self._make()
 
     def _make(self) -> None:
@@ -198,17 +204,23 @@ class EcoContext:
         self._make()
 
     def run(self) -> ScenarioReport:
-        self.queries += 1
         return self.sta.run()
 
     def apply(self, op: EcoOp) -> None:
         op.apply(self.netlist, self.forest)
         if op.mutates_netlist:
+            self._undo = (op, self.engine, self.sta, flat_cache_entry(self.forest))
             self.rebuild()
 
     def revert(self, op: EcoOp) -> None:
         op.revert(self.netlist, self.forest)
-        if op.mutates_netlist:
+        if not op.mutates_netlist:
+            return
+        undo, self._undo = self._undo, None
+        if undo is not None and undo[0] is op:
+            _, self.engine, self.sta, entry = undo
+            restore_flat_cache(self.forest, entry)
+        else:
             self.rebuild()
 
     def dirty_nets_of(self, op: EcoOp) -> Tuple[int, ...]:
@@ -513,12 +525,12 @@ def _run_greedy(
     ctx: EcoContext,
     config: EcoConfig,
     result: EcoResult,
+    report: ScenarioReport,
     budget: Optional[Budget],
     on_round: Optional[Callable[[int], None]],
     hybrid: bool,
 ) -> ScenarioReport:
     tel = get_telemetry()
-    report = ctx.run()
     score_cur = score_report(report)
     discrete = 0
     for _ in range(config.max_rounds):
@@ -608,10 +620,11 @@ def run_eco(
         if config.arm == "sa":
             from repro.eco.sa import run_sa
 
-            final = run_sa(ctx, config, result, budget=budget, on_round=on_round)
+            final = run_sa(ctx, config, result, base, budget=budget, on_round=on_round)
         else:
             final = _run_greedy(
-                ctx, config, result, budget, on_round, hybrid=config.arm == "hybrid"
+                ctx, config, result, base, budget, on_round,
+                hybrid=config.arm == "hybrid",
             )
         result.final = _metrics_dict(final)
         result.rebuilds = ctx.rebuilds

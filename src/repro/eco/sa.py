@@ -79,10 +79,12 @@ def run_sa(
     ctx,
     config,
     result,
+    report: ScenarioReport,
     budget: Optional[Budget] = None,
     on_round: Optional[Callable[[int], None]] = None,
 ) -> ScenarioReport:
-    """Anneal over the op space; returns the final scenario report.
+    """Anneal over the op space from ``report`` (the caller's query of
+    the starting state); returns the final scenario report.
 
     Mutates ``ctx`` in place and fills the bookkeeping fields of
     ``result`` (an :class:`repro.eco.driver.EcoResult`).
@@ -91,7 +93,6 @@ def run_sa(
 
     tel = get_telemetry()
     rng = np.random.default_rng(config.seed)
-    report = ctx.run()
     score_cur = score_report(report)
     for step in range(config.sa_steps):
         if report.merged_violations == 0:

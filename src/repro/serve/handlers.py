@@ -260,9 +260,10 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
     netlist* — buffers appear, cells resize, trees are re-routed — so
     the commit path is ``ws.invalidate(reason="eco", structural=True)``:
     every pinned STA object and the forest's flat digest are discarded
-    and the engine is rebuilt (docs/ECO.md).  Deterministic under
-    ``params["seed"]``: the accepted-op ``digest`` is what the
-    eco-smoke CI job pins.
+    and the engine is rebuilt (docs/ECO.md) — also when the run is
+    interrupted, since its accepted ops stay in the netlist.
+    Deterministic under ``params["seed"]``: the accepted-op ``digest``
+    is what the eco-smoke CI job pins.
     """
     from repro.eco.driver import EcoConfig, run_eco
     from repro.mcmm.scenario import ScenarioSet
@@ -288,15 +289,19 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
     def on_round(_round: int) -> None:
         ctx.heartbeat()
 
-    result = run_eco(
-        ws.netlist,
-        ws.forest,
-        config=cfg,
-        scenarios=scenarios,
-        budget=ctx.budget,
-        on_round=on_round,
-    )
-    ws.invalidate(reason="eco", structural=True)
+    try:
+        result = run_eco(
+            ws.netlist,
+            ws.forest,
+            config=cfg,
+            scenarios=scenarios,
+            budget=ctx.budget,
+            on_round=on_round,
+        )
+    finally:
+        # An interrupted run (a WorkerKilled out of the heartbeat, any
+        # error) has still mutated the netlist by its accepted ops.
+        ws.invalidate(reason="eco", structural=True)
     tel = get_telemetry()
     if tel.enabled:
         # Same event the flow stage emits, so `repro report` renders a

@@ -164,10 +164,9 @@ class DesignWorkspace:
         self._graph = None
         self._congestion = None
         if self.forest is not None:
-            from repro.sta.flat import _FLAT_CACHE_ATTR
+            from repro.sta.flat import restore_flat_cache
 
-            if hasattr(self.forest, _FLAT_CACHE_ATTR):
-                delattr(self.forest, _FLAT_CACHE_ATTR)
+            restore_flat_cache(self.forest, None)
         if self.netlist is not None:
             from repro.sta.engine import STAEngine
 

@@ -137,7 +137,7 @@ class LevelizedPins:
 
         # Longest-path level per pin: every arc crosses at least one
         # level boundary, so processing level-by-level is dependency-safe.
-        level = np.zeros(n_pins, dtype=np.int64)
+        level = [0] * n_pins
         succ: List[List[int]] = [[] for _ in range(n_pins)]
         for u, v, _ in net_arcs:
             succ[u].append(v)
@@ -145,37 +145,37 @@ class LevelizedPins:
             for in_pin, _arc in arcs:
                 succ[in_pin].append(out_pin)
         for u in engine._topo:
-            lu = int(level[u])
+            lu = level[u] + 1
             for v in succ[u]:
-                if level[v] <= lu:
-                    level[v] = lu + 1
+                if level[v] < lu:
+                    level[v] = lu
 
+        # Net arcs by level: one stable sort keeps each level's arcs in
+        # netlist order.
         net_src = np.array([a[0] for a in net_arcs], dtype=np.int64)
         net_dst = np.array([a[1] for a in net_arcs], dtype=np.int64)
         net_net = np.array([a[2] for a in net_arcs], dtype=np.int64)
-        net_lvl = level[net_dst] if net_dst.size else net_dst
-        dest_lvl = {out: int(level[out]) for out, _, _ in cell_dests}
-        max_lvl = 0
-        if net_dst.size:
-            max_lvl = int(net_lvl.max())
-        if dest_lvl:
-            max_lvl = max(max_lvl, max(dest_lvl.values()))
+        net_lvl = np.array([level[v] for v in net_dst.tolist()], dtype=np.int64)
+        order = np.argsort(net_lvl, kind="stable")
+        net_src, net_dst, net_net = net_src[order], net_dst[order], net_net[order]
+        max_lvl = int(net_lvl.max()) if net_lvl.size else 0
+        # Cell destinations by level, in ascending pin order.
+        dests_at: Dict[int, List[Tuple[int, list, int]]] = {}
+        for dest in cell_dests:
+            L = level[dest[0]]
+            dests_at.setdefault(L, []).append(dest)
+            max_lvl = max(max_lvl, L)
+        net_bound = np.searchsorted(net_lvl[order], np.arange(max_lvl + 2)).tolist()
 
         self.levels: List[PertLevel] = []
         for L in range(1, max_lvl + 1):
-            if net_dst.size:
-                m = net_lvl == L
-                l_src, l_dst, l_net = net_src[m], net_dst[m], net_net[m]
-            else:
-                l_src = l_dst = l_net = np.zeros(0, dtype=np.int64)
+            lo, hi = net_bound[L], net_bound[L + 1]
             c_in: List[int] = []
             c_dest: List[int] = []
             c_counts: List[int] = []
             c_net: List[int] = []
             groups: Dict[int, Tuple[object, List[int]]] = {}
-            for out_pin, arcs, net_idx in cell_dests:
-                if dest_lvl[out_pin] != L:
-                    continue
+            for out_pin, arcs, net_idx in dests_at.get(L, ()):
                 c_dest.append(out_pin)
                 c_counts.append(len(arcs))
                 c_net.append(net_idx)
@@ -196,9 +196,9 @@ class LevelizedPins:
                 group_id[pos] = g
             self.levels.append(
                 PertLevel(
-                    net_src=l_src,
-                    net_dst=l_dst,
-                    net_net=l_net,
+                    net_src=net_src[lo:hi],
+                    net_dst=net_dst[lo:hi],
+                    net_net=net_net[lo:hi],
                     cell_in=np.array(c_in, dtype=np.int64),
                     cell_dest=np.array(c_dest, dtype=np.int64),
                     cell_start=start,
@@ -219,10 +219,15 @@ class LevelizedPins:
         self.shared_axes: Optional[Tuple[np.ndarray, np.ndarray]] = None
         axes = None
         shared = True
+        seen_axes = set()
         for lv in self.levels:
             for arc, _pos in lv.arc_groups:
                 for tbl in (arc.delay, arc.output_slew):
                     key = (tbl.slew_axis, tbl.load_axis)
+                    ids = (id(key[0]), id(key[1]))
+                    if ids in seen_axes:
+                        continue
+                    seen_axes.add(ids)
                     if axes is None:
                         axes = key
                     elif not (

@@ -120,106 +120,107 @@ def _expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def _segment_sums(values: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """``values[offset[t]:offset[t+1]].sum()`` per segment, bitwise.
+
+    numpy sums fewer than 8 values left to right from 0.0 and switches
+    to pairwise blocks at 8, so short segments are summed column by
+    column over a zero-padded ``(T, 7)`` matrix (``x + 0.0`` is exact)
+    and only the few long ones call ``sum()`` themselves.
+    """
+    counts = np.diff(offset)
+    out = np.zeros(counts.size, dtype=np.float64)
+    short = counts < 8
+    rows = np.flatnonzero(short)
+    width = int(counts[rows].max()) if rows.size else 0
+    if width:
+        pad = np.zeros((counts.size, width), dtype=np.float64)
+        seg = np.repeat(np.arange(counts.size), counts)
+        col = np.arange(values.size) - offset[seg]
+        keep = short[seg]
+        pad[seg[keep], col[keep]] = values[keep]
+        for k in range(width):
+            out += pad[:, k]
+    for t in np.flatnonzero(~short):
+        out[t] = values[offset[t] : offset[t + 1]].sum()
+    return out
+
+
 def build_flat_forest(
     forest: SteinerForest, pin_caps: Dict[int, float]
 ) -> FlatForest:
-    """Flatten ``forest`` into CSR arrays (one-time per topology)."""
+    """Flatten ``forest`` into CSR arrays (one-time per topology).
+
+    One gather pass over the trees' memoized topologies, then every
+    array is assembled with ``cumsum``/``repeat``/``concatenate`` and
+    the BFS levels come from one stable sort by depth.  The per-tree
+    loop form is ``repro.testing.oracles.reference_flat_forest``; the
+    two agree bitwise, field by field.
+    """
     trees = forest.trees
     T = len(trees)
+    topos = [tree.topology() for tree in trees]
+    n_pins = np.fromiter((len(t.pin_ids) for t in trees), np.int64, T)
+    n_steiner = np.fromiter((t.steiner_xy.shape[0] for t in trees), np.int64, T)
+    n_edges = np.fromiter((tp.dir_edge_local.size for tp in topos), np.int64, T)
+    tree_ids = np.arange(T, dtype=np.int64)
+    n_nodes = n_pins + n_steiner
+
     node_offset = np.zeros(T + 1, dtype=np.int64)
-    for i, tree in enumerate(trees):
-        node_offset[i + 1] = node_offset[i] + tree.n_nodes
+    np.cumsum(n_nodes, out=node_offset[1:])
     N = int(node_offset[-1])
+    starts = node_offset[:-1]
+    tree_of_node = np.repeat(tree_ids, n_nodes)
 
-    tree_of_node = np.zeros(N, dtype=np.int64)
-    parent = np.full(N, -1, dtype=np.int64)
-    depth = np.zeros(N, dtype=np.int64)
-    node_base_cap = np.zeros(N, dtype=np.float64)
-
-    edge_tree_parts: List[np.ndarray] = []
-    edge_local_parts: List[np.ndarray] = []
-    pin_rows_parts: List[np.ndarray] = []
-    pin_xy_parts: List[np.ndarray] = []
-    steiner_rows_parts: List[np.ndarray] = []
-    steiner_flat_parts: List[np.ndarray] = []
-    sink_rows_parts: List[np.ndarray] = []
-    sink_pin_parts: List[np.ndarray] = []
-    sink_tree_parts: List[np.ndarray] = []
-    sink_offset = np.zeros(T + 1, dtype=np.int64)
-    edge_offset = np.zeros(T + 1, dtype=np.int64)
-    net_of_tree = np.zeros(T, dtype=np.int64)
-    tree_has_edges = np.zeros(T, dtype=bool)
-    lumped_cap = np.zeros(T, dtype=np.float64)
-    steiner_tree = np.zeros(forest.num_steiner_points, dtype=np.int64)
-
-    for t, tree in enumerate(trees):
-        base = int(node_offset[t])
-        n = tree.n_nodes
-        n_pins = tree.n_pins
-        tree_of_node[base : base + n] = t
-        net_of_tree[t] = tree.net_index
-        tree_has_edges[t] = bool(tree.edges)
-
-        topo = tree.topology()
-        reached = topo.parent >= 0
-        parent[base : base + n][reached] = topo.parent[reached] + base
-        depth[base : base + n] = topo.depth
-
-        edge_local_parts.append(topo.dir_edge_local)
-        edge_tree_parts.append(np.full(topo.dir_edge_local.size, t, dtype=np.int64))
-        edge_offset[t + 1] = edge_offset[t] + topo.dir_edge_local.size
-
-        pin_rows_parts.append(np.arange(base, base + n_pins, dtype=np.int64))
-        pin_xy_parts.append(tree.pin_xy)
-        if tree.n_steiner:
-            sl = forest.steiner_slice(t)
-            steiner_rows_parts.append(
-                np.arange(base + n_pins, base + n, dtype=np.int64)
-            )
-            steiner_flat_parts.append(np.arange(sl.start, sl.stop, dtype=np.int64))
-            steiner_tree[sl] = t
-
-        sinks = np.asarray(tree.pin_ids[1:], dtype=np.int64)
-        sink_rows_parts.append(np.arange(base + 1, base + n_pins, dtype=np.int64))
-        sink_pin_parts.append(sinks)
-        sink_tree_parts.append(np.full(sinks.size, t, dtype=np.int64))
-        sink_offset[t + 1] = sink_offset[t] + sinks.size
-        caps = np.array([pin_caps.get(int(p), 0.0) for p in sinks], dtype=np.float64)
-        node_base_cap[base + 1 : base + n_pins] = caps
-        lumped_cap[t] = caps.sum()
-
-    def _cat(parts: List[np.ndarray], dtype=np.int64) -> np.ndarray:
+    def _cat(parts: List[np.ndarray]) -> np.ndarray:
         if not parts:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate(parts).astype(dtype, copy=False)
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate(parts).astype(np.int64, copy=False)
 
-    edge_tree = _cat(edge_tree_parts)
-    edge_local = _cat(edge_local_parts)
-    # Edge rows are indexed by child node ascending; since per-tree
-    # children from `topology()` are ascending and trees are laid out in
-    # order, the concatenation is already globally sorted.
-    edge_child = np.flatnonzero(parent >= 0)
+    local_parent = _cat([tp.parent for tp in topos])
+    reached = local_parent >= 0
+    parent = np.where(reached, local_parent + starts[tree_of_node], -1)
+    edge_child = np.flatnonzero(reached)
+    edge_local = _cat([tp.dir_edge_local for tp in topos])
+    edge_tree = np.repeat(tree_ids, n_edges)
     assert edge_child.size == edge_tree.size
+    edge_offset = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(n_edges, out=edge_offset[1:])
 
-    max_depth = int(depth.max()) if N else 0
-    levels = []
-    reached_mask = parent >= 0
-    for d in range(1, max_depth + 1):
-        lvl = np.flatnonzero((depth == d) & reached_mask)
-        if lvl.size:
-            levels.append(lvl)
+    # Reached nodes ordered by depth, ascending ids within a depth.
+    depth = _cat([tp.depth for tp in topos])[edge_child]
+    by_depth = edge_child[np.argsort(depth, kind="stable")]
+    per_depth = np.bincount(depth)[1:] if depth.size else depth
+    bounds = np.cumsum(per_depth[per_depth > 0])[:-1]
+    levels = np.split(by_depth, bounds) if by_depth.size else []
 
-    edge_row_of = {
-        (int(t), int(l)): i
-        for i, (t, l) in enumerate(zip(edge_tree, edge_local))
-    }
+    pin_ids = np.fromiter(
+        (p for t in trees for p in t.pin_ids), np.int64, int(n_pins.sum())
+    )
+    pin_offset = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(n_pins, out=pin_offset[1:])
+    sink_pin = pin_ids[_expand_ranges(pin_offset[:-1] + 1, pin_offset[1:])]
+    n_sinks = np.maximum(n_pins - 1, 0)
+    sink_offset = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(n_sinks, out=sink_offset[1:])
+    sink_rows = _expand_ranges(starts + 1, starts + n_pins)
+
+    caps = np.fromiter(
+        (pin_caps.get(p, 0.0) for p in sink_pin.tolist()),
+        np.float64,
+        sink_pin.size,
+    )
+    node_base_cap = np.zeros(N, dtype=np.float64)
+    node_base_cap[sink_rows] = caps
 
     pin_xy = (
-        np.concatenate(pin_xy_parts, axis=0)
-        if pin_xy_parts
+        np.concatenate([t.pin_xy for t in trees], axis=0)
+        if T
         else np.zeros((0, 2))
     )
-
+    edge_row_of = dict(
+        zip(zip(edge_tree.tolist(), edge_local.tolist()), range(edge_child.size))
+    )
     return FlatForest(
         n_trees=T,
         n_nodes=N,
@@ -232,20 +233,20 @@ def build_flat_forest(
         edge_local=edge_local,
         edge_offset=edge_offset,
         edge_row_of=edge_row_of,
-        pin_rows=_cat(pin_rows_parts),
+        pin_rows=_expand_ranges(starts, starts + n_pins),
         pin_xy=np.asarray(pin_xy, dtype=np.float64),
-        steiner_rows=_cat(steiner_rows_parts),
-        steiner_flat=_cat(steiner_flat_parts),
-        steiner_tree=steiner_tree,
-        sink_rows=_cat(sink_rows_parts),
-        sink_pin=_cat(sink_pin_parts),
-        sink_tree=_cat(sink_tree_parts),
+        steiner_rows=_expand_ranges(starts + n_pins, node_offset[1:]),
+        steiner_flat=np.arange(int(n_steiner.sum()), dtype=np.int64),
+        steiner_tree=np.repeat(tree_ids, n_steiner),
+        sink_rows=sink_rows,
+        sink_pin=sink_pin,
+        sink_tree=np.repeat(tree_ids, n_sinks),
         sink_offset=sink_offset,
         node_base_cap=node_base_cap,
-        net_of_tree=net_of_tree,
-        tree_root=node_offset[:-1].copy(),
-        tree_has_edges=tree_has_edges,
-        lumped_cap=lumped_cap,
+        net_of_tree=np.fromiter((t.net_index for t in trees), np.int64, T),
+        tree_root=starts.copy(),
+        tree_has_edges=np.fromiter((bool(t.edges) for t in trees), bool, T),
+        lumped_cap=_segment_sums(caps, sink_offset),
     )
 
 
@@ -277,6 +278,25 @@ def flat_forest_of(forest: SteinerForest, pin_caps: Dict[int, float]) -> FlatFor
     topo_refs = [t._topo for t in forest.trees]
     setattr(forest, _FLAT_CACHE_ATTR, (flat, topo_refs, pin_caps))
     return flat
+
+
+def flat_cache_entry(forest: SteinerForest) -> Optional[tuple]:
+    """The forest's :func:`flat_forest_of` memo entry (None if unset),
+    opaque; hand it back to :func:`restore_flat_cache`."""
+    return getattr(forest, _FLAT_CACHE_ATTR, None)
+
+
+def restore_flat_cache(forest: SteinerForest, entry: Optional[tuple]) -> None:
+    """Reinstate a memo entry taken by :func:`flat_cache_entry`; None
+    drops the memo, so the next query re-flattens the forest.
+
+    The entry is still validated on every lookup, so restoring one
+    whose trees have since changed costs a rebuild, never a stale hit.
+    """
+    if entry is not None:
+        setattr(forest, _FLAT_CACHE_ATTR, entry)
+    elif hasattr(forest, _FLAT_CACHE_ATTR):
+        delattr(forest, _FLAT_CACHE_ATTR)
 
 
 # ----------------------------------------------------------------------

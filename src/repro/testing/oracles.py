@@ -16,6 +16,10 @@ under ``src/repro`` may import this module (tests/test_import_boundary.py).
   :func:`repro.sta.hold.run_hold_analysis` must report the same hold
   slacks, WHS and violation count, with earliest arrivals equal up to
   float re-association (tests/test_sta_extras.py).
+* :func:`reference_flat_forest` — the per-tree loop that flattens a
+  forest into CSR arrays.  :func:`repro.sta.flat.build_flat_forest`
+  must return a bitwise-equal :class:`~repro.sta.flat.FlatForest`,
+  field by field (tests/test_flat_sta.py).
 * :func:`reference_forest` — one :func:`repro.steiner.rsmt.construct_tree`
   call per net.  :func:`repro.steiner.forest.build_forest` must return
   bitwise-equal trees (tests/test_flat_steiner.py).
@@ -55,7 +59,7 @@ from repro.pdk.corners import DEFAULT_HOLD_TIME
 from repro.pdk.technology import Technology
 from repro.routegrid.grid import GCellGrid
 from repro.sta.engine import DEFAULT_INPUT_SLEW, STAEngine, TimingReport
-from repro.sta.flat import LN9
+from repro.sta.flat import LN9, FlatForest
 from repro.sta.hold import HoldReport
 from repro.steiner.forest import SteinerForest
 from repro.steiner.rsmt import construct_tree
@@ -692,6 +696,135 @@ def reference_hold_analysis(
 
 
 # ----------------------------------------------------------------------
+# Flat RC forest construction
+# ----------------------------------------------------------------------
+def reference_flat_forest(
+    forest: SteinerForest, pin_caps: Dict[int, float]
+) -> FlatForest:
+    """Per-tree loop form of :func:`repro.sta.flat.build_flat_forest`:
+    each tree's CSR slice is written in turn, and each BFS level is one
+    ``flatnonzero`` over the whole forest."""
+    trees = forest.trees
+    T = len(trees)
+    node_offset = np.zeros(T + 1, dtype=np.int64)
+    for i, tree in enumerate(trees):
+        node_offset[i + 1] = node_offset[i] + tree.n_nodes
+    N = int(node_offset[-1])
+
+    tree_of_node = np.zeros(N, dtype=np.int64)
+    parent = np.full(N, -1, dtype=np.int64)
+    depth = np.zeros(N, dtype=np.int64)
+    node_base_cap = np.zeros(N, dtype=np.float64)
+
+    edge_tree_parts: List[np.ndarray] = []
+    edge_local_parts: List[np.ndarray] = []
+    pin_rows_parts: List[np.ndarray] = []
+    pin_xy_parts: List[np.ndarray] = []
+    steiner_rows_parts: List[np.ndarray] = []
+    steiner_flat_parts: List[np.ndarray] = []
+    sink_rows_parts: List[np.ndarray] = []
+    sink_pin_parts: List[np.ndarray] = []
+    sink_tree_parts: List[np.ndarray] = []
+    sink_offset = np.zeros(T + 1, dtype=np.int64)
+    edge_offset = np.zeros(T + 1, dtype=np.int64)
+    net_of_tree = np.zeros(T, dtype=np.int64)
+    tree_has_edges = np.zeros(T, dtype=bool)
+    lumped_cap = np.zeros(T, dtype=np.float64)
+    steiner_tree = np.zeros(forest.num_steiner_points, dtype=np.int64)
+
+    for t, tree in enumerate(trees):
+        base = int(node_offset[t])
+        n = tree.n_nodes
+        n_pins = tree.n_pins
+        tree_of_node[base : base + n] = t
+        net_of_tree[t] = tree.net_index
+        tree_has_edges[t] = bool(tree.edges)
+
+        topo = tree.topology()
+        reached = topo.parent >= 0
+        parent[base : base + n][reached] = topo.parent[reached] + base
+        depth[base : base + n] = topo.depth
+
+        edge_local_parts.append(topo.dir_edge_local)
+        edge_tree_parts.append(np.full(topo.dir_edge_local.size, t, dtype=np.int64))
+        edge_offset[t + 1] = edge_offset[t] + topo.dir_edge_local.size
+
+        pin_rows_parts.append(np.arange(base, base + n_pins, dtype=np.int64))
+        pin_xy_parts.append(tree.pin_xy)
+        if tree.n_steiner:
+            sl = forest.steiner_slice(t)
+            steiner_rows_parts.append(
+                np.arange(base + n_pins, base + n, dtype=np.int64)
+            )
+            steiner_flat_parts.append(np.arange(sl.start, sl.stop, dtype=np.int64))
+            steiner_tree[sl] = t
+
+        sinks = np.asarray(tree.pin_ids[1:], dtype=np.int64)
+        sink_rows_parts.append(np.arange(base + 1, base + n_pins, dtype=np.int64))
+        sink_pin_parts.append(sinks)
+        sink_tree_parts.append(np.full(sinks.size, t, dtype=np.int64))
+        sink_offset[t + 1] = sink_offset[t] + sinks.size
+        caps = np.array([pin_caps.get(int(p), 0.0) for p in sinks], dtype=np.float64)
+        node_base_cap[base + 1 : base + n_pins] = caps
+        lumped_cap[t] = caps.sum()
+
+    def _cat(parts: List[np.ndarray], dtype=np.int64) -> np.ndarray:
+        if not parts:
+            return np.zeros(0, dtype=dtype)
+        return np.concatenate(parts).astype(dtype, copy=False)
+
+    edge_tree = _cat(edge_tree_parts)
+    edge_local = _cat(edge_local_parts)
+    edge_child = np.flatnonzero(parent >= 0)
+    assert edge_child.size == edge_tree.size
+
+    max_depth = int(depth.max()) if N else 0
+    levels = []
+    reached_mask = parent >= 0
+    for d in range(1, max_depth + 1):
+        lvl = np.flatnonzero((depth == d) & reached_mask)
+        if lvl.size:
+            levels.append(lvl)
+
+    edge_row_of = {
+        (int(t), int(l)): i
+        for i, (t, l) in enumerate(zip(edge_tree, edge_local))
+    }
+    pin_xy = (
+        np.concatenate(pin_xy_parts, axis=0)
+        if pin_xy_parts
+        else np.zeros((0, 2))
+    )
+    return FlatForest(
+        n_trees=T,
+        n_nodes=N,
+        node_offset=node_offset,
+        tree_of_node=tree_of_node,
+        parent=parent,
+        levels=levels,
+        edge_child=edge_child,
+        edge_tree=edge_tree,
+        edge_local=edge_local,
+        edge_offset=edge_offset,
+        edge_row_of=edge_row_of,
+        pin_rows=_cat(pin_rows_parts),
+        pin_xy=np.asarray(pin_xy, dtype=np.float64),
+        steiner_rows=_cat(steiner_rows_parts),
+        steiner_flat=_cat(steiner_flat_parts),
+        steiner_tree=steiner_tree,
+        sink_rows=_cat(sink_rows_parts),
+        sink_pin=_cat(sink_pin_parts),
+        sink_tree=_cat(sink_tree_parts),
+        sink_offset=sink_offset,
+        node_base_cap=node_base_cap,
+        net_of_tree=net_of_tree,
+        tree_root=node_offset[:-1].copy(),
+        tree_has_edges=tree_has_edges,
+        lumped_cap=lumped_cap,
+    )
+
+
+# ----------------------------------------------------------------------
 # Steiner construction and the single-pass pattern-route estimate
 # ----------------------------------------------------------------------
 def reference_forest(netlist: Netlist) -> SteinerForest:
@@ -766,6 +899,7 @@ __all__ = [
     "ReferenceGlobalRouter",
     "compute_net_timing",
     "pattern_route_reference",
+    "reference_flat_forest",
     "reference_forest",
     "reference_hold_analysis",
     "reference_sta",

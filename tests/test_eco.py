@@ -42,7 +42,11 @@ from repro.serve import (
     make_jobs,
     run_load,
 )
+from repro.serve.chaos import WorkerKilled
 from repro.serve.handlers import default_handlers
+from repro.serve.jobs import Job
+from repro.serve.service import JobContext
+from repro.sta.engine import STAEngine
 
 CORNERS = ("slow_setup", "fast_hold")
 
@@ -174,6 +178,66 @@ class TestOpReversibility:
         assert warm == cold
 
 
+class TestWarmContextSequences:
+    """A warm EcoContext driven through apply/revert sequences answers
+    exactly what a cold context on the same state answers."""
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_warm_equals_cold_after_every_step(self, spm_state, data):
+        netlist, forest = clone_state(*spm_state)
+        ctx = EcoContext(netlist, forest, _scenarios())
+        ctx.run()
+        applied = []  # LIFO stack of (op, engine before apply)
+        last_netlist_op = None
+        for _ in range(data.draw(st.integers(1, 6))):
+            if applied and data.draw(st.booleans()):
+                op, engine_before = applied.pop()
+                rebuilds = ctx.rebuilds
+                ctx.revert(op)
+                if op.mutates_netlist and op is last_netlist_op:
+                    # Restored, not rebuilt: the pre-apply engine is back.
+                    assert ctx.engine is engine_before
+                    assert ctx.rebuilds == rebuilds
+                elif op.mutates_netlist:
+                    assert ctx.rebuilds == rebuilds + 1
+                else:
+                    assert ctx.rebuilds == rebuilds
+                if op is last_netlist_op:
+                    last_netlist_op = None
+            else:
+                op = _draw_op(data.draw, netlist, forest)
+                applied.append((op, ctx.engine))
+                rebuilds = ctx.rebuilds
+                ctx.apply(op)
+                assert ctx.rebuilds == rebuilds + int(op.mutates_netlist)
+                if op.mutates_netlist:
+                    last_netlist_op = op
+            cold = EcoContext(netlist, forest, _scenarios())
+            assert _snapshot(ctx.run()) == _snapshot(cold.run())
+
+    def test_reverted_netlist_op_restores_engine(self, spm_state):
+        netlist, forest = clone_state(*spm_state)
+        ctx = EcoContext(netlist, forest, _scenarios())
+        base = _snapshot(ctx.run())
+        engine, sta = ctx.engine, ctx.sta
+        net, sink = _bufferable(netlist)[0]
+        for op in (BufferInsertOp(net, sink), ResizeOp(*_resizable(netlist)[0][:2])):
+            ctx.apply(op)
+            ctx.run()
+            ctx.revert(op)
+            assert ctx.engine is engine and ctx.sta is sta
+            full = sta.num_full
+            assert _snapshot(ctx.run()) == base
+            assert sta.num_full == full  # the restored state was current
+            assert sta.last_dirty_trees == 0
+        assert ctx.rebuilds == 2
+
+
 class TestDirtyCone:
     def test_changed_endpoints_within_cone(self, spm_state):
         """Slack changes after an op stay inside its declared cone."""
@@ -241,6 +305,37 @@ class TestDriver:
             d.startswith(("buf ", "resize ")) for d in res.accepted
         )
         assert res.area_delta == 0.0
+
+
+#: Accepted-op digests of each arm with default knobs (SA: seed 3, 20
+#: steps) over ``_scenarios()``; they must not move with perf work.
+_SPM_DIGESTS = {
+    "greedy": "a3ab6b1df939acfc",
+    "sa": "1f6b818189ec8576",
+    "hybrid": "a3ab6b1df939acfc",
+}
+_DES3_DIGESTS = {
+    "greedy": "149081d040780a02",
+    "sa": "fd3c7983b7422802",
+    "hybrid": "6bdb90284e130a41",
+}
+
+
+def _arm_digest(state, arm):
+    kw = dict(sa_steps=20, seed=3) if arm == "sa" else {}
+    nl, fo = clone_state(*state)
+    return run_eco(nl, fo, config=EcoConfig(arm=arm, **kw), scenarios=_scenarios()).digest
+
+
+@pytest.mark.parametrize("arm", sorted(_SPM_DIGESTS))
+def test_spm_arm_digests_pinned(spm_state, arm):
+    assert _arm_digest(spm_state, arm) == _SPM_DIGESTS[arm]
+
+
+@pytest.mark.eco_smoke
+@pytest.mark.parametrize("arm", sorted(_DES3_DIGESTS))
+def test_des3_arm_digests_pinned(arm):
+    assert _arm_digest(prepare_design("des3"), arm) == _DES3_DIGESTS[arm]
 
 
 # ----------------------------------------------------------------------
@@ -325,6 +420,46 @@ class TestServingEco:
         assert report.quarantined == 0
         assert report.by_kind.get("eco", 0) > 0
         assert report.done == report.submitted
+
+
+class _KillAtHeartbeat:
+    """Chaos stub: the ``n``-th heartbeat raises WorkerKilled."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.calls = 0
+
+    def tick(self, job) -> None:
+        self.calls += 1
+        if self.calls == self.n:
+            raise WorkerKilled(f"killed at heartbeat {self.n}")
+
+
+class TestInterruptedEco:
+    def test_killed_eco_job_leaves_consistent_workspace(self):
+        """A kill between SA steps keeps the accepted ops in the netlist;
+        the workspace must still invalidate so the next sign-off read
+        times the mutated netlist exactly like a fresh engine."""
+        warm = WarmStateCache()
+        ws = warm.workspace("spm")
+        ws.probe_sta().run()
+        ws.scenario_sta(CORNERS).run()
+        pins_before = ws.netlist.num_pins
+        job = Job(kind="eco", design="spm", params={"arm": "sa", "seed": 0, "steps": 20})
+        with pytest.raises(WorkerKilled):
+            default_handlers(warm)["eco"](
+                job, JobContext(job=job, chaos=_KillAtHeartbeat(5))
+            )
+        assert ws.netlist.num_pins > pins_before  # a buffer was accepted
+
+        for sta, scenarios in (
+            (ws.probe_sta(), ScenarioSet.default()),
+            (ws.scenario_sta(CORNERS), ScenarioSet.from_names(CORNERS)),
+        ):
+            fresh = ScenarioSTA(
+                ws.netlist, ws.forest, scenarios, engine=STAEngine(ws.netlist)
+            )
+            assert _snapshot(sta.run()) == _snapshot(fresh.run())
 
 
 class TestWorkspaceInvalidation:

@@ -1,7 +1,10 @@
 """Parity tests for the vectorized / incremental STA stack.
 
-Three contracts (docs/PERFORMANCE.md):
+Four contracts (docs/PERFORMANCE.md):
 
+* the vectorized ``build_flat_forest`` writes every ``FlatForest``
+  field bitwise equal to the per-tree loop
+  ``repro.testing.oracles.reference_flat_forest``;
 * the batched CSR Elmore kernel reproduces the per-net reference
   analysis to 1e-12;
 * ``STAEngine.run`` agrees with the scalar oracle
@@ -12,6 +15,8 @@ Three contracts (docs/PERFORMANCE.md):
   resume sequences, and stale caches (topology edits, interrupted
   queries) can never leak into a later answer.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,7 +29,14 @@ from repro.routegrid.grid import GCellGrid
 from repro.runtime import faults
 from repro.sta import IncrementalSTA, STAEngine
 from repro.sta import flat as flatmod
-from repro.testing.oracles import compute_net_timing, reference_sta
+from repro.eco import BufferInsertOp, RerouteOp, clone_state
+from repro.steiner.forest import SteinerForest
+from repro.steiner.tree import SteinerTree
+from repro.testing.oracles import (
+    compute_net_timing,
+    reference_flat_forest,
+    reference_sta,
+)
 
 from tests.test_failure_injection import _FaultyModel, _QuadraticModel
 from tests.test_checkpoint_resume import _assert_refinement_identical
@@ -50,6 +62,77 @@ def _random_moves(forest, rng, fraction=0.02, sigma=2.0):
     idx = rng.choice(len(c), size=k, replace=False)
     c[idx] += rng.normal(0.0, sigma, size=(k, 2))
     return forest.clamp_coords(c)
+
+
+# ----------------------------------------------------------------------
+# Vectorized flat-forest build vs the per-tree loop
+# ----------------------------------------------------------------------
+def _assert_arrays_bitwise(got, want, name):
+    assert got.dtype == want.dtype, name
+    assert got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+def _assert_flat_bitwise(forest, pin_caps):
+    got = flatmod.build_flat_forest(forest, pin_caps)
+    want = reference_flat_forest(forest, pin_caps)
+    for field in dataclasses.fields(flatmod.FlatForest):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            _assert_arrays_bitwise(a, b, field.name)
+        elif field.name == "levels":
+            assert len(a) == len(b)
+            for d, (la, lb) in enumerate(zip(a, b)):
+                _assert_arrays_bitwise(la, lb, f"levels[{d}]")
+        else:
+            assert type(a) is type(b) and a == b, field.name
+    return got
+
+
+class TestFlatForestBuild:
+    @pytest.mark.parametrize("name", ["spm", "picorv32a", "des3"])
+    def test_matches_reference_on_designs(self, name):
+        netlist, forest = prepare_design(name)
+        flat = _assert_flat_bitwise(forest, STAEngine(netlist).pert().pin_caps)
+        if name == "des3":
+            # numpy sums 8+ values pairwise: the long-segment path of
+            # the lumped-cap sum must be exercised.
+            assert int(np.diff(flat.sink_offset).max()) >= 8
+
+    def test_matches_reference_after_eco_surgery(self):
+        netlist, forest = clone_state(*prepare_design("spm"))
+        pairs = [(n.index, s) for n in netlist.nets if n.degree > 1 for s in n.sinks]
+        BufferInsertOp(*pairs[0]).apply(netlist, forest)
+        RerouteOp(forest.trees[1].net_index).apply(netlist, forest)
+        BufferInsertOp(*pairs[-1], buffer_cell="BUF_X4").apply(netlist, forest)
+        _assert_flat_bitwise(forest, STAEngine(netlist).pert().pin_caps)
+
+    def test_matches_reference_on_degenerate_trees(self, design):
+        """Edgeless single-pin trees, Steiner-free trees, a wide tree
+        and the empty forest."""
+        netlist, forest = design
+        pin_caps = STAEngine(netlist).pert().pin_caps
+        net = max(netlist.nets, key=lambda n: (n.degree, -n.index))
+        pos = netlist.pin_positions()
+        lone = SteinerTree(net.index, [net.driver], pos[[net.driver]], np.zeros((0, 2)))
+        a, b = net.driver, net.sinks[0]
+        pair = SteinerTree(
+            net.index, [a, b], pos[[a, b]], np.zeros((0, 2)), edges=[(0, 1)]
+        )
+        # A star on the driver: no Steiner points, every sink at depth 1.
+        star_pins = [net.driver] + list(net.sinks)
+        star = SteinerTree(
+            net.index,
+            star_pins,
+            pos[star_pins],
+            np.zeros((0, 2)),
+            edges=[(0, k) for k in range(1, len(star_pins))],
+        )
+        trees = [lone, forest.trees[0], pair, lone, star, forest.trees[-1], lone]
+        flat = _assert_flat_bitwise(SteinerForest(netlist, trees), pin_caps)
+        assert not flat.tree_has_edges[0] and not flat.tree_has_edges[-1]
+        assert int(np.diff(flat.sink_offset).max()) >= 8
+        _assert_flat_bitwise(SteinerForest(netlist, []), pin_caps)
 
 
 # ----------------------------------------------------------------------
