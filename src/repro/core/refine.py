@@ -21,9 +21,9 @@ The loop mirrors the pseudocode line for line:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,8 +43,28 @@ from repro.runtime import (
     retry_call,
     validate_policy,
 )
+from repro.steiner.forest import SteinerForest
 from repro.timing_model.graph import TimingGraph
 from repro.timing_model.model import TimingEvaluator
+
+
+# Backtracking never shrinks the stepsize below this floor.
+MIN_THETA = 1e-4
+# Gentle re-growth of the stepsize on every accept, capped at theta0.
+EXPAND_ON_ACCEPT = 1.05
+# Proposal schedule for hybrid mode: (move fraction, theta scale)
+# profiles.  The move fraction is the share of Steiner points moved per
+# iteration, chosen by gradient magnitude (criticality); 1.0 is
+# Eq. (7)'s move-everything step.  After each validated revert the loop
+# rotates to the next profile, so rejected dense moves are followed by
+# sparser, smaller, more surgical candidates — mirroring how greedy
+# per-point search finds the improving moves dense concurrent steps
+# miss.  Evaluator mode always moves every point.
+PROPOSAL_SCHEDULE = ((1.0, 1.0), (0.3, 0.5), (0.08, 0.3), (0.02, 0.15))
+# The oracle polish moves one of the POLISH_TOP_K highest-gradient
+# points per probe, by one of POLISH_STEPS (GCell units, cycled).
+POLISH_TOP_K = 24
+POLISH_STEPS = (0.5, 1.0, 2.0)
 
 
 @dataclass
@@ -75,8 +95,6 @@ class RefinementConfig:
     # preserving the accept/revert semantics.  Set to 1.0 to disable
     # (the ablation bench measures the difference).
     backtrack: float = 0.7
-    min_theta: float = 1e-4
-    expand_on_accept: float = 1.05  # gentle re-growth, capped at theta0
     # Validation mode.  "evaluator" is the paper's literal Algorithm 1:
     # acceptance judged solely by the GNN evaluator.  "hybrid" keeps
     # evaluator-driven gradients and per-step acceptance but, every
@@ -89,20 +107,6 @@ class RefinementConfig:
     # the Eq. (6)-weighted score |lambda_w|*WNS + |lambda_t|*TNS, so a
     # WNS gain cannot silently sacrifice an outsized amount of TNS.
     validate_every: int = 5
-    # Proposal schedule for hybrid mode: (move fraction, theta scale)
-    # profiles.  The move fraction is the share of Steiner points moved
-    # per iteration, chosen by gradient magnitude (criticality); 1.0 is
-    # Eq. (7)'s move-everything step.  After each validated revert the
-    # loop rotates to the next profile, so rejected dense moves are
-    # followed by sparser, smaller, more surgical candidates — mirroring
-    # how greedy per-point search finds the improving moves dense
-    # concurrent steps miss.  Evaluator mode always moves every point.
-    proposal_schedule: Tuple[Tuple[float, float], ...] = (
-        (1.0, 1.0),
-        (0.3, 0.5),
-        (0.08, 0.3),
-        (0.02, 0.15),
-    )
     # Oracle-polish stage (hybrid mode only): after the concurrent
     # gradient phase, a budgeted per-point local search moves the
     # highest-gradient Steiner points one at a time along their negative
@@ -111,31 +115,16 @@ class RefinementConfig:
     # oracle guarantees the harvest is real.  Set to 0 to disable
     # (recovering the pure concurrent loop for the ablation bench).
     polish_probes: int = 48
-    polish_top_k: int = 24
-    polish_steps: Tuple[float, ...] = (0.5, 1.0, 2.0)  # in GCell units
     # ---- resilience (docs/RESILIENCE.md) ----
     # Non-finite gradients / arrivals / candidate coordinates either
     # abort the run ("raise", a NumericalError) or skip the poisoned
     # step and shrink theta ("sanitize") so one bad step cannot discard
     # the whole refinement.
     nonfinite_policy: str = "raise"
-    # A failing oracle probe is retried with backoff; once retries are
-    # exhausted the loop degrades to evaluator-only acceptance
+    # A failing oracle probe is retried; once retries are exhausted the
+    # loop degrades to evaluator-only acceptance
     # (RefinementResult.degraded) instead of crashing Algorithm 1.
     validator_retries: int = 2
-    validator_backoff: float = 0.0  # seconds before first retry, doubles
-    # ---- MCMM scenario merging (docs/MCMM.md) ----
-    # Temperature of the worst-over-scenarios LSE that merges the
-    # per-scenario Eq. (6) penalties into one gradient objective.
-    mcmm_gamma: float = 10.0
-    # Dominance pruning: a scenario whose WNS exceeds the merged WNS by
-    # more than ``mcmm_dominance_margin`` (ns) for ``mcmm_prune_after``
-    # consecutive accepted iterations is dropped from the merged
-    # gradient; every ``mcmm_recheck_every`` gradient evaluations all
-    # pruned scenarios are restored for a full re-check.
-    mcmm_prune_after: int = 3
-    mcmm_recheck_every: int = 10
-    mcmm_dominance_margin: float = 0.05
 
 
 @dataclass
@@ -189,18 +178,11 @@ class _Oracle:
     ``named_parameters()`` for the tape to read live.
     """
 
-    def __init__(
-        self,
-        model: TimingEvaluator,
-        graph: TimingGraph,
-        cfg: "RefinementConfig",
-        scenarios=None,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, model: TimingEvaluator, graph: TimingGraph, gamma: float, scenarios, tel) -> None:
         self.model = model
         self.graph = graph
-        self.telemetry = telemetry
-        self.gamma = cfg.penalty.gamma
+        self.tel = tel
+        self.gamma = gamma
         self.compilable = callable(getattr(model, "named_parameters", None))
         self.merge = self.pruner = self.scenario_names = None
         self.last_wns_vector: Optional[np.ndarray] = None
@@ -209,17 +191,8 @@ class _Oracle:
             from repro.mcmm.prune import DominancePruner
 
             self.scenario_names = list(scenarios.names)
-            self.merge = ScenarioPenalty(graph, scenarios, mcmm_gamma=cfg.mcmm_gamma)
-            self.pruner = DominancePruner(
-                scenarios.names,
-                prune_after=cfg.mcmm_prune_after,
-                recheck_every=cfg.mcmm_recheck_every,
-                margin=cfg.mcmm_dominance_margin,
-                telemetry=telemetry,
-            )
-
-    def _tel(self):
-        return self.telemetry if self.telemetry is not None else get_telemetry()
+            self.merge = ScenarioPenalty(graph, scenarios)
+            self.pruner = DominancePruner(scenarios.names, telemetry=tel)
 
     @property
     def _active(self) -> Optional[np.ndarray]:
@@ -234,7 +207,7 @@ class _Oracle:
             self.model,
             self.graph,
             self.gamma,
-            telemetry=self._tel(),
+            telemetry=self.tel,
             merge=self.merge,
             active=self._active,
         )
@@ -250,27 +223,29 @@ class _Oracle:
         self, coords: np.ndarray, pcfg: PenaltyConfig
     ) -> Tuple[np.ndarray, float, float, float]:
         """(dP/dcoords, evaluated WNS, evaluated TNS, penalty) at ``coords``."""
-        if self.pruner is not None:
-            self.pruner.tick()
-        obj = self._compiled()
-        if obj is not None:
-            grad, arrival, penalty = obj.gradient(coords, pcfg)
-        else:
-            t_coords = Tensor(coords, requires_grad=True)
-            out = self.model(self.graph, t_coords)
-            root = refinement_penalty(out["arrival"], self.graph, pcfg, self.merge, self._active)
-            root.backward()
-            grad = t_coords.grad if t_coords.grad is not None else np.zeros_like(coords)
-            arrival, penalty = out["arrival"].data, root.item()
-        self._tel().count("evaluator.backward")
-        wns, tns = self._hard(arrival)
+        with self.tel.span("refine.gradient"):
+            if self.pruner is not None:
+                self.pruner.tick()
+            obj = self._compiled()
+            if obj is not None:
+                grad, arrival, penalty = obj.gradient(coords, pcfg)
+            else:
+                t_coords = Tensor(coords, requires_grad=True)
+                out = self.model(self.graph, t_coords)
+                root = refinement_penalty(out["arrival"], self.graph, pcfg, self.merge, self._active)
+                root.backward()
+                grad = t_coords.grad if t_coords.grad is not None else np.zeros_like(coords)
+                arrival, penalty = out["arrival"].data, root.item()
+            self.tel.count("evaluator.backward")
+            wns, tns = self._hard(arrival)
         return np.asarray(grad, dtype=np.float64), wns, tns, float(penalty)
 
     def evaluate(self, coords: np.ndarray) -> Tuple[float, float]:
-        obj = self._compiled()
-        if obj is not None:
-            return self._hard(obj.evaluate(coords))
-        return self._hard(self.model.predict_arrivals(self.graph, coords))
+        with self.tel.span("refine.evaluate"):
+            obj = self._compiled()
+            if obj is not None:
+                return self._hard(obj.evaluate(coords))
+            return self._hard(self.model.predict_arrivals(self.graph, coords))
 
     def on_accept(self) -> None:
         """Feed the accepted candidate's per-scenario WNS to the pruner."""
@@ -323,6 +298,473 @@ def _reset_validator(validator: Optional[Validator]) -> None:
 _REFINE_CKPT_KIND = "refine-v1"
 
 
+@dataclass
+class RefineState:
+    """Algorithm 1 loop state — and the ``refine-v1`` checkpoint schema.
+
+    One field per checkpoint key, in file order.  :meth:`to_arrays` and
+    :meth:`from_arrays` walk :func:`dataclasses.fields`, flattening the
+    escalated ``penalty`` into ``lambda_wns``/``lambda_tns``/``gamma``
+    and the optional real anchor metrics into ``has_real`` + ``real_*``.
+    """
+
+    coords: np.ndarray  # the trajectory point
+    best_coords: np.ndarray  # last accepted candidate
+    real_coords: np.ndarray  # last validated anchor (hybrid mode)
+    history: List[Tuple[float, float]]  # evaluated (WNS, TNS) per iteration
+    t: int = 0  # iterations run
+    accepted: int = 0
+    pending_accepts: int = 0  # accepts since the last validation
+    prop_idx: int = 0  # proposal-schedule cursor
+    validations: int = 0  # oracle probes run
+    validated_reverts: int = 0
+    skipped_steps: int = 0
+    best_wns: float = 0.0
+    best_tns: float = 0.0
+    init_wns: float = 0.0
+    init_tns: float = 0.0
+    theta0: float = 0.0  # adaptive stepsize (Eq. 8-9)
+    so_theta: float = 0.0  # current stepsize after backtracking
+    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
+    degraded: bool = False
+    validator_on: bool = False
+    real_wns: Optional[float] = None
+    real_tns: Optional[float] = None
+
+    def to_arrays(self) -> Dict[str, Any]:
+        arrays: Dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "penalty":
+                arrays.update(asdict(value))
+                continue
+            if f.name == "history":
+                value = np.asarray(value, dtype=np.float64).reshape(-1, 2)
+            elif f.name == "real_wns":
+                arrays["has_real"] = value is not None
+            arrays[f.name] = float("nan") if value is None else value
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays: Dict[str, Any]) -> "RefineState":
+        values: Dict[str, Any] = {}
+        for f in fields(cls):
+            if f.name == "penalty":
+                values[f.name] = PenaltyConfig(**{g.name: float(arrays[g.name]) for g in fields(PenaltyConfig)})
+            elif f.name == "history":
+                pairs = np.asarray(arrays[f.name]).reshape(-1, 2)
+                values[f.name] = [(float(w), float(n)) for w, n in pairs]
+            elif f.name in ("real_wns", "real_tns"):
+                values[f.name] = float(arrays[f.name]) if arrays["has_real"] else None
+            elif isinstance(arrays[f.name], np.ndarray):
+                values[f.name] = np.array(arrays[f.name], dtype=np.float64, copy=True)
+            else:
+                values[f.name] = arrays[f.name]
+        return cls(**values)
+
+
+class _Refinement:
+    """One :func:`refine` run: its phases as methods over a RefineState."""
+
+    def __init__(self, model, graph, cfg, clamp_fn, validator, budget, checkpoint_path, tel, scenarios):
+        self.cfg = cfg
+        self.policy = validate_policy(cfg.nonfinite_policy)
+        self.clamp = clamp_fn or (lambda c: c)
+        self.validator = validator
+        self.budget = budget
+        self.checkpoint_path = checkpoint_path
+        self.tel = tel
+        self.oracle = _Oracle(model, graph, cfg.penalty.gamma, scenarios, tel)
+        self.gcell = graph.netlist.technology.gcell_size
+        self.move_cap = cfg.move_limit_gcells * self.gcell
+        self.checkpoint_saves = 0
+        self.timed_out = False
+        self.resumed = False
+
+    def score(self, wns: float, tns: float) -> float:
+        """The Eq. (6)-weighted real score that validation and polish improve."""
+        pen = self.cfg.penalty
+        return abs(pen.lambda_wns) * wns + abs(pen.lambda_tns) * tns
+
+    def _proposal(self) -> Tuple[float, float]:
+        return PROPOSAL_SCHEDULE[self.s.prop_idx % len(PROPOSAL_SCHEDULE)]
+
+    # ---- start: fresh or resumed ----------------------------------------
+    def start(self, coords: np.ndarray, resume: bool) -> None:
+        cfg = self.cfg
+        ckpt = self._load(coords) if resume else None
+        self.resumed = ckpt is not None
+        if ckpt is None:
+            # Lines 1-2: initial evaluated metrics.
+            init_wns, init_tns = self.oracle.evaluate(coords)
+            # Line 3: adaptive stepsize (Eq. 8-9).
+            theta = adaptive_theta(
+                coords,
+                lambda c: self.oracle.gradient(self.clamp(c), cfg.penalty)[0],
+                alpha=cfg.alpha,
+                fallback=self.gcell * 0.1,
+            )
+            self.s = RefineState(
+                coords=coords,
+                best_coords=coords.copy(),
+                real_coords=coords.copy(),
+                history=[],
+                best_wns=init_wns,
+                best_tns=init_tns,
+                init_wns=init_wns,
+                init_tns=init_tns,
+                theta0=theta,
+                so_theta=theta,
+                penalty=cfg.penalty,
+                validator_on=cfg.acceptance == "hybrid" and self.validator is not None,
+            )
+        else:
+            self.s = RefineState.from_arrays(ckpt)
+            self.s.validator_on = self.s.validator_on and self.validator is not None
+
+        s = self.s
+        # Line 5: optimizer.
+        optimizer = {"paper": PaperSO, "adam": AccumulatingSO}.get(cfg.optimizer)
+        if optimizer is None:
+            raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
+        self.so = optimizer(s.theta0, cfg.beta1, cfg.beta2, cfg.eps)
+        if ckpt is not None:
+            if "so_m" in ckpt:  # accumulated moments of the "adam" ablation
+                self.so._m = np.array(ckpt["so_m"], dtype=np.float64, copy=True)
+                self.so._v = np.array(ckpt["so_v"], dtype=np.float64, copy=True)
+                self.so._t = int(ckpt["so_t"])
+            # A resumed run may hand us a live oracle/validator from the
+            # interrupted attempt whose caches describe coordinates the
+            # restored trajectory never visited — drop them.
+            self.oracle.invalidate()
+            _reset_validator(self.validator)
+        elif s.validator_on:
+            # Hybrid mode: the real anchor of the initial point.
+            s.validations += 1
+            anchor = self._probe(coords)
+            if anchor is not None:
+                s.real_wns, s.real_tns = anchor
+
+        if self.tel.enabled:
+            self.tel.event(
+                "refine_start",
+                init_wns=s.init_wns,
+                init_tns=s.init_tns,
+                theta0=s.theta0,
+                points=int(coords.shape[0]),
+                max_iterations=cfg.max_iterations,
+                acceptance=cfg.acceptance,
+                resumed=self.resumed,
+            )
+
+    def _load(self, coords: np.ndarray) -> Optional[Dict[str, Any]]:
+        """The snapshot at ``checkpoint_path``, checked against this run."""
+        path = self.checkpoint_path
+        if path is None or not Path(path).exists():
+            return None
+        ckpt = load_npz(path)
+        meta = ckpt.get("meta") or {}
+        if meta.get("kind") != _REFINE_CKPT_KIND:
+            raise CheckpointError(f"{path} is not a refinement checkpoint")
+        if np.asarray(ckpt["coords"]).shape != coords.shape:
+            raise CheckpointError(
+                f"checkpoint coords shape {np.asarray(ckpt['coords']).shape} does "
+                f"not match design shape {coords.shape}"
+            )
+        # The trajectory is a function of the config and scenario state:
+        # a snapshot taken under others cannot seed this run.
+        config, saved = asdict(self.cfg), meta.get("config") or {}
+        changed = sorted(k for k in config if saved.get(k) != config[k])
+        if changed:
+            raise CheckpointError(
+                f"checkpoint was taken under a different RefinementConfig ({', '.join(changed)})"
+            )
+        self.oracle.load_state(ckpt, meta)
+        # Stitch this trace onto the interrupted run's trajectory: the
+        # snapshot carries the run-id of the telemetry that wrote it.
+        self.tel.event(
+            "checkpoint_resume",
+            what="refine",
+            parent_run=meta.get("telemetry_run"),
+            parent_schema=meta.get("telemetry_schema"),
+            iteration=int(ckpt["t"]),
+        )
+        return ckpt
+
+    def _save(self) -> None:
+        """Snapshot the loop state atomically."""
+        arrays = self.s.to_arrays()
+        so = self.so
+        if isinstance(so, AccumulatingSO) and so._m is not None:
+            arrays.update(so_m=so._m, so_v=so._v, so_t=so._t)
+        meta = {
+            "kind": _REFINE_CKPT_KIND,
+            "telemetry_run": self.tel.run_id,
+            "telemetry_schema": SCHEMA_VERSION,
+            "config": asdict(self.cfg),
+        }
+        self.oracle.save_state(arrays, meta)
+        atomic_save_npz(self.checkpoint_path, arrays, meta=meta)
+        self.checkpoint_saves += 1
+        self.tel.count("refine.checkpoint_saves")
+
+    # ---- oracle probes --------------------------------------------------
+    def _probe(self, coords: np.ndarray) -> Optional[Tuple[float, float]]:
+        """Probe the real flow with retry; ``None`` == degrade, don't crash."""
+        s, tel = self.s, self.tel
+        tel.count("refine.validator_probes")
+        with tel.span("refine.validate"):
+            if self.budget is not None:
+                self.budget.spend_probe()
+
+            def probe(arr: np.ndarray) -> Tuple[float, float]:
+                rw, rt = self.validator(arr)
+                if not (np.isfinite(rw) and np.isfinite(rt)):
+                    raise ValidatorError(f"validator returned non-finite metrics ({rw}, {rt})")
+                return float(rw), float(rt)
+
+            try:
+                return retry_call(probe, coords, attempts=self.cfg.validator_retries + 1)
+            except BudgetExceeded:
+                raise
+            except Exception as exc:
+                s.degraded = True
+                s.validator_on = False
+                tel.event("validator_degraded", error=f"{type(exc).__name__}: {exc}")
+                return None
+
+    def _validate(self) -> None:
+        """Probe the real flow; keep or revert to the last real anchor.
+
+        Candidates are validated *post-rounding* so the probe times the
+        byte-identical geometry the production flow will route — the
+        0.01 um snap can flip GCell assignments, so validating the
+        unrounded point would anchor on a different route.
+
+        A probe that keeps failing after retries flips the run into
+        degraded evaluator-only mode: the pending candidate stays
+        accepted on the evaluator's word, and no further probes run.
+        """
+        s = self.s
+        s.validations += 1
+        rounded = SteinerForest.round_array(s.coords)
+        probed = self._probe(rounded)
+        if probed is None:  # degraded — stop validating, keep refining
+            s.pending_accepts = 0
+            return
+        if self.score(*probed) > self.score(s.real_wns, s.real_tns):
+            s.real_wns, s.real_tns = probed
+            s.real_coords = rounded.copy()
+        else:
+            s.validated_reverts += 1
+            s.coords = s.real_coords.copy()
+            s.best_coords = s.real_coords.copy()
+            # The validator's incremental state now describes the
+            # rejected candidate; force a clean rebuild at the anchor.
+            _reset_validator(self.validator)
+            # Reset the predicted-metric baseline to the anchor, else
+            # the inflated rejected prediction blocks all future accepts.
+            s.best_wns, s.best_tns = self.oracle.evaluate(s.coords)
+            # Rotate to the next proposal profile: sparser and smaller.
+            s.prop_idx += 1
+            s.so_theta = max(s.theta0 * self._proposal()[1], MIN_THETA)
+        s.pending_accepts = 0
+
+    # ---- the concurrent loop --------------------------------------------
+    def _candidate(self, grad: np.ndarray) -> Optional[np.ndarray]:
+        """Line 7: the Eq. (7) step of all Steiner points, capped by the
+        GCell size, focused on the proposal's most critical share and
+        clamped to the grid; ``None`` when the step is poisoned."""
+        s = self.s
+        if not check_finite(grad, "refinement gradient", self.policy):
+            return None
+        self.so.theta = s.so_theta
+        candidate = self.so.update(s.coords, grad)
+        step = np.clip(candidate - s.coords, -self.move_cap, self.move_cap)
+        fraction = self._proposal()[0] if s.validator_on else 1.0
+        if fraction < 1.0 and s.coords.shape[0] > 4:
+            # Concentrate the move on the most critical points.
+            magnitude = np.abs(grad).sum(axis=1)
+            k = max(1, int(np.ceil(s.coords.shape[0] * fraction)))
+            threshold = np.partition(magnitude, -k)[-k]
+            step = step * (magnitude >= threshold)[:, None]
+        candidate = self.clamp(s.coords + step)
+        if not check_finite(candidate, "candidate coordinates", self.policy):
+            return None
+        return candidate
+
+    def iterate(self) -> None:
+        cfg, s, tel = self.cfg, self.s, self.tel
+        while True:
+            # Line 16: iteration cap.
+            if s.t >= cfg.max_iterations:
+                break
+            # Line 19: auto-convergence at ratio mu.
+            if _converged(s.init_wns, s.best_wns, cfg.converge_ratio) or _converged(
+                s.init_tns, s.best_tns, cfg.converge_ratio
+            ):
+                break
+            # Cooperative budget check: wind down with the best-so-far.
+            if self.budget is not None and self.budget.expired():
+                self.timed_out = True
+                tel.event("budget_expired", where="refine", iteration=s.t)
+                break
+
+            lam_w, lam_t = s.penalty.lambda_wns, s.penalty.lambda_tns
+            grad, _, _, penalty_value = self.oracle.gradient(s.coords, s.penalty)
+            candidate = self._candidate(grad)
+            # Line 8: evaluate the temporary solution.
+            metrics = None if candidate is None else self.oracle.evaluate(candidate)
+            skipped = metrics is None or not check_finite(metrics, "evaluated metrics", self.policy)
+            accepted = False
+            if skipped:
+                # Poisoned step under the sanitize policy: skip it, shrink
+                # theta so the next proposal differs, keep the run alive.
+                s.skipped_steps += 1
+                s.so_theta = max(s.so_theta * cfg.backtrack, MIN_THETA)
+                s.history.append((s.best_wns, s.best_tns))
+            else:
+                wns, tns = metrics
+                s.history.append((wns, tns))
+                # Lines 9-14: accept if either metric improved, else revert.
+                if wns > s.best_wns or tns > s.best_tns:
+                    s.best_wns = max(s.best_wns, wns)
+                    s.best_tns = max(s.best_tns, tns)
+                    s.coords = candidate
+                    s.best_coords = candidate.copy()
+                    s.accepted += 1
+                    accepted = True
+                    s.pending_accepts += 1
+                    # Under MCMM the accepted candidate's per-scenario
+                    # WNS drives dominance pruning of the merged gradient.
+                    self.oracle.on_accept()
+                    s.so_theta = min(s.so_theta * EXPAND_ON_ACCEPT, s.theta0)
+                    if s.validator_on and s.pending_accepts >= cfg.validate_every:
+                        self._validate()
+                else:
+                    # Revert; shrink the stepsize so the next candidate differs.
+                    s.so_theta = max(s.so_theta * cfg.backtrack, MIN_THETA)
+
+            s.t += 1
+            # Penalty escalation from iteration 5 (Section IV-A).
+            if s.t >= cfg.escalation_start:
+                s.penalty = s.penalty.escalated(cfg.escalation_rate)
+
+            if self.checkpoint_path is not None:
+                self._save()
+
+            if tel.enabled:
+                it_wns, it_tns = s.history[-1]
+                tel.event(
+                    "refine_iter",
+                    i=s.t - 1,
+                    wns=it_wns,
+                    tns=it_tns,
+                    best_wns=s.best_wns,
+                    best_tns=s.best_tns,
+                    penalty=penalty_value,
+                    theta=s.so_theta,
+                    lambda_w=lam_w,
+                    lambda_t=lam_t,
+                    accepted=accepted,
+                    skipped=skipped,
+                    validations=s.validations,
+                    validated_reverts=s.validated_reverts,
+                    checkpoint_saves=self.checkpoint_saves,
+                )
+
+    # ---- oracle polish and the result -----------------------------------
+    def polish(self) -> None:
+        """Per-point oracle-validated descent on the most critical points.
+
+        Cycles through the ``POLISH_TOP_K`` Steiner points with the
+        largest evaluator-gradient magnitude; each probe moves one point
+        of the real anchor by one of ``POLISH_STEPS`` GCells along its
+        negative gradient direction and keeps the move only if the real
+        weighted :meth:`score` improves.  The gradient is re-evaluated
+        after every accepted move so the ranking tracks the evolving
+        critical paths.  A probe that degrades the run (the oracle went
+        down) stops the stage at the validated best; so does an expired
+        budget (flagging the run ``timed_out``).
+        """
+        s = self.s
+
+        def ranked() -> Tuple[np.ndarray, np.ndarray]:
+            grad = self.oracle.gradient(s.real_coords, s.penalty)[0]
+            return grad, np.argsort(-np.abs(grad).sum(axis=1))[:POLISH_TOP_K]
+
+        grad, order = ranked()
+        probes = cursor = step_idx = 0
+        while probes < self.cfg.polish_probes and order.size:
+            if self.budget is not None and self.budget.expired():
+                self.timed_out = True
+                break
+            point = int(order[cursor % order.size])
+            direction = -grad[point]
+            norm = float(np.linalg.norm(direction))
+            cursor += 1
+            if norm < 1e-15:
+                if cursor > order.size:  # gradient exhausted
+                    break
+                continue
+            step = POLISH_STEPS[step_idx % len(POLISH_STEPS)] * self.gcell
+            step_idx += 1
+            candidate = s.real_coords.copy()
+            candidate[point] = candidate[point] + step * direction / norm
+            candidate = SteinerForest.round_array(self.clamp(candidate))
+            probed = self._probe(candidate)
+            probes += 1
+            s.validations += 1
+            if probed is None:  # oracle down — keep the validated best
+                break
+            if self.score(*probed) > self.score(s.real_wns, s.real_tns):
+                s.real_coords = candidate
+                s.real_wns, s.real_tns = probed
+                grad, order = ranked()
+                cursor = 0
+
+    def finish(self) -> RefinementResult:
+        """Final validation and polish, then the result and ``refine_end``."""
+        s, cfg = self.s, self.cfg
+        with self.tel.span("refine.finish"):
+            polished = False
+            if s.validator_on:
+                if s.pending_accepts and not self.timed_out:
+                    self._validate()
+                if s.validator_on and cfg.polish_probes > 0 and not self.timed_out:
+                    polished = True
+                    self.polish()
+            if s.validator_on or polished:
+                # The last validated point — also when the validator went
+                # down during polish, which keeps its best validated probe.
+                s.best_coords = s.real_coords
+            elif s.degraded and cfg.acceptance == "hybrid":
+                # Degraded mid-run: the surviving coordinates are the
+                # evaluator's accepted trajectory; round them so the
+                # hybrid-mode contract (routable snapped geometry) holds.
+                s.best_coords = SteinerForest.round_array(s.best_coords)
+
+        end = dict(
+            init_wns=s.init_wns,
+            init_tns=s.init_tns,
+            best_wns=s.best_wns,
+            best_tns=s.best_tns,
+            iterations=s.t,
+            accepted=s.accepted,
+            validations=s.validations,
+            validated_reverts=s.validated_reverts,
+            skipped_steps=s.skipped_steps,
+            checkpoint_saves=self.checkpoint_saves,
+            timed_out=self.timed_out,
+            degraded=s.degraded,
+            resumed=self.resumed,
+        )
+        if self.tel.enabled:
+            self.tel.event("refine_end", **end)
+        del end["checkpoint_saves"]
+        return RefinementResult(coords=s.best_coords, theta=s.theta0, history=s.history, **end)
+
+
 def refine(
     model: TimingEvaluator,
     graph: TimingGraph,
@@ -332,7 +774,6 @@ def refine(
     validator: Optional[Validator] = None,
     budget: Optional[Budget] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
     resume: bool = False,
     telemetry=None,
     scenarios=None,
@@ -353,435 +794,34 @@ def refine(
 
     Resilience (docs/RESILIENCE.md): an expired ``budget`` returns the
     best-so-far result flagged ``timed_out=True``; ``checkpoint_path``
-    snapshots the full loop state atomically every ``checkpoint_every``
-    iterations, and ``resume=True`` continues from such a snapshot
-    with byte-identical results to an uninterrupted run.
+    snapshots the :class:`RefineState` atomically after every iteration,
+    and ``resume=True`` continues from such a snapshot with
+    byte-identical results to an uninterrupted run.  A snapshot taken
+    under another config or scenario set raises ``CheckpointError``.
 
     Observability (docs/OBSERVABILITY.md): ``telemetry`` records one
     ``refine_iter`` event per iteration (WNS/TNS, smoothed penalty,
     stepsize, penalty weights, accept/revert, probe and checkpoint
-    counts) bracketed by ``refine_start``/``refine_end``; defaults to
-    the process-global telemetry (NULL — observation-free).
+    counts) bracketed by ``refine_start``/``refine_end``, and the
+    ``refine.gradient``/``refine.evaluate``/``refine.validate``/
+    ``refine.finish`` spans; defaults to the process-global telemetry
+    (NULL — observation-free).
     """
-    from repro.steiner.forest import SteinerForest
-
     tel = telemetry if telemetry is not None else get_telemetry()
     cfg = config or RefinementConfig()
-    policy = validate_policy(cfg.nonfinite_policy)
+    run = _Refinement(model, graph, cfg, clamp_fn, validator, budget, checkpoint_path, tel, scenarios)
     coords = np.asarray(initial_coords, dtype=np.float64).reshape(-1, 2).copy()
     if coords.shape[0] != graph.num_steiner:
         raise ValueError(
             f"coordinate count {coords.shape[0]} does not match the graph's "
             f"{graph.num_steiner} Steiner nodes"
         )
-    clamp = clamp_fn or (lambda c: c)
-    oracle = _Oracle(model, graph, cfg, scenarios=scenarios, telemetry=tel)
-    use_validator = cfg.acceptance == "hybrid" and validator is not None
-    degraded = False
-    skipped_steps = 0
-    timed_out = False
-
     if coords.size == 0:
-        wns, tns = oracle.evaluate(coords)
+        wns, tns = run.oracle.evaluate(coords)
         return RefinementResult(coords, wns, tns, wns, tns, 0, 0.0, 0)
-
-    def call_validator(c: np.ndarray) -> Optional[Tuple[float, float]]:
-        """Probe the real flow with retry; ``None`` == degrade, don't crash."""
-        nonlocal degraded, use_validator
-        tel.count("refine.validator_probes")
-        if budget is not None:
-            budget.spend_probe()
-
-        def probe(arr: np.ndarray) -> Tuple[float, float]:
-            rw, rt = validator(arr)
-            if not (np.isfinite(rw) and np.isfinite(rt)):
-                raise ValidatorError(f"validator returned non-finite metrics ({rw}, {rt})")
-            return float(rw), float(rt)
-
-        try:
-            return retry_call(
-                probe,
-                c,
-                attempts=cfg.validator_retries + 1,
-                backoff=cfg.validator_backoff,
-            )
-        except BudgetExceeded:
-            raise
-        except Exception as exc:
-            degraded = True
-            use_validator = False
-            tel.event("validator_degraded", error=f"{type(exc).__name__}: {exc}")
-            return None
-
-    pcfg = cfg.penalty
-
-    ckpt = None
-    if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
-        ckpt = load_npz(checkpoint_path)
-        meta = ckpt.get("meta") or {}
-        if meta.get("kind") != _REFINE_CKPT_KIND:
-            raise CheckpointError(f"{checkpoint_path} is not a refinement checkpoint")
-        if np.asarray(ckpt["coords"]).shape != coords.shape:
-            raise CheckpointError(
-                f"checkpoint coords shape {np.asarray(ckpt['coords']).shape} does "
-                f"not match design shape {coords.shape}"
-            )
-        # Scenario state must survive resume exactly.
-        oracle.load_state(ckpt, meta)
-        # Stitch this trace onto the interrupted run's trajectory: the
-        # snapshot carries the run-id of the telemetry that wrote it.
-        tel.event(
-            "checkpoint_resume",
-            what="refine",
-            parent_run=meta.get("telemetry_run"),
-            parent_schema=meta.get("telemetry_schema"),
-            iteration=int(ckpt["t"]),
-        )
-
-    if ckpt is None:
-        # Lines 1-2: initial evaluated metrics.
-        init_wns, init_tns = oracle.evaluate(coords)
-        best_wns, best_tns = init_wns, init_tns
-
-        # Line 3: adaptive stepsize (Eq. 8-9).
-        theta = adaptive_theta(
-            coords,
-            lambda c: oracle.gradient(clamp(c), pcfg)[0],
-            alpha=cfg.alpha,
-            fallback=graph.netlist.technology.gcell_size * 0.1,
-        )
-    else:
-        init_wns = float(ckpt["init_wns"])
-        init_tns = float(ckpt["init_tns"])
-        best_wns = float(ckpt["best_wns"])
-        best_tns = float(ckpt["best_tns"])
-        theta = float(ckpt["theta0"])
-
-    # Line 5: optimizer.
-    if cfg.optimizer == "paper":
-        so = PaperSO(theta, cfg.beta1, cfg.beta2, cfg.eps)
-    elif cfg.optimizer == "adam":
-        so = AccumulatingSO(theta, cfg.beta1, cfg.beta2, cfg.eps)
-    else:
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
-
-    move_cap = cfg.move_limit_gcells * graph.netlist.technology.gcell_size
-    best_coords = coords.copy()
-    history: List[Tuple[float, float]] = []
-    accepted = 0
-    t = 0
-    checkpoint_saves = 0
-
-    # Hybrid-mode real anchors.
-    validations = 0
-    validated_reverts = 0
-    pending_accepts = 0
-    real_wns = real_tns = None
-    real_coords = coords.copy()
-    prop_idx = 0
-    schedule: Sequence[Tuple[float, float]] = cfg.proposal_schedule or ((1.0, 1.0),)
-
-    if ckpt is not None:
-        coords = np.array(ckpt["coords"], dtype=np.float64, copy=True)
-        best_coords = np.array(ckpt["best_coords"], dtype=np.float64, copy=True)
-        real_coords = np.array(ckpt["real_coords"], dtype=np.float64, copy=True)
-        history = [(float(w), float(n)) for w, n in np.asarray(ckpt["history"]).reshape(-1, 2)]
-        t = int(ckpt["t"])
-        accepted = int(ckpt["accepted"])
-        pending_accepts = int(ckpt["pending_accepts"])
-        prop_idx = int(ckpt["prop_idx"])
-        validations = int(ckpt["validations"])
-        validated_reverts = int(ckpt["validated_reverts"])
-        skipped_steps = int(ckpt["skipped_steps"])
-        degraded = bool(ckpt["degraded"])
-        use_validator = bool(ckpt["validator_on"]) and validator is not None
-        if bool(ckpt["has_real"]):
-            real_wns = float(ckpt["real_wns"])
-            real_tns = float(ckpt["real_tns"])
-        pcfg = PenaltyConfig(
-            lambda_wns=float(ckpt["lambda_wns"]),
-            lambda_tns=float(ckpt["lambda_tns"]),
-            gamma=float(ckpt["gamma"]),
-        )
-        so.theta = float(ckpt["so_theta"])
-        if isinstance(so, AccumulatingSO) and "so_m" in ckpt:
-            so._m = np.array(ckpt["so_m"], dtype=np.float64, copy=True)
-            so._v = np.array(ckpt["so_v"], dtype=np.float64, copy=True)
-            so._t = int(ckpt["so_t"])
-        # A resumed run may hand us a live oracle/validator from the
-        # interrupted attempt whose caches describe coordinates the
-        # restored trajectory never visited — drop them.
-        oracle.invalidate()
-        _reset_validator(validator)
-    elif use_validator:
-        anchor = call_validator(coords)
-        validations += 1
-        if anchor is not None:
-            real_wns, real_tns = anchor
-
-    if tel.enabled:
-        tel.event(
-            "refine_start",
-            init_wns=init_wns,
-            init_tns=init_tns,
-            theta0=theta,
-            points=int(coords.shape[0]),
-            max_iterations=cfg.max_iterations,
-            acceptance=cfg.acceptance,
-            resumed=ckpt is not None,
-        )
-
-    def save_checkpoint() -> None:
-        nonlocal checkpoint_saves
-        arrays = {
-            "coords": coords,
-            "best_coords": best_coords,
-            "real_coords": real_coords,
-            "history": np.asarray(history, dtype=np.float64).reshape(-1, 2),
-            "t": t,
-            "accepted": accepted,
-            "pending_accepts": pending_accepts,
-            "prop_idx": prop_idx,
-            "validations": validations,
-            "validated_reverts": validated_reverts,
-            "skipped_steps": skipped_steps,
-            "best_wns": best_wns,
-            "best_tns": best_tns,
-            "init_wns": init_wns,
-            "init_tns": init_tns,
-            "theta0": theta,
-            "so_theta": so.theta,
-            "lambda_wns": pcfg.lambda_wns,
-            "lambda_tns": pcfg.lambda_tns,
-            "gamma": pcfg.gamma,
-            "degraded": degraded,
-            "validator_on": use_validator,
-            "has_real": real_wns is not None,
-            "real_wns": float("nan") if real_wns is None else real_wns,
-            "real_tns": float("nan") if real_tns is None else real_tns,
-        }
-        if isinstance(so, AccumulatingSO) and so._m is not None:
-            arrays["so_m"] = so._m
-            arrays["so_v"] = so._v
-            arrays["so_t"] = so._t
-        meta = {
-            "kind": _REFINE_CKPT_KIND,
-            "telemetry_run": tel.run_id,
-            "telemetry_schema": SCHEMA_VERSION,
-        }
-        oracle.save_state(arrays, meta)
-        atomic_save_npz(checkpoint_path, arrays, meta=meta)
-        checkpoint_saves += 1
-        tel.count("refine.checkpoint_saves")
-
-    def validate_candidate() -> None:
-        """Probe the real flow; keep or revert to the last real anchor.
-
-        Candidates are validated *post-rounding* so the probe times the
-        byte-identical geometry the production flow will route — the
-        0.01 um snap can flip GCell assignments, so validating the
-        unrounded point would anchor on a different route.
-
-        A probe that keeps failing after retries flips the run into
-        degraded evaluator-only mode: the pending candidate stays
-        accepted on the evaluator's word, and no further probes run.
-        """
-        nonlocal real_wns, real_tns, real_coords, coords, validations
-        nonlocal validated_reverts, pending_accepts, best_wns, best_tns, best_coords
-        nonlocal prop_idx
-
-        validations += 1
-        rounded = SteinerForest.round_array(coords)
-        probed = call_validator(rounded)
-        if probed is None:  # degraded — stop validating, keep refining
-            pending_accepts = 0
-            return
-        rw, rt = probed
-        w_w = abs(cfg.penalty.lambda_wns)
-        w_t = abs(cfg.penalty.lambda_tns)
-        if (w_w * rw + w_t * rt) > (w_w * real_wns + w_t * real_tns):
-            real_wns, real_tns = rw, rt
-            real_coords = rounded.copy()
-        else:
-            validated_reverts += 1
-            coords = real_coords.copy()
-            best_coords = real_coords.copy()
-            # The validator's incremental state now describes the
-            # rejected candidate; force a clean rebuild at the anchor.
-            _reset_validator(validator)
-            # Reset the predicted-metric baseline to the anchor, else
-            # the inflated rejected prediction blocks all future accepts.
-            best_wns, best_tns = oracle.evaluate(coords)
-            # Rotate to the next proposal profile: sparser and smaller.
-            prop_idx += 1
-            so.theta = max(theta * schedule[prop_idx % len(schedule)][1], cfg.min_theta)
-        pending_accepts = 0
-
-    while True:
-        # Line 16: iteration cap.
-        if t >= cfg.max_iterations:
-            break
-        # Line 19: auto-convergence at ratio mu.
-        if _converged(init_wns, best_wns, cfg.converge_ratio) or _converged(
-            init_tns, best_tns, cfg.converge_ratio
-        ):
-            break
-        # Cooperative budget check: wind down with the best-so-far.
-        if budget is not None and budget.expired():
-            timed_out = True
-            tel.event("budget_expired", where="refine", iteration=t)
-            break
-
-        # Line 7: concurrent update of all Steiner points.
-        lam_w, lam_t = pcfg.lambda_wns, pcfg.lambda_tns
-        grad, _, _, penalty_value = oracle.gradient(coords, pcfg)
-        step_accepted = False
-        step_skipped = False
-        candidate = None
-        if check_finite(grad, "refinement gradient", policy):
-            candidate = so.update(coords, grad)
-            step = np.clip(candidate - coords, -move_cap, move_cap)
-            fraction = schedule[prop_idx % len(schedule)][0] if use_validator else 1.0
-            if fraction < 1.0 and coords.shape[0] > 4:
-                # Concentrate the move on the most critical points.
-                magnitude = np.abs(grad).sum(axis=1)
-                k = max(1, int(np.ceil(coords.shape[0] * fraction)))
-                threshold = np.partition(magnitude, -k)[-k]
-                step = step * (magnitude >= threshold)[:, None]
-            candidate = clamp(coords + step)
-            if not check_finite(candidate, "candidate coordinates", policy):
-                candidate = None
-
-        if candidate is None:
-            # Poisoned step under the sanitize policy: skip it, shrink
-            # theta so the next proposal differs, keep the run alive.
-            skipped_steps += 1
-            step_skipped = True
-            so.theta = max(so.theta * cfg.backtrack, cfg.min_theta)
-            history.append((best_wns, best_tns))
-        else:
-            # Line 8: evaluate the temporary solution.
-            wns, tns = oracle.evaluate(candidate)
-            if not check_finite((wns, tns), "evaluated metrics", policy):
-                skipped_steps += 1
-                step_skipped = True
-                so.theta = max(so.theta * cfg.backtrack, cfg.min_theta)
-                history.append((best_wns, best_tns))
-            else:
-                history.append((wns, tns))
-
-                # Lines 9-14: accept if either metric improved, else revert.
-                if wns > best_wns or tns > best_tns:
-                    best_wns = max(best_wns, wns)
-                    best_tns = max(best_tns, tns)
-                    coords = candidate
-                    best_coords = candidate.copy()
-                    accepted += 1
-                    step_accepted = True
-                    pending_accepts += 1
-                    # Under MCMM the accepted candidate's per-scenario
-                    # WNS drives dominance pruning of the merged gradient.
-                    oracle.on_accept()
-                    so.theta = min(so.theta * cfg.expand_on_accept, theta)
-                    if use_validator and pending_accepts >= cfg.validate_every:
-                        validate_candidate()
-                else:
-                    # Revert; shrink the stepsize so the next candidate differs.
-                    so.theta = max(so.theta * cfg.backtrack, cfg.min_theta)
-
-        t += 1
-        # Penalty escalation from iteration 5 (Section IV-A).
-        if t >= cfg.escalation_start:
-            pcfg = pcfg.escalated(cfg.escalation_rate)
-
-        if checkpoint_path is not None and t % max(1, checkpoint_every) == 0:
-            save_checkpoint()
-
-        if tel.enabled:
-            it_wns, it_tns = history[-1]
-            tel.event(
-                "refine_iter",
-                i=t - 1,
-                wns=it_wns,
-                tns=it_tns,
-                best_wns=best_wns,
-                best_tns=best_tns,
-                penalty=penalty_value,
-                theta=so.theta,
-                lambda_w=lam_w,
-                lambda_t=lam_t,
-                accepted=step_accepted,
-                skipped=step_skipped,
-                validations=validations,
-                validated_reverts=validated_reverts,
-                checkpoint_saves=checkpoint_saves,
-            )
-
-    polished = False
-    if use_validator:
-        if pending_accepts and not timed_out:
-            validate_candidate()
-        # ---- oracle-polish stage ----
-        if use_validator and cfg.polish_probes > 0 and coords.size and not timed_out:
-            polished = True
-            real_coords, real_wns, real_tns, probes, polish_timed_out = _polish(
-                oracle,
-                call_validator,
-                clamp,
-                real_coords,
-                real_wns,
-                real_tns,
-                pcfg,
-                cfg,
-                graph.netlist.technology.gcell_size,
-                budget=budget,
-            )
-            validations += probes
-            timed_out = timed_out or polish_timed_out
-    if use_validator or polished:
-        # The last validated point — also when the validator went down
-        # during polish, which hands back its best validated probe.
-        best_coords = real_coords
-    elif degraded and cfg.acceptance == "hybrid":
-        # Degraded mid-run: the surviving coordinates are the
-        # evaluator's accepted trajectory; round them so the
-        # hybrid-mode contract (routable snapped geometry) holds.
-        best_coords = SteinerForest.round_array(best_coords)
-
-    if tel.enabled:
-        tel.event(
-            "refine_end",
-            init_wns=init_wns,
-            init_tns=init_tns,
-            best_wns=best_wns,
-            best_tns=best_tns,
-            iterations=t,
-            accepted=accepted,
-            validations=validations,
-            validated_reverts=validated_reverts,
-            skipped_steps=skipped_steps,
-            checkpoint_saves=checkpoint_saves,
-            timed_out=timed_out,
-            degraded=degraded,
-            resumed=ckpt is not None,
-        )
-    return RefinementResult(
-        coords=best_coords,
-        init_wns=init_wns,
-        init_tns=init_tns,
-        best_wns=best_wns,
-        best_tns=best_tns,
-        iterations=t,
-        theta=theta,
-        accepted=accepted,
-        history=history,
-        validations=validations,
-        validated_reverts=validated_reverts,
-        timed_out=timed_out,
-        degraded=degraded,
-        skipped_steps=skipped_steps,
-        resumed=ckpt is not None,
-    )
+    run.start(coords, resume)
+    run.iterate()
+    return run.finish()
 
 
 def _converged(init: float, best: float, mu: float) -> bool:
@@ -789,77 +829,3 @@ def _converged(init: float, best: float, mu: float) -> bool:
     if abs(init) < 1e-12:
         return False
     return (init - best) / init > mu
-
-
-def _polish(
-    oracle: _Oracle,
-    call_validator: Callable[[np.ndarray], Optional[Tuple[float, float]]],
-    clamp: Callable[[np.ndarray], np.ndarray],
-    anchor: np.ndarray,
-    anchor_wns: float,
-    anchor_tns: float,
-    pcfg: PenaltyConfig,
-    cfg: RefinementConfig,
-    gcell: float,
-    budget: Optional[Budget] = None,
-) -> Tuple[np.ndarray, float, float, int, bool]:
-    """Per-point oracle-validated descent on the most critical points.
-
-    Cycles through the ``polish_top_k`` Steiner points with the largest
-    evaluator-gradient magnitude; each probe moves one point by one of
-    ``polish_steps`` GCells along its negative gradient direction and
-    keeps the move only if the real (validated) weighted penalty
-    improves.  The gradient is re-evaluated after every accepted move so
-    the ranking tracks the evolving critical paths.
-
-    ``call_validator`` is the retry/degrade wrapper from :func:`refine`:
-    a ``None`` probe means the oracle went down and polishing stops at
-    the current best.  An expired ``budget`` likewise stops the stage
-    (reported through the returned ``timed_out`` flag).
-    """
-    from repro.steiner.forest import SteinerForest
-
-    w_w = abs(cfg.penalty.lambda_wns)
-    w_t = abs(cfg.penalty.lambda_tns)
-
-    def score(wns: float, tns: float) -> float:
-        return w_w * wns + w_t * tns
-
-    best = anchor.copy()
-    best_wns, best_tns = anchor_wns, anchor_tns
-    probes = 0
-    timed_out = False
-
-    grad, _, _, _ = oracle.gradient(best, pcfg)
-    order = np.argsort(-np.abs(grad).sum(axis=1))[: cfg.polish_top_k]
-    cursor = 0
-    step_idx = 0
-    while probes < cfg.polish_probes and order.size:
-        if budget is not None and budget.expired():
-            timed_out = True
-            break
-        point = int(order[cursor % order.size])
-        direction = -grad[point]
-        norm = float(np.linalg.norm(direction))
-        cursor += 1
-        if norm < 1e-15:
-            if cursor > order.size:  # gradient exhausted
-                break
-            continue
-        step = cfg.polish_steps[step_idx % len(cfg.polish_steps)] * gcell
-        step_idx += 1
-        candidate = best.copy()
-        candidate[point] = candidate[point] + step * direction / norm
-        candidate = SteinerForest.round_array(clamp(candidate))
-        probed = call_validator(candidate)
-        probes += 1
-        if probed is None:  # oracle down — keep the validated best
-            break
-        rw, rt = probed
-        if score(rw, rt) > score(best_wns, best_tns):
-            best = candidate
-            best_wns, best_tns = rw, rt
-            grad, _, _, _ = oracle.gradient(best, pcfg)
-            order = np.argsort(-np.abs(grad).sum(axis=1))[: cfg.polish_top_k]
-            cursor = 0
-    return best, best_wns, best_tns, probes, timed_out

@@ -17,7 +17,7 @@ Two aggregations are produced:
 * **hotspots** — per span *name*: calls, inclusive total, self total,
   self share of wall;
 * **flame table** — per root-to-span *path* (names joined by ``;``),
-  rendered as an indented tree in call order — a text flame graph.
+  rendered as an indented tree in start order — a text flame graph.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ def summarize_profile(
         return ";".join(reversed(names))
 
     hotspots: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
-    flame: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
+    flame: Dict[str, Dict[str, float]] = {}
+    first_start: Dict[str, int] = {}
     wall = 0.0
     self_total = 0.0
     for ev in ends:
@@ -80,6 +81,9 @@ def summarize_profile(
         if ev.get("status") == "error":
             agg["errors"] += 1
         path = path_of(ev)
+        span_id = ev.get("span")
+        if isinstance(span_id, int):
+            first_start[path] = min(first_start.get(path, span_id), span_id)
         pagg = flame.setdefault(path, {"calls": 0, "total": 0.0, "self": 0.0})
         pagg["calls"] += 1
         pagg["total"] += dur
@@ -92,7 +96,13 @@ def summarize_profile(
         "hotspots": [
             {"name": name, **agg} for name, agg in ranked[: max(1, int(top))]
         ],
-        "flame": [{"path": path, **agg} for path, agg in flame.items()],
+        # ``span_end`` events arrive children first; span ids rise in
+        # start order, so ordering paths by their first span puts every
+        # parent above its children.
+        "flame": [
+            {"path": path, **flame[path]}
+            for path in sorted(flame, key=lambda p: first_start.get(p, 0))
+        ],
     }
 
 

@@ -122,7 +122,6 @@ def train_evaluator(
     config: Optional[TrainerConfig] = None,
     budget: Optional[Budget] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
     resume: bool = False,
     telemetry=None,
 ) -> TrainResult:
@@ -271,7 +270,7 @@ def train_evaluator(
             stale = 0
         else:
             stale += 1
-        if checkpoint_path is not None and (epoch + 1) % max(1, checkpoint_every) == 0:
+        if checkpoint_path is not None:
             save_checkpoint(epoch + 1)
         if stale >= cfg.patience:
             break

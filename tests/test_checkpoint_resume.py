@@ -117,6 +117,28 @@ class TestRefineResume:
         assert result.resumed is False
         assert result.iterations == 3
 
+    def test_checkpoint_under_other_config_rejected(self, spm_design, tmp_path):
+        """A snapshot of an evaluator-mode run cannot seed a hybrid run:
+        resuming it would return unvalidated, unrounded coordinates and
+        the other run's iteration count."""
+        _, forest, graph = spm_design
+        coords0 = forest.get_steiner_coords()
+        ckpt = tmp_path / "refine.npz"
+        refine(
+            _QuadraticModel(), graph, coords0,
+            RefinementConfig(
+                max_iterations=8, converge_ratio=1e9,
+                acceptance="evaluator", polish_probes=0,
+            ),
+            checkpoint_path=ckpt,
+        )
+        hybrid = RefinementConfig(max_iterations=3, converge_ratio=1e9, validate_every=1)
+        with pytest.raises(CheckpointError, match="acceptance, max_iterations, polish_probes"):
+            refine(
+                _QuadraticModel(), graph, coords0, hybrid,
+                validator=_toy_validator, checkpoint_path=ckpt, resume=True,
+            )
+
     def test_foreign_checkpoint_rejected(self, spm_design, tmp_path):
         _, forest, graph = spm_design
         ckpt = tmp_path / "wrong.npz"

@@ -414,6 +414,45 @@ class TestProfiler:
         paths = {f["path"]: f for f in prof["flame"]}
         assert paths["root;child_a;leaf"]["self"] == pytest.approx(3.0)
         assert paths["root"]["calls"] == 2
+        # Start order: every parent renders above its children.
+        assert [f["path"] for f in prof["flame"]] == [
+            "root", "root;child_a", "root;child_a;leaf", "root;child_b"
+        ]
+
+    def test_refine_spans_split_tsteiner_refine(self):
+        """A traced hybrid ``TSteiner.optimize`` books the evaluator,
+        every oracle probe and the finish stage as spans inside
+        ``tsteiner.refine``, and self times still partition wall time."""
+        from repro.core.refine import RefinementConfig
+        from repro.core.tsteiner import TSteiner
+        from repro.flow.pipeline import prepare_design
+        from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
+
+        netlist, forest = prepare_design("spm")
+        model = TimingEvaluator(EvaluatorConfig(seed=0, hidden=16))
+        cfg = RefinementConfig(max_iterations=4, validate_every=2, polish_probes=3)
+        tel = Telemetry(run_id="spans")
+        TSteiner(model, cfg).optimize(netlist, forest, telemetry=tel)
+        tel.close()
+
+        ends = [e for e in tel.events if e["kind"] == "span_end"]
+        by_id = {e["span"]: e for e in ends}
+
+        def ancestors(ev):
+            while ev.get("parent") is not None:
+                ev = by_id[ev["parent"]]
+                yield ev["name"]
+
+        inner = [e for e in ends if e["name"].startswith("refine.")]
+        names = {e["name"] for e in inner}
+        assert names == {"refine.gradient", "refine.evaluate", "refine.validate", "refine.finish"}
+        assert all("tsteiner.refine" in ancestors(e) for e in inner)
+        probes = sum(e["name"] == "refine.validate" for e in inner)
+        assert probes == tel.counters["refine.validator_probes"] > 0
+        prof = summarize_profile(tel.events)
+        assert prof["self_total"] == pytest.approx(prof["wall"])
+        stage = {f["path"]: f for f in prof["flame"]}["tsteiner.refine"]
+        assert stage["self"] < stage["total"]
 
     def test_top_bounds_hotspots_not_flame(self):
         prof = summarize_profile(_make_span_trace(), top=2)

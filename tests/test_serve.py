@@ -38,7 +38,7 @@ from repro.serve import (
 from repro.serve.jobs import DEFAULT_PRIORITY
 
 #: Ticks before refine's first on-disk checkpoint: two adaptive-theta
-#: probes plus iteration 1 (checkpoint_every=1 writes after it).
+#: probes plus iteration 1 (refine snapshots after every iteration).
 _TICK_PAST_FIRST_CKPT = 4
 
 
