@@ -109,6 +109,7 @@ class TSteiner:
                     self.scenarios,
                     router_config=_router_config,
                     memo=_route_memo if _route_memo is not None else RouteMemo(tel),
+                    telemetry=tel,
                 ),
                 budget=budget,
                 checkpoint_path=checkpoint_path,
@@ -143,6 +144,7 @@ class TSteiner:
         scenarios=None,
         router_config=None,
         memo=None,
+        telemetry=None,
     ):
         """Sign-off-lite probe: full global route + STA at candidate coords.
 
@@ -172,6 +174,11 @@ class TSteiner:
         neutral ``typ@func`` set) and returns the *merged* (worst-WNS,
         summed-TNS) verdict, matching the merged acceptance rule inside
         :func:`refine`; for the neutral set that is the nominal WNS/TNS.
+
+        Each probe books ``validate.route``, ``validate.layers`` and
+        ``validate.sta`` spans on ``telemetry`` (default: the
+        process-global telemetry), nested under refine's
+        ``refine.validate``.
         """
         from repro.groute.layer_assign import assign_layers
         from repro.mcmm.sta import ScenarioSTA
@@ -181,11 +188,15 @@ class TSteiner:
         sta = ScenarioSTA(netlist, probe, scenarios)
 
         def validator(coords):
+            tel = telemetry if telemetry is not None else get_telemetry()
             probe.set_steiner_coords(probe.clamp_coords(coords))
             grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
-            rr = GlobalRouter(grid, router_config, memo=memo).route(probe)
-            assign_layers(rr, netlist.technology, grid.nx * grid.ny)
-            report = sta.run(route_result=rr, utilization=grid.utilization_map())
+            with tel.span("validate.route"):
+                rr = GlobalRouter(grid, router_config, memo=memo).route(probe)
+            with tel.span("validate.layers"):
+                assign_layers(rr, netlist.technology, grid.nx * grid.ny)
+            with tel.span("validate.sta"):
+                report = sta.run(route_result=rr, utilization=grid.utilization_map())
             return report.merged_wns, report.merged_tns
 
         validator.reset = sta.invalidate

@@ -80,7 +80,7 @@ class DetailedRouter:
 
         # ---- wirelength ----
         guide_wl = global_result.total_wirelength
-        total_bends = sum(s.bends for s in global_result.segments.values())
+        total_bends = int(global_result.bends.sum())
         n_pin_connections = sum(t.n_pins for t in forest.trees)
         wirelength = (
             guide_wl
@@ -90,7 +90,7 @@ class DetailedRouter:
 
         # ---- vias ----
         num_vias = (
-            sum(s.vias for s in global_result.segments.values())
+            int(global_result.vias.sum())
             + cfg.pin_access_vias * n_pin_connections
         )
 

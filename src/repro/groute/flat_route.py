@@ -74,49 +74,64 @@ class _EdgeGeometry:
     """CSR view of the forest's tree edges, memoized on the forest.
 
     Topology is fixed after construction (refinement only moves
-    coordinates), so the per-tree node offsets and global edge endpoint
-    rows are built once.  Validity is checked by object identity of
-    each tree and its ``edges`` list — every topology rewrite in the
-    codebase *reassigns* ``tree.edges`` rather than mutating it.
+    coordinates), so the per-tree node offsets, the global edge endpoint
+    rows and each edge's tree, local index and net are built once, and
+    so is a node-coordinate base holding every pin position.  Validity
+    is checked by object identity of each tree, its ``edges`` list and
+    its ``pin_xy`` array: every topology rewrite in the codebase
+    *reassigns* ``tree.edges`` rather than mutating it, and re-placement
+    reassigns ``pin_xy``.
     """
 
     def __init__(self, forest: SteinerForest) -> None:
         trees = forest.trees
-        self.refs: List[Tuple[object, object]] = [(t, t.edges) for t in trees]
-        n_trees = len(trees)
-        self.node_off = np.zeros(n_trees + 1, dtype=np.int64)
-        self.pin_counts = np.empty(n_trees, dtype=np.int64)
-        for i, t in enumerate(trees):
-            self.node_off[i + 1] = self.node_off[i] + t.n_nodes
-            self.pin_counts[i] = t.n_pins
+        self.refs: List[Tuple[object, object, object]] = [
+            (t, t.edges, t.pin_xy) for t in trees
+        ]
+        off = np.zeros(len(trees) + 1, dtype=np.int64)
+        np.cumsum([t.n_nodes for t in trees], out=off[1:])
+        self.base_xy = np.zeros((int(off[-1]), 2), dtype=np.float64)
         eu: List[int] = []
         ev: List[int] = []
-        off = self.node_off
+        edge_tree: List[int] = []
+        edge_local: List[int] = []
+        edge_net: List[int] = []
+        steiner_rows: List[np.ndarray] = []
         for i, t in enumerate(trees):
             base = off[i]
-            for u, v in t.edges:
+            for k, (u, v) in enumerate(t.edges):
                 eu.append(base + u)
                 ev.append(base + v)
+                edge_tree.append(i)
+                edge_local.append(k)
+                edge_net.append(t.net_index)
+            p = base + t.n_pins
+            self.base_xy[base:p] = t.pin_xy
+            steiner_rows.append(np.arange(p, off[i + 1], dtype=np.int64))
         self.eu = np.asarray(eu, dtype=np.int64)
         self.ev = np.asarray(ev, dtype=np.int64)
-        self.n_nodes = int(off[-1])
+        self.edge_tree = np.asarray(edge_tree, dtype=np.int64)
+        self.edge_local = np.asarray(edge_local, dtype=np.int64)
+        self.edge_net = np.asarray(edge_net, dtype=np.int64)
+        # Node rows of the forest's flat Steiner coordinates, in order.
+        self.steiner_rows = (
+            np.concatenate(steiner_rows) if steiner_rows else np.zeros(0, dtype=np.int64)
+        )
 
     def valid_for(self, forest: SteinerForest) -> bool:
         trees = forest.trees
         if len(trees) != len(self.refs):
             return False
-        return all(t is rt and t.edges is re for t, (rt, re) in zip(trees, self.refs))
+        return all(
+            t is rt and t.edges is re and t.pin_xy is rp
+            for t, (rt, re, rp) in zip(trees, self.refs)
+        )
 
     def gather_coords(self, forest: SteinerForest) -> np.ndarray:
-        """(n_nodes, 2) current node coordinates, tree-contiguous."""
-        xy = np.empty((self.n_nodes, 2), dtype=np.float64)
-        off = self.node_off
-        for i, tree in enumerate(forest.trees):
-            s = off[i]
-            p = s + tree.n_pins
-            xy[s:p] = tree.pin_xy
-            if tree.n_steiner:
-                xy[p : off[i + 1]] = tree.steiner_xy
+        """(n_nodes, 2) current node coordinates, tree-contiguous: the
+        cached pin positions with the Steiner points scattered in."""
+        xy = self.base_xy.copy()
+        xy[self.steiner_rows] = forest.get_steiner_coords()
         return xy
 
 

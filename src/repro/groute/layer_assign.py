@@ -16,11 +16,11 @@ Via counts: one via per bend, plus the via stack from the pin layer
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.groute.router import GlobalRouteResult, SegmentRoute
+from repro.groute.router import GlobalRouteResult
 from repro.pdk.technology import Technology
 
 
@@ -30,82 +30,68 @@ def assign_layers(
     grid_area_gcells: int,
     promote_quantiles: Tuple[float, float] = (0.55, 0.85),
 ) -> None:
-    """Assign layers to all segments in ``result`` (mutates them).
+    """Fill the ``h_layer``/``v_layer``/``vias`` columns of ``result``.
 
     ``grid_area_gcells`` scales the per-layer capacity budget; the
     promotion thresholds are length quantiles computed over this
     design's segments, so every design uses its full stack.
+
+    Segments are assigned longest first (a stable sort, so ties keep
+    routing order), the H wire then the V wire of each.  A wire at or
+    above the high quantile takes the top tier while that tier's usage
+    counter is under budget, else a wire at or above the mid quantile
+    takes the middle tier while its counter is; each grant adds the
+    wire's length in GCells to its counter.  Counters only grow, so the
+    grants of a tier are a prefix of its candidates, found from the
+    running sum (``np.cumsum`` adds left to right, exactly as the
+    sequential counter; tests/test_router_parity.py holds it to the
+    per-segment loop in ``repro.testing.oracles``).
     """
     h_layers = [l.index for l in technology.horizontal_layers()]
     v_layers = [l.index for l in technology.vertical_layers()]
     if not h_layers or not v_layers:
         raise ValueError("technology must have both H and V layers")
 
-    lengths = np.array([s.length for s in result.segments.values()])
+    lengths = result.length
     if lengths.size == 0:
         return
     q_mid, q_high = np.quantile(lengths, promote_quantiles[0]), np.quantile(
         lengths, promote_quantiles[1]
     )
-
     # Rough per-tier budget: upper layers hold fewer, longer wires.
-    budget = {
-        "mid": grid_area_gcells * 4.0,
-        "high": grid_area_gcells * 1.5,
-    }
-    used = {"mid": 0.0, "high": 0.0}
+    budget_mid = grid_area_gcells * 4.0
+    budget_high = grid_area_gcells * 1.5
 
-    def pick(layers: List[int], seg_len: float) -> int:
-        """Choose a layer index from ``layers`` (sorted low to high)."""
-        if len(layers) == 1:
-            return layers[0]
-        tier = 0
-        if seg_len >= q_high and len(layers) >= 3 and used["high"] < budget["high"]:
-            tier = 2
-            used["high"] += seg_len / max(technology.gcell_size, 1e-9)
-        elif seg_len >= q_mid and used["mid"] < budget["mid"]:
-            tier = 1
-            used["mid"] += seg_len / max(technology.gcell_size, 1e-9)
-        tier = min(tier, len(layers) - 1)
-        return layers[tier]
+    order = np.argsort(-lengths, kind="stable")
+    # One pick per wire in loop order: (segment, H) then (segment, V).
+    wire_len = np.repeat(lengths[order], 2)
+    wire_cells = wire_len / max(technology.gcell_size, 1e-9)
+    n_layers = np.tile([len(h_layers), len(v_layers)], order.size)
+    high = (wire_len >= q_high) & (n_layers >= 3)
+    high[high] = _granted(wire_cells[high], budget_high)
+    mid = ~high & (wire_len >= q_mid) & (n_layers > 1)
+    mid[mid] = _granted(wire_cells[mid], budget_mid)
+    tier = np.minimum(np.where(high, 2, np.where(mid, 1, 0)), n_layers - 1)
+    tier = tier.reshape(-1, 2)
 
-    # Deterministic order: longest first, matching routing order.
-    for key in sorted(result.segments, key=lambda k: -result.segments[k].length):
-        seg = result.segments[key]
-        seg.h_layer = pick(h_layers, seg.length)
-        seg.v_layer = pick(v_layers, seg.length)
-        seg.vias = _count_vias(seg, technology)
-
-
-def _count_vias(seg: SegmentRoute, technology: Technology) -> int:
-    """Vias: bends switch H/V layer; endpoints drop to the pin layer."""
-    layer_gap = abs(seg.h_layer - seg.v_layer)
-    bend_vias = seg.bends * max(layer_gap, 1)
-    # Access vias from met1 (pins) up to whichever layer each end uses.
-    access = 0
-    if seg.h_length > 0:
-        access += seg.h_layer  # met1 is index 0
-    if seg.v_length > 0:
-        access += seg.v_layer
-    if seg.h_length == 0 and seg.v_length == 0:
-        access = 0
-    return bend_vias + access
+    h_layer = np.empty(order.size, dtype=np.int64)
+    v_layer = np.empty(order.size, dtype=np.int64)
+    h_layer[order] = np.asarray(h_layers, dtype=np.int64)[tier[:, 0]]
+    v_layer[order] = np.asarray(v_layers, dtype=np.int64)[tier[:, 1]]
+    # Vias: bends switch H/V layer; each end with wire drops to met1
+    # (index 0) through an access stack.
+    bend_vias = result.bends * np.maximum(np.abs(h_layer - v_layer), 1)
+    access = np.where(result.h_length > 0, h_layer, 0) + np.where(
+        result.v_length > 0, v_layer, 0
+    )
+    result.h_layer, result.v_layer = h_layer, v_layer
+    result.vias = bend_vias + access
 
 
-def segment_rc(
-    seg: SegmentRoute, technology: Technology
-) -> Tuple[float, float]:
-    """(resistance, capacitance) of a routed segment including vias."""
-    r_h, c_h = technology.wire_rc(seg.h_layer, seg.h_length)
-    r_v, c_v = technology.wire_rc(seg.v_layer, seg.v_length)
-    via_r = 0.0
-    via_c = 0.0
-    if seg.vias:
-        # Use the via between the two assigned layers as representative.
-        low, high = sorted((seg.h_layer, seg.v_layer))
-        if low == high:
-            high = min(high + 1, technology.num_layers - 1)
-        per_via_r = technology.via_stack_resistance(low, high) / max(high - low, 1)
-        via_r = per_via_r * seg.vias
-        via_c = technology.via_between(low, min(low + 1, technology.num_layers - 1)).capacitance * seg.vias if low < technology.num_layers - 1 else 0.0
-    return r_h + r_v + via_r, c_h + c_v + via_c
+def _granted(cells: np.ndarray, budget: float) -> np.ndarray:
+    """Which of a tier's candidate wires, in order, find its usage
+    counter under ``budget``: the counter before wire ``k`` is the
+    running sum of ``cells[:k]``."""
+    before = np.zeros(cells.size, dtype=np.float64)
+    np.cumsum(cells[:-1], out=before[1:])
+    return before < budget

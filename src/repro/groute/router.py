@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,25 +51,6 @@ SegmentKey = Tuple[int, int]  # (tree index in forest, edge index in tree)
 
 
 @dataclass
-class SegmentRoute:
-    """Routed geometry of one tree edge."""
-
-    key: SegmentKey
-    net_index: int
-    h_length: float  # um of horizontal wire
-    v_length: float  # um of vertical wire
-    bends: int
-    path: List[GridPoint] = field(default_factory=list)
-    h_layer: int = 2  # filled by layer assignment
-    v_layer: int = 3
-    vias: int = 0
-
-    @property
-    def length(self) -> float:
-        return self.h_length + self.v_length
-
-
-@dataclass
 class RouterConfig:
     """Global router knobs."""
 
@@ -82,9 +63,33 @@ class RouterConfig:
 
 @dataclass
 class GlobalRouteResult:
-    """All routed segments plus congestion summary."""
+    """Every routed tree edge as row-aligned columns, plus the congestion
+    summary.
 
-    segments: Dict[SegmentKey, SegmentRoute]
+    Row ``i`` is the ``i``-th segment in routing order (longest GCell
+    span first, forest edge order among ties).  ``edge`` is the forest
+    edge index (tree-major, ``tree.edges`` order) and ``(tree, local)``
+    the segment's key.  The GCell path of row ``i`` is
+    ``xs[offsets[i]:offsets[i + 1]]`` / ``ys[...]``: the
+    :class:`RouteMemo` layout, small unsigned ints, read-only and shared
+    with the memo on a hit, so widen them before any arithmetic.  Layer
+    assignment (:func:`repro.groute.layer_assign.assign_layers`) fills
+    ``h_layer``/``v_layer``/``vias``.
+    """
+
+    edge: np.ndarray  # (R,) forest edge index
+    tree: np.ndarray  # (R,) tree index in the forest
+    local: np.ndarray  # (R,) edge index within its tree
+    net: np.ndarray  # (R,) net index
+    h_length: np.ndarray  # (R,) um of horizontal wire
+    v_length: np.ndarray  # (R,) um of vertical wire
+    bends: np.ndarray  # (R,)
+    xs: np.ndarray  # (P,) GCell x of every path point, row after row
+    ys: np.ndarray  # (P,)
+    offsets: np.ndarray  # (R + 1,) path point range of each row
+    h_layer: np.ndarray  # (R,) filled by layer assignment
+    v_layer: np.ndarray  # (R,)
+    vias: np.ndarray  # (R,)
     overflow: float
     max_utilization: float
     total_wirelength: float
@@ -92,8 +97,22 @@ class GlobalRouteResult:
     timed_out: bool = False  # budget expired; negotiation degraded/cut short
     memo_hit: bool = False  # replayed from a RouteMemo instead of searched
 
-    def segment(self, key: SegmentKey) -> SegmentRoute:
-        return self.segments[key]
+    @property
+    def num_segments(self) -> int:
+        return int(self.edge.size)
+
+    @property
+    def length(self) -> np.ndarray:
+        return self.h_length + self.v_length
+
+    def keys(self) -> List[SegmentKey]:
+        """``(tree, local edge)`` of every row."""
+        return list(zip(self.tree.tolist(), self.local.tolist()))
+
+    def path(self, row: int) -> List[GridPoint]:
+        """GCell path of ``row`` as ``(x, y)`` tuples of plain ints."""
+        a, b = int(self.offsets[row]), int(self.offsets[row + 1])
+        return list(zip(self.xs[a:b].tolist(), self.ys[a:b].tolist()))
 
 
 @lru_cache(maxsize=4096)
@@ -195,31 +214,50 @@ class _CostTable:
 _GRID_STATE = ("use_h", "use_v", "hist_h", "hist_v")
 
 
+def _path_csr(
+    paths: List[List[GridPoint]], grid: GCellGrid
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``paths`` as read-only ``(xs, ys, offsets)`` of the smallest
+    unsigned dtypes that hold them."""
+    offsets = np.cumsum([0] + [len(p) for p in paths])
+    points = np.fromiter(
+        chain.from_iterable(chain.from_iterable(paths)), np.int64, 2 * offsets[-1]
+    ).reshape(-1, 2)
+    dtype = np.min_scalar_type(max(grid.nx, grid.ny))
+    out = (
+        points[:, 0].astype(dtype),
+        points[:, 1].astype(dtype),
+        offsets.astype(np.min_scalar_type(offsets[-1])),
+    )
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
 class _MemoEntry:
-    """One finished route: paths as flat points plus offsets, the maze
-    count and the four grid arrays the route left behind."""
+    """One finished route: its read-only path CSR (:func:`_path_csr`),
+    the maze count and the four grid arrays the route left behind."""
 
     __slots__ = ("xs", "ys", "offsets", "maze_count", "arrays")
 
-    def __init__(self, paths: List[List[GridPoint]], maze_count: int, grid: GCellGrid) -> None:
-        dtype = np.min_scalar_type(max(grid.nx, grid.ny))
-        points = np.array(list(chain.from_iterable(paths)), dtype=dtype).reshape(-1, 2)
-        self.xs = points[:, 0].copy()
-        self.ys = points[:, 1].copy()
-        offsets = np.cumsum([0] + [len(p) for p in paths])
-        self.offsets = offsets.astype(np.min_scalar_type(offsets[-1]))
+    def __init__(
+        self,
+        csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        maze_count: int,
+        grid: GCellGrid,
+    ) -> None:
+        self.xs, self.ys, self.offsets = csr
         self.maze_count = maze_count
         self.arrays = tuple(getattr(grid, name).copy() for name in _GRID_STATE)
 
-    def restore(self, grid: GCellGrid) -> Tuple[List[List[GridPoint]], int]:
+    def restore(
+        self, grid: GCellGrid
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], int]:
         """Write the stored usage and history to ``grid``; returns the
-        paths (tuples of plain ints, as routed) and the maze count."""
+        path CSR (shared, not copied) and the maze count."""
         for name, array in zip(_GRID_STATE, self.arrays):
             getattr(grid, name)[...] = array
-        points = list(zip(self.xs.tolist(), self.ys.tolist()))
-        offsets = self.offsets.tolist()
-        paths = [points[a:b] for a, b in zip(offsets, offsets[1:])]
-        return paths, self.maze_count
+        return (self.xs, self.ys, self.offsets), self.maze_count
 
 
 class RouteMemo:
@@ -231,8 +269,8 @@ class RouteMemo:
     deltas reach nothing but :meth:`GlobalRouter._measure`.  So a
     forest that lands on an already routed key (a Steiner move that
     stays inside its GCells, or a re-probe of the refine anchor)
-    replays the stored paths and arrays and is re-measured with its own
-    deltas — bitwise the route a fresh search returns
+    hands over the stored path arrays, restores the grid arrays and is
+    re-measured with its own deltas — bitwise the route a fresh search returns
     (tests/test_router_parity.py).  A timed-out route is never stored.
 
     The owner bounds the lifetime: one memo per ``run_routing_flow``
@@ -277,9 +315,13 @@ class RouteMemo:
         return entry
 
     def store(
-        self, key: bytes, paths: List[List[GridPoint]], maze_count: int, grid: GCellGrid
+        self,
+        key: bytes,
+        csr: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        maze_count: int,
+        grid: GCellGrid,
     ) -> None:
-        self._entries[key] = _MemoEntry(paths, maze_count, grid)
+        self._entries[key] = _MemoEntry(csr, maze_count, grid)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -338,7 +380,7 @@ class GlobalRouter:
         span = np.abs(ends[0] - ends[2]) + np.abs(ends[1] - ends[3])
         order = np.argsort(-span, kind="stable")
         if entry is not None:
-            paths, maze_count = entry.restore(grid)
+            csr, maze_count = entry.restore(grid)
             timed_out = False
         else:
             self._table = _CostTable(grid, self.config.overflow_penalty)
@@ -347,24 +389,33 @@ class GlobalRouter:
                 paths, maze_count, timed_out = self._route(jobs, budget, self._table)
             finally:
                 self._table = None
+            csr = _path_csr(paths, grid)
             if memo is not None and not timed_out:
-                memo.store(digest, paths, maze_count, grid)
+                memo.store(digest, csr, maze_count, grid)
 
-        keys = [(t, e) for t, tree in enumerate(forest.trees) for e in range(len(tree.edges))]
-        nets = [tree.net_index for tree in forest.trees for _ in tree.edges]
-        deltas = zip(
-            np.abs(xy[eu, 0] - xy[ev, 0])[order].tolist(),
-            np.abs(xy[eu, 1] - xy[ev, 1])[order].tolist(),
-        )
-        segments: Dict[SegmentKey, SegmentRoute] = {}
-        for j, path, (dx, dy) in zip(order.tolist(), paths, deltas):
-            segments[keys[j]] = self._measure(keys[j], nets[j], path[0], path[-1], dx, dy, path)
-        total_wl = sum(s.length for s in segments.values())
+        dx = np.abs(xy[eu, 0] - xy[ev, 0])[order]
+        dy = np.abs(xy[eu, 1] - xy[ev, 1])[order]
+        h_len, v_len, bends = self._measure(*csr, dx, dy)
+        n = order.size
         return GlobalRouteResult(
-            segments=segments,
+            edge=order,
+            tree=geom.edge_tree[order],
+            local=geom.edge_local[order],
+            net=geom.edge_net[order],
+            h_length=h_len,
+            v_length=v_len,
+            bends=bends,
+            xs=csr[0],
+            ys=csr[1],
+            offsets=csr[2],
+            h_layer=np.full(n, 2, dtype=np.int64),
+            v_layer=np.full(n, 3, dtype=np.int64),
+            vias=np.zeros(n, dtype=np.int64),
             overflow=grid.overflow(),
             max_utilization=grid.max_utilization(),
-            total_wirelength=total_wl,
+            # Left to right in routing order, as python floats: the
+            # per-segment oracle's sum, not numpy's pairwise one.
+            total_wirelength=sum((h_len + v_len).tolist()),
             maze_routed=maze_count,
             timed_out=timed_out,
             memo_hit=entry is not None,
@@ -549,35 +600,44 @@ class GlobalRouter:
     # ------------------------------------------------------------------
     def _measure(
         self,
-        key: SegmentKey,
-        net_index: int,
-        p1: GridPoint,
-        p2: GridPoint,
-        direct_dx: float,
-        direct_dy: float,
-        path: List[GridPoint],
-    ) -> SegmentRoute:
-        """Convert a grid path into physical wire lengths and bends.
+        xs: np.ndarray,
+        ys: np.ndarray,
+        offsets: np.ndarray,
+        direct_dx: np.ndarray,
+        direct_dy: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Physical wire lengths and bends of every row of a path CSR.
 
         Physical length = the direct Manhattan deltas plus one GCell per
         grid-level detour step beyond the minimum, split by direction.
+        A bend is a step whose direction differs from the previous one;
+        a sub-GCell L (both deltas > 0 on a straight path) still bends
+        once physically.  Counts are integers and each length is one
+        multiply and one add, so the rows equal the per-segment form
+        (``repro.testing.oracles``) bitwise.
         """
-        steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(path, path[1:])]
-        h_edges = sum(1 for step in steps if step[1] == 0)
-        v_edges = len(steps) - h_edges
-        min_h = abs(p1[0] - p2[0])
-        min_v = abs(p1[1] - p2[1])
+        # The CSR holds small unsigned ints: widen before subtracting.
+        x = xs.astype(np.int64)
+        y = ys.astype(np.int64)
+        off = offsets.astype(np.int64)
+        n = off.size - 1
+        seg = np.repeat(np.arange(n), np.diff(off))
+        step_x, step_y = np.diff(x), np.diff(y)
+        # Step k joins points k and k + 1; it is inside a path unless
+        # point k + 1 starts the next one.
+        inside = np.ones(step_x.size, dtype=bool)
+        inside[off[1:-1] - 1] = False
+        h_edges = np.bincount(seg[:-1][inside & (step_y == 0)], minlength=n)
+        v_edges = np.diff(off) - 1 - h_edges
+        first, last = off[:-1], off[1:] - 1
+        min_h = np.abs(x[first] - x[last])
+        min_v = np.abs(y[first] - y[last])
         g = self.grid.gcell
-        h_len = direct_dx + max(h_edges - min_h, 0) * g
-        v_len = direct_dy + max(v_edges - min_v, 0) * g
-        bends = sum(1 for turn_1, turn_2 in zip(steps, steps[1:]) if turn_1 != turn_2)
-        if direct_dx > 0 and direct_dy > 0 and bends == 0:
-            bends = 1  # sub-GCell L still bends once physically
-        return SegmentRoute(
-            key=key,
-            net_index=net_index,
-            h_length=h_len,
-            v_length=v_len,
-            bends=bends,
-            path=path,
+        h_len = direct_dx + np.maximum(h_edges - min_h, 0) * g
+        v_len = direct_dy + np.maximum(v_edges - min_v, 0) * g
+        turn = inside[:-1] & inside[1:] & (
+            (step_x[:-1] != step_x[1:]) | (step_y[:-1] != step_y[1:])
         )
+        bends = np.bincount(seg[:-2][turn], minlength=n)
+        bends[(direct_dx > 0) & (direct_dy > 0) & (bends == 0)] = 1
+        return h_len, v_len, bends

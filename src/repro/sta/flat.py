@@ -61,7 +61,7 @@ class FlatForest:
     edge_tree: np.ndarray  # (E,)
     edge_local: np.ndarray  # (E,) undirected edge index within its tree
     edge_offset: np.ndarray  # (T+1,) edge row range per tree
-    edge_row_of: Dict[Tuple[int, int], int]  # (tree, local edge) -> row
+    forest_edge_row: np.ndarray  # (forest edges,) flat edge row, -1 if unreached
     # Geometry binding:
     pin_rows: np.ndarray  # flat nodes that are pins
     pin_xy: np.ndarray  # (n_pin_rows, 2) fixed positions
@@ -218,8 +218,14 @@ def build_flat_forest(
         if T
         else np.zeros((0, 2))
     )
-    edge_row_of = dict(
-        zip(zip(edge_tree.tolist(), edge_local.tolist()), range(edge_child.size))
+    # Forest edge index (tree-major, ``tree.edges`` order) -> edge row:
+    # the map a GlobalRouteResult's ``edge`` column reads RC rows through.
+    n_forest_edges = np.fromiter((len(t.edges) for t in trees), np.int64, T)
+    forest_edge_base = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(n_forest_edges, out=forest_edge_base[1:])
+    forest_edge_row = np.full(int(forest_edge_base[-1]), -1, dtype=np.int64)
+    forest_edge_row[forest_edge_base[edge_tree] + edge_local] = np.arange(
+        edge_child.size, dtype=np.int64
     )
     return FlatForest(
         n_trees=T,
@@ -232,7 +238,7 @@ def build_flat_forest(
         edge_tree=edge_tree,
         edge_local=edge_local,
         edge_offset=edge_offset,
-        edge_row_of=edge_row_of,
+        forest_edge_row=forest_edge_row,
         pin_rows=_expand_ranges(starts, starts + n_pins),
         pin_xy=np.asarray(pin_xy, dtype=np.float64),
         steiner_rows=_expand_ranges(starts + n_pins, node_offset[1:]),
@@ -342,7 +348,8 @@ def preroute_edge_rc(
 
 def _via_unit_tables(technology: Technology) -> Tuple[np.ndarray, np.ndarray]:
     """(L, L) per-via resistance / capacitance for each (h, v) layer
-    pair, replicating ``layer_assign.segment_rc``'s via model."""
+    pair, replicating the per-segment via model of
+    ``repro.testing.oracles.segment_rc``."""
     cached = getattr(technology, "_via_unit_cache", None)
     if cached is not None:
         return cached
@@ -364,23 +371,23 @@ def _via_unit_tables(technology: Technology) -> Tuple[np.ndarray, np.ndarray]:
     return vr, vc
 
 
-def _seg_path_arrays(seg) -> Tuple[np.ndarray, np.ndarray]:
-    """GCell path of a routed segment as (xs, ys) arrays, memoized on
-    the segment (segments are replaced, never mutated, on rip-up)."""
-    cached = getattr(seg, "_path_arrays", None)
-    if cached is not None:
-        return cached
-    path = seg.path
-    if path:
-        arr = np.asarray(path, dtype=np.int64)
-        xs, ys = arr[:, 0], arr[:, 1]
-    else:
-        xs = ys = np.zeros(0, dtype=np.int64)
-    try:
-        seg._path_arrays = (xs, ys)
-    except (AttributeError, TypeError):
-        pass
-    return xs, ys
+def _coupling_factor(
+    route_result: GlobalRouteResult, utilization: np.ndarray, coupling_k: float
+) -> np.ndarray:
+    """Per-row capacitance multiplier ``1 + k * u``, ``u`` the mean GCell
+    utilization along the row's path.  Each row's points are summed in
+    path order by one ``np.add.at`` (sequential per index, as the
+    per-segment oracle), not numpy's pairwise reduction."""
+    offsets = route_result.offsets.astype(np.int64)
+    counts = np.diff(offsets)
+    row_of_point = np.repeat(np.arange(counts.size), counts)
+    util = np.asarray(utilization, dtype=np.float64)
+    # The path columns are small unsigned ints: widen before clamping.
+    gx = np.minimum(route_result.xs.astype(np.int64), util.shape[0] - 1)
+    gy = np.minimum(route_result.ys.astype(np.int64), util.shape[1] - 1)
+    total = np.zeros(counts.size, dtype=np.float64)
+    np.add.at(total, row_of_point, util[gx, gy])
+    return 1.0 + coupling_k * total / np.maximum(counts, 1)
 
 
 def routed_edge_rc(
@@ -393,89 +400,36 @@ def routed_edge_rc(
     default_h_layer: int = 2,
     default_v_layer: int = 3,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Edge RC under a global-routing solution (vectorized).
+    """Edge RC under a global-routing solution, straight from its columns.
 
-    Edges with a routed segment use ``segment_rc`` (wire + via stack)
-    with the congestion-coupling capacitance multiplier; edges without
-    one fall back to the pre-route estimate, matching the reference.
+    Edges with a routed segment get wire RC on their assigned layers
+    plus the via stack, with the congestion-coupling capacitance
+    multiplier; edges without one keep the pre-route estimate.  Route
+    rows reach edge rows through ``flat.forest_edge_row``.  Bitwise
+    equal to the per-segment loop ``repro.testing.oracles.
+    reference_routed_edge_rc`` (tests/test_flat_sta.py).
     """
     edge_r, edge_c = preroute_edge_rc(
         flat, technology, xy, default_h_layer, default_v_layer
     )
-    segments = route_result.segments
-    if not segments:
+    rows = flat.forest_edge_row[route_result.edge]
+    keep = rows >= 0
+    if not keep.any():
         return edge_r, edge_c
 
-    E = flat.n_edges
-    rows: List[int] = []
-    h_len: List[float] = []
-    v_len: List[float] = []
-    h_lay: List[int] = []
-    v_lay: List[int] = []
-    vias: List[int] = []
-    path_rows: List[np.ndarray] = []
-    path_xs: List[np.ndarray] = []
-    path_ys: List[np.ndarray] = []
-    path_counts = np.zeros(E, dtype=np.int64)
-
-    row_of = flat.edge_row_of
-    want_coupling = utilization is not None and coupling_k > 0
-    for key, seg in segments.items():
-        row = row_of.get(key)
-        if row is None:
-            continue
-        rows.append(row)
-        h_len.append(seg.h_length)
-        v_len.append(seg.v_length)
-        h_lay.append(seg.h_layer)
-        v_lay.append(seg.v_layer)
-        vias.append(seg.vias)
-        if want_coupling:
-            xs, ys = _seg_path_arrays(seg)
-            if xs.size:
-                path_rows.append(np.full(xs.size, row, dtype=np.int64))
-                path_xs.append(xs)
-                path_ys.append(ys)
-                path_counts[row] = xs.size
-
-    if not rows:
-        return edge_r, edge_c
-
-    rows_a = np.asarray(rows, dtype=np.int64)
-    h_len_a = np.asarray(h_len, dtype=np.float64)
-    v_len_a = np.asarray(v_len, dtype=np.float64)
-    h_lay_a = np.asarray(h_lay, dtype=np.int64)
-    v_lay_a = np.asarray(v_lay, dtype=np.int64)
-    vias_a = np.asarray(vias, dtype=np.float64)
-
+    h_lay, v_lay = route_result.h_layer, route_result.v_layer
+    h_len, v_len = route_result.h_length, route_result.v_length
+    vias = route_result.vias.astype(np.float64)
     res = np.array([l.res_per_um for l in technology.layers])
     cap = np.array([l.cap_per_um for l in technology.layers])
     via_r_unit, via_c_unit = _via_unit_tables(technology)
+    r_seg = res[h_lay] * h_len + res[v_lay] * v_len + via_r_unit[h_lay, v_lay] * vias
+    c_seg = cap[h_lay] * h_len + cap[v_lay] * v_len + via_c_unit[h_lay, v_lay] * vias
+    if utilization is not None and coupling_k > 0:
+        c_seg = c_seg * _coupling_factor(route_result, utilization, coupling_k)
 
-    r_seg = res[h_lay_a] * h_len_a + res[v_lay_a] * v_len_a + via_r_unit[
-        h_lay_a, v_lay_a
-    ] * vias_a
-    c_seg = cap[h_lay_a] * h_len_a + cap[v_lay_a] * v_len_a + via_c_unit[
-        h_lay_a, v_lay_a
-    ] * vias_a
-
-    if want_coupling and path_rows:
-        per = np.concatenate(path_rows)
-        gx = np.concatenate(path_xs)
-        gy = np.concatenate(path_ys)
-        util = np.asarray(utilization, dtype=np.float64)
-        vals = util[
-            np.minimum(gx, util.shape[0] - 1), np.minimum(gy, util.shape[1] - 1)
-        ]
-        tot = np.zeros(E, dtype=np.float64)
-        np.add.at(tot, per, vals)
-        factor = np.ones(E, dtype=np.float64)
-        nz = path_counts > 0
-        factor[nz] = 1.0 + coupling_k * tot[nz] / path_counts[nz]
-        c_seg = c_seg * factor[rows_a]
-
-    edge_r[rows_a] = r_seg
-    edge_c[rows_a] = c_seg
+    edge_r[rows[keep]] = r_seg[keep]
+    edge_c[rows[keep]] = c_seg[keep]
     return edge_r, edge_c
 
 

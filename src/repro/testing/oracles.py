@@ -28,42 +28,224 @@ under ``src/repro`` may import this module (tests/test_import_boundary.py).
   agree bitwise on shape choice, cost, committed usage and overflow.
 * :class:`ReferenceGlobalRouter` — the per-edge scalar global router
   (``(x, y)`` tuple Dijkstra, one :meth:`GCellGrid.edge_cost` call per
-  relaxed edge).  :class:`repro.groute.router.GlobalRouter` must return
-  the same :class:`GlobalRouteResult` field by field and leave the same
-  ``use_*``/``hist_*`` grid arrays (tests/test_router_parity.py).  Its
-  maze search prices edges with the configured ``overflow_penalty`` and
-  its rip-up rounds poll the budget every 64 victims, as the production
-  router does.
+  relaxed edge), returning one :class:`SegmentRoute` object per tree
+  edge (:class:`ReferenceRouteResult`).
+  :class:`repro.groute.router.GlobalRouter` must return the same
+  segments as the rows of its columnar :class:`GlobalRouteResult`, row
+  by row in the same order, and leave the same ``use_*``/``hist_*``
+  grid arrays (tests/test_router_parity.py).  Its maze search prices
+  edges with the configured ``overflow_penalty`` and its rip-up rounds
+  poll the budget every 64 victims, as the production router does.
+* :func:`reference_assign_layers` — the per-segment layer assignment
+  loop (with :func:`count_vias`).
+  :func:`repro.groute.layer_assign.assign_layers` must fill the same
+  layers and vias into the columns (tests/test_router_parity.py).
+* :func:`reference_routed_edge_rc` — one :func:`segment_rc` call per
+  routed segment.  :func:`repro.sta.flat.routed_edge_rc`
+  must return bitwise-equal edge R and C from the columns
+  (tests/test_flat_sta.py).  :func:`segment_routes` gives either route
+  form as :class:`SegmentRoute` objects, which is how the per-net
+  oracles read a production route.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.groute.flat_route import FlatRouteResult
-from repro.groute.layer_assign import segment_rc
 from repro.groute.router import (
     GlobalRouteResult,
     GridPoint,
     RouterConfig,
     SegmentKey,
-    SegmentRoute,
 )
 from repro.netlist.netlist import Netlist, PinDirection
 from repro.pdk.corners import DEFAULT_HOLD_TIME
 from repro.pdk.technology import Technology
 from repro.routegrid.grid import GCellGrid
 from repro.sta.engine import DEFAULT_INPUT_SLEW, STAEngine, TimingReport
-from repro.sta.flat import LN9, FlatForest
+from repro.sta.flat import LN9, FlatForest, preroute_edge_rc
 from repro.sta.hold import HoldReport
 from repro.steiner.forest import SteinerForest
 from repro.steiner.rsmt import construct_tree
 from repro.steiner.tree import SteinerTree
+
+
+# ----------------------------------------------------------------------
+# Per-segment route results
+# ----------------------------------------------------------------------
+@dataclass
+class SegmentRoute:
+    """Routed geometry of one tree edge, as one object."""
+
+    key: SegmentKey
+    net_index: int
+    h_length: float  # um of horizontal wire
+    v_length: float  # um of vertical wire
+    bends: int
+    path: List[GridPoint] = field(default_factory=list)
+    h_layer: int = 2  # filled by layer assignment
+    v_layer: int = 3
+    vias: int = 0
+
+    @property
+    def length(self) -> float:
+        return self.h_length + self.v_length
+
+
+@dataclass
+class ReferenceRouteResult:
+    """Per-segment form of :class:`GlobalRouteResult`: one
+    :class:`SegmentRoute` per key, inserted in routing order."""
+
+    segments: Dict[SegmentKey, SegmentRoute]
+    overflow: float
+    max_utilization: float
+    total_wirelength: float
+    maze_routed: int
+    timed_out: bool = False
+
+
+RouteLike = Union[GlobalRouteResult, ReferenceRouteResult]
+
+
+def segment_routes(result: RouteLike) -> Dict[SegmentKey, SegmentRoute]:
+    """The segments of either route form, keyed in routing order.  A
+    columnar result's rows become :class:`SegmentRoute`s of plain
+    python scalars."""
+    if isinstance(result, ReferenceRouteResult):
+        return result.segments
+    columns = zip(
+        result.keys(),
+        result.net.tolist(),
+        result.h_length.tolist(),
+        result.v_length.tolist(),
+        result.bends.tolist(),
+        result.h_layer.tolist(),
+        result.v_layer.tolist(),
+        result.vias.tolist(),
+    )
+    return {
+        key: SegmentRoute(key, net, h, v, bends, result.path(row), h_layer, v_layer, vias)
+        for row, (key, net, h, v, bends, h_layer, v_layer, vias) in enumerate(columns)
+    }
+
+
+def count_vias(seg: SegmentRoute, technology: Technology) -> int:
+    """Vias: bends switch H/V layer; endpoints drop to the pin layer."""
+    layer_gap = abs(seg.h_layer - seg.v_layer)
+    bend_vias = seg.bends * max(layer_gap, 1)
+    # Access vias from met1 (pins) up to whichever layer each end uses.
+    access = 0
+    if seg.h_length > 0:
+        access += seg.h_layer  # met1 is index 0
+    if seg.v_length > 0:
+        access += seg.v_layer
+    if seg.h_length == 0 and seg.v_length == 0:
+        access = 0
+    return bend_vias + access
+
+
+def segment_rc(seg: SegmentRoute, technology: Technology) -> Tuple[float, float]:
+    """(resistance, capacitance) of a routed segment including vias."""
+    r_h, c_h = technology.wire_rc(seg.h_layer, seg.h_length)
+    r_v, c_v = technology.wire_rc(seg.v_layer, seg.v_length)
+    via_r = 0.0
+    via_c = 0.0
+    if seg.vias:
+        # Use the via between the two assigned layers as representative.
+        low, high = sorted((seg.h_layer, seg.v_layer))
+        if low == high:
+            high = min(high + 1, technology.num_layers - 1)
+        per_via_r = technology.via_stack_resistance(low, high) / max(high - low, 1)
+        via_r = per_via_r * seg.vias
+        via_c = technology.via_between(low, min(low + 1, technology.num_layers - 1)).capacitance * seg.vias if low < technology.num_layers - 1 else 0.0
+    return r_h + r_v + via_r, c_h + c_v + via_c
+
+
+def reference_assign_layers(
+    result: ReferenceRouteResult,
+    technology: Technology,
+    grid_area_gcells: int,
+    promote_quantiles: Tuple[float, float] = (0.55, 0.85),
+) -> None:
+    """Per-segment loop form of
+    :func:`repro.groute.layer_assign.assign_layers` (mutates the
+    segments): longest first, one ``pick`` per wire against running
+    per-tier usage counters."""
+    h_layers = [l.index for l in technology.horizontal_layers()]
+    v_layers = [l.index for l in technology.vertical_layers()]
+    if not h_layers or not v_layers:
+        raise ValueError("technology must have both H and V layers")
+
+    lengths = np.array([s.length for s in result.segments.values()])
+    if lengths.size == 0:
+        return
+    q_mid, q_high = np.quantile(lengths, promote_quantiles[0]), np.quantile(
+        lengths, promote_quantiles[1]
+    )
+
+    # Rough per-tier budget: upper layers hold fewer, longer wires.
+    budget = {
+        "mid": grid_area_gcells * 4.0,
+        "high": grid_area_gcells * 1.5,
+    }
+    used = {"mid": 0.0, "high": 0.0}
+
+    def pick(layers: List[int], seg_len: float) -> int:
+        """Choose a layer index from ``layers`` (sorted low to high)."""
+        if len(layers) == 1:
+            return layers[0]
+        tier = 0
+        if seg_len >= q_high and len(layers) >= 3 and used["high"] < budget["high"]:
+            tier = 2
+            used["high"] += seg_len / max(technology.gcell_size, 1e-9)
+        elif seg_len >= q_mid and used["mid"] < budget["mid"]:
+            tier = 1
+            used["mid"] += seg_len / max(technology.gcell_size, 1e-9)
+        tier = min(tier, len(layers) - 1)
+        return layers[tier]
+
+    # Deterministic order: longest first, matching routing order.
+    for key in sorted(result.segments, key=lambda k: -result.segments[k].length):
+        seg = result.segments[key]
+        seg.h_layer = pick(h_layers, seg.length)
+        seg.v_layer = pick(v_layers, seg.length)
+        seg.vias = count_vias(seg, technology)
+
+
+def reference_routed_edge_rc(
+    flat: FlatForest,
+    technology: Technology,
+    xy: np.ndarray,
+    route_result: RouteLike,
+    utilization: Optional[np.ndarray] = None,
+    coupling_k: float = 0.0,
+    default_h_layer: int = 2,
+    default_v_layer: int = 3,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-segment loop form of :func:`repro.sta.flat.routed_edge_rc`:
+    one :func:`segment_rc` and one :func:`_coupling_factor` per routed
+    segment, written to its edge row."""
+    edge_r, edge_c = preroute_edge_rc(
+        flat, technology, xy, default_h_layer, default_v_layer
+    )
+    row_of = dict(
+        zip(zip(flat.edge_tree.tolist(), flat.edge_local.tolist()), range(flat.n_edges))
+    )
+    for key, seg in segment_routes(route_result).items():
+        row = row_of.get(key)
+        if row is None:
+            continue
+        r, c = segment_rc(seg, technology)
+        edge_r[row] = r
+        edge_c[row] = c * _coupling_factor(seg.path, utilization, coupling_k)
+    return edge_r, edge_c
 
 
 # ----------------------------------------------------------------------
@@ -108,15 +290,15 @@ def _edge_rc(
     u: int,
     v: int,
     technology: Technology,
-    route_result: Optional[GlobalRouteResult],
+    segments: Optional[Dict[SegmentKey, SegmentRoute]],
     default_h_layer: int,
     default_v_layer: int,
     utilization: Optional[np.ndarray] = None,
     coupling_k: float = 0.0,
 ) -> Tuple[float, float]:
     """Resistance/capacitance of one tree edge at node positions ``xy``."""
-    if route_result is not None:
-        seg = route_result.segments.get((tree_idx, edge_idx))
+    if segments is not None:
+        seg = segments.get((tree_idx, edge_idx))
         if seg is not None:
             r, c = segment_rc(seg, technology)
             return r, c * _coupling_factor(seg.path, utilization, coupling_k)
@@ -131,7 +313,7 @@ def compute_net_timing(
     tree: SteinerTree,
     sink_pin_caps: Dict[int, float],
     technology: Technology,
-    route_result: Optional[GlobalRouteResult] = None,
+    segments: Optional[Dict[SegmentKey, SegmentRoute]] = None,
     tree_idx: int = -1,
     default_h_layer: int = 2,
     default_v_layer: int = 3,
@@ -147,8 +329,9 @@ def compute_net_timing(
     ``(ln(9) * delay)^2``.
 
     ``sink_pin_caps`` maps global sink pin index -> input capacitance.
-    ``tree_idx`` is the tree's index inside its forest (needed to find
-    routed segments); -1 means unrouted/pre-route mode.
+    ``segments`` are the routed segments (:func:`segment_routes`) and
+    ``tree_idx`` the tree's index inside its forest (needed to find
+    them); ``None`` / -1 mean unrouted/pre-route mode.
     """
     n = tree.n_nodes
     if n == 1 or not tree.edges:
@@ -168,7 +351,7 @@ def compute_net_timing(
     for k, (p, c) in enumerate(directed):
         e_idx = int(dir_edge_local[k])
         r, cap = _edge_rc(
-            xy, tree_idx, e_idx, p, c, technology, route_result,
+            xy, tree_idx, e_idx, p, c, technology, segments,
             default_h_layer, default_v_layer, utilization, coupling_k,
         )
         edge_r[k] = r
@@ -216,12 +399,13 @@ def compute_net_timing(
 def _reference_wire_timing(
     engine: STAEngine,
     forest: SteinerForest,
-    route_result: Optional[GlobalRouteResult],
+    route_result: Optional[RouteLike],
     utilization: Optional[np.ndarray],
 ) -> Tuple[Dict[int, NetTiming], Dict[int, float]]:
     """Per-net :class:`NetTiming` and driver load (treeless nets: the
     lumped sum of their sink pin caps)."""
     netlist = engine.netlist
+    segments = segment_routes(route_result) if route_result is not None else None
     pin_caps = {
         p.index: p.cap for p in netlist.pins if p.direction == PinDirection.INPUT
     }
@@ -233,7 +417,7 @@ def _reference_wire_timing(
             tree,
             sink_caps,
             engine.technology,
-            route_result=route_result,
+            segments=segments,
             tree_idx=t_idx,
             utilization=utilization,
             coupling_k=engine.COUPLING_K,
@@ -253,7 +437,7 @@ def _reference_wire_timing(
 def reference_sta(
     engine: STAEngine,
     forest: SteinerForest,
-    route_result: Optional[GlobalRouteResult] = None,
+    route_result: Optional[RouteLike] = None,
     utilization: Optional[np.ndarray] = None,
 ) -> TimingReport:
     """Scalar max-delay PERT traversal: the parity oracle of
@@ -345,7 +529,7 @@ class ReferenceGlobalRouter:
         self.config = config or RouterConfig()
 
     # ------------------------------------------------------------------
-    def route(self, forest: SteinerForest, budget=None) -> GlobalRouteResult:
+    def route(self, forest: SteinerForest, budget=None) -> ReferenceRouteResult:
         """Route every tree edge; returns the committed result.
 
         ``budget`` (a :class:`repro.runtime.Budget`) makes the router
@@ -415,7 +599,7 @@ class ReferenceGlobalRouter:
                 break
 
         total_wl = sum(s.length for s in segments.values())
-        return GlobalRouteResult(
+        return ReferenceRouteResult(
             segments=segments,
             overflow=self.grid.overflow(),
             max_utilization=self.grid.max_utilization(),
@@ -612,7 +796,7 @@ class ReferenceGlobalRouter:
 def reference_hold_analysis(
     engine: STAEngine,
     forest: SteinerForest,
-    route_result: Optional[GlobalRouteResult] = None,
+    route_result: Optional[RouteLike] = None,
     utilization: Optional[np.ndarray] = None,
     hold_time: float = DEFAULT_HOLD_TIME,
 ) -> HoldReport:
@@ -786,10 +970,14 @@ def reference_flat_forest(
         if lvl.size:
             levels.append(lvl)
 
-    edge_row_of = {
-        (int(t), int(l)): i
-        for i, (t, l) in enumerate(zip(edge_tree, edge_local))
-    }
+    forest_edge_row = np.full(sum(len(t.edges) for t in trees), -1, dtype=np.int64)
+    base = 0
+    row = 0
+    for tree in trees:
+        for local in tree.topology().dir_edge_local.tolist():
+            forest_edge_row[base + local] = row
+            row += 1
+        base += len(tree.edges)
     pin_xy = (
         np.concatenate(pin_xy_parts, axis=0)
         if pin_xy_parts
@@ -806,7 +994,7 @@ def reference_flat_forest(
         edge_tree=edge_tree,
         edge_local=edge_local,
         edge_offset=edge_offset,
-        edge_row_of=edge_row_of,
+        forest_edge_row=forest_edge_row,
         pin_rows=_cat(pin_rows_parts),
         pin_xy=np.asarray(pin_xy, dtype=np.float64),
         steiner_rows=_cat(steiner_rows_parts),
@@ -897,10 +1085,17 @@ def pattern_route_reference(
 __all__ = [
     "NetTiming",
     "ReferenceGlobalRouter",
+    "ReferenceRouteResult",
+    "SegmentRoute",
     "compute_net_timing",
+    "count_vias",
     "pattern_route_reference",
+    "reference_assign_layers",
     "reference_flat_forest",
     "reference_forest",
     "reference_hold_analysis",
+    "reference_routed_edge_rc",
     "reference_sta",
+    "segment_rc",
+    "segment_routes",
 ]

@@ -107,7 +107,7 @@ class TestSaturatedGrid:
         grid.use_v[:] = grid.cap_v * 0.95
         result = GlobalRouter(grid).route(forest)
         # route() resets usage first — verify it actually routed.
-        assert len(result.segments) == forest.num_edges
+        assert result.num_segments == forest.num_edges
 
     def test_overflow_reported_when_capacity_tiny(self):
         netlist, forest = prepare_design("APU")

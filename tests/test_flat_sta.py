@@ -1,12 +1,16 @@
 """Parity tests for the vectorized / incremental STA stack.
 
-Four contracts (docs/PERFORMANCE.md):
+Five contracts (docs/PERFORMANCE.md):
 
 * the vectorized ``build_flat_forest`` writes every ``FlatForest``
   field bitwise equal to the per-tree loop
   ``repro.testing.oracles.reference_flat_forest``;
 * the batched CSR Elmore kernel reproduces the per-net reference
   analysis to 1e-12;
+* ``routed_edge_rc`` over the columns of a ``GlobalRouteResult`` is
+  bitwise equal to the per-segment loop
+  ``repro.testing.oracles.reference_routed_edge_rc``, fresh and
+  memo-hit, with and without coupling;
 * ``STAEngine.run`` agrees with the scalar oracle
   ``repro.testing.oracles.reference_sta`` to 1e-9 on WNS/TNS and
   endpoint slacks (float re-association only);
@@ -24,7 +28,8 @@ import pytest
 from repro.core.refine import RefinementConfig, refine
 from repro.flow.pipeline import prepare_design
 from repro.groute.layer_assign import assign_layers
-from repro.groute.router import GlobalRouter
+from repro.groute.router import GlobalRouter, RouteMemo
+from repro.mcmm import ScenarioSet, ScenarioSTA
 from repro.routegrid.grid import GCellGrid
 from repro.runtime import faults
 from repro.sta import IncrementalSTA, STAEngine
@@ -35,6 +40,7 @@ from repro.steiner.tree import SteinerTree
 from repro.testing.oracles import (
     compute_net_timing,
     reference_flat_forest,
+    reference_routed_edge_rc,
     reference_sta,
 )
 
@@ -186,6 +192,83 @@ class TestElmoreParity:
         for name in ("node_cap", "subtree_cap", "delay", "total_cap",
                      "sink_delay", "sink_slew_deg"):
             assert np.array_equal(getattr(full, name), getattr(scratch, name)), name
+
+
+# ----------------------------------------------------------------------
+# Columnar routed RC vs the per-segment loop
+# ----------------------------------------------------------------------
+def _sub_gcell_move(forest, grid, seed):
+    """A copy with every Steiner point moved inside its GCell: same
+    route memo key, new um deltas."""
+    coords = forest.get_steiner_coords()
+    cell = np.clip(np.floor(coords / grid.gcell), 0, [[grid.nx - 1, grid.ny - 1]])
+    frac = np.random.default_rng(seed).uniform(0.05, 0.95, coords.shape)
+    moved = forest.copy()
+    moved.set_steiner_coords((cell + frac) * grid.gcell)
+    return moved
+
+
+class TestRoutedEdgeRC:
+    @pytest.mark.parametrize("name", ["usb_cdc_core", "picorv32a", "des3"])
+    def test_columns_match_per_segment_loop(self, name):
+        netlist, forest = prepare_design(name)
+        tech = netlist.technology
+        engine = STAEngine(netlist)
+
+        def make_grid():
+            return GCellGrid(netlist.die_width, netlist.die_height, tech)
+
+        memo = RouteMemo()
+        fresh_grid, hit_grid = make_grid(), make_grid()
+        fresh = GlobalRouter(fresh_grid, memo=memo).route(forest)
+        moved = _sub_gcell_move(forest, hit_grid, seed=3)
+        hit = GlobalRouter(hit_grid, memo=memo).route(moved)
+        assert hit.memo_hit and not fresh.memo_hit
+        for work, rr, grid in ((forest, fresh, fresh_grid), (moved, hit, hit_grid)):
+            assign_layers(rr, tech, grid.nx * grid.ny)
+            flat = flatmod.flat_forest_of(work, engine.pert().pin_caps)
+            xy = flatmod.node_positions(flat, work.get_steiner_coords())
+            util = grid.utilization_map()
+            for u, k in ((None, 0.0), (util, engine.COUPLING_K)):
+                got = flatmod.routed_edge_rc(flat, tech, xy, rr, u, k)
+                want = reference_routed_edge_rc(flat, tech, xy, rr, u, k)
+                for a, b in zip(got, want):
+                    _assert_arrays_bitwise(a, b, f"{name} memo_hit={rr.memo_hit} k={k}")
+
+    def test_forest_edge_row_maps_every_routed_key(self, design):
+        netlist, forest = design
+        flat = flatmod.flat_forest_of(forest, STAEngine(netlist).pert().pin_caps)
+        rows = dict(zip(zip(flat.edge_tree.tolist(), flat.edge_local.tolist()), range(flat.n_edges)))
+        grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+        rr = GlobalRouter(grid).route(forest)
+        mapped = flat.forest_edge_row[rr.edge].tolist()
+        assert mapped == [rows.get(key, -1) for key in rr.keys()]
+
+    def test_incremental_after_reroute_equals_full_recompute(self, design):
+        """A routed ScenarioSTA query re-timed after a sparse move and a
+        re-route (fresh, then a memo hit) equals a from-scratch pass."""
+        netlist, forest = design
+        work = forest.copy()
+        scenarios = ScenarioSet.signoff()
+        inc = ScenarioSTA(netlist, work, scenarios)
+        memo = RouteMemo()
+        rng = np.random.default_rng(17)
+        anchor = work.get_steiner_coords()
+        for coords in (None, _random_moves(work, rng), anchor, anchor):
+            if coords is not None:
+                work.set_steiner_coords(coords)
+            grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+            rr = GlobalRouter(grid, memo=memo).route(work)
+            assign_layers(rr, netlist.technology, grid.nx * grid.ny)
+            util = grid.utilization_map()
+            got = inc.run(route_result=rr, utilization=util)
+            # A copy: a second engine's pin caps would re-key the forest's flat cache.
+            want = ScenarioSTA(netlist, work.copy(), scenarios).full_recompute(rr, util)
+            assert (got.merged_wns, got.merged_tns) == (want.merged_wns, want.merged_tns)
+            assert [(m.wns, m.tns) for m in got.scenarios] == [
+                (m.wns, m.tns) for m in want.scenarios
+            ]
+        assert rr.memo_hit and inc.num_full == 1
 
 
 # ----------------------------------------------------------------------

@@ -421,8 +421,9 @@ class TestProfiler:
 
     def test_refine_spans_split_tsteiner_refine(self):
         """A traced hybrid ``TSteiner.optimize`` books the evaluator,
-        every oracle probe and the finish stage as spans inside
-        ``tsteiner.refine``, and self times still partition wall time."""
+        every oracle probe (split into route, layers and STA) and the
+        finish stage as spans inside ``tsteiner.refine``, and self times
+        still partition wall time."""
         from repro.core.refine import RefinementConfig
         from repro.core.tsteiner import TSteiner
         from repro.flow.pipeline import prepare_design
@@ -449,6 +450,12 @@ class TestProfiler:
         assert all("tsteiner.refine" in ancestors(e) for e in inner)
         probes = sum(e["name"] == "refine.validate" for e in inner)
         assert probes == tel.counters["refine.validator_probes"] > 0
+        # Each probe splits into route, layer assignment and STA, booked
+        # directly under its refine.validate span.
+        for child in ("validate.route", "validate.layers", "validate.sta"):
+            spans = [e for e in ends if e["name"] == child]
+            assert len(spans) == probes, child
+            assert all(by_id[e["parent"]]["name"] == "refine.validate" for e in spans)
         prof = summarize_profile(tel.events)
         assert prof["self_total"] == pytest.approx(prof["wall"])
         stage = {f["path"]: f for f in prof["flame"]}["tsteiner.refine"]

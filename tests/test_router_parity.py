@@ -1,14 +1,18 @@
 """Bitwise parity of the array-backed global router with its scalar oracle.
 
 :class:`repro.groute.router.GlobalRouter` reads congestion costs from
-one live per-edge table and runs Dijkstra over integer nodes;
+one live per-edge table, runs Dijkstra over integer nodes and returns a
+columnar :class:`GlobalRouteResult`;
 :class:`repro.testing.oracles.ReferenceGlobalRouter` is the scalar form
 (one ``GCellGrid.edge_cost`` call per relaxed edge, ``(x, y)`` tuple
-nodes).  Both must return the same :class:`GlobalRouteResult` field by
-field — paths, lengths, bends, overflow, wirelength, maze count,
-``timed_out`` — and leave the same usage and history arrays on the grid.
-A :class:`RouteMemo` replay is held to the same standard against a
-fresh route.
+nodes, one ``SegmentRoute`` object per segment).  Row ``i`` of the
+columns must be the oracle's ``i``-th segment — key, net, path points,
+float64 lengths bit for bit, bends — and after layer assignment
+(production columns vs the oracle's per-segment loop) the same layers
+and vias.  Overflow, wirelength, maze count and ``timed_out`` must
+agree, and both must leave the same usage and history arrays on the
+grid.  A :class:`RouteMemo` replay is held to the same standard against
+a fresh route.
 """
 
 import numpy as np
@@ -19,13 +23,15 @@ from hypothesis import strategies as st
 from repro.core.refine import RefinementConfig
 from repro.flow.pipeline import prepare_design, run_routing_flow
 from repro.groute.flat_route import cost_fields
+from repro.groute.layer_assign import assign_layers
 from repro.groute.router import GlobalRouter, RouteMemo, RouterConfig, _CostTable
 from repro.obs import Telemetry
 from repro.pdk.technology import default_technology
 from repro.routegrid.grid import GCellGrid
 from repro.steiner import construct_trees_flat
 from repro.steiner.forest import SteinerForest
-from repro.testing.oracles import ReferenceGlobalRouter
+from repro.steiner.tree import SteinerTree
+from repro.testing.oracles import ReferenceGlobalRouter, reference_assign_layers
 
 GRID_ARRAYS = ("use_h", "use_v", "hist_h", "hist_v")
 
@@ -42,35 +48,64 @@ class _Countdown:
         return self.calls >= self.n
 
 
-def _assert_results_equal(new, ref):
-    assert list(new.segments) == list(ref.segments)
-    for key, seg in new.segments.items():
-        other = ref.segments[key]
-        assert seg.key == other.key and seg.net_index == other.net_index
-        assert seg.path == other.path
-        # Same element types too: paths hold plain ints, Z-shape
-        # interiors included.
-        assert [type(v) for p in seg.path for v in p] == [
-            type(v) for p in other.path for v in p
-        ]
-        assert seg.h_length == other.h_length and seg.v_length == other.v_length
-        assert type(seg.h_length) is type(other.h_length)
-        assert type(seg.v_length) is type(other.v_length)
-        assert seg.bends == other.bends
+def _floats(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _assert_results_equal(new, ref, forest):
+    """Columnar ``new`` row by row against the oracle's segments."""
+    segs = list(ref.segments.values())
+    assert new.keys() == list(ref.segments)
+    base = np.cumsum([0] + [len(t.edges) for t in forest.trees])
+    assert new.edge.tolist() == (base[new.tree] + new.local).tolist()
+    assert new.net.tolist() == [s.net_index for s in segs]
+    assert [new.path(i) for i in range(new.num_segments)] == [s.path for s in segs]
+    assert new.h_length.dtype == new.v_length.dtype == np.float64
+    assert new.h_length.tobytes() == _floats([s.h_length for s in segs])
+    assert new.v_length.tobytes() == _floats([s.v_length for s in segs])
+    assert new.bends.tolist() == [s.bends for s in segs]
+    assert new.h_layer.tolist() == [s.h_layer for s in segs]
+    assert new.v_layer.tolist() == [s.v_layer for s in segs]
+    assert new.vias.tolist() == [s.vias for s in segs]
     assert new.overflow == ref.overflow
     assert new.max_utilization == ref.max_utilization
     assert new.total_wirelength == ref.total_wirelength
+    assert type(new.total_wirelength) is type(ref.total_wirelength)
     assert new.maze_routed == ref.maze_routed
     assert new.timed_out == ref.timed_out
 
 
-def _route_both(make_grid, forest, config=None, budget=None):
+COLUMNS = (
+    "edge", "tree", "local", "net", "h_length", "v_length", "bends",
+    "xs", "ys", "offsets", "h_layer", "v_layer", "vias",
+)
+
+
+def _assert_same_route(a, b):
+    """Two columnar results, column by column (dtypes included)."""
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    for name in ("overflow", "max_utilization", "total_wirelength", "maze_routed", "timed_out"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def _route_both(make_grid, forest, config=None, budget=None, memo=None):
+    """Route ``forest`` with both routers, assign layers with both
+    layer assigners and compare; returns the production result and grid."""
     grids = (make_grid(), make_grid())
-    new = GlobalRouter(grids[0], config).route(forest, budget=budget() if budget else None)
+    new = GlobalRouter(grids[0], config, memo=memo).route(
+        forest, budget=budget() if budget else None
+    )
     ref = ReferenceGlobalRouter(grids[1], config).route(
         forest, budget=budget() if budget else None
     )
-    _assert_results_equal(new, ref)
+    _assert_results_equal(new, ref, forest)
+    area = grids[0].nx * grids[0].ny
+    tech = grids[0].technology
+    assign_layers(new, tech, area)
+    reference_assign_layers(ref, tech, area)
+    _assert_results_equal(new, ref, forest)
     for name in GRID_ARRAYS:
         np.testing.assert_array_equal(getattr(grids[0], name), getattr(grids[1], name))
     return new, grids[0]
@@ -130,6 +165,33 @@ class TestRandomForests:
         )
 
 
+class TestDegenerateForests:
+    def test_same_gcell_segments(self):
+        """A segment whose ends share a GCell routes as one path point:
+        no grid steps, no detour, and a sub-GCell L still bends once."""
+        forest = _forest_from(
+            [[(13.0, 1.0), (13.0, 5.5)], [(2.0, 2.0), (50.0, 40.0), (3.0, 4.0)]]
+        )
+        # A diagonal two-pin edge inside one GCell (no Steiner corner).
+        pin_xy = np.array([[1.0, 1.0], [4.5, 5.0]])
+        diagonal = SteinerTree(2, [90, 91], pin_xy, np.zeros((0, 2)), edges=[(0, 1)])
+        forest = SteinerForest(None, [diagonal] + forest.trees)
+        tech = default_technology()
+        result, _ = _route_both(lambda: GCellGrid(60.0, 60.0, tech), forest)
+        single = np.flatnonzero(np.diff(result.offsets.astype(np.int64)) == 1)
+        assert single.size >= 3
+        rows = dict(zip(result.keys(), range(result.num_segments)))
+        assert result.bends[rows[(0, 0)]] == 1 and result.bends[rows[(1, 0)]] == 0
+        assert result.h_length[rows[(0, 0)]] == 3.5 and result.v_length[rows[(0, 0)]] == 4.0
+
+    def test_edgeless_and_empty_forests(self):
+        tech = default_technology()
+        for forest in (_forest_from([[(1.0, 1.0)], [(20.0, 30.0)]]), SteinerForest(None, [])):
+            result, _ = _route_both(lambda: GCellGrid(60.0, 60.0, tech), forest)
+            assert result.num_segments == 0 and result.offsets.tolist() == [0]
+            assert result.total_wirelength == 0 and result.maze_routed == 0
+
+
 class TestRealDesign:
     def test_picorv32a_bitwise_equal(self):
         netlist, forest = prepare_design("picorv32a")
@@ -160,11 +222,12 @@ class TestRealDesign:
             forest
         ).maze_routed
         assert result.maze_routed == first_pass_mazes + 64 < full.maze_routed
-        assert len(result.segments) == forest.num_edges
+        assert result.num_segments == forest.num_edges
         expected_h = np.zeros_like(grid.use_h)
         expected_v = np.zeros_like(grid.use_v)
-        for seg in result.segments.values():
-            for (x1, y1), (x2, y2) in zip(seg.path, seg.path[1:]):
+        for row in range(result.num_segments):
+            path = result.path(row)
+            for (x1, y1), (x2, y2) in zip(path, path[1:]):
                 if y1 == y2:
                     expected_h[min(x1, x2), y1] += 1
                 else:
@@ -209,9 +272,16 @@ class TestRouteMemo:
         fresh = GlobalRouter(fresh_grid).route(moved)
         assert hit.memo_hit and not fresh.memo_hit and len(memo) == 1
         assert fresh.maze_routed > 0 and fresh.overflow > 0
-        _assert_results_equal(hit, fresh)
+        _assert_same_route(hit, fresh)
         _assert_grids_equal(grid, fresh_grid)
         assert hit.total_wirelength != first.total_wirelength  # re-measured
+        # The hit hands over the memo's path arrays, read-only.
+        assert hit.xs is first.xs and hit.offsets is first.offsets
+        assert not hit.xs.flags.writeable
+
+        # And row by row against the scalar oracle, layers included.
+        replay, _ = _route_both(make_grid, moved, memo=memo)
+        assert replay.memo_hit
 
     def test_timed_out_route_is_not_stored(self, picorv):
         forest, make_grid = picorv
@@ -221,7 +291,7 @@ class TestRouteMemo:
         grid, fresh_grid = make_grid(), make_grid()
         full = GlobalRouter(grid, memo=memo).route(forest)
         assert not full.memo_hit and not full.timed_out and len(memo) == 1
-        _assert_results_equal(full, GlobalRouter(fresh_grid).route(forest))
+        _assert_same_route(full, GlobalRouter(fresh_grid).route(forest))
         _assert_grids_equal(grid, fresh_grid)
 
     def test_hit_under_an_expired_budget_routes_afresh(self, picorv):
@@ -230,9 +300,30 @@ class TestRouteMemo:
         GlobalRouter(make_grid(), memo=memo).route(forest)
         late = GlobalRouter(make_grid(), memo=memo).route(forest, budget=_Countdown(1))
         assert late.timed_out and not late.memo_hit
-        _assert_results_equal(
+        _assert_same_route(
             late, GlobalRouter(make_grid()).route(forest, budget=_Countdown(1))
         )
+
+    def test_layer_assignment_on_a_hit_leaves_the_memo_alone(self, picorv):
+        """``assign_layers`` writes fresh layer columns; the shared path
+        arrays are read-only, so the next hit returns what the first did."""
+        forest, make_grid = picorv
+        memo = RouteMemo()
+        first = GlobalRouter(make_grid(), memo=memo).route(forest)
+        hit = GlobalRouter(make_grid(), memo=memo).route(forest)
+        assert hit.memo_hit
+        _assert_same_route(hit, first)
+        tech = make_grid().technology
+        assign_layers(hit, tech, make_grid().nx * make_grid().ny)
+        assert (hit.h_layer != 2).any() and hit.vias.any()
+        with pytest.raises(ValueError):
+            hit.xs[0] = 0
+        with pytest.raises(ValueError):
+            hit.offsets[-1] = 0
+        again = GlobalRouter(make_grid(), memo=memo).route(forest)
+        assert again.memo_hit
+        _assert_same_route(again, first)
+        assert again.h_layer is not hit.h_layer
 
 
 class TestFlowMemo:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.droute.detailed import DetailedRouter, DetailedRouterConfig
-from repro.groute.layer_assign import assign_layers, segment_rc
+from repro.groute.layer_assign import assign_layers
 from repro.groute.router import GlobalRouter, RouterConfig
 from repro.netlist.generator import GeneratorConfig, generate_netlist
 from repro.pdk.technology import default_technology
@@ -102,32 +102,35 @@ class TestGCellGrid:
 class TestGlobalRouter:
     def test_all_segments_routed(self, routed):
         nl, forest, grid, result = routed
-        assert len(result.segments) == forest.num_edges
+        assert result.num_segments == forest.num_edges
+        assert sorted(result.edge.tolist()) == list(range(forest.num_edges))
 
     def test_paths_connect_endpoints(self, routed):
         nl, forest, grid, result = routed
-        for (t_idx, e_idx), seg in result.segments.items():
+        for row, (t_idx, e_idx) in enumerate(result.keys()):
             tree = forest.trees[t_idx]
             xy = tree.node_xy()
             u, v = tree.edges[e_idx]
             p1 = grid.locate(*xy[u])
             p2 = grid.locate(*xy[v])
-            assert {seg.path[0], seg.path[-1]} == {p1, p2} or seg.path[0] == seg.path[-1] == p1
+            path = result.path(row)
+            assert {path[0], path[-1]} == {p1, p2} or path[0] == path[-1] == p1
 
     def test_paths_are_grid_connected(self, routed):
         _, _, _, result = routed
-        for seg in result.segments.values():
-            for (x1, y1), (x2, y2) in zip(seg.path, seg.path[1:]):
+        for row in range(result.num_segments):
+            path = result.path(row)
+            for (x1, y1), (x2, y2) in zip(path, path[1:]):
                 assert abs(x1 - x2) + abs(y1 - y2) == 1
 
     def test_lengths_at_least_manhattan(self, routed):
         nl, forest, grid, result = routed
-        for (t_idx, e_idx), seg in result.segments.items():
+        for row, (t_idx, e_idx) in enumerate(result.keys()):
             tree = forest.trees[t_idx]
             xy = tree.node_xy()
             u, v = tree.edges[e_idx]
             manhattan = float(np.abs(xy[u] - xy[v]).sum())
-            assert seg.length >= manhattan - 1e-9
+            assert result.length[row] >= manhattan - 1e-9
 
     def test_deterministic(self, routed):
         nl, forest, grid, result = routed
@@ -140,8 +143,9 @@ class TestGlobalRouter:
         nl, forest, grid, result = routed
         expected_h = np.zeros_like(grid.use_h)
         expected_v = np.zeros_like(grid.use_v)
-        for seg in result.segments.values():
-            for (x1, y1), (x2, y2) in zip(seg.path, seg.path[1:]):
+        for row in range(result.num_segments):
+            path = result.path(row)
+            for (x1, y1), (x2, y2) in zip(path, path[1:]):
                 if y1 == y2:
                     expected_h[min(x1, x2), y1] += 1
                 else:
@@ -197,29 +201,33 @@ class TestLayerAssignment:
         tech = nl.technology
         h_set = {l.index for l in tech.horizontal_layers()}
         v_set = {l.index for l in tech.vertical_layers()}
-        for seg in result.segments.values():
-            assert seg.h_layer in h_set
-            assert seg.v_layer in v_set
+        assert set(result.h_layer.tolist()) <= h_set
+        assert set(result.v_layer.tolist()) <= v_set
 
     def test_longer_segments_higher_layers(self, routed):
         _, _, _, result = routed
-        segs = sorted(result.segments.values(), key=lambda s: s.length)
-        if len(segs) >= 10:
-            short_avg = np.mean([s.h_layer for s in segs[: len(segs) // 4]])
-            long_avg = np.mean([s.h_layer for s in segs[-len(segs) // 4 :]])
+        by_length = np.argsort(result.length, kind="stable")
+        n = by_length.size
+        if n >= 10:
+            short_avg = result.h_layer[by_length[: n // 4]].mean()
+            long_avg = result.h_layer[by_length[-(n // 4) :]].mean()
             assert long_avg >= short_avg
 
     def test_segment_rc_positive(self, routed):
-        nl, _, _, result = routed
-        for seg in result.segments.values():
-            r, c = segment_rc(seg, nl.technology)
-            if seg.length > 0:
-                assert r > 0.0
-                assert c > 0.0
+        from repro.sta import flat as flatmod
+        from repro.sta.engine import STAEngine
+
+        nl, forest, _, result = routed
+        flat = flatmod.flat_forest_of(forest, STAEngine(nl).pert().pin_caps)
+        xy = flatmod.node_positions(flat, forest.get_steiner_coords())
+        r, c = flatmod.routed_edge_rc(flat, nl.technology, xy, result)
+        rows = flat.forest_edge_row[result.edge]
+        wired = result.length > 0
+        assert (r[rows[wired]] > 0.0).all() and (c[rows[wired]] > 0.0).all()
 
     def test_vias_nonnegative(self, routed):
         _, _, _, result = routed
-        assert all(s.vias >= 0 for s in result.segments.values())
+        assert (result.vias >= 0).all()
 
 
 class TestDetailedRouter:
