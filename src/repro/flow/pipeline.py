@@ -267,14 +267,11 @@ def run_routing_flow(
                                 for m in scenario_report.scenarios
                             ],
                         )
+                hold_report = run_hold_analysis(
+                    engine, work, route_result,
+                    utilization=grid.utilization_map(),
+                )
                 if tel.enabled:
-                    # Hold sign-off rides along when a trace is being
-                    # recorded so `python -m repro report` can surface
-                    # it (docs/OBSERVABILITY.md).
-                    hold_report = run_hold_analysis(
-                        engine, work, route_result,
-                        utilization=grid.utilization_map(),
-                    )
                     tel.event(
                         "hold_report",
                         design=netlist.name,

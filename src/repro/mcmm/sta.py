@@ -16,11 +16,18 @@ what is the merged verdict?*  It owns:
   bitwise.  Every incremental answer is bitwise-identical to a full
   batched rebuild.
 
-This is the repo's only incremental timing engine.  A single-corner
-query is simply S=1: the neutral set (``typ@func``) runs the same
-batched kernels and reproduces ``STAEngine.run`` bit for bit, and
+This is the one place a timing pass is put together and finalized.
+A single-corner query is simply S=1 over the neutral set
+(``typ@func``): :meth:`repro.sta.engine.STAEngine.run` is a full query
+of a fresh neutral ``ScenarioSTA``, and
 :class:`repro.sta.incremental.IncrementalSTA` and
-:func:`repro.sta.hold.run_hold_analysis` are format adapters over it.
+:func:`repro.sta.hold.run_hold_analysis` are format adapters over a
+kept one.  Setup slacks have one finalizer
+(:meth:`ScenarioSTA._setup_metrics`), which builds both the setup rows
+of a :class:`ScenarioReport` and the single-scenario
+:class:`~repro.sta.engine.TimingReport`
+(:meth:`ScenarioSTA.timing_report`); required times come from the one
+endpoint requirement table of :class:`~repro.sta.engine.LevelizedPins`.
 """
 
 from __future__ import annotations
@@ -37,10 +44,12 @@ from repro.sta import flat as flatmod
 from repro.pdk.corners import DEFAULT_HOLD_TIME
 from repro.sta.engine import (
     STAEngine,
-    launch_arrays_batched,
+    TimingReport,
     propagate_from_batched,
     propagate_levels_batched,
 )
+from repro.sta.hold import hold_slacks
+from repro.sta.metrics import timing_metrics
 from repro.steiner.forest import SteinerForest
 from repro.mcmm.scenario import Scenario, ScenarioSet
 
@@ -174,46 +183,21 @@ class ScenarioSTA:
                 (idx, early, rows, None if np.all(derate == 1.0) else derate)
             )
 
-        # Per-scenario finalize data.
+        # Per-scenario finalize data, derived from the engine's one
+        # endpoint requirement table.
         pert = self.engine.pert()
-        self._setup_req: List[np.ndarray] = []
-        self._setup_enabled: List[Optional[np.ndarray]] = []
-        for s in self._setup_idx:
-            sc = self.scenarios[s]
-            self._setup_req.append(self._required_array(sc))
-            self._setup_enabled.append(self._enabled_mask(sc, pert.endpoints_arr))
-        #: Hold endpoints: register data pins in register iteration order.
-        hold_ep: List[int] = []
-        for cell in netlist.registers():
-            ct = cell.cell_type
-            for in_name in ct.input_pins:
-                if in_name != ct.clock_pin:
-                    hold_ep.append(cell.pin_indices[in_name])
-        self.hold_endpoints = np.array(hold_ep, dtype=np.int64)
-        self._hold_enabled: List[Optional[np.ndarray]] = [
-            self._enabled_mask(self.scenarios[s], self.hold_endpoints)
+        self._setup_req = [
+            pert.required(self._clocks[s], self.scenarios[s].corner.setup_margin)
+            for s in self._setup_idx
+        ]
+        self._setup_enabled = [
+            self._enabled_mask(self.scenarios[s], pert.endpoints_arr)
+            for s in self._setup_idx
+        ]
+        self._hold_enabled = [
+            self._enabled_mask(self.scenarios[s], pert.hold_endpoints)
             for s in self._hold_idx
         ]
-
-    # ------------------------------------------------------------------
-    def _required_array(self, sc: Scenario) -> np.ndarray:
-        """Per-endpoint required times under one setup scenario, aligned
-        with ``pert.endpoints_arr`` (the engine's endpoint order)."""
-        clock = sc.clock(self.netlist.clock)
-        margin = sc.corner.setup_margin
-        req: Dict[int, float] = {}
-        for cell in self.netlist.registers():
-            ct = cell.cell_type
-            for in_name in ct.input_pins:
-                if in_name != ct.clock_pin:
-                    req[cell.pin_indices[in_name]] = clock.required_at_register(
-                        ct.setup_time + margin
-                    )
-        for port in self.netlist.primary_outputs():
-            req[port.index] = clock.required_at_output()
-        return np.array(
-            [req[ep] for ep in self.engine._endpoints], dtype=np.float64
-        )
 
     @staticmethod
     def _enabled_mask(sc: Scenario, endpoints: np.ndarray) -> Optional[np.ndarray]:
@@ -344,9 +328,7 @@ class ScenarioSTA:
             slew_hold=None,
         )
         for idx, early, rows, derate in self._blocks:
-            arrival, slew = launch_arrays_batched(
-                engine, [self._clocks[s] for s in idx]
-            )
+            arrival, slew = pert.launch([self._clocks[s] for s in idx])
             propagate_levels_batched(
                 pert, arrival, slew, wire_delay_G[rows], wire_deg_G[rows],
                 net_load_G[rows], net_has_tree, derate, early=early,
@@ -460,6 +442,55 @@ class ScenarioSTA:
                 tel.hist("mcmm.frontier_levels", levels)
 
     # ------------------------------------------------------------------
+    def _setup_metrics(
+        self, row: int, arrival: np.ndarray, light: bool
+    ) -> ScenarioMetrics:
+        """Setup slacks (Eq. 1) of setup row ``row`` given its arrivals.
+
+        The one setup-slack finalizer: :meth:`_finalize_blocks` and
+        :meth:`timing_report` both build on it.  An unreached endpoint
+        counts from the launch edge.
+        """
+        s = self._setup_idx[row]
+        req = self._setup_req[row]
+        eps = self.engine.pert().endpoints_arr
+        arr_ep = arrival[eps]
+        launch = self._clocks[s].launch_time()
+        svals = np.where(np.isnan(arr_ep), req - launch, req - arr_ep)
+        enabled = self._setup_enabled[row]
+        if enabled is not None:
+            eps = eps[enabled]
+            svals = svals[enabled]
+        wns, tns, vios = timing_metrics(svals)
+        return ScenarioMetrics(
+            name=self.scenarios[s].name, check="setup", wns=wns, tns=tns,
+            num_violations=vios,
+            slack={} if light else dict(zip(eps.tolist(), svals.tolist())),
+            arrival=arrival if light else arrival.copy(),
+        )
+
+    def _hold_metrics(
+        self, row: int, arrival: np.ndarray, light: bool
+    ) -> ScenarioMetrics:
+        """Hold slacks of hold row ``row``: earliest arrival minus launch,
+        hold time, corner margin and uncertainty; unreached endpoints
+        carry no hold check."""
+        s = self._hold_idx[row]
+        sc = self.scenarios[s]
+        clock = self._clocks[s]
+        requirement = DEFAULT_HOLD_TIME + sc.corner.hold_margin + clock.uncertainty
+        eps = self.engine.pert().hold_endpoints
+        enabled = self._hold_enabled[row]
+        if enabled is not None:
+            eps = eps[enabled]
+        eps, svals = hold_slacks(arrival, eps, clock.launch_time(), requirement)
+        whs, tns, vios = timing_metrics(svals)
+        return ScenarioMetrics(
+            name=sc.name, check="hold", wns=whs, tns=tns, num_violations=vios,
+            slack={} if light else dict(zip(eps.tolist(), svals.tolist())),
+            arrival=arrival if light else arrival.copy(),
+        )
+
     def _finalize_blocks(
         self,
         arr_setup: Optional[np.ndarray],
@@ -473,62 +504,34 @@ class ScenarioSTA:
         what-if probe path uses it because a probe answer is consumed as
         a scalar delta, never as a slack map.
         """
-        pert = self.engine.pert()
         metrics: List[Optional[ScenarioMetrics]] = [None] * len(self.scenarios)
         for row, s in enumerate(self._setup_idx):
-            sc = self.scenarios[s]
-            clock = self._clocks[s]
-            launch = clock.launch_time()
-            arrival = arr_setup[row]
-            req_arr = self._setup_req[row]
-            eps = pert.endpoints_arr
-            arr_ep = arrival[eps]
-            nan_ep = np.isnan(arr_ep)
-            svals = np.where(nan_ep, req_arr - launch, req_arr - arr_ep)
-            enabled = self._setup_enabled[row]
-            if enabled is not None:
-                eps = eps[enabled]
-                svals = svals[enabled]
-            if light:
-                slack: Dict[int, float] = {}
-            else:
-                slack = {int(ep): float(v) for ep, v in zip(eps, svals)}
-            wns = float(svals.min()) if svals.size else 0.0
-            neg = np.minimum(svals, 0.0)
-            tns = float(neg.sum()) if svals.size else 0.0
-            vios = int(np.count_nonzero(svals < 0.0))
-            metrics[s] = ScenarioMetrics(
-                name=sc.name, check="setup", wns=wns, tns=tns,
-                num_violations=vios, slack=slack,
-                arrival=arrival if light else arrival.copy(),
-            )
+            metrics[s] = self._setup_metrics(row, arr_setup[row], light)
         for row, s in enumerate(self._hold_idx):
-            sc = self.scenarios[s]
-            clock = self._clocks[s]
-            launch = clock.launch_time()
-            requirement = DEFAULT_HOLD_TIME + sc.corner.hold_margin + clock.uncertainty
-            arrival = arr_hold[row]
-            eps = self.hold_endpoints
-            enabled = self._hold_enabled[row]
-            if enabled is not None:
-                eps = eps[enabled]
-            arr_ep = arrival[eps]
-            ok = ~np.isnan(arr_ep)
-            svals = arr_ep[ok] - launch - requirement
-            if light:
-                slack = {}
-            else:
-                slack = {int(ep): float(v) for ep, v in zip(eps[ok], svals)}
-            whs = float(svals.min()) if svals.size else 0.0
-            neg = np.minimum(svals, 0.0)
-            tns = float(neg.sum()) if svals.size else 0.0
-            vios = int(np.count_nonzero(svals < 0.0))
-            metrics[s] = ScenarioMetrics(
-                name=sc.name, check="hold", wns=whs, tns=tns,
-                num_violations=vios, slack=slack,
-                arrival=arrival if light else arrival.copy(),
-            )
+            metrics[s] = self._hold_metrics(row, arr_hold[row], light)
         return ScenarioReport.merge([m for m in metrics if m is not None])
+
+    def timing_report(self) -> TimingReport:
+        """The first setup scenario of the last query as a
+        :class:`~repro.sta.engine.TimingReport` (arrays are copies).
+
+        What ``STAEngine.run`` and ``IncrementalSTA.run`` return; call
+        after :meth:`update`.
+        """
+        st = self._state
+        m = self._setup_metrics(0, st.arr_setup[0], light=False)
+        eps = self.engine.pert().endpoints_arr
+        group = self._group_of[self._setup_idx[0]]
+        return TimingReport(
+            arrival=m.arrival,
+            slew=st.slew_setup[0].copy(),
+            required=dict(zip(eps.tolist(), self._setup_req[0].tolist())),
+            slack=m.slack,
+            wns=m.wns,
+            tns=m.tns,
+            num_violations=m.num_violations,
+            net_load=dict(enumerate(st.net_load_G[group].tolist())),
+        )
 
     # ------------------------------------------------------------------
     def probe_batch(

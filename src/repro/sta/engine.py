@@ -1,4 +1,4 @@
-"""PERT-traversal timing engine.
+"""PERT-traversal timing kernels and the netlist-bound sign-off timer.
 
 One pass over the pins in level order computes lumped
 (worst-of-rise/fall) arrival times and slews:
@@ -12,9 +12,12 @@ One pass over the pins in level order computes lumped
 
 Endpoint slacks, WNS, TNS and the violation count follow Eq. (1).
 
-The PERT kernels carry a leading scenario axis: every per-pin array is
-``(S, n_pins)``, one row per scenario, over the *shared* levelized
-topology.  Per-scenario physics enters through three inputs only:
+This module holds the netlist-static half of timing:
+:class:`LevelizedPins` (launch points, levelized arc arrays and the one
+endpoint requirement table) and the batched PERT kernels.  The kernels
+carry a leading scenario axis: every per-pin array is ``(S, n_pins)``,
+one row per scenario, over the *shared* levelized topology.
+Per-scenario physics enters through three inputs only:
 
 * ``wire_delay`` / ``wire_deg`` / ``net_load`` rows carry each
   scenario's derated Elmore results (wire R/C derates);
@@ -25,9 +28,9 @@ topology.  Per-scenario physics enters through three inputs only:
 
 Every operation is elementwise or an ``axis=1`` segmented reduction, so
 each row of a batch is bitwise-identical to running that scenario alone
-(tests/test_mcmm.py).  :meth:`STAEngine.run` is the S=1 case, and a
-neutral row (all derates exactly 1.0) reproduces it bit for bit because
-``x * 1.0`` is a bitwise no-op on finite floats.
+(tests/test_mcmm.py).  A timing pass is put together and finalized in
+one place, :class:`repro.mcmm.sta.ScenarioSTA`; :meth:`STAEngine.run`
+is a full query of the neutral scenario set (S=1) there.
 The scalar per-pin form is :func:`repro.testing.oracles.reference_sta`.
 """
 
@@ -60,9 +63,6 @@ class TimingReport:
     num_violations: int
     net_load: Dict[int, float] = field(default_factory=dict)  # net -> cap (pF)
 
-    def endpoint_arrivals(self) -> Dict[int, float]:
-        return {p: float(self.arrival[p]) for p in self.slack}
-
     def worst_endpoint(self) -> int:
         return min(self.slack, key=self.slack.get)
 
@@ -94,11 +94,11 @@ class PertLevel:
 
 
 class LevelizedPins:
-    """Static per-netlist PERT structure shared by the flat kernel and
-    the incremental engine: arc arrays grouped by destination level."""
+    """Static per-netlist PERT structure shared by every timing pass:
+    launch points, arc arrays grouped by destination level, and the
+    endpoint requirement table."""
 
-    def __init__(self, engine: "STAEngine") -> None:
-        netlist = engine.netlist
+    def __init__(self, netlist: Netlist) -> None:
         n_pins = netlist.num_pins
         self.n_pins = n_pins
         self.n_nets = netlist.num_nets
@@ -117,23 +117,39 @@ class LevelizedPins:
             lumped[net.index] = total
         self.lumped_net_cap = lumped
 
-        skip = set(engine._clock_pins)
-        for p in netlist.pins:
-            if p.is_port and p.direction == PinDirection.OUTPUT:
-                skip.add(p.index)
+        # Launch points: primary inputs and register clock pins (ideal
+        # clock network).  Their arrivals come from the clock spec.
+        self.input_pins = np.array(
+            [p.index for p in netlist.primary_inputs()], dtype=np.int64
+        )
+        self.clock_pins = np.unique(
+            np.array(
+                [c.pin_indices[c.cell_type.clock_pin] for c in netlist.registers()],
+                dtype=np.int64,
+            )
+        )
+        skip = set(self.input_pins.tolist()) | set(self.clock_pins.tolist())
 
         net_arcs: List[Tuple[int, int, int]] = []
         for net in netlist.nets:
             for s in net.sinks:
                 if s not in skip:
                     net_arcs.append((net.driver, s, net.index))
+        # Cell arcs per output pin (input pins in library arc order), in
+        # ascending output-pin order.
         pnm = netlist.pin_net_map()
         cell_dests: List[Tuple[int, list, int]] = []
-        for out_pin in sorted(engine._cell_arcs):
-            arcs = engine._cell_arcs[out_pin]
-            if out_pin in skip or not arcs:
-                continue
-            cell_dests.append((out_pin, arcs, int(pnm[out_pin])))
+        for cell in netlist.cells:
+            ct = cell.cell_type
+            for out_name in ct.output_pins:
+                out_pin = cell.pin_indices[out_name]
+                arcs = [
+                    (cell.pin_indices[arc.from_pin], arc)
+                    for arc in ct.arcs_to(out_name)
+                ]
+                if out_pin not in skip and arcs:
+                    cell_dests.append((out_pin, arcs, int(pnm[out_pin])))
+        cell_dests.sort(key=lambda d: d[0])
 
         # Longest-path level per pin: every arc crosses at least one
         # level boundary, so processing level-by-level is dependency-safe.
@@ -144,7 +160,7 @@ class LevelizedPins:
         for out_pin, arcs, _ in cell_dests:
             for in_pin, _arc in arcs:
                 succ[in_pin].append(out_pin)
-        for u in engine._topo:
+        for u in netlist.topological_pin_order():
             lu = level[u] + 1
             for v in succ[u]:
                 if level[v] < lu:
@@ -209,10 +225,23 @@ class LevelizedPins:
                 )
             )
 
-        self.endpoints_arr = np.array(engine._endpoints, dtype=np.int64)
-        self.required_arr = np.array(
-            [engine._required[ep] for ep in engine._endpoints], dtype=np.float64
-        )
+        # Endpoint requirement table from one register walk: endpoints
+        # in ``Netlist.endpoints`` order (primary outputs, then register
+        # data pins), the library setup time of each data pin (NaN at the
+        # flagged outputs), and the data pins alone as hold endpoints.
+        outputs = [p.index for p in netlist.primary_outputs()]
+        data_pins: List[int] = []
+        setup: List[float] = []
+        for cell in netlist.registers():
+            ct = cell.cell_type
+            for in_name in ct.input_pins:
+                if in_name != ct.clock_pin:
+                    data_pins.append(cell.pin_indices[in_name])
+                    setup.append(ct.setup_time)
+        self.endpoints_arr = np.array(outputs + data_pins, dtype=np.int64)
+        self.is_output = np.arange(self.endpoints_arr.size) < len(outputs)
+        self.setup_time = np.array([np.nan] * len(outputs) + setup, dtype=np.float64)
+        self.hold_endpoints = np.array(data_pins, dtype=np.int64)
         # NLDM tables generated from one grid share their axis arrays;
         # when every table in the design does, interpolation indices and
         # weights can be computed once per level instead of per table.
@@ -268,6 +297,29 @@ class LevelizedPins:
         self.net_driver = np.array(
             [net.driver for net in netlist.nets], dtype=np.int64
         )
+
+    def required(self, clock: ClockSpec, setup_margin: float) -> np.ndarray:
+        """Setup required time per endpoint (``endpoints_arr`` order).
+
+        Register rows go through ``ClockSpec.required_at_register``
+        elementwise, so each equals the scalar call on that pin's
+        ``setup_time + setup_margin`` bit for bit.
+        """
+        return np.where(
+            self.is_output,
+            clock.required_at_output(),
+            clock.required_at_register(self.setup_time + setup_margin),
+        )
+
+    def launch(self, clocks: Sequence[ClockSpec]) -> Tuple[np.ndarray, np.ndarray]:
+        """Fresh ``(S, n_pins)`` arrival/slew arrays with per-scenario launch."""
+        S = len(clocks)
+        arrival = np.full((S, self.n_pins), np.nan)
+        slew = np.full((S, self.n_pins), DEFAULT_INPUT_SLEW)
+        for s, clock in enumerate(clocks):
+            arrival[s, self.input_pins] = clock.launch_time() + clock.input_delay
+            arrival[s, self.clock_pins] = clock.launch_time()
+        return arrival, slew
 
 
 def _arc_tables(
@@ -509,57 +561,26 @@ def propagate_from_batched(
 
 
 class STAEngine:
-    """Reusable engine bound to a netlist; run per Steiner solution."""
+    """Sign-off timer bound to a netlist.
+
+    Holds only netlist-static state (the netlist, its clock and
+    technology, ``COUPLING_K`` and the lazily built :meth:`pert`); every
+    :meth:`run` is a full query of a fresh neutral ScenarioSTA.
+    """
+
+    #: coupling-capacitance coefficient: c_eff = c * (1 + K * utilization)
+    COUPLING_K = 0.8
 
     def __init__(self, netlist: Netlist) -> None:
         self.netlist = netlist
         self.technology = netlist.technology
-        self.library = netlist.library
         self.clock = netlist.clock
-        self._topo = netlist.topological_pin_order()
-        self._startpoints = set(netlist.startpoints())
-        self._endpoints = netlist.endpoints()
-        # Pre-index: output pin -> (cell, arcs grouped by input pin).
-        self._cell_arcs: Dict[int, List[Tuple[int, object]]] = {}
-        for cell in netlist.cells:
-            ct = cell.cell_type
-            for out_name in ct.output_pins:
-                out_pin = cell.pin_indices[out_name]
-                arcs = []
-                for arc in ct.arcs_to(out_name):
-                    in_pin = cell.pin_indices[arc.from_pin]
-                    arcs.append((in_pin, arc))
-                self._cell_arcs[out_pin] = arcs
-        # Clock pins (ideal network).
-        self._clock_pins = set()
-        for cell in netlist.registers():
-            self._clock_pins.add(cell.pin_indices[cell.cell_type.clock_pin])
-        # Sink pin -> driving net.
-        self._driver_of: Dict[int, int] = {}
-        for net in netlist.nets:
-            for s in net.sinks:
-                self._driver_of[s] = net.index
-        # Endpoint required times.
-        self._required: Dict[int, float] = {}
-        for cell in netlist.registers():
-            ct = cell.cell_type
-            for in_name in ct.input_pins:
-                if in_name != ct.clock_pin:
-                    self._required[cell.pin_indices[in_name]] = self.clock.required_at_register(
-                        ct.setup_time
-                    )
-        for port in netlist.primary_outputs():
-            self._required[port.index] = self.clock.required_at_output()
         self._pert_struct: Optional[LevelizedPins] = None
-
-    # ------------------------------------------------------------------
-    #: coupling-capacitance coefficient: c_eff = c * (1 + K * utilization)
-    COUPLING_K = 0.8
 
     def pert(self) -> LevelizedPins:
         """Levelized arc structure (built lazily, once per netlist)."""
         if self._pert_struct is None:
-            self._pert_struct = LevelizedPins(self)
+            self._pert_struct = LevelizedPins(self.netlist)
         return self._pert_struct
 
     def run(
@@ -575,84 +596,10 @@ class STAEngine:
         with local density (``c_eff = c * (1 + COUPLING_K * u)``, see
         ``repro.sta.flat.routed_edge_rc``).
         """
-        pert = self.pert()
-        flat = flatmod.flat_forest_of(forest, pert.pin_caps)
-        xy = flatmod.node_positions(flat, forest.get_steiner_coords())
-        if route_result is not None:
-            edge_r, edge_c = flatmod.routed_edge_rc(
-                flat, self.technology, xy, route_result,
-                utilization, self.COUPLING_K,
-            )
-        else:
-            edge_r, edge_c = flatmod.preroute_edge_rc(flat, self.technology, xy)
-        elmore = flatmod.elmore_forest(flat, edge_r, edge_c)
+        # Imported here: repro.mcmm imports this module.
+        from repro.mcmm.scenario import ScenarioSet
+        from repro.mcmm.sta import ScenarioSTA
 
-        n_pins = pert.n_pins
-        wire_delay = np.zeros(n_pins)
-        wire_deg = np.zeros(n_pins)
-        wire_delay[flat.sink_pin] = elmore.sink_delay
-        wire_deg[flat.sink_pin] = elmore.sink_slew_deg
-        net_load = pert.lumped_net_cap.copy()
-        net_load[flat.net_of_tree] = elmore.total_cap
-        net_has_tree = np.zeros(pert.n_nets, dtype=bool)
-        net_has_tree[flat.net_of_tree] = True
-
-        # One full batched pass at S=1.
-        arrival, slew = launch_arrays_batched(self, [self.clock])
-        propagate_levels_batched(
-            pert, arrival, slew, wire_delay[None], wire_deg[None],
-            net_load[None], net_has_tree, None,
-        )
-        return self.finalize_report(arrival[0], slew[0], net_load)
-
-    def finalize_report(
-        self,
-        arrival: np.ndarray,
-        slew: np.ndarray,
-        net_load: np.ndarray,
-        copy_arrays: bool = False,
-    ) -> TimingReport:
-        """Endpoint slacks / WNS / TNS from propagated arrays."""
-        pert = self.pert()
-        launch = self.clock.launch_time()
-        arr_ep = arrival[pert.endpoints_arr]
-        nan_ep = np.isnan(arr_ep)
-        svals = np.where(nan_ep, pert.required_arr - launch, pert.required_arr - arr_ep)
-        slack = {
-            int(ep): float(s) for ep, s in zip(pert.endpoints_arr, svals)
-        }
-        wns = float(svals.min()) if svals.size else 0.0
-        neg = np.minimum(svals, 0.0)
-        tns = float(neg.sum()) if svals.size else 0.0
-        num_vios = int(np.count_nonzero(svals < 0.0))
-        return TimingReport(
-            arrival=arrival.copy() if copy_arrays else arrival,
-            slew=slew.copy() if copy_arrays else slew,
-            required=dict(self._required),
-            slack=slack,
-            wns=wns,
-            tns=tns,
-            num_violations=num_vios,
-            net_load={i: float(v) for i, v in enumerate(net_load)},
-        )
-
-
-def launch_arrays_batched(
-    engine: STAEngine, clocks: Sequence[ClockSpec]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fresh ``(S, n_pins)`` arrival/slew arrays with per-scenario launch."""
-    n_pins = engine.netlist.num_pins
-    S = len(clocks)
-    arrival = np.full((S, n_pins), np.nan)
-    slew = np.full((S, n_pins), DEFAULT_INPUT_SLEW)
-    pi = np.array(
-        [port.index for port in engine.netlist.primary_inputs()], dtype=np.int64
-    )
-    ck = np.array(sorted(engine._clock_pins), dtype=np.int64)
-    for s, clock in enumerate(clocks):
-        launch = clock.launch_time()
-        if pi.size:
-            arrival[s, pi] = launch + clock.input_delay
-        if ck.size:
-            arrival[s, ck] = launch
-    return arrival, slew
+        sta = ScenarioSTA(self.netlist, forest, ScenarioSet.default(), engine=self)
+        sta.update(route_result=route_result, utilization=utilization)
+        return sta.timing_report()

@@ -21,13 +21,14 @@ the test oracle ``repro.testing.oracles.reference_hold_analysis``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.groute.router import GlobalRouteResult
 from repro.pdk.corners import DEFAULT_HOLD_TIME, Corner
 from repro.sta.engine import STAEngine
+from repro.sta.metrics import timing_metrics
 from repro.steiner.forest import SteinerForest
 
 
@@ -55,19 +56,25 @@ def run_hold_analysis(
 
     neutral_hold = Scenario(Corner("typ_hold", check="hold"), get_mode("func"))
     sta = ScenarioSTA(engine.netlist, forest, ScenarioSet([neutral_hold]), engine=engine)
-    st = sta.update(route_result=route_result, utilization=utilization)
-    arrival = st.arr_hold[0].copy()
-
-    launch = engine.clock.launch_time()
-    requirement = hold_time + engine.clock.uncertainty
-    eps = sta.hold_endpoints
-    arr_ep = arrival[eps]
-    ok = ~np.isnan(arr_ep)
-    svals = arr_ep[ok] - launch - requirement
-    hold_slack = {int(ep): float(v) for ep, v in zip(eps[ok], svals)}
+    arrival = sta.update(route_result=route_result, utilization=utilization).arr_hold[0].copy()
+    eps, svals = hold_slacks(
+        arrival, engine.pert().hold_endpoints, engine.clock.launch_time(),
+        hold_time + engine.clock.uncertainty,
+    )
+    whs, _, vios = timing_metrics(svals)
     return HoldReport(
         early_arrival=arrival,
-        hold_slack=hold_slack,
-        whs=float(svals.min()) if svals.size else 0.0,
-        num_violations=int(np.count_nonzero(svals < 0.0)),
+        hold_slack=dict(zip(eps.tolist(), svals.tolist())),
+        whs=whs,
+        num_violations=vios,
     )
+
+
+def hold_slacks(
+    arrival: np.ndarray, endpoints: np.ndarray, launch: float, requirement: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reached hold endpoints and their slacks
+    ``arrival - launch - requirement`` (unreached ones carry no check)."""
+    arr_ep = arrival[endpoints]
+    ok = ~np.isnan(arr_ep)
+    return endpoints[ok], arr_ep[ok] - launch - requirement

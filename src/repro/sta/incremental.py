@@ -2,14 +2,16 @@
 
 Algorithm 1's inner loop asks for WNS/TNS after every candidate Steiner
 move, but an accepted step usually perturbs a small subset of trees.
-`IncrementalSTA` answers those queries with the repo's one incremental
-timing engine, :class:`repro.mcmm.sta.ScenarioSTA`, run over the
-neutral scenario set (``typ@func``, S=1): dirty trees are found by
+`IncrementalSTA` keeps one neutral :class:`repro.mcmm.sta.ScenarioSTA`
+(``typ@func``, S=1) alive across queries: dirty trees are found by
 exact coordinate or per-edge RC comparison, only their flat rows are
 re-Elmored, and a levelized frontier re-times the pins whose inputs
-changed bitwise.  Every report is bit-identical to a full
-``STAEngine.run``; this class only reshapes the engine's propagated
-state into a :class:`~repro.sta.engine.TimingReport`.
+changed bitwise.  ``STAEngine.run`` is the same query on a fresh
+``ScenarioSTA``, and both take their
+:class:`~repro.sta.engine.TimingReport` from the one setup finalizer,
+``ScenarioSTA.timing_report``; so every incremental report is
+bit-identical to a full run.  This class adds only the report format
+and the adapter over a shared engine (:meth:`IncrementalSTA.over`).
 
 Safety: if anything raises mid-update (including a budget timeout from
 the resilience runtime), the cached state is dropped before the
@@ -92,10 +94,8 @@ class IncrementalSTA:
         utilization: Optional[np.ndarray] = None,
     ) -> TimingReport:
         """Timing under the forest's current Steiner coordinates."""
-        st = self.sta.update(route_result=route_result, utilization=utilization)
-        return self.sta.engine.finalize_report(
-            st.arr_setup[0], st.slew_setup[0], st.net_load_G[0], copy_arrays=True
-        )
+        self.sta.update(route_result=route_result, utilization=utilization)
+        return self.sta.timing_report()
 
 
 __all__ = ["IncrementalSTA"]

@@ -2,27 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 
 def timing_metrics(slacks: Iterable[float]) -> Tuple[float, float, int]:
     """(WNS, TNS, #violations) from endpoint slacks, Eq. (1)."""
-    arr = np.asarray(list(slacks), dtype=np.float64)
+    if not isinstance(slacks, np.ndarray):
+        slacks = list(slacks)
+    arr = np.asarray(slacks, dtype=np.float64)
     if arr.size == 0:
         return 0.0, 0.0, 0
     wns = float(arr.min())
     tns = float(np.minimum(arr, 0.0).sum())
     vios = int((arr < 0.0).sum())
     return wns, tns, vios
-
-
-def slacks_from_arrivals(
-    arrivals: Dict[int, float], required: Dict[int, float]
-) -> Dict[int, float]:
-    """Endpoint slack map from arrival and required maps."""
-    return {p: required[p] - arrivals[p] for p in required if p in arrivals}
 
 
 def improvement_ratio(baseline: float, optimized: float) -> float:

@@ -434,6 +434,35 @@ def _reference_wire_timing(
 # ----------------------------------------------------------------------
 # Setup and hold STA
 # ----------------------------------------------------------------------
+@dataclass
+class _ScalarGraph:
+    """The timing graph as the scalar traversals read it, derived from
+    the netlist alone."""
+
+    topo: List[int]  # pins in dependency order
+    clock_pins: set  # register CK pins (ideal clock)
+    cell_arcs: Dict[int, List[Tuple[int, object]]]  # out pin -> (in pin, arc)
+    driver_of: Dict[int, int]  # sink pin -> net
+
+
+def _scalar_graph(netlist: Netlist) -> _ScalarGraph:
+    cell_arcs: Dict[int, List[Tuple[int, object]]] = {}
+    for cell in netlist.cells:
+        ct = cell.cell_type
+        for out_name in ct.output_pins:
+            cell_arcs[cell.pin_indices[out_name]] = [
+                (cell.pin_indices[arc.from_pin], arc) for arc in ct.arcs_to(out_name)
+            ]
+    return _ScalarGraph(
+        topo=netlist.topological_pin_order(),
+        clock_pins={
+            cell.pin_indices[cell.cell_type.clock_pin] for cell in netlist.registers()
+        },
+        cell_arcs=cell_arcs,
+        driver_of={s: net.index for net in netlist.nets for s in net.sinks},
+    )
+
+
 def reference_sta(
     engine: STAEngine,
     forest: SteinerForest,
@@ -450,20 +479,21 @@ def reference_sta(
         engine, forest, route_result, utilization
     )
 
+    graph = _scalar_graph(netlist)
     launch = engine.clock.launch_time()
     for port in netlist.primary_inputs():
         arrival[port.index] = launch + engine.clock.input_delay
-    for ck_pin in engine._clock_pins:
+    for ck_pin in graph.clock_pins:
         arrival[ck_pin] = launch
 
-    for pin_idx in engine._topo:
+    for pin_idx in graph.topo:
         pin = netlist.pins[pin_idx]
-        if pin_idx in engine._clock_pins or (
+        if pin_idx in graph.clock_pins or (
             pin.is_port and pin.direction == PinDirection.OUTPUT
         ):
             continue  # launch values already set
         if pin.direction == PinDirection.OUTPUT:
-            arcs = engine._cell_arcs.get(pin_idx, [])
+            arcs = graph.cell_arcs.get(pin_idx, [])
             net_idx = netlist.pin_net_map()[pin_idx]
             load = net_load.get(int(net_idx), 0.0) if net_idx >= 0 else 0.0
             best_arr = -np.inf
@@ -480,7 +510,7 @@ def reference_sta(
                 arrival[pin_idx] = best_arr
                 slew[pin_idx] = best_slew
         else:
-            net_idx = engine._driver_of.get(pin_idx)
+            net_idx = graph.driver_of.get(pin_idx)
             if net_idx is None:
                 continue
             driver = netlist.nets[net_idx].driver
@@ -498,15 +528,25 @@ def reference_sta(
                     + nt.sink_slew_degradation.get(pin_idx, 0.0)
                 )
 
+    required: Dict[int, float] = {}
+    for cell in netlist.registers():
+        ct = cell.cell_type
+        for in_name in ct.input_pins:
+            if in_name != ct.clock_pin:
+                required[cell.pin_indices[in_name]] = engine.clock.required_at_register(
+                    ct.setup_time
+                )
+    for port in netlist.primary_outputs():
+        required[port.index] = engine.clock.required_at_output()
     slack: Dict[int, float] = {}
-    for ep in engine._endpoints:
-        req = engine._required[ep]
+    for ep in netlist.endpoints():
+        req = required[ep]
         arr = arrival[ep]
         slack[ep] = float(req - arr) if not np.isnan(arr) else float(req - launch)
     return TimingReport(
         arrival=arrival,
         slew=slew,
-        required=dict(engine._required),
+        required=required,
         slack=slack,
         wns=float(min(slack.values()) if slack else 0.0),
         tns=float(sum(min(0.0, s) for s in slack.values())),
@@ -811,20 +851,21 @@ def reference_hold_analysis(
         engine, forest, route_result, utilization
     )
 
+    graph = _scalar_graph(netlist)
     launch = engine.clock.launch_time()
     for port in netlist.primary_inputs():
         arrival[port.index] = launch + engine.clock.input_delay
-    for ck_pin in engine._clock_pins:
+    for ck_pin in graph.clock_pins:
         arrival[ck_pin] = launch
 
-    for pin_idx in engine._topo:
+    for pin_idx in graph.topo:
         pin = netlist.pins[pin_idx]
-        if pin_idx in engine._clock_pins or (
+        if pin_idx in graph.clock_pins or (
             pin.is_port and pin.direction == PinDirection.OUTPUT
         ):
             continue
         if pin.direction == PinDirection.OUTPUT:
-            arcs = engine._cell_arcs.get(pin_idx, [])
+            arcs = graph.cell_arcs.get(pin_idx, [])
             net_idx = netlist.pin_net_map()[pin_idx]
             load = net_load.get(int(net_idx), 0.0) if net_idx >= 0 else 0.0
             best = np.inf
@@ -841,7 +882,7 @@ def reference_hold_analysis(
                 arrival[pin_idx] = best
                 slew[pin_idx] = best_slew
         else:
-            net_idx = engine._driver_of.get(pin_idx)
+            net_idx = graph.driver_of.get(pin_idx)
             if net_idx is None:
                 continue
             driver = netlist.nets[net_idx].driver

@@ -54,6 +54,30 @@ class TestRunRoutingFlow:
         run_routing_flow(netlist, forest)
         assert np.allclose(forest.get_steiner_coords(), before)
 
+    def test_untraced_flow_carries_hold_report(self, spm, spm_baseline):
+        """Hold sign-off is part of every successful sign-off, traced or
+        not: it equals a hold analysis of the same routed forest."""
+        from repro.groute.layer_assign import assign_layers
+        from repro.groute.router import GlobalRouter
+        from repro.obs import get_telemetry
+        from repro.routegrid.grid import GCellGrid
+        from repro.sta import STAEngine, run_hold_analysis
+
+        assert not get_telemetry().enabled
+        netlist, forest = spm
+        grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+        routed = GlobalRouter(grid).route(forest)
+        assign_layers(routed, netlist.technology, grid.nx * grid.ny)
+        engine = STAEngine(netlist)
+        util = grid.utilization_map()
+        assert engine.run(forest, routed, utilization=util).wns == spm_baseline.wns
+        want = run_hold_analysis(engine, forest, routed, utilization=util)
+        got = spm_baseline.hold_report
+        assert got is not None
+        assert got.hold_slack == want.hold_slack and got.hold_slack
+        assert (got.whs, got.num_violations) == (want.whs, want.num_violations)
+        assert np.array_equal(got.early_arrival, want.early_arrival, equal_nan=True)
+
     def test_repeatable(self, spm, spm_baseline):
         netlist, forest = spm
         again = run_routing_flow(netlist, forest)

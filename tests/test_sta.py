@@ -209,6 +209,54 @@ class TestGeneratedDesign:
         assert report.slack[worst] == min(report.slack.values())
 
 
+class TestEngineReuse:
+    """``STAEngine.run`` queries a stateful ``ScenarioSTA``; interleaved
+    runs on one engine over two forests of one netlist, pre-route and
+    routed, must each equal a fresh engine's report bitwise."""
+
+    @staticmethod
+    def _route(nl, forest):
+        from repro.groute import GlobalRouter, assign_layers
+        from repro.routegrid import GCellGrid
+
+        grid = GCellGrid(nl.die_width, nl.die_height, nl.technology)
+        rr = GlobalRouter(grid).route(forest)
+        assign_layers(rr, nl.technology, grid.nx * grid.ny)
+        return rr, grid.utilization_map()
+
+    def test_interleaved_runs_match_fresh_engines(self):
+        from repro.flow.pipeline import prepare_design
+
+        nl, shifted = prepare_design("usb_cdc_core")
+        unshifted = build_forest(nl)
+        moved = shifted.copy()
+        c = moved.get_steiner_coords()
+        c[::7] += 3.0
+        moved.set_steiner_coords(moved.clamp_coords(c))
+        forests = {"shifted": shifted, "unshifted": unshifted, "moved": moved}
+        routes = {name: self._route(nl, f) for name, f in forests.items()}
+        shared = STAEngine(nl)
+        steps = [
+            ("shifted", False), ("unshifted", False), ("shifted", True),
+            ("unshifted", True), ("moved", False), ("shifted", False),
+            ("moved", True), ("unshifted", False), ("shifted", True),
+        ]
+        seen = set()
+        for step, (name, routed) in enumerate(steps):
+            args = routes[name] if routed else (None, None)
+            got = shared.run(forests[name], *args)
+            seen.add((name, routed, got.tns))
+            want = STAEngine(nl).run(forests[name], *args)
+            assert got.arrival.tobytes() == want.arrival.tobytes(), step
+            assert got.slew.tobytes() == want.slew.tobytes(), step
+            assert got.slack == want.slack, step
+            assert got.net_load == want.net_load, step
+            assert (got.wns, got.tns) == (want.wns, want.tns), step
+        # Every (forest, mode) pair times differently, so a stale answer
+        # would show.
+        assert len({tns for _, _, tns in seen}) == len(seen) == 6
+
+
 class TestMetricsHelpers:
     def test_timing_metrics_empty(self):
         assert timing_metrics([]) == (0.0, 0.0, 0)
