@@ -595,17 +595,21 @@ def run_eco(
     scenarios: Optional[ScenarioSet] = None,
     budget: Optional[Budget] = None,
     on_round: Optional[Callable[[int], None]] = None,
+    context: Optional[EcoContext] = None,
 ) -> EcoResult:
     """Run one ECO closure loop, mutating ``netlist``/``forest`` in place.
 
     Callers who must not mutate shared state wrap their inputs with
     :func:`repro.eco.ops.clone_state` first (the flow stage and the
     experiment harness do).  Deterministic: same inputs + same config
-    (seed included) produce the same accepted-op digest.
+    (seed included) produce the same accepted-op digest.  A caller
+    that passes its own ``context`` (over the same netlist, forest and
+    scenarios) keeps the engine the run ends with: it is bound to the
+    mutated netlist, levelized and timed (the serving commit adopts it).
     """
     config = config if config is not None else EcoConfig()
     tel = get_telemetry()
-    ctx = EcoContext(netlist, forest, scenarios)
+    ctx = context if context is not None else EcoContext(netlist, forest, scenarios)
     with tel.span("eco_run", design=netlist.name, arm=config.arm) as span:
         base = ctx.run()
         result = EcoResult(

@@ -310,7 +310,8 @@ class Netlist:
         """
         n = len(self.pins)
         adj: List[List[int]] = [[] for _ in range(n)]
-        indeg = np.zeros(n, dtype=np.int64)
+        # A Python list: scalar updates on a numpy array cost far more.
+        indeg = [0] * n
         for a, b in self.cell_edges():
             adj[a].append(b)
             indeg[b] += 1

@@ -259,13 +259,15 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
     Unlike ``refine`` (coordinates only), an accepted ECO *mutates the
     netlist* — buffers appear, cells resize, trees are re-routed — so
     the commit path is ``ws.invalidate(reason="eco", structural=True)``:
-    every pinned STA object and the forest's flat digest are discarded
-    and the engine is rebuilt (docs/ECO.md) — also when the run is
-    interrupted, since its accepted ops stay in the netlist.
+    every pinned STA object is discarded (docs/ECO.md).  A run that
+    returns hands over the engine its context ended with, already bound
+    to the mutated netlist and levelized, together with the forest's
+    flat digest keyed on it.  An interrupted run (its accepted ops stay
+    in the netlist) drops the digest and rebuilds the engine instead.
     Deterministic under ``params["seed"]``: the accepted-op ``digest``
     is what the eco-smoke CI job pins.
     """
-    from repro.eco.driver import EcoConfig, run_eco
+    from repro.eco.driver import EcoConfig, EcoContext, run_eco
     from repro.mcmm.scenario import ScenarioSet
 
     ws = cache.workspace(job.design)
@@ -289,6 +291,7 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
     def on_round(_round: int) -> None:
         ctx.heartbeat()
 
+    eco = EcoContext(ws.netlist, ws.forest, scenarios)
     try:
         result = run_eco(
             ws.netlist,
@@ -297,11 +300,14 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
             scenarios=scenarios,
             budget=ctx.budget,
             on_round=on_round,
+            context=eco,
         )
-    finally:
+    except BaseException:
         # An interrupted run (a WorkerKilled out of the heartbeat, any
         # error) has still mutated the netlist by its accepted ops.
         ws.invalidate(reason="eco", structural=True)
+        raise
+    ws.invalidate(reason="eco", structural=True, engine=eco.engine)
     tel = get_telemetry()
     if tel.enabled:
         # Same event the flow stage emits, so `repro report` renders a

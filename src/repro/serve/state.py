@@ -127,7 +127,9 @@ class DesignWorkspace:
         return self._graph
 
     # ------------------------------------------------------------------
-    def invalidate(self, reason: str = "commit", structural: bool = False) -> None:
+    def invalidate(
+        self, reason: str = "commit", structural: bool = False, engine=None
+    ) -> None:
         """Drop cached timing state after a committed mutation.
 
         ``structural=False`` (coordinate-only changes, e.g. a committed
@@ -142,6 +144,12 @@ class DesignWorkspace:
         digest (``flat_forest_of``) is dropped so the next query
         re-CSRs the mutated forest.  Every invalidation is counted and
         traced.
+
+        A structural invalidation given an ``engine`` already bound to
+        the mutated netlist (the one a completed ECO run ended with)
+        adopts it instead: its levelization is reused, and the forest's
+        flat digest is kept, since a lookup validates the digest against
+        that engine's pin caps and the current trees.
         """
         tel = get_telemetry()
         if tel.enabled:
@@ -163,6 +171,9 @@ class DesignWorkspace:
         self._scenario_stas = {}
         self._graph = None
         self._congestion = None
+        if engine is not None:
+            self.engine = engine
+            return
         if self.forest is not None:
             from repro.sta.flat import restore_flat_cache
 

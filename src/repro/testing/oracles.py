@@ -12,6 +12,10 @@ under ``src/repro`` may import this module (tests/test_import_boundary.py).
 * :func:`reference_sta` — the per-net, per-pin scalar PERT traversal.
   :meth:`repro.sta.engine.STAEngine.run` agrees with it to 1e-9 on
   arrivals, slews and slacks (float re-association only).
+* :func:`reference_levelized_pins` — the per-pin loop levelization
+  (longest-path levels over ``Netlist.topological_pin_order``).
+  :class:`repro.sta.engine.LevelizedPins` must build bitwise-equal
+  fields, level by level (tests/test_sta.py).
 * :func:`reference_hold_analysis` — the scalar min-delay traversal.
   :func:`repro.sta.hold.run_hold_analysis` must report the same hold
   slacks, WHS and violation count, with earliest arrivals equal up to
@@ -68,7 +72,13 @@ from repro.netlist.netlist import Netlist, PinDirection
 from repro.pdk.corners import DEFAULT_HOLD_TIME
 from repro.pdk.technology import Technology
 from repro.routegrid.grid import GCellGrid
-from repro.sta.engine import DEFAULT_INPUT_SLEW, STAEngine, TimingReport
+from repro.sta.engine import (
+    DEFAULT_INPUT_SLEW,
+    LevelizedPins,
+    PertLevel,
+    STAEngine,
+    TimingReport,
+)
 from repro.sta.flat import LN9, FlatForest, preroute_edge_rc
 from repro.sta.hold import HoldReport
 from repro.steiner.forest import SteinerForest
@@ -433,6 +443,185 @@ def _reference_wire_timing(
 
 # ----------------------------------------------------------------------
 # Setup and hold STA
+# ----------------------------------------------------------------------
+# Levelization
+# ----------------------------------------------------------------------
+def reference_levelized_pins(netlist: Netlist) -> LevelizedPins:
+    """Per-pin, per-net, per-cell loop form of
+    :class:`repro.sta.engine.LevelizedPins`: longest-path levels over
+    ``Netlist.topological_pin_order``, one Python list per level."""
+    pert = LevelizedPins.__new__(LevelizedPins)
+    n_pins = netlist.num_pins
+    pert.n_pins = n_pins
+    pert.n_nets = netlist.num_nets
+    pert.pin_caps = {
+        p.index: p.cap for p in netlist.pins if p.direction == PinDirection.INPUT
+    }
+    lumped = np.zeros(pert.n_nets, dtype=np.float64)
+    for net in netlist.nets:
+        total = 0.0
+        for s in net.sinks:
+            total += pert.pin_caps.get(s, 0.0)
+        lumped[net.index] = total
+    pert.lumped_net_cap = lumped
+
+    pert.input_pins = np.array(
+        [p.index for p in netlist.primary_inputs()], dtype=np.int64
+    )
+    pert.clock_pins = np.unique(
+        np.array(
+            [c.pin_indices[c.cell_type.clock_pin] for c in netlist.registers()],
+            dtype=np.int64,
+        )
+    )
+    skip = set(pert.input_pins.tolist()) | set(pert.clock_pins.tolist())
+
+    net_arcs: List[Tuple[int, int, int]] = []
+    for net in netlist.nets:
+        for s in net.sinks:
+            if s not in skip:
+                net_arcs.append((net.driver, s, net.index))
+    pnm = netlist.pin_net_map()
+    cell_dests: List[Tuple[int, list, int]] = []
+    for cell in netlist.cells:
+        ct = cell.cell_type
+        for out_name in ct.output_pins:
+            out_pin = cell.pin_indices[out_name]
+            arcs = [
+                (cell.pin_indices[arc.from_pin], arc) for arc in ct.arcs_to(out_name)
+            ]
+            if out_pin not in skip and arcs:
+                cell_dests.append((out_pin, arcs, int(pnm[out_pin])))
+    cell_dests.sort(key=lambda d: d[0])
+
+    level = [0] * n_pins
+    succ: List[List[int]] = [[] for _ in range(n_pins)]
+    for u, v, _ in net_arcs:
+        succ[u].append(v)
+    for out_pin, arcs, _ in cell_dests:
+        for in_pin, _arc in arcs:
+            succ[in_pin].append(out_pin)
+    for u in netlist.topological_pin_order():
+        lu = level[u] + 1
+        for v in succ[u]:
+            if level[v] < lu:
+                level[v] = lu
+
+    net_src = np.array([a[0] for a in net_arcs], dtype=np.int64)
+    net_dst = np.array([a[1] for a in net_arcs], dtype=np.int64)
+    net_net = np.array([a[2] for a in net_arcs], dtype=np.int64)
+    net_lvl = np.array([level[v] for v in net_dst.tolist()], dtype=np.int64)
+    order = np.argsort(net_lvl, kind="stable")
+    net_src, net_dst, net_net = net_src[order], net_dst[order], net_net[order]
+    max_lvl = int(net_lvl.max()) if net_lvl.size else 0
+    dests_at: Dict[int, List[Tuple[int, list, int]]] = {}
+    for dest in cell_dests:
+        L = level[dest[0]]
+        dests_at.setdefault(L, []).append(dest)
+        max_lvl = max(max_lvl, L)
+    net_bound = np.searchsorted(net_lvl[order], np.arange(max_lvl + 2)).tolist()
+
+    pert.levels = []
+    for L in range(1, max_lvl + 1):
+        lo, hi = net_bound[L], net_bound[L + 1]
+        c_in: List[int] = []
+        c_dest: List[int] = []
+        c_counts: List[int] = []
+        c_net: List[int] = []
+        groups: Dict[int, Tuple[object, List[int]]] = {}
+        for out_pin, arcs, net_idx in dests_at.get(L, ()):
+            c_dest.append(out_pin)
+            c_counts.append(len(arcs))
+            c_net.append(net_idx)
+            for in_pin, arc in arcs:
+                pos = len(c_in)
+                c_in.append(in_pin)
+                entry = groups.setdefault(id(arc), (arc, []))
+                entry[1].append(pos)
+        counts = np.array(c_counts, dtype=np.int64)
+        start = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=start[1:])
+        arc_groups = [
+            (arc, np.array(pos, dtype=np.int64)) for arc, pos in groups.values()
+        ]
+        group_id = np.zeros(len(c_in), dtype=np.int64)
+        for g, (_arc, pos) in enumerate(arc_groups):
+            group_id[pos] = g
+        pert.levels.append(
+            PertLevel(
+                net_src=net_src[lo:hi],
+                net_dst=net_dst[lo:hi],
+                net_net=net_net[lo:hi],
+                cell_in=np.array(c_in, dtype=np.int64),
+                cell_dest=np.array(c_dest, dtype=np.int64),
+                cell_start=start,
+                cell_counts=counts,
+                cell_dest_net=np.array(c_net, dtype=np.int64),
+                arc_groups=arc_groups,
+                arc_group_id=group_id,
+            )
+        )
+
+    outputs = [p.index for p in netlist.primary_outputs()]
+    data_pins: List[int] = []
+    setup: List[float] = []
+    for cell in netlist.registers():
+        ct = cell.cell_type
+        for in_name in ct.input_pins:
+            if in_name != ct.clock_pin:
+                data_pins.append(cell.pin_indices[in_name])
+                setup.append(ct.setup_time)
+    pert.endpoints_arr = np.array(outputs + data_pins, dtype=np.int64)
+    pert.is_output = np.arange(pert.endpoints_arr.size) < len(outputs)
+    pert.setup_time = np.array([np.nan] * len(outputs) + setup, dtype=np.float64)
+    pert.hold_endpoints = np.array(data_pins, dtype=np.int64)
+
+    pert.shared_axes = None
+    axes = None
+    shared = True
+    seen_axes = set()
+    for lv in pert.levels:
+        for arc, _pos in lv.arc_groups:
+            for tbl in (arc.delay, arc.output_slew):
+                key = (tbl.slew_axis, tbl.load_axis)
+                ids = (id(key[0]), id(key[1]))
+                if ids in seen_axes:
+                    continue
+                seen_axes.add(ids)
+                if axes is None:
+                    axes = key
+                elif not (
+                    np.array_equal(axes[0], key[0]) and np.array_equal(axes[1], key[1])
+                ):
+                    shared = False
+            if not shared:
+                break
+        if not shared:
+            break
+    if shared and axes is not None:
+        pert.shared_axes = axes
+    pert.table_values = None
+    if pert.shared_axes is not None:
+        offsets: Dict[int, int] = {}
+        values: List[np.ndarray] = []
+
+        def offset(tbl) -> int:
+            if id(tbl) not in offsets:
+                offsets[id(tbl)] = len(values) * tbl.values.size
+                values.append(tbl.values.ravel())
+            return offsets[id(tbl)]
+
+        for lv in pert.levels:
+            lv.delay_base = np.zeros(lv.cell_in.size, dtype=np.int64)
+            lv.slew_base = np.zeros(lv.cell_in.size, dtype=np.int64)
+            for arc, pos in lv.arc_groups:
+                lv.delay_base[pos] = offset(arc.delay)
+                lv.slew_base[pos] = offset(arc.output_slew)
+        pert.table_values = np.concatenate(values)
+    pert.net_driver = np.array([net.driver for net in netlist.nets], dtype=np.int64)
+    return pert
+
+
 # ----------------------------------------------------------------------
 @dataclass
 class _ScalarGraph:

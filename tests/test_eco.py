@@ -462,6 +462,68 @@ class TestInterruptedEco:
             assert _snapshot(sta.run()) == _snapshot(fresh.run())
 
 
+def _levelize_spans(tel) -> int:
+    return sum(
+        1 for e in tel.events
+        if e["kind"] == "span_start" and e["name"] == "sta.levelize"
+    )
+
+
+def _assert_matches_fresh_sta(ws):
+    """The warm incremental read equals a fresh engine's full STA."""
+    got = ws.incremental().run()
+    want = STAEngine(ws.netlist).run(ws.forest)
+    assert got.arrival.tobytes() == want.arrival.tobytes()
+    assert got.slack == want.slack
+    assert (got.wns, got.tns) == (want.wns, want.tns)
+
+
+class TestEcoCommitAdoption:
+    """A completed eco job adopts the engine its ECO context ended with;
+    an interrupted one rebuilds (docs/ECO.md)."""
+
+    _PARAMS = {"arm": "sa", "seed": 0, "steps": 20}
+
+    def test_commit_adopts_the_final_engine(self):
+        from repro.sta.flat import flat_cache_entry
+
+        warm = WarmStateCache()
+        ws = warm.workspace("spm")
+        ws.incremental().run()
+        old_engine, pins_before = ws.engine, ws.netlist.num_pins
+        job = Job(kind="eco", design="spm", params=dict(self._PARAMS))
+        default_handlers(warm)["eco"](job, JobContext(job=job))
+        assert ws.netlist.num_pins > pins_before  # a buffer was accepted
+        assert ws.engine is not old_engine
+        assert ws.engine.netlist is ws.netlist
+        assert ws._inc is None and ws._probe_sta is None
+        assert flat_cache_entry(ws.forest) is not None  # digest kept
+
+        engine = ws.engine
+        with Telemetry() as tel, telemetry_session(tel):
+            ws.incremental().run()
+            assert _levelize_spans(tel) == 0  # the adopted levelization
+        assert ws.engine is engine
+        _assert_matches_fresh_sta(ws)
+
+    def test_interrupted_run_takes_the_full_invalidate(self):
+        from repro.sta.flat import flat_cache_entry
+
+        warm = WarmStateCache()
+        ws = warm.workspace("spm")
+        ws.incremental().run()
+        job = Job(kind="eco", design="spm", params=dict(self._PARAMS))
+        with pytest.raises(WorkerKilled):
+            default_handlers(warm)["eco"](
+                job, JobContext(job=job, chaos=_KillAtHeartbeat(5))
+            )
+        assert flat_cache_entry(ws.forest) is None  # digest dropped
+        with Telemetry() as tel, telemetry_session(tel):
+            ws.incremental().run()
+            assert _levelize_spans(tel) == 1  # a freshly built engine
+        _assert_matches_fresh_sta(ws)
+
+
 class TestWorkspaceInvalidation:
     def test_structural_invalidation_drops_pinned_state(self):
         ws = DesignWorkspace("spm")

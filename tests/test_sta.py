@@ -257,6 +257,157 @@ class TestEngineReuse:
         assert len({tns for _, _, tns in seen}) == len(seen) == 6
 
 
+def _assert_levelized_equal(got, want):
+    """Field-by-field bitwise equality of two LevelizedPins."""
+
+    def same(a, b, what):
+        assert a.dtype == b.dtype and a.shape == b.shape, what
+        assert a.tobytes() == b.tobytes(), what
+
+    assert (got.n_pins, got.n_nets) == (want.n_pins, want.n_nets)
+    assert list(got.pin_caps.items()) == list(want.pin_caps.items())
+    for name in (
+        "lumped_net_cap", "input_pins", "clock_pins", "endpoints_arr",
+        "is_output", "setup_time", "hold_endpoints", "net_driver",
+    ):
+        same(getattr(got, name), getattr(want, name), name)
+    assert (got.shared_axes is None) == (want.shared_axes is None)
+    if want.shared_axes is not None:
+        for a, b in zip(got.shared_axes, want.shared_axes):
+            same(a, b, "shared_axes")
+        same(got.table_values, want.table_values, "table_values")
+    else:
+        assert got.table_values is None
+    assert len(got.levels) == len(want.levels)
+    for L, (g, w) in enumerate(zip(got.levels, want.levels), start=1):
+        for name in (
+            "net_src", "net_dst", "net_net", "cell_in", "cell_dest",
+            "cell_start", "cell_counts", "cell_dest_net", "arc_group_id",
+            "delay_base", "slew_base",
+        ):
+            a, b = getattr(g, name), getattr(w, name)
+            if b is None:
+                assert a is None, (L, name)
+            else:
+                same(a, b, (L, name))
+        assert len(g.arc_groups) == len(w.arc_groups), L
+        for (arc_g, rows_g), (arc_w, rows_w) in zip(g.arc_groups, w.arc_groups):
+            assert arc_g is arc_w, L
+            same(rows_g, rows_w, (L, "arc_groups"))
+
+
+_LEVELIZE_DESIGNS = ("spm", "picorv32a", "des3")
+
+
+@pytest.fixture(scope="module")
+def levelize_designs():
+    from repro.flow.pipeline import prepare_design
+
+    return {name: prepare_design(name) for name in _LEVELIZE_DESIGNS}
+
+
+class TestLevelization:
+    """The array-built ``LevelizedPins`` equals the loop oracle bitwise."""
+
+    @pytest.mark.parametrize("design", _LEVELIZE_DESIGNS)
+    def test_matches_oracle(self, levelize_designs, design):
+        from repro.testing.oracles import reference_levelized_pins
+
+        nl, _ = levelize_designs[design]
+        got = STAEngine(nl).pert()
+        _assert_levelized_equal(got, reference_levelized_pins(nl))
+        assert got.shared_axes is not None and len(got.levels) > 1
+
+    @pytest.mark.parametrize("design", _LEVELIZE_DESIGNS)
+    def test_matches_oracle_through_netlist_ops(self, levelize_designs, design):
+        """Buffer insertion adds a cell, pins and a net; a resize changes
+        pin caps in place.  Each apply and each revert must relevelize
+        exactly as the oracle does."""
+        from repro.eco import BufferInsertOp, ResizeOp, clone_state
+        from repro.sta.engine import LevelizedPins
+        from repro.testing.oracles import reference_levelized_pins
+
+        nl, forest = clone_state(*levelize_designs[design])
+        net = next(n for n in nl.nets if n.degree > 2)
+        cell, to_ct = next(
+            (c, v)
+            for c in nl.cells
+            if not c.is_sequential
+            for v in nl.library.variants_of(c.cell_type)
+            if v.pin_caps != c.cell_type.pin_caps
+        )
+        base = reference_levelized_pins(nl)
+        for op in (BufferInsertOp(net.index, net.sinks[-1]), ResizeOp(cell.index, to_ct)):
+            op.apply(nl, forest)
+            applied = reference_levelized_pins(nl)
+            _assert_levelized_equal(LevelizedPins(nl), applied)
+            assert list(applied.pin_caps.items()) != list(base.pin_caps.items())
+            op.revert(nl, forest)
+            _assert_levelized_equal(LevelizedPins(nl), reference_levelized_pins(nl))
+        _assert_levelized_equal(LevelizedPins(nl), base)
+
+    @staticmethod
+    def _netlist():
+        lib = default_library()
+        nl = Netlist("hand", lib, default_technology(), ClockSpec(1.0))
+        nl.die_width = nl.die_height = 50.0
+        return nl, lib
+
+    def test_matches_oracle_on_hand_built_netlists(self):
+        """Degenerate shapes: no cells, ports only, a dangling register."""
+        from repro.testing.oracles import reference_levelized_pins
+
+        empty, _ = self._netlist()
+        ports, _ = self._netlist()
+        pi = ports.add_port("in0", PinDirection.OUTPUT, 0.0, 10.0)
+        po = ports.add_port("out0", PinDirection.INPUT, 50.0, 10.0)
+        ports.add_net("n", pi.index, [po.index])
+        small, lib = self._netlist()
+        inv, reg = small.add_cell("i", lib["INV_X1"]), small.add_cell("r", lib["DFF_X1"])
+        pi = small.add_port("in0", PinDirection.OUTPUT, 0.0, 10.0)
+        po = small.add_port("out0", PinDirection.INPUT, 50.0, 10.0)
+        small.add_net("a", pi.index, [inv.pin_indices["A"]])
+        small.add_net("y", inv.pin_indices["Y"], [po.index, reg.pin_indices["D"]])
+        for nl in (empty, ports, small):
+            _assert_levelized_equal(STAEngine(nl).pert(), reference_levelized_pins(nl))
+
+    def test_combinational_loop_raises(self):
+        from repro.testing.oracles import reference_levelized_pins
+
+        nl, lib = self._netlist()
+        a, b = nl.add_cell("a", lib["INV_X1"]), nl.add_cell("b", lib["INV_X1"])
+        nl.add_net("ab", a.pin_indices["Y"], [b.pin_indices["A"]])
+        nl.add_net("ba", b.pin_indices["Y"], [a.pin_indices["A"]])
+        with pytest.raises(ValueError, match="combinational loop"):
+            STAEngine(nl).pert()
+        with pytest.raises(ValueError, match="combinational loop"):
+            reference_levelized_pins(nl)
+
+    def test_loop_through_a_clock_pin_raises(self):
+        """A net into a clock pin is no timing arc (the clock is ideal),
+        but ``Netlist.topological_pin_order`` still sees the loop it
+        closes, so levelization must raise too."""
+        nl, lib = self._netlist()
+        reg, inv = nl.add_cell("r", lib["DFF_X1"]), nl.add_cell("i", lib["INV_X1"])
+        nl.add_net("q", reg.pin_indices["Q"], [inv.pin_indices["A"]])
+        nl.add_net("ck", inv.pin_indices["Y"], [reg.pin_indices["CK"]])
+        with pytest.raises(ValueError, match="combinational loop"):
+            STAEngine(nl).pert()
+
+    def test_pert_books_one_levelize_span(self, levelize_designs):
+        from repro.obs import Telemetry, telemetry_session
+
+        nl, _ = levelize_designs["spm"]
+        engine = STAEngine(nl)
+        with Telemetry() as tel, telemetry_session(tel):
+            assert engine.pert() is engine.pert()
+            spans = [
+                e for e in tel.events
+                if e["kind"] == "span_end" and e["name"] == "sta.levelize"
+            ]
+        assert len(spans) == 1
+
+
 class TestMetricsHelpers:
     def test_timing_metrics_empty(self):
         assert timing_metrics([]) == (0.0, 0.0, 0)
