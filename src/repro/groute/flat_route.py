@@ -51,12 +51,9 @@ class FlatRouteResult:
         return int(self.choice.shape[0])
 
 
-def _expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenate ``[arange(s, e) for s, e in zip(starts, ends)]``.
-
-    Same helper as ``sta/flat.py`` (copied to keep ``groute`` free of a
-    dependency on the STA package).
-    """
+def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Concatenate ``[arange(s, e) for s, e in zip(starts, ends)]``
+    (int64; empty and reversed ranges contribute nothing)."""
     counts = (ends - starts).astype(np.int64)
     keep = counts > 0
     starts, counts = starts[keep], counts[keep]
@@ -213,13 +210,13 @@ def pattern_route_flat(
     if commit and n_edges:
         h_row = np.where(choice == 0, row0, row1)
         v_col = np.where(choice == 0, col0, col1)
-        h_cols = _expand_ranges(h_lo, h_lo + h_len)
+        h_cols = expand_ranges(h_lo, h_lo + h_len)
         if h_cols.size:
             lin = h_cols * grid.ny + np.repeat(h_row, h_len)
             grid.use_h += np.bincount(lin, minlength=cost_h.size).reshape(
                 cost_h.shape
             )
-        v_rows = _expand_ranges(v_lo, v_lo + v_len)
+        v_rows = expand_ranges(v_lo, v_lo + v_len)
         if v_rows.size:
             lin = np.repeat(v_col, v_len) * cost_v.shape[1] + v_rows
             grid.use_v += np.bincount(lin, minlength=cost_v.size).reshape(
@@ -253,6 +250,7 @@ def estimate_congestion(netlist, forest: SteinerForest) -> np.ndarray:
 __all__ = [
     "FlatRouteResult",
     "cost_fields",
+    "expand_ranges",
     "pattern_route_flat",
     "estimate_congestion",
 ]

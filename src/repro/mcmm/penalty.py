@@ -72,29 +72,11 @@ class ScenarioPenalty:
     ) -> None:
         self.scenarios = scenarios
         self.mcmm_gamma = float(mcmm_gamma)
-        netlist = graph.netlist
-        base_clock = netlist.clock
-
-        # Graph endpoint order: register data pins then primary outputs
-        # (repro.timing_model.graph).  Collect per-endpoint setup times
-        # and the register/PO split once.
-        eps: List[int] = []
-        setup_times: List[float] = []
-        is_reg: List[bool] = []
-        for cell in netlist.registers():
-            ct = cell.cell_type
-            for in_name in ct.input_pins:
-                if in_name != ct.clock_pin:
-                    eps.append(cell.pin_indices[in_name])
-                    setup_times.append(ct.setup_time)
-                    is_reg.append(True)
-        for port in netlist.primary_outputs():
-            eps.append(port.index)
-            setup_times.append(0.0)
-            is_reg.append(False)
-        eps_arr = np.array(eps, dtype=np.int64)
-        st_arr = np.array(setup_times, dtype=np.float64)
-        reg_mask = np.array(is_reg, dtype=bool)
+        base_clock = graph.netlist.clock
+        # The graph's endpoint table: register data pins, then primary
+        # outputs, with each register pin's library setup time.
+        eps_arr = graph.endpoints
+        reg_mask = graph.endpoint_is_register
 
         self.specs: List[_ScenarioSpec] = []
         for sc in scenarios:
@@ -107,9 +89,10 @@ class ScenarioPenalty:
             if sc.check == "setup":
                 req = np.where(
                     reg_mask,
-                    clock.period + clock.latency
-                    - (st_arr + sc.corner.setup_margin) - clock.uncertainty,
-                    clock.period - clock.output_delay - clock.uncertainty,
+                    clock.required_at_register(
+                        graph.endpoint_setup_time + sc.corner.setup_margin
+                    ),
+                    clock.required_at_output(),
                 )
                 self.specs.append(_ScenarioSpec(
                     name=sc.name, check="setup", launch=launch,

@@ -43,11 +43,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.groute.flat_route import expand_ranges
 from repro.groute.router import GlobalRouteResult
 from repro.netlist.netlist import Netlist, PinDirection
 from repro.obs import get_telemetry
 from repro.pdk.clocks import ClockSpec
-from repro.sta import flat as flatmod
 from repro.steiner.forest import SteinerForest
 
 DEFAULT_INPUT_SLEW = 0.08  # ns at startpoints
@@ -316,7 +316,7 @@ class LevelizedPins:
         dest_start = np.zeros(dest_cnt.size + 1, dtype=np.int64)
         np.cumsum(dest_cnt, out=dest_start[1:])
         # Arc rows, destination-contiguous in destination order.
-        rows = flatmod._expand_ranges(dest_first, dest_first + dest_cnt)
+        rows = expand_ranges(dest_first, dest_first + dest_cnt)
         row_arc = arc_of[rows]
         row_lvl = np.repeat(dest_lvl, dest_cnt)
         max_lvl = max(
@@ -687,7 +687,7 @@ def propagate_from_batched(
             level_touched = True
             starts = lv.cell_start[:-1][idx]
             ends = lv.cell_start[1:][idx]
-            arc_rows = flatmod._expand_ranges(starts, ends)
+            arc_rows = expand_ranges(starts, ends)
             counts = ends - starts
             sub_start = np.zeros(idx.size + 1, dtype=np.int64)
             np.cumsum(counts, out=sub_start[1:])

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.groute.flat_route import expand_ranges
 from repro.groute.router import GlobalRouteResult
 from repro.obs import get_telemetry
 from repro.pdk.technology import Technology
@@ -85,13 +86,13 @@ class FlatForest:
 
     # -- subsetting helpers (tree-contiguous ranges) -------------------
     def node_rows_of_trees(self, trees: np.ndarray) -> np.ndarray:
-        return _expand_ranges(self.node_offset[trees], self.node_offset[trees + 1])
+        return expand_ranges(self.node_offset[trees], self.node_offset[trees + 1])
 
     def edge_rows_of_trees(self, trees: np.ndarray) -> np.ndarray:
-        return _expand_ranges(self.edge_offset[trees], self.edge_offset[trees + 1])
+        return expand_ranges(self.edge_offset[trees], self.edge_offset[trees + 1])
 
     def sink_rows_of_trees(self, trees: np.ndarray) -> np.ndarray:
-        return _expand_ranges(self.sink_offset[trees], self.sink_offset[trees + 1])
+        return expand_ranges(self.sink_offset[trees], self.sink_offset[trees + 1])
 
 
 @dataclass
@@ -104,20 +105,6 @@ class ElmoreState:
     total_cap: np.ndarray  # (T,) cap seen by each driver
     sink_delay: np.ndarray  # (K,)
     sink_slew_deg: np.ndarray  # (K,) additive PERI slew term (ns^2)
-
-
-def _expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenate ``[arange(s, e) for s, e in zip(starts, ends)]``."""
-    counts = (ends - starts).astype(np.int64)
-    keep = counts > 0
-    starts, ends, counts = starts[keep], ends[keep], counts[keep]
-    if counts.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    out = np.ones(int(counts.sum()), dtype=np.int64)
-    out[0] = starts[0]
-    boundaries = np.cumsum(counts)[:-1]
-    out[boundaries] = starts[1:] - ends[:-1] + 1
-    return np.cumsum(out)
 
 
 def _segment_sums(values: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -199,11 +186,11 @@ def build_flat_forest(
     )
     pin_offset = np.zeros(T + 1, dtype=np.int64)
     np.cumsum(n_pins, out=pin_offset[1:])
-    sink_pin = pin_ids[_expand_ranges(pin_offset[:-1] + 1, pin_offset[1:])]
+    sink_pin = pin_ids[expand_ranges(pin_offset[:-1] + 1, pin_offset[1:])]
     n_sinks = np.maximum(n_pins - 1, 0)
     sink_offset = np.zeros(T + 1, dtype=np.int64)
     np.cumsum(n_sinks, out=sink_offset[1:])
-    sink_rows = _expand_ranges(starts + 1, starts + n_pins)
+    sink_rows = expand_ranges(starts + 1, starts + n_pins)
 
     caps = np.fromiter(
         (pin_caps.get(p, 0.0) for p in sink_pin.tolist()),
@@ -239,9 +226,9 @@ def build_flat_forest(
         edge_local=edge_local,
         edge_offset=edge_offset,
         forest_edge_row=forest_edge_row,
-        pin_rows=_expand_ranges(starts, starts + n_pins),
+        pin_rows=expand_ranges(starts, starts + n_pins),
         pin_xy=np.asarray(pin_xy, dtype=np.float64),
-        steiner_rows=_expand_ranges(starts + n_pins, node_offset[1:]),
+        steiner_rows=expand_ranges(starts + n_pins, node_offset[1:]),
         steiner_flat=np.arange(int(n_steiner.sum()), dtype=np.int64),
         steiner_tree=np.repeat(tree_ids, n_steiner),
         sink_rows=sink_rows,

@@ -24,6 +24,12 @@ under ``src/repro`` may import this module (tests/test_import_boundary.py).
   forest into CSR arrays.  :func:`repro.sta.flat.build_flat_forest`
   must return a bitwise-equal :class:`~repro.sta.flat.FlatForest`,
   field by field (tests/test_flat_sta.py).
+* :func:`reference_timing_graph` — the loop form of the evaluator's
+  static graph (its own Kahn sort, register and port walks, per-tree
+  Steiner loop).  :func:`repro.timing_model.graph.build_timing_graph`
+  must return a bitwise-equal :class:`~repro.timing_model.graph.
+  TimingGraph`, field by field and level by level, wherever the loop's
+  levels agree with the sign-off levelization (tests/test_timing_model.py).
 * :func:`reference_forest` — one :func:`repro.steiner.rsmt.construct_tree`
   call per net.  :func:`repro.steiner.forest.build_forest` must return
   bitwise-equal trees (tests/test_flat_steiner.py).
@@ -84,6 +90,13 @@ from repro.sta.hold import HoldReport
 from repro.steiner.forest import SteinerForest
 from repro.steiner.rsmt import construct_tree
 from repro.steiner.tree import SteinerTree
+from repro.timing_model.graph import (
+    NODE_DRIVER,
+    NODE_SINK,
+    NODE_STEINER,
+    LevelArcs,
+    TimingGraph,
+)
 
 
 # ----------------------------------------------------------------------
@@ -1243,6 +1256,301 @@ def reference_flat_forest(
 
 
 # ----------------------------------------------------------------------
+# Evaluator timing graph
+# ----------------------------------------------------------------------
+def reference_timing_graph(
+    netlist: Netlist,
+    forest: SteinerForest,
+    congestion: Optional[np.ndarray] = None,
+) -> TimingGraph:
+    """Loop form of :func:`repro.timing_model.graph.build_timing_graph`:
+    a per-tree walk for the Steiner graph, its own Kahn sort over the
+    pin graph (net arcs into clock pins included) and the register and
+    port walks for the launch and endpoint tables."""
+    # ------------------------------------------------------------------
+    # Steiner graph
+    # ------------------------------------------------------------------
+    tree_offsets = np.zeros(len(forest.trees) + 1, dtype=np.int64)
+    for i, tree in enumerate(forest.trees):
+        tree_offsets[i + 1] = tree_offsets[i] + tree.n_nodes
+    m = int(tree_offsets[-1])
+
+    node_type = np.full(m, NODE_STEINER, dtype=np.int64)
+    static_pos = np.zeros((m, 2), dtype=np.float64)
+    node_cap = np.zeros(m, dtype=np.float64)
+    tree_of_node = np.zeros(m, dtype=np.int64)
+    steiner_rows: List[int] = []
+    steiner_flat: List[int] = []
+    bcast_src: List[int] = []
+    bcast_dst: List[int] = []
+    reduce_src: List[int] = []
+    reduce_dst: List[int] = []
+    edge_src: List[int] = []
+    edge_dst: List[int] = []
+    net_of_edge: List[int] = []
+    sink_node_of: Dict[Tuple[int, int], int] = {}  # (net, sink pin) -> node
+
+    pin_caps = {p.index: p.cap for p in netlist.pins}
+
+    for t_idx, tree in enumerate(forest.trees):
+        base = int(tree_offsets[t_idx])
+        tree_of_node[base : base + tree.n_nodes] = t_idx
+        for local, pin_id in enumerate(tree.pin_ids):
+            node = base + local
+            node_type[node] = NODE_DRIVER if local == 0 else NODE_SINK
+            static_pos[node] = tree.pin_xy[local]
+            node_cap[node] = pin_caps.get(pin_id, 0.0) if local > 0 else 0.0
+            if local > 0:
+                sink_node_of[(tree.net_index, pin_id)] = node
+        for s in range(tree.n_steiner):
+            node = base + tree.n_pins + s
+            steiner_rows.append(node)
+            steiner_flat.append(int(forest.steiner_slice(t_idx).start) + s)
+        for p, c in tree.directed_edges():
+            bcast_src.append(base + p)
+            bcast_dst.append(base + c)
+        for local in range(1, tree.n_pins):
+            reduce_src.append(base + local)
+            reduce_dst.append(base + 0)
+        for u, v in tree.edges:
+            edge_src.append(base + u)
+            edge_dst.append(base + v)
+            net_of_edge.append(tree.net_index)
+
+    # ------------------------------------------------------------------
+    # Driver->sink path structure with downstream-cap weights
+    # ------------------------------------------------------------------
+    net_arc_index: Dict[Tuple[int, int], int] = {}
+    arc_net: List[int] = []
+    arc_sink: List[int] = []
+    for net in netlist.nets:
+        for s in net.sinks:
+            net_arc_index[(net.index, s)] = len(net_arc_index)
+            arc_net.append(net.index)
+            arc_sink.append(s)
+    n_net_arcs = len(net_arc_index)
+
+    path_src: List[int] = []
+    path_dst: List[int] = []
+    path_arc: List[int] = []
+    path_downcap: List[float] = []
+    for t_idx, tree in enumerate(forest.trees):
+        base = int(tree_offsets[t_idx])
+        # Downstream sink-pin capacitance per node (subtree sums).
+        topo = tree.topology()
+        parent = topo.parent
+        sub_cap = np.zeros(tree.n_nodes)
+        for local, pin_id in enumerate(tree.pin_ids):
+            if local > 0:
+                sub_cap[local] = pin_caps.get(pin_id, 0.0)
+        # Accumulate leaves-to-root (parents precede children in BFS).
+        for node in topo.bfs_order[::-1]:
+            p = parent[node]
+            if p >= 0:
+                sub_cap[p] += sub_cap[node]
+        for path in tree.driver_paths():
+            sink_local = path[-1]
+            pin_id = tree.pin_ids[sink_local]
+            arc_id = net_arc_index.get((tree.net_index, pin_id))
+            if arc_id is None:
+                continue
+            for a, b in zip(path, path[1:]):
+                path_src.append(base + a)
+                path_dst.append(base + b)
+                path_arc.append(arc_id)
+                path_downcap.append(float(sub_cap[b]))
+
+    # ------------------------------------------------------------------
+    # Per-net static features
+    # ------------------------------------------------------------------
+    n_nets = netlist.num_nets
+    # np.bincount accumulates in input (= sink) order, so this matches
+    # the per-net sequential sum bit for bit.
+    pin_cap_arr = np.array([p.cap for p in netlist.pins], dtype=np.float64)
+    if arc_net:
+        sink_cap_sum = np.bincount(
+            np.asarray(arc_net, dtype=np.int64),
+            weights=pin_cap_arr[np.asarray(arc_sink, dtype=np.int64)],
+            minlength=n_nets,
+        )
+    else:
+        sink_cap_sum = np.zeros(n_nets, dtype=np.float64)
+    drive_res = np.zeros(n_nets, dtype=np.float64)
+    for net in netlist.nets:
+        driver = netlist.pins[net.driver]
+        if driver.is_cell_pin:
+            drive_res[net.index] = netlist.cells[driver.cell_index].cell_type.drive_res
+        else:
+            drive_res[net.index] = 1.0  # port driver: nominal source impedance
+
+    # ------------------------------------------------------------------
+    # Netlist graph levelization
+    # ------------------------------------------------------------------
+    n_pins = netlist.num_pins
+    preds_net: Dict[int, Tuple[int, int]] = {}  # sink pin -> (driver pin, net)
+    for net in netlist.nets:
+        for s in net.sinks:
+            preds_net[s] = (net.driver, net.index)
+    cell_arcs: List[Tuple[int, int, np.ndarray, int]] = []
+    pin_net = netlist.pin_net_map()
+    for cell in netlist.cells:
+        ct = cell.cell_type
+        for out_name in ct.output_pins:
+            out_pin = cell.pin_indices[out_name]
+            out_net = int(pin_net[out_pin])
+            for arc in ct.arcs_to(out_name):
+                in_pin = cell.pin_indices[arc.from_pin]
+                feat = np.array(
+                    [
+                        arc.delay.values.mean(),  # characteristic delay
+                        ct.drive_res / 10.0,
+                        ct.input_cap(arc.from_pin) * 100.0,
+                        1.0 if ct.is_sequential else 0.0,
+                    ]
+                )
+                cell_arcs.append((in_pin, out_pin, feat, out_net))
+
+    level = np.zeros(n_pins, dtype=np.int64)
+    indeg = np.zeros(n_pins, dtype=np.int64)
+    succ: List[List[int]] = [[] for _ in range(n_pins)]
+    for s, (d, _) in preds_net.items():
+        succ[d].append(s)
+        indeg[s] += 1
+    for in_pin, out_pin, _, _ in cell_arcs:
+        succ[in_pin].append(out_pin)
+        indeg[out_pin] += 1
+    queue = [i for i in range(n_pins) if indeg[i] == 0]
+    head = 0
+    order: List[int] = []
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        order.append(u)
+        for v in succ[u]:
+            level[v] = max(level[v], level[u] + 1)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+
+    max_level = int(level.max()) if n_pins else 0
+
+    # Group arcs by destination level.
+    net_arcs_by_level: Dict[int, List[Tuple[int, int, int, int]]] = {}
+    for s, (d, net_idx) in preds_net.items():
+        node = sink_node_of.get((net_idx, s), -1)
+        net_arcs_by_level.setdefault(int(level[s]), []).append((d, s, node, net_idx))
+    cell_arcs_by_level: Dict[int, List[Tuple[int, int, np.ndarray, int]]] = {}
+    for in_pin, out_pin, feat, out_net in cell_arcs:
+        cell_arcs_by_level.setdefault(int(level[out_pin]), []).append(
+            (in_pin, out_pin, feat, out_net)
+        )
+
+    levels: List[LevelArcs] = []
+    for lv in range(1, max_level + 1):
+        na = net_arcs_by_level.get(lv, [])
+        ca = cell_arcs_by_level.get(lv, [])
+        levels.append(
+            LevelArcs(
+                net_driver=np.array([a[0] for a in na], dtype=np.int64),
+                net_sink=np.array([a[1] for a in na], dtype=np.int64),
+                net_sink_node=np.array([a[2] for a in na], dtype=np.int64),
+                net_of_sink=np.array([a[3] for a in na], dtype=np.int64),
+                net_arc_id=np.array(
+                    [net_arc_index[(a[3], a[1])] for a in na], dtype=np.int64
+                ),
+                cell_in=np.array([a[0] for a in ca], dtype=np.int64),
+                cell_out=np.array([a[1] for a in ca], dtype=np.int64),
+                cell_feat=(
+                    np.stack([a[2] for a in ca]) if ca else np.zeros((0, 4))
+                ),
+                cell_out_net=np.array([a[3] for a in ca], dtype=np.int64),
+            )
+        )
+
+    # ------------------------------------------------------------------
+    # Startpoints / endpoints
+    # ------------------------------------------------------------------
+    clock = netlist.clock
+    startpoints: List[int] = []
+    start_arrival: List[float] = []
+    start_feat: List[List[float]] = []
+    for port in netlist.primary_inputs():
+        startpoints.append(port.index)
+        start_arrival.append(clock.launch_time() + clock.input_delay)
+        start_feat.append([1.0, 0.0])
+    for cell in netlist.registers():
+        ck = cell.pin_indices[cell.cell_type.clock_pin]
+        startpoints.append(ck)
+        start_arrival.append(clock.launch_time())
+        start_feat.append([0.0, 1.0])
+
+    endpoints: List[int] = []
+    required: List[float] = []
+    setup_time: List[float] = []
+    for cell in netlist.registers():
+        ct = cell.cell_type
+        for in_name in ct.input_pins:
+            if in_name != ct.clock_pin:
+                endpoints.append(cell.pin_indices[in_name])
+                required.append(clock.required_at_register(ct.setup_time))
+                setup_time.append(ct.setup_time)
+    n_register_endpoints = len(endpoints)
+    for port in netlist.primary_outputs():
+        endpoints.append(port.index)
+        required.append(clock.required_at_output())
+        setup_time.append(math.nan)
+
+    reachable = np.zeros(n_pins, dtype=bool)
+    reachable[np.array(startpoints, dtype=np.int64)] = True
+    for lv in levels:
+        reachable[lv.net_sink] = True
+        reachable[lv.cell_out] = True
+
+    return TimingGraph(
+        netlist=netlist,
+        forest=forest,
+        n_sg_nodes=m,
+        sg_node_type=node_type,
+        sg_static_pos=static_pos,
+        sg_steiner_rows=np.array(steiner_rows, dtype=np.int64),
+        sg_steiner_flat=np.array(steiner_flat, dtype=np.int64),
+        sg_node_cap=node_cap,
+        sg_bcast_src=np.array(bcast_src, dtype=np.int64),
+        sg_bcast_dst=np.array(bcast_dst, dtype=np.int64),
+        sg_reduce_src=np.array(reduce_src, dtype=np.int64),
+        sg_reduce_dst=np.array(reduce_dst, dtype=np.int64),
+        sg_tree_of_node=tree_of_node,
+        n_nets=n_nets,
+        net_edge_src_node=np.array(edge_src, dtype=np.int64),
+        net_edge_dst_node=np.array(edge_dst, dtype=np.int64),
+        net_of_edge=np.array(net_of_edge, dtype=np.int64),
+        net_sink_cap_sum=sink_cap_sum,
+        net_drive_res=drive_res,
+        n_net_arcs=n_net_arcs,
+        path_src=np.array(path_src, dtype=np.int64),
+        path_dst=np.array(path_dst, dtype=np.int64),
+        path_arc=np.array(path_arc, dtype=np.int64),
+        path_downcap=np.array(path_downcap, dtype=np.float64),
+        arc_drive_res=drive_res[np.array(arc_net, dtype=np.int64)]
+        if arc_net
+        else np.zeros(0),
+        n_pins=n_pins,
+        levels=levels,
+        startpoints=np.array(startpoints, dtype=np.int64),
+        start_feat=np.array(start_feat, dtype=np.float64),
+        start_arrival=np.array(start_arrival, dtype=np.float64),
+        endpoints=np.array(endpoints, dtype=np.int64),
+        required=np.array(required, dtype=np.float64),
+        endpoint_setup_time=np.array(setup_time, dtype=np.float64),
+        endpoint_is_register=np.arange(len(endpoints)) < n_register_endpoints,
+        pin_level=level,
+        reachable=reachable,
+        congestion=congestion,
+        gcell_size=netlist.technology.gcell_size,
+    )
+
+
+# ----------------------------------------------------------------------
 # Steiner construction and the single-pass pattern-route estimate
 # ----------------------------------------------------------------------
 def reference_forest(netlist: Netlist) -> SteinerForest:
@@ -1326,6 +1634,7 @@ __all__ = [
     "reference_hold_analysis",
     "reference_routed_edge_rc",
     "reference_sta",
+    "reference_timing_graph",
     "segment_rc",
     "segment_routes",
 ]

@@ -6,19 +6,28 @@ Built once per (netlist, Steiner forest *topology*); Steiner point
 changes during refinement, only coordinates — Definition 1 of the
 paper).
 
-Steiner-graph node numbering: per-tree nodes are laid out
-consecutively; node ``tree_offset[t] + k`` is node ``k`` of tree ``t``
-(pins first, Steiner nodes after, matching ``SteinerTree`` order).
+Both halves are the sign-off timer's own structures, read into the
+evaluator's layout: the netlist graph comes from the STA levelization
+(:class:`repro.sta.engine.LevelizedPins`: levels, launch points and the
+endpoint table) and the Steiner graph from the flat RC forest
+(:func:`repro.sta.flat.build_flat_forest`).  Steiner-graph node ids are
+flat forest nodes: node ``node_offset[t] + k`` is node ``k`` of tree
+``t`` (pins first, Steiner nodes after, matching ``SteinerTree``
+order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.netlist.netlist import Netlist, PinDirection
+from repro.netlist.netlist import Netlist
+from repro.sta.engine import LevelizedPins
+from repro.sta.flat import build_flat_forest
 from repro.steiner.forest import SteinerForest
 
 NODE_DRIVER = 0
@@ -83,8 +92,10 @@ class TimingGraph:
     startpoints: np.ndarray
     start_feat: np.ndarray  # (n_start, n_start_feats)
     start_arrival: np.ndarray  # (n_start,) known launch arrivals
-    endpoints: np.ndarray
+    endpoints: np.ndarray  # register data pins, then primary outputs
     required: np.ndarray  # (n_endpoints,) required times
+    endpoint_setup_time: np.ndarray  # (n_endpoints,) library setup, NaN at POs
+    endpoint_is_register: np.ndarray  # (n_endpoints,) bool
     pin_level: np.ndarray
     reachable: np.ndarray  # (n_pins,) bool — pins the traversal sets
     # ---- congestion field (routing-stage feature, see Table IV note) ----
@@ -109,242 +120,144 @@ def build_timing_graph(
     ``congestion`` is an optional (nx, ny) GCell utilization field
     (from a routing probe of the current forest); the evaluator samples
     it bilinearly at node positions, making detour likelihood a
-    differentiable function of Steiner coordinates.
+    differentiable function of Steiner coordinates.  Raises the STA's
+    ``ValueError`` on a combinational loop.
+
+    The forest is flattened with ``build_flat_forest``, not the STA's
+    memo, so building a graph never evicts the sign-off flat entry.
+    Only arrays are kept: the graph holds neither intermediate.
     """
-    # ------------------------------------------------------------------
-    # Steiner graph
-    # ------------------------------------------------------------------
-    tree_offsets = np.zeros(len(forest.trees) + 1, dtype=np.int64)
-    for i, tree in enumerate(forest.trees):
-        tree_offsets[i + 1] = tree_offsets[i] + tree.n_nodes
-    m = int(tree_offsets[-1])
+    pert = LevelizedPins(netlist)
+    flat = build_flat_forest(forest, pert.pin_caps)
+    n_pins, n_nets = pert.n_pins, pert.n_nets
+    trees = forest.trees
 
+    # ------------------------------------------------------------------
+    # Steiner graph: flat forest nodes, driver-rooted RC edges
+    # ------------------------------------------------------------------
+    m = flat.n_nodes
     node_type = np.full(m, NODE_STEINER, dtype=np.int64)
+    node_type[flat.pin_rows] = NODE_SINK
+    node_type[flat.tree_root] = NODE_DRIVER
     static_pos = np.zeros((m, 2), dtype=np.float64)
-    node_cap = np.zeros(m, dtype=np.float64)
-    tree_of_node = np.zeros(m, dtype=np.int64)
-    steiner_rows: List[int] = []
-    steiner_flat: List[int] = []
-    bcast_src: List[int] = []
-    bcast_dst: List[int] = []
-    reduce_src: List[int] = []
-    reduce_dst: List[int] = []
-    edge_src: List[int] = []
-    edge_dst: List[int] = []
-    net_of_edge: List[int] = []
-    sink_node_of: Dict[Tuple[int, int], int] = {}  # (net, sink pin) -> node
+    static_pos[flat.pin_rows] = flat.pin_xy
+    # Undirected tree edges in ``tree.edges`` orientation.
+    edge_lists = list(map(attrgetter("edges"), trees))
+    n_edges = np.fromiter(map(len, edge_lists), np.int64, len(trees))
+    ends = np.fromiter(
+        chain.from_iterable(chain.from_iterable(edge_lists)),
+        np.int64,
+        2 * int(n_edges.sum()),
+    )
+    edge_base = np.repeat(flat.node_offset[:-1], n_edges)
 
-    pin_caps = {p.index: p.cap for p in netlist.pins}
-
-    for t_idx, tree in enumerate(forest.trees):
-        base = int(tree_offsets[t_idx])
-        tree_of_node[base : base + tree.n_nodes] = t_idx
-        for local, pin_id in enumerate(tree.pin_ids):
-            node = base + local
-            node_type[node] = NODE_DRIVER if local == 0 else NODE_SINK
-            static_pos[node] = tree.pin_xy[local]
-            node_cap[node] = pin_caps.get(pin_id, 0.0) if local > 0 else 0.0
-            if local > 0:
-                sink_node_of[(tree.net_index, pin_id)] = node
-        for s in range(tree.n_steiner):
-            node = base + tree.n_pins + s
-            steiner_rows.append(node)
-            steiner_flat.append(int(forest.steiner_slice(t_idx).start) + s)
-        for p, c in tree.directed_edges():
-            bcast_src.append(base + p)
-            bcast_dst.append(base + c)
-        for local in range(1, tree.n_pins):
-            reduce_src.append(base + local)
-            reduce_dst.append(base + 0)
-        for u, v in tree.edges:
-            edge_src.append(base + u)
-            edge_dst.append(base + v)
-            net_of_edge.append(tree.net_index)
+    # ------------------------------------------------------------------
+    # Per-net static features; sink arcs in netlist order
+    # ------------------------------------------------------------------
+    nets, pins, cells = netlist.nets, netlist.pins, netlist.cells
+    sink_lists = list(map(attrgetter("sinks"), nets))
+    fanout = np.fromiter(map(len, sink_lists), np.int64, n_nets)
+    sinks = np.fromiter(chain.from_iterable(sink_lists), np.int64, int(fanout.sum()))
+    n_net_arcs = int(sinks.size)
+    arc_of_pin = np.full(n_pins, -1, dtype=np.int64)
+    arc_of_pin[sinks] = np.arange(n_net_arcs, dtype=np.int64)
+    drive_res = np.ones(n_nets, dtype=np.float64)  # port driver: nominal source
+    for net in nets:
+        driver = pins[net.driver]
+        if driver.is_cell_pin:
+            drive_res[net.index] = cells[driver.cell_index].cell_type.drive_res
 
     # ------------------------------------------------------------------
     # Driver->sink path structure with downstream-cap weights
     # ------------------------------------------------------------------
-    net_arc_index: Dict[Tuple[int, int], int] = {}
-    arc_net: List[int] = []
-    arc_sink: List[int] = []
-    for net in netlist.nets:
-        for s in net.sinks:
-            net_arc_index[(net.index, s)] = len(net_arc_index)
-            arc_net.append(net.index)
-            arc_sink.append(s)
-    n_net_arcs = len(net_arc_index)
-
-    path_src: List[int] = []
-    path_dst: List[int] = []
-    path_arc: List[int] = []
-    path_downcap: List[float] = []
-    for t_idx, tree in enumerate(forest.trees):
-        base = int(tree_offsets[t_idx])
-        # Downstream sink-pin capacitance per node (subtree sums).
-        topo = tree.topology()
-        parent = topo.parent
-        sub_cap = np.zeros(tree.n_nodes)
-        for local, pin_id in enumerate(tree.pin_ids):
-            if local > 0:
-                sub_cap[local] = pin_caps.get(pin_id, 0.0)
-        # Accumulate leaves-to-root (parents precede children in BFS).
-        for node in topo.bfs_order[::-1]:
-            p = parent[node]
-            if p >= 0:
-                sub_cap[p] += sub_cap[node]
-        for path in tree.driver_paths():
-            sink_local = path[-1]
-            pin_id = tree.pin_ids[sink_local]
-            arc_id = net_arc_index.get((tree.net_index, pin_id))
-            if arc_id is None:
-                continue
-            for a, b in zip(path, path[1:]):
-                path_src.append(base + a)
-                path_dst.append(base + b)
-                path_arc.append(arc_id)
-                path_downcap.append(float(sub_cap[b]))
+    # Downstream sink-pin capacitance per node: deepest level first, and
+    # into each parent in reverse BFS order, as a per-tree walk of
+    # reversed ``bfs_order`` adds them.
+    topos = [tree.topology() for tree in trees]
+    n_reached = np.fromiter((tp.bfs_order.size for tp in topos), np.int64, len(trees))
+    bfs = np.concatenate(
+        [tp.bfs_order for tp in topos] or [np.zeros(0, dtype=np.int64)]
+    ) + np.repeat(flat.node_offset[:-1], n_reached)
+    bfs_rank = np.zeros(m, dtype=np.int64)
+    bfs_rank[bfs] = np.arange(bfs.size, dtype=np.int64)
+    depth = np.zeros(m, dtype=np.int64)
+    sub_cap = flat.node_base_cap.copy()
+    for d in range(len(flat.levels), 0, -1):
+        nodes = flat.levels[d - 1]
+        depth[nodes] = d
+        nodes = nodes[np.argsort(-bfs_rank[nodes], kind="stable")]
+        np.add.at(sub_cap, flat.parent[nodes], sub_cap[nodes])
+    # One entry per tree edge on each sink's driver path, root first,
+    # sinks in tree order: fill each path from its sink end upwards.
+    sink_arc = arc_of_pin[flat.sink_pin]
+    node = flat.sink_rows[sink_arc >= 0]
+    n_up = depth[node]  # edges on the path
+    path_arc = np.repeat(sink_arc[sink_arc >= 0], n_up)
+    path_end = np.cumsum(n_up)
+    path_dst = np.empty(path_arc.size, dtype=np.int64)
+    for k in range(len(flat.levels)):
+        up = n_up > k
+        path_dst[path_end[up] - 1 - k] = node[up]
+        node = np.where(up, flat.parent[node], node)
 
     # ------------------------------------------------------------------
-    # Per-net static features
+    # Netlist graph: the STA levelization
     # ------------------------------------------------------------------
-    n_nets = netlist.num_nets
-    # np.bincount accumulates in input (= sink) order, so this matches
-    # the per-net sequential sum bit for bit.
-    pin_cap_arr = np.array([p.cap for p in netlist.pins], dtype=np.float64)
-    if arc_net:
-        sink_cap_sum = np.bincount(
-            np.asarray(arc_net, dtype=np.int64),
-            weights=pin_cap_arr[np.asarray(arc_sink, dtype=np.int64)],
-            minlength=n_nets,
-        )
-    else:
-        sink_cap_sum = np.zeros(n_nets, dtype=np.float64)
-    drive_res = np.zeros(n_nets, dtype=np.float64)
-    for net in netlist.nets:
-        driver = netlist.pins[net.driver]
-        if driver.is_cell_pin:
-            drive_res[net.index] = netlist.cells[driver.cell_index].cell_type.drive_res
-        else:
-            drive_res[net.index] = 1.0  # port driver: nominal source impedance
-
-    # ------------------------------------------------------------------
-    # Netlist graph levelization
-    # ------------------------------------------------------------------
-    n_pins = netlist.num_pins
-    preds_net: Dict[int, Tuple[int, int]] = {}  # sink pin -> (driver pin, net)
-    for net in netlist.nets:
-        for s in net.sinks:
-            preds_net[s] = (net.driver, net.index)
-    cell_arcs: List[Tuple[int, int, np.ndarray, int]] = []
-    pin_net = netlist.pin_net_map()
-    for cell in netlist.cells:
-        ct = cell.cell_type
-        for out_name in ct.output_pins:
-            out_pin = cell.pin_indices[out_name]
-            out_net = int(pin_net[out_pin])
-            for arc in ct.arcs_to(out_name):
-                in_pin = cell.pin_indices[arc.from_pin]
-                feat = np.array(
-                    [
-                        arc.delay.values.mean(),  # characteristic delay
-                        ct.drive_res / 10.0,
-                        ct.input_cap(arc.from_pin) * 100.0,
-                        1.0 if ct.is_sequential else 0.0,
-                    ]
-                )
-                cell_arcs.append((in_pin, out_pin, feat, out_net))
-
-    level = np.zeros(n_pins, dtype=np.int64)
-    indeg = np.zeros(n_pins, dtype=np.int64)
-    succ: List[List[int]] = [[] for _ in range(n_pins)]
-    for s, (d, _) in preds_net.items():
-        succ[d].append(s)
-        indeg[s] += 1
-    for in_pin, out_pin, _, _ in cell_arcs:
-        succ[in_pin].append(out_pin)
-        indeg[out_pin] += 1
-    queue = [i for i in range(n_pins) if indeg[i] == 0]
-    head = 0
-    order: List[int] = []
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        order.append(u)
-        for v in succ[u]:
-            level[v] = max(level[v], level[u] + 1)
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-
-    max_level = int(level.max()) if n_pins else 0
-
-    # Group arcs by destination level.
-    net_arcs_by_level: Dict[int, List[Tuple[int, int, int, int]]] = {}
-    for s, (d, net_idx) in preds_net.items():
-        node = sink_node_of.get((net_idx, s), -1)
-        net_arcs_by_level.setdefault(int(level[s]), []).append((d, s, node, net_idx))
-    cell_arcs_by_level: Dict[int, List[Tuple[int, int, np.ndarray, int]]] = {}
-    for in_pin, out_pin, feat, out_net in cell_arcs:
-        cell_arcs_by_level.setdefault(int(level[out_pin]), []).append(
-            (in_pin, out_pin, feat, out_net)
-        )
-
+    # Static cell-arc features, once per library arc of the design's
+    # cell types (a ``TimingArc`` belongs to one cell type).
+    type_arcs = [
+        (arc, ct)
+        for ct in {id(c.cell_type): c.cell_type for c in cells}.values()
+        for arc in ct.arcs
+    ]
+    feat_row = {id(arc): k for k, (arc, _) in enumerate(type_arcs)}
+    feat_table = np.array(
+        [
+            [
+                arc.delay.values.mean(),  # characteristic delay
+                ct.drive_res / 10.0,
+                ct.input_cap(arc.from_pin) * 100.0,
+                1.0 if ct.is_sequential else 0.0,
+            ]
+            for arc, ct in type_arcs
+        ],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    node_of_sink = np.full(n_pins, -1, dtype=np.int64)
+    node_of_sink[flat.sink_pin] = flat.sink_rows
+    pin_level = np.zeros(n_pins, dtype=np.int64)
+    # Level rows are copied: a ``PertLevel`` row is a view of its level's
+    # whole row block, which the graph would otherwise keep alive.
     levels: List[LevelArcs] = []
-    for lv in range(1, max_level + 1):
-        na = net_arcs_by_level.get(lv, [])
-        ca = cell_arcs_by_level.get(lv, [])
+    for lv_no, lv in enumerate(pert.levels, start=1):
+        group_feat = np.array(
+            [feat_row[id(arc)] for arc, _ in lv.arc_groups], dtype=np.int64
+        )
+        pin_level[lv.net_dst] = lv_no
+        pin_level[lv.cell_dest] = lv_no
         levels.append(
             LevelArcs(
-                net_driver=np.array([a[0] for a in na], dtype=np.int64),
-                net_sink=np.array([a[1] for a in na], dtype=np.int64),
-                net_sink_node=np.array([a[2] for a in na], dtype=np.int64),
-                net_of_sink=np.array([a[3] for a in na], dtype=np.int64),
-                net_arc_id=np.array(
-                    [net_arc_index[(a[3], a[1])] for a in na], dtype=np.int64
-                ),
-                cell_in=np.array([a[0] for a in ca], dtype=np.int64),
-                cell_out=np.array([a[1] for a in ca], dtype=np.int64),
-                cell_feat=(
-                    np.stack([a[2] for a in ca]) if ca else np.zeros((0, 4))
-                ),
-                cell_out_net=np.array([a[3] for a in ca], dtype=np.int64),
+                net_driver=lv.net_src.copy(),
+                net_sink=lv.net_dst.copy(),
+                net_sink_node=node_of_sink[lv.net_dst],
+                net_of_sink=lv.net_net.copy(),
+                net_arc_id=arc_of_pin[lv.net_dst],
+                cell_in=lv.cell_in.copy(),
+                cell_out=np.repeat(lv.cell_dest, lv.cell_counts),
+                cell_feat=feat_table[group_feat[lv.arc_group_id]],
+                cell_out_net=np.repeat(lv.cell_dest_net, lv.cell_counts),
             )
         )
 
-    # ------------------------------------------------------------------
-    # Startpoints / endpoints
-    # ------------------------------------------------------------------
+    # Launch points (primary inputs, then register clock pins) and the
+    # endpoint table, rotated to register data pins first.
     clock = netlist.clock
-    startpoints: List[int] = []
-    start_arrival: List[float] = []
-    start_feat: List[List[float]] = []
-    for port in netlist.primary_inputs():
-        startpoints.append(port.index)
-        start_arrival.append(clock.launch_time() + clock.input_delay)
-        start_feat.append([1.0, 0.0])
-    for cell in netlist.registers():
-        ck = cell.pin_indices[cell.cell_type.clock_pin]
-        startpoints.append(ck)
-        start_arrival.append(clock.launch_time())
-        start_feat.append([0.0, 1.0])
-
-    endpoints: List[int] = []
-    required: List[float] = []
-    for cell in netlist.registers():
-        ct = cell.cell_type
-        for in_name in ct.input_pins:
-            if in_name != ct.clock_pin:
-                endpoints.append(cell.pin_indices[in_name])
-                required.append(clock.required_at_register(ct.setup_time))
-    for port in netlist.primary_outputs():
-        endpoints.append(port.index)
-        required.append(clock.required_at_output())
-
-    reachable = np.zeros(n_pins, dtype=bool)
-    reachable[np.array(startpoints, dtype=np.int64)] = True
-    for lv in levels:
-        reachable[lv.net_sink] = True
-        reachable[lv.cell_out] = True
+    startpoints = np.concatenate([pert.input_pins, pert.clock_pins])
+    n_in, n_ck = pert.input_pins.size, pert.clock_pins.size
+    reachable = pin_level > 0
+    reachable[startpoints] = True
+    n_ep = pert.endpoints_arr.size
+    ep_order = np.roll(np.arange(n_ep, dtype=np.int64), -int(pert.is_output.sum()))
 
     return TimingGraph(
         netlist=netlist,
@@ -352,36 +265,41 @@ def build_timing_graph(
         n_sg_nodes=m,
         sg_node_type=node_type,
         sg_static_pos=static_pos,
-        sg_steiner_rows=np.array(steiner_rows, dtype=np.int64),
-        sg_steiner_flat=np.array(steiner_flat, dtype=np.int64),
-        sg_node_cap=node_cap,
-        sg_bcast_src=np.array(bcast_src, dtype=np.int64),
-        sg_bcast_dst=np.array(bcast_dst, dtype=np.int64),
-        sg_reduce_src=np.array(reduce_src, dtype=np.int64),
-        sg_reduce_dst=np.array(reduce_dst, dtype=np.int64),
-        sg_tree_of_node=tree_of_node,
+        sg_steiner_rows=flat.steiner_rows,
+        sg_steiner_flat=flat.steiner_flat,
+        sg_node_cap=flat.node_base_cap,
+        sg_bcast_src=flat.parent[flat.edge_child],
+        sg_bcast_dst=flat.edge_child,
+        sg_reduce_src=flat.sink_rows,
+        sg_reduce_dst=flat.tree_root[flat.sink_tree],
+        sg_tree_of_node=flat.tree_of_node,
         n_nets=n_nets,
-        net_edge_src_node=np.array(edge_src, dtype=np.int64),
-        net_edge_dst_node=np.array(edge_dst, dtype=np.int64),
-        net_of_edge=np.array(net_of_edge, dtype=np.int64),
-        net_sink_cap_sum=sink_cap_sum,
+        net_edge_src_node=ends[0::2] + edge_base,
+        net_edge_dst_node=ends[1::2] + edge_base,
+        net_of_edge=np.repeat(flat.net_of_tree, n_edges),
+        net_sink_cap_sum=pert.lumped_net_cap,
         net_drive_res=drive_res,
         n_net_arcs=n_net_arcs,
-        path_src=np.array(path_src, dtype=np.int64),
-        path_dst=np.array(path_dst, dtype=np.int64),
-        path_arc=np.array(path_arc, dtype=np.int64),
-        path_downcap=np.array(path_downcap, dtype=np.float64),
-        arc_drive_res=drive_res[np.array(arc_net, dtype=np.int64)]
-        if arc_net
-        else np.zeros(0),
+        path_src=flat.parent[path_dst],
+        path_dst=path_dst,
+        path_arc=path_arc,
+        path_downcap=sub_cap[path_dst],
+        arc_drive_res=drive_res[np.repeat(np.arange(n_nets, dtype=np.int64), fanout)],
         n_pins=n_pins,
         levels=levels,
-        startpoints=np.array(startpoints, dtype=np.int64),
-        start_feat=np.array(start_feat, dtype=np.float64),
-        start_arrival=np.array(start_arrival, dtype=np.float64),
-        endpoints=np.array(endpoints, dtype=np.int64),
-        required=np.array(required, dtype=np.float64),
-        pin_level=level,
+        startpoints=startpoints,
+        start_feat=np.repeat(np.eye(2), [n_in, n_ck], axis=0),
+        start_arrival=np.concatenate(
+            [
+                np.full(n_in, clock.launch_time() + clock.input_delay),
+                np.full(n_ck, clock.launch_time()),
+            ]
+        ),
+        endpoints=pert.endpoints_arr[ep_order],
+        required=pert.required(clock, 0.0)[ep_order],
+        endpoint_setup_time=pert.setup_time[ep_order],
+        endpoint_is_register=~pert.is_output[ep_order],
+        pin_level=pin_level,
         reachable=reachable,
         congestion=congestion,
         gcell_size=netlist.technology.gcell_size,

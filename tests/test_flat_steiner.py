@@ -31,7 +31,12 @@ from repro.routegrid.grid import GCellGrid
 from repro.steiner import build_forest, clear_forest_cache, construct_trees_flat
 from repro.steiner.forest import SteinerForest
 from repro.steiner.rsmt import _corner_for, construct_tree
-from repro.groute.flat_route import _geometry_of, estimate_congestion, pattern_route_flat
+from repro.groute.flat_route import (
+    _geometry_of,
+    estimate_congestion,
+    expand_ranges,
+    pattern_route_flat,
+)
 from repro.testing.oracles import pattern_route_reference, reference_forest
 
 # Continuous coordinates rarely coincide; the small integer grid forces
@@ -150,6 +155,22 @@ class TestFlatRouteParity:
         grid = GCellGrid(60.0, 60.0, default_technology())
         result = pattern_route_flat(grid, forest)
         assert result.num_edges == 0 and result.overflow == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(-3, 12)), max_size=12))
+    def test_expand_ranges_is_arange_concatenation(self, ranges):
+        """The one range expander (flat routing, the flat forest and the
+        levelizer all use it) against its loop form, with empty and
+        reversed ranges mixed in."""
+        starts = np.array([s for s, _ in ranges], dtype=np.int64)
+        ends = starts + np.array([n for _, n in ranges], dtype=np.int64)
+        want = np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [np.arange(s, e, dtype=np.int64) for s, e in zip(starts, ends)]
+        )
+        got = expand_ranges(starts, ends)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
     def test_estimate_congestion_kernels_agree(self):
         nl = generate_netlist(

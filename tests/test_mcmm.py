@@ -281,6 +281,46 @@ class TestScenarioPenalty:
         assert np.isfinite(p.item())
         assert np.isfinite(coords.grad).all()
 
+    def test_specs_match_register_walk(self, spm_design):
+        """The penalty reads the graph's endpoint table: the same
+        endpoints, in the same register-first order, and setup required
+        times bitwise equal to the inline formula over a walk of the
+        registers and ports."""
+        netlist, _, graph = spm_design
+        eps, setup, is_reg = [], [], []
+        for cell in netlist.registers():
+            ct = cell.cell_type
+            for name in ct.input_pins:
+                if name != ct.clock_pin:
+                    eps.append(cell.pin_indices[name])
+                    setup.append(ct.setup_time)
+                    is_reg.append(True)
+        for port in netlist.primary_outputs():
+            eps += [port.index]
+            setup += [0.0]
+            is_reg += [False]
+        eps, setup, is_reg = np.array(eps), np.array(setup), np.array(is_reg)
+        cut = Mode("cut", clock_scale=0.9, disabled_endpoints=(int(eps[0]), int(eps[-1])))
+        scenarios = ScenarioSet(
+            [Scenario(get_corner(c), m) for m in (get_mode("func"), cut)
+             for c in ("typ", "slow_setup", "fast_hold")]
+        )
+        pen = ScenarioPenalty(graph, scenarios)
+        for sc, spec in zip(scenarios, pen.specs):
+            clock = sc.clock(netlist.clock)
+            enabled = ~np.isin(eps, sc.mode.disabled_endpoints)
+            if sc.check == "hold":
+                assert spec.ep_idx.tolist() == eps[enabled & is_reg].tolist()
+                continue
+            req = np.where(
+                is_reg,
+                clock.period + clock.latency
+                - (setup + sc.corner.setup_margin) - clock.uncertainty,
+                clock.period - clock.output_delay - clock.uncertainty,
+            )
+            assert spec.ep_idx.tolist() == eps[enabled].tolist()
+            assert spec.required.tobytes() == req[enabled].tobytes()
+
     def test_no_active_scenario_rejected(self, spm_design):
         from repro.core.penalty import PenaltyConfig
         from repro.autodiff.tensor import Tensor

@@ -80,6 +80,145 @@ class TestTimingGraph:
         assert graph.congestion is None
 
 
+def _assert_graph_equal(got, want):
+    """Field-by-field bitwise equality of two TimingGraphs."""
+    import dataclasses
+
+    from repro.timing_model.graph import LevelArcs, TimingGraph
+
+    def same(a, b, what):
+        assert a.dtype == b.dtype and a.shape == b.shape, what
+        assert a.tobytes() == b.tobytes(), what
+
+    for f in dataclasses.fields(TimingGraph):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name in ("netlist", "forest", "congestion"):
+            assert a is b, f.name
+        elif f.name == "levels":
+            assert len(a) == len(b)
+            for L, (ga, wa) in enumerate(zip(a, b), start=1):
+                for lf in dataclasses.fields(LevelArcs):
+                    same(getattr(ga, lf.name), getattr(wa, lf.name), (L, lf.name))
+        elif isinstance(b, np.ndarray):
+            same(a, b, f.name)
+        elif f.compare:
+            assert type(a) is type(b) and a == b, f.name
+
+
+_PARITY_DESIGNS = (
+    "spm",
+    "usb_cdc_core",
+    "picorv32a",
+    pytest.param("des3", marks=pytest.mark.eco_smoke),
+)
+
+
+class TestGraphParity:
+    """``build_timing_graph`` (the STA levelization and the flat forest)
+    equals the loop oracle bitwise, and the two agree with the sign-off
+    levelization where the loop does not."""
+
+    @pytest.mark.parametrize("design", _PARITY_DESIGNS)
+    def test_matches_oracle(self, design):
+        from repro.sta.flat import flat_cache_entry
+        from repro.testing.oracles import reference_timing_graph
+
+        netlist, forest = prepare_design(design)
+        field = np.random.default_rng(0).random((4, 3))
+        entry = flat_cache_entry(forest)
+        got = build_timing_graph(netlist, forest, congestion=field)
+        assert flat_cache_entry(forest) is entry
+        _assert_graph_equal(got, reference_timing_graph(netlist, forest, field))
+        assert len(got.levels) > 1 and got.path_src.size
+
+    def test_matches_oracle_through_netlist_ops(self, small_design):
+        """A buffer insertion adds a cell, pins, a net and a tree; a
+        resize changes pin caps and arc features in place.  Each apply
+        and each revert must rebuild the graph exactly as the oracle."""
+        from repro.eco import BufferInsertOp, ResizeOp, clone_state
+        from repro.sta.engine import STAEngine
+        from repro.sta.flat import flat_cache_entry
+        from repro.testing.oracles import reference_timing_graph
+
+        netlist, forest = clone_state(*small_design)
+        STAEngine(netlist).run(forest)  # a live sign-off flat memo entry
+        net = next(n for n in netlist.nets if n.degree > 2)
+        cell, to_ct = next(
+            (c, v)
+            for c in netlist.cells
+            if not c.is_sequential
+            for v in netlist.library.variants_of(c.cell_type)
+            if v.pin_caps != c.cell_type.pin_caps
+        )
+        base = reference_timing_graph(netlist, forest)
+        for op in (BufferInsertOp(net.index, net.sinks[-1]), ResizeOp(cell.index, to_ct)):
+            op.apply(netlist, forest)
+            entry = flat_cache_entry(forest)
+            _assert_graph_equal(
+                build_timing_graph(netlist, forest),
+                reference_timing_graph(netlist, forest),
+            )
+            assert flat_cache_entry(forest) is entry
+            op.revert(netlist, forest)
+            _assert_graph_equal(
+                build_timing_graph(netlist, forest),
+                reference_timing_graph(netlist, forest),
+            )
+        _assert_graph_equal(build_timing_graph(netlist, forest), base)
+
+    @staticmethod
+    def _netlist():
+        from repro.netlist.netlist import Netlist
+        from repro.pdk.clocks import ClockSpec
+        from repro.pdk.liberty import default_library
+        from repro.pdk.technology import default_technology
+
+        lib = default_library()
+        nl = Netlist("hand", lib, default_technology(), ClockSpec(1.0))
+        nl.die_width = nl.die_height = 50.0
+        return nl, lib
+
+    def test_combinational_loop_raises(self):
+        """The sign-off levelizer's loop check, not a silent graph with
+        no levels and nothing reachable."""
+        from repro.steiner.forest import build_forest
+
+        nl, lib = self._netlist()
+        a, b = nl.add_cell("a", lib["INV_X1"]), nl.add_cell("b", lib["INV_X1"])
+        nl.add_net("ab", a.pin_indices["Y"], [b.pin_indices["A"]])
+        nl.add_net("ba", b.pin_indices["Y"], [a.pin_indices["A"]])
+        with pytest.raises(ValueError, match="combinational loop"):
+            build_timing_graph(nl, build_forest(nl))
+
+    def test_clock_net_is_ideal(self):
+        """A clock port wired to a register's CK: the STA treats the
+        clock as ideal, so CK is a level-0 launch point and the graph's
+        levels are the sign-off levels, with no arc into CK."""
+        from repro.netlist.netlist import PinDirection
+        from repro.sta.engine import STAEngine
+        from repro.steiner.forest import build_forest
+
+        nl, lib = self._netlist()
+        clk = nl.add_port("clk", PinDirection.OUTPUT, 0.0, 40.0)
+        pi = nl.add_port("in0", PinDirection.OUTPUT, 0.0, 10.0)
+        po = nl.add_port("out0", PinDirection.INPUT, 50.0, 10.0)
+        reg, inv = nl.add_cell("r", lib["DFF_X1"]), nl.add_cell("i", lib["INV_X1"])
+        ck = reg.pin_indices["CK"]
+        nl.add_net("clk", clk.index, [ck])
+        nl.add_net("d", pi.index, [reg.pin_indices["D"]])
+        nl.add_net("q", reg.pin_indices["Q"], [inv.pin_indices["A"]])
+        nl.add_net("y", inv.pin_indices["Y"], [po.index])
+        graph = build_timing_graph(nl, build_forest(nl))
+        pert = STAEngine(nl).pert()
+        assert len(graph.levels) == len(pert.levels)
+        for lv, pl in zip(graph.levels, pert.levels):
+            assert lv.net_sink.tolist() == pl.net_dst.tolist()
+            assert np.unique(lv.cell_out).tolist() == pl.cell_dest.tolist()
+        assert graph.pin_level[ck] == 0
+        assert ck in graph.startpoints.tolist()
+        assert graph.pin_level[po.index] == len(graph.levels) == 4
+
+
 class TestEvaluatorForward:
     def test_output_shapes(self, small_design, graph):
         netlist, forest = small_design
