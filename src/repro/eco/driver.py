@@ -47,7 +47,7 @@ from repro.netlist.netlist import Netlist
 from repro.obs import get_telemetry
 from repro.runtime.budget import Budget
 from repro.sta.engine import STAEngine
-from repro.sta.flat import flat_cache_entry, restore_flat_cache
+from repro.steiner.flat_forest import flat_cache_entry, restore_flat_cache
 from repro.steiner.forest import SteinerForest
 
 #: Routing layer used for quick wire-RC gain estimates (the default
@@ -169,10 +169,14 @@ class EcoContext:
     Coordinate/topology ops re-time through the pinned
     ``ScenarioSTA``'s incremental path; netlist-mutating ops rebuild
     the engine (arcs and pin caps bind at construction) — ``rebuilds``
-    counts those engine constructions.  Such an op's ``revert`` does
-    not rebuild: by the ops' LIFO apply+revert == identity contract the
-    pre-apply engine, ``ScenarioSTA`` and flat forest are exact again,
-    so they are put back and the next query is an incremental no-op.
+    counts those engine constructions.  The forest's flattening carries
+    no pin caps, so a rebuild re-gathers caps onto it and re-flattens
+    only when the op changed trees (a buffer insertion, not a resize).
+
+    A ``revert`` re-flattens nothing and rebuilds no engine: by the
+    ops' LIFO apply+revert == identity contract the pre-apply flat memo
+    entry (and, for a netlist op, the pre-apply engine and
+    ``ScenarioSTA``) are exact again, so they are put back.
     """
 
     def __init__(
@@ -185,8 +189,8 @@ class EcoContext:
         self.forest = forest
         self.scenarios = scenarios if scenarios is not None else ScenarioSet.default()
         self.rebuilds = 0
-        #: (op, engine, sta, flat cache entry) from before the last
-        #: netlist-mutating apply; its matching revert restores them.
+        #: (op, engine, sta, flat memo entry) from before the last
+        #: apply; its matching revert restores them.
         self._undo: Optional[Tuple[EcoOp, STAEngine, ScenarioSTA, object]] = None
         self._make()
 
@@ -207,21 +211,21 @@ class EcoContext:
         return self.sta.run()
 
     def apply(self, op: EcoOp) -> None:
+        self._undo = (op, self.engine, self.sta, flat_cache_entry(self.forest))
         op.apply(self.netlist, self.forest)
         if op.mutates_netlist:
-            self._undo = (op, self.engine, self.sta, flat_cache_entry(self.forest))
             self.rebuild()
 
     def revert(self, op: EcoOp) -> None:
         op.revert(self.netlist, self.forest)
-        if not op.mutates_netlist:
-            return
         undo, self._undo = self._undo, None
-        if undo is not None and undo[0] is op:
-            _, self.engine, self.sta, entry = undo
-            restore_flat_cache(self.forest, entry)
-        else:
-            self.rebuild()
+        if undo is None or undo[0] is not op:
+            if op.mutates_netlist:
+                self.rebuild()
+            return
+        restore_flat_cache(self.forest, undo[3])
+        if op.mutates_netlist:
+            self.engine, self.sta = undo[1], undo[2]
 
     def dirty_nets_of(self, op: EcoOp) -> Tuple[int, ...]:
         if isinstance(op, ResizeOp):

@@ -8,11 +8,12 @@ holds by construction).
 
 Two invariants make accept/revert cheap and exact:
 
-* **Tree-identity caching** — ``flat_forest_of`` validates its cached
-  CSR view per tree (``tree._topo is ref``), not per forest object, so
-  swapping one entry of ``forest.trees`` invalidates exactly the right
-  cache while ``revert()`` restores the *original tree objects* and the
-  original coordinates bitwise.
+* **Tree-identity caching** — ``flat_forest_of`` validates the forest's
+  one cap-free flattening per tree (``tree._topo`` and ``tree.pin_xy``
+  identity), not per forest object or STA engine, so swapping one entry
+  of ``forest.trees`` invalidates it, an op that only changes the
+  netlist (a resize) keeps it, and ``revert()`` restores the *original
+  tree objects* and the original coordinates bitwise.
 * **List-tail construction** — ``Netlist.add_cell``/``add_net`` only
   append, so a structural revert is ``del list[tail:]`` plus restoring
   the one spliced sink, leaving every pre-existing object untouched.
@@ -51,14 +52,6 @@ def _tree_slot(forest: SteinerForest, net_index: int) -> int:
         if tree.net_index == net_index:
             return i
     raise KeyError(f"no tree for net {net_index}")
-
-
-def _rebuild_offsets(forest: SteinerForest) -> None:
-    """Recompute the flat-view offsets after ``forest.trees`` surgery."""
-    offsets = np.zeros(len(forest.trees) + 1, dtype=np.int64)
-    for i, tree in enumerate(forest.trees):
-        offsets[i + 1] = offsets[i] + tree.n_steiner
-    forest._offsets = offsets
 
 
 def _fresh_tree(netlist: Netlist, net_index: int) -> SteinerTree:
@@ -139,14 +132,12 @@ def clone_netlist(netlist: Netlist) -> Netlist:
 
 
 def clone_state(netlist: Netlist, forest: SteinerForest) -> Tuple[Netlist, SteinerForest]:
-    """Private (netlist, forest) pair an ECO run may mutate freely."""
+    """Private (netlist, forest) pair an ECO run may mutate freely (the
+    forest copy shares only read-only pin arrays and its flattening)."""
     clone = clone_netlist(netlist)
-    trusted = SteinerTree._trusted
-    trees = [
-        trusted(t.net_index, list(t.pin_ids), t.pin_xy.copy(), t.steiner_xy.copy(), list(t.edges))
-        for t in forest.trees
-    ]
-    return clone, SteinerForest(clone, trees)
+    work = forest.copy()
+    work.netlist = clone
+    return clone, work
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +219,7 @@ class BufferInsertOp(EcoOp):
         self._saved = saved
         forest.trees[slot] = _fresh_tree(netlist, self.net_index)
         forest.trees.append(_fresh_tree(netlist, new_net.index))
-        _rebuild_offsets(forest)
+        forest.refresh_offsets()
 
     def revert(self, netlist: Netlist, forest: SteinerForest) -> None:
         saved = self._saved
@@ -242,7 +233,7 @@ class BufferInsertOp(EcoOp):
         netlist._pin_static = None
         forest.trees.pop()
         forest.trees[saved["tree_slot"]] = saved["old_tree"]
-        _rebuild_offsets(forest)
+        forest.refresh_offsets()
         self._saved = None
 
     def dirty_nets(self) -> Tuple[int, ...]:
@@ -341,14 +332,14 @@ class RerouteOp(EcoOp):
         slot = _tree_slot(forest, self.net_index)
         self._saved = (slot, forest.trees[slot])
         forest.trees[slot] = _fresh_tree(netlist, self.net_index)
-        _rebuild_offsets(forest)
+        forest.refresh_offsets()
 
     def revert(self, netlist: Netlist, forest: SteinerForest) -> None:
         if self._saved is None:
             raise RuntimeError("op not applied")
         slot, old_tree = self._saved
         forest.trees[slot] = old_tree
-        _rebuild_offsets(forest)
+        forest.refresh_offsets()
         self._saved = None
 
     def dirty_nets(self) -> Tuple[int, ...]:

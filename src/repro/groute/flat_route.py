@@ -29,11 +29,12 @@ kernels follow so their float sums are identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.routegrid.grid import GCellGrid
+from repro.steiner.flat_forest import expand_ranges, flat_forest_of
 from repro.steiner.forest import SteinerForest
 
 
@@ -49,95 +50,6 @@ class FlatRouteResult:
     @property
     def num_edges(self) -> int:
         return int(self.choice.shape[0])
-
-
-def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenate ``[arange(s, e) for s, e in zip(starts, ends)]``
-    (int64; empty and reversed ranges contribute nothing)."""
-    counts = (ends - starts).astype(np.int64)
-    keep = counts > 0
-    starts, counts = starts[keep], counts[keep]
-    if counts.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    total = int(counts.sum())
-    out = np.ones(total, dtype=np.int64)
-    cuts = np.cumsum(counts[:-1])
-    out[0] = starts[0]
-    out[cuts] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(out)
-
-
-class _EdgeGeometry:
-    """CSR view of the forest's tree edges, memoized on the forest.
-
-    Topology is fixed after construction (refinement only moves
-    coordinates), so the per-tree node offsets, the global edge endpoint
-    rows and each edge's tree, local index and net are built once, and
-    so is a node-coordinate base holding every pin position.  Validity
-    is checked by object identity of each tree, its ``edges`` list and
-    its ``pin_xy`` array: every topology rewrite in the codebase
-    *reassigns* ``tree.edges`` rather than mutating it, and re-placement
-    reassigns ``pin_xy``.
-    """
-
-    def __init__(self, forest: SteinerForest) -> None:
-        trees = forest.trees
-        self.refs: List[Tuple[object, object, object]] = [
-            (t, t.edges, t.pin_xy) for t in trees
-        ]
-        off = np.zeros(len(trees) + 1, dtype=np.int64)
-        np.cumsum([t.n_nodes for t in trees], out=off[1:])
-        self.base_xy = np.zeros((int(off[-1]), 2), dtype=np.float64)
-        eu: List[int] = []
-        ev: List[int] = []
-        edge_tree: List[int] = []
-        edge_local: List[int] = []
-        edge_net: List[int] = []
-        steiner_rows: List[np.ndarray] = []
-        for i, t in enumerate(trees):
-            base = off[i]
-            for k, (u, v) in enumerate(t.edges):
-                eu.append(base + u)
-                ev.append(base + v)
-                edge_tree.append(i)
-                edge_local.append(k)
-                edge_net.append(t.net_index)
-            p = base + t.n_pins
-            self.base_xy[base:p] = t.pin_xy
-            steiner_rows.append(np.arange(p, off[i + 1], dtype=np.int64))
-        self.eu = np.asarray(eu, dtype=np.int64)
-        self.ev = np.asarray(ev, dtype=np.int64)
-        self.edge_tree = np.asarray(edge_tree, dtype=np.int64)
-        self.edge_local = np.asarray(edge_local, dtype=np.int64)
-        self.edge_net = np.asarray(edge_net, dtype=np.int64)
-        # Node rows of the forest's flat Steiner coordinates, in order.
-        self.steiner_rows = (
-            np.concatenate(steiner_rows) if steiner_rows else np.zeros(0, dtype=np.int64)
-        )
-
-    def valid_for(self, forest: SteinerForest) -> bool:
-        trees = forest.trees
-        if len(trees) != len(self.refs):
-            return False
-        return all(
-            t is rt and t.edges is re and t.pin_xy is rp
-            for t, (rt, re, rp) in zip(trees, self.refs)
-        )
-
-    def gather_coords(self, forest: SteinerForest) -> np.ndarray:
-        """(n_nodes, 2) current node coordinates, tree-contiguous: the
-        cached pin positions with the Steiner points scattered in."""
-        xy = self.base_xy.copy()
-        xy[self.steiner_rows] = forest.get_steiner_coords()
-        return xy
-
-
-def _geometry_of(forest: SteinerForest) -> _EdgeGeometry:
-    geom: Optional[_EdgeGeometry] = getattr(forest, "_flat_route_geom", None)
-    if geom is None or not geom.valid_for(forest):
-        geom = _EdgeGeometry(forest)
-        forest._flat_route_geom = geom
-    return geom
 
 
 def cost_fields(
@@ -168,12 +80,13 @@ def pattern_route_flat(
     commit: bool = True,
 ) -> FlatRouteResult:
     """Score + commit the cheaper L-shape of every tree edge, batched."""
-    geom = _geometry_of(forest)
-    xy = geom.gather_coords(forest)
+    flat = flat_forest_of(forest)
+    xy = flat.node_positions(forest.get_steiner_coords())
     gx = np.clip(xy[:, 0] / grid.gcell, 0, grid.nx - 1).astype(np.int64)
     gy = np.clip(xy[:, 1] / grid.gcell, 0, grid.ny - 1).astype(np.int64)
-    x1, y1 = gx[geom.eu], gy[geom.eu]
-    x2, y2 = gx[geom.ev], gy[geom.ev]
+    eu, ev = flat.forest_edge_u, flat.forest_edge_v
+    x1, y1 = gx[eu], gy[eu]
+    x2, y2 = gx[ev], gy[ev]
     n_edges = x1.shape[0]
 
     h_lo = np.minimum(x1, x2)
@@ -250,7 +163,6 @@ def estimate_congestion(netlist, forest: SteinerForest) -> np.ndarray:
 __all__ = [
     "FlatRouteResult",
     "cost_fields",
-    "expand_ranges",
     "pattern_route_flat",
     "estimate_congestion",
 ]

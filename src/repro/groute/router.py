@@ -41,9 +41,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.groute.flat_route import _geometry_of, cost_fields
+from repro.groute.flat_route import cost_fields
 from repro.obs import get_telemetry
 from repro.routegrid.grid import GCellGrid
+from repro.steiner.flat_forest import flat_forest_of
 from repro.steiner.forest import SteinerForest
 
 GridPoint = Tuple[int, int]
@@ -365,11 +366,11 @@ class GlobalRouter:
         """
         grid, memo = self.grid, self.memo
         grid.reset_usage()
-        geom = _geometry_of(forest)
-        xy = geom.gather_coords(forest)
+        flat = flat_forest_of(forest)
+        xy = flat.node_positions(forest.get_steiner_coords())
         gx = np.clip(xy[:, 0] / grid.gcell, 0, grid.nx - 1).astype(np.int64)
         gy = np.clip(xy[:, 1] / grid.gcell, 0, grid.ny - 1).astype(np.int64)
-        eu, ev = geom.eu, geom.ev
+        eu, ev = flat.forest_edge_u, flat.forest_edge_v
         ends = (gx[eu], gy[eu], gx[ev], gy[ev])
         digest = entry = None
         if memo is not None:
@@ -399,9 +400,9 @@ class GlobalRouter:
         n = order.size
         return GlobalRouteResult(
             edge=order,
-            tree=geom.edge_tree[order],
-            local=geom.edge_local[order],
-            net=geom.edge_net[order],
+            tree=flat.forest_edge_tree[order],
+            local=flat.forest_edge_local[order],
+            net=flat.forest_edge_net[order],
             h_length=h_len,
             v_length=v_len,
             bends=bends,

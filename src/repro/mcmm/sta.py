@@ -50,6 +50,7 @@ from repro.sta.engine import (
 )
 from repro.sta.hold import hold_slacks
 from repro.sta.metrics import timing_metrics
+from repro.steiner.flat_forest import FlatForest, flat_forest_of
 from repro.steiner.forest import SteinerForest
 from repro.mcmm.scenario import Scenario, ScenarioSet
 
@@ -99,7 +100,8 @@ class ScenarioReport:
 class BatchState:
     """Everything cached between batched queries."""
 
-    flat: flatmod.FlatForest
+    flat: FlatForest
+    caps: flatmod.FlatCaps  # the engine's pin caps on ``flat``
     coords: np.ndarray
     xy: np.ndarray
     routed: bool
@@ -250,8 +252,7 @@ class ScenarioSTA:
         tel = get_telemetry()
         if tel.enabled:
             tel.count("mcmm.sta_queries")
-        pert = self.engine.pert()
-        flat = flatmod.flat_forest_of(self.forest, pert.pin_caps)
+        flat = flat_forest_of(self.forest)
         coords = self.forest.get_steiner_coords()
         st = self._state
         if st is None or st.flat is not flat:
@@ -266,7 +267,7 @@ class ScenarioSTA:
     # ------------------------------------------------------------------
     def _full(
         self,
-        flat: flatmod.FlatForest,
+        flat: FlatForest,
         coords: np.ndarray,
         route_result: Optional[GlobalRouteResult],
         utilization: Optional[np.ndarray],
@@ -278,7 +279,8 @@ class ScenarioSTA:
             tel.count("mcmm.full_rebuilds")
         engine = self.engine
         pert = engine.pert()
-        xy = flatmod.node_positions(flat, coords)
+        caps = flatmod.flat_caps(flat, pert.pin_caps)
+        xy = flat.node_positions(coords)
         routed = route_result is not None
         if routed:
             base_r, base_c = flatmod.routed_edge_rc(
@@ -299,7 +301,7 @@ class ScenarioSTA:
         for g, (rd, cd) in enumerate(self._wire_keys):
             group_r[g] = base_r * rd
             group_c[g] = base_c * cd
-            el = flatmod.elmore_forest(flat, group_r[g], group_c[g])
+            el = flatmod.elmore_forest(flat, caps, group_r[g], group_c[g])
             elmores.append(el)
             wire_delay_G[g, flat.sink_pin] = el.sink_delay
             wire_deg_G[g, flat.sink_pin] = el.sink_slew_deg
@@ -310,6 +312,7 @@ class ScenarioSTA:
 
         st = BatchState(
             flat=flat,
+            caps=caps,
             coords=np.array(coords, dtype=np.float64, copy=True),
             xy=xy,
             routed=routed,
@@ -411,7 +414,7 @@ class ScenarioSTA:
             st.group_c[g, e_rows] = st.base_c[e_rows] * cd
             el = st.elmores[g]
             flatmod.elmore_update(
-                flat, st.group_r[g], st.group_c[g], el, trees=dirty
+                flat, st.caps, st.group_r[g], st.group_c[g], el, trees=dirty
             )
             # Seed sinks whose wire timing changed and drivers whose
             # output load changed.
@@ -640,7 +643,8 @@ class ScenarioSTA:
                         st.group_r[g, e_rows] = st.base_r[e_rows] * rd
                         st.group_c[g, e_rows] = st.base_c[e_rows] * cd
                         flatmod.elmore_update(
-                            flat, st.group_r[g], st.group_c[g], el, trees=dirty
+                            flat, st.caps, st.group_r[g], st.group_c[g], el,
+                            trees=dirty,
                         )
                     for block in blocks:
                         S = len(block["idx"])

@@ -261,9 +261,8 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
     the commit path is ``ws.invalidate(reason="eco", structural=True)``:
     every pinned STA object is discarded (docs/ECO.md).  A run that
     returns hands over the engine its context ended with, already bound
-    to the mutated netlist and levelized, together with the forest's
-    flat digest keyed on it.  An interrupted run (its accepted ops stay
-    in the netlist) drops the digest and rebuilds the engine instead.
+    to the mutated netlist and levelized.  An interrupted run (its
+    accepted ops stay in the netlist) rebuilds the engine instead.
     Deterministic under ``params["seed"]``: the accepted-op ``digest``
     is what the eco-smoke CI job pins.
     """

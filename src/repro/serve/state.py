@@ -4,7 +4,7 @@ The whole point of a long-lived service over the batch reproduction is
 that the expensive per-design artifacts stay hot between queries:
 
 * the prepared design (placed netlist + Steiner forest),
-* the STA engine with its FlatForest topology caches,
+* the STA engine and the forest's one flat topology memo,
 * one :class:`~repro.mcmm.sta.ScenarioSTA` per corner set, each with
   its dirty-tree state (a what-if move re-times only the affected
   cones); the neutral ``(typ, func)`` engine is shared by what-if
@@ -139,17 +139,15 @@ class DesignWorkspace:
         ``structural=True`` (an ECO mutated cells/pins/nets) goes
         further: the pinned STA engines, timing graph and congestion
         map are *discarded* — the engines captured arcs, pin caps and
-        endpoint order at construction — the STA engine is rebuilt
-        against the mutated netlist, and the forest's cached flat
-        digest (``flat_forest_of``) is dropped so the next query
-        re-CSRs the mutated forest.  Every invalidation is counted and
-        traced.
+        endpoint order at construction — and the STA engine is rebuilt
+        against the mutated netlist.  The forest's flat memo
+        (``flat_forest_of``) carries no pin caps and validates itself
+        against the current trees, so it is kept either way.  Every
+        invalidation is counted and traced.
 
         A structural invalidation given an ``engine`` already bound to
         the mutated netlist (the one a completed ECO run ended with)
-        adopts it instead: its levelization is reused, and the forest's
-        flat digest is kept, since a lookup validates the digest against
-        that engine's pin caps and the current trees.
+        adopts it instead, reusing its levelization.
         """
         tel = get_telemetry()
         if tel.enabled:
@@ -174,10 +172,6 @@ class DesignWorkspace:
         if engine is not None:
             self.engine = engine
             return
-        if self.forest is not None:
-            from repro.sta.flat import restore_flat_cache
-
-            restore_flat_cache(self.forest, None)
         if self.netlist is not None:
             from repro.sta.engine import STAEngine
 

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.groute.flat_route import expand_ranges
+from repro.steiner.flat_forest import expand_ranges
 from repro.groute.router import GlobalRouteResult
 from repro.netlist.netlist import Netlist, PinDirection
 from repro.obs import get_telemetry

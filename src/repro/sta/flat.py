@@ -1,28 +1,16 @@
-"""Flattened RC forest: CSR-style arrays + batched Elmore kernels.
+"""Batched wire-timing kernels over the flat forest.
 
-This module is the production wire-timing path.  It flattens every
-Steiner tree of a design into contiguous flat-node arrays built
-**once** per forest topology, then evaluates Elmore delay for *all*
-nets with a handful of numpy scans (the per-net oracle that walks one
-Python BFS per net is `repro.testing.oracles.compute_net_timing`):
+This module is the production wire-timing path.  It reads the forest's
+one cap-free flattening (:class:`repro.steiner.flat_forest.FlatForest`,
+memoized per topology) plus a per-engine pin-cap gather
+(:class:`FlatCaps`), and evaluates Elmore delay for *all* nets with a
+handful of numpy scans (the per-net oracle that walks one Python BFS
+per net is `repro.testing.oracles.compute_net_timing`):
 
 * downstream (subtree) capacitance — one ``np.add.at`` scatter per BFS
   depth, deepest level first;
 * Elmore delay — one gather/multiply/add per BFS depth, shallowest
   level first.
-
-Flat layout (see docs/PERFORMANCE.md):
-
-* nodes of tree ``t`` occupy the contiguous range
-  ``node_offset[t] : node_offset[t+1]`` — pins first (driver at the
-  start of the range), Steiner nodes after, mirroring the per-tree
-  numbering convention;
-* each reached non-root node identifies the directed RC edge from its
-  parent, so edge arrays are indexed by child flat node, ascending —
-  which keeps per-tree edge rows contiguous and makes subsetting by
-  tree (the incremental path) reproduce the exact ``np.add.at``
-  accumulation order of the full pass: incremental and full results
-  are *bitwise* identical, not just close.
 
 Everything here is geometry-only; NLDM cell lookup lives in
 `repro.sta.engine`.
@@ -32,67 +20,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.groute.flat_route import expand_ranges
 from repro.groute.router import GlobalRouteResult
-from repro.obs import get_telemetry
 from repro.pdk.technology import Technology
-from repro.steiner.forest import SteinerForest
+from repro.steiner.flat_forest import FlatForest
 
 LN9 = math.log(9.0)
 
-_FLAT_CACHE_ATTR = "_flat_forest_cache"
-
 
 @dataclass
-class FlatForest:
-    """Per-design flat view of all RC trees (static topology)."""
+class FlatCaps:
+    """One STA engine's pin caps gathered onto a flat forest's nodes."""
 
-    n_trees: int
-    n_nodes: int
-    node_offset: np.ndarray  # (T+1,) flat node range per tree
-    tree_of_node: np.ndarray  # (N,)
-    parent: np.ndarray  # (N,) flat parent node, -1 at roots/unreached
-    levels: List[np.ndarray]  # nodes at BFS depth d >= 1, ascending ids
-    # Directed RC edges, one per reached non-root node, child ascending:
-    edge_child: np.ndarray  # (E,) flat child node
-    edge_tree: np.ndarray  # (E,)
-    edge_local: np.ndarray  # (E,) undirected edge index within its tree
-    edge_offset: np.ndarray  # (T+1,) edge row range per tree
-    forest_edge_row: np.ndarray  # (forest edges,) flat edge row, -1 if unreached
-    # Geometry binding:
-    pin_rows: np.ndarray  # flat nodes that are pins
-    pin_xy: np.ndarray  # (n_pin_rows, 2) fixed positions
-    steiner_rows: np.ndarray  # flat nodes that are Steiner points
-    steiner_flat: np.ndarray  # forest flat-coordinate row per Steiner node
-    steiner_tree: np.ndarray  # (S,) owning tree per forest coordinate row
-    # Sinks (pin nodes 1..n_pins-1 of each tree), tree-contiguous:
-    sink_rows: np.ndarray  # (K,) flat node ids
-    sink_pin: np.ndarray  # (K,) global pin indices
-    sink_tree: np.ndarray  # (K,)
-    sink_offset: np.ndarray  # (T+1,) sink range per tree
     node_base_cap: np.ndarray  # (N,) sink pin cap at sink nodes, else 0
-    net_of_tree: np.ndarray  # (T,)
-    tree_root: np.ndarray  # (T,) flat node of each driver
-    tree_has_edges: np.ndarray  # (T,) bool
     lumped_cap: np.ndarray  # (T,) plain sum of sink pin caps (edgeless case)
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.edge_child.size)
-
-    # -- subsetting helpers (tree-contiguous ranges) -------------------
-    def node_rows_of_trees(self, trees: np.ndarray) -> np.ndarray:
-        return expand_ranges(self.node_offset[trees], self.node_offset[trees + 1])
-
-    def edge_rows_of_trees(self, trees: np.ndarray) -> np.ndarray:
-        return expand_ranges(self.edge_offset[trees], self.edge_offset[trees + 1])
-
-    def sink_rows_of_trees(self, trees: np.ndarray) -> np.ndarray:
-        return expand_ranges(self.sink_offset[trees], self.sink_offset[trees + 1])
 
 
 @dataclass
@@ -133,177 +77,25 @@ def _segment_sums(values: np.ndarray, offset: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_flat_forest(
-    forest: SteinerForest, pin_caps: Dict[int, float]
-) -> FlatForest:
-    """Flatten ``forest`` into CSR arrays (one-time per topology).
-
-    One gather pass over the trees' memoized topologies, then every
-    array is assembled with ``cumsum``/``repeat``/``concatenate`` and
-    the BFS levels come from one stable sort by depth.  The per-tree
-    loop form is ``repro.testing.oracles.reference_flat_forest``; the
-    two agree bitwise, field by field.
-    """
-    trees = forest.trees
-    T = len(trees)
-    topos = [tree.topology() for tree in trees]
-    n_pins = np.fromiter((len(t.pin_ids) for t in trees), np.int64, T)
-    n_steiner = np.fromiter((t.steiner_xy.shape[0] for t in trees), np.int64, T)
-    n_edges = np.fromiter((tp.dir_edge_local.size for tp in topos), np.int64, T)
-    tree_ids = np.arange(T, dtype=np.int64)
-    n_nodes = n_pins + n_steiner
-
-    node_offset = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(n_nodes, out=node_offset[1:])
-    N = int(node_offset[-1])
-    starts = node_offset[:-1]
-    tree_of_node = np.repeat(tree_ids, n_nodes)
-
-    def _cat(parts: List[np.ndarray]) -> np.ndarray:
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts).astype(np.int64, copy=False)
-
-    local_parent = _cat([tp.parent for tp in topos])
-    reached = local_parent >= 0
-    parent = np.where(reached, local_parent + starts[tree_of_node], -1)
-    edge_child = np.flatnonzero(reached)
-    edge_local = _cat([tp.dir_edge_local for tp in topos])
-    edge_tree = np.repeat(tree_ids, n_edges)
-    assert edge_child.size == edge_tree.size
-    edge_offset = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(n_edges, out=edge_offset[1:])
-
-    # Reached nodes ordered by depth, ascending ids within a depth.
-    depth = _cat([tp.depth for tp in topos])[edge_child]
-    by_depth = edge_child[np.argsort(depth, kind="stable")]
-    per_depth = np.bincount(depth)[1:] if depth.size else depth
-    bounds = np.cumsum(per_depth[per_depth > 0])[:-1]
-    levels = np.split(by_depth, bounds) if by_depth.size else []
-
-    pin_ids = np.fromiter(
-        (p for t in trees for p in t.pin_ids), np.int64, int(n_pins.sum())
-    )
-    pin_offset = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(n_pins, out=pin_offset[1:])
-    sink_pin = pin_ids[expand_ranges(pin_offset[:-1] + 1, pin_offset[1:])]
-    n_sinks = np.maximum(n_pins - 1, 0)
-    sink_offset = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(n_sinks, out=sink_offset[1:])
-    sink_rows = expand_ranges(starts + 1, starts + n_pins)
-
+def flat_caps(flat: FlatForest, pin_caps: Dict[int, float]) -> FlatCaps:
+    """Gather an engine's ``LevelizedPins.pin_caps`` onto ``flat``'s
+    sink nodes (once per engine and topology; the loop form is
+    ``repro.testing.oracles.reference_flat_forest``)."""
     caps = np.fromiter(
-        (pin_caps.get(p, 0.0) for p in sink_pin.tolist()),
+        (pin_caps.get(p, 0.0) for p in flat.sink_pin.tolist()),
         np.float64,
-        sink_pin.size,
+        flat.sink_pin.size,
     )
-    node_base_cap = np.zeros(N, dtype=np.float64)
-    node_base_cap[sink_rows] = caps
-
-    pin_xy = (
-        np.concatenate([t.pin_xy for t in trees], axis=0)
-        if T
-        else np.zeros((0, 2))
+    node_base_cap = np.zeros(flat.n_nodes, dtype=np.float64)
+    node_base_cap[flat.sink_rows] = caps
+    return FlatCaps(
+        node_base_cap=node_base_cap, lumped_cap=_segment_sums(caps, flat.sink_offset)
     )
-    # Forest edge index (tree-major, ``tree.edges`` order) -> edge row:
-    # the map a GlobalRouteResult's ``edge`` column reads RC rows through.
-    n_forest_edges = np.fromiter((len(t.edges) for t in trees), np.int64, T)
-    forest_edge_base = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(n_forest_edges, out=forest_edge_base[1:])
-    forest_edge_row = np.full(int(forest_edge_base[-1]), -1, dtype=np.int64)
-    forest_edge_row[forest_edge_base[edge_tree] + edge_local] = np.arange(
-        edge_child.size, dtype=np.int64
-    )
-    return FlatForest(
-        n_trees=T,
-        n_nodes=N,
-        node_offset=node_offset,
-        tree_of_node=tree_of_node,
-        parent=parent,
-        levels=levels,
-        edge_child=edge_child,
-        edge_tree=edge_tree,
-        edge_local=edge_local,
-        edge_offset=edge_offset,
-        forest_edge_row=forest_edge_row,
-        pin_rows=expand_ranges(starts, starts + n_pins),
-        pin_xy=np.asarray(pin_xy, dtype=np.float64),
-        steiner_rows=expand_ranges(starts + n_pins, node_offset[1:]),
-        steiner_flat=np.arange(int(n_steiner.sum()), dtype=np.int64),
-        steiner_tree=np.repeat(tree_ids, n_steiner),
-        sink_rows=sink_rows,
-        sink_pin=sink_pin,
-        sink_tree=np.repeat(tree_ids, n_sinks),
-        sink_offset=sink_offset,
-        node_base_cap=node_base_cap,
-        net_of_tree=np.fromiter((t.net_index for t in trees), np.int64, T),
-        tree_root=starts.copy(),
-        tree_has_edges=np.fromiter((bool(t.edges) for t in trees), bool, T),
-        lumped_cap=_segment_sums(caps, sink_offset),
-    )
-
-
-def flat_forest_of(forest: SteinerForest, pin_caps: Dict[int, float]) -> FlatForest:
-    """Memoized :func:`build_flat_forest`, validated by topology identity.
-
-    The cache holds a reference to each tree's memoized
-    :class:`~repro.steiner.tree.TreeTopology`; any edge rewrite calls
-    ``invalidate_topology()`` which replaces that object, so an identity
-    sweep (cheap — no per-tree property chains) detects every topology
-    edit.  Coordinate moves keep the cache.
-    """
-    tel = get_telemetry()
-    cached = getattr(forest, _FLAT_CACHE_ATTR, None)
-    if cached is not None:
-        flat, topo_refs, caps_ref = cached
-        trees = forest.trees
-        if (
-            caps_ref is pin_caps
-            and len(trees) == len(topo_refs)
-            and all(t._topo is r for t, r in zip(trees, topo_refs))
-        ):
-            if tel.enabled:
-                tel.count("sta.flat_cache_hits")
-            return flat
-    if tel.enabled:
-        tel.count("sta.flat_cache_misses")
-    flat = build_flat_forest(forest, pin_caps)
-    topo_refs = [t._topo for t in forest.trees]
-    setattr(forest, _FLAT_CACHE_ATTR, (flat, topo_refs, pin_caps))
-    return flat
-
-
-def flat_cache_entry(forest: SteinerForest) -> Optional[tuple]:
-    """The forest's :func:`flat_forest_of` memo entry (None if unset),
-    opaque; hand it back to :func:`restore_flat_cache`."""
-    return getattr(forest, _FLAT_CACHE_ATTR, None)
-
-
-def restore_flat_cache(forest: SteinerForest, entry: Optional[tuple]) -> None:
-    """Reinstate a memo entry taken by :func:`flat_cache_entry`; None
-    drops the memo, so the next query re-flattens the forest.
-
-    The entry is still validated on every lookup, so restoring one
-    whose trees have since changed costs a rebuild, never a stale hit.
-    """
-    if entry is not None:
-        setattr(forest, _FLAT_CACHE_ATTR, entry)
-    elif hasattr(forest, _FLAT_CACHE_ATTR):
-        delattr(forest, _FLAT_CACHE_ATTR)
 
 
 # ----------------------------------------------------------------------
 # Geometry / RC extraction
 # ----------------------------------------------------------------------
-def node_positions(flat: FlatForest, steiner_coords: np.ndarray) -> np.ndarray:
-    """(N, 2) flat node positions under the given flat coordinates."""
-    xy = np.empty((flat.n_nodes, 2), dtype=np.float64)
-    xy[flat.pin_rows] = flat.pin_xy
-    if flat.steiner_rows.size:
-        xy[flat.steiner_rows] = steiner_coords[flat.steiner_flat]
-    return xy
-
-
 def preroute_edge_rc(
     flat: FlatForest,
     technology: Technology,
@@ -424,7 +216,7 @@ def routed_edge_rc(
 # Batched Elmore
 # ----------------------------------------------------------------------
 def elmore_forest(
-    flat: FlatForest, edge_r: np.ndarray, edge_c: np.ndarray
+    flat: FlatForest, caps: FlatCaps, edge_r: np.ndarray, edge_c: np.ndarray
 ) -> ElmoreState:
     """Elmore delay of every net in one batched depth-scan pass."""
     state = ElmoreState(
@@ -435,12 +227,13 @@ def elmore_forest(
         sink_delay=np.zeros(flat.sink_rows.size),
         sink_slew_deg=np.zeros(flat.sink_rows.size),
     )
-    elmore_update(flat, edge_r, edge_c, state, trees=None)
+    elmore_update(flat, caps, edge_r, edge_c, state, trees=None)
     return state
 
 
 def elmore_update(
     flat: FlatForest,
+    caps: FlatCaps,
     edge_r: np.ndarray,
     edge_c: np.ndarray,
     state: ElmoreState,
@@ -474,7 +267,7 @@ def elmore_update(
     delay = state.delay
 
     # Node capacitance: sink pin cap + half of each incident wire cap.
-    node_cap[node_rows] = flat.node_base_cap[node_rows]
+    node_cap[node_rows] = caps.node_base_cap[node_rows]
     half = edge_c[e_rows] * 0.5
     child = flat.edge_child[e_rows]
     np.add.at(node_cap, child, half)
@@ -504,7 +297,7 @@ def elmore_update(
     state.total_cap[t_sel] = np.where(
         flat.tree_has_edges[t_sel],
         subtree[flat.tree_root[t_sel]],
-        flat.lumped_cap[t_sel],
+        caps.lumped_cap[t_sel],
     )
     sd = delay[flat.sink_rows[sink_sel]]
     state.sink_delay[sink_sel] = sd

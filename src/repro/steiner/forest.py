@@ -27,9 +27,16 @@ class SteinerForest:
     def __init__(self, netlist: Netlist, trees: List[SteinerTree]) -> None:
         self.netlist = netlist
         self.trees = trees
-        self._offsets = np.zeros(len(trees) + 1, dtype=np.int64)
-        for i, tree in enumerate(trees):
-            self._offsets[i + 1] = self._offsets[i] + tree.n_steiner
+        #: :func:`repro.steiner.flat_forest.flat_forest_of`'s memo entry.
+        self._flat_memo: Optional[tuple] = None
+        self.refresh_offsets()
+
+    def refresh_offsets(self) -> None:
+        """Recompute the flat-view offsets from ``trees`` (at
+        construction and after any surgery on the tree list)."""
+        offsets = np.zeros(len(self.trees) + 1, dtype=np.int64)
+        np.cumsum([t.n_steiner for t in self.trees], out=offsets[1:])
+        self._offsets = offsets
 
     # ------------------------------------------------------------------
     @property
@@ -122,7 +129,23 @@ class SteinerForest:
         return segments
 
     def copy(self) -> "SteinerForest":
-        return SteinerForest(self.netlist, [t.copy() for t in self.trees])
+        """A forest with private Steiner coordinates and edge lists.
+
+        Topology does not change under coordinate moves, so the copy
+        shares each tree's ``pin_ids``/``pin_xy`` (read-only: re-placement
+        reassigns them) and memoized topology, and with them the flat
+        memo entry: timing or routing a copy re-uses this forest's
+        flattening until either side edits its trees.
+        """
+        trusted = SteinerTree._trusted
+        trees = []
+        for t in self.trees:
+            c = trusted(t.net_index, t.pin_ids, t.pin_xy, t.steiner_xy.copy(), list(t.edges))
+            c._topo = t._topo
+            trees.append(c)
+        out = SteinerForest(self.netlist, trees)
+        out._flat_memo = self._flat_memo
+        return out
 
     def validate(self) -> None:
         for tree in self.trees:
@@ -140,7 +163,8 @@ class SteinerForest:
 #: warm-state rebuilds and repeated flow runs construct *new* Netlist
 #: objects with byte-identical geometry, which an identity cache would
 #: always miss.  Bounded LRU; entries are master copies, callers get
-#: private forks (refinement mutates Steiner coordinates in place).
+#: private copies (:meth:`SteinerForest.copy`, rebound to their netlist;
+#: refinement mutates Steiner coordinates in place).
 _FOREST_CACHE: "OrderedDict[Tuple[bytes, bool], SteinerForest]" = OrderedDict()
 _FOREST_CACHE_CAP = 8
 
@@ -153,21 +177,6 @@ def _forest_digest(netlist: Netlist, pos: np.ndarray) -> bytes:
         h.update(np.int64(net.driver).tobytes())
         h.update(np.array(net.sinks, dtype=np.int64).tobytes())
     return h.digest()
-
-
-def _fork_forest(netlist: Netlist, master: SteinerForest) -> SteinerForest:
-    """Private copy of a cached forest, rebound to the caller's netlist.
-
-    Steiner coordinates (the movable state) and edge lists are copied;
-    ``pin_ids``/``pin_xy`` are shared read-only — no code path writes
-    them in place (re-placement *reassigns* ``pin_xy``).
-    """
-    trusted = SteinerTree._trusted
-    trees = [
-        trusted(t.net_index, t.pin_ids, t.pin_xy, t.steiner_xy.copy(), list(t.edges))
-        for t in master.trees
-    ]
-    return SteinerForest(netlist, trees)
 
 
 def clear_forest_cache() -> None:
@@ -200,7 +209,9 @@ def build_forest(
             _FOREST_CACHE.move_to_end(key)
             if tel.enabled:
                 tel.count("steiner.cache_hits")
-            return _fork_forest(netlist, master)
+            fork = master.copy()
+            fork.netlist = netlist
+            return fork
         if tel.enabled:
             tel.count("steiner.cache_misses")
 
@@ -230,7 +241,7 @@ def build_forest(
             )
 
     if cache:
-        _FOREST_CACHE[key] = _fork_forest(netlist, forest)
+        _FOREST_CACHE[key] = forest.copy()
         while len(_FOREST_CACHE) > _FOREST_CACHE_CAP:
             _FOREST_CACHE.popitem(last=False)
     return forest

@@ -21,9 +21,12 @@ under ``src/repro`` may import this module (tests/test_import_boundary.py).
   slacks, WHS and violation count, with earliest arrivals equal up to
   float re-association (tests/test_sta_extras.py).
 * :func:`reference_flat_forest` — the per-tree loop that flattens a
-  forest into CSR arrays.  :func:`repro.sta.flat.build_flat_forest`
-  must return a bitwise-equal :class:`~repro.sta.flat.FlatForest`,
-  field by field (tests/test_flat_sta.py).
+  forest into CSR arrays and gathers pin caps onto it.
+  :func:`repro.steiner.flat_forest.build_flat_forest` and
+  :func:`repro.sta.flat.flat_caps` must return a bitwise-equal
+  :class:`~repro.steiner.flat_forest.FlatForest` and
+  :class:`~repro.sta.flat.FlatCaps`, field by field
+  (tests/test_flat_sta.py).
 * :func:`reference_timing_graph` — the loop form of the evaluator's
   static graph (its own Kahn sort, register and port walks, per-tree
   Steiner loop).  :func:`repro.timing_model.graph.build_timing_graph`
@@ -85,8 +88,9 @@ from repro.sta.engine import (
     STAEngine,
     TimingReport,
 )
-from repro.sta.flat import LN9, FlatForest, preroute_edge_rc
+from repro.sta.flat import LN9, FlatCaps, preroute_edge_rc
 from repro.sta.hold import HoldReport
+from repro.steiner.flat_forest import FlatForest
 from repro.steiner.forest import SteinerForest
 from repro.steiner.rsmt import construct_tree
 from repro.steiner.tree import SteinerTree
@@ -1127,10 +1131,12 @@ def reference_hold_analysis(
 # ----------------------------------------------------------------------
 def reference_flat_forest(
     forest: SteinerForest, pin_caps: Dict[int, float]
-) -> FlatForest:
-    """Per-tree loop form of :func:`repro.sta.flat.build_flat_forest`:
-    each tree's CSR slice is written in turn, and each BFS level is one
-    ``flatnonzero`` over the whole forest."""
+) -> Tuple[FlatForest, FlatCaps]:
+    """Per-tree loop form of
+    :func:`repro.steiner.flat_forest.build_flat_forest` and
+    :func:`repro.sta.flat.flat_caps`: each tree's CSR slice is written
+    in turn, and each BFS level is one ``flatnonzero`` over the whole
+    forest."""
     trees = forest.trees
     T = len(trees)
     node_offset = np.zeros(T + 1, dtype=np.int64)
@@ -1142,11 +1148,16 @@ def reference_flat_forest(
     parent = np.full(N, -1, dtype=np.int64)
     depth = np.zeros(N, dtype=np.int64)
     node_base_cap = np.zeros(N, dtype=np.float64)
+    base_xy = np.zeros((N, 2), dtype=np.float64)
 
+    fedge_u: List[int] = []
+    fedge_v: List[int] = []
+    fedge_tree: List[int] = []
+    fedge_local: List[int] = []
+    fedge_net: List[int] = []
     edge_tree_parts: List[np.ndarray] = []
     edge_local_parts: List[np.ndarray] = []
     pin_rows_parts: List[np.ndarray] = []
-    pin_xy_parts: List[np.ndarray] = []
     steiner_rows_parts: List[np.ndarray] = []
     steiner_flat_parts: List[np.ndarray] = []
     sink_rows_parts: List[np.ndarray] = []
@@ -1166,6 +1177,12 @@ def reference_flat_forest(
         tree_of_node[base : base + n] = t
         net_of_tree[t] = tree.net_index
         tree_has_edges[t] = bool(tree.edges)
+        for k, (u, v) in enumerate(tree.edges):
+            fedge_u.append(base + u)
+            fedge_v.append(base + v)
+            fedge_tree.append(t)
+            fedge_local.append(k)
+            fedge_net.append(tree.net_index)
 
         topo = tree.topology()
         reached = topo.parent >= 0
@@ -1177,7 +1194,7 @@ def reference_flat_forest(
         edge_offset[t + 1] = edge_offset[t] + topo.dir_edge_local.size
 
         pin_rows_parts.append(np.arange(base, base + n_pins, dtype=np.int64))
-        pin_xy_parts.append(tree.pin_xy)
+        base_xy[base : base + n_pins] = tree.pin_xy
         if tree.n_steiner:
             sl = forest.steiner_slice(t)
             steiner_rows_parts.append(
@@ -1221,12 +1238,7 @@ def reference_flat_forest(
             forest_edge_row[base + local] = row
             row += 1
         base += len(tree.edges)
-    pin_xy = (
-        np.concatenate(pin_xy_parts, axis=0)
-        if pin_xy_parts
-        else np.zeros((0, 2))
-    )
-    return FlatForest(
+    flat = FlatForest(
         n_trees=T,
         n_nodes=N,
         node_offset=node_offset,
@@ -1238,8 +1250,13 @@ def reference_flat_forest(
         edge_local=edge_local,
         edge_offset=edge_offset,
         forest_edge_row=forest_edge_row,
+        forest_edge_u=np.array(fedge_u, dtype=np.int64),
+        forest_edge_v=np.array(fedge_v, dtype=np.int64),
+        forest_edge_tree=np.array(fedge_tree, dtype=np.int64),
+        forest_edge_local=np.array(fedge_local, dtype=np.int64),
+        forest_edge_net=np.array(fedge_net, dtype=np.int64),
         pin_rows=_cat(pin_rows_parts),
-        pin_xy=np.asarray(pin_xy, dtype=np.float64),
+        base_xy=base_xy,
         steiner_rows=_cat(steiner_rows_parts),
         steiner_flat=_cat(steiner_flat_parts),
         steiner_tree=steiner_tree,
@@ -1247,12 +1264,11 @@ def reference_flat_forest(
         sink_pin=_cat(sink_pin_parts),
         sink_tree=_cat(sink_tree_parts),
         sink_offset=sink_offset,
-        node_base_cap=node_base_cap,
         net_of_tree=net_of_tree,
         tree_root=node_offset[:-1].copy(),
         tree_has_edges=tree_has_edges,
-        lumped_cap=lumped_cap,
     )
+    return flat, FlatCaps(node_base_cap=node_base_cap, lumped_cap=lumped_cap)
 
 
 # ----------------------------------------------------------------------

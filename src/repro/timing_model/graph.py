@@ -9,11 +9,13 @@ paper).
 Both halves are the sign-off timer's own structures, read into the
 evaluator's layout: the netlist graph comes from the STA levelization
 (:class:`repro.sta.engine.LevelizedPins`: levels, launch points and the
-endpoint table) and the Steiner graph from the flat RC forest
-(:func:`repro.sta.flat.build_flat_forest`).  Steiner-graph node ids are
-flat forest nodes: node ``node_offset[t] + k`` is node ``k`` of tree
-``t`` (pins first, Steiner nodes after, matching ``SteinerTree``
-order).
+endpoint table) and the Steiner graph from the forest's one memoized
+flattening (:func:`repro.steiner.flat_forest.flat_forest_of`, the same
+object the routers and the sign-off STA read) with the levelization's
+pin caps gathered onto it (:func:`repro.sta.flat.flat_caps`).
+Steiner-graph node ids are flat forest nodes: node ``node_offset[t] +
+k`` is node ``k`` of tree ``t`` (pins first, Steiner nodes after,
+matching ``SteinerTree`` order).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 
 from repro.netlist.netlist import Netlist
 from repro.sta.engine import LevelizedPins
-from repro.sta.flat import build_flat_forest
+from repro.sta.flat import flat_caps
+from repro.steiner.flat_forest import flat_forest_of
 from repro.steiner.forest import SteinerForest
 
 NODE_DRIVER = 0
@@ -123,14 +126,12 @@ def build_timing_graph(
     differentiable function of Steiner coordinates.  Raises the STA's
     ``ValueError`` on a combinational loop.
 
-    The forest is flattened with ``build_flat_forest``, not the STA's
-    memo, so building a graph never evicts the sign-off flat entry.
     Only arrays are kept: the graph holds neither intermediate.
     """
     pert = LevelizedPins(netlist)
-    flat = build_flat_forest(forest, pert.pin_caps)
+    flat = flat_forest_of(forest)
+    caps = flat_caps(flat, pert.pin_caps)
     n_pins, n_nets = pert.n_pins, pert.n_nets
-    trees = forest.trees
 
     # ------------------------------------------------------------------
     # Steiner graph: flat forest nodes, driver-rooted RC edges
@@ -139,17 +140,6 @@ def build_timing_graph(
     node_type = np.full(m, NODE_STEINER, dtype=np.int64)
     node_type[flat.pin_rows] = NODE_SINK
     node_type[flat.tree_root] = NODE_DRIVER
-    static_pos = np.zeros((m, 2), dtype=np.float64)
-    static_pos[flat.pin_rows] = flat.pin_xy
-    # Undirected tree edges in ``tree.edges`` orientation.
-    edge_lists = list(map(attrgetter("edges"), trees))
-    n_edges = np.fromiter(map(len, edge_lists), np.int64, len(trees))
-    ends = np.fromiter(
-        chain.from_iterable(chain.from_iterable(edge_lists)),
-        np.int64,
-        2 * int(n_edges.sum()),
-    )
-    edge_base = np.repeat(flat.node_offset[:-1], n_edges)
 
     # ------------------------------------------------------------------
     # Per-net static features; sink arcs in netlist order
@@ -173,15 +163,15 @@ def build_timing_graph(
     # Downstream sink-pin capacitance per node: deepest level first, and
     # into each parent in reverse BFS order, as a per-tree walk of
     # reversed ``bfs_order`` adds them.
-    topos = [tree.topology() for tree in trees]
-    n_reached = np.fromiter((tp.bfs_order.size for tp in topos), np.int64, len(trees))
+    topos = [tree.topology() for tree in forest.trees]
+    n_reached = np.fromiter((tp.bfs_order.size for tp in topos), np.int64, len(topos))
     bfs = np.concatenate(
         [tp.bfs_order for tp in topos] or [np.zeros(0, dtype=np.int64)]
     ) + np.repeat(flat.node_offset[:-1], n_reached)
     bfs_rank = np.zeros(m, dtype=np.int64)
     bfs_rank[bfs] = np.arange(bfs.size, dtype=np.int64)
     depth = np.zeros(m, dtype=np.int64)
-    sub_cap = flat.node_base_cap.copy()
+    sub_cap = caps.node_base_cap.copy()
     for d in range(len(flat.levels), 0, -1):
         nodes = flat.levels[d - 1]
         depth[nodes] = d
@@ -264,19 +254,19 @@ def build_timing_graph(
         forest=forest,
         n_sg_nodes=m,
         sg_node_type=node_type,
-        sg_static_pos=static_pos,
+        sg_static_pos=flat.base_xy,
         sg_steiner_rows=flat.steiner_rows,
         sg_steiner_flat=flat.steiner_flat,
-        sg_node_cap=flat.node_base_cap,
+        sg_node_cap=caps.node_base_cap,
         sg_bcast_src=flat.parent[flat.edge_child],
         sg_bcast_dst=flat.edge_child,
         sg_reduce_src=flat.sink_rows,
         sg_reduce_dst=flat.tree_root[flat.sink_tree],
         sg_tree_of_node=flat.tree_of_node,
         n_nets=n_nets,
-        net_edge_src_node=ends[0::2] + edge_base,
-        net_edge_dst_node=ends[1::2] + edge_base,
-        net_of_edge=np.repeat(flat.net_of_tree, n_edges),
+        net_edge_src_node=flat.forest_edge_u,
+        net_edge_dst_node=flat.forest_edge_v,
+        net_of_edge=flat.forest_edge_net,
         net_sink_cap_sum=pert.lumped_net_cap,
         net_drive_res=drive_res,
         n_net_arcs=n_net_arcs,

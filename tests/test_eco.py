@@ -485,7 +485,7 @@ class TestEcoCommitAdoption:
     _PARAMS = {"arm": "sa", "seed": 0, "steps": 20}
 
     def test_commit_adopts_the_final_engine(self):
-        from repro.sta.flat import flat_cache_entry
+        from repro.steiner.flat_forest import flat_cache_entry
 
         warm = WarmStateCache()
         ws = warm.workspace("spm")
@@ -507,8 +507,6 @@ class TestEcoCommitAdoption:
         _assert_matches_fresh_sta(ws)
 
     def test_interrupted_run_takes_the_full_invalidate(self):
-        from repro.sta.flat import flat_cache_entry
-
         warm = WarmStateCache()
         ws = warm.workspace("spm")
         ws.incremental().run()
@@ -517,7 +515,6 @@ class TestEcoCommitAdoption:
             default_handlers(warm)["eco"](
                 job, JobContext(job=job, chaos=_KillAtHeartbeat(5))
             )
-        assert flat_cache_entry(ws.forest) is None  # digest dropped
         with Telemetry() as tel, telemetry_session(tel):
             ws.incremental().run()
             assert _levelize_spans(tel) == 1  # a freshly built engine
@@ -532,10 +529,11 @@ class TestWorkspaceInvalidation:
         ws.probe_sta()
         ws.scenario_sta(CORNERS)
         old_engine = ws.engine
-        from repro.sta.flat import _FLAT_CACHE_ATTR
+        from repro.steiner.flat_forest import flat_cache_entry
 
-        ws.probe_sta().run()  # populates the forest's cached flat digest
-        assert hasattr(ws.forest, _FLAT_CACHE_ATTR)
+        ws.probe_sta().run()  # populates the forest's flat memo
+        entry = flat_cache_entry(ws.forest)
+        assert entry is not None
 
         with Telemetry() as tel, telemetry_session(tel):
             ws.invalidate(reason="eco", structural=True)
@@ -545,7 +543,7 @@ class TestWorkspaceInvalidation:
         assert ws._probe_sta is None
         assert ws._scenario_stas == {}
         assert ws._graph is None and ws._congestion is None
-        assert not hasattr(ws.forest, _FLAT_CACHE_ATTR)
+        assert flat_cache_entry(ws.forest) is entry  # cap-free: nothing stale
         assert ws.engine is not old_engine
         assert tel.counters.get("serve.invalidations") == 1
         assert events and events[0]["reason"] == "eco"

@@ -2,9 +2,9 @@
 
 Five contracts (docs/PERFORMANCE.md):
 
-* the vectorized ``build_flat_forest`` writes every ``FlatForest``
-  field bitwise equal to the per-tree loop
-  ``repro.testing.oracles.reference_flat_forest``;
+* the vectorized ``build_flat_forest`` and ``flat_caps`` write every
+  ``FlatForest`` and ``FlatCaps`` field bitwise equal to the per-tree
+  loop ``repro.testing.oracles.reference_flat_forest``;
 * the batched CSR Elmore kernel reproduces the per-net reference
   analysis to 1e-12;
 * ``routed_edge_rc`` over the columns of a ``GlobalRouteResult`` is
@@ -35,6 +35,7 @@ from repro.runtime import faults
 from repro.sta import IncrementalSTA, STAEngine
 from repro.sta import flat as flatmod
 from repro.eco import BufferInsertOp, RerouteOp, clone_state
+from repro.steiner.flat_forest import build_flat_forest, flat_forest_of
 from repro.steiner.forest import SteinerForest
 from repro.steiner.tree import SteinerTree
 from repro.testing.oracles import (
@@ -80,26 +81,30 @@ def _assert_arrays_bitwise(got, want, name):
 
 
 def _assert_flat_bitwise(forest, pin_caps):
-    got = flatmod.build_flat_forest(forest, pin_caps)
-    want = reference_flat_forest(forest, pin_caps)
-    for field in dataclasses.fields(flatmod.FlatForest):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            _assert_arrays_bitwise(a, b, field.name)
-        elif field.name == "levels":
-            assert len(a) == len(b)
-            for d, (la, lb) in enumerate(zip(a, b)):
-                _assert_arrays_bitwise(la, lb, f"levels[{d}]")
-        else:
-            assert type(a) is type(b) and a == b, field.name
-    return got
+    """The cap-free topology and the engine's cap gather, every field of
+    both, against the one loop oracle."""
+    got = build_flat_forest(forest)
+    caps = flatmod.flat_caps(got, pin_caps)
+    want, want_caps = reference_flat_forest(forest, pin_caps)
+    for a_obj, b_obj in ((got, want), (caps, want_caps)):
+        for field in dataclasses.fields(b_obj):
+            a, b = getattr(a_obj, field.name), getattr(b_obj, field.name)
+            if isinstance(b, np.ndarray):
+                _assert_arrays_bitwise(a, b, field.name)
+            elif field.name == "levels":
+                assert len(a) == len(b)
+                for d, (la, lb) in enumerate(zip(a, b)):
+                    _assert_arrays_bitwise(la, lb, f"levels[{d}]")
+            else:
+                assert type(a) is type(b) and a == b, field.name
+    return got, caps
 
 
 class TestFlatForestBuild:
     @pytest.mark.parametrize("name", ["spm", "picorv32a", "des3"])
     def test_matches_reference_on_designs(self, name):
         netlist, forest = prepare_design(name)
-        flat = _assert_flat_bitwise(forest, STAEngine(netlist).pert().pin_caps)
+        flat, _ = _assert_flat_bitwise(forest, STAEngine(netlist).pert().pin_caps)
         if name == "des3":
             # numpy sums 8+ values pairwise: the long-segment path of
             # the lumped-cap sum must be exercised.
@@ -135,7 +140,7 @@ class TestFlatForestBuild:
             edges=[(0, k) for k in range(1, len(star_pins))],
         )
         trees = [lone, forest.trees[0], pair, lone, star, forest.trees[-1], lone]
-        flat = _assert_flat_bitwise(SteinerForest(netlist, trees), pin_caps)
+        flat, _ = _assert_flat_bitwise(SteinerForest(netlist, trees), pin_caps)
         assert not flat.tree_has_edges[0] and not flat.tree_has_edges[-1]
         assert int(np.diff(flat.sink_offset).max()) >= 8
         _assert_flat_bitwise(SteinerForest(netlist, []), pin_caps)
@@ -149,10 +154,11 @@ class TestElmoreParity:
         netlist, forest = design
         engine = STAEngine(netlist)
         pin_caps = engine.pert().pin_caps
-        flat = flatmod.flat_forest_of(forest, pin_caps)
-        xy = flatmod.node_positions(flat, forest.get_steiner_coords())
+        flat = flat_forest_of(forest)
+        caps = flatmod.flat_caps(flat, pin_caps)
+        xy = flat.node_positions(forest.get_steiner_coords())
         edge_r, edge_c = flatmod.preroute_edge_rc(flat, netlist.technology, xy)
-        state = flatmod.elmore_forest(flat, edge_r, edge_c)
+        state = flatmod.elmore_forest(flat, caps, edge_r, edge_c)
 
         for t, tree in enumerate(forest.trees):
             ref = compute_net_timing(tree, pin_caps, netlist.technology)
@@ -171,11 +177,12 @@ class TestElmoreParity:
         """A tree-subset update must write exactly a full recompute."""
         netlist, forest = design
         engine = STAEngine(netlist)
-        flat = flatmod.flat_forest_of(forest, engine.pert().pin_caps)
+        flat = flat_forest_of(forest)
+        caps = flatmod.flat_caps(flat, engine.pert().pin_caps)
         coords = forest.get_steiner_coords()
-        xy = flatmod.node_positions(flat, coords)
+        xy = flat.node_positions(coords)
         edge_r, edge_c = flatmod.preroute_edge_rc(flat, netlist.technology, xy)
-        full = flatmod.elmore_forest(flat, edge_r, edge_c)
+        full = flatmod.elmore_forest(flat, caps, edge_r, edge_c)
 
         # Perturb a few trees' geometry, update only those trees.
         rng = np.random.default_rng(3)
@@ -184,11 +191,11 @@ class TestElmoreParity:
         moved = coords.copy()
         sel = np.isin(flat.steiner_tree, trees)
         moved[sel] += 1.0
-        xy2 = flatmod.node_positions(flat, moved)
+        xy2 = flat.node_positions(moved)
         er2, ec2 = flatmod.preroute_edge_rc(flat, netlist.technology, xy2)
-        flatmod.elmore_update(flat, er2, ec2, full, trees=trees)
+        flatmod.elmore_update(flat, caps, er2, ec2, full, trees=trees)
 
-        scratch = flatmod.elmore_forest(flat, er2, ec2)
+        scratch = flatmod.elmore_forest(flat, caps, er2, ec2)
         for name in ("node_cap", "subtree_cap", "delay", "total_cap",
                      "sink_delay", "sink_slew_deg"):
             assert np.array_equal(getattr(full, name), getattr(scratch, name)), name
@@ -226,8 +233,8 @@ class TestRoutedEdgeRC:
         assert hit.memo_hit and not fresh.memo_hit
         for work, rr, grid in ((forest, fresh, fresh_grid), (moved, hit, hit_grid)):
             assign_layers(rr, tech, grid.nx * grid.ny)
-            flat = flatmod.flat_forest_of(work, engine.pert().pin_caps)
-            xy = flatmod.node_positions(flat, work.get_steiner_coords())
+            flat = flat_forest_of(work)
+            xy = flat.node_positions(work.get_steiner_coords())
             util = grid.utilization_map()
             for u, k in ((None, 0.0), (util, engine.COUPLING_K)):
                 got = flatmod.routed_edge_rc(flat, tech, xy, rr, u, k)
@@ -237,7 +244,7 @@ class TestRoutedEdgeRC:
 
     def test_forest_edge_row_maps_every_routed_key(self, design):
         netlist, forest = design
-        flat = flatmod.flat_forest_of(forest, STAEngine(netlist).pert().pin_caps)
+        flat = flat_forest_of(forest)
         rows = dict(zip(zip(flat.edge_tree.tolist(), flat.edge_local.tolist()), range(flat.n_edges)))
         grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
         rr = GlobalRouter(grid).route(forest)
@@ -419,11 +426,11 @@ class TestTopologyInvalidation:
         work = forest.copy()
         engine = STAEngine(netlist)
         engine.run(work)  # populate the flat cache
-        flat_before = flatmod.flat_forest_of(work, engine.pert().pin_caps)
+        flat_before = flat_forest_of(work)
 
         for tree in work.trees:
             tree.prune_degree2_steiner()
-        flat_after = flatmod.flat_forest_of(work, engine.pert().pin_caps)
+        flat_after = flat_forest_of(work)
         assert flat_after is not flat_before  # cache rebuilt, not stale
 
         # Post-prune timing agrees with a never-cached engine run.
@@ -432,6 +439,116 @@ class TestTopologyInvalidation:
         b = fresh.run(work)
         assert a.wns == b.wns and a.tns == b.tns
         assert np.array_equal(a.arrival, b.arrival, equal_nan=True)
+
+    def test_refreshed_pin_positions_reach_signoff(self):
+        """Re-placement reassigns ``tree.pin_xy``: the memoized
+        flattening must not keep serving the old pin positions."""
+        netlist, forest = clone_state(*prepare_design("spm"))
+        engine = STAEngine(netlist)
+        before = engine.run(forest)  # memoize the flattening
+        cell = netlist.cells[len(netlist.cells) // 2]
+        cell.x = netlist.die_width - cell.x
+        cell.y = netlist.die_height - cell.y
+        forest.refresh_pin_positions()
+        got = engine.run(forest)
+        fresh = SteinerForest(netlist, [t.copy() for t in forest.trees])
+        want = STAEngine(netlist).run(fresh)
+        assert got.arrival.tobytes() != before.arrival.tobytes()  # the move matters
+        assert got.arrival.tobytes() == want.arrival.tobytes()
+        assert got.slew.tobytes() == want.slew.tobytes()
+        assert got.slack == want.slack
+        assert (got.wns, got.tns) == (want.wns, want.tns)
+
+
+# ----------------------------------------------------------------------
+# One flattening per topology, shared by every consumer
+# ----------------------------------------------------------------------
+def _flatten_spans(tel) -> int:
+    return sum(
+        1 for e in tel.events
+        if e["kind"] == "span_start" and e["name"] == "steiner.flatten"
+    )
+
+
+class TestOneFlattening:
+    def test_copy_shares_the_flattening_until_it_diverges(self, design):
+        netlist, forest = design
+        work = forest.copy()
+        flat = flat_forest_of(work)
+        twin = work.copy()
+        assert flat_forest_of(twin) is flat
+        for tree in twin.trees:
+            tree.prune_degree2_steiner()
+        assert flat_forest_of(twin) is not flat
+        assert flat_forest_of(work) is flat
+
+    def test_optimize_flattens_once(self):
+        """The congestion probe, the graph build, the probe routes and
+        the probe STAs of one hybrid ``optimize()`` share one build."""
+        from repro.core.tsteiner import TSteiner
+        from repro.obs import Telemetry, telemetry_session
+        from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
+
+        netlist, forest = prepare_design("spm")
+        work = SteinerForest(netlist, [t.copy() for t in forest.trees])
+        model = TimingEvaluator(EvaluatorConfig(seed=0, hidden=16))
+        cfg = RefinementConfig(max_iterations=4, validate_every=2, polish_probes=3)
+        with Telemetry() as tel, telemetry_session(tel):
+            TSteiner(model, cfg).optimize(netlist, work, telemetry=tel)
+        assert tel.counters["refine.validator_probes"] > 0
+        assert _flatten_spans(tel) == 1
+        assert tel.counters["sta.flat_cache_misses"] == 1
+        assert tel.counters["sta.flat_cache_hits"] > 0
+
+    def test_eco_resize_regathers_caps_buffer_reflattens_once(self):
+        """A resize changes pin caps, not trees: its apply, query and
+        revert build no flattening.  A buffer insertion adds and
+        replaces trees: one build; its revert restores the old entry,
+        as a re-route's does."""
+        from repro.eco import EcoContext, ResizeOp
+        from repro.obs import Telemetry, telemetry_session
+
+        netlist, forest = clone_state(*prepare_design("spm"))
+        ctx = EcoContext(netlist, forest)
+        ctx.run()
+        cell, to_ct = next(
+            (c, v)
+            for c in netlist.cells
+            if not c.is_sequential
+            for v in netlist.library.variants_of(c.cell_type)
+            if v.pin_caps != c.cell_type.pin_caps
+        )
+        resize = ResizeOp(cell.index, to_ct)
+        with Telemetry() as tel, telemetry_session(tel):
+            ctx.apply(resize)
+            ctx.run()
+            ctx.revert(resize)
+            ctx.run()
+        assert ctx.rebuilds == 1
+        assert _flatten_spans(tel) == 0
+        assert tel.counters.get("sta.flat_cache_misses", 0) == 0
+
+        net = next(n for n in netlist.nets if n.degree > 2)
+        buf = BufferInsertOp(net.index, net.sinks[-1])
+        with Telemetry() as tel, telemetry_session(tel):
+            ctx.apply(buf)
+            ctx.run()
+        assert _flatten_spans(tel) == 1
+        with Telemetry() as tel, telemetry_session(tel):
+            ctx.revert(buf)
+            ctx.run()
+        assert _flatten_spans(tel) == 0
+        assert tel.counters.get("sta.flat_cache_misses", 0) == 0
+
+        # A re-route changes one tree in place of the netlist: its
+        # revert puts the pre-apply entry back as well.
+        reroute = RerouteOp(net.index)
+        ctx.apply(reroute)
+        ctx.run()
+        with Telemetry() as tel, telemetry_session(tel):
+            ctx.revert(reroute)
+            ctx.run()
+        assert _flatten_spans(tel) == 0
 
 
 # ----------------------------------------------------------------------

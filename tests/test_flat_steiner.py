@@ -10,8 +10,9 @@ Two bitwise contracts (docs/PERFORMANCE.md, layer 4):
   per-edge oracle ``repro.testing.oracles.pattern_route_reference``
   bitwise (shape choice, cost, usage fields, overflow).
 
-The routers' node-coordinate gather (the cached pin base plus the
-forest's flat Steiner coordinates) equals a tree-by-tree copy bitwise.
+The routers' node-coordinate gather (the flat forest's pin base plus
+the forest's flat Steiner coordinates) equals a tree-by-tree copy
+bitwise.
 
 Plus ``build_forest`` against the per-net oracle
 ``repro.testing.oracles.reference_forest`` and the forest cache:
@@ -31,12 +32,8 @@ from repro.routegrid.grid import GCellGrid
 from repro.steiner import build_forest, clear_forest_cache, construct_trees_flat
 from repro.steiner.forest import SteinerForest
 from repro.steiner.rsmt import _corner_for, construct_tree
-from repro.groute.flat_route import (
-    _geometry_of,
-    estimate_congestion,
-    expand_ranges,
-    pattern_route_flat,
-)
+from repro.groute.flat_route import estimate_congestion, pattern_route_flat
+from repro.steiner.flat_forest import expand_ranges, flat_forest_of
 from repro.testing.oracles import pattern_route_reference, reference_forest
 
 # Continuous coordinates rarely coincide; the small integer grid forces
@@ -196,18 +193,22 @@ def _gather_loop(forest):
     return xy
 
 
+def _gather(flat, forest):
+    return flat.node_positions(forest.get_steiner_coords())
+
+
 class TestGatherCoords:
     @settings(max_examples=40, deadline=None)
     @given(_nets(FLOAT_COORD), st.integers(0, 2**16))
     def test_matches_tree_loop_after_moves(self, nets, seed):
         forest = _forest_from(nets)
-        geom = _geometry_of(forest)
-        assert geom.gather_coords(forest).tobytes() == _gather_loop(forest).tobytes()
+        flat = flat_forest_of(forest)
+        assert _gather(flat, forest).tobytes() == _gather_loop(forest).tobytes()
         coords = forest.get_steiner_coords()
         rng = np.random.default_rng(seed)
         forest.set_steiner_coords(coords + rng.normal(0.0, 5.0, coords.shape))
-        assert _geometry_of(forest) is geom  # a move keeps the cache
-        assert geom.gather_coords(forest).tobytes() == _gather_loop(forest).tobytes()
+        assert flat_forest_of(forest) is flat  # a move keeps the cache
+        assert _gather(flat, forest).tobytes() == _gather_loop(forest).tobytes()
 
     def test_design_moves_and_replacement(self):
         from repro.flow.pipeline import prepare_design
@@ -216,14 +217,14 @@ class TestGatherCoords:
         forest = forest.copy()
         coords = forest.get_steiner_coords()
         forest.set_steiner_coords(coords + np.random.default_rng(1).normal(0.0, 3.0, coords.shape))
-        geom = _geometry_of(forest)
-        assert geom.gather_coords(forest).tobytes() == _gather_loop(forest).tobytes()
+        flat = flat_forest_of(forest)
+        assert _gather(flat, forest).tobytes() == _gather_loop(forest).tobytes()
         # Re-placement reassigns pin_xy: the cached pin base is rebuilt.
         tree = forest.trees[5]
         tree.pin_xy = tree.pin_xy + 1.0
-        fresh = _geometry_of(forest)
-        assert fresh is not geom
-        assert fresh.gather_coords(forest).tobytes() == _gather_loop(forest).tobytes()
+        fresh = flat_forest_of(forest)
+        assert fresh is not flat
+        assert _gather(fresh, forest).tobytes() == _gather_loop(forest).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -215,11 +215,11 @@ class TestLayerAssignment:
 
     def test_segment_rc_positive(self, routed):
         from repro.sta import flat as flatmod
-        from repro.sta.engine import STAEngine
+        from repro.steiner.flat_forest import flat_forest_of
 
         nl, forest, _, result = routed
-        flat = flatmod.flat_forest_of(forest, STAEngine(nl).pert().pin_caps)
-        xy = flatmod.node_positions(flat, forest.get_steiner_coords())
+        flat = flat_forest_of(forest)
+        xy = flat.node_positions(forest.get_steiner_coords())
         r, c = flatmod.routed_edge_rc(flat, nl.technology, xy, result)
         rows = flat.forest_edge_row[result.edge]
         wired = result.length > 0

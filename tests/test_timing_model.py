@@ -120,13 +120,16 @@ class TestGraphParity:
 
     @pytest.mark.parametrize("design", _PARITY_DESIGNS)
     def test_matches_oracle(self, design):
-        from repro.sta.flat import flat_cache_entry
+        from repro.steiner.flat_forest import flat_cache_entry, flat_forest_of
         from repro.testing.oracles import reference_timing_graph
 
         netlist, forest = prepare_design(design)
         field = np.random.default_rng(0).random((4, 3))
-        entry = flat_cache_entry(forest)
         got = build_timing_graph(netlist, forest, congestion=field)
+        entry = flat_cache_entry(forest)
+        # The graph reads the forest's one flattening and leaves it there.
+        assert got.net_edge_src_node is flat_forest_of(forest).forest_edge_u
+        build_timing_graph(netlist, forest)
         assert flat_cache_entry(forest) is entry
         _assert_graph_equal(got, reference_timing_graph(netlist, forest, field))
         assert len(got.levels) > 1 and got.path_src.size
@@ -137,7 +140,7 @@ class TestGraphParity:
         and each revert must rebuild the graph exactly as the oracle."""
         from repro.eco import BufferInsertOp, ResizeOp, clone_state
         from repro.sta.engine import STAEngine
-        from repro.sta.flat import flat_cache_entry
+        from repro.steiner.flat_forest import flat_cache_entry
         from repro.testing.oracles import reference_timing_graph
 
         netlist, forest = clone_state(*small_design)
@@ -153,11 +156,13 @@ class TestGraphParity:
         base = reference_timing_graph(netlist, forest)
         for op in (BufferInsertOp(net.index, net.sinks[-1]), ResizeOp(cell.index, to_ct)):
             op.apply(netlist, forest)
-            entry = flat_cache_entry(forest)
             _assert_graph_equal(
                 build_timing_graph(netlist, forest),
                 reference_timing_graph(netlist, forest),
             )
+            # Sign-off reads the flattening the graph build left.
+            entry = flat_cache_entry(forest)
+            STAEngine(netlist).run(forest)
             assert flat_cache_entry(forest) is entry
             op.revert(netlist, forest)
             _assert_graph_equal(
