@@ -175,8 +175,11 @@ class EcoContext:
 
     A ``revert`` re-flattens nothing and rebuilds no engine: by the
     ops' LIFO apply+revert == identity contract the pre-apply flat memo
-    entry (and, for a netlist op, the pre-apply engine and
-    ``ScenarioSTA``) are exact again, so they are put back.
+    entry, ``BatchState`` (and, for a netlist op, the pre-apply engine
+    and ``ScenarioSTA``) are exact again, so they are put back.  The
+    last netlist op's undo is kept apart from the last tree or
+    coordinate op's, so a nudge applied and reverted on top of a resize
+    leaves the resize restorable; at most one pre-apply engine is held.
     """
 
     def __init__(
@@ -189,9 +192,11 @@ class EcoContext:
         self.forest = forest
         self.scenarios = scenarios if scenarios is not None else ScenarioSet.default()
         self.rebuilds = 0
-        #: (op, engine, sta, flat memo entry) from before the last
-        #: apply; its matching revert restores them.
-        self._undo: Optional[Tuple[EcoOp, STAEngine, ScenarioSTA, object]] = None
+        #: (op, engine, sta, sta state, flat memo entry) from before the
+        #: last netlist op's apply (key True) and the last tree or
+        #: coordinate op's apply since (key False); a matching revert
+        #: restores them.
+        self._undo: Dict[bool, tuple] = {}
         self._make()
 
     def _make(self) -> None:
@@ -211,21 +216,27 @@ class EcoContext:
         return self.sta.run()
 
     def apply(self, op: EcoOp) -> None:
-        self._undo = (op, self.engine, self.sta, flat_cache_entry(self.forest))
+        undo = (
+            op, self.engine, self.sta, self.sta._state,
+            flat_cache_entry(self.forest),
+        )
         op.apply(self.netlist, self.forest)
         if op.mutates_netlist:
+            # A tree op's undo would now pin the pre-apply engine too.
+            self._undo.clear()
             self.rebuild()
+        self._undo[op.mutates_netlist] = undo
 
     def revert(self, op: EcoOp) -> None:
         op.revert(self.netlist, self.forest)
-        undo, self._undo = self._undo, None
+        undo = self._undo.pop(op.mutates_netlist, None)
         if undo is None or undo[0] is not op:
             if op.mutates_netlist:
                 self.rebuild()
             return
-        restore_flat_cache(self.forest, undo[3])
-        if op.mutates_netlist:
-            self.engine, self.sta = undo[1], undo[2]
+        _, self.engine, self.sta, state, entry = undo
+        self.sta._state = state
+        restore_flat_cache(self.forest, entry)
 
     def dirty_nets_of(self, op: EcoOp) -> Tuple[int, ...]:
         if isinstance(op, ResizeOp):

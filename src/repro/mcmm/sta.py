@@ -98,7 +98,8 @@ class ScenarioReport:
 
 @dataclass
 class BatchState:
-    """Everything cached between batched queries."""
+    """Everything cached between batched queries: geometry, nominal RC
+    and timing only (Elmore passes run into scratch arrays)."""
 
     flat: FlatForest
     caps: flatmod.FlatCaps  # the engine's pin caps on ``flat``
@@ -107,9 +108,6 @@ class BatchState:
     routed: bool
     base_r: np.ndarray  # (E,) nominal edge resistance (dirty-diff basis)
     base_c: np.ndarray
-    group_r: np.ndarray  # (G, E) derated edge R per wire group
-    group_c: np.ndarray
-    elmores: List[flatmod.ElmoreState]  # one per wire group
     wire_delay_G: np.ndarray  # (G, n_pins)
     wire_deg_G: np.ndarray  # (G, n_pins)
     net_load_G: np.ndarray  # (G, n_nets)
@@ -292,21 +290,15 @@ class ScenarioSTA:
 
         G = len(self._wire_keys)
         n_pins = pert.n_pins
-        group_r = np.empty((G, base_r.size))
-        group_c = np.empty((G, base_c.size))
-        elmores: List[flatmod.ElmoreState] = []
         wire_delay_G = np.zeros((G, n_pins))
         wire_deg_G = np.zeros((G, n_pins))
         net_load_G = np.empty((G, pert.n_nets))
-        for g, (rd, cd) in enumerate(self._wire_keys):
-            group_r[g] = base_r * rd
-            group_c[g] = base_c * cd
-            el = flatmod.elmore_forest(flat, caps, group_r[g], group_c[g])
-            elmores.append(el)
-            wire_delay_G[g, flat.sink_pin] = el.sink_delay
-            wire_deg_G[g, flat.sink_pin] = el.sink_slew_deg
+        timing = self._wire_timing(flat, caps, base_r, base_c)
+        for g, (delay, deg, load) in enumerate(timing):
+            wire_delay_G[g, flat.sink_pin] = delay
+            wire_deg_G[g, flat.sink_pin] = deg
             net_load_G[g] = pert.lumped_net_cap
-            net_load_G[g, flat.net_of_tree] = el.total_cap
+            net_load_G[g, flat.net_of_tree] = load
         net_has_tree = np.zeros(pert.n_nets, dtype=bool)
         net_has_tree[flat.net_of_tree] = True
 
@@ -318,9 +310,6 @@ class ScenarioSTA:
             routed=routed,
             base_r=base_r,
             base_c=base_c,
-            group_r=group_r,
-            group_c=group_c,
-            elmores=elmores,
             wire_delay_G=wire_delay_G,
             wire_deg_G=wire_deg_G,
             net_load_G=net_load_G,
@@ -344,6 +333,93 @@ class ScenarioSTA:
         return st
 
     # ------------------------------------------------------------------
+    def _moved_trees(
+        self,
+        st: BatchState,
+        coords: np.ndarray,
+        xy: np.ndarray,
+        r: np.ndarray,
+        c: np.ndarray,
+    ) -> np.ndarray:
+        """Trees with a Steiner point that differs bitwise from
+        ``st.coords``.  Writes all of their points into ``xy`` and their
+        pre-route edge RC into ``r`` / ``c``; other rows are untouched."""
+        flat = st.flat
+        dirty_mask = np.zeros(flat.n_trees, dtype=bool)
+        dirty_mask[flat.steiner_tree[np.any(coords != st.coords, axis=1)]] = True
+        dirty = np.flatnonzero(dirty_mask)
+        if dirty.size:
+            m = dirty_mask[flat.steiner_tree[flat.steiner_flat]]
+            xy[flat.steiner_rows[m]] = coords[flat.steiner_flat[m]]
+            flatmod.preroute_edge_rc(
+                flat, self.engine.technology, xy,
+                edge_rows=flat.edge_rows_of_trees(dirty), out_r=r, out_c=c,
+            )
+        return dirty
+
+    def _wire_timing(
+        self,
+        flat: FlatForest,
+        caps: flatmod.FlatCaps,
+        r: np.ndarray,
+        c: np.ndarray,
+        trees: Optional[np.ndarray] = None,
+    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per wire group, ``(sink delay, sink slew term, driver load)``
+        of ``trees`` (every tree when None), in ``sink_rows_of_trees`` /
+        ``trees`` order, from nominal edge RC ``r`` / ``c``.
+
+        A subset is re-Elmored by ``elmore_update`` into scratch arrays:
+        it reads only the subset's rows of ``r`` / ``c``, and its values
+        are bitwise those of the full pass.
+        """
+        out = []
+        if trees is None:
+            for rd, cd in self._wire_keys:
+                el = flatmod.elmore_forest(flat, caps, r * rd, c * cd)
+                out.append((el.sink_delay, el.sink_slew_deg, el.total_cap))
+            return out
+        e_rows = flat.edge_rows_of_trees(trees)
+        sink_sel = flat.sink_rows_of_trees(trees)
+        el = flatmod.ElmoreState.zeros(flat)
+        group_r, group_c = np.zeros_like(r), np.zeros_like(c)
+        for rd, cd in self._wire_keys:
+            group_r[e_rows] = r[e_rows] * rd
+            group_c[e_rows] = c[e_rows] * cd
+            flatmod.elmore_update(flat, caps, group_r, group_c, el, trees=trees)
+            out.append(
+                (el.sink_delay[sink_sel], el.sink_slew_deg[sink_sel], el.total_cap[trees])
+            )
+        return out
+
+    def _seed(
+        self,
+        st: BatchState,
+        trees: np.ndarray,
+        timing: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        targets: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+        recompute: np.ndarray,
+    ) -> None:
+        """Write ``timing`` of ``trees`` (from :meth:`_wire_timing`) into
+        each ``(group, wire delay, slew term, net load)`` target row and
+        mark in ``recompute`` the sinks and drivers whose values differ
+        from the committed state ``st``."""
+        flat = st.flat
+        pins = flat.sink_pin[flat.sink_rows_of_trees(trees)]
+        nets = flat.net_of_tree[trees]
+        net_driver = self.engine.pert().net_driver
+        for g, wire_delay, wire_deg, net_load in targets:
+            new_wd, new_deg, new_load = timing[g]
+            w_ch = (st.wire_delay_G[g, pins] != new_wd) | (
+                st.wire_deg_G[g, pins] != new_deg
+            )
+            recompute[pins[w_ch]] = True
+            l_ch = st.net_load_G[g, nets] != new_load
+            recompute[net_driver[nets[l_ch]]] = True
+            wire_delay[pins] = new_wd
+            wire_deg[pins] = new_deg
+            net_load[nets] = new_load
+
     def _incremental(
         self,
         st: BatchState,
@@ -356,7 +432,6 @@ class ScenarioSTA:
         flat = st.flat
         routed = route_result is not None
 
-        dirty_mask = np.zeros(flat.n_trees, dtype=bool)
         if routed or st.routed:
             # Post-route (or a mode switch): per-edge RC diffing is the
             # exact dirtiness criterion — it catches coordinate moves
@@ -372,30 +447,17 @@ class ScenarioSTA:
             else:
                 new_r, new_c = flatmod.preroute_edge_rc(flat, engine.technology, xy)
             diff = (new_r != st.base_r) | (new_c != st.base_c)
-            dirty_mask[flat.edge_tree[diff]] = True
+            dirty = np.unique(flat.edge_tree[diff])
             st.base_r, st.base_c = new_r, new_c
             st.coords = np.array(coords, dtype=np.float64, copy=True)
         else:
             # Pre-route: dirty = trees with any coordinate that changed
             # bitwise since the last query.
-            moved = np.any(coords != st.coords, axis=1)
-            dirty_mask[flat.steiner_tree[moved]] = True
-            coord_rows = dirty_mask[flat.steiner_tree]
-            st.coords[coord_rows] = coords[coord_rows]
-            xy = st.xy
-            m = coord_rows[flat.steiner_flat]
-            if m.any():
-                xy[flat.steiner_rows[m]] = coords[flat.steiner_flat[m]]
-            dirty = np.flatnonzero(dirty_mask)
+            dirty = self._moved_trees(st, coords, st.xy, st.base_r, st.base_c)
             if dirty.size:
-                e_rows = flat.edge_rows_of_trees(dirty)
-                flatmod.preroute_edge_rc(
-                    flat, engine.technology, xy,
-                    edge_rows=e_rows, out_r=st.base_r, out_c=st.base_c,
-                )
+                st.coords[...] = coords
         st.routed = routed
 
-        dirty = np.flatnonzero(dirty_mask)
         self.last_dirty_trees = int(dirty.size)
         tel = get_telemetry()
         if tel.enabled:
@@ -403,34 +465,14 @@ class ScenarioSTA:
         if dirty.size == 0:
             return
         recompute = np.zeros(pert.n_pins, dtype=bool)
-        e_rows = flat.edge_rows_of_trees(dirty)
-        sink_sel = flat.sink_rows_of_trees(dirty)
-        pins = flat.sink_pin[sink_sel]
-        nets = flat.net_of_tree[dirty]
-        for g, (rd, cd) in enumerate(self._wire_keys):
-            # Refresh the derated rows of the dirty trees, then the
-            # partial Elmore pass (bitwise-identical to full).
-            st.group_r[g, e_rows] = st.base_r[e_rows] * rd
-            st.group_c[g, e_rows] = st.base_c[e_rows] * cd
-            el = st.elmores[g]
-            flatmod.elmore_update(
-                flat, st.caps, st.group_r[g], st.group_c[g], el, trees=dirty
-            )
-            # Seed sinks whose wire timing changed and drivers whose
-            # output load changed.
-            new_wd = el.sink_delay[sink_sel]
-            new_deg = el.sink_slew_deg[sink_sel]
-            w_ch = (st.wire_delay_G[g, pins] != new_wd) | (
-                st.wire_deg_G[g, pins] != new_deg
-            )
-            st.wire_delay_G[g, pins] = new_wd
-            st.wire_deg_G[g, pins] = new_deg
-            recompute[pins[w_ch]] = True
-            new_load = el.total_cap[dirty]
-            l_ch = st.net_load_G[g, nets] != new_load
-            st.net_load_G[g, nets] = new_load
-            recompute[pert.net_driver[nets[l_ch]]] = True
-
+        self._seed(
+            st, dirty, self._wire_timing(flat, st.caps, st.base_r, st.base_c, dirty),
+            [
+                (g, st.wire_delay_G[g], st.wire_deg_G[g], st.net_load_G[g])
+                for g in range(len(self._wire_keys))
+            ],
+            recompute,
+        )
         if not recompute.any():
             return
         for idx, early, rows, derate in self._blocks:
@@ -546,10 +588,10 @@ class ScenarioSTA:
         ``coords_list`` is a full ``(S, 2)`` Steiner coordinate array —
         typically the committed coordinates with one point moved — and
         becomes its own row group of the ``(K * S_block, n_pins)`` check
-        blocks.  Per probe the dirty trees are re-Elmored exactly like
-        :meth:`_incremental` (partial RC + ``elmore_update``), the
-        mutated base-state slices are restored bit-for-bit, and one
-        shared :func:`propagate_from_batched` sweep with the **union**
+        blocks.  Per probe the dirty trees are re-timed by the same
+        moved-tree and wire-timing helpers as :meth:`_incremental`, on
+        scratch copies of the geometry, and one shared
+        :func:`propagate_from_batched` sweep with the **union**
         recompute mask re-times every probe row at once.  Rows whose
         inputs did not change recompute to bitwise-equal values (see
         ``repro.sta.engine``), so every probe report is bitwise-identical
@@ -557,17 +599,16 @@ class ScenarioSTA:
         serial path, which is what makes fused and unfused serving
         byte-comparable.
 
-        Nothing is committed: the cached state (and the forest) are
-        exactly as before the call.  Returns ``(base_report, probes)``
+        Nothing is committed: past the base re-synchronization the call
+        only reads the cached state (and the forest), so no exception
+        can leave it half-written.  Returns ``(base_report, probes)``
         where ``base_report`` re-synchronizes with the forest's current
         coordinates first.  Probe reports are "light": WNS/TNS and
         violation counts only (empty slack maps).  Probing is pre-route.
         """
         base = self.run()
         st = self._state
-        engine = self.engine
-        pert = engine.pert()
-        flat = st.flat
+        pert = self.engine.pert()
         K = len(coords_list)
         self.last_probe_dirty = []
         tel = get_telemetry()
@@ -594,103 +635,34 @@ class ScenarioSTA:
                 }
             )
 
-        groups_used = sorted(set(self._group_of))
+        # Scratch geometry: a probe writes every Steiner point and edge
+        # RC row of its dirty trees and reads no other rows, so one copy
+        # serves all K probes and the committed state is only read.
+        xy, r, c = st.xy.copy(), st.base_r.copy(), st.base_c.copy()
         recompute = np.zeros(pert.n_pins, dtype=bool)
-        try:
-            for k in range(K):
-                coords = np.asarray(coords_list[k], dtype=np.float64)
-                moved = np.any(coords != st.coords, axis=1)
-                dirty_mask = np.zeros(flat.n_trees, dtype=bool)
-                dirty_mask[flat.steiner_tree[moved]] = True
-                dirty = np.flatnonzero(dirty_mask)
-                self.last_probe_dirty.append(int(dirty.size))
-                if dirty.size == 0:
-                    continue
-                e_rows = flat.edge_rows_of_trees(dirty)
-                node_rows = flat.node_rows_of_trees(dirty)
-                sink_sel = flat.sink_rows_of_trees(dirty)
-                pins = flat.sink_pin[sink_sel]
-                nets = flat.net_of_tree[dirty]
-                coord_rows = dirty_mask[flat.steiner_tree]
-                m = coord_rows[flat.steiner_flat]
-                xy_rows = flat.steiner_rows[m]
+        for k in range(K):
+            coords = np.asarray(coords_list[k], dtype=np.float64)
+            dirty = self._moved_trees(st, coords, xy, r, c)
+            self.last_probe_dirty.append(int(dirty.size))
+            if dirty.size == 0:
+                continue
+            targets = [
+                (self._group_of[s], b["wd"][row], b["deg"][row], b["nl"][row])
+                for b in blocks
+                for row, s in enumerate(b["idx"], start=k * len(b["idx"]))
+            ]
+            self._seed(
+                st, dirty, self._wire_timing(st.flat, st.caps, r, c, dirty),
+                targets, recompute,
+            )
 
-                # Save exactly the slices the probe mutates; restoring
-                # them leaves the committed base state bit-identical.
-                saved_xy = st.xy[xy_rows].copy()
-                saved_r = st.base_r[e_rows].copy()
-                saved_c = st.base_c[e_rows].copy()
-                saved_groups = {}
-                try:
-                    st.xy[xy_rows] = coords[flat.steiner_flat[m]]
-                    flatmod.preroute_edge_rc(
-                        flat, engine.technology, st.xy,
-                        edge_rows=e_rows, out_r=st.base_r, out_c=st.base_c,
-                    )
-                    for g in groups_used:
-                        rd, cd = self._wire_keys[g]
-                        el = st.elmores[g]
-                        saved_groups[g] = (
-                            st.group_r[g, e_rows].copy(),
-                            st.group_c[g, e_rows].copy(),
-                            el.node_cap[node_rows].copy(),
-                            el.subtree_cap[node_rows].copy(),
-                            el.delay[node_rows].copy(),
-                            el.total_cap[dirty].copy(),
-                            el.sink_delay[sink_sel].copy(),
-                            el.sink_slew_deg[sink_sel].copy(),
-                        )
-                        st.group_r[g, e_rows] = st.base_r[e_rows] * rd
-                        st.group_c[g, e_rows] = st.base_c[e_rows] * cd
-                        flatmod.elmore_update(
-                            flat, st.caps, st.group_r[g], st.group_c[g], el,
-                            trees=dirty,
-                        )
-                    for block in blocks:
-                        S = len(block["idx"])
-                        for row_s, s in enumerate(block["idx"]):
-                            g = self._group_of[s]
-                            el = st.elmores[g]
-                            row = k * S + row_s
-                            new_wd = el.sink_delay[sink_sel]
-                            new_deg = el.sink_slew_deg[sink_sel]
-                            w_ch = (st.wire_delay_G[g, pins] != new_wd) | (
-                                st.wire_deg_G[g, pins] != new_deg
-                            )
-                            block["wd"][row, pins] = new_wd
-                            block["deg"][row, pins] = new_deg
-                            recompute[pins[w_ch]] = True
-                            new_load = el.total_cap[dirty]
-                            l_ch = st.net_load_G[g, nets] != new_load
-                            block["nl"][row, nets] = new_load
-                            recompute[pert.net_driver[nets[l_ch]]] = True
-                finally:
-                    for g, sv in saved_groups.items():
-                        el = st.elmores[g]
-                        st.group_r[g, e_rows] = sv[0]
-                        st.group_c[g, e_rows] = sv[1]
-                        el.node_cap[node_rows] = sv[2]
-                        el.subtree_cap[node_rows] = sv[3]
-                        el.delay[node_rows] = sv[4]
-                        el.total_cap[dirty] = sv[5]
-                        el.sink_delay[sink_sel] = sv[6]
-                        el.sink_slew_deg[sink_sel] = sv[7]
-                    st.base_r[e_rows] = saved_r
-                    st.base_c[e_rows] = saved_c
-                    st.xy[xy_rows] = saved_xy
-
-            if recompute.any():
-                for block in blocks:
-                    propagate_from_batched(
-                        pert, block["arr"], block["slew"], block["wd"],
-                        block["deg"], block["nl"], st.net_has_tree,
-                        block["derate"], recompute, early=block["early"],
-                    )
-        except Exception:
-            # Same safety contract as run(): never keep possibly
-            # half-restored state behind an exception.
-            self._state = None
-            raise
+        if recompute.any():
+            for block in blocks:
+                propagate_from_batched(
+                    pert, block["arr"], block["slew"], block["wd"],
+                    block["deg"], block["nl"], st.net_has_tree,
+                    block["derate"], recompute, early=block["early"],
+                )
 
         probes: List[ScenarioReport] = []
         for k in range(K):

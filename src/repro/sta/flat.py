@@ -41,7 +41,8 @@ class FlatCaps:
 
 @dataclass
 class ElmoreState:
-    """Mutable per-query Elmore arrays (reused by the incremental STA)."""
+    """Elmore arrays of one pass; a subset update writes and reads only
+    its trees' rows, so one zeroed state serves as scratch for any."""
 
     node_cap: np.ndarray  # (N,)
     subtree_cap: np.ndarray  # (N,)
@@ -49,6 +50,17 @@ class ElmoreState:
     total_cap: np.ndarray  # (T,) cap seen by each driver
     sink_delay: np.ndarray  # (K,)
     sink_slew_deg: np.ndarray  # (K,) additive PERI slew term (ns^2)
+
+    @classmethod
+    def zeros(cls, flat: FlatForest) -> "ElmoreState":
+        return cls(
+            node_cap=np.zeros(flat.n_nodes),
+            subtree_cap=np.zeros(flat.n_nodes),
+            delay=np.zeros(flat.n_nodes),
+            total_cap=np.zeros(flat.n_trees),
+            sink_delay=np.zeros(flat.sink_rows.size),
+            sink_slew_deg=np.zeros(flat.sink_rows.size),
+        )
 
 
 def _segment_sums(values: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -219,14 +231,7 @@ def elmore_forest(
     flat: FlatForest, caps: FlatCaps, edge_r: np.ndarray, edge_c: np.ndarray
 ) -> ElmoreState:
     """Elmore delay of every net in one batched depth-scan pass."""
-    state = ElmoreState(
-        node_cap=np.zeros(flat.n_nodes),
-        subtree_cap=np.zeros(flat.n_nodes),
-        delay=np.zeros(flat.n_nodes),
-        total_cap=np.zeros(flat.n_trees),
-        sink_delay=np.zeros(flat.sink_rows.size),
-        sink_slew_deg=np.zeros(flat.sink_rows.size),
-    )
+    state = ElmoreState.zeros(flat)
     elmore_update(flat, caps, edge_r, edge_c, state, trees=None)
     return state
 

@@ -14,7 +14,7 @@ refinement cannot.
 import asyncio
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.eco import (
@@ -178,10 +178,28 @@ class TestOpReversibility:
         assert warm == cold
 
 
+class _Scripted:
+    """Stands in for hypothesis' ``data`` in an explicit example: each
+    ``draw`` returns the next scripted value, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = values
+        self._next = iter(values)
+
+    def draw(self, strategy, label=None):
+        return next(self._next)
+
+    def __repr__(self):
+        return f"_Scripted{self.values!r}"
+
+
 class TestWarmContextSequences:
     """A warm EcoContext driven through apply/revert sequences answers
     exactly what a cold context on the same state answers."""
 
+    # 4 steps: ResizeOp #0; NudgeOp(net 0, 0.0, 0.0); revert; revert.
+    # The nudge's apply must not cost the resize its restore.
+    @example(data=_Scripted(4, 1, 0, False, 3, 0, 0.0, 0.0, True, True))
     @settings(
         max_examples=15,
         deadline=None,
@@ -219,6 +237,24 @@ class TestWarmContextSequences:
                     last_netlist_op = op
             cold = EcoContext(netlist, forest, _scenarios())
             assert _snapshot(ctx.run()) == _snapshot(cold.run())
+
+    def test_reverted_reroute_restores_batch_state(self, spm_state):
+        """A tree edit's revert puts the pre-apply ``BatchState`` back:
+        the apply's query is the only full pass, and the query after the
+        revert re-times nothing."""
+        netlist, forest = clone_state(*spm_state)
+        ctx = EcoContext(netlist, forest, _scenarios())
+        base = _snapshot(ctx.run())
+        sta, state = ctx.sta, ctx.sta._state
+        full = sta.num_full
+        op = RerouteOp(_routable_nets(netlist, forest)[0])
+        ctx.apply(op)
+        ctx.run()
+        ctx.revert(op)
+        assert ctx.sta is sta and sta._state is state
+        assert _snapshot(ctx.run()) == base
+        assert sta.num_full == full + 1
+        assert sta.last_dirty_trees == 0
 
     def test_reverted_netlist_op_restores_engine(self, spm_state):
         netlist, forest = clone_state(*spm_state)

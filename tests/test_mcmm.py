@@ -209,6 +209,60 @@ class TestScenarioSTA:
         finally:
             forest.set_steiner_coords(base)
 
+    def test_probe_batch_multi_group_equals_full_and_writes_nothing(self):
+        """Each probe of a batch over three wire groups and both check
+        blocks times exactly what committing that move and re-running
+        from scratch times, and the call writes nothing to the committed
+        state: its arrays are read-only during the call and unchanged
+        after it."""
+        netlist, forest = prepare_design("picorv32a")
+        work = forest.copy()
+        scenarios = ScenarioSet.signoff()
+        engine = STAEngine(netlist)
+        sta = ScenarioSTA(netlist, work, scenarios, engine=engine)
+        assert len(sta._wire_keys) == 3
+        assert scenarios.setup_indices() and scenarios.hold_indices()
+        sta.run()
+        base = work.get_steiner_coords()
+        rng = np.random.default_rng(3)
+        probes = []
+        for k in range(6):
+            c = base.copy()
+            if k != 2:  # one probe moves nothing
+                rows = rng.choice(len(c), size=1 + k % 3, replace=False)
+                c[rows] += rng.normal(0.0, 12.0, size=(rows.size, 2))
+            probes.append(c)
+        probes.append(probes[1].copy())  # a repeated move
+
+        st = sta._state
+        arrays = {
+            k: v for k, v in vars(st).items() if isinstance(v, np.ndarray)
+        }
+        before = {k: v.copy() for k, v in arrays.items()}
+        for v in arrays.values():
+            v.setflags(write=False)
+        try:
+            _, got = sta.probe_batch(probes)
+        finally:
+            for v in arrays.values():
+                v.setflags(write=True)
+        assert sta._state is st
+        for k, v in arrays.items():
+            assert vars(st)[k] is v and np.array_equal(
+                v, before[k], equal_nan=True
+            ), k
+        assert sta.last_probe_dirty[2] == 0
+
+        fresh = ScenarioSTA(netlist, work, scenarios, engine=engine)
+        for c, rep in zip(probes, got):
+            work.set_steiner_coords(c)
+            want = fresh.full_recompute()
+            assert [
+                (m.name, m.wns, m.tns, m.num_violations) for m in rep.scenarios
+            ] == [
+                (m.name, m.wns, m.tns, m.num_violations) for m in want.scenarios
+            ]
+
     def test_slow_corner_pessimistic(self, spm_design):
         netlist, forest, _ = spm_design
         rep = ScenarioSTA(
