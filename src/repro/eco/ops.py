@@ -47,13 +47,6 @@ from repro.steiner.tree import SteinerTree
 # ----------------------------------------------------------------------
 # Forest surgery helpers
 # ----------------------------------------------------------------------
-def _tree_slot(forest: SteinerForest, net_index: int) -> int:
-    for i, tree in enumerate(forest.trees):
-        if tree.net_index == net_index:
-            return i
-    raise KeyError(f"no tree for net {net_index}")
-
-
 def _fresh_tree(netlist: Netlist, net_index: int) -> SteinerTree:
     """Fresh RSMT for one net at the current pin positions."""
     net = netlist.nets[net_index]
@@ -194,7 +187,7 @@ class BufferInsertOp(EcoOp):
             raise RuntimeError("op already applied")
         net = netlist.nets[self.net_index]
         k = net.sinks.index(self.sink_pin)
-        slot = _tree_slot(forest, self.net_index)
+        slot = forest.tree_slot(self.net_index)
         saved = {
             "n_cells": len(netlist.cells),
             "n_pins": len(netlist.pins),
@@ -329,7 +322,7 @@ class RerouteOp(EcoOp):
     def apply(self, netlist: Netlist, forest: SteinerForest) -> None:
         if self._saved is not None:
             raise RuntimeError("op already applied")
-        slot = _tree_slot(forest, self.net_index)
+        slot = forest.tree_slot(self.net_index)
         self._saved = (slot, forest.trees[slot])
         forest.trees[slot] = _fresh_tree(netlist, self.net_index)
         forest.refresh_offsets()
@@ -353,8 +346,9 @@ class NudgeOp(EcoOp):
     """Shift one tree's Steiner points by (dx, dy), clamped to the die.
 
     Coordinate-only: the pinned ``ScenarioSTA`` re-times it through the
-    incremental dirty-tree path.  Revert restores the original
-    coordinate array object, so the round trip is bitwise-exact.
+    incremental dirty-tree path.  Apply writes the tree's rows of the
+    forest's coordinate matrix in place; revert writes the saved values
+    back into the same rows, so the round trip is bitwise-exact.
     """
 
     def __init__(self, net_index: int, dx: float, dy: float) -> None:
@@ -366,19 +360,18 @@ class NudgeOp(EcoOp):
     def apply(self, netlist: Netlist, forest: SteinerForest) -> None:
         if self._saved is not None:
             raise RuntimeError("op already applied")
-        slot = _tree_slot(forest, self.net_index)
-        tree = forest.trees[slot]
-        self._saved = (slot, tree.steiner_xy)
-        moved = tree.steiner_xy + np.array([self.dx, self.dy])
-        np.clip(moved[:, 0], 0.0, netlist.die_width, out=moved[:, 0])
-        np.clip(moved[:, 1], 0.0, netlist.die_height, out=moved[:, 1])
-        tree.steiner_xy = moved
+        slot = forest.tree_slot(self.net_index)
+        xy = forest.trees[slot].steiner_xy
+        self._saved = (slot, xy.copy())
+        xy += np.array([self.dx, self.dy])
+        np.clip(xy[:, 0], 0.0, netlist.die_width, out=xy[:, 0])
+        np.clip(xy[:, 1], 0.0, netlist.die_height, out=xy[:, 1])
 
     def revert(self, netlist: Netlist, forest: SteinerForest) -> None:
         if self._saved is None:
             raise RuntimeError("op not applied")
         slot, old_xy = self._saved
-        forest.trees[slot].steiner_xy = old_xy
+        forest.trees[slot].steiner_xy[...] = old_xy
         self._saved = None
 
     def dirty_nets(self) -> Tuple[int, ...]:

@@ -367,7 +367,7 @@ class GlobalRouter:
         grid, memo = self.grid, self.memo
         grid.reset_usage()
         flat = flat_forest_of(forest)
-        xy = flat.node_positions(forest.get_steiner_coords())
+        xy = flat.node_positions(forest.coords)
         gx = np.clip(xy[:, 0] / grid.gcell, 0, grid.nx - 1).astype(np.int64)
         gy = np.clip(xy[:, 1] / grid.gcell, 0, grid.ny - 1).astype(np.int64)
         eu, ev = flat.forest_edge_u, flat.forest_edge_v

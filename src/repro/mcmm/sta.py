@@ -103,8 +103,7 @@ class BatchState:
 
     flat: FlatForest
     caps: flatmod.FlatCaps  # the engine's pin caps on ``flat``
-    coords: np.ndarray
-    xy: np.ndarray
+    xy: np.ndarray  # (N, 2) committed node positions
     routed: bool
     base_r: np.ndarray  # (E,) nominal edge resistance (dirty-diff basis)
     base_c: np.ndarray
@@ -251,7 +250,7 @@ class ScenarioSTA:
         if tel.enabled:
             tel.count("mcmm.sta_queries")
         flat = flat_forest_of(self.forest)
-        coords = self.forest.get_steiner_coords()
+        coords = self.forest.coords
         st = self._state
         if st is None or st.flat is not flat:
             return self._full(flat, coords, route_result, utilization)
@@ -305,7 +304,6 @@ class ScenarioSTA:
         st = BatchState(
             flat=flat,
             caps=caps,
-            coords=np.array(coords, dtype=np.float64, copy=True),
             xy=xy,
             routed=routed,
             base_r=base_r,
@@ -336,21 +334,23 @@ class ScenarioSTA:
     def _moved_trees(
         self,
         st: BatchState,
+        committed: np.ndarray,
         coords: np.ndarray,
         xy: np.ndarray,
         r: np.ndarray,
         c: np.ndarray,
     ) -> np.ndarray:
         """Trees with a Steiner point that differs bitwise from
-        ``st.coords``.  Writes all of their points into ``xy`` and their
-        pre-route edge RC into ``r`` / ``c``; other rows are untouched."""
+        ``committed`` (``st.xy``'s Steiner rows).  Writes all of their
+        points into ``xy`` and their pre-route edge RC into ``r`` /
+        ``c``; other rows are untouched."""
         flat = st.flat
         dirty_mask = np.zeros(flat.n_trees, dtype=bool)
-        dirty_mask[flat.steiner_tree[np.any(coords != st.coords, axis=1)]] = True
+        dirty_mask[flat.steiner_tree[np.any(coords != committed, axis=1)]] = True
         dirty = np.flatnonzero(dirty_mask)
         if dirty.size:
-            m = dirty_mask[flat.steiner_tree[flat.steiner_flat]]
-            xy[flat.steiner_rows[m]] = coords[flat.steiner_flat[m]]
+            m = dirty_mask[flat.steiner_tree]
+            xy[flat.steiner_rows[m]] = coords[m]
             flatmod.preroute_edge_rc(
                 flat, self.engine.technology, xy,
                 edge_rows=flat.edge_rows_of_trees(dirty), out_r=r, out_c=c,
@@ -437,8 +437,7 @@ class ScenarioSTA:
             # exact dirtiness criterion — it catches coordinate moves
             # (fallback edges), re-routes, layer changes and coupling.
             xy = st.xy
-            if flat.steiner_rows.size:
-                xy[flat.steiner_rows] = coords[flat.steiner_flat]
+            xy[flat.steiner_rows] = coords
             if routed:
                 new_r, new_c = flatmod.routed_edge_rc(
                     flat, engine.technology, xy, route_result,
@@ -449,13 +448,12 @@ class ScenarioSTA:
             diff = (new_r != st.base_r) | (new_c != st.base_c)
             dirty = np.unique(flat.edge_tree[diff])
             st.base_r, st.base_c = new_r, new_c
-            st.coords = np.array(coords, dtype=np.float64, copy=True)
         else:
             # Pre-route: dirty = trees with any coordinate that changed
             # bitwise since the last query.
-            dirty = self._moved_trees(st, coords, st.xy, st.base_r, st.base_c)
-            if dirty.size:
-                st.coords[...] = coords
+            dirty = self._moved_trees(
+                st, st.xy[flat.steiner_rows], coords, st.xy, st.base_r, st.base_c
+            )
         st.routed = routed
 
         self.last_dirty_trees = int(dirty.size)
@@ -639,10 +637,11 @@ class ScenarioSTA:
         # RC row of its dirty trees and reads no other rows, so one copy
         # serves all K probes and the committed state is only read.
         xy, r, c = st.xy.copy(), st.base_r.copy(), st.base_c.copy()
+        committed = st.xy[st.flat.steiner_rows]
         recompute = np.zeros(pert.n_pins, dtype=bool)
         for k in range(K):
             coords = np.asarray(coords_list[k], dtype=np.float64)
-            dirty = self._moved_trees(st, coords, xy, r, c)
+            dirty = self._moved_trees(st, committed, coords, xy, r, c)
             self.last_probe_dirty.append(int(dirty.size))
             if dirty.size == 0:
                 continue

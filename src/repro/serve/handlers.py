@@ -63,7 +63,7 @@ def _whatif(cache: WarmStateCache, job, ctx):
     ctx.heartbeat()
     sta = ws.probe_sta()
     forest = ws.forest
-    coords = forest.get_steiner_coords()
+    coords = forest.coords
     members = job.members if job.fused else [job]
     specs = []
     for m in members:

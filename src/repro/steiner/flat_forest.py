@@ -20,7 +20,10 @@ Flat layout (see docs/PERFORMANCE.md):
   tree (the incremental path) reproduce the exact ``np.add.at``
   accumulation order of the full pass;
 * the undirected forest edges keep ``tree.edges`` order and
-  orientation, tree-major (the routers' segment order).
+  orientation, tree-major (the routers' segment order);
+* Steiner nodes, read in ``steiner_rows`` order, are the rows of the
+  forest's ``(S, 2)`` coordinate matrix (``SteinerForest.coords``) in
+  order, so node positions scatter that matrix in without an index map.
 
 The memo (:func:`flat_forest_of`) lives on the forest and is validated
 per tree by the identity of its memoized topology (``tree._topo``) and
@@ -84,8 +87,7 @@ class FlatForest:
     # Geometry binding:
     pin_rows: np.ndarray  # flat nodes that are pins
     base_xy: np.ndarray  # (N, 2) pin positions, zeros at Steiner rows
-    steiner_rows: np.ndarray  # flat nodes that are Steiner points
-    steiner_flat: np.ndarray  # forest flat-coordinate row per Steiner node
+    steiner_rows: np.ndarray  # (S,) flat node per forest coordinate row
     steiner_tree: np.ndarray  # (S,) owning tree per forest coordinate row
     # Sinks (pin nodes 1..n_pins-1 of each tree), tree-contiguous:
     sink_rows: np.ndarray  # (K,) flat node ids
@@ -101,11 +103,10 @@ class FlatForest:
         return int(self.edge_child.size)
 
     def node_positions(self, steiner_coords: np.ndarray) -> np.ndarray:
-        """(N, 2) node positions: the pin base with the forest's flat
-        Steiner coordinates scattered in."""
+        """(N, 2) node positions: the pin base with the forest's
+        ``(S, 2)`` Steiner coordinates scattered in."""
         xy = self.base_xy.copy()
-        if self.steiner_rows.size:
-            xy[self.steiner_rows] = steiner_coords[self.steiner_flat]
+        xy[self.steiner_rows] = steiner_coords
         return xy
 
     # -- subsetting helpers (tree-contiguous ranges) -------------------
@@ -213,7 +214,6 @@ def build_flat_forest(forest: "SteinerForest") -> FlatForest:
         pin_rows=pin_rows,
         base_xy=base_xy,
         steiner_rows=expand_ranges(starts + n_pins, node_offset[1:]),
-        steiner_flat=np.arange(int(n_steiner.sum()), dtype=np.int64),
         steiner_tree=np.repeat(tree_ids, n_steiner),
         sink_rows=expand_ranges(starts + 1, starts + n_pins),
         sink_pin=sink_pin,

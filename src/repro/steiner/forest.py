@@ -1,10 +1,14 @@
-"""Steiner forest: one tree per net, with flat coordinate views.
+"""Steiner forest: one tree per net, all Steiner points in one matrix.
 
-The refinement loop of TSteiner treats all Steiner points of a design
-as a single ``(S, 2)`` coordinate matrix (concurrent refinement).  The
-forest owns the mapping between that flat view and per-tree storage,
-plus boundary clamping against the routing grid and the final rounding
-post-processing step Fig. 4 of the paper describes.
+TSteiner refines all Steiner points of a design as one ``(S, 2)``
+matrix (concurrent refinement, Definition 1 of the paper).  The forest
+owns it, ``SteinerForest.coords``, as the only coordinate storage: each
+tree's ``steiner_xy`` is a view of its rows, written through slices or
+the forest API, never rebound.  A tree belongs to one forest (building
+a forest from another's trees re-binds them), and ``refresh_offsets``
+replaces the matrix after every tree-list edit, so hold ``coords`` only
+briefly.  The forest also clamps against the routing grid and runs the
+final rounding step Fig. 4 of the paper describes.
 """
 
 from __future__ import annotations
@@ -31,12 +35,24 @@ class SteinerForest:
         self._flat_memo: Optional[tuple] = None
         self.refresh_offsets()
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled trees hold copies, not views: re-join them.
+        self.__dict__.update(state)
+        self.refresh_offsets()
+
     def refresh_offsets(self) -> None:
-        """Recompute the flat-view offsets from ``trees`` (at
-        construction and after any surgery on the tree list)."""
-        offsets = np.zeros(len(self.trees) + 1, dtype=np.int64)
-        np.cumsum([t.n_steiner for t in self.trees], out=offsets[1:])
+        """Join the trees' Steiner points into a new ``coords`` matrix
+        and point each tree at its rows (at construction and after any
+        surgery on the tree list)."""
+        parts = [t.steiner_xy for t in self.trees]
+        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+        np.cumsum([p.shape[0] for p in parts], out=offsets[1:])
+        coords = np.concatenate([np.empty((0, 2))] + parts)
+        for tree, a, b in zip(self.trees, offsets[:-1].tolist(), offsets[1:].tolist()):
+            tree.steiner_xy = coords[a:b]
         self._offsets = offsets
+        #: (S, 2) float64: every Steiner point of the design.
+        self.coords = coords
 
     # ------------------------------------------------------------------
     @property
@@ -51,44 +67,35 @@ class SteinerForest:
     def num_edges(self) -> int:
         return sum(len(t.edges) for t in self.trees)
 
-    def tree_for_net(self, net_index: int) -> SteinerTree:
-        for tree in self.trees:
+    def tree_slot(self, net_index: int) -> int:
+        """Index into ``trees`` of net ``net_index``'s tree."""
+        for i, tree in enumerate(self.trees):
             if tree.net_index == net_index:
-                return tree
+                return i
         raise KeyError(f"no tree for net {net_index}")
 
+    def tree_for_net(self, net_index: int) -> SteinerTree:
+        return self.trees[self.tree_slot(net_index)]
+
     def steiner_slice(self, tree_idx: int) -> slice:
-        """Flat-view slice holding tree ``tree_idx``'s Steiner points."""
+        """Rows of ``coords`` holding tree ``tree_idx``'s Steiner points."""
         return slice(int(self._offsets[tree_idx]), int(self._offsets[tree_idx + 1]))
 
     # ------------------------------------------------------------------
     # Flat coordinate view
     # ------------------------------------------------------------------
     def get_steiner_coords(self) -> np.ndarray:
-        """(S, 2) concatenated Steiner coordinates (copy)."""
-        out = np.empty((int(self._offsets[-1]), 2), dtype=np.float64)
-        pos = 0
-        for tree in self.trees:
-            a = tree.steiner_xy
-            k = a.shape[0]
-            if k:
-                out[pos : pos + k] = a
-                pos += k
-        return out
+        """(S, 2) Steiner coordinates (a private copy of ``coords``)."""
+        return self.coords.copy()
 
     def set_steiner_coords(self, coords: np.ndarray) -> None:
-        """Write a flat (S, 2) coordinate matrix back into the trees."""
+        """Write an (S, 2) coordinate matrix into ``coords``."""
         coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
         if coords.shape[0] != self.num_steiner_points:
             raise ValueError(
                 f"expected {self.num_steiner_points} Steiner points, got {coords.shape[0]}"
             )
-        pos = 0
-        for tree in self.trees:
-            k = tree.steiner_xy.shape[0]
-            if k:
-                tree.steiner_xy = coords[pos : pos + k].copy()
-                pos += k
+        self.coords[...] = coords
 
     def clamp_coords(self, coords: np.ndarray) -> np.ndarray:
         """Clamp a flat coordinate matrix to the routing-grid boundary."""
@@ -108,9 +115,7 @@ class SteinerForest:
         The paper rounds final positions onto the grid; we round to the
         nearest 0.01 um (a 10 nm manufacturing grid).
         """
-        for tree in self.trees:
-            if tree.n_steiner:
-                tree.steiner_xy = self.round_array(tree.steiner_xy)
+        self.coords[...] = self.round_array(self.coords)
 
     # ------------------------------------------------------------------
     def total_wirelength(self) -> float:
@@ -129,7 +134,7 @@ class SteinerForest:
         return segments
 
     def copy(self) -> "SteinerForest":
-        """A forest with private Steiner coordinates and edge lists.
+        """A forest with a private ``coords`` matrix and edge lists.
 
         Topology does not change under coordinate moves, so the copy
         shares each tree's ``pin_ids``/``pin_xy`` (read-only: re-placement
@@ -140,7 +145,8 @@ class SteinerForest:
         trusted = SteinerTree._trusted
         trees = []
         for t in self.trees:
-            c = trusted(t.net_index, t.pin_ids, t.pin_xy, t.steiner_xy.copy(), list(t.edges))
+            # ``steiner_xy`` is re-bound to the copy's own matrix below.
+            c = trusted(t.net_index, t.pin_ids, t.pin_xy, t.steiner_xy, list(t.edges))
             c._topo = t._topo
             trees.append(c)
         out = SteinerForest(self.netlist, trees)

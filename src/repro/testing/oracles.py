@@ -1159,7 +1159,6 @@ def reference_flat_forest(
     edge_local_parts: List[np.ndarray] = []
     pin_rows_parts: List[np.ndarray] = []
     steiner_rows_parts: List[np.ndarray] = []
-    steiner_flat_parts: List[np.ndarray] = []
     sink_rows_parts: List[np.ndarray] = []
     sink_pin_parts: List[np.ndarray] = []
     sink_tree_parts: List[np.ndarray] = []
@@ -1200,7 +1199,6 @@ def reference_flat_forest(
             steiner_rows_parts.append(
                 np.arange(base + n_pins, base + n, dtype=np.int64)
             )
-            steiner_flat_parts.append(np.arange(sl.start, sl.stop, dtype=np.int64))
             steiner_tree[sl] = t
 
         sinks = np.asarray(tree.pin_ids[1:], dtype=np.int64)
@@ -1258,7 +1256,6 @@ def reference_flat_forest(
         pin_rows=_cat(pin_rows_parts),
         base_xy=base_xy,
         steiner_rows=_cat(steiner_rows_parts),
-        steiner_flat=_cat(steiner_flat_parts),
         steiner_tree=steiner_tree,
         sink_rows=_cat(sink_rows_parts),
         sink_pin=_cat(sink_pin_parts),
@@ -1296,7 +1293,6 @@ def reference_timing_graph(
     node_cap = np.zeros(m, dtype=np.float64)
     tree_of_node = np.zeros(m, dtype=np.int64)
     steiner_rows: List[int] = []
-    steiner_flat: List[int] = []
     bcast_src: List[int] = []
     bcast_dst: List[int] = []
     reduce_src: List[int] = []
@@ -1321,7 +1317,6 @@ def reference_timing_graph(
         for s in range(tree.n_steiner):
             node = base + tree.n_pins + s
             steiner_rows.append(node)
-            steiner_flat.append(int(forest.steiner_slice(t_idx).start) + s)
         for p, c in tree.directed_edges():
             bcast_src.append(base + p)
             bcast_dst.append(base + c)
@@ -1529,7 +1524,6 @@ def reference_timing_graph(
         sg_node_type=node_type,
         sg_static_pos=static_pos,
         sg_steiner_rows=np.array(steiner_rows, dtype=np.int64),
-        sg_steiner_flat=np.array(steiner_flat, dtype=np.int64),
         sg_node_cap=node_cap,
         sg_bcast_src=np.array(bcast_src, dtype=np.int64),
         sg_bcast_dst=np.array(bcast_dst, dtype=np.int64),

@@ -63,8 +63,7 @@ class TimingGraph:
     n_sg_nodes: int
     sg_node_type: np.ndarray  # (M,) NODE_DRIVER / NODE_SINK / NODE_STEINER
     sg_static_pos: np.ndarray  # (M, 2) pin positions; zeros at Steiner rows
-    sg_steiner_rows: np.ndarray  # (S,) node ids that are Steiner points
-    sg_steiner_flat: np.ndarray  # (S,) index into the forest's flat coords
+    sg_steiner_rows: np.ndarray  # (S,) node id per forest coordinate row
     sg_node_cap: np.ndarray  # (M,) pin cap (0 for Steiner/driver nodes)
     sg_bcast_src: np.ndarray  # directed Steiner edges, driver-rooted
     sg_bcast_dst: np.ndarray
@@ -256,7 +255,6 @@ def build_timing_graph(
         sg_node_type=node_type,
         sg_static_pos=flat.base_xy,
         sg_steiner_rows=flat.steiner_rows,
-        sg_steiner_flat=flat.steiner_flat,
         sg_node_cap=caps.node_base_cap,
         sg_bcast_src=flat.parent[flat.edge_child],
         sg_bcast_dst=flat.edge_child,

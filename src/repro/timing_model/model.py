@@ -174,8 +174,7 @@ class TimingEvaluator(nn.Module):
         # ---- assemble node positions (static pins + movable Steiner) ----
         pos = Tensor(graph.sg_static_pos)
         if graph.num_steiner:
-            gathered = steiner_coords[graph.sg_steiner_flat]
-            pos = pos + F.segment_sum(gathered, graph.sg_steiner_rows, m)
+            pos = pos + F.segment_sum(steiner_coords, graph.sg_steiner_rows, m)
 
         # Differentiable congestion sample at every Steiner-graph node.
         node_cong = self._sample_congestion(graph, pos)

@@ -43,8 +43,15 @@ class TestTimingGraph:
         expected = sum(t.n_pins - 1 for t in forest.trees)
         assert graph.sg_reduce_src.size == expected
 
-    def test_steiner_flat_mapping_bijective(self, graph):
-        assert len(set(graph.sg_steiner_flat.tolist())) == graph.num_steiner
+    def test_steiner_rows_follow_forest_coords(self, small_design, graph):
+        """Forest coordinate row k is Steiner-graph node
+        ``sg_steiner_rows[k]``: writing ``forest.coords`` in there gives
+        every tree's ``node_xy()`` in node order."""
+        _, forest = small_design
+        pos = graph.sg_static_pos.copy()
+        pos[graph.sg_steiner_rows] = forest.coords
+        expected = np.concatenate([t.node_xy() for t in forest.trees])
+        assert pos.tobytes() == expected.tobytes()
 
     def test_levels_cover_all_reachable_sinks(self, small_design, graph):
         netlist, _ = small_design
