@@ -180,6 +180,16 @@ class EcoContext:
     last netlist op's undo is kept apart from the last tree or
     coordinate op's, so a nudge applied and reverted on top of a resize
     leaves the resize restorable; at most one pre-apply engine is held.
+
+    Given a ``sta`` (a :class:`ScenarioSTA` over this netlist and
+    forest, e.g. the serving workspace's timed neutral one), the
+    context starts from it and its engine instead of building its own:
+    no levelization and, when the STA is timed, no full pass before the
+    first op.  Its scenarios are the context's.  The run then drives
+    that object, so its owner must adopt ``sta`` and ``engine`` when
+    the run completes, or drop them if it does not.  Tree edits
+    (buffer insertions, re-routes) re-flatten by splicing the edited
+    trees into the forest's flattening (``flat_forest_of``).
     """
 
     def __init__(
@@ -187,17 +197,25 @@ class EcoContext:
         netlist: Netlist,
         forest: SteinerForest,
         scenarios: Optional[ScenarioSet] = None,
+        sta: Optional[ScenarioSTA] = None,
     ) -> None:
         self.netlist = netlist
         self.forest = forest
-        self.scenarios = scenarios if scenarios is not None else ScenarioSet.default()
         self.rebuilds = 0
         #: (op, engine, sta, sta state, flat memo entry) from before the
         #: last netlist op's apply (key True) and the last tree or
         #: coordinate op's apply since (key False); a matching revert
         #: restores them.
         self._undo: Dict[bool, tuple] = {}
-        self._make()
+        if sta is None:
+            self.scenarios = scenarios if scenarios is not None else ScenarioSet.default()
+            self._make()
+            return
+        if sta.netlist is not netlist or sta.forest is not forest:
+            raise ValueError("EcoContext: sta must time this netlist and forest")
+        self.scenarios = sta.scenarios
+        self.engine = sta.engine
+        self.sta = sta
 
     def _make(self) -> None:
         self.engine = STAEngine(self.netlist)
@@ -619,8 +637,9 @@ def run_eco(
     experiment harness do).  Deterministic: same inputs + same config
     (seed included) produce the same accepted-op digest.  A caller
     that passes its own ``context`` (over the same netlist, forest and
-    scenarios) keeps the engine the run ends with: it is bound to the
-    mutated netlist, levelized and timed (the serving commit adopts it).
+    scenarios) keeps the engine and ``ScenarioSTA`` the run ends with:
+    bound to the mutated netlist, levelized and timed at the final
+    state (the serving commit adopts them).
     """
     config = config if config is not None else EcoConfig()
     tel = get_telemetry()

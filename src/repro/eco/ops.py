@@ -48,11 +48,10 @@ from repro.steiner.tree import SteinerTree
 # Forest surgery helpers
 # ----------------------------------------------------------------------
 def _fresh_tree(netlist: Netlist, net_index: int) -> SteinerTree:
-    """Fresh RSMT for one net at the current pin positions."""
+    """Fresh RSMT for one net at the current positions of its pins."""
     net = netlist.nets[net_index]
-    pos = netlist.pin_positions()
     pins = net.pins
-    return construct_tree(net.index, pins, pos[np.array(pins, dtype=np.int64)])
+    return construct_tree(net.index, pins, netlist.pin_positions_of(pins))
 
 
 # ----------------------------------------------------------------------
@@ -196,8 +195,7 @@ class BufferInsertOp(EcoOp):
             "tree_slot": slot,
             "old_tree": forest.trees[slot],
         }
-        pos = netlist.pin_positions()
-        dx, dy = pos[net.driver], pos[self.sink_pin]
+        dx, dy = netlist.pin_positions_of([net.driver, self.sink_pin])
         ct = netlist.library[self.buffer_cell]
         inst = netlist.add_cell(f"eco_buf{saved['n_cells']}", ct)
         inst.x = float(np.clip(0.5 * (dx[0] + dy[0]), 0.0, netlist.die_width))

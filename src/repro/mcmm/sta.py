@@ -276,7 +276,7 @@ class ScenarioSTA:
             tel.count("mcmm.full_rebuilds")
         engine = self.engine
         pert = engine.pert()
-        caps = flatmod.flat_caps(flat, pert.pin_caps)
+        caps = flatmod.flat_caps(flat, pert.pin_cap)
         xy = flat.node_positions(coords)
         routed = route_result is not None
         if routed:

@@ -233,6 +233,22 @@ class Netlist:
             pos[mask] += cell_xy[cell_of[mask]]
         return pos
 
+    def pin_positions_of(self, pins: Sequence[int]) -> np.ndarray:
+        """(len(pins), 2) absolute coordinates of the given pins only.
+
+        Each row is the pin's offset plus its cell's origin, the same
+        one float addition :meth:`pin_positions` makes, so the rows are
+        bitwise equal to ``pin_positions()[pins]`` at a cost that
+        follows ``len(pins)``, not the design.
+        """
+        pin_objs = [self.pins[p] for p in pins]
+        pos = np.array([q.offset for q in pin_objs], dtype=np.float64).reshape(-1, 2)
+        on_cell = [k for k, q in enumerate(pin_objs) if q.cell_index >= 0]
+        if on_cell:
+            cells = [self.cells[pin_objs[k].cell_index] for k in on_cell]
+            pos[on_cell] += np.array([(c.x, c.y) for c in cells], dtype=np.float64)
+        return pos
+
     def pin_net_map(self) -> np.ndarray:
         """Array mapping pin index -> net index (-1 if unconnected)."""
         if self._pin_net is None:

@@ -259,12 +259,17 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
     Unlike ``refine`` (coordinates only), an accepted ECO *mutates the
     netlist* — buffers appear, cells resize, trees are re-routed — so
     the commit path is ``ws.invalidate(reason="eco", structural=True)``:
-    every pinned STA object is discarded (docs/ECO.md).  A run that
-    returns hands over the engine its context ended with, already bound
-    to the mutated netlist and levelized.  An interrupted run (its
-    accepted ops stay in the netlist) rebuilds the engine instead.
-    Deterministic under ``params["seed"]``: the accepted-op ``digest``
-    is what the eco-smoke CI job pins.
+    every pinned STA object is discarded (docs/ECO.md).  A job on the
+    neutral set (no ``corners``) starts its context warm, from the
+    workspace's timed :meth:`~repro.serve.state.DesignWorkspace.probe_sta`
+    and its engine; a job that names corners builds its own.  A run
+    that returns hands over the engine its context ended with, already
+    bound to the mutated netlist and levelized, and a warm run also its
+    ``ScenarioSTA``, timed at the final state, as the neutral probe
+    STA.  An interrupted run (its accepted ops stay in the netlist, and
+    a warm one leaves the probe STA mid-trial) drops both and rebuilds
+    the engine instead.  Deterministic under ``params["seed"]``: the
+    accepted-op ``digest`` is what the eco-smoke CI job pins.
     """
     from repro.eco.driver import EcoConfig, EcoContext, run_eco
     from repro.mcmm.scenario import ScenarioSet
@@ -290,7 +295,8 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
     def on_round(_round: int) -> None:
         ctx.heartbeat()
 
-    eco = EcoContext(ws.netlist, ws.forest, scenarios)
+    warm = ws.probe_sta() if scenarios is None else None
+    eco = EcoContext(ws.netlist, ws.forest, scenarios, sta=warm)
     try:
         result = run_eco(
             ws.netlist,
@@ -306,7 +312,12 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
         # error) has still mutated the netlist by its accepted ops.
         ws.invalidate(reason="eco", structural=True)
         raise
-    ws.invalidate(reason="eco", structural=True, engine=eco.engine)
+    ws.invalidate(
+        reason="eco",
+        structural=True,
+        engine=eco.engine,
+        probe_sta=None if warm is None else eco.sta,
+    )
     tel = get_telemetry()
     if tel.enabled:
         # Same event the flow stage emits, so `repro report` renders a

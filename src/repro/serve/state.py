@@ -128,7 +128,11 @@ class DesignWorkspace:
 
     # ------------------------------------------------------------------
     def invalidate(
-        self, reason: str = "commit", structural: bool = False, engine=None
+        self,
+        reason: str = "commit",
+        structural: bool = False,
+        engine=None,
+        probe_sta=None,
     ) -> None:
         """Drop cached timing state after a committed mutation.
 
@@ -147,7 +151,11 @@ class DesignWorkspace:
 
         A structural invalidation given an ``engine`` already bound to
         the mutated netlist (the one a completed ECO run ended with)
-        adopts it instead, reusing its levelization.
+        adopts it instead, reusing its levelization.  Given also that
+        run's neutral ``probe_sta`` (a :class:`~repro.mcmm.sta.ScenarioSTA`
+        over ``engine``, timed at the committed state), it is kept as
+        :meth:`probe_sta`, so the first read after the commit re-times
+        incrementally instead of making a full pass.
         """
         tel = get_telemetry()
         if tel.enabled:
@@ -165,7 +173,7 @@ class DesignWorkspace:
                 sta.invalidate()
             return
         self._inc = None
-        self._probe_sta = None
+        self._probe_sta = probe_sta
         self._scenario_stas = {}
         self._graph = None
         self._congestion = None

@@ -210,10 +210,8 @@ class LevelizedPins:
         cap = np.where(
             is_input, np.fromiter(map(attrgetter("cap"), pins), np.float64, n_pins), 0.0
         )
-        in_pins = np.flatnonzero(is_input)
-        self.pin_caps: Dict[int, float] = dict(
-            zip(in_pins.tolist(), cap[in_pins].tolist())
-        )
+        #: (n_pins,) input pin caps, zeros at every other pin.
+        self.pin_cap = cap
         drivers = np.fromiter(map(attrgetter("driver"), nets), np.int64, n_nets)
         sink_lists = list(map(attrgetter("sinks"), nets))
         fanout = np.fromiter(map(len, sink_lists), np.int64, n_nets)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -89,15 +89,11 @@ def _segment_sums(values: np.ndarray, offset: np.ndarray) -> np.ndarray:
     return out
 
 
-def flat_caps(flat: FlatForest, pin_caps: Dict[int, float]) -> FlatCaps:
-    """Gather an engine's ``LevelizedPins.pin_caps`` onto ``flat``'s
+def flat_caps(flat: FlatForest, pin_cap: np.ndarray) -> FlatCaps:
+    """Gather an engine's ``LevelizedPins.pin_cap`` onto ``flat``'s
     sink nodes (once per engine and topology; the loop form is
     ``repro.testing.oracles.reference_flat_forest``)."""
-    caps = np.fromiter(
-        (pin_caps.get(p, 0.0) for p in flat.sink_pin.tolist()),
-        np.float64,
-        flat.sink_pin.size,
-    )
+    caps = pin_cap[flat.sink_pin]
     node_base_cap = np.zeros(flat.n_nodes, dtype=np.float64)
     node_base_cap[flat.sink_rows] = caps
     return FlatCaps(

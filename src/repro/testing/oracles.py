@@ -471,14 +471,15 @@ def reference_levelized_pins(netlist: Netlist) -> LevelizedPins:
     n_pins = netlist.num_pins
     pert.n_pins = n_pins
     pert.n_nets = netlist.num_nets
-    pert.pin_caps = {
-        p.index: p.cap for p in netlist.pins if p.direction == PinDirection.INPUT
-    }
+    pert.pin_cap = np.zeros(n_pins, dtype=np.float64)
+    for p in netlist.pins:
+        if p.direction == PinDirection.INPUT:
+            pert.pin_cap[p.index] = p.cap
     lumped = np.zeros(pert.n_nets, dtype=np.float64)
     for net in netlist.nets:
         total = 0.0
         for s in net.sinks:
-            total += pert.pin_caps.get(s, 0.0)
+            total += float(pert.pin_cap[s])
         lumped[net.index] = total
     pert.lumped_net_cap = lumped
 
@@ -1130,7 +1131,7 @@ def reference_hold_analysis(
 # Flat RC forest construction
 # ----------------------------------------------------------------------
 def reference_flat_forest(
-    forest: SteinerForest, pin_caps: Dict[int, float]
+    forest: SteinerForest, pin_cap: np.ndarray
 ) -> Tuple[FlatForest, FlatCaps]:
     """Per-tree loop form of
     :func:`repro.steiner.flat_forest.build_flat_forest` and
@@ -1206,7 +1207,7 @@ def reference_flat_forest(
         sink_pin_parts.append(sinks)
         sink_tree_parts.append(np.full(sinks.size, t, dtype=np.int64))
         sink_offset[t + 1] = sink_offset[t] + sinks.size
-        caps = np.array([pin_caps.get(int(p), 0.0) for p in sinks], dtype=np.float64)
+        caps = np.array([float(pin_cap[p]) for p in sinks.tolist()], dtype=np.float64)
         node_base_cap[base + 1 : base + n_pins] = caps
         lumped_cap[t] = caps.sum()
 

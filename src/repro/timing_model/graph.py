@@ -129,7 +129,7 @@ def build_timing_graph(
     """
     pert = LevelizedPins(netlist)
     flat = flat_forest_of(forest)
-    caps = flat_caps(flat, pert.pin_caps)
+    caps = flat_caps(flat, pert.pin_cap)
     n_pins, n_nets = pert.n_pins, pert.n_nets
 
     # ------------------------------------------------------------------

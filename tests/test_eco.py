@@ -532,7 +532,8 @@ class TestEcoCommitAdoption:
         assert ws.netlist.num_pins > pins_before  # a buffer was accepted
         assert ws.engine is not old_engine
         assert ws.engine.netlist is ws.netlist
-        assert ws._inc is None and ws._probe_sta is None
+        assert ws._inc is None  # the adopted probe STA, re-wrapped lazily
+        assert ws._probe_sta.engine is ws.engine
         assert flat_cache_entry(ws.forest) is not None  # digest kept
 
         engine = ws.engine
@@ -555,6 +556,127 @@ class TestEcoCommitAdoption:
             ws.incremental().run()
             assert _levelize_spans(tel) == 1  # a freshly built engine
         _assert_matches_fresh_sta(ws)
+
+
+class TestEcoWarmStart:
+    """A neutral eco job starts from the workspace's timed probe STA and
+    its engine; a completed one hands that STA back (docs/SERVING.md)."""
+
+    _PARAMS = {"arm": "sa", "seed": 0, "steps": 20}
+
+    @staticmethod
+    def _warm():
+        warm = WarmStateCache()
+        ws = warm.workspace("spm")
+        ws.probe_sta().run()
+        return warm, ws
+
+    @staticmethod
+    def _job(warm, kind, params, chaos=None):
+        job = Job(kind=kind, design="spm", params=dict(params))
+        return default_handlers(warm)[kind](job, JobContext(job=job, chaos=chaos))
+
+    @pytest.mark.parametrize("arm", ["sa", "greedy"])
+    def test_warm_job_answers_as_a_cold_context(self, arm):
+        warm, ws = self._warm()
+        netlist, forest = clone_state(ws.netlist, ws.forest)
+        config = EcoConfig(
+            arm=arm, seed=0, max_ops=4, max_rounds=6, trials_per_round=4, sa_steps=20
+        )
+        cold = run_eco(netlist, forest, config, context=EcoContext(netlist, forest))
+        value = self._job(warm, "eco", dict(self._PARAMS, arm=arm))
+        assert cold.num_accepted > 0
+        assert value["digest"] == cold.digest
+        assert value["initial"] == cold.initial
+        assert value["final"] == cold.final
+
+    def test_no_levelization_or_full_pass_before_the_first_op(self, monkeypatch):
+        warm, ws = self._warm()
+        sta = ws.probe_sta()
+        full = sta.num_full
+        seen = []
+        apply = EcoContext.apply
+
+        def spy(ctx, op):
+            if not seen:
+                seen.append((_levelize_spans(tel), ctx.sta is sta, sta.num_full))
+            return apply(ctx, op)
+
+        monkeypatch.setattr(EcoContext, "apply", spy)
+        with Telemetry() as tel, telemetry_session(tel):
+            self._job(warm, "eco", self._PARAMS)
+        assert seen == [(0, True, full)]
+
+    def test_first_reads_after_commit_make_no_full_pass(self):
+        warm, ws = self._warm()
+        self._job(warm, "eco", self._PARAMS)
+        sta = ws.probe_sta()
+        assert sta.engine is ws.engine
+        full = sta.num_full
+        self._job(warm, "whatif", {"point": 0, "dx": 1.0, "dy": -1.0})
+        signoff = self._job(warm, "signoff", {})
+        assert ws.probe_sta() is sta and sta.num_full == full
+        fresh = STAEngine(ws.netlist).run(ws.forest)
+        assert (signoff["wns"], signoff["tns"]) == (fresh.wns, fresh.tns)
+        _assert_matches_fresh_sta(ws)
+        assert sta.num_full == full
+
+    def test_interrupted_job_drops_the_probe_sta(self):
+        warm, ws = self._warm()
+        sta = ws.probe_sta()
+        with pytest.raises(WorkerKilled):
+            self._job(warm, "eco", self._PARAMS, chaos=_KillAtHeartbeat(5))
+        assert ws._probe_sta is None
+        with Telemetry() as tel, telemetry_session(tel):
+            assert ws.probe_sta() is not sta
+            ws.probe_sta().run()
+            assert _levelize_spans(tel) == 1
+        _assert_matches_fresh_sta(ws)
+
+    def test_corner_job_builds_its_own_context(self, monkeypatch):
+        warm, ws = self._warm()
+        sta = ws.probe_sta()
+        queries = sta.num_queries
+        given = []
+        init = EcoContext.__init__
+
+        def spy(ctx, *args, **kwargs):
+            given.append(kwargs.get("sta"))
+            init(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(EcoContext, "__init__", spy)
+        self._job(warm, "eco", dict(self._PARAMS, corners=list(CORNERS)))
+        assert given == [None]
+        assert sta.num_queries == queries  # the probe STA was not driven
+        assert ws._probe_sta is None
+        _assert_matches_fresh_sta(ws)
+
+
+class TestPerNetPinPositions:
+    def test_fresh_trees_read_only_their_pins(self, spm_state, monkeypatch):
+        """After ``add_cell``, the rows ``_fresh_tree`` reads, for ports
+        and cell pins alike, equal ``pin_positions()``'s bitwise, and
+        neither it nor ``BufferInsertOp.apply`` reads the whole design."""
+        from repro.eco.ops import _fresh_tree
+        from repro.netlist.netlist import Netlist
+
+        netlist, forest = clone_state(*spm_state)
+        pairs = _bufferable(netlist)
+        BufferInsertOp(*pairs[0]).apply(netlist, forest)
+        want = netlist.pin_positions()
+
+        def whole_design(self):
+            raise AssertionError("whole-design pin_positions() read")
+
+        monkeypatch.setattr(Netlist, "pin_positions", whole_design)
+        nets = [n for n in netlist.nets if n.degree > 1]
+        assert any(netlist.pins[p].is_port for n in nets for p in n.pins)
+        assert any(netlist.pins[p].cell_index >= 0 for p in nets[-1].pins)
+        for net in nets:
+            tree = _fresh_tree(netlist, net.index)
+            assert tree.pin_ids == net.pins
+            assert tree.pin_xy.tobytes() == want[net.pins].tobytes()
+        BufferInsertOp(*pairs[-1]).apply(netlist, forest)
 
 
 class TestWorkspaceInvalidation:

@@ -80,12 +80,12 @@ def _assert_arrays_bitwise(got, want, name):
     assert got.tobytes() == want.tobytes(), name
 
 
-def _assert_flat_bitwise(forest, pin_caps):
+def _assert_flat_bitwise(forest, pin_cap):
     """The cap-free topology and the engine's cap gather, every field of
     both, against the one loop oracle."""
     got = build_flat_forest(forest)
-    caps = flatmod.flat_caps(got, pin_caps)
-    want, want_caps = reference_flat_forest(forest, pin_caps)
+    caps = flatmod.flat_caps(got, pin_cap)
+    want, want_caps = reference_flat_forest(forest, pin_cap)
     for a_obj, b_obj in ((got, want), (caps, want_caps)):
         for field in dataclasses.fields(b_obj):
             a, b = getattr(a_obj, field.name), getattr(b_obj, field.name)
@@ -104,7 +104,7 @@ class TestFlatForestBuild:
     @pytest.mark.parametrize("name", ["spm", "picorv32a", "des3"])
     def test_matches_reference_on_designs(self, name):
         netlist, forest = prepare_design(name)
-        flat, _ = _assert_flat_bitwise(forest, STAEngine(netlist).pert().pin_caps)
+        flat, _ = _assert_flat_bitwise(forest, STAEngine(netlist).pert().pin_cap)
         if name == "des3":
             # numpy sums 8+ values pairwise: the long-segment path of
             # the lumped-cap sum must be exercised.
@@ -116,13 +116,13 @@ class TestFlatForestBuild:
         BufferInsertOp(*pairs[0]).apply(netlist, forest)
         RerouteOp(forest.trees[1].net_index).apply(netlist, forest)
         BufferInsertOp(*pairs[-1], buffer_cell="BUF_X4").apply(netlist, forest)
-        _assert_flat_bitwise(forest, STAEngine(netlist).pert().pin_caps)
+        _assert_flat_bitwise(forest, STAEngine(netlist).pert().pin_cap)
 
     def test_matches_reference_on_degenerate_trees(self, design):
         """Edgeless single-pin trees, Steiner-free trees, a wide tree
         and the empty forest."""
         netlist, forest = design
-        pin_caps = STAEngine(netlist).pert().pin_caps
+        pin_cap = STAEngine(netlist).pert().pin_cap
         net = max(netlist.nets, key=lambda n: (n.degree, -n.index))
         pos = netlist.pin_positions()
         lone = SteinerTree(net.index, [net.driver], pos[[net.driver]], np.zeros((0, 2)))
@@ -140,10 +140,10 @@ class TestFlatForestBuild:
             edges=[(0, k) for k in range(1, len(star_pins))],
         )
         trees = [lone, forest.trees[0], pair, lone, star, forest.trees[-1], lone]
-        flat, _ = _assert_flat_bitwise(SteinerForest(netlist, trees), pin_caps)
+        flat, _ = _assert_flat_bitwise(SteinerForest(netlist, trees), pin_cap)
         assert not flat.tree_has_edges[0] and not flat.tree_has_edges[-1]
         assert int(np.diff(flat.sink_offset).max()) >= 8
-        _assert_flat_bitwise(SteinerForest(netlist, []), pin_caps)
+        _assert_flat_bitwise(SteinerForest(netlist, []), pin_cap)
 
 
 # ----------------------------------------------------------------------
@@ -153,9 +153,10 @@ class TestElmoreParity:
     def test_batched_elmore_matches_per_net_reference(self, design):
         netlist, forest = design
         engine = STAEngine(netlist)
-        pin_caps = engine.pert().pin_caps
+        pin_cap = engine.pert().pin_cap
+        pin_caps = dict(enumerate(pin_cap.tolist()))
         flat = flat_forest_of(forest)
-        caps = flatmod.flat_caps(flat, pin_caps)
+        caps = flatmod.flat_caps(flat, pin_cap)
         xy = flat.node_positions(forest.get_steiner_coords())
         edge_r, edge_c = flatmod.preroute_edge_rc(flat, netlist.technology, xy)
         state = flatmod.elmore_forest(flat, caps, edge_r, edge_c)
@@ -178,7 +179,7 @@ class TestElmoreParity:
         netlist, forest = design
         engine = STAEngine(netlist)
         flat = flat_forest_of(forest)
-        caps = flatmod.flat_caps(flat, engine.pert().pin_caps)
+        caps = flatmod.flat_caps(flat, engine.pert().pin_cap)
         coords = forest.get_steiner_coords()
         xy = flat.node_positions(coords)
         edge_r, edge_c = flatmod.preroute_edge_rc(flat, netlist.technology, xy)
