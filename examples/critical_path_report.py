@@ -2,8 +2,8 @@
 """Sign-off analysis deep-dive: critical paths, hold check, visuals.
 
 Runs the baseline flow on ``cic_decimator``, prints the three worst
-setup paths pin-by-pin (the `report_timing` view), a hold-analysis
-summary, an ASCII congestion heat map, a slack histogram, and writes an
+setup paths pin-by-pin (the `report_timing` view), the routed hold
+sign-off summary, an ASCII congestion heat map, a slack histogram, and writes an
 SVG rendering of the placed-and-Steinerized die to
 ``cic_decimator.svg``.
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro import viz
 from repro.flow import prepare_design, run_routing_flow
-from repro.sta import STAEngine, extract_critical_paths, run_hold_analysis
+from repro.sta import extract_critical_paths
 
 DESIGN = "cic_decimator"
 
@@ -32,10 +32,9 @@ def main() -> None:
         print(path.format())
         print()
 
-    print("=== hold analysis ===")
-    engine = STAEngine(netlist)
-    hold = run_hold_analysis(engine, forest)
-    print(f"worst hold slack {hold.whs:+.4f} ns, "
+    print("=== hold sign-off ===")
+    hold = result.hold_report
+    print(f"worst hold slack {hold.wns:+.4f} ns, "
           f"{hold.num_violations} hold violations\n")
 
     print("=== endpoint slack distribution ===")

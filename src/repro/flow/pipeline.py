@@ -22,17 +22,17 @@ from repro.core.tsteiner import TSteiner
 from repro.droute.detailed import DetailedRouter, DetailedRouterConfig
 from repro.groute.layer_assign import assign_layers
 from repro.groute.router import GlobalRouteResult, GlobalRouter, RouteMemo, RouterConfig
+from repro.mcmm.scenario import NEUTRAL_HOLD, ScenarioSet
+from repro.mcmm.sta import ScenarioMetrics, ScenarioReport, ScenarioSTA
 from repro.netlist.benchmarks import BENCHMARKS, build_benchmark
 from repro.netlist.netlist import Netlist
 from repro.obs import get_telemetry
 from repro.placement.placer import PlacementConfig, place
 from repro.routegrid.grid import GCellGrid
 from repro.sta.engine import STAEngine, TimingReport
-from repro.sta.hold import HoldReport, run_hold_analysis
 
 if TYPE_CHECKING:
     from repro.eco.driver import EcoResult
-    from repro.mcmm.sta import ScenarioReport
 from repro.steiner.edge_shifting import shift_edges
 from repro.steiner.forest import SteinerForest, build_forest
 from repro.timing_model.dataset import DesignSample, make_sample
@@ -58,10 +58,11 @@ class FlowResult:
     # MCMM: per-scenario + merged sign-off verdict when the flow ran
     # with a non-neutral scenario set; the top-level
     # wns/tns/num_violations then carry the *merged* metrics.
-    scenario_report: Optional["ScenarioReport"] = None
-    # Hold (min-delay) sign-off of the routed design; populated
-    # whenever post-route STA succeeds.
-    hold_report: Optional[HoldReport] = None
+    scenario_report: Optional[ScenarioReport] = None
+    # Hold (min-delay) sign-off of the routed design: the
+    # ``NEUTRAL_HOLD`` row of the sign-off pass; populated whenever
+    # post-route STA succeeds.
+    hold_report: Optional[ScenarioMetrics] = None
     # Closed-loop ECO (docs/ECO.md): populated when the flow ran with
     # ``eco=...``.  The ECO stage operates on a *clone* of the netlist
     # and forest (pre-route parasitics), so the flow-level routed
@@ -146,7 +147,9 @@ def run_routing_flow(
     (docs/MCMM.md): ``FlowResult.scenario_report`` carries per-scenario
     metrics, and the top-level WNS/TNS become the merged ones.  ``None``
     or a one-element neutral set keeps today's single-scenario flow
-    bitwise-unchanged.
+    bitwise-unchanged.  Sign-off is one ``ScenarioSTA`` pass whose rows
+    give ``report`` (``typ@func``), ``scenario_report`` and
+    ``hold_report`` (``NEUTRAL_HOLD``).
 
     ``eco`` (a ``repro.eco.EcoConfig``) appends a guarded closed-loop
     ECO stage after sign-off: the driver runs on a *clone* of the
@@ -241,14 +244,23 @@ def run_routing_flow(
         t0 = time.perf_counter()
         with tel.span("flow.sta", design=netlist.name):
             try:
-                engine = engine or STAEngine(netlist)
-                report = engine.run(work, route_result, utilization=grid.utilization_map())
+                # One pass times every check: typ@func first (the
+                # setup row ``timing_report`` reads), then the MCMM
+                # set, then the neutral hold check.
+                typ = ScenarioSet.default()[0]
+                rows = [typ] + [s for s in (scenarios if mcmm else ()) if s != typ]
+                if NEUTRAL_HOLD not in rows:
+                    rows.append(NEUTRAL_HOLD)
+                sta = ScenarioSTA(netlist, work, ScenarioSet(rows), engine=engine)
+                metrics = sta.run(
+                    route_result=route_result, utilization=grid.utilization_map()
+                ).scenarios
+                report = sta.timing_report()
+                hold_report = metrics[rows.index(NEUTRAL_HOLD)]
                 if mcmm:
-                    from repro.mcmm.sta import ScenarioSTA
-
-                    scenario_report = ScenarioSTA(
-                        netlist, work, scenarios, engine=engine
-                    ).run(route_result=route_result, utilization=grid.utilization_map())
+                    scenario_report = ScenarioReport.merge(
+                        [metrics[rows.index(s)] for s in scenarios]
+                    )
                     if tel.enabled:
                         tel.event(
                             "mcmm_report",
@@ -267,17 +279,13 @@ def run_routing_flow(
                                 for m in scenario_report.scenarios
                             ],
                         )
-                hold_report = run_hold_analysis(
-                    engine, work, route_result,
-                    utilization=grid.utilization_map(),
-                )
                 if tel.enabled:
                     tel.event(
                         "hold_report",
                         design=netlist.name,
-                        whs=hold_report.whs,
+                        whs=hold_report.wns,
                         violations=hold_report.num_violations,
-                        endpoints=len(hold_report.hold_slack),
+                        endpoints=len(hold_report.slack),
                     )
             except Exception as exc:
                 guard("sta", exc)

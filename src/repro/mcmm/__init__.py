@@ -18,6 +18,7 @@ to the pre-MCMM single-scenario path.
 
 from repro.mcmm.scenario import (
     Mode,
+    NEUTRAL_HOLD,
     PRESET_MODES,
     Scenario,
     ScenarioSet,
@@ -29,6 +30,7 @@ from repro.mcmm.prune import DominancePruner
 
 __all__ = [
     "Mode",
+    "NEUTRAL_HOLD",
     "PRESET_MODES",
     "Scenario",
     "ScenarioSet",

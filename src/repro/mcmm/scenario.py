@@ -100,6 +100,13 @@ class Scenario:
         )
 
 
+#: The neutral hold check: nominal derates and clock, earliest arrivals
+#: against the library hold requirement.  The flow's hold sign-off is
+#: this scenario's row of its one sign-off pass.  It is not a preset
+#: corner, so no ``--corners`` name selects it.
+NEUTRAL_HOLD = Scenario(Corner("typ_hold", check="hold"), get_mode("func"))
+
+
 class ScenarioSet:
     """An ordered, named collection of scenarios (corners x modes)."""
 

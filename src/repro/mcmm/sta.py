@@ -20,14 +20,17 @@ This is the one place a timing pass is put together and finalized.
 A single-corner query is simply S=1 over the neutral set
 (``typ@func``): :meth:`repro.sta.engine.STAEngine.run` is a full query
 of a fresh neutral ``ScenarioSTA``, and
-:class:`repro.sta.incremental.IncrementalSTA` and
-:func:`repro.sta.hold.run_hold_analysis` are format adapters over a
-kept one.  Setup slacks have one finalizer
-(:meth:`ScenarioSTA._setup_metrics`), which builds both the setup rows
-of a :class:`ScenarioReport` and the single-scenario
-:class:`~repro.sta.engine.TimingReport`
+:class:`repro.sta.incremental.IncrementalSTA` is a format adapter over
+a kept one.  The flow's routed sign-off is one full pass over
+``typ@func``, the MCMM set and
+:data:`~repro.mcmm.scenario.NEUTRAL_HOLD`: its timing report, its
+scenario report and its hold verdict are rows of that one pass.  Setup
+slacks have one finalizer (:meth:`ScenarioSTA._setup_metrics`), which
+builds both the setup rows of a :class:`ScenarioReport` and the
+single-scenario :class:`~repro.sta.engine.TimingReport`
 (:meth:`ScenarioSTA.timing_report`); required times come from the one
 endpoint requirement table of :class:`~repro.sta.engine.LevelizedPins`.
+Hold slacks have one finalizer too (:meth:`ScenarioSTA._hold_metrics`).
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from repro.sta.engine import (
     propagate_from_batched,
     propagate_levels_batched,
 )
-from repro.sta.hold import hold_slacks
 from repro.sta.metrics import timing_metrics
 from repro.steiner.flat_forest import FlatForest, flat_forest_of
 from repro.steiner.forest import SteinerForest
@@ -213,8 +215,6 @@ class ScenarioSTA:
         forest — checkpoint resume, validated revert, topology edits.
         """
         self._state = None
-
-    reset = invalidate
 
     def full_recompute(
         self,
@@ -526,7 +526,10 @@ class ScenarioSTA:
         enabled = self._hold_enabled[row]
         if enabled is not None:
             eps = eps[enabled]
-        eps, svals = hold_slacks(arrival, eps, clock.launch_time(), requirement)
+        arr_ep = arrival[eps]
+        reached = ~np.isnan(arr_ep)
+        eps = eps[reached]
+        svals = arr_ep[reached] - clock.launch_time() - requirement
         whs, tns, vios = timing_metrics(svals)
         return ScenarioMetrics(
             name=sc.name, check="hold", wns=whs, tns=tns, num_violations=vios,

@@ -15,13 +15,18 @@ Two operating points:
 * ``route_result=<GlobalRouteResult>`` — *sign-off* timing on routed
   lengths, assigned layers and vias (the label oracle for the GNN and
   the metric reported in all tables).
+
+Hold (min-delay) analysis propagates earliest arrivals and checks that
+new data does not race through the same-cycle capture.  It is a hold
+scenario of :class:`repro.mcmm.sta.ScenarioSTA`, not a separate
+analyser: the flow's hold verdict is the
+:data:`repro.mcmm.scenario.NEUTRAL_HOLD` row of its one sign-off pass.
 """
 
 from repro.sta.engine import STAEngine, TimingReport
 from repro.sta.incremental import IncrementalSTA
 from repro.sta.metrics import timing_metrics
 from repro.sta.paths import TimingPath, extract_critical_paths, trace_path
-from repro.sta.hold import HoldReport, run_hold_analysis
 
 __all__ = [
     "STAEngine",
@@ -31,6 +36,4 @@ __all__ = [
     "TimingPath",
     "extract_critical_paths",
     "trace_path",
-    "HoldReport",
-    "run_hold_analysis",
 ]

@@ -15,8 +15,7 @@ and the adapter over a shared engine (:meth:`IncrementalSTA.over`).
 
 Safety: if anything raises mid-update (including a budget timeout from
 the resilience runtime), the cached state is dropped before the
-exception propagates (docs/RESILIENCE.md).  `full_recompute()` is the
-explicit escape hatch.
+exception propagates (docs/RESILIENCE.md).
 """
 
 from __future__ import annotations
@@ -76,17 +75,6 @@ class IncrementalSTA:
         forest — checkpoint resume, validated revert, topology edits.
         """
         self.sta.invalidate()
-
-    reset = invalidate
-
-    def full_recompute(
-        self,
-        route_result: Optional[GlobalRouteResult] = None,
-        utilization: Optional[np.ndarray] = None,
-    ) -> TimingReport:
-        """Escape hatch: invalidate and answer with a full pass."""
-        self.invalidate()
-        return self.run(route_result=route_result, utilization=utilization)
 
     def run(
         self,

@@ -17,7 +17,8 @@ under ``src/repro`` may import this module (tests/test_import_boundary.py).
   :class:`repro.sta.engine.LevelizedPins` must build bitwise-equal
   fields, level by level (tests/test_sta.py).
 * :func:`reference_hold_analysis` — the scalar min-delay traversal.
-  :func:`repro.sta.hold.run_hold_analysis` must report the same hold
+  The :data:`~repro.mcmm.scenario.NEUTRAL_HOLD` row of
+  :class:`repro.mcmm.sta.ScenarioSTA` must report the same hold
   slacks, WHS and violation count, with earliest arrivals equal up to
   float re-association (tests/test_sta_extras.py).
 * :func:`reference_flat_forest` — the per-tree loop that flattens a
@@ -77,6 +78,8 @@ from repro.groute.router import (
     RouterConfig,
     SegmentKey,
 )
+from repro.mcmm.scenario import NEUTRAL_HOLD
+from repro.mcmm.sta import ScenarioMetrics
 from repro.netlist.netlist import Netlist, PinDirection
 from repro.pdk.corners import DEFAULT_HOLD_TIME
 from repro.pdk.technology import Technology
@@ -89,7 +92,6 @@ from repro.sta.engine import (
     TimingReport,
 )
 from repro.sta.flat import LN9, FlatCaps, preroute_edge_rc
-from repro.sta.hold import HoldReport
 from repro.steiner.flat_forest import FlatForest
 from repro.steiner.forest import SteinerForest
 from repro.steiner.rsmt import construct_tree
@@ -1045,10 +1047,10 @@ def reference_hold_analysis(
     forest: SteinerForest,
     route_result: Optional[RouteLike] = None,
     utilization: Optional[np.ndarray] = None,
-    hold_time: float = DEFAULT_HOLD_TIME,
-) -> HoldReport:
-    """Scalar min-delay PERT traversal: the parity oracle of
-    :func:`repro.sta.hold.run_hold_analysis`."""
+) -> ScenarioMetrics:
+    """Scalar min-delay PERT traversal: the parity oracle of the
+    :data:`~repro.mcmm.scenario.NEUTRAL_HOLD` row of
+    :class:`~repro.mcmm.sta.ScenarioSTA` (``wns`` is the WHS)."""
     netlist = engine.netlist
     n_pins = netlist.num_pins
     arrival = np.full(n_pins, np.nan)
@@ -1106,7 +1108,7 @@ def reference_hold_analysis(
                     + nt.sink_slew_degradation.get(pin_idx, 0.0)
                 )
 
-    requirement = hold_time + engine.clock.uncertainty
+    requirement = DEFAULT_HOLD_TIME + engine.clock.uncertainty
     hold_slack: Dict[int, float] = {}
     for cell in netlist.registers():
         ct = cell.cell_type
@@ -1118,12 +1120,16 @@ def reference_hold_analysis(
             if not np.isnan(arr):
                 hold_slack[ep] = float(arr - launch - requirement)
     whs = min(hold_slack.values()) if hold_slack else 0.0
+    tns = sum(min(s, 0.0) for s in hold_slack.values())
     vios = sum(1 for s in hold_slack.values() if s < 0)
-    return HoldReport(
-        early_arrival=arrival,
-        hold_slack=hold_slack,
-        whs=float(whs),
+    return ScenarioMetrics(
+        name=NEUTRAL_HOLD.name,
+        check="hold",
+        wns=float(whs),
+        tns=float(tns),
         num_violations=vios,
+        slack=hold_slack,
+        arrival=arrival,
     )
 
 

@@ -5,6 +5,35 @@ import pytest
 
 from repro.flow.baseline import random_disturbance, random_move_trials
 from repro.flow.pipeline import make_training_samples, prepare_design, run_routing_flow
+from repro.groute.layer_assign import assign_layers
+from repro.groute.router import GlobalRouter
+from repro.mcmm import NEUTRAL_HOLD, ScenarioSet, ScenarioSTA
+from repro.obs import Telemetry, get_telemetry, telemetry_session
+from repro.routegrid.grid import GCellGrid
+from repro.sta import STAEngine
+
+
+def _route_fresh(netlist, forest):
+    """Route ``forest`` on a fresh grid as the flow does; returns the
+    route and the grid's utilization map."""
+    grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+    routed = GlobalRouter(grid).route(forest)
+    assign_layers(routed, netlist.technology, grid.nx * grid.ny)
+    return routed, grid.utilization_map()
+
+
+def _neutral_hold_pass(netlist, forest, routed, util):
+    sta = ScenarioSTA(netlist, forest, ScenarioSet([NEUTRAL_HOLD]))
+    return sta.run(route_result=routed, utilization=util).scenarios[0]
+
+
+def _assert_same_metrics(got, want):
+    assert (got.name, got.check) == (want.name, want.check)
+    assert (got.wns, got.tns, got.num_violations) == (
+        want.wns, want.tns, want.num_violations
+    )
+    assert got.slack == want.slack
+    assert np.array_equal(got.arrival, want.arrival, equal_nan=True)
 
 
 @pytest.fixture(scope="module")
@@ -56,27 +85,15 @@ class TestRunRoutingFlow:
 
     def test_untraced_flow_carries_hold_report(self, spm, spm_baseline):
         """Hold sign-off is part of every successful sign-off, traced or
-        not: it equals a hold analysis of the same routed forest."""
-        from repro.groute.layer_assign import assign_layers
-        from repro.groute.router import GlobalRouter
-        from repro.obs import get_telemetry
-        from repro.routegrid.grid import GCellGrid
-        from repro.sta import STAEngine, run_hold_analysis
-
+        not: it equals a neutral-hold pass over the same routed forest."""
         assert not get_telemetry().enabled
         netlist, forest = spm
-        grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
-        routed = GlobalRouter(grid).route(forest)
-        assign_layers(routed, netlist.technology, grid.nx * grid.ny)
-        engine = STAEngine(netlist)
-        util = grid.utilization_map()
-        assert engine.run(forest, routed, utilization=util).wns == spm_baseline.wns
-        want = run_hold_analysis(engine, forest, routed, utilization=util)
+        routed, util = _route_fresh(netlist, forest)
+        assert STAEngine(netlist).run(forest, routed, utilization=util).wns == spm_baseline.wns
         got = spm_baseline.hold_report
-        assert got is not None
-        assert got.hold_slack == want.hold_slack and got.hold_slack
-        assert (got.whs, got.num_violations) == (want.whs, want.num_violations)
-        assert np.array_equal(got.early_arrival, want.early_arrival, equal_nan=True)
+        assert got is not None and got.slack
+        assert got.name == NEUTRAL_HOLD.name
+        _assert_same_metrics(got, _neutral_hold_pass(netlist, forest, routed, util))
 
     def test_repeatable(self, spm, spm_baseline):
         netlist, forest = spm
@@ -84,6 +101,73 @@ class TestRunRoutingFlow:
         assert again.wns == spm_baseline.wns
         assert again.tns == spm_baseline.tns
         assert again.wirelength == spm_baseline.wirelength
+
+
+class _SpanCounters(Telemetry):
+    """Telemetry that also books each counter increment under every
+    span open at the time."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.booked = []
+
+    def count(self, name, n=1):
+        super().count(name, n)
+        self.booked.append((name, n, tuple(self._stack)))
+
+    def counted_under(self, span_name, counter):
+        ids = {
+            e["span"] for e in self.events
+            if e["kind"] == "span_start" and e["name"] == span_name
+        }
+        return sum(n for name, n, stack in self.booked if name == counter and ids & set(stack))
+
+
+class TestOneSignoffPass:
+    """The flow's STA stage times the routed forest once: the setup
+    report, the MCMM report and the hold verdict are rows of one
+    ``ScenarioSTA`` pass, bitwise equal to separate fresh passes."""
+
+    @pytest.mark.parametrize(
+        "scenarios",
+        [None, ScenarioSet.signoff(), ScenarioSet.from_names(("slow_setup", "fast_hold"))],
+        ids=["none", "signoff", "no_typ"],
+    )
+    def test_one_pass_equals_separate_passes(self, spm, scenarios):
+        netlist, forest = spm
+        tel = _SpanCounters()
+        with tel, telemetry_session(tel):
+            result = run_routing_flow(netlist, forest, scenarios=scenarios, telemetry=tel)
+        assert not result.stage_errors
+        assert tel.counted_under("flow.sta", "mcmm.full_rebuilds") == 1
+
+        routed, util = _route_fresh(netlist, forest)
+        want = STAEngine(netlist).run(forest, routed, utilization=util)
+        got = result.report
+        assert (got.wns, got.tns, got.num_violations) == (
+            want.wns, want.tns, want.num_violations
+        )
+        assert got.slack == want.slack and got.required == want.required
+        assert got.net_load == want.net_load
+        assert np.array_equal(got.arrival, want.arrival, equal_nan=True)
+        assert np.array_equal(got.slew, want.slew, equal_nan=True)
+
+        if scenarios is None:
+            assert result.scenario_report is None
+        else:
+            want_mcmm = ScenarioSTA(netlist, forest, scenarios).run(routed, util)
+            got_mcmm = result.scenario_report
+            assert [m.name for m in got_mcmm.scenarios] == list(scenarios.names)
+            assert (got_mcmm.merged_wns, got_mcmm.merged_tns, got_mcmm.merged_violations) == (
+                want_mcmm.merged_wns, want_mcmm.merged_tns, want_mcmm.merged_violations
+            )
+            for g, w in zip(got_mcmm.scenarios, want_mcmm.scenarios):
+                _assert_same_metrics(g, w)
+            assert (result.wns, result.tns) == (want_mcmm.merged_wns, want_mcmm.merged_tns)
+
+        _assert_same_metrics(
+            result.hold_report, _neutral_hold_pass(netlist, forest, routed, util)
+        )
 
 
 class TestRandomDisturbance:

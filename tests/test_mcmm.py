@@ -28,6 +28,7 @@ from repro.groute.router import GlobalRouter, RouterConfig
 from repro.mcmm import (
     DominancePruner,
     Mode,
+    NEUTRAL_HOLD,
     Scenario,
     ScenarioPenalty,
     ScenarioSet,
@@ -36,11 +37,10 @@ from repro.mcmm import (
 )
 from repro.obs import Telemetry
 from repro.pdk.clocks import ClockSpec
-from repro.pdk.corners import Corner, get_corner
+from repro.pdk.corners import DEFAULT_HOLD_TIME, Corner, get_corner
 from repro.routegrid.grid import GCellGrid
 from repro.runtime import CheckpointError, faults
 from repro.sta.engine import STAEngine
-from repro.sta.hold import DEFAULT_HOLD_TIME
 from repro.testing.parity import ClosureOnly, assert_same_trajectory
 from repro.timing_model.graph import build_timing_graph
 from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
@@ -287,24 +287,29 @@ class TestScenarioSTA:
         assert m.wns > typ.wns
 
     def test_hold_matches_hold_analysis(self, spm_design):
-        """The fast-hold scenario with neutral derates reproduces
-        repro.sta.hold.run_hold_analysis exactly."""
-        from repro.sta.hold import run_hold_analysis
-
+        """The neutral-hold row of a batched sign-off set is the
+        one-scenario hold analysis bitwise, and its slacks are the
+        earliest arrival minus launch, library hold time and clock
+        uncertainty."""
         netlist, forest, _ = spm_design
         engine = STAEngine(netlist)
-        want = run_hold_analysis(engine, forest)
-        neutral_hold = Corner("typ_hold", check="hold")
-        rep = ScenarioSTA(
-            netlist,
-            forest,
-            ScenarioSet([Scenario(neutral_hold, get_mode("func"))]),
-            engine=engine,
-        ).run()
-        m = rep.scenarios[0]
+        alone = ScenarioSTA(
+            netlist, forest, ScenarioSet([NEUTRAL_HOLD]), engine=engine
+        ).run().scenarios[0]
+        batched = ScenarioSet(list(ScenarioSet.signoff()) + [NEUTRAL_HOLD])
+        m = ScenarioSTA(netlist, forest, batched, engine=engine).run().by_name(
+            NEUTRAL_HOLD.name
+        )
         assert m.check == "hold"
-        assert m.wns == want.whs
-        assert m.num_violations == want.num_violations
+        assert (m.wns, m.tns, m.num_violations) == (
+            alone.wns, alone.tns, alone.num_violations
+        )
+        assert m.slack == alone.slack and m.slack
+        assert np.array_equal(m.arrival, alone.arrival, equal_nan=True)
+        clock = netlist.clock
+        requirement = DEFAULT_HOLD_TIME + clock.uncertainty
+        for ep, slack in m.slack.items():
+            assert slack == m.arrival[ep] - clock.launch_time() - requirement
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.flow.pipeline import prepare_design, run_routing_flow
+from repro.mcmm import NEUTRAL_HOLD, Scenario, ScenarioSet, ScenarioSTA
+from repro.pdk.corners import Corner
 from repro.sta.engine import STAEngine
-from repro.sta.hold import run_hold_analysis
 from repro.sta.paths import extract_critical_paths, trace_path
 from repro.steiner import build_forest
 from repro.testing.oracles import reference_hold_analysis
@@ -17,6 +18,12 @@ def timed_design():
     engine = STAEngine(netlist)
     report = engine.run(forest)
     return netlist, forest, engine, report
+
+
+def neutral_hold(engine, forest, route_result=None, utilization=None):
+    """The ``NEUTRAL_HOLD`` row of a one-scenario ``ScenarioSTA`` pass."""
+    sta = ScenarioSTA(engine.netlist, forest, ScenarioSet([NEUTRAL_HOLD]), engine=engine)
+    return sta.run(route_result=route_result, utilization=utilization).scenarios[0]
 
 
 class TestCriticalPaths:
@@ -59,31 +66,34 @@ class TestCriticalPaths:
 class TestHoldAnalysis:
     def test_early_never_exceeds_late(self, timed_design):
         netlist, forest, engine, report = timed_design
-        hold = run_hold_analysis(engine, forest)
+        hold = neutral_hold(engine, forest)
         for ep in netlist.endpoints():
-            early = hold.early_arrival[ep]
+            early = hold.arrival[ep]
             late = report.arrival[ep]
             if np.isfinite(early) and np.isfinite(late):
                 assert early <= late + 1e-9
 
     def test_hold_slacks_cover_register_endpoints(self, timed_design):
         netlist, forest, engine, _ = timed_design
-        hold = run_hold_analysis(engine, forest)
+        hold = neutral_hold(engine, forest)
         reg_d = {c.pin_indices["D"] for c in netlist.registers()}
-        assert set(hold.hold_slack) == reg_d
+        assert set(hold.slack) == reg_d
 
     def test_whs_is_min(self, timed_design):
         _, forest, engine, _ = timed_design
-        hold = run_hold_analysis(engine, forest)
-        assert hold.whs == min(hold.hold_slack.values())
+        hold = neutral_hold(engine, forest)
+        assert hold.wns == min(hold.slack.values())
 
     def test_violations_counted(self, timed_design):
-        _, forest, engine, _ = timed_design
-        hold = run_hold_analysis(engine, forest, hold_time=0.0)
-        relaxed_vios = hold.num_violations
-        strict = run_hold_analysis(engine, forest, hold_time=10.0)
-        assert strict.num_violations >= relaxed_vios
-        assert strict.num_violations == len(strict.hold_slack)
+        netlist, forest, engine, _ = timed_design
+        tight = Scenario(
+            Corner("tight_hold", check="hold", hold_margin=10.0), NEUTRAL_HOLD.mode
+        )
+        relaxed, strict = ScenarioSTA(
+            netlist, forest, ScenarioSet([NEUTRAL_HOLD, tight]), engine=engine
+        ).run().scenarios
+        assert strict.num_violations >= relaxed.num_violations
+        assert strict.num_violations == len(strict.slack)
 
     @pytest.mark.parametrize("name", ["cic_decimator", "spm", "picorv32a"])
     @pytest.mark.parametrize("routed", [False, True])
@@ -103,14 +113,16 @@ class TestHoldAnalysis:
             rr = GlobalRouter(grid).route(forest)
             assign_layers(rr, netlist.technology, grid.nx * grid.ny)
             util = grid.utilization_map()
-        got = run_hold_analysis(engine, forest, rr, utilization=util)
+        got = neutral_hold(engine, forest, rr, utilization=util)
         want = reference_hold_analysis(engine, forest, rr, utilization=util)
-        assert got.whs == want.whs
+        assert (got.name, got.check) == (want.name, want.check)
+        assert got.wns == want.wns
         assert got.num_violations == want.num_violations
-        assert set(got.hold_slack) == set(want.hold_slack)
-        for ep, slack in want.hold_slack.items():
-            assert got.hold_slack[ep] == pytest.approx(slack, abs=1e-12)
-        assert np.array_equal(np.isnan(got.early_arrival), np.isnan(want.early_arrival))
+        assert got.tns == pytest.approx(want.tns, abs=1e-9)
+        assert set(got.slack) == set(want.slack)
+        for ep, slack in want.slack.items():
+            assert got.slack[ep] == pytest.approx(slack, abs=1e-12)
+        assert np.array_equal(np.isnan(got.arrival), np.isnan(want.arrival))
         assert np.allclose(
-            got.early_arrival, want.early_arrival, rtol=0.0, atol=1e-12, equal_nan=True
+            got.arrival, want.arrival, rtol=0.0, atol=1e-12, equal_nan=True
         )
