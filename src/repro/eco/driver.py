@@ -166,15 +166,19 @@ def _digest(descriptions: Sequence[str]) -> str:
 class EcoContext:
     """One mutable (netlist, forest, STA) triple an ECO run drives.
 
-    Coordinate/topology ops re-time through the pinned
-    ``ScenarioSTA``'s incremental path; netlist-mutating ops rebuild
-    the engine (arcs and pin caps bind at construction) — ``rebuilds``
-    counts those engine constructions.  The forest's flattening carries
-    no pin caps, so a rebuild re-gathers caps onto it and re-flattens
-    only when the op changed trees (a buffer insertion, not a resize).
+    Every op re-times incrementally from the state it edits.  A nudge
+    re-times its moved tree through the pinned ``ScenarioSTA``'s
+    dirty-tree path.  A re-route splices its new tree into the forest's
+    flattening (``flat_forest_of``) and the STA re-times from its
+    pre-apply state.  A netlist op (a resize, a buffer insertion) gets a
+    new engine whose levelization is patched from the current one
+    (:meth:`EcoOp.patch_engine`), and a new ``ScenarioSTA`` over it
+    (``ScenarioSTA.adopt``) that re-times only the cone of the edit —
+    no levelization and no full pass.  ``rebuilds`` counts engine
+    constructions, which only an out-of-LIFO revert makes.
 
-    A ``revert`` re-flattens nothing and rebuilds no engine: by the
-    ops' LIFO apply+revert == identity contract the pre-apply flat memo
+    A ``revert`` re-flattens nothing and re-times nothing: by the ops'
+    LIFO apply+revert == identity contract the pre-apply flat memo
     entry, ``BatchState`` (and, for a netlist op, the pre-apply engine
     and ``ScenarioSTA``) are exact again, so they are put back.  The
     last netlist op's undo is kept apart from the last tree or
@@ -187,9 +191,7 @@ class EcoContext:
     no levelization and, when the STA is timed, no full pass before the
     first op.  Its scenarios are the context's.  The run then drives
     that object, so its owner must adopt ``sta`` and ``engine`` when
-    the run completes, or drop them if it does not.  Tree edits
-    (buffer insertions, re-routes) re-flatten by splicing the edited
-    trees into the forest's flattening (``flat_forest_of``).
+    the run completes, or drop them if it does not.
     """
 
     def __init__(
@@ -242,7 +244,8 @@ class EcoContext:
         if op.mutates_netlist:
             # A tree op's undo would now pin the pre-apply engine too.
             self._undo.clear()
-            self.rebuild()
+            self.engine, seeds = op.patch_engine(self.engine)
+            self.sta = self.sta.adopt(self.engine, seeds)
         self._undo[op.mutates_netlist] = undo
 
     def revert(self, op: EcoOp) -> None:

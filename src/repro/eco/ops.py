@@ -19,11 +19,15 @@ Two invariants make accept/revert cheap and exact:
   the one spliced sink, leaving every pre-existing object untouched.
 
 Ops that change the netlist (:class:`BufferInsertOp`,
-:class:`ResizeOp`) set ``mutates_netlist = True``: the STA engine binds
-cell arcs and pin caps at construction, so the driver rebuilds its
-engine after such an op (see ``EcoContext.rebuild``).  Re-route and
-nudge ops keep the netlist intact and re-time through the incremental
-dirty-tree path.
+:class:`ResizeOp`) set ``mutates_netlist = True``: an STA engine binds
+cell arcs and pin caps in its levelization, so the driver re-times such
+an op through :meth:`EcoOp.patch_engine` — a new engine whose
+levelization is patched from the pre-apply one — and
+``ScenarioSTA.adopt``, which re-times only the edit's cone.  Re-route
+and nudge ops keep the netlist intact: a nudge re-times through the
+incremental dirty-tree path, and a re-route's new tree is spliced into
+the flattening and re-timed from the pre-apply STA state, without a
+full pass.
 
 Each op reports the nets it perturbs (``dirty_nets()``); the fan-out
 cone of those nets (:func:`dirty_cone`) is the exact set of endpoints
@@ -33,7 +37,7 @@ that accepted ops only moved the endpoints they claimed to.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +46,9 @@ from repro.pdk.liberty import CellType
 from repro.steiner.forest import SteinerForest
 from repro.steiner.rsmt import construct_tree
 from repro.steiner.tree import SteinerTree
+
+if TYPE_CHECKING:
+    from repro.sta.engine import STAEngine
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +146,17 @@ class EcoOp:
     """Base class: a reversible in-place transform of (netlist, forest)."""
 
     #: True when apply() changes cells/pins/nets — the caller must then
-    #: rebuild its STA engine (arcs and pin caps bind at construction).
+    #: re-time against an engine from :meth:`patch_engine` (arcs and pin
+    #: caps bind in an engine's levelization).
     mutates_netlist = False
+
+    def patch_engine(self, engine: "STAEngine") -> Tuple["STAEngine", np.ndarray]:
+        """``(engine, seeds)`` for the netlist after ``apply``: an STA
+        engine whose levelization is patched from ``engine``'s (left as
+        it was) and the pins whose fan-in arcs the op changed, for
+        ``ScenarioSTA.adopt``.  Ops that keep the netlist return
+        ``engine`` itself and no seeds."""
+        return engine, np.zeros(0, dtype=np.int64)
 
     def apply(self, netlist: Netlist, forest: SteinerForest) -> None:
         raise NotImplementedError
@@ -194,6 +210,9 @@ class BufferInsertOp(EcoOp):
             "sink_slot": k,
             "tree_slot": slot,
             "old_tree": forest.trees[slot],
+            # The netlist's pin memos, put back by revert.
+            "pin_net": netlist._pin_net,
+            "pin_static": netlist._pin_static,
         }
         dx, dy = netlist.pin_positions_of([net.driver, self.sink_pin])
         ct = netlist.library[self.buffer_cell]
@@ -208,9 +227,17 @@ class BufferInsertOp(EcoOp):
         )
         saved["new_net"] = new_net.index
         self._saved = saved
+        pin_net = saved["pin_net"]
+        if pin_net is not None:
+            # ``pin_net_map()`` of the edited netlist, without its loop.
+            grown = np.full(len(netlist.pins), -1, dtype=np.int64)
+            grown[: pin_net.size] = pin_net
+            grown[net.sinks[k]] = self.net_index
+            grown[[new_net.driver, self.sink_pin]] = new_net.index
+            netlist._pin_net = grown
         forest.trees[slot] = _fresh_tree(netlist, self.net_index)
         forest.trees.append(_fresh_tree(netlist, new_net.index))
-        forest.refresh_offsets()
+        forest.refresh_offsets(slot)
 
     def revert(self, netlist: Netlist, forest: SteinerForest) -> None:
         saved = self._saved
@@ -220,17 +247,20 @@ class BufferInsertOp(EcoOp):
         del netlist.pins[saved["n_pins"]:]
         del netlist.nets[saved["n_nets"]:]
         netlist.nets[self.net_index].sinks[saved["sink_slot"]] = self.sink_pin
-        netlist._pin_net = None
-        netlist._pin_static = None
+        netlist._pin_net = saved["pin_net"]
+        netlist._pin_static = saved["pin_static"]
         forest.trees.pop()
         forest.trees[saved["tree_slot"]] = saved["old_tree"]
-        forest.refresh_offsets()
+        forest.refresh_offsets(saved["tree_slot"])
         self._saved = None
 
     def dirty_nets(self) -> Tuple[int, ...]:
         if self._saved is not None:
             return (self.net_index, self._saved["new_net"])
         return (self.net_index,)
+
+    def patch_engine(self, engine: "STAEngine") -> Tuple["STAEngine", np.ndarray]:
+        return engine.buffered(self.net_index, self._saved["new_net"])
 
     def cost(self) -> float:
         return 2.0  # buffer area; refined by the driver from the library
@@ -284,13 +314,12 @@ class ResizeOp(EcoOp):
         self._saved = None
 
     def _nets_touching(self, netlist: Netlist) -> Tuple[int, ...]:
-        cell = netlist.cells[self.cell_index]
-        touched: List[int] = []
-        pin_ids = set(cell.pin_indices.values())
-        for net in netlist.nets:
-            if net.driver in pin_ids or any(s in pin_ids for s in net.sinks):
-                touched.append(net.index)
-        return tuple(touched)
+        pins = list(netlist.cells[self.cell_index].pin_indices.values())
+        nets = netlist.pin_net_map()[pins]
+        return tuple(sorted({int(n) for n in nets if n >= 0}))
+
+    def patch_engine(self, engine: "STAEngine") -> Tuple["STAEngine", np.ndarray]:
+        return engine.resized(self.cell_index)
 
     def dirty_nets(self) -> Tuple[int, ...]:
         # Resolved lazily by the driver via dirty_nets_on(); the static
@@ -323,14 +352,14 @@ class RerouteOp(EcoOp):
         slot = forest.tree_slot(self.net_index)
         self._saved = (slot, forest.trees[slot])
         forest.trees[slot] = _fresh_tree(netlist, self.net_index)
-        forest.refresh_offsets()
+        forest.refresh_offsets(slot)
 
     def revert(self, netlist: Netlist, forest: SteinerForest) -> None:
         if self._saved is None:
             raise RuntimeError("op not applied")
         slot, old_tree = self._saved
         forest.trees[slot] = old_tree
-        forest.refresh_offsets()
+        forest.refresh_offsets(slot)
         self._saved = None
 
     def dirty_nets(self) -> Tuple[int, ...]:

@@ -35,6 +35,7 @@ Hold slacks have one finalizer too (:meth:`ScenarioSTA._hold_metrics`).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,6 +47,8 @@ from repro.obs import get_telemetry
 from repro.sta import flat as flatmod
 from repro.pdk.corners import DEFAULT_HOLD_TIME
 from repro.sta.engine import (
+    DEFAULT_INPUT_SLEW,
+    LevelizedPins,
     STAEngine,
     TimingReport,
     propagate_from_batched,
@@ -104,6 +107,7 @@ class BatchState:
     and timing only (Elmore passes run into scratch arrays)."""
 
     flat: FlatForest
+    pert: LevelizedPins  # the levelization it was timed on
     caps: flatmod.FlatCaps  # the engine's pin caps on ``flat``
     xy: np.ndarray  # (N, 2) committed node positions
     routed: bool
@@ -123,9 +127,11 @@ class BatchState:
 class ScenarioSTA:
     """MCMM STA query object bound to one (netlist, forest) pair.
 
-    Callers move Steiner points on ``forest`` and re-query; the forest's
-    tree *topology* must stay fixed between queries — a topology edit
-    changes the flat fingerprint and triggers a full rebuild.  Any
+    Callers move Steiner points on ``forest`` and re-query.  A topology
+    edit (a new flattening) or a netlist edit that appends (an engine
+    taken over by :meth:`adopt`) re-times pre-route state from the
+    previous state (:meth:`_patched`); routed state is rebuilt by a
+    full pass.  Any
     exception mid-update (including a budget timeout) drops the cache
     before propagating, so an interrupted query never leaves a stale
     dirty set behind (docs/RESILIENCE.md).
@@ -141,8 +147,9 @@ class ScenarioSTA:
         self.netlist = netlist
         self.forest = forest
         self.scenarios = scenarios if scenarios is not None else ScenarioSet.default()
-        self.engine = engine if engine is not None else STAEngine(netlist)
         self._state: Optional[BatchState] = None
+        #: Pins whose fan-in arcs changed since ``_state`` was timed.
+        self._seeds = np.zeros(0, dtype=np.int64)
         self.num_queries = 0
         self.num_full = 0
         self.last_dirty_trees = 0
@@ -184,9 +191,13 @@ class ScenarioSTA:
                 (idx, early, rows, None if np.all(derate == 1.0) else derate)
             )
 
-        # Per-scenario finalize data, derived from the engine's one
-        # endpoint requirement table.
-        pert = self.engine.pert()
+        self._bind(engine if engine is not None else STAEngine(netlist))
+
+    def _bind(self, engine: STAEngine) -> None:
+        """Time with ``engine``: per-scenario finalize data, derived
+        from its one endpoint requirement table."""
+        self.engine = engine
+        pert = engine.pert()
         self._setup_req = [
             pert.required(self._clocks[s], self.scenarios[s].corner.setup_margin)
             for s in self._setup_idx
@@ -206,6 +217,21 @@ class ScenarioSTA:
             return None
         disabled = np.array(sc.mode.disabled_endpoints, dtype=np.int64)
         return ~np.isin(endpoints, disabled)
+
+    def adopt(self, engine: STAEngine, seeds: np.ndarray) -> "ScenarioSTA":
+        """This query object over ``engine``, an engine patched from its
+        own after a netlist edit (``STAEngine.resized``/``buffered``),
+        with ``seeds`` the pins whose fan-in arcs the edit changed.
+
+        Returns a new object; this one is not changed, so an undo can
+        put it back.  Their states are separate too: the new object's
+        next query re-times from this one's state into a new
+        ``BatchState`` (:meth:`_patched`), without a full pass.
+        """
+        out = copy.copy(self)
+        out._bind(engine)
+        out._seeds = np.union1d(self._seeds, seeds).astype(np.int64)
+        return out
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
@@ -252,9 +278,21 @@ class ScenarioSTA:
         flat = flat_forest_of(self.forest)
         coords = self.forest.coords
         st = self._state
-        if st is None or st.flat is not flat:
+        pert = self.engine.pert()
+        edited = st is not None and (st.flat is not flat or st.pert is not pert)
+        if st is None or (
+            edited
+            and (
+                route_result is not None
+                or st.routed
+                or pert.n_pins < st.pert.n_pins
+                or pert.n_nets < st.pert.n_nets
+            )
+        ):
             return self._full(flat, coords, route_result, utilization)
         try:
+            if edited:
+                return self._patched(st, flat, coords)
             self._incremental(st, coords, route_result, utilization)
         except Exception:
             self._state = None
@@ -286,7 +324,30 @@ class ScenarioSTA:
             )
         else:
             base_r, base_c = flatmod.preroute_edge_rc(flat, engine.technology, xy)
+        st = self._timed_state(flat, pert, caps, xy, routed, base_r, base_c)
+        for idx, early, rows, derate in self._blocks:
+            arrival, slew = pert.launch([self._clocks[s] for s in idx])
+            propagate_levels_batched(
+                pert, arrival, slew, st.wire_delay_G[rows], st.wire_deg_G[rows],
+                st.net_load_G[rows], st.net_has_tree, derate, early=early,
+            )
+            self._set_block(st, early, arrival, slew)
+        self._seeds = self._seeds[:0]
+        self._state = st
+        return st
 
+    def _timed_state(
+        self,
+        flat: FlatForest,
+        pert: LevelizedPins,
+        caps: flatmod.FlatCaps,
+        xy: np.ndarray,
+        routed: bool,
+        base_r: np.ndarray,
+        base_c: np.ndarray,
+    ) -> BatchState:
+        """A state with every wire group's Elmore rows over the whole
+        forest, and no propagated blocks yet."""
         G = len(self._wire_keys)
         n_pins = pert.n_pins
         wire_delay_G = np.zeros((G, n_pins))
@@ -300,9 +361,9 @@ class ScenarioSTA:
             net_load_G[g, flat.net_of_tree] = load
         net_has_tree = np.zeros(pert.n_nets, dtype=bool)
         net_has_tree[flat.net_of_tree] = True
-
-        st = BatchState(
+        return BatchState(
             flat=flat,
+            pert=pert,
             caps=caps,
             xy=xy,
             routed=routed,
@@ -317,18 +378,78 @@ class ScenarioSTA:
             arr_hold=None,
             slew_hold=None,
         )
+
+    @staticmethod
+    def _set_block(st: BatchState, early: bool, arrival: np.ndarray, slew: np.ndarray) -> None:
+        if early:
+            st.arr_hold, st.slew_hold = arrival, slew
+        else:
+            st.arr_setup, st.slew_setup = arrival, slew
+
+    def _patched(self, st: BatchState, flat: FlatForest, coords: np.ndarray) -> BatchState:
+        """Pre-route state after a tree or netlist edit, re-timed from
+        the committed state ``st`` (which is not written).
+
+        Geometry, caps and every wire group's Elmore rows are gathered
+        afresh on ``flat`` (whole forest: the same arrays a full pass
+        builds).  Per-pin rows extend for appended pins (unreached) and
+        nets.  The frontier is seeded with the appended pins, the pins
+        whose fan-in arcs changed (``adopt``'s seeds), the sinks whose
+        wire delay, slew term or tree membership differ bitwise from
+        ``st``, and the drivers of nets whose load does; one
+        :func:`propagate_from_batched` sweep per block then re-times
+        their cones.  A pin outside those cones keeps its committed
+        value, which is what a full pass computes for it, so the result
+        is bitwise a full pass over the edited design.
+        """
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.count("mcmm.patched_states")
+        engine = self.engine
+        pert = engine.pert()
+        n0, m0 = st.pert.n_pins, st.pert.n_nets
+        caps = flatmod.flat_caps(flat, pert.pin_cap)
+        xy = flat.node_positions(coords)
+        base_r, base_c = flatmod.preroute_edge_rc(flat, engine.technology, xy)
+        new = self._timed_state(flat, pert, caps, xy, False, base_r, base_c)
+
+        recompute = np.zeros(pert.n_pins, dtype=bool)
+        recompute[n0:] = True
+        recompute[self._seeds] = True
+        recompute[:n0] |= np.any(
+            (new.wire_delay_G[:, :n0] != st.wire_delay_G)
+            | (new.wire_deg_G[:, :n0] != st.wire_deg_G),
+            axis=0,
+        )
+        # A sink's slew is PERI-degraded only on a net with a tree.
+        was_sink = np.zeros(pert.n_pins, dtype=bool)
+        was_sink[st.flat.sink_pin] = True
+        now_sink = np.zeros(pert.n_pins, dtype=bool)
+        now_sink[flat.sink_pin] = True
+        recompute |= was_sink != now_sink
+        load_ch = np.ones(pert.n_nets, dtype=bool)
+        load_ch[:m0] = np.any(new.net_load_G[:, :m0] != st.net_load_G, axis=0)
+        recompute[pert.net_driver[load_ch]] = True
+
+        self.last_dirty_trees = flat.n_trees
         for idx, early, rows, derate in self._blocks:
-            arrival, slew = pert.launch([self._clocks[s] for s in idx])
-            propagate_levels_batched(
-                pert, arrival, slew, wire_delay_G[rows], wire_deg_G[rows],
-                net_load_G[rows], net_has_tree, derate, early=early,
+            old_arr = st.arr_hold if early else st.arr_setup
+            old_slew = st.slew_hold if early else st.slew_setup
+            arrival = np.full((old_arr.shape[0], pert.n_pins), np.nan)
+            slew = np.full((old_arr.shape[0], pert.n_pins), DEFAULT_INPUT_SLEW)
+            arrival[:, :n0] = old_arr
+            slew[:, :n0] = old_slew
+            levels = propagate_from_batched(
+                pert, arrival, slew, new.wire_delay_G[rows], new.wire_deg_G[rows],
+                new.net_load_G[rows], new.net_has_tree, derate, recompute,
+                early=early,
             )
-            if early:
-                st.arr_hold, st.slew_hold = arrival, slew
-            else:
-                st.arr_setup, st.slew_setup = arrival, slew
-        self._state = st
-        return st
+            if tel.enabled:
+                tel.hist("mcmm.frontier_levels", levels)
+            self._set_block(new, early, arrival, slew)
+        self._seeds = self._seeds[:0]
+        self._state = new
+        return new
 
     # ------------------------------------------------------------------
     def _moved_trees(

@@ -36,7 +36,8 @@ The scalar per-pin form is :func:`repro.testing.oracles.reference_sta`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from operator import attrgetter, is_, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -182,6 +183,161 @@ def _longest_path_levels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray
     return level
 
 
+@dataclass(frozen=True)
+class _TableLayout:
+    """NLDM tables stacked into one flat value array (shared axes only).
+
+    ``offset`` maps ``id(table)`` to where its values start.
+    """
+
+    axes: Tuple[np.ndarray, np.ndarray]
+    values: np.ndarray
+    offset: Dict[int, int]
+
+    def covers(self, arcs: Sequence[object]) -> bool:
+        offset = self.offset
+        return all(
+            id(a.delay) in offset and id(a.output_slew) in offset for a in arcs
+        )
+
+
+def _stack_tables(
+    arcs: Sequence[object], base: Optional[_TableLayout] = None
+) -> Optional[_TableLayout]:
+    """``base`` (if any) extended by the tables of ``arcs`` it lacks,
+    in arc order, delay before output slew; None when the tables do
+    not all share one pair of axes, or there are none."""
+    axes = base.axes if base is not None else None
+    offset = dict(base.offset) if base is not None else {}
+    values = [base.values] if base is not None else []
+    size = base.values.size if base is not None else 0
+    seen_axes = set()
+    for arc in arcs:
+        for tbl in (arc.delay, arc.output_slew):
+            if id(tbl) in offset:
+                continue
+            key = (tbl.slew_axis, tbl.load_axis)
+            ids = (id(key[0]), id(key[1]))
+            if ids not in seen_axes:
+                seen_axes.add(ids)
+                if axes is None:
+                    axes = key
+                elif not (
+                    np.array_equal(axes[0], key[0]) and np.array_equal(axes[1], key[1])
+                ):
+                    return None
+            offset[id(tbl)] = size
+            values.append(tbl.values.ravel())
+            size += tbl.values.size
+    if axes is None:
+        return None
+    stacked = np.concatenate(values)
+    stacked.flags.writeable = False
+    return _TableLayout(axes, stacked, offset)
+
+
+#: Table layout per library: ``id(library) -> (library, cell count,
+#: whether it has tables, layout)``, the oldest dropped past a few.
+_LIBRARY_LAYOUTS: Dict[int, tuple] = {}
+_LIBRARY_LAYOUTS_CAP = 16
+
+
+def _table_layout(library, arcs: Sequence[object]) -> Optional[_TableLayout]:
+    """Table layout of a design over ``library`` that uses ``arcs``.
+
+    Every table of the library comes first, in library order (cell,
+    arc, delay before output slew), built once per library; the tables
+    of any arc from outside it follow in ``arcs`` order.  None when the
+    tables do not share axes.
+    """
+    hit = _LIBRARY_LAYOUTS.pop(id(library), None)
+    if hit is None or hit[0] is not library or hit[1] != len(library.cells):
+        lib_arcs = [a for ct in library.cells.values() for a in ct.arcs]
+        hit = (library, len(library.cells), bool(lib_arcs), _stack_tables(lib_arcs))
+    _LIBRARY_LAYOUTS[id(library)] = hit
+    while len(_LIBRARY_LAYOUTS) > _LIBRARY_LAYOUTS_CAP:
+        del _LIBRARY_LAYOUTS[next(iter(_LIBRARY_LAYOUTS))]
+    _, _, has_tables, layout = hit
+    if has_tables and layout is None:
+        return None  # the library's own tables do not share axes
+    if layout is not None and layout.covers(arcs):
+        return layout
+    return _stack_tables(arcs, layout)
+
+
+def _cell_fields(
+    dest_rows: np.ndarray,
+    cell_in: np.ndarray,
+    row_key: np.ndarray,
+    arc_list: List[object],
+    layout: Optional[_TableLayout],
+) -> Dict[str, object]:
+    """The cell-arc fields of a :class:`PertLevel` as the whole-design
+    build lays them out, from ``dest_rows`` (output pin, arc count,
+    driven net) in pin order and, per arc row, its input pin and its
+    arc ``arc_list[row_key]``.  Arc groups are numbered by first row."""
+    if row_key.size:
+        keys, first, inverse = np.unique(row_key, return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        rank = np.empty(by_first.size, dtype=np.int64)
+        rank[by_first] = np.arange(by_first.size, dtype=np.int64)
+        group_id = rank[inverse]
+        members = np.argsort(group_id, kind="stable")
+        ends = np.cumsum(np.bincount(group_id, minlength=by_first.size)).tolist()
+        group_arcs = [arc_list[k] for k in keys[by_first].tolist()]
+        arc_groups = [
+            (arc, members[s:e])
+            for arc, s, e in zip(group_arcs, [0] + ends[:-1], ends)
+        ]
+    else:
+        group_id = np.zeros(0, dtype=np.int64)
+        group_arcs, arc_groups = [], []
+    counts = dest_rows[1]
+    start = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    bases = [None, None]
+    if layout is not None:
+        bases = [
+            np.array(
+                [layout.offset[id(getattr(a, side))] for a in group_arcs], dtype=np.int64
+            ).reshape(-1)[group_id]
+            for side in ("delay", "output_slew")
+        ]
+    return dict(
+        cell_in=cell_in,
+        cell_dest=dest_rows[0],
+        cell_start=start,
+        cell_counts=counts,
+        cell_dest_net=dest_rows[2],
+        arc_groups=arc_groups,
+        arc_group_id=group_id,
+        delay_base=bases[0],
+        slew_base=bases[1],
+    )
+
+
+def _empty_level(layout: Optional[_TableLayout]) -> PertLevel:
+    """A level with no arcs (one the whole-design build leaves empty)."""
+    e = np.zeros(0, dtype=np.int64)
+    return PertLevel(
+        e, e, e, e, e, np.zeros(1, dtype=np.int64), e, e, [], e,
+        None if layout is None else e, None if layout is None else e,
+    )
+
+
+def _bincount_sums(netlist: Netlist, cap: np.ndarray, nets: Sequence[int]) -> np.ndarray:
+    """Sum of sink caps per net of ``nets``, each in sink order, as the
+    whole-design weighted bincount adds them."""
+    sink_lists = [netlist.nets[n].sinks for n in nets]
+    fanout = np.fromiter(map(len, sink_lists), np.int64, len(nets))
+    sinks = np.fromiter(chain.from_iterable(sink_lists), np.int64, int(fanout.sum()))
+    return np.bincount(
+        np.repeat(np.arange(len(nets), dtype=np.int64), fanout),
+        weights=cap[sinks],
+        minlength=len(nets),
+    ).astype(np.float64, copy=False)
+
+
 class LevelizedPins:
     """Static per-netlist PERT structure shared by every timing pass:
     launch points, arc arrays grouped by destination level, and the
@@ -194,7 +350,9 @@ class LevelizedPins:
     Every field is bitwise equal to the loop form
     :func:`repro.testing.oracles.reference_levelized_pins`.  Pin and
     net ids are list positions, as the ``Netlist.add_*`` methods assign
-    them.
+    them.  After an ECO netlist edit, :meth:`resized` and
+    :meth:`buffered` patch a new object from this one (bitwise the
+    fresh build of the edited netlist) without writing this one.
     """
 
     def __init__(self, netlist: Netlist) -> None:
@@ -290,6 +448,9 @@ class LevelizedPins:
             np.concatenate([net_src, arc_in]),
             np.concatenate([net_dst, np.repeat(dest_out, dest_cnt)]),
         )
+        #: (n_pins,) longest-path level of every pin (0 at launch points
+        #: and unconnected pins); pin ``p`` is timed in ``levels[L - 1]``.
+        self.pin_level = level
         if not (live.all() and all(t.covers_cell_edges for t in templates)):
             # A netlist edge outside the arc graph (a net into a clock
             # pin, a cell edge with no library arc) could close a loop
@@ -346,50 +507,28 @@ class LevelizedPins:
         ]
 
         # NLDM tables generated from one grid share their axis arrays;
-        # when every table in the design does, interpolation indices and
-        # weights can be computed once per level instead of per table.
-        # Arcs are visited in the order the levels first use them.
-        used = list(dict.fromkeys(group_arc))
+        # when every table does, all of them stack into one flat value
+        # array and each arc row records where its two tables start: the
+        # kernels interpolate a whole level in one gather instead of one
+        # pass per timing arc.  The stack is the library's, in library
+        # order (:func:`_table_layout`), so it does not depend on which
+        # cells the design uses: an ECO resize to a variant no cell used
+        # yet moves no offset.  Rows (appended): delay and output-slew
+        # table offsets.
+        used = [arcs[a] for a in dict.fromkeys(group_arc)]  # first-use order
+        layout = self._layout = _table_layout(netlist.library, used)
         self.shared_axes: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        axes = None
-        seen_axes = set()
-        shared = True
-        for a in used:
-            for tbl in (arcs[a].delay, arcs[a].output_slew):
-                key = (tbl.slew_axis, tbl.load_axis)
-                ids = (id(key[0]), id(key[1]))
-                if ids in seen_axes:
-                    continue
-                seen_axes.add(ids)
-                if axes is None:
-                    axes = key
-                elif not (
-                    np.array_equal(axes[0], key[0])
-                    and np.array_equal(axes[1], key[1])
-                ):
-                    shared = False
-            if not shared:
-                break
-        if shared and axes is not None:
-            self.shared_axes = axes
-        # With shared axes every table is one (n_slew, n_load) grid, so
-        # all of them stack into one flat value array and each arc row
-        # records where its two tables start: the kernels interpolate a
-        # whole level in one gather instead of one pass per timing arc.
-        # Rows (appended): delay and output-slew table offsets.
         self.table_values: Optional[np.ndarray] = None
-        if self.shared_axes is not None:
-            offsets: Dict[int, int] = {}
-            values: List[np.ndarray] = []
-            base = [[0] * len(arcs), [0] * len(arcs)]
-            for a in used:
-                for side, tbl in enumerate((arcs[a].delay, arcs[a].output_slew)):
-                    if id(tbl) not in offsets:
-                        offsets[id(tbl)] = len(values) * tbl.values.size
-                        values.append(tbl.values.ravel())
-                    base[side][a] = offsets[id(tbl)]
-            row_rows += list(np.array(base, dtype=np.int64)[:, row_arc])
-            self.table_values = np.concatenate(values)
+        if layout is not None:
+            self.shared_axes, self.table_values = layout.axes, layout.values
+            base = np.array(
+                [
+                    [layout.offset[id(a.delay)] for a in arcs],
+                    [layout.offset[id(a.output_slew)] for a in arcs],
+                ],
+                dtype=np.int64,
+            ).reshape(2, len(arcs))
+            row_rows += list(base[:, row_arc])
         row_rows = np.stack(row_rows)
 
         # Each level owns one copy of its rows of each block, as the loop
@@ -468,6 +607,266 @@ class LevelizedPins:
             arrival[s, self.clock_pins] = clock.launch_time()
         return arrival, slew
 
+    # ------------------------------------------------------------------
+    # Patches: the levelization after one ECO netlist edit, sharing
+    # every untouched ``PertLevel`` (and array) with ``self``, which is
+    # never written.  Each returns None when the edit is not the one the
+    # patch handles (the caller then levelizes afresh).
+    # ------------------------------------------------------------------
+    def _with(self, **fields) -> "LevelizedPins":
+        out = LevelizedPins.__new__(LevelizedPins)
+        out.__dict__.update(self.__dict__)
+        out.__dict__.update(fields)
+        return out
+
+    def _dest_rows(self, pin: int) -> Tuple[PertLevel, int, int, int]:
+        """``(level, destination index, first arc row, end row)`` of a
+        cell output pin that has arcs."""
+        lv = self.levels[int(self.pin_level[pin]) - 1]
+        d = int(np.searchsorted(lv.cell_dest, pin))
+        return lv, d, int(lv.cell_start[d]), int(lv.cell_start[d + 1])
+
+    def resized(self, netlist: Netlist, cell_index: int) -> Optional["LevelizedPins"]:
+        """After ``netlist.cells[cell_index]`` took a drive-strength
+        variant (:class:`repro.eco.ops.ResizeOp`): its input pin caps,
+        the lumped caps of the nets they sink, and its outputs' rows of
+        the levels holding them (arc groups, table offsets).  Handles
+        combinational cells whose outputs keep their levels."""
+        cell = netlist.cells[cell_index]
+        ct, pid = cell.cell_type, cell.pin_indices
+        layout = None if self.table_values is None else self._layout
+        if ct.is_sequential or (layout is not None and not layout.covers(ct.arcs)):
+            return None
+        gone = np.zeros(self.n_pins, dtype=bool)
+        dests_in: Dict[int, List[Tuple[int, np.ndarray, List[object], int]]] = {}
+        for name in ct.output_pins:
+            arcs, out = ct.arcs_to(name), pid[name]
+            ins = [pid[a.from_pin] for a in arcs]
+            L = int(self.pin_level[out])
+            # An output's level is one past its arcs' inputs (0 without).
+            if L != (1 + max(int(self.pin_level[p]) for p in ins) if ins else 0):
+                return None
+            if arcs:
+                lv, d, _, _ = self._dest_rows(out)
+                gone[out] = True
+                dests_in.setdefault(L, []).append(
+                    (out, np.array(ins, dtype=np.int64), arcs, int(lv.cell_dest_net[d]))
+                )
+        cap = self.pin_cap.copy()
+        ins = [pid[name] for name in ct.input_pins]
+        cap[ins] = [netlist.pins[p].cap for p in ins]
+        pin_net = netlist.pin_net_map()
+        nets = sorted({int(n) for n in pin_net[ins] if n >= 0})
+        lumped = self.lumped_net_cap.copy()
+        lumped[nets] = _bincount_sums(netlist, cap, nets)
+        levels = list(self.levels)
+        for L, dests in dests_in.items():
+            levels[L - 1] = self._relevel(
+                levels[L - 1], gone, (), dests, netlist.nets, layout
+            )
+        return self._with(pin_cap=cap, lumped_net_cap=lumped, levels=levels)
+
+    def buffered(
+        self, netlist: Netlist, net_index: int, new_net: int
+    ) -> Optional["LevelizedPins"]:
+        """After a buffer insertion (:class:`repro.eco.ops.BufferInsertOp`):
+        a combinational cell appended with its pins, one sink of net
+        ``net_index`` re-pointed to the cell's input, and net ``new_net``
+        appended from the cell's output to that sink.
+
+        Only the sink's fan-out cone can move, and only up: longest-path
+        levels are relaxed over it in old-level order, and only the
+        levels whose pin set changed are rebuilt."""
+        nets, pins = netlist.nets, netlist.pins
+        n0, n1 = self.n_pins, len(pins)
+        if new_net != self.n_nets or len(nets) != new_net + 1:
+            return None
+        net, added = nets[net_index], nets[new_net]
+        bo = added.driver
+        cell = netlist.cells[pins[bo].cell_index]
+        ct, pid = cell.cell_type, cell.pin_indices
+        fresh = [p for p in net.sinks if p >= n0]
+        if (
+            ct.is_sequential
+            or len(added.sinks) != 1
+            or len(fresh) != 1
+            or sorted(pid.values()) != list(range(n0, n1))
+            or (self.table_values is not None and not self._layout.covers(ct.arcs))
+        ):
+            return None
+        (bi,), (sink,) = fresh, added.sinks
+        name_of = {p: name for name, p in pid.items()}
+        if name_of[bi] not in {a.from_pin for a in ct.arcs_to(name_of[bo])}:
+            return None  # without a bi -> bo arc levels could fall
+        drv = net.driver
+        skip = np.zeros(n1, dtype=bool)
+        skip[self.input_pins] = True
+        skip[self.clock_pins] = True
+
+        level = np.zeros(n1, dtype=np.int64)
+        level[:n0] = self.pin_level
+        level[bi] = level[drv] + 1
+        new_dests = []  # (pin, arcs), pin order
+        for name in ct.output_pins:
+            arcs = ct.arcs_to(name)
+            if arcs:
+                level[pid[name]] = 1 + max(int(level[pid[a.from_pin]]) for a in arcs)
+                new_dests.append((pid[name], arcs))
+        # The sink's fan-out cone, in old-level order: a pin's preds are
+        # final when it is popped, because each lies on a lower level.
+        moved: Dict[int, int] = {}
+        if not skip[sink]:
+            moved[sink] = int(level[bo]) + 1
+            heap = [(int(level[sink]), sink)]
+            while heap:
+                _, w = heapq.heappop(heap)
+                up = moved[w] + 1
+                for x in self._successors(netlist, w, skip):
+                    if up > moved.get(x, int(level[x])):
+                        if x not in moved:
+                            heapq.heappush(heap, (int(level[x]), x))
+                        moved[x] = up
+
+        # The levels moved pins leave, and what enters each level.
+        left = set()
+        arcs_in: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        dests_in: Dict[int, List[Tuple[int, np.ndarray, List[object], int]]] = {}
+        sink_pos = lambda n, p: nets[n].sinks.index(p)  # noqa: E731
+        for p, L in moved.items():
+            old = int(level[p])
+            left.add(old)
+            lv = self.levels[old - 1]
+            if p == sink:
+                arcs_in.setdefault(L, []).append((bo, sink, new_net, 0))
+            elif pins[p].direction is PinDirection.INPUT:
+                j = int(np.flatnonzero(lv.net_dst == p)[0])
+                n = int(lv.net_net[j])
+                arcs_in.setdefault(L, []).append((int(lv.net_src[j]), p, n, sink_pos(n, p)))
+            else:
+                lv, d, r0, r1 = self._dest_rows(p)
+                dests_in.setdefault(L, []).append((
+                    p, lv.cell_in[r0:r1],
+                    [lv.arc_groups[g][0] for g in lv.arc_group_id[r0:r1].tolist()],
+                    int(lv.cell_dest_net[d]),
+                ))
+            level[p] = L
+        arcs_in.setdefault(int(level[bi]), []).append(
+            (drv, bi, net_index, sink_pos(net_index, bi))
+        )
+        for out, arcs in new_dests:
+            dests_in.setdefault(int(level[out]), []).append((
+                out, np.array([pid[a.from_pin] for a in arcs], dtype=np.int64),
+                arcs, new_net if out == bo else -1,
+            ))
+
+        layout = None if self.table_values is None else self._layout
+        top = max(chain(arcs_in, dests_in, [len(self.levels)]))
+        levels = list(self.levels)
+        levels += [_empty_level(layout) for _ in range(top - len(levels))]
+        gone = np.zeros(n1, dtype=bool)
+        gone[list(moved)] = True
+        for L in left | set(arcs_in) | set(dests_in):
+            levels[L - 1] = self._relevel(
+                levels[L - 1], gone, arcs_in.get(L, ()), dests_in.get(L, ()),
+                nets, layout,
+            )
+
+        cap = np.zeros(n1, dtype=np.float64)
+        cap[:n0] = self.pin_cap
+        for p in range(n0, n1):
+            if pins[p].direction is PinDirection.INPUT:
+                cap[p] = pins[p].cap
+        lumped = np.append(self.lumped_net_cap, 0.0)
+        lumped[[net_index, new_net]] = _bincount_sums(netlist, cap, [net_index, new_net])
+        return self._with(
+            n_pins=n1,
+            n_nets=new_net + 1,
+            pin_cap=cap,
+            lumped_net_cap=lumped,
+            pin_level=level,
+            levels=levels,
+            net_driver=np.append(self.net_driver, np.int64(bo)),
+        )
+
+    def _successors(self, netlist: Netlist, pin: int, skip: np.ndarray) -> List[int]:
+        """Timing-arc successors of an existing ``pin`` in ``netlist``:
+        a cell input's arc outputs, or a cell output's live net sinks."""
+        p = netlist.pins[pin]
+        if p.cell_index < 0 and p.direction is PinDirection.INPUT:
+            return []  # a primary output
+        if p.direction is PinDirection.INPUT:
+            cell = netlist.cells[p.cell_index]
+            ct = cell.cell_type
+            if ct.is_sequential:
+                return []
+            name = next(n for n, q in cell.pin_indices.items() if q == pin)
+            return list(dict.fromkeys(
+                cell.pin_indices[a.to_pin] for a in ct.arcs if a.from_pin == name
+            ))
+        lv, d, _, _ = self._dest_rows(pin)
+        n = int(lv.cell_dest_net[d])
+        return [] if n < 0 else [s for s in netlist.nets[n].sinks if not skip[s]]
+
+    @staticmethod
+    def _relevel(
+        lv: PertLevel,
+        gone: np.ndarray,
+        arcs_in: Sequence[Tuple[int, int, int, int]],
+        dests_in: Sequence[Tuple[int, np.ndarray, List[object], int]],
+        nets: list,
+        layout: Optional[_TableLayout],
+    ) -> PertLevel:
+        """Level ``lv`` without the pins marked in ``gone`` and with the
+        net arcs ``(driver, sink, net, sink position)`` and destinations
+        ``(pin, arc inputs, arcs, driven net)`` merged in where the
+        whole-design build puts them.  A side (net arcs, cell arcs) that
+        nothing enters or leaves keeps its arrays."""
+        fields: Dict[str, object] = {}
+        keep = ~gone[lv.net_dst]
+        if arcs_in or not keep.all():
+            # Netlist order: net-major, sinks in net order.
+            net_rows = np.stack([lv.net_src, lv.net_dst, lv.net_net])[:, keep]
+            if arcs_in:
+                add = sorted(arcs_in, key=lambda a: (a[2], a[3]))
+                at = []
+                for _, _, n, pos in add:
+                    lo = int(np.searchsorted(net_rows[2], n, "left"))
+                    hi = int(np.searchsorted(net_rows[2], n, "right"))
+                    if hi > lo:
+                        sinks = nets[n].sinks
+                        lo += sum(sinks.index(q) < pos for q in net_rows[1, lo:hi].tolist())
+                    at.append(lo)
+                cols = np.array([a[:3] for a in add], dtype=np.int64).T
+                net_rows = np.insert(net_rows, at, cols, axis=1)
+            fields.update(net_src=net_rows[0], net_dst=net_rows[1], net_net=net_rows[2])
+        keep = ~gone[lv.cell_dest]
+        if dests_in or not keep.all():
+            # Destinations in pin order, each with its arc rows.
+            dest_rows = np.stack([lv.cell_dest, lv.cell_counts, lv.cell_dest_net])[:, keep]
+            row_keep = np.repeat(keep, lv.cell_counts)
+            cell_in = lv.cell_in[row_keep]
+            row_key = lv.arc_group_id[row_keep]
+            arc_list = [arc for arc, _ in lv.arc_groups]
+            if dests_in:
+                key_of = {id(a): k for k, a in enumerate(arc_list)}
+                add = sorted(dests_in, key=lambda d: d[0])
+                at = np.searchsorted(dest_rows[0], [d[0] for d in add])
+                starts = np.zeros(dest_rows.shape[1] + 1, dtype=np.int64)
+                np.cumsum(dest_rows[1], out=starts[1:])
+                keys = []
+                for _, _, arcs, _ in add:
+                    for arc in arcs:
+                        if id(arc) not in key_of:
+                            key_of[id(arc)] = len(arc_list)
+                            arc_list.append(arc)
+                        keys.append(key_of[id(arc)])
+                row_at = np.repeat(starts[at], [len(d[2]) for d in add])
+                cell_in = np.insert(cell_in, row_at, np.concatenate([d[1] for d in add]))
+                row_key = np.insert(row_key, row_at, np.array(keys, dtype=np.int64))
+                cols = np.array([[d[0], len(d[2]), d[3]] for d in add], dtype=np.int64).T
+                dest_rows = np.insert(dest_rows, at, cols, axis=1)
+            fields.update(_cell_fields(dest_rows, cell_in, row_key, arc_list, layout))
+        return replace(lv, **fields)
 
 def _arc_tables(
     pert: LevelizedPins,
@@ -730,6 +1129,50 @@ class STAEngine:
             with get_telemetry().span("sta.levelize", pins=self.netlist.num_pins):
                 self._pert_struct = LevelizedPins(self.netlist)
         return self._pert_struct
+
+    # ------------------------------------------------------------------
+    # ECO netlist edits: a new engine over the edited netlist, its
+    # levelization patched from this one's (which stays as it was, so an
+    # undo can put this engine back), plus the seed pins — those whose
+    # fan-in arcs the edit changed — that ``ScenarioSTA.adopt`` re-times
+    # from.  Call after the edit.
+    # ------------------------------------------------------------------
+    def resized(self, cell_index: int) -> Tuple["STAEngine", np.ndarray]:
+        """After ``ResizeOp`` on cell ``cell_index``; seeds: its outputs."""
+        cell = self.netlist.cells[cell_index]
+        seeds = [cell.pin_indices[n] for n in cell.cell_type.output_pins]
+        engine = self._patch(
+            "resize", lambda pert: pert.resized(self.netlist, cell_index)
+        )
+        return engine, np.array(seeds, dtype=np.int64)
+
+    def buffered(self, net_index: int, new_net: int) -> Tuple["STAEngine", np.ndarray]:
+        """After ``BufferInsertOp`` on net ``net_index`` appended net
+        ``new_net``; seeds: the re-driven sink."""
+        seeds = self.netlist.nets[new_net].sinks
+        engine = self._patch(
+            "buffer", lambda pert: pert.buffered(self.netlist, net_index, new_net)
+        )
+        return engine, np.array(seeds, dtype=np.int64)
+
+    def _patch(self, op: str, patch: Callable[[LevelizedPins], Optional[LevelizedPins]]) -> "STAEngine":
+        engine = STAEngine(self.netlist)
+        old = self._pert_struct
+        if old is None:
+            return engine  # never levelized: the new engine levelizes lazily
+        tel = get_telemetry()
+        with tel.span("sta.patch", op=op) as span:
+            pert = patch(old)
+            if tel.enabled and pert is not None:
+                span.annotate(
+                    levels=sum(
+                        1 for k, lv in enumerate(pert.levels)
+                        if k >= len(old.levels) or lv is not old.levels[k]
+                    ),
+                    pins=pert.n_pins,
+                )
+        engine._pert_struct = pert
+        return engine
 
     def run(
         self,

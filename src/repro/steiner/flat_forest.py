@@ -342,18 +342,15 @@ def flat_forest_of(forest: "SteinerForest") -> FlatForest:
     slots = None
     if cached is not None:
         flat, topo_refs, pin_refs, cols = cached
-        if len(trees) == len(topo_refs) and all(
-            t._topo is r and t.pin_xy is p
-            for t, r, p in zip(trees, topo_refs, pin_refs)
-        ):
-            if tel.enabled:
-                tel.count("sta.flat_cache_hits")
-            return flat
         slots = [
             i
             for i, (t, r, p) in enumerate(zip(trees, topo_refs, pin_refs))
             if t._topo is not r or t.pin_xy is not p
         ]
+        if not slots and len(trees) == len(topo_refs):
+            if tel.enabled:
+                tel.count("sta.flat_cache_hits")
+            return flat
         slots.extend(range(len(topo_refs), len(trees)))
         if 4 * len(slots) > len(trees):
             slots = None  # past a quarter of the trees, splicing costs more

@@ -6,9 +6,10 @@ owns it, ``SteinerForest.coords``, as the only coordinate storage: each
 tree's ``steiner_xy`` is a view of its rows, written through slices or
 the forest API, never rebound.  A tree belongs to one forest (building
 a forest from another's trees re-binds them), and ``refresh_offsets``
-replaces the matrix after every tree-list edit, so hold ``coords`` only
-briefly.  The forest also clamps against the routing grid and runs the
-final rounding step Fig. 4 of the paper describes.
+re-lays the rows after every tree-list edit (from the first edited
+slot on, in place), so hold ``coords`` only briefly.  The forest also
+clamps against the routing grid and runs the final rounding step
+Fig. 4 of the paper describes.
 """
 
 from __future__ import annotations
@@ -33,26 +34,89 @@ class SteinerForest:
         self.trees = trees
         #: :func:`repro.steiner.flat_forest.flat_forest_of`'s memo entry.
         self._flat_memo: Optional[tuple] = None
+        #: The trees the last ``refresh_offsets`` bound, in slot order.
+        self._bound: Optional[List[SteinerTree]] = None
         self.refresh_offsets()
 
     def __setstate__(self, state: dict) -> None:
         # Unpickled trees hold copies, not views: re-join them.
         self.__dict__.update(state)
+        self._bound = None
         self.refresh_offsets()
 
-    def refresh_offsets(self) -> None:
-        """Join the trees' Steiner points into a new ``coords`` matrix
-        and point each tree at its rows (at construction and after any
-        surgery on the tree list)."""
-        parts = [t.steiner_xy for t in self.trees]
-        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-        np.cumsum([p.shape[0] for p in parts], out=offsets[1:])
-        coords = np.concatenate([np.empty((0, 2))] + parts)
-        for tree, a, b in zip(self.trees, offsets[:-1].tolist(), offsets[1:].tolist()):
-            tree.steiner_xy = coords[a:b]
+    def refresh_offsets(self, start: int = 0) -> None:
+        """Join the trees' Steiner points into ``coords`` and point each
+        tree at its rows (at construction and after any surgery on the
+        tree list).
+
+        ``start`` is the first slot the surgery touched: the trees before
+        it are the ones the last call bound, and keep their rows and
+        views untouched.  ``coords`` is a view of a buffer with spare
+        rows, so while the buffer has room the rows from ``start`` on
+        are re-laid in place: the runs of trees the last call bound
+        there move as blocks, and only trees that are new or whose rows
+        moved are re-bound.  A new forest (or a full buffer) joins every
+        tree into a new buffer.  A tree that leaves the list from
+        ``start`` on is handed a private copy of its points first, so
+        an undo that puts it back finds them intact.
+        """
+        trees = self.trees
+        bound = self._bound
+        start = min(start, len(trees), len(bound)) if bound is not None else 0
+        tail = trees[start:]
+        counts = np.fromiter((len(t.steiner_xy) for t in tail), np.int64, len(tail))
+        offsets = np.empty(len(trees) + 1, dtype=np.int64)
+        offsets[: start + 1] = self._offsets[: start + 1] if start else 0
+        np.cumsum(counts, out=offsets[start + 1 :])
+        offsets[start + 1 :] += offsets[start]
+        rows = int(offsets[-1])
+        if bound is not None and rows > self._buffer.shape[0]:
+            self._bound = None  # the buffer is full: start over
+            self.refresh_offsets()
+            return
+        if bound is not None:
+            # Trees the last call bound here that are still in place.
+            buf, old = self._buffer, self._offsets
+            kept = np.zeros(len(tail), dtype=bool)
+            kept[: len(bound) - start] = [
+                o is t and t.steiner_xy.base is buf for o, t in zip(bound[start:], tail)
+            ]
+            gone = [o for o, k in zip(bound[start:], kept) if not k]
+            gone += bound[start + len(tail) :]
+            if gone:
+                staying = set(map(id, tail))
+                for tree in gone:
+                    if id(tree) not in staying:
+                        tree.steiner_xy = tree.steiner_xy.copy()
+        if bound is None:
+            values = np.concatenate([np.empty((0, 2))] + [t.steiner_xy for t in tail])
+            self._buffer = np.empty((rows + max(rows // 16, 64), 2))
+            rebind = range(len(tail))
+        else:
+            # Kept runs move as blocks, other trees one by one; all are
+            # read before any row is written.
+            parts, i = [], 0
+            for j in np.flatnonzero(~kept).tolist() + [len(tail)]:
+                if j > i:
+                    parts.append(buf[old[start + i] : old[start + j]])
+                if j < len(tail):
+                    parts.append(tail[j].steiner_xy)
+                i = j + 1
+            values = np.concatenate([np.empty((0, 2))] + parts)
+            n = min(len(tail), old.size - 1 - start)
+            moved = np.ones(len(tail), dtype=bool)
+            moved[:n] = ~kept[:n] | (offsets[start : start + n] != old[start : start + n])
+            rebind = np.flatnonzero(moved).tolist()
+        buf = self._buffer
+        buf[offsets[start] : rows] = values
+        for i in rebind:
+            k = start + i
+            tail[i].steiner_xy = buf[offsets[k] : offsets[k + 1]]
         self._offsets = offsets
-        #: (S, 2) float64: every Steiner point of the design.
-        self.coords = coords
+        self._bound = list(trees)
+        #: (S, 2) float64: every Steiner point of the design (a view of
+        #: the first S rows of a buffer with spare rows).
+        self.coords = buf[:rows]
 
     # ------------------------------------------------------------------
     @property

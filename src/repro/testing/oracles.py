@@ -527,6 +527,7 @@ def reference_levelized_pins(netlist: Netlist) -> LevelizedPins:
             if level[v] < lu:
                 level[v] = lu
 
+    pert.pin_level = np.array(level, dtype=np.int64)
     net_src = np.array([a[0] for a in net_arcs], dtype=np.int64)
     net_dst = np.array([a[1] for a in net_arcs], dtype=np.int64)
     net_net = np.array([a[2] for a in net_arcs], dtype=np.int64)
@@ -596,47 +597,39 @@ def reference_levelized_pins(netlist: Netlist) -> LevelizedPins:
     pert.setup_time = np.array([np.nan] * len(outputs) + setup, dtype=np.float64)
     pert.hold_endpoints = np.array(data_pins, dtype=np.int64)
 
+    # Table layout: every table of the library in library order (cell,
+    # arc, delay before output slew), then the tables of arcs from
+    # outside the library in the order the levels first use them.
+    tables: List[object] = []
+    seen_tables = set()
+    lib_arcs = [a for ct in netlist.library.cells.values() for a in ct.arcs]
+    used_arcs = [arc for lv in pert.levels for arc, _pos in lv.arc_groups]
+    for arc in lib_arcs + used_arcs:
+        for tbl in (arc.delay, arc.output_slew):
+            if id(tbl) not in seen_tables:
+                seen_tables.add(id(tbl))
+                tables.append(tbl)
     pert.shared_axes = None
-    axes = None
-    shared = True
-    seen_axes = set()
-    for lv in pert.levels:
-        for arc, _pos in lv.arc_groups:
-            for tbl in (arc.delay, arc.output_slew):
-                key = (tbl.slew_axis, tbl.load_axis)
-                ids = (id(key[0]), id(key[1]))
-                if ids in seen_axes:
-                    continue
-                seen_axes.add(ids)
-                if axes is None:
-                    axes = key
-                elif not (
-                    np.array_equal(axes[0], key[0]) and np.array_equal(axes[1], key[1])
-                ):
-                    shared = False
-            if not shared:
-                break
-        if not shared:
-            break
-    if shared and axes is not None:
-        pert.shared_axes = axes
     pert.table_values = None
-    if pert.shared_axes is not None:
+    if tables and all(
+        np.array_equal(t.slew_axis, tables[0].slew_axis)
+        and np.array_equal(t.load_axis, tables[0].load_axis)
+        for t in tables
+    ):
+        pert.shared_axes = (tables[0].slew_axis, tables[0].load_axis)
         offsets: Dict[int, int] = {}
         values: List[np.ndarray] = []
-
-        def offset(tbl) -> int:
-            if id(tbl) not in offsets:
-                offsets[id(tbl)] = len(values) * tbl.values.size
-                values.append(tbl.values.ravel())
-            return offsets[id(tbl)]
-
+        size = 0
+        for tbl in tables:
+            offsets[id(tbl)] = size
+            values.append(tbl.values.ravel())
+            size += tbl.values.size
         for lv in pert.levels:
             lv.delay_base = np.zeros(lv.cell_in.size, dtype=np.int64)
             lv.slew_base = np.zeros(lv.cell_in.size, dtype=np.int64)
             for arc, pos in lv.arc_groups:
-                lv.delay_base[pos] = offset(arc.delay)
-                lv.slew_base[pos] = offset(arc.output_slew)
+                lv.delay_base[pos] = offsets[id(arc.delay)]
+                lv.slew_base[pos] = offsets[id(arc.output_slew)]
         pert.table_values = np.concatenate(values)
     pert.net_driver = np.array([net.driver for net in netlist.nets], dtype=np.int64)
     return pert

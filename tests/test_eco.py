@@ -152,8 +152,8 @@ class TestOpReversibility:
         mutated = _snapshot(ctx.run())
         ctx.revert(op)
 
-        # Warm path: the same context re-times incrementally (or via an
-        # engine rebuild for netlist-mutating ops) back to baseline.
+        # Warm path: the same context re-times incrementally (through a
+        # patched engine for netlist-mutating ops) back to baseline.
         assert _snapshot(ctx.run()) == before
         # Cold path: a full rebuild from the reverted (netlist, forest)
         # agrees — revert left no structural residue behind.
@@ -229,10 +229,14 @@ class TestWarmContextSequences:
                     last_netlist_op = None
             else:
                 op = _draw_op(data.draw, netlist, forest)
-                applied.append((op, ctx.engine))
+                engine_before = ctx.engine
+                applied.append((op, engine_before))
                 rebuilds = ctx.rebuilds
                 ctx.apply(op)
-                assert ctx.rebuilds == rebuilds + int(op.mutates_netlist)
+                # Every op re-times from the state it edits: a netlist op
+                # patches a new engine instead of constructing one.
+                assert ctx.rebuilds == rebuilds
+                assert (ctx.engine is not engine_before) == op.mutates_netlist
                 if op.mutates_netlist:
                     last_netlist_op = op
             cold = EcoContext(netlist, forest, _scenarios())
@@ -240,8 +244,8 @@ class TestWarmContextSequences:
 
     def test_reverted_reroute_restores_batch_state(self, spm_state):
         """A tree edit's revert puts the pre-apply ``BatchState`` back:
-        the apply's query is the only full pass, and the query after the
-        revert re-times nothing."""
+        the apply's query re-times from it into a new state without a
+        full pass, and the query after the revert re-times nothing."""
         netlist, forest = clone_state(*spm_state)
         ctx = EcoContext(netlist, forest, _scenarios())
         base = _snapshot(ctx.run())
@@ -250,10 +254,11 @@ class TestWarmContextSequences:
         op = RerouteOp(_routable_nets(netlist, forest)[0])
         ctx.apply(op)
         ctx.run()
+        assert sta._state is not state  # re-timed into a new state
         ctx.revert(op)
         assert ctx.sta is sta and sta._state is state
         assert _snapshot(ctx.run()) == base
-        assert sta.num_full == full + 1
+        assert sta.num_full == full  # the apply made no full pass either
         assert sta.last_dirty_trees == 0
 
     def test_reverted_netlist_op_restores_engine(self, spm_state):
@@ -262,16 +267,110 @@ class TestWarmContextSequences:
         base = _snapshot(ctx.run())
         engine, sta = ctx.engine, ctx.sta
         net, sink = _bufferable(netlist)[0]
+        full = sta.num_full
         for op in (BufferInsertOp(net, sink), ResizeOp(*_resizable(netlist)[0][:2])):
             ctx.apply(op)
             ctx.run()
+            assert ctx.sta is not sta and ctx.sta.num_full == full  # adopted
             ctx.revert(op)
             assert ctx.engine is engine and ctx.sta is sta
-            full = sta.num_full
             assert _snapshot(ctx.run()) == base
             assert sta.num_full == full  # the restored state was current
             assert sta.last_dirty_trees == 0
-        assert ctx.rebuilds == 2
+        assert ctx.rebuilds == 0
+
+
+def _array_bytes(obj):
+    """Every array an object holds (one level of lists and tuples down)
+    as bytes, in attribute order: to check the object was not written."""
+    out = []
+    for name, value in vars(obj).items():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        out += [(name, v.tobytes()) for v in items if hasattr(v, "tobytes")]
+    return out
+
+
+def _state_bytes(state):
+    """A ``BatchState``'s arrays, its caps' arrays and its identities
+    (None for no state)."""
+    if state is None:
+        return None
+    return (
+        _array_bytes(state), _array_bytes(state.caps), id(state.flat), id(state.pert)
+    )
+
+
+@pytest.fixture(scope="module")
+def picorv32a_state():
+    return prepare_design("picorv32a")
+
+
+class TestPatchedRetiming:
+    """Every op re-times from the state it edits, exactly: the context's
+    levelization equals the loop oracle, its answer equals a fresh full
+    pass, and nothing it held before the apply is written."""
+
+    @pytest.mark.parametrize("design", ["spm", "picorv32a"])
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_sequences_equal_fresh_full_passes(
+        self, design, spm_state, picorv32a_state, data
+    ):
+        from repro.steiner.flat_forest import flat_forest_of
+        from repro.testing.oracles import reference_levelized_pins
+
+        from tests.test_sta import _assert_levelized_equal, _levelized_bytes
+
+        state = spm_state if design == "spm" else picorv32a_state
+        netlist, forest = clone_state(*state)
+        ctx = EcoContext(netlist, forest, _scenarios())
+        ctx.run()
+        applied = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            if applied and data.draw(st.booleans()):
+                ctx.revert(applied.pop())
+            else:
+                op = _draw_op(data.draw, netlist, forest)
+                # A nudge re-times its tree into the kept state in place;
+                # an edit re-times into a new one.
+                pert, flat = ctx.engine.pert(), flat_forest_of(forest)
+                batch = None if isinstance(op, NudgeOp) else ctx.sta._state
+                before = (_levelized_bytes(pert), _array_bytes(flat), _state_bytes(batch))
+                ctx.apply(op)
+                ctx.run()
+                assert ctx.rebuilds == 0
+                after = (_levelized_bytes(pert), _array_bytes(flat), _state_bytes(batch))
+                assert after == before, op
+                applied.append(op)
+            _assert_levelized_equal(ctx.engine.pert(), reference_levelized_pins(netlist))
+            fresh = ScenarioSTA(
+                netlist, forest, _scenarios(), engine=STAEngine(netlist)
+            )
+            assert _snapshot(ctx.run()) == _snapshot(fresh.run())
+
+    def test_warm_sa_job_neither_levelizes_nor_makes_a_full_pass(self):
+        """A warm SA eco job on spm patches its engines and re-times its
+        STA from the state each op edits: after the warm start no
+        ``sta.levelize`` span and no full pass, and it still commits a
+        netlist op (a patched engine)."""
+        warm = WarmStateCache()
+        ws = warm.workspace("spm")
+        ws.probe_sta().run()
+        job = Job(kind="eco", design="spm", params={"arm": "sa", "seed": 0, "steps": 20})
+        pins = ws.netlist.num_pins
+        with Telemetry() as tel, telemetry_session(tel):
+            value = default_handlers(warm)["eco"](job, JobContext(job=job))
+        spans = [e["name"] for e in tel.events if e["kind"] == "span_start"]
+        assert value["rebuilds"] == 0 and ws.netlist.num_pins > pins
+        assert "sta.levelize" not in spans
+        assert spans.count("sta.patch") > 0
+        assert tel.counters.get("mcmm.full_rebuilds", 0) == 0
+        assert tel.counters.get("mcmm.patched_states", 0) > 0
+        _assert_matches_fresh_sta(ws)
 
 
 class TestDirtyCone:

@@ -29,9 +29,11 @@ def _assert_one_matrix(forest):
     read is bitwise the tree-by-tree concatenation."""
     coords = forest.coords
     assert coords.dtype == np.float64 and coords.shape == (forest.num_steiner_points, 2)
+    # ``coords`` views the first rows of a buffer with spare rows.
+    owner = coords if coords.base is None else coords.base
     for i, tree in enumerate(forest.trees):
         rows = coords[forest.steiner_slice(i)]
-        assert tree.steiner_xy.base is coords
+        assert tree.steiner_xy.base is owner
         assert tree.steiner_xy.__array_interface__ == rows.__array_interface__
     flat = forest.get_steiner_coords()
     assert not np.shares_memory(flat, coords)
@@ -95,3 +97,30 @@ def test_eco_apply_revert_keeps_one_matrix(spm, kind):
     op.revert(netlist, forest)
     _assert_one_matrix(forest)
     assert forest.get_steiner_coords().tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["buffer", "reroute"])
+def test_tree_edit_rebinds_from_its_slot_on(spm, kind):
+    """An op's tree edit keeps the rows (and views) of the trees before
+    its slot in place, and the replaced tree keeps its own points for
+    the revert that puts it back."""
+    netlist, forest = clone_state(spm, build_forest(spm, cache=False))
+    net = [t.net_index for t in forest.trees if t.n_steiner][len(forest.trees) // 3]
+    slot = forest.tree_slot(net)
+    old_tree = forest.trees[slot]
+    old_points = old_tree.steiner_xy.copy()
+    views = [t.steiner_xy for t in forest.trees]
+    op = (
+        BufferInsertOp(net, netlist.nets[net].sinks[-1]) if kind == "buffer"
+        else RerouteOp(net)
+    )
+    op.apply(netlist, forest)
+    _assert_one_matrix(forest)
+    assert all(t.steiner_xy is v for t, v in zip(forest.trees[:slot], views))
+    assert old_tree.steiner_xy.tobytes() == old_points.tobytes()
+    assert not np.shares_memory(old_tree.steiner_xy, forest.coords)
+    op.revert(netlist, forest)
+    _assert_one_matrix(forest)
+    assert all(t.steiner_xy is v for t, v in zip(forest.trees[:slot], views))
+    assert forest.trees[slot] is old_tree
+    assert old_tree.steiner_xy.tobytes() == old_points.tobytes()

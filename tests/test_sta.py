@@ -267,7 +267,7 @@ def _assert_levelized_equal(got, want):
     assert (got.n_pins, got.n_nets) == (want.n_pins, want.n_nets)
     for name in (
         "pin_cap", "lumped_net_cap", "input_pins", "clock_pins", "endpoints_arr",
-        "is_output", "setup_time", "hold_endpoints", "net_driver",
+        "is_output", "setup_time", "hold_endpoints", "net_driver", "pin_level",
     ):
         same(getattr(got, name), getattr(want, name), name)
     assert (got.shared_axes is None) == (want.shared_axes is None)
@@ -293,6 +293,17 @@ def _assert_levelized_equal(got, want):
         for (arc_g, rows_g), (arc_w, rows_w) in zip(g.arc_groups, w.arc_groups):
             assert arc_g is arc_w, L
             same(rows_g, rows_w, (L, "arc_groups"))
+
+
+def _levelized_bytes(pert):
+    """Every array of a LevelizedPins as bytes (to check it unwritten)."""
+    out = [
+        v.tobytes() for v in vars(pert).values() if isinstance(v, np.ndarray)
+    ]
+    for lv in pert.levels:
+        out += [v.tobytes() for v in vars(lv).values() if isinstance(v, np.ndarray)]
+        out += [(id(arc), rows.tobytes()) for arc, rows in lv.arc_groups]
+    return out
 
 
 _LEVELIZE_DESIGNS = ("spm", "picorv32a", "des3")
@@ -321,8 +332,10 @@ class TestLevelization:
     def test_matches_oracle_through_netlist_ops(self, levelize_designs, design):
         """Buffer insertion adds a cell, pins and a net; a resize changes
         pin caps in place.  Each apply and each revert must relevelize
-        exactly as the oracle does."""
+        exactly as the oracle does, and the engine patched from the
+        pre-apply levelization must equal it too, without touching it."""
         from repro.eco import BufferInsertOp, ResizeOp, clone_state
+        from repro.obs import Telemetry, telemetry_session
         from repro.sta.engine import LevelizedPins
         from repro.testing.oracles import reference_levelized_pins
 
@@ -336,13 +349,26 @@ class TestLevelization:
             if v.pin_caps != c.cell_type.pin_caps
         )
         base = reference_levelized_pins(nl)
+        engine = STAEngine(nl)
+        engine.pert()
         for op in (BufferInsertOp(net.index, net.sinks[-1]), ResizeOp(cell.index, to_ct)):
+            before = _levelized_bytes(engine.pert())
             op.apply(nl, forest)
             applied = reference_levelized_pins(nl)
             _assert_levelized_equal(LevelizedPins(nl), applied)
             assert applied.pin_cap.tobytes() != base.pin_cap.tobytes()
+            with Telemetry() as tel, telemetry_session(tel):
+                if isinstance(op, ResizeOp):
+                    patched, seeds = engine.resized(op.cell_index)
+                else:
+                    patched, seeds = engine.buffered(op.net_index, nl.num_nets - 1)
+                _assert_levelized_equal(patched.pert(), applied)
+            names = [e["name"] for e in tel.events if e["kind"] == "span_start"]
+            assert names == ["sta.patch"]  # patched, not levelized
+            assert seeds.size and _levelized_bytes(engine.pert()) == before
             op.revert(nl, forest)
             _assert_levelized_equal(LevelizedPins(nl), reference_levelized_pins(nl))
+            _assert_levelized_equal(engine.pert(), reference_levelized_pins(nl))
         _assert_levelized_equal(LevelizedPins(nl), base)
 
     @staticmethod
@@ -369,6 +395,48 @@ class TestLevelization:
         small.add_net("y", inv.pin_indices["Y"], [po.index, reg.pin_indices["D"]])
         for nl in (empty, ports, small):
             _assert_levelized_equal(STAEngine(nl).pert(), reference_levelized_pins(nl))
+
+    def test_patches_on_hand_built_netlists(self):
+        """The patches on degenerate shapes: a buffer into a primary
+        output, into a register data pin and into a clock pin (no
+        timing arc, so nothing moves level); a resize of a cell whose
+        output drives nothing.  Each equals the oracle."""
+        from repro.eco import BufferInsertOp, ResizeOp
+        from repro.steiner.forest import build_forest
+        from repro.testing.oracles import reference_levelized_pins
+
+        def small():
+            nl, lib = self._netlist()
+            inv, reg = nl.add_cell("i", lib["INV_X1"]), nl.add_cell("r", lib["DFF_X1"])
+            dead = nl.add_cell("d", lib["NAND2_X1"])
+            pi = nl.add_port("in0", PinDirection.OUTPUT, 0.0, 10.0)
+            po = nl.add_port("out0", PinDirection.INPUT, 50.0, 10.0)
+            nl.add_net("a", pi.index, [inv.pin_indices["A"], dead.pin_indices["A"]])
+            nl.add_net("y", inv.pin_indices["Y"], [po.index, reg.pin_indices["D"]])
+            nl.add_net("q", reg.pin_indices["Q"], [dead.pin_indices["B"]])
+            inv.x, reg.x, dead.x = 10.0, 30.0, 20.0
+            return nl, lib
+
+        nl, lib = small()
+        edits = [("buffer", 1, k) for k in range(2)] + [("resize", 2, None)]
+        clocked, lib2 = small()
+        ck = clocked.add_cell("b", lib2["BUF_X2"])
+        clocked.add_net("ck", ck.pin_indices["Y"], [clocked.cells[1].pin_indices["CK"]])
+        for netlist, (kind, target, k) in [(nl, e) for e in edits] + [
+            (clocked, ("buffer", 3, 0))
+        ]:
+            forest = build_forest(netlist, cache=False)
+            engine = STAEngine(netlist)
+            engine.pert()
+            if kind == "buffer":
+                op = BufferInsertOp(target, netlist.nets[target].sinks[k])
+            else:
+                op = ResizeOp(target, netlist.library["NAND2_X2"])
+            op.apply(netlist, forest)
+            patched, _ = op.patch_engine(engine)
+            assert patched._pert_struct is not None  # patched, not deferred
+            _assert_levelized_equal(patched.pert(), reference_levelized_pins(netlist))
+            op.revert(netlist, forest)
 
     def test_combinational_loop_raises(self):
         from repro.testing.oracles import reference_levelized_pins
