@@ -279,22 +279,6 @@ class _Oracle:
 
 Validator = Callable[[np.ndarray], Tuple[float, float]]
 
-
-def _reset_validator(validator: Optional[Validator]) -> None:
-    """Drop any incremental state a stateful validator carries.
-
-    Incremental-STA-backed validators (see ``TSteiner._make_validator``)
-    expose a ``reset`` attribute; after a checkpoint restore or a
-    validated revert the cached timing state may describe coordinates
-    the trajectory has abandoned, so it must be rebuilt from scratch on
-    the next probe.  Plain function validators have no such attribute
-    and are left alone.
-    """
-    reset = getattr(validator, "reset", None)
-    if callable(reset):
-        reset()
-
-
 _REFINE_CKPT_KIND = "refine-v1"
 
 
@@ -433,11 +417,12 @@ class _Refinement:
                 self.so._m = np.array(ckpt["so_m"], dtype=np.float64, copy=True)
                 self.so._v = np.array(ckpt["so_v"], dtype=np.float64, copy=True)
                 self.so._t = int(ckpt["so_t"])
-            # A resumed run may hand us a live oracle/validator from the
+            # A resumed run may hand us a live oracle from the
             # interrupted attempt whose caches describe coordinates the
-            # restored trajectory never visited — drop them.
+            # restored trajectory never visited — drop them.  A stateful
+            # validator needs no reset: its STA diffs every probe
+            # against its own state.
             self.oracle.invalidate()
-            _reset_validator(self.validator)
         elif s.validator_on:
             # Hybrid mode: the real anchor of the initial point.
             s.validations += 1
@@ -559,9 +544,6 @@ class _Refinement:
             s.validated_reverts += 1
             s.coords = s.real_coords.copy()
             s.best_coords = s.real_coords.copy()
-            # The validator's incremental state now describes the
-            # rejected candidate; force a clean rebuild at the anchor.
-            _reset_validator(self.validator)
             # Reset the predicted-metric baseline to the anchor, else
             # the inflated rejected prediction blocks all future accepts.
             s.best_wns, s.best_tns = self.oracle.evaluate(s.coords)
@@ -783,7 +765,9 @@ def refine(
     ``clamp_fn`` clamps candidate coordinates to the grid boundary
     (typically ``forest.clamp_coords``); identity when omitted.
     ``validator`` maps coordinates to real (WNS, TNS) — required for
-    ``acceptance="hybrid"``, ignored in ``"evaluator"`` mode.
+    ``acceptance="hybrid"``, ignored in ``"evaluator"`` mode.  It only
+    ever gets coordinates: a stateful validator finds by itself what
+    changed since its last probe (a revert or a resume included).
 
     MCMM (docs/MCMM.md): ``scenarios`` (a ``repro.mcmm.ScenarioSet``)
     switches acceptance, gradients and reported metrics to the merged

@@ -165,10 +165,10 @@ class TSteiner:
         :class:`~repro.mcmm.sta.ScenarioSTA` are hoisted out of the
         closure: successive probes in a refinement run move a sparse
         subset of Steiner points, so the engine re-times only the
-        affected cones instead of the whole design.  The returned
-        callable carries a ``reset`` attribute that drops the
-        incremental state; :func:`repro.core.refine.refine` invokes it
-        after checkpoint restores and validated reverts.
+        affected cones instead of the whole design.  The STA finds the
+        changed trees by diffing each probe's routed edge RC against
+        its state, so a probe after a validated revert or a checkpoint
+        resume needs no reset: only the first probe makes a full pass.
 
         The probe times every scenario of ``scenarios`` (default: the
         neutral ``typ@func`` set) and returns the *merged* (worst-WNS,
@@ -199,7 +199,6 @@ class TSteiner:
                 report = sta.run(route_result=rr, utilization=grid.utilization_map())
             return report.merged_wns, report.merged_tns
 
-        validator.reset = sta.invalidate
         return validator
 
     @staticmethod

@@ -175,15 +175,18 @@ class EcoContext:
     (:meth:`EcoOp.patch_engine`), and a new ``ScenarioSTA`` over it
     (``ScenarioSTA.adopt``) that re-times only the cone of the edit —
     no levelization and no full pass.  ``rebuilds`` counts engine
-    constructions, which only an out-of-LIFO revert makes.
+    constructions, which only a netlist-op revert out of LIFO order
+    makes.
 
     A ``revert`` re-flattens nothing and re-times nothing: by the ops'
     LIFO apply+revert == identity contract the pre-apply flat memo
     entry, ``BatchState`` (and, for a netlist op, the pre-apply engine
-    and ``ScenarioSTA``) are exact again, so they are put back.  The
-    last netlist op's undo is kept apart from the last tree or
-    coordinate op's, so a nudge applied and reverted on top of a resize
-    leaves the resize restorable; at most one pre-apply engine is held.
+    and ``ScenarioSTA``) are exact again, so they are put back.  Undo
+    entries form one LIFO stack, one per apply, so nested applies
+    revert newest first without a rebuild; a revert of any op but the
+    newest drops the stack, and a netlist op's then rebuilds.
+    :meth:`accept` drops the stack once the applied ops are to stay, so
+    accepted ops hold no pre-apply engine or state.
 
     Given a ``sta`` (a :class:`ScenarioSTA` over this netlist and
     forest, e.g. the serving workspace's timed neutral one), the
@@ -204,11 +207,10 @@ class EcoContext:
         self.netlist = netlist
         self.forest = forest
         self.rebuilds = 0
-        #: (op, engine, sta, sta state, flat memo entry) from before the
-        #: last netlist op's apply (key True) and the last tree or
-        #: coordinate op's apply since (key False); a matching revert
-        #: restores them.
-        self._undo: Dict[bool, tuple] = {}
+        #: (op, engine, sta, sta state, flat memo entry) from before each
+        #: apply since the last accept, newest last; reverting the
+        #: newest op pops and restores its entry.
+        self._undo: List[tuple] = []
         if sta is None:
             self.scenarios = scenarios if scenarios is not None else ScenarioSet.default()
             self._make()
@@ -242,20 +244,23 @@ class EcoContext:
         )
         op.apply(self.netlist, self.forest)
         if op.mutates_netlist:
-            # A tree op's undo would now pin the pre-apply engine too.
-            self._undo.clear()
             self.engine, seeds = op.patch_engine(self.engine)
             self.sta = self.sta.adopt(self.engine, seeds)
-        self._undo[op.mutates_netlist] = undo
+        self._undo.append(undo)
+
+    def accept(self) -> None:
+        """Keep every op applied so far: drop their undo entries."""
+        self._undo.clear()
 
     def revert(self, op: EcoOp) -> None:
         op.revert(self.netlist, self.forest)
-        undo = self._undo.pop(op.mutates_netlist, None)
-        if undo is None or undo[0] is not op:
+        if not self._undo or self._undo[-1][0] is not op:
+            # Every held entry describes a state with ``op`` applied.
+            self._undo.clear()
             if op.mutates_netlist:
                 self.rebuild()
             return
-        _, self.engine, self.sta, state, entry = undo
+        _, self.engine, self.sta, state, entry = self._undo.pop()
         self.sta._state = state
         restore_flat_cache(self.forest, entry)
 
@@ -542,6 +547,7 @@ def _polish_cone(
                 new_score = score_report(new_report)
                 result.trials += 1
                 if new_score > score_cur + config.min_gain:
+                    ctx.accept()
                     report, score_cur = new_report, new_score
                     result.accepted.append(nudge.describe())
                     result.history.append(
@@ -596,6 +602,7 @@ def _run_greedy(
             new_score = score_report(new_report)
             result.trials += 1
             if new_score > score_cur + config.min_gain:
+                ctx.accept()
                 report, score_cur = new_report, new_score
                 discrete += 1
                 result.accepted.append(op.describe())

@@ -120,6 +120,7 @@ def run_sa(
         else:
             accept = float(rng.random()) < math.exp(ds / max(temp, 1e-9))
         if accept:
+            ctx.accept()
             report, score_cur = new_report, new_score
             result.accepted.append(op.describe())
             result.area_delta += _op_area(ctx, op)

@@ -13,8 +13,11 @@ what is the merged verdict?*  It owns:
 * **incremental state** — dirty trees are found by exact coordinate
   (pre-route) or per-edge RC (routed) comparison, re-Elmored alone,
   and a levelized frontier re-times only the pins whose inputs changed
-  bitwise.  Every incremental answer is bitwise-identical to a full
-  batched rebuild.
+  bitwise.  A new flattening or levelization re-gathers the whole
+  forest and re-times from the prior state the same way.  Every
+  answer comes from the one PERT kernel
+  (:func:`~repro.sta.engine.propagate_from_batched`) and is
+  bitwise-identical to a full pass; no caller ever resets the state.
 
 This is the one place a timing pass is put together and finalized.
 A single-corner query is simply S=1 over the neutral set
@@ -52,7 +55,6 @@ from repro.sta.engine import (
     STAEngine,
     TimingReport,
     propagate_from_batched,
-    propagate_levels_batched,
 )
 from repro.sta.metrics import timing_metrics
 from repro.steiner.flat_forest import FlatForest, flat_forest_of
@@ -127,14 +129,17 @@ class BatchState:
 class ScenarioSTA:
     """MCMM STA query object bound to one (netlist, forest) pair.
 
-    Callers move Steiner points on ``forest`` and re-query.  A topology
-    edit (a new flattening) or a netlist edit that appends (an engine
-    taken over by :meth:`adopt`) re-times pre-route state from the
-    previous state (:meth:`_patched`); routed state is rebuilt by a
-    full pass.  Any
-    exception mid-update (including a budget timeout) drops the cache
-    before propagating, so an interrupted query never leaves a stale
-    dirty set behind (docs/RESILIENCE.md).
+    Callers move Steiner points on ``forest``, re-route, edit trees or
+    the netlist, and re-query; the object keeps itself in sync.  Moved
+    or re-routed trees re-time incrementally (:meth:`_incremental`).
+    A topology edit (a new flattening) or a netlist edit that appends
+    (an engine taken over by :meth:`adopt`) re-gathers the whole
+    forest and re-times from the previous state (:meth:`_rebuild`),
+    pre-route or routed alike.  Only the first query, or one after a
+    netlist edit that removed pins or nets, makes a full pass
+    (``num_full``).  Any exception mid-update (including a budget
+    timeout) drops the cache before propagating, so an interrupted
+    query never leaves a stale dirty set behind (docs/RESILIENCE.md).
     """
 
     def __init__(
@@ -226,7 +231,7 @@ class ScenarioSTA:
         Returns a new object; this one is not changed, so an undo can
         put it back.  Their states are separate too: the new object's
         next query re-times from this one's state into a new
-        ``BatchState`` (:meth:`_patched`), without a full pass.
+        ``BatchState`` (:meth:`_rebuild`), without a full pass.
         """
         out = copy.copy(self)
         out._bind(engine)
@@ -237,18 +242,11 @@ class ScenarioSTA:
     def invalidate(self) -> None:
         """Drop all cached state; the next query runs a full pass.
 
-        Call after any event that may desynchronize the cache from the
-        forest — checkpoint resume, validated revert, topology edits.
+        Never needed for correctness: every query diffs the forest
+        against the state exactly.  Benchmarks call it to time a full
+        pass on a kept object.
         """
         self._state = None
-
-    def full_recompute(
-        self,
-        route_result: Optional[GlobalRouteResult] = None,
-        utilization: Optional[np.ndarray] = None,
-    ) -> ScenarioReport:
-        self.invalidate()
-        return self.run(route_result=route_result, utilization=utilization)
 
     # ------------------------------------------------------------------
     def run(
@@ -266,10 +264,14 @@ class ScenarioSTA:
         utilization: Optional[np.ndarray] = None,
     ) -> BatchState:
         """Bring the propagated state up to the forest's current
-        coordinates (incrementally when possible) and return it.
+        coordinates and return it.
 
-        The returned state is live and owned by this object: read its
-        ``(S_block, n_pins)`` arrays before the next query.
+        Two paths: with no state, or after a new flattening or
+        levelization, :meth:`_rebuild` gathers the whole forest afresh;
+        otherwise :meth:`_incremental` re-times the trees that moved or
+        re-routed.  Both re-time from the prior state when there is
+        one.  The returned state is live and owned by this object: read
+        its ``(S_block, n_pins)`` arrays before the next query.
         """
         self.num_queries += 1
         tel = get_telemetry()
@@ -278,21 +280,9 @@ class ScenarioSTA:
         flat = flat_forest_of(self.forest)
         coords = self.forest.coords
         st = self._state
-        pert = self.engine.pert()
-        edited = st is not None and (st.flat is not flat or st.pert is not pert)
-        if st is None or (
-            edited
-            and (
-                route_result is not None
-                or st.routed
-                or pert.n_pins < st.pert.n_pins
-                or pert.n_nets < st.pert.n_nets
-            )
-        ):
-            return self._full(flat, coords, route_result, utilization)
         try:
-            if edited:
-                return self._patched(st, flat, coords)
+            if st is None or st.flat is not flat or st.pert is not self.engine.pert():
+                return self._rebuild(st, flat, coords, route_result, utilization)
             self._incremental(st, coords, route_result, utilization)
         except Exception:
             self._state = None
@@ -300,18 +290,31 @@ class ScenarioSTA:
         return st
 
     # ------------------------------------------------------------------
-    def _full(
+    def _rebuild(
         self,
+        st: Optional[BatchState],
         flat: FlatForest,
         coords: np.ndarray,
         route_result: Optional[GlobalRouteResult],
         utilization: Optional[np.ndarray],
     ) -> BatchState:
-        self.num_full += 1
-        self.last_dirty_trees = flat.n_trees
+        """A new state on ``flat``, re-timed from ``st`` (not written).
+
+        Geometry, caps, pre-route or routed edge RC and every wire
+        group's Elmore rows are gathered afresh over the whole forest.
+        With no usable prior state (none, or the levelization lost
+        pins or nets) every pin is seeded from launch: a full pass.
+        Otherwise per-pin rows extend for appended pins (unreached) and
+        nets, and the frontier is seeded with the appended pins, the
+        pins whose fan-in arcs changed (``adopt``'s seeds), the sinks
+        whose wire delay, slew term or tree membership differ bitwise
+        from ``st``, and the drivers of nets whose load does.  One
+        :func:`propagate_from_batched` sweep per block then re-times
+        their cones.  A pin outside those cones keeps its committed
+        value, which is what a full pass computes for it, so the result
+        is bitwise a full pass over the edited design.
+        """
         tel = get_telemetry()
-        if tel.enabled:
-            tel.count("mcmm.full_rebuilds")
         engine = self.engine
         pert = engine.pert()
         caps = flatmod.flat_caps(flat, pert.pin_cap)
@@ -324,17 +327,65 @@ class ScenarioSTA:
             )
         else:
             base_r, base_c = flatmod.preroute_edge_rc(flat, engine.technology, xy)
-        st = self._timed_state(flat, pert, caps, xy, routed, base_r, base_c)
+        new = self._timed_state(flat, pert, caps, xy, routed, base_r, base_c)
+        self.last_dirty_trees = flat.n_trees
+
+        full = st is None or pert.n_pins < st.pert.n_pins or pert.n_nets < st.pert.n_nets
+        if full:
+            self.num_full += 1
+            if tel.enabled:
+                tel.count("mcmm.full_rebuilds")
+            recompute = np.ones(pert.n_pins, dtype=bool)
+        else:
+            if tel.enabled:
+                tel.count("mcmm.patched_states")
+            recompute = self._changed_pins(st, new)
+
         for idx, early, rows, derate in self._blocks:
-            arrival, slew = pert.launch([self._clocks[s] for s in idx])
-            propagate_levels_batched(
-                pert, arrival, slew, st.wire_delay_G[rows], st.wire_deg_G[rows],
-                st.net_load_G[rows], st.net_has_tree, derate, early=early,
+            if full:
+                arrival, slew = pert.launch([self._clocks[s] for s in idx])
+            else:
+                old_arr = st.arr_hold if early else st.arr_setup
+                n0 = old_arr.shape[1]
+                arrival = np.full((len(idx), pert.n_pins), np.nan)
+                slew = np.full((len(idx), pert.n_pins), DEFAULT_INPUT_SLEW)
+                arrival[:, :n0] = old_arr
+                slew[:, :n0] = st.slew_hold if early else st.slew_setup
+            levels = propagate_from_batched(
+                pert, arrival, slew, new.wire_delay_G[rows], new.wire_deg_G[rows],
+                new.net_load_G[rows], new.net_has_tree, derate, recompute,
+                early=early,
             )
-            self._set_block(st, early, arrival, slew)
+            if tel.enabled and not full:
+                tel.hist("mcmm.frontier_levels", levels)
+            self._set_block(new, early, arrival, slew)
         self._seeds = self._seeds[:0]
-        self._state = st
-        return st
+        self._state = new
+        return new
+
+    def _changed_pins(self, st: BatchState, new: BatchState) -> np.ndarray:
+        """Seed mask of a re-time from ``st`` to ``new`` (see
+        :meth:`_rebuild`)."""
+        pert = new.pert
+        n0, m0 = st.pert.n_pins, st.pert.n_nets
+        recompute = np.zeros(pert.n_pins, dtype=bool)
+        recompute[n0:] = True
+        recompute[self._seeds] = True
+        recompute[:n0] |= np.any(
+            (new.wire_delay_G[:, :n0] != st.wire_delay_G)
+            | (new.wire_deg_G[:, :n0] != st.wire_deg_G),
+            axis=0,
+        )
+        # A sink's slew is PERI-degraded only on a net with a tree.
+        was_sink = np.zeros(pert.n_pins, dtype=bool)
+        was_sink[st.flat.sink_pin] = True
+        now_sink = np.zeros(pert.n_pins, dtype=bool)
+        now_sink[new.flat.sink_pin] = True
+        recompute |= was_sink != now_sink
+        load_ch = np.ones(pert.n_nets, dtype=bool)
+        load_ch[:m0] = np.any(new.net_load_G[:, :m0] != st.net_load_G, axis=0)
+        recompute[pert.net_driver[load_ch]] = True
+        return recompute
 
     def _timed_state(
         self,
@@ -385,71 +436,6 @@ class ScenarioSTA:
             st.arr_hold, st.slew_hold = arrival, slew
         else:
             st.arr_setup, st.slew_setup = arrival, slew
-
-    def _patched(self, st: BatchState, flat: FlatForest, coords: np.ndarray) -> BatchState:
-        """Pre-route state after a tree or netlist edit, re-timed from
-        the committed state ``st`` (which is not written).
-
-        Geometry, caps and every wire group's Elmore rows are gathered
-        afresh on ``flat`` (whole forest: the same arrays a full pass
-        builds).  Per-pin rows extend for appended pins (unreached) and
-        nets.  The frontier is seeded with the appended pins, the pins
-        whose fan-in arcs changed (``adopt``'s seeds), the sinks whose
-        wire delay, slew term or tree membership differ bitwise from
-        ``st``, and the drivers of nets whose load does; one
-        :func:`propagate_from_batched` sweep per block then re-times
-        their cones.  A pin outside those cones keeps its committed
-        value, which is what a full pass computes for it, so the result
-        is bitwise a full pass over the edited design.
-        """
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("mcmm.patched_states")
-        engine = self.engine
-        pert = engine.pert()
-        n0, m0 = st.pert.n_pins, st.pert.n_nets
-        caps = flatmod.flat_caps(flat, pert.pin_cap)
-        xy = flat.node_positions(coords)
-        base_r, base_c = flatmod.preroute_edge_rc(flat, engine.technology, xy)
-        new = self._timed_state(flat, pert, caps, xy, False, base_r, base_c)
-
-        recompute = np.zeros(pert.n_pins, dtype=bool)
-        recompute[n0:] = True
-        recompute[self._seeds] = True
-        recompute[:n0] |= np.any(
-            (new.wire_delay_G[:, :n0] != st.wire_delay_G)
-            | (new.wire_deg_G[:, :n0] != st.wire_deg_G),
-            axis=0,
-        )
-        # A sink's slew is PERI-degraded only on a net with a tree.
-        was_sink = np.zeros(pert.n_pins, dtype=bool)
-        was_sink[st.flat.sink_pin] = True
-        now_sink = np.zeros(pert.n_pins, dtype=bool)
-        now_sink[flat.sink_pin] = True
-        recompute |= was_sink != now_sink
-        load_ch = np.ones(pert.n_nets, dtype=bool)
-        load_ch[:m0] = np.any(new.net_load_G[:, :m0] != st.net_load_G, axis=0)
-        recompute[pert.net_driver[load_ch]] = True
-
-        self.last_dirty_trees = flat.n_trees
-        for idx, early, rows, derate in self._blocks:
-            old_arr = st.arr_hold if early else st.arr_setup
-            old_slew = st.slew_hold if early else st.slew_setup
-            arrival = np.full((old_arr.shape[0], pert.n_pins), np.nan)
-            slew = np.full((old_arr.shape[0], pert.n_pins), DEFAULT_INPUT_SLEW)
-            arrival[:, :n0] = old_arr
-            slew[:, :n0] = old_slew
-            levels = propagate_from_batched(
-                pert, arrival, slew, new.wire_delay_G[rows], new.wire_deg_G[rows],
-                new.net_load_G[rows], new.net_has_tree, derate, recompute,
-                early=early,
-            )
-            if tel.enabled:
-                tel.hist("mcmm.frontier_levels", levels)
-            self._set_block(new, early, arrival, slew)
-        self._seeds = self._seeds[:0]
-        self._state = new
-        return new
 
     # ------------------------------------------------------------------
     def _moved_trees(

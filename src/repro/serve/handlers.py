@@ -73,10 +73,11 @@ def _whatif(cache: WarmStateCache, job, ctx):
         idx = int(m.params.get("point", 0)) % coords.shape[0]
         dx = float(m.params.get("dx", 0.0))
         dy = float(m.params.get("dy", 0.0))
+        # Clamp only the moved point: a committed point off the die
+        # stays where it is, so the probe dirties the moved tree alone.
         moved = coords.copy()
-        moved[idx, 0] += dx
-        moved[idx, 1] += dy
-        specs.append((idx, dx, dy, forest.clamp_coords(moved)))
+        moved[idx] = forest.clamp_coords(coords[idx] + (dx, dy))[0]
+        specs.append((idx, dx, dy, moved))
     live = [s for s in specs if s is not None]
     if live:
         base, probes = sta.probe_batch([s[3] for s in live])
@@ -233,8 +234,9 @@ def _refine(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
             checkpoint_path=ckpt,
             resume=False,
         )
+    # No invalidation: the pinned STAs re-time the moved trees from
+    # their states on the next read.
     ws.forest.set_steiner_coords(result.coords)
-    ws.invalidate_timing()
     return {
         "design": job.design,
         "iterations": int(result.iterations),
@@ -258,8 +260,8 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
 
     Unlike ``refine`` (coordinates only), an accepted ECO *mutates the
     netlist* — buffers appear, cells resize, trees are re-routed — so
-    the commit path is ``ws.invalidate(reason="eco", structural=True)``:
-    every pinned STA object is discarded (docs/ECO.md).  A job on the
+    the commit path is ``ws.invalidate()``: every pinned
+    STA object is discarded (docs/ECO.md).  A job on the
     neutral set (no ``corners``) starts its context warm, from the
     workspace's timed :meth:`~repro.serve.state.DesignWorkspace.probe_sta`
     and its engine; a job that names corners builds its own.  A run
@@ -310,11 +312,9 @@ def _eco(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
     except BaseException:
         # An interrupted run (a WorkerKilled out of the heartbeat, any
         # error) has still mutated the netlist by its accepted ops.
-        ws.invalidate(reason="eco", structural=True)
+        ws.invalidate()
         raise
     ws.invalidate(
-        reason="eco",
-        structural=True,
         engine=eco.engine,
         probe_sta=None if warm is None else eco.sta,
     )

@@ -127,32 +127,23 @@ class DesignWorkspace:
         return self._graph
 
     # ------------------------------------------------------------------
-    def invalidate(
-        self,
-        reason: str = "commit",
-        structural: bool = False,
-        engine=None,
-        probe_sta=None,
-    ) -> None:
-        """Drop cached timing state after a committed mutation.
+    def invalidate(self, engine=None, probe_sta=None) -> None:
+        """Drop the timing state after a committed netlist edit.
 
-        ``structural=False`` (coordinate-only changes, e.g. a committed
-        ``refine``) resets the incremental caches in place — the
-        engines rebind to the same netlist topology on the next query.
+        An ECO mutated cells/pins/nets: the pinned STA objects, timing
+        graph and congestion map are *discarded* — the engines captured
+        arcs, pin caps and endpoint order at construction — and the STA
+        engine is rebuilt against the mutated netlist.  The forest's
+        flat memo (``flat_forest_of``) carries no pin caps and validates
+        itself against the current trees, so it is kept.  Every
+        invalidation is counted and traced.  A committed coordinate
+        change (``refine``) needs no call: every ScenarioSTA diffs the
+        forest against its state on the next query.
 
-        ``structural=True`` (an ECO mutated cells/pins/nets) goes
-        further: the pinned STA engines, timing graph and congestion
-        map are *discarded* — the engines captured arcs, pin caps and
-        endpoint order at construction — and the STA engine is rebuilt
-        against the mutated netlist.  The forest's flat memo
-        (``flat_forest_of``) carries no pin caps and validates itself
-        against the current trees, so it is kept either way.  Every
-        invalidation is counted and traced.
-
-        A structural invalidation given an ``engine`` already bound to
-        the mutated netlist (the one a completed ECO run ended with)
-        adopts it instead, reusing its levelization.  Given also that
-        run's neutral ``probe_sta`` (a :class:`~repro.mcmm.sta.ScenarioSTA`
+        Given an ``engine`` already bound to the mutated netlist (the
+        one a completed ECO run ended with), the workspace adopts it
+        instead, reusing its levelization.  Given also that run's
+        neutral ``probe_sta`` (a :class:`~repro.mcmm.sta.ScenarioSTA`
         over ``engine``, timed at the committed state), it is kept as
         :meth:`probe_sta`, so the first read after the commit re-times
         incrementally instead of making a full pass.
@@ -160,18 +151,7 @@ class DesignWorkspace:
         tel = get_telemetry()
         if tel.enabled:
             tel.count("serve.invalidations")
-            tel.event(
-                "workspace_invalidated",
-                design=self.name,
-                reason=reason,
-                structural=bool(structural),
-            )
-        if not structural:
-            if self._probe_sta is not None:
-                self._probe_sta.invalidate()
-            for sta in self._scenario_stas.values():
-                sta.invalidate()
-            return
+            tel.event("workspace_invalidated", design=self.name, reason="eco")
         self._inc = None
         self._probe_sta = probe_sta
         self._scenario_stas = {}
@@ -184,10 +164,6 @@ class DesignWorkspace:
             from repro.sta.engine import STAEngine
 
             self.engine = STAEngine(self.netlist)
-
-    def invalidate_timing(self) -> None:
-        """Drop incremental caches after committed coordinate changes."""
-        self.invalidate(reason="coords", structural=False)
 
     def record_signoff(self, summary: Dict[str, Any]) -> None:
         """Remember the last good sign-off answer for degraded serving."""

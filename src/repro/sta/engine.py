@@ -14,9 +14,11 @@ Endpoint slacks, WNS, TNS and the violation count follow Eq. (1).
 
 This module holds the netlist-static half of timing:
 :class:`LevelizedPins` (launch points, levelized arc arrays and the one
-endpoint requirement table) and the batched PERT kernels.  The kernels
-carry a leading scenario axis: every per-pin array is ``(S, n_pins)``,
-one row per scenario, over the *shared* levelized topology.
+endpoint requirement table) and the one batched PERT kernel,
+:func:`propagate_from_batched`; a full pass is that kernel with every
+pin seeded.  It carries a leading scenario axis: every per-pin array
+is ``(S, n_pins)``, one row per scenario, over the *shared* levelized
+topology.
 Per-scenario physics enters through three inputs only:
 
 * ``wire_delay`` / ``wire_deg`` / ``net_load`` rows carry each
@@ -985,45 +987,6 @@ def _eval_cell_arcs_batched(
     return best, winner_slew, valid
 
 
-def propagate_levels_batched(
-    pert: LevelizedPins,
-    arrival: np.ndarray,
-    slew: np.ndarray,
-    wire_delay: np.ndarray,
-    wire_slew_deg: np.ndarray,
-    net_load: np.ndarray,
-    net_has_tree: np.ndarray,
-    cell_derate: Optional[np.ndarray],
-    early: bool = False,
-) -> None:
-    """One full batched PERT pass over all levels (in place).
-
-    All per-pin/per-net inputs carry a leading scenario axis except the
-    shared ``net_has_tree`` topology mask.
-    """
-    for lv in pert.levels:
-        if lv.net_dst.size:
-            src, dst = lv.net_src, lv.net_dst
-            a_drv = arrival[:, src]
-            ok = ~np.isnan(a_drv)
-            arrival[:, dst] = np.where(ok, a_drv + wire_delay[:, dst], arrival[:, dst])
-            s_drv = slew[:, src]
-            has_t = net_has_tree[lv.net_net]
-            peri = np.sqrt(s_drv * s_drv + wire_slew_deg[:, dst])
-            slew[:, dst] = np.where(
-                ok, np.where(has_t, peri, s_drv), slew[:, dst]
-            )
-        if lv.cell_dest.size:
-            best, winner_slew, valid = _eval_cell_arcs_batched(
-                pert, lv, arrival, slew, net_load,
-                lv.cell_dest_net, lv.cell_start, lv.cell_counts, None,
-                cell_derate, early,
-            )
-            dsts = lv.cell_dest
-            arrival[:, dsts] = np.where(valid, best, arrival[:, dsts])
-            slew[:, dsts] = np.where(valid, winner_slew, slew[:, dsts])
-
-
 def propagate_from_batched(
     pert: LevelizedPins,
     arrival: np.ndarray,
@@ -1036,22 +999,30 @@ def propagate_from_batched(
     recompute: np.ndarray,
     early: bool = False,
 ) -> int:
-    """Batched levelized cone propagation from a seeded frontier.
+    """Batched levelized cone propagation from a seeded frontier (in
+    place); the one PERT kernel.
 
     ``recompute`` is a shared ``(n_pins,)`` seed mask — the union over
     scenarios of pins whose wire timing or driver load changed.  The
     frontier mask is likewise shared (a pin re-evaluates everywhere if
     it changed in *any* scenario); rows whose inputs did not change
     recompute to bitwise-equal values, so the result matches a full
-    batched pass exactly.  Returns the number of levels touched.
+    pass exactly.  A full pass is this sweep over launch values
+    (:meth:`LevelizedPins.launch`) with every pin seeded.  All
+    per-pin/per-net inputs carry a leading scenario axis except the
+    shared ``net_has_tree`` topology mask.  Returns the number of
+    levels touched.
     """
+    # With every pin seeded (a full pass) whole levels re-time: no
+    # frontier selection and no change tracking.
+    everything = bool(recompute.all())
     changed = np.zeros(pert.n_pins, dtype=bool)
     levels_touched = 0
     for lv in pert.levels:
         level_touched = False
         if lv.net_dst.size:
-            m = recompute[lv.net_dst] | changed[lv.net_src]
-            if m.any():
+            m = slice(None) if everything else recompute[lv.net_dst] | changed[lv.net_src]
+            if everything or m.any():
                 level_touched = True
                 src = lv.net_src[m]
                 dst = lv.net_dst[m]
@@ -1064,30 +1035,35 @@ def propagate_from_batched(
                 new_s = np.where(
                     ok, np.where(ht, peri, s_drv), DEFAULT_INPUT_SLEW
                 )
-                old_a = arrival[:, dst]
-                ch = ~((new_a == old_a) | (np.isnan(new_a) & np.isnan(old_a)))
-                ch |= new_s != slew[:, dst]
+                if not everything:
+                    old_a = arrival[:, dst]
+                    ch = ~((new_a == old_a) | (np.isnan(new_a) & np.isnan(old_a)))
+                    ch |= new_s != slew[:, dst]
+                    changed[dst] |= ch.any(axis=0)
                 arrival[:, dst] = new_a
                 slew[:, dst] = new_s
-                changed[dst] |= ch.any(axis=0)
         if lv.cell_dest.size:
-            dsel = recompute[lv.cell_dest]
-            if lv.cell_in.size:
-                dsel = dsel | np.logical_or.reduceat(
-                    changed[lv.cell_in], lv.cell_start[:-1]
-                )
-            idx = np.flatnonzero(dsel)
-            if idx.size == 0:
-                if level_touched:
-                    levels_touched += 1
-                continue
+            if everything:
+                idx, arc_rows = slice(None), None
+                counts, sub_start = lv.cell_counts, lv.cell_start
+            else:
+                dsel = recompute[lv.cell_dest]
+                if lv.cell_in.size:
+                    dsel = dsel | np.logical_or.reduceat(
+                        changed[lv.cell_in], lv.cell_start[:-1]
+                    )
+                idx = np.flatnonzero(dsel)
+                if idx.size == 0:
+                    if level_touched:
+                        levels_touched += 1
+                    continue
+                starts = lv.cell_start[:-1][idx]
+                ends = lv.cell_start[1:][idx]
+                arc_rows = expand_ranges(starts, ends)
+                counts = ends - starts
+                sub_start = np.zeros(idx.size + 1, dtype=np.int64)
+                np.cumsum(counts, out=sub_start[1:])
             level_touched = True
-            starts = lv.cell_start[:-1][idx]
-            ends = lv.cell_start[1:][idx]
-            arc_rows = expand_ranges(starts, ends)
-            counts = ends - starts
-            sub_start = np.zeros(idx.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=sub_start[1:])
             best, wslew, valid = _eval_cell_arcs_batched(
                 pert, lv, arrival, slew, net_load,
                 lv.cell_dest_net[idx], sub_start, counts, arc_rows,
@@ -1095,12 +1071,13 @@ def propagate_from_batched(
             )
             dsts = lv.cell_dest[idx]
             new_a = np.where(valid, best, np.nan)
-            old_a = arrival[:, dsts]
-            ch = ~((new_a == old_a) | (np.isnan(new_a) & np.isnan(old_a)))
-            ch |= wslew != slew[:, dsts]
+            if not everything:
+                old_a = arrival[:, dsts]
+                ch = ~((new_a == old_a) | (np.isnan(new_a) & np.isnan(old_a)))
+                ch |= wslew != slew[:, dsts]
+                changed[dsts] |= ch.any(axis=0)
             arrival[:, dsts] = new_a
             slew[:, dsts] = wslew
-            changed[dsts] |= ch.any(axis=0)
         if level_touched:
             levels_touched += 1
     return levels_touched

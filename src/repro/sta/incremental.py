@@ -35,9 +35,8 @@ class IncrementalSTA:
 
     Reads Steiner coordinates from ``forest`` at each :meth:`run` —
     callers move points (``forest.set_steiner_coords``) and re-query.
-    The forest's tree *topology* must stay fixed between queries; a
-    topology edit changes the flat fingerprint and triggers a full
-    rebuild automatically.
+    A topology edit changes the flattening, and the next query re-times
+    from the prior state over the new one automatically.
     """
 
     def __init__(
@@ -69,11 +68,8 @@ class IncrementalSTA:
 
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop all cached state; the next query runs a full pass.
-
-        Call after any event that may desynchronize the cache from the
-        forest — checkpoint resume, validated revert, topology edits.
-        """
+        """Drop all cached state; the next query runs a full pass
+        (:meth:`repro.mcmm.sta.ScenarioSTA.invalidate`)."""
         self.sta.invalidate()
 
     def run(

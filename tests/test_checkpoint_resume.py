@@ -104,6 +104,31 @@ class TestRefineResume:
         assert resumed.resumed is True
         _assert_refinement_identical(resumed, full)
 
+    def test_sta_validator_keeps_itself_in_sync(self, spm_design):
+        """The hybrid validator's one ScenarioSTA needs no reset after a
+        validated revert: it makes one full pass, and the trajectory
+        equals a validator that times every probe on a fresh STA."""
+        from repro.core.tsteiner import TSteiner
+        from repro.obs import Telemetry, telemetry_session
+
+        netlist, forest, graph = spm_design
+        coords0 = forest.get_steiner_coords()
+        cfg = RefinementConfig(
+            max_iterations=6, converge_ratio=1e9, acceptance="hybrid",
+            validate_every=1, polish_probes=3,
+        )
+        shared = TSteiner._make_validator(netlist, forest)
+        with Telemetry() as tel, telemetry_session(tel):
+            got = refine(_QuadraticModel(), graph, coords0, cfg, validator=shared)
+        want = refine(
+            _QuadraticModel(), graph, coords0, cfg,
+            validator=lambda c: TSteiner._make_validator(netlist, forest)(c),
+        )
+        assert got.validated_reverts >= 1
+        assert tel.counters["mcmm.sta_queries"] == got.validations
+        assert tel.counters["mcmm.full_rebuilds"] == 1
+        _assert_refinement_identical(got, want)
+
     def test_resume_without_checkpoint_starts_fresh(self, spm_design, tmp_path):
         _, forest, graph = spm_design
         cfg = RefinementConfig(

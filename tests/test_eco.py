@@ -200,6 +200,10 @@ class TestWarmContextSequences:
     # 4 steps: ResizeOp #0; NudgeOp(net 0, 0.0, 0.0); revert; revert.
     # The nudge's apply must not cost the resize its restore.
     @example(data=_Scripted(4, 1, 0, False, 3, 0, 0.0, 0.0, True, True))
+    # 5 steps: ResizeOp #0; BufferInsertOp #0; revert; revert; then
+    # NudgeOp(net 0, 0.0, 0.0).  The buffer's apply must not cost the
+    # resize its restore either.
+    @example(data=_Scripted(5, 1, 0, False, 0, 0, "BUF_X2", True, True, 3, 0, 0.0, 0.0))
     @settings(
         max_examples=15,
         deadline=None,
@@ -211,34 +215,22 @@ class TestWarmContextSequences:
         ctx = EcoContext(netlist, forest, _scenarios())
         ctx.run()
         applied = []  # LIFO stack of (op, engine before apply)
-        last_netlist_op = None
         for _ in range(data.draw(st.integers(1, 6))):
             if applied and data.draw(st.booleans()):
                 op, engine_before = applied.pop()
-                rebuilds = ctx.rebuilds
                 ctx.revert(op)
-                if op.mutates_netlist and op is last_netlist_op:
-                    # Restored, not rebuilt: the pre-apply engine is back.
-                    assert ctx.engine is engine_before
-                    assert ctx.rebuilds == rebuilds
-                elif op.mutates_netlist:
-                    assert ctx.rebuilds == rebuilds + 1
-                else:
-                    assert ctx.rebuilds == rebuilds
-                if op is last_netlist_op:
-                    last_netlist_op = None
+                # Restored, not rebuilt: the pre-apply engine is back.
+                assert ctx.engine is engine_before
+                assert ctx.rebuilds == 0
             else:
                 op = _draw_op(data.draw, netlist, forest)
                 engine_before = ctx.engine
                 applied.append((op, engine_before))
-                rebuilds = ctx.rebuilds
                 ctx.apply(op)
                 # Every op re-times from the state it edits: a netlist op
                 # patches a new engine instead of constructing one.
-                assert ctx.rebuilds == rebuilds
+                assert ctx.rebuilds == 0
                 assert (ctx.engine is not engine_before) == op.mutates_netlist
-                if op.mutates_netlist:
-                    last_netlist_op = op
             cold = EcoContext(netlist, forest, _scenarios())
             assert _snapshot(ctx.run()) == _snapshot(cold.run())
 
@@ -278,6 +270,27 @@ class TestWarmContextSequences:
             assert sta.num_full == full  # the restored state was current
             assert sta.last_dirty_trees == 0
         assert ctx.rebuilds == 0
+
+    def test_out_of_order_revert_rebuilds(self, spm_state):
+        """Reverting an op below the newest drops the held undo entries,
+        which describe states with it applied, and rebuilds."""
+        netlist, forest = clone_state(*spm_state)
+        ctx = EcoContext(netlist, forest, _scenarios())
+        base = _snapshot(ctx.run())
+        cells = {}
+        for cell, to_ct, frm in _resizable(netlist):
+            cells.setdefault(cell, ResizeOp(cell, to_ct, from_name=frm))
+        first, second = list(cells.values())[:2]
+        for op in (first, second):
+            ctx.apply(op)
+            ctx.run()
+        ctx.revert(first)
+        assert ctx.rebuilds == 1
+        cold = EcoContext(netlist, forest, _scenarios())
+        assert _snapshot(ctx.run()) == _snapshot(cold.run())
+        ctx.revert(second)
+        assert ctx.rebuilds == 2
+        assert _snapshot(ctx.run()) == base
 
 
 def _array_bytes(obj):
@@ -526,7 +539,7 @@ class TestServingEco:
             assert result.ok, result.error
             assert result.value["digest"]
             assert result.value["arm"] == "greedy"
-            assert ws._inc is None  # structural invalidation dropped it
+            assert ws._inc is None  # the eco commit dropped it
             assert ws.engine is not old_engine  # engine rebound to mutation
             return result
 
@@ -793,7 +806,7 @@ class TestWorkspaceInvalidation:
         assert entry is not None
 
         with Telemetry() as tel, telemetry_session(tel):
-            ws.invalidate(reason="eco", structural=True)
+            ws.invalidate()
             events = [e for e in tel.events if e.get("kind") == "workspace_invalidated"]
 
         assert ws._inc is None
@@ -804,16 +817,24 @@ class TestWorkspaceInvalidation:
         assert ws.engine is not old_engine
         assert tel.counters.get("serve.invalidations") == 1
         assert events and events[0]["reason"] == "eco"
-        assert events[0]["structural"] is True
 
-    def test_coordinate_invalidation_keeps_pinned_objects(self):
+    def test_coordinate_commit_keeps_pinned_objects(self):
+        """A committed coordinate change needs no invalidation: the
+        pinned objects stay and re-time from their state."""
         ws = DesignWorkspace("spm")
         ws.ensure_loaded()
         inc = ws.incremental()
         engine = ws.engine
-        ws.invalidate_timing()
+        inc.run()
+        coords = ws.forest.get_steiner_coords()
+        coords[0] += (1.5, -0.5)
+        ws.forest.set_steiner_coords(coords)
+        got = ws.incremental().run()
         assert ws._inc is inc
         assert ws.engine is engine
+        assert inc.num_full == 1 and inc.last_dirty_trees >= 1
+        want = STAEngine(ws.netlist).run(ws.forest.copy())
+        assert (got.wns, got.tns, got.slack) == (want.wns, want.tns, want.slack)
 
 
 # ----------------------------------------------------------------------

@@ -270,13 +270,46 @@ class TestRoutedEdgeRC:
             assign_layers(rr, netlist.technology, grid.nx * grid.ny)
             util = grid.utilization_map()
             got = inc.run(route_result=rr, utilization=util)
-            # A copy: a second engine's pin caps would re-key the forest's flat cache.
-            want = ScenarioSTA(netlist, work.copy(), scenarios).full_recompute(rr, util)
+            want = ScenarioSTA(netlist, work.copy(), scenarios).run(rr, util)
             assert (got.merged_wns, got.merged_tns) == (want.merged_wns, want.merged_tns)
             assert [(m.wns, m.tns) for m in got.scenarios] == [
                 (m.wns, m.tns) for m in want.scenarios
             ]
         assert rr.memo_hit and inc.num_full == 1
+
+    def test_routed_state_over_new_flattening_retimes_from_prior(self, design):
+        """A tree edit between routed queries gives the STA a new
+        flattening: it re-times from its prior state (no full pass) and
+        equals a fresh full pass bitwise, setup and hold."""
+        netlist, forest = clone_state(*design)
+        scenarios = ScenarioSet.signoff()
+        sta = ScenarioSTA(netlist, forest, scenarios)
+
+        def routed_query(target):
+            grid = GCellGrid(netlist.die_width, netlist.die_height, netlist.technology)
+            rr = GlobalRouter(grid).route(forest)
+            assign_layers(rr, netlist.technology, grid.nx * grid.ny)
+            return target.run(route_result=rr, utilization=grid.utilization_map())
+
+        routed_query(sta)
+        tree = max(forest.trees, key=lambda t: t.n_steiner)
+        flat = flat_forest_of(forest)
+        coords = forest.get_steiner_coords()
+        coords[flat.net_of_tree[flat.steiner_tree] == tree.net_index] += 3.0
+        forest.set_steiner_coords(forest.clamp_coords(coords))
+        routed_query(sta)
+        flat = flat_forest_of(forest)
+        RerouteOp(tree.net_index).apply(netlist, forest)
+        assert flat_forest_of(forest) is not flat
+
+        got = routed_query(sta)
+        assert sta.num_full == 1
+        want = routed_query(ScenarioSTA(netlist, forest, scenarios))
+        assert [
+            (m.name, m.wns, m.tns, m.slack, m.arrival.tobytes()) for m in got.scenarios
+        ] == [
+            (m.name, m.wns, m.tns, m.slack, m.arrival.tobytes()) for m in want.scenarios
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -557,10 +590,21 @@ class TestOneFlattening:
 # ----------------------------------------------------------------------
 class TestHybridResumeWithIncrementalValidator:
     def test_resume_bit_identical(self, tmp_path):
-        """Kill-and-resume with the production (IncrementalSTA-backed)
-        validator reproduces the uninterrupted run byte for byte —
-        the restore path resets the incremental state, so cached
-        timing from the dead attempt cannot skew the resumed one."""
+        """Kill-and-resume with the production (ScenarioSTA-backed)
+        validator reproduces the uninterrupted run byte for byte; the
+        resumed run builds a fresh validator, as a restarted process
+        does."""
+        self._kill_and_resume(tmp_path, shared=False)
+
+    def test_resume_bit_identical_shared_validator(self, tmp_path):
+        """The same with the dead attempt's validator handed back: its
+        STA is timed at coordinates the restored trajectory never
+        visited, and the routed RC diff re-times from there, with no
+        reset."""
+        self._kill_and_resume(tmp_path, shared=True)
+
+    @staticmethod
+    def _kill_and_resume(tmp_path, shared):
         from repro.core.tsteiner import TSteiner
         from repro.timing_model.graph import build_timing_graph
 
@@ -584,6 +628,7 @@ class TestHybridResumeWithIncrementalValidator:
             validator=TSteiner._make_validator(netlist, forest),
         )
 
+        validator = TSteiner._make_validator(netlist, forest)
         path = tmp_path / "refine.npz"
         killer = _FaultyModel(
             _QuadraticModel(), faults.FaultSpec(at_call=6, exc=RuntimeError)
@@ -595,7 +640,7 @@ class TestHybridResumeWithIncrementalValidator:
                 coords0,
                 cfg,
                 clamp_fn=forest.clamp_coords,
-                validator=TSteiner._make_validator(netlist, forest),
+                validator=validator,
                 checkpoint_path=path,
             )
         assert path.exists()
@@ -605,7 +650,7 @@ class TestHybridResumeWithIncrementalValidator:
             coords0,
             cfg,
             clamp_fn=forest.clamp_coords,
-            validator=TSteiner._make_validator(netlist, forest),
+            validator=validator if shared else TSteiner._make_validator(netlist, forest),
             checkpoint_path=path,
             resume=True,
         )

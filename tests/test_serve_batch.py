@@ -13,6 +13,8 @@ The contract under test (docs/SERVING.md, "Scaling"):
 
 import asyncio
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -393,8 +395,6 @@ class TestSharedNeutralEngine:
         assert inc._state is not None and inc._state is ws.probe_sta()._state
         ws.probe_sta().run()
         assert ws.probe_sta().num_full == 1  # the second query reused the state
-        ws.invalidate_timing()
-        assert inc._state is None
 
     def test_whatif_then_signoff_equals_fresh_full_sta(self):
         import numpy as np
@@ -430,3 +430,63 @@ class TestSharedNeutralEngine:
         assert (whatif["wns"], whatif["tns"]) == (probe.wns, probe.tns)
         assert whatif["delta_wns"] == probe.wns - fresh.wns
 
+
+    def test_whatif_clamps_only_the_moved_point(self):
+        """A committed point off the die stays put: a probe of another
+        point dirties its own tree alone, and a zero move is a zero
+        delta."""
+        from repro.serve.handlers import default_handlers
+        from repro.steiner.flat_forest import flat_forest_of
+
+        cache = WarmStateCache(scale=0.5)
+        ws = cache.workspace("spm")
+        coords = ws.forest.get_steiner_coords()
+        coords[0] = (ws.netlist.die_width + 7.0, -3.0)
+        ws.forest.set_steiner_coords(coords)
+        tree = flat_forest_of(ws.forest).steiner_tree
+        other = int(np.flatnonzero(tree != tree[0])[0])
+
+        async def scenario():
+            async with SignoffService(
+                handlers=default_handlers(cache), warm=cache, workers=1
+            ) as svc:
+                moved = await svc.submit(
+                    "whatif", "spm", {"point": other, "dx": 2.5, "dy": -1.5}
+                ).wait()
+                still = await svc.submit(
+                    "whatif", "spm", {"point": other, "dx": 0.0, "dy": 0.0}
+                ).wait()
+            return moved.value, still.value
+
+        moved, still = run(scenario(), timeout=120.0)
+        assert moved["dirty_trees"] == 1
+        assert still["dirty_trees"] == 0
+        assert (still["delta_wns"], still["delta_tns"]) == (0.0, 0.0)
+        assert ws.forest.coords[0].tolist() == coords[0].tolist()
+
+    def test_signoff_after_refine_commit_retimes_without_full_pass(self):
+        """A committed ``refine`` makes no invalidation call: the next
+        sign-off re-times the moved trees from the warm state and equals
+        a fresh full STA."""
+        from repro.serve.handlers import default_handlers
+        from repro.sta.engine import STAEngine
+
+        cache = WarmStateCache(scale=0.5)
+        ws = cache.workspace("spm")
+        ws.probe_sta().run()
+        before = ws.forest.get_steiner_coords()
+
+        async def scenario():
+            async with SignoffService(
+                handlers=default_handlers(cache), warm=cache, workers=1
+            ) as svc:
+                refined = await svc.submit("refine", "spm", {"iterations": 10}).wait()
+                signoff = await svc.submit("signoff", "spm", {}).wait()
+            return refined, signoff.value
+
+        refined, signoff = run(scenario(), timeout=240.0)
+        assert refined.ok, refined.error
+        assert not np.array_equal(ws.forest.get_steiner_coords(), before)
+        assert ws.probe_sta().num_full == 1
+        fresh = STAEngine(ws.netlist).run(ws.forest.copy())
+        assert signoff == {"design": "spm", "wns": fresh.wns, "tns": fresh.tns, "stale": False}
