@@ -415,7 +415,7 @@ def bench_evaluator(netlist, forest, repeats: int = 5) -> Dict[str, float]:
     informational, not part of the speedup ratio.
     """
     from repro.core.penalty import PenaltyConfig
-    from repro.timing_model.compiled import get_compiled_objective
+    from repro.timing_model.compiled import get_compiled_objective, release_shared
 
     graph, model, obj, coords = _evaluator_setup(netlist, forest)
 
@@ -428,6 +428,7 @@ def bench_evaluator(netlist, forest, repeats: int = 5) -> Dict[str, float]:
 
     def compile_cold():
         graph._static.clear()
+        release_shared(model)
         get_compiled_objective(model, graph, PenaltyConfig().gamma)
 
     compile_s = _best(compile_cold, max(1, repeats - 2))
@@ -504,6 +505,7 @@ def bench_refine_iter(netlist, forest, iterations: int = 10) -> Dict[str, float]
     """
     from repro.core.refine import RefinementConfig, refine
     from repro.testing.parity import ClosureOnly, assert_same_trajectory
+    from repro.timing_model.compiled import release_shared
     from repro.timing_model.graph import build_timing_graph
     from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
 
@@ -530,6 +532,7 @@ def bench_refine_iter(netlist, forest, iterations: int = 10) -> Dict[str, float]
     for label, evaluator, clear in sequence:
         if clear:
             graph._static.clear()
+            release_shared(model)
         t0 = time.perf_counter()
         result = refine(evaluator, graph, coords, config=cfg, clamp_fn=forest.clamp_coords)
         elapsed = time.perf_counter() - t0

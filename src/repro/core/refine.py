@@ -271,10 +271,15 @@ class _Oracle:
             self.pruner.load_state_arrays(arrays)
 
     def invalidate(self) -> None:
-        """Drop cached static evaluator tensors bound to ``self.graph``."""
+        """Drop cached static evaluator tensors bound to ``self.graph``
+        and the model's shared compiled objectives."""
         static = getattr(self.graph, "_static", None)
         if static is not None:
             static.clear()
+        if self.compilable:
+            from repro.timing_model.compiled import release_shared
+
+            release_shared(self.model)
 
 
 Validator = Callable[[np.ndarray], Tuple[float, float]]

@@ -70,7 +70,11 @@ class TSteiner:
         (netlist, forest) pair — callers that run many flows over the
         same design (the experiment suite) memoize it to skip the
         rebuild.  Its congestion field is refreshed from the probe so
-        the evaluator still sees this run's routing pressure.
+        the evaluator still sees this run's routing pressure.  The new
+        congestion array drops the graph's cached tape, but neither a
+        memoized nor a fresh graph recompiles while the content is
+        unchanged: the lookup adopts the model's shared objective
+        (:func:`~repro.timing_model.compiled.get_compiled_objective`).
 
         ``budget``/``checkpoint_path``/``resume`` are forwarded to
         :func:`repro.core.refine.refine` (see docs/RESILIENCE.md), and

@@ -11,14 +11,26 @@ every call:
   masked arrival MSE w.r.t. the model parameters once per sample per
   epoch.
 
-Both objectives have a fixed op sequence per ``(graph topology, model,
+Both objectives have a fixed op sequence per ``(graph content, model,
 smoothing gamma)`` — plus, under MCMM, the scenario set and the
 dominance pruner's active mask: only the input arrays change between
 calls.  This module traces each objective once with the closure
 engine, lifts the recorded graph into a :class:`~repro.autodiff.tape.Tape`,
 and caches the result on ``graph._static`` — the same topology-identity
-cache the flat STA kernels key on, cleared by ``_Oracle.invalidate()``
-so a checkpoint restore recompiles from clean state.
+cache the flat STA kernels key on.
+
+A refinement objective is also shared across graphs: each model keeps
+one *shared entry*, the objectives compiled for one design content,
+keyed by a digest of every value the trace reads (the graph's arrays
+and scalars, its congestion field, the netlist clock).  Every flow run
+builds a fresh ``TimingGraph``, so without the entry each run would
+trace and compile again; with it, only the first run on a design per
+model (and process) compiles, and later runs adopt the tape.  The
+entry is weakly keyed by the model and objectives hold its parameter
+tensors, never the model, so dropping the graph and the model frees
+every tape by reference counting alone.  ``_Oracle.invalidate()``
+clears both caches, so a checkpoint restore recompiles from clean
+state.
 
 Replay is bitwise identical to the closure engine (tape.py replicates
 its accumulation order); graphs using an op the tape compiler does not
@@ -27,6 +39,9 @@ know cache an *unsupported* marker and callers fall back to closures.
 
 from __future__ import annotations
 
+import hashlib
+import weakref
+from dataclasses import fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -40,11 +55,9 @@ from repro.timing_model.model import TimingEvaluator
 class _Unsupported:
     """Cached marker: this (graph, model) cannot be tape-compiled."""
 
-    __slots__ = ("model", "congestion", "reason")
+    __slots__ = ("reason",)
 
-    def __init__(self, model, congestion, reason: str) -> None:
-        self.model = model
-        self.congestion = congestion
+    def __init__(self, reason: str) -> None:
         self.reason = reason
 
 
@@ -73,6 +86,8 @@ class CompiledObjective:
     Inputs read live on every replay: the flat Steiner coordinates, the
     two penalty weights, and every model parameter (by ``.data``
     rebinding, so ``load_state_dict`` is picked up without recompiling).
+    It holds the model's parameter tensors but not the model, so the
+    model's shared entry can hold it without keeping the model alive.
     """
 
     def __init__(
@@ -85,8 +100,6 @@ class CompiledObjective:
     ) -> None:
         from repro.core.penalty import refinement_penalty
 
-        self.model = model
-        self.congestion = graph.congestion
         self.gamma = float(gamma)
 
         # ---- trace: one closure-engine forward defines the program ----
@@ -114,16 +127,20 @@ class CompiledObjective:
         )
         self._params = [p for _, p in model.named_parameters()]
         self._n_prefix = self.tape.prefix_length("arrival")
-        # (coords copy, parameter-array fingerprint) of the last completed
+        # (coords copy, parameter fingerprint) of the last completed
         # forward whose arrival-prefix buffers are still valid.  Cleared
         # before every replay and restored on success, so an interrupted
         # replay (fault injection, KeyboardInterrupt) can never leave a
         # half-written prefix marked reusable.
-        self._fwd_state: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
+        self._fwd_state: Optional[Tuple[np.ndarray, bytes]] = None
 
     # ------------------------------------------------------------------
-    def _fingerprint(self) -> Tuple[int, ...]:
-        return tuple(id(p.data) for p in self._params)
+    def _fingerprint(self) -> bytes:
+        # Parameter bytes, not array identities: an optimizer step
+        # writes ``p.data`` in place (``autodiff/optim.py``), which keeps
+        # every id and would leave a stale prefix looking valid.  ≈12 µs
+        # for the 13.7k parameters of a 32-hidden evaluator.
+        return b"".join([p.data.tobytes() for p in self._params])
 
     def _overrides(self, coords: np.ndarray, pcfg=None) -> Dict[str, np.ndarray]:
         ov = {"coords": np.asarray(coords, dtype=np.float64)}
@@ -180,8 +197,6 @@ class CompiledLoss:
     """
 
     def __init__(self, model: TimingEvaluator, sample, loss_fn) -> None:
-        self.model = model
-        self.congestion = sample.graph.congestion
         self._params = list(model.named_parameters())
         loss = loss_fn(model, sample)
         inputs = {f"param/{name}": p for name, p in self._params}
@@ -200,8 +215,61 @@ class CompiledLoss:
 
 
 # ----------------------------------------------------------------------
-# Topology-keyed caches (on graph._static, like the flat STA kernels)
+# Caches: per graph (on graph._static, like the flat STA kernels) and
+# one shared entry per model
 # ----------------------------------------------------------------------
+#: model -> ``(design digest, {objective key: CompiledObjective})``: the
+#: objectives compiled for one design content.  Compiling for another
+#: content replaces the entry.
+_SHARED: "weakref.WeakKeyDictionary[TimingEvaluator, Tuple[bytes, Dict]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+#: Graph fields the evaluator and penalty traces do not read.
+_UNREAD = frozenset({"netlist", "forest", "_static"})
+
+
+def release_shared(model: TimingEvaluator) -> None:
+    """Drop ``model``'s shared objectives: its next lookup on a graph
+    that has none cached compiles afresh."""
+    _SHARED.pop(model, None)
+
+
+def _feed(h, obj) -> None:
+    """Hash every field of the dataclass ``obj`` the traces read."""
+    for f in fields(obj):
+        if f.name in _UNREAD:
+            continue
+        value = getattr(obj, f.name)
+        h.update(f.name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype.str}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value))
+        elif isinstance(value, list):  # the per-level arc tables
+            h.update(b"[%d]" % len(value))
+            for item in value:
+                _feed(h, item)
+        else:
+            h.update(repr(value).encode())
+
+
+def _design_digest(graph) -> bytes:
+    """Digest of every value an objective's trace reads from ``graph``:
+    each array and scalar field (``levels``, the ``congestion`` field's
+    bytes and ``gcell_size`` included) and the netlist clock
+    ``ScenarioPenalty`` reads.  Computed once per graph and congestion
+    binding."""
+    cached = graph._static.get("tape-digest")
+    if cached is not None and cached[0] is graph.congestion:
+        return cached[1]
+    h = hashlib.blake2b(digest_size=16)
+    _feed(h, graph)
+    h.update(repr(graph.netlist.clock).encode())
+    digest = h.digest()
+    graph._static["tape-digest"] = (graph.congestion, digest)
+    return digest
+
+
 def _span_attrs(tape: Tape) -> Dict[str, int]:
     """Attributes of a successful ``tape_compile`` span."""
     return {
@@ -212,13 +280,19 @@ def _span_attrs(tape: Tape) -> Dict[str, int]:
     }
 
 
+def _bind(graph, key, model, value) -> None:
+    """Cache ``value`` on ``graph`` for ``model`` and the live congestion
+    field; the model is held weakly, so the graph does not keep it alive."""
+    graph._static[key] = (weakref.ref(model), graph.congestion, value)
+
+
 def _cache_lookup(graph, key, model, telemetry):
     tel = telemetry if telemetry is not None else get_telemetry()
     cached = graph._static.get(key)
-    if cached is not None and cached.model is model and cached.congestion is graph.congestion:
+    if cached is not None and cached[0]() is model and cached[1] is graph.congestion:
         if tel.enabled:
             tel.count("tape.cache_hits")
-        return cached, tel
+        return cached[2], tel
     return None, tel
 
 
@@ -234,20 +308,40 @@ def get_compiled_objective(
 
     Keyed by ``(model identity, gamma)`` on the graph's topology cache,
     plus the scenario set, merge temperature and active mask under MCMM
-    (``merge``), so each pruner mask keeps its own tape; entries are
-    dropped when the model or congestion field they were compiled
-    against is no longer the live one (``TSteiner.optimize`` rebinds
-    ``graph.congestion`` after the probe stage) and by
-    ``graph._static.clear()`` on checkpoint restore.
+    (``merge``), so each pruner mask keeps its own tape.  A graph entry
+    is stale once the model or congestion field it was bound to is no
+    longer the live one (``TSteiner.optimize`` rebinds
+    ``graph.congestion`` on a memoized graph).
+
+    A graph that has no live entry adopts the model's shared objective
+    for the same key when the graph's content digest matches (counted
+    as ``tape.shared_hits``): every flow run builds a new graph, and a
+    memoized graph gets a new congestion array, yet neither recompiles
+    while the content is unchanged.  The adopted objective forgets its
+    forward state, so no arrival prefix carries over from another run.
+    Only a real compile counts as ``tape.cache_misses`` and books a
+    ``tape_compile`` span; it becomes the model's shared entry (another
+    design's compile replaces it).  ``_Oracle.invalidate()`` clears
+    ``graph._static`` and the shared entry on checkpoint restore.
     """
-    key = ("tape", id(model), float(gamma))
+    sub = (float(gamma),)
     if merge is not None:
-        key += (merge.scenarios, merge.mcmm_gamma, None if active is None else active.tobytes())
+        sub += (merge.scenarios, merge.mcmm_gamma, None if active is None else active.tobytes())
+    key = ("tape", id(model)) + sub
     cached, tel = _cache_lookup(graph, key, model, telemetry)
     if isinstance(cached, _Unsupported):
         return None
     if cached is not None:
         return cached
+    digest = _design_digest(graph)
+    entry = _SHARED.get(model)
+    if entry is not None and entry[0] == digest and sub in entry[1]:
+        obj = entry[1][sub]
+        obj._fwd_state = None
+        if tel.enabled:
+            tel.count("tape.shared_hits")
+        _bind(graph, key, model, obj)
+        return obj
     if tel.enabled:
         tel.count("tape.cache_misses")
     with tel.span("tape_compile", what="objective", gamma=float(gamma)) as span:
@@ -257,10 +351,13 @@ def get_compiled_objective(
             if tel.enabled:
                 tel.count("tape.fallbacks")
                 span.annotate(unsupported=str(exc))
-            graph._static[key] = _Unsupported(model, graph.congestion, str(exc))
+            _bind(graph, key, model, _Unsupported(str(exc)))
             return None
         span.annotate(**_span_attrs(obj.tape))
-    graph._static[key] = obj
+    if entry is None or entry[0] != digest:
+        entry = _SHARED[model] = (digest, {})
+    entry[1][sub] = obj
+    _bind(graph, key, model, obj)
     return obj
 
 
@@ -284,8 +381,8 @@ def get_compiled_loss(
             if tel.enabled:
                 tel.count("tape.fallbacks")
                 span.annotate(unsupported=str(exc))
-            graph._static[key] = _Unsupported(model, graph.congestion, str(exc))
+            _bind(graph, key, model, _Unsupported(str(exc)))
             return None
         span.annotate(**_span_attrs(compiled.tape))
-    graph._static[key] = compiled
+    _bind(graph, key, model, compiled)
     return compiled

@@ -215,6 +215,28 @@ class TestEvaluatorParity:
                 p.data = data
 
 
+    def test_gradient_bitwise_after_in_place_step(self):
+        """An optimizer step writes parameters in place, keeping every
+        ``id(p.data)``: the accept path's prefix memo (evaluate(c), then
+        gradient(c)) must not reuse the arrivals of the old weights."""
+        graph, model, coords, _ = _design("usb_cdc_core")
+        pcfg = PenaltyConfig()
+        obj = get_compiled_objective(model, graph, pcfg.gamma)
+        saved = model.state_dict()
+        rng = np.random.default_rng(9)
+        try:
+            obj.evaluate(coords)
+            for p in model.parameters():
+                p.data -= 0.01 * rng.standard_normal(p.data.shape)
+            grad, _, penalty = obj.gradient(coords, pcfg)
+            ref_grad, _, ref_penalty = _closure_gradient(model, graph, coords, pcfg)
+            assert np.array_equal(grad, ref_grad, equal_nan=True)
+            assert penalty == ref_penalty
+        finally:
+            for name, p in model.named_parameters():
+                p.data[...] = saved[name]
+
+
 def _refine_pair(name, iterations=4):
     """(closure_result, tape_result) for a short evaluator-mode refine."""
     graph, model, coords, forest = _design(name)
@@ -273,18 +295,27 @@ def test_mcmm_objective_cached_per_mask():
 
 
 def test_tape_cache_hit_miss_counters(tmp_path):
+    """A fresh model compiles once (one miss, one ``tape_compile``
+    span); the same graph then hits its own cache, and a graph with a
+    cleared cache adopts the model's shared objective without a span."""
     from repro.obs import Telemetry, telemetry_session
 
-    graph, model, coords, _ = _design("usb_cdc_core")
+    graph, _, coords, _ = _design("usb_cdc_core")
+    model = TimingEvaluator(EvaluatorConfig(seed=0))
     graph._static.clear()
     with Telemetry(path=str(tmp_path / "t.jsonl")) as tel:
         with telemetry_session(tel):
             a = get_compiled_objective(model, graph, PenaltyConfig().gamma)
             b = get_compiled_objective(model, graph, PenaltyConfig().gamma)
+            a.evaluate(coords)
+            graph._static.clear()
+            c = get_compiled_objective(model, graph, PenaltyConfig().gamma)
         snap = tel.metrics_snapshot()
-    assert a is b
+    assert a is b is c
+    assert c._fwd_state is None  # an adopted objective reuses no prefix
     assert snap["counters"]["tape.cache_misses"] == 1
     assert snap["counters"]["tape.cache_hits"] == 1
+    assert snap["counters"]["tape.shared_hits"] == 1
     ends = [
         rec for rec in map(json.loads, (tmp_path / "t.jsonl").read_text().splitlines())
         if rec.get("name") == "tape_compile" and rec.get("kind") == "span_end"
@@ -295,23 +326,38 @@ def test_tape_cache_hit_miss_counters(tmp_path):
 
 
 def test_compiled_objective_freed_with_its_graph():
-    """The objective cached on ``graph._static`` must not point back at
-    the graph: that cycle kept every flow's tape (≈38 MB on picorv32a)
-    alive until the cyclic collector happened to run."""
+    """A compiled objective lives as long as its graph *and* its model's
+    shared entry, and no longer: it is freed by reference counting alone
+    once the graph and the model are dropped, or once the graph is
+    dropped and another design's compile replaces the model's entry.
+    Neither owner may sit on a cycle (an objective pointing back at its
+    graph kept every flow's ≈38 MB tape alive until the cyclic collector
+    happened to run), and the objective must not hold the model (the
+    weakly keyed entry would then keep its key alive)."""
     import gc
     import weakref
 
     from repro.flow.pipeline import prepare_design
 
     netlist, forest = prepare_design("spm")
-    graph = build_timing_graph(netlist, forest)
-    model = TimingEvaluator(EvaluatorConfig(seed=0))
-    obj = weakref.ref(get_compiled_objective(model, graph, PenaltyConfig().gamma))
-    assert obj() is not None
+    gamma = PenaltyConfig().gamma
     gc.disable()
     try:
+        graph = build_timing_graph(netlist, forest)
+        model = TimingEvaluator(EvaluatorConfig(seed=0))
+        obj = weakref.ref(get_compiled_objective(model, graph, gamma))
         del graph
+        assert obj() is not None  # the model's shared entry holds it
+        del model
         assert obj() is None
+
+        model = TimingEvaluator(EvaluatorConfig(seed=0))
+        graph = build_timing_graph(netlist, forest)
+        obj = weakref.ref(get_compiled_objective(model, graph, gamma))
+        del graph
+        other = build_timing_graph(netlist, forest, congestion=np.ones((4, 4)))
+        assert get_compiled_objective(model, other, gamma) is not None
+        assert obj() is None  # replaced by the other content's compile
     finally:
         gc.enable()
 
@@ -388,8 +434,9 @@ class TestSlab:
         assert mine.isdisjoint(id(c) for c in other.tape.slab.chunks)
 
     def test_chunks_unmapped_without_collector(self):
-        """Dropping the objective and its graph frees every chunk by
-        reference counting alone — no cycle keeps a tape mapped."""
+        """Dropping the objective, its graph and its model (which holds
+        the shared entry) frees every chunk by reference counting alone
+        — no cycle keeps a tape mapped."""
         import gc
         import weakref
 
@@ -400,6 +447,8 @@ class TestSlab:
         gc.disable()
         try:
             del obj, graph
+            assert all(r() is not None for r in refs)  # the model's entry
+            del model
             assert all(r() is None for r in refs)
         finally:
             gc.enable()
