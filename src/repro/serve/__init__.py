@@ -12,10 +12,10 @@ design flow (docs/SERVING.md):
 * :mod:`repro.serve.admission` — bounded-queue admission control with
   ``retry_after`` hints;
 * :mod:`repro.serve.service` — the supervised asyncio worker fleet:
-  retries, quarantine, deadlines, checkpoint durability;
+  retries, quarantine, deadlines, checkpoint durability; every handler
+  runs in the event loop's process on one warm cache;
 * :mod:`repro.serve.batcher` — query fusion: concurrent whatif/signoff
   jobs per design coalesce into one scenario-batched dispatch;
-* :mod:`repro.serve.executors` — inline vs process-backed execution;
 * :mod:`repro.serve.chaos` — deterministic worker kills, queue delays
   and checkpoint corruption for the chaos tests;
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.cli` — seeded traffic
@@ -35,7 +35,6 @@ from repro.serve.chaos import (
     KillWorker,
     WorkerKilled,
 )
-from repro.serve.executors import InlineExecutor, ProcessExecutor
 from repro.serve.jobs import (
     DEFAULT_PRIORITY,
     JOB_KINDS,
@@ -62,7 +61,6 @@ __all__ = [
     "DEFAULT_PRIORITY",
     "DelayDispatch",
     "DesignWorkspace",
-    "InlineExecutor",
     "JOB_KINDS",
     "Job",
     "JobContext",
@@ -70,7 +68,6 @@ __all__ = [
     "JobTicket",
     "KillWorker",
     "LoadReport",
-    "ProcessExecutor",
     "QueryBatcher",
     "ServiceStats",
     "SignoffService",

@@ -37,7 +37,7 @@ from repro.serve.jobs import Job
 
 
 class WorkerKilled(ReproError):
-    """A worker died mid-job (chaos-injected or a real executor crash)."""
+    """A worker died mid-job; the supervisor requeues the job."""
 
     def __init__(self, what: str = "worker killed") -> None:
         super().__init__(what)

@@ -67,12 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="iterations per refine job",
     )
     parser.add_argument(
-        "--process-jobs",
-        type=int,
-        default=0,
-        help="run refine/train in N worker processes (0 = in-process)",
-    )
-    parser.add_argument(
         "--chaos",
         action="store_true",
         help="inject deterministic faults: kill a worker mid-refine, "
@@ -173,7 +167,6 @@ async def _serve(args, chaos, checkpoint_dir: Path, objectives):
         admission=AdmissionConfig(max_pending=args.max_pending),
         chaos=chaos,
         checkpoint_dir=checkpoint_dir,
-        process_jobs=args.process_jobs,
         slo=objectives or None,
         batching=batching,
     )

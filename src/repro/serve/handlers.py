@@ -4,7 +4,9 @@ A handler is ``handler(job, ctx) -> dict`` (sync or async); ``ctx`` is
 the :class:`~repro.serve.service.JobContext` carrying the per-job
 budget, checkpoint path, attempt index and the cooperative
 ``heartbeat`` the chaos harness hooks.  :func:`default_handlers` wires
-the five kinds over one shared :class:`~repro.serve.state.WarmStateCache`.
+the five kinds over one shared :class:`~repro.serve.state.WarmStateCache`;
+the service calls them in the event loop's process, so every job reads
+and commits that one cache.
 
 Durability contract (docs/SERVING.md): ``refine`` and ``train`` jobs
 snapshot through :mod:`repro.runtime.checkpoint` at every iteration /
@@ -14,18 +16,14 @@ and a checkpoint the chaos harness corrupted surfaces as
 :class:`~repro.runtime.errors.CheckpointError`, which the handler
 answers by discarding the snapshot and restarting clean (deterministic,
 so it still converges to the fault-free answer).
-
-For the process-backed executor each default handler exposes a
-module-level ``remote`` function plus a ``payload`` builder; worker
-processes keep their own module-global warm cache so consecutive jobs
-for one design stay warm per process.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -147,17 +145,17 @@ def _signoff_one(cache: WarmStateCache, design: str, params: Dict[str, Any]) -> 
 def _signoff(cache: WarmStateCache, job, ctx):
     """Sign-off report; a fused carrier dedupes identical corner sets.
 
-    Members asking for the same ``(corners, mode)`` against the same
-    warm state share one STA run — a repeated query over unchanged
-    state is bitwise-idempotent, so every member still receives the
-    exact answer it would have gotten alone.
+    A lone job is a batch of one.  Members asking for the same
+    ``(corners, mode)`` against the same warm state share one STA run —
+    a repeated query over unchanged state is bitwise-idempotent, so
+    every member still receives the exact answer it would have gotten
+    alone.
     """
     ctx.heartbeat()
-    if not job.fused:
-        return _signoff_one(cache, job.design, job.params)
+    members = job.members if job.fused else [job]
     memo: Dict[Tuple[Any, ...], Dict[str, Any]] = {}
     values = []
-    for m in job.members:
+    for m in members:
         key = _signoff_key(m.params)
         hit = memo.get(key)
         if hit is None:
@@ -166,7 +164,38 @@ def _signoff(cache: WarmStateCache, job, ctx):
             # The shared answer still counts as one served query.
             cache.workspace(job.design).signoff_queries += 1
         values.append(dict(hit))
-    return values
+    return values if job.fused else values[0]
+
+
+# ----------------------------------------------------------------------
+# Checkpointed jobs: resume after a worker death, reset on corruption
+# ----------------------------------------------------------------------
+def _run_checkpointed(job, ctx, run: Callable[[bool], Any]) -> Any:
+    """``run(resume)`` with the durability contract of refine and train.
+
+    A retry whose snapshot is on disk resumes from it.  A corrupted
+    snapshot must not strand the job: it is counted, dropped and the
+    job restarts clean — both jobs are deterministic, so the answer
+    still matches the fault-free run (docs/SERVING.md).
+    """
+    ckpt = ctx.checkpoint_path
+    resume = bool(ctx.attempt > 0 and ckpt is not None and Path(ckpt).exists())
+    try:
+        return run(resume)
+    except CheckpointError as exc:
+        tel = get_telemetry()
+        if tel.enabled:
+            tel.count("serve.checkpoint_resets")
+            tel.event(
+                "serve_checkpoint_reset",
+                job=job.job_id,
+                path=exc.path,
+                offset=exc.offset,
+                error=str(exc),
+            )
+        if ckpt is not None:
+            Path(ckpt).unlink(missing_ok=True)
+        return run(False)
 
 
 # ----------------------------------------------------------------------
@@ -195,45 +224,20 @@ def _refine(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
         return ws.forest.clamp_coords(c)
 
     initial = ws.forest.get_steiner_coords()
-    ckpt = ctx.checkpoint_path
-    resume = bool(ctx.attempt > 0 and ckpt is not None and Path(ckpt).exists())
-    try:
-        result = refine(
+
+    def run(resume: bool):
+        return refine(
             model,
             graph,
             initial,
             config=cfg,
             clamp_fn=clamp,
             budget=ctx.budget,
-            checkpoint_path=ckpt,
+            checkpoint_path=ctx.checkpoint_path,
             resume=resume,
         )
-    except CheckpointError as exc:
-        # A corrupted snapshot must not strand the job: drop it and
-        # restart clean — refinement is deterministic, so the answer
-        # still matches the fault-free run (docs/SERVING.md).
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("serve.checkpoint_resets")
-            tel.event(
-                "serve_checkpoint_reset",
-                job=job.job_id,
-                path=exc.path,
-                offset=exc.offset,
-                error=str(exc),
-            )
-        if ckpt is not None:
-            Path(ckpt).unlink(missing_ok=True)
-        result = refine(
-            model,
-            graph,
-            initial,
-            config=cfg,
-            clamp_fn=clamp,
-            budget=ctx.budget,
-            checkpoint_path=ckpt,
-            resume=False,
-        )
+
+    result = _run_checkpointed(job, ctx, run)
     # No invalidation: the pinned STAs re-time the moved trees from
     # their states on the next read.
     ws.forest.set_steiner_coords(result.coords)
@@ -357,34 +361,18 @@ def _train(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
     )
     model = cache.evaluator()
     tcfg = TrainerConfig(epochs=epochs, patience=max(epochs, 1))
-    ckpt = ctx.checkpoint_path
-    resume = bool(ctx.attempt > 0 and ckpt is not None and Path(ckpt).exists())
-    try:
-        result = train_evaluator(
+
+    def run(resume: bool):
+        return train_evaluator(
             model,
             samples,
             tcfg,
             budget=ctx.budget,
-            checkpoint_path=ckpt,
+            checkpoint_path=ctx.checkpoint_path,
             resume=resume,
         )
-    except CheckpointError as exc:
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count("serve.checkpoint_resets")
-            tel.event(
-                "serve_checkpoint_reset",
-                job=job.job_id,
-                path=exc.path,
-                offset=exc.offset,
-                error=str(exc),
-            )
-        if ckpt is not None:
-            Path(ckpt).unlink(missing_ok=True)
-        result = train_evaluator(
-            model, samples, tcfg, budget=ctx.budget,
-            checkpoint_path=ckpt, resume=False,
-        )
+
+    result = _run_checkpointed(job, ctx, run)
     cache.set_evaluator(model)
     return {
         "designs": list(designs),
@@ -396,82 +384,20 @@ def _train(cache: WarmStateCache, job, ctx) -> Dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------------------
-# Process-backed execution: module-level entries + per-process cache
-# ----------------------------------------------------------------------
-_PROC_CACHE: Optional[WarmStateCache] = None
-_PROC_SCALE: float = 1.0
-
-_REMOTE_FNS = {}
-
-
-def _proc_cache(scale: float) -> WarmStateCache:
-    global _PROC_CACHE, _PROC_SCALE
-    if _PROC_CACHE is None or _PROC_SCALE != scale:
-        _PROC_CACHE = WarmStateCache(scale=scale)
-        _PROC_SCALE = scale
-    return _PROC_CACHE
-
-
-def remote_job(payload: Tuple[str, str, Dict[str, Any], float, Optional[str], int]):
-    """Top-level (picklable) process-pool entry for one job.
-
-    Rebuilds a minimal job/ctx in the worker process and dispatches to
-    the same handler bodies; the worker's module-global cache keeps its
-    designs warm across consecutive jobs.
-    """
-    kind, design, params, scale, checkpoint_path, attempt = payload
-    from repro.serve.jobs import Job
-    from repro.serve.service import JobContext
-
-    cache = _proc_cache(scale)
-    job = Job(kind=kind, design=design, params=dict(params))
-    job.attempts = attempt + 1
-    ctx = JobContext(
-        job=job, attempt=attempt, checkpoint_path=checkpoint_path
-    )
-    return _REMOTE_FNS[kind](cache, job, ctx)
-
-
-_REMOTE_FNS.update(
-    {
-        KIND_WHATIF: _whatif,
-        KIND_SIGNOFF: _signoff,
-        KIND_REFINE: _refine,
-        KIND_ECO: _eco,
-        KIND_TRAIN: _train,
-    }
-)
+#: The handler body of each job kind, called as ``fn(cache, job, ctx)``.
+_HANDLERS = {
+    KIND_WHATIF: _whatif,
+    KIND_SIGNOFF: _signoff,
+    KIND_REFINE: _refine,
+    KIND_ECO: _eco,
+    KIND_TRAIN: _train,
+}
 
 
 def default_handlers(cache: Optional[WarmStateCache] = None) -> Dict[str, Any]:
-    """The default handlers (one per job kind) bound to one warm cache.
-
-    Each handler carries ``remote``/``payload`` attributes so the
-    :class:`~repro.serve.executors.ProcessExecutor` can ship it to a
-    worker process without pickling the cache itself.
-    """
+    """The default handlers (one per job kind) bound to one warm cache."""
     cache = cache if cache is not None else WarmStateCache()
-    handlers: Dict[str, Any] = {}
-    for kind, fn in _REMOTE_FNS.items():
-
-        def handler(job, ctx, _fn=fn):
-            return _fn(cache, job, ctx)
-
-        def payload(job, ctx, _kind=kind):
-            return (
-                _kind,
-                job.design,
-                dict(job.params),
-                cache.scale,
-                str(ctx.checkpoint_path) if ctx.checkpoint_path else None,
-                ctx.attempt,
-            )
-
-        handler.remote = remote_job
-        handler.payload = payload
-        handlers[kind] = handler
-    return handlers
+    return {kind: functools.partial(fn, cache) for kind, fn in _HANDLERS.items()}
 
 
-__all__ = ["default_handlers", "remote_job"]
+__all__ = ["default_handlers"]

@@ -6,12 +6,17 @@ of asyncio workers that pin per-design warm state
 (:mod:`repro.serve.state`) and execute the typed jobs of
 :mod:`repro.serve.jobs`.  The robustness core (docs/SERVING.md):
 
-* **Supervision** — a worker coroutine that dies mid-job (chaos kill,
-  executor process death) is detected by its done-callback; the
-  in-flight job is requeued with bounded attempts and a replacement
-  worker is spawned immediately, so capacity never decays.
+* **One process, one warm cache** — every handler runs in the event
+  loop's process against the service's one
+  :class:`~repro.serve.state.WarmStateCache`, so a committed ``refine``
+  or ``train`` is what the next job reads, and every job gets its
+  deadline budget and chaos heartbeat.
+* **Supervision** — a worker coroutine that dies mid-job (a chaos
+  kill) is detected by its done-callback; the in-flight job is
+  requeued with bounded attempts and a replacement worker is spawned
+  immediately, so capacity never decays.
 * **Retry with backoff** — a failing handler is retried up to
-  ``max_attempts`` with the jittered exponential schedule of
+  ``max_attempts`` on the doubling schedule of
   :func:`repro.runtime.retry.backoff_delay`; both the clock and the
   async sleep are injectable, so chaos tests run on virtual time.
 * **Poison-job quarantine** — a job that keeps failing is quarantined
@@ -40,7 +45,7 @@ per-kind latency histograms, retry/quarantine/shed counters and the
 from __future__ import annotations
 
 import asyncio
-import random
+import inspect
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +58,6 @@ from repro.runtime.retry import backoff_delay
 from repro.serve.admission import AdmissionConfig, AdmissionController
 from repro.serve.batcher import BatchConfig, QueryBatcher
 from repro.serve.chaos import ChaosMonkey, WorkerKilled
-from repro.serve.executors import InlineExecutor, ProcessExecutor
 from repro.serve.jobs import (
     DONE,
     KIND_REFINE,
@@ -143,16 +147,10 @@ class SignoffService:
         admission: Optional[AdmissionConfig] = None,
         max_attempts: int = 3,
         retry_backoff: float = 0.01,
-        retry_factor: float = 2.0,
-        retry_jitter: float = 0.0,
-        seed: int = 0,
         clock: Optional[Callable[[], float]] = None,
         asleep: Optional[Callable[[float], Any]] = None,
         chaos: Optional[ChaosMonkey] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
-        process_jobs: int = 0,
-        process_kinds: tuple = (KIND_REFINE, KIND_TRAIN),
-        degrade_signoff: bool = True,
         slo: Optional[Union[SLOEngine, List[SLObjective], tuple]] = None,
         batching: Optional[Union[BatchConfig, bool]] = None,
     ) -> None:
@@ -168,19 +166,10 @@ class SignoffService:
         self._admission = AdmissionController(admission)
         self.max_attempts = max(1, int(max_attempts))
         self._retry_backoff = float(retry_backoff)
-        self._retry_factor = float(retry_factor)
-        self._retry_jitter = float(retry_jitter)
-        self._rng = random.Random(seed)
         self._clock = clock or time.monotonic
         self._asleep = asleep or asyncio.sleep
         self.chaos = chaos
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self._inline = InlineExecutor()
-        self._process: Optional[ProcessExecutor] = (
-            ProcessExecutor(process_jobs) if process_jobs > 0 else None
-        )
-        self._process_kinds = tuple(process_kinds)
-        self.degrade_signoff = bool(degrade_signoff)
         # SLO burn-rate alerting (docs/OBSERVABILITY.md): either a
         # ready SLOEngine (caller owns its clock) or a list of
         # objectives, wrapped around the service clock so chaos tests
@@ -250,8 +239,6 @@ class SignoffService:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
         self._worker_tasks.clear()
-        if self._process is not None:
-            await self._process.aclose()
         self._started = False
         tel = get_telemetry()
         if self.slo is not None:
@@ -351,7 +338,7 @@ class SignoffService:
 
     def _try_stale_answer(self, job: Job, ticket: JobTicket, decision) -> bool:
         """Degraded signoff: answer from last-known state, mark stale."""
-        if not (self.degrade_signoff and job.kind == KIND_SIGNOFF and self._warm):
+        if not (job.kind == KIND_SIGNOFF and self._warm):
             return False
         peek = getattr(self._warm, "peek", None)
         ws = peek(job.design) if peek is not None else None
@@ -507,13 +494,6 @@ class SignoffService:
             return None
         return self.checkpoint_dir / f"{job.job_id}.npz"
 
-    def _executor_for(self, job: Job):
-        # Fused carriers always run inline: their value is the shared
-        # warm-state probe batch, which a process payload cannot carry.
-        if self._process is not None and job.kind in self._process_kinds and not job.fused:
-            return self._process
-        return self._inline
-
     async def _run_job(self, wid: int, job: Job) -> None:
         job.attempts += 1
         job.status = RUNNING
@@ -544,9 +524,9 @@ class SignoffService:
         )
         t0 = self._clock()
         try:
-            value = await self._executor_for(job).run(
-                self._handlers[job.kind], job, ctx
-            )
+            value = self._handlers[job.kind](job, ctx)
+            if inspect.isawaitable(value):
+                value = await value
         except (WorkerKilled, asyncio.CancelledError):
             raise
         except Exception as exc:
@@ -592,13 +572,7 @@ class SignoffService:
             self._quarantine(job, error)
             return
         self.stats.retries += 1
-        delay = backoff_delay(
-            job.attempts - 1,
-            self._retry_backoff,
-            self._retry_factor,
-            jitter=self._retry_jitter,
-            rng=self._rng,
-        )
+        delay = backoff_delay(job.attempts - 1, self._retry_backoff)
         if tel.enabled:
             tel.count("serve.retries")
             tel.event(

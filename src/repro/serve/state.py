@@ -179,20 +179,21 @@ class DesignWorkspace:
 
 
 class WarmStateCache:
-    """Process-level workspace cache plus the shared evaluator.
+    """The service's workspace cache plus the shared evaluator.
 
-    Thread-safe construction (the process-backed executor's worker
-    processes each hold their own module-level instance); asyncio
-    workers in the parent share this one object, which is what makes a
-    committed ``refine`` immediately visible to ``signoff`` queries.
+    Every job of a :class:`~repro.serve.service.SignoffService` runs in
+    the event loop's process and reads and commits this one object, so
+    a committed ``refine`` is what the next ``signoff`` query times and
+    a ``train`` job's model is what the next ``refine`` differentiates.
+    The lock keeps workspace construction and the evaluator swap safe
+    for a caller that shares the cache across threads.
     """
 
-    def __init__(self, scale: float = 1.0, evaluator_config=None) -> None:
+    def __init__(self, scale: float = 1.0) -> None:
         self.scale = float(scale)
         self._lock = threading.Lock()
         self._workspaces: Dict[str, DesignWorkspace] = {}
         self._evaluator = None
-        self._evaluator_config = evaluator_config
 
     def workspace(self, name: str) -> DesignWorkspace:
         with self._lock:
@@ -219,8 +220,7 @@ class WarmStateCache:
             if self._evaluator is None:
                 from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
 
-                cfg = self._evaluator_config or EvaluatorConfig(hidden=16)
-                self._evaluator = TimingEvaluator(cfg)
+                self._evaluator = TimingEvaluator(EvaluatorConfig(hidden=16))
             return self._evaluator
 
     def set_evaluator(self, model) -> None:

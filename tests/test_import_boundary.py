@@ -1,9 +1,13 @@
-"""Layering gate: production code never imports the test oracles.
+"""Layering gates over the imports of ``src/repro``.
 
 ``repro.testing`` holds the slow reference forms of production kernels.
 Only the perf bench (``repro.bench``, which times each kernel against
 its oracle) and ``repro.testing`` itself may import it, so a reference
 kernel can never come back into production dispatch.
+
+``repro.serve`` runs every job in the event loop's process on one warm
+cache (docs/SERVING.md), so no serve module may import a process or
+thread pool.
 """
 
 import ast
@@ -15,17 +19,28 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 ALLOWED = ("bench", "testing")
 
 
-def _imports_testing(tree: ast.AST) -> bool:
+#: Modules no ``repro.serve`` module may import.
+SERVE_FORBIDDEN = ("concurrent.futures", "multiprocessing")
+
+
+def _imported_names(tree: ast.AST):
+    """Every dotted name an absolute import statement binds or reads."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-        else:
-            continue
-        if any(n == "repro.testing" or n.startswith("repro.testing.") for n in names):
-            return True
-    return False
+            yield node.module
+            yield from (f"{node.module}.{a.name}" for a in node.names)
+
+
+def _imports_any(tree: ast.AST, modules) -> bool:
+    return any(
+        n == m or n.startswith(m + ".") for n in _imported_names(tree) for m in modules
+    )
+
+
+def _imports_testing(tree: ast.AST) -> bool:
+    return _imports_any(tree, ("repro.testing",))
 
 
 def test_production_code_does_not_import_repro_testing():
@@ -40,3 +55,28 @@ def test_production_code_does_not_import_repro_testing():
         "production modules import repro.testing (oracles are test/bench "
         "only):\n" + "\n".join(violations)
     )
+
+
+def test_serve_imports_no_process_or_thread_pool():
+    violations = [
+        str(path.relative_to(SRC))
+        for path in sorted((SRC / "serve").rglob("*.py"))
+        if _imports_any(ast.parse(path.read_text(), filename=str(path)), SERVE_FORBIDDEN)
+    ]
+    assert violations == [], (
+        "serve modules import a process or thread pool (every job runs "
+        "in the event loop's process on one warm cache):\n" + "\n".join(violations)
+    )
+
+
+def test_serve_import_rule_catches_each_import_form():
+    for source in (
+        "import concurrent.futures",
+        "from concurrent.futures import ProcessPoolExecutor",
+        "from concurrent.futures.process import BrokenProcessPool",
+        "from concurrent import futures",
+        "import multiprocessing",
+        "from multiprocessing.pool import Pool",
+    ):
+        assert _imports_any(ast.parse(source), SERVE_FORBIDDEN), source
+    assert not _imports_any(ast.parse("import asyncio"), SERVE_FORBIDDEN)
