@@ -86,17 +86,17 @@ def segment_max(x: Tensor, segment_ids: np.ndarray, num_segments: int, fill: flo
 
 
 def _detached(data: np.ndarray, parents, op: str, ctx=None) -> Tensor:
-    """Non-differentiable node that keeps parent links for the compiler.
+    """Non-differentiable node that a trace records with its parents.
 
     The closure engine treats these exactly like the plain ``Tensor``
-    constants they replace: ``requires_grad`` is False, so ``backward``
-    never pushes them on its DFS stack and no gradient flows through.
-    The tape compiler, however, sees the recorded parents and *op* and
-    re-computes ``data`` from live parent values on every replay — which
-    is how data-dependent quantities (log-sum-exp shifts, congestion
-    cell indices) stay correct when the input coordinates change.
+    constants they replace: no gradient flows through.  Inside a
+    :class:`~repro.autodiff.tensor.Trace`, however, the node is recorded
+    with its parents and *op*, and the compiled tape re-computes
+    ``data`` from live parent values on every replay — which is how
+    data-dependent quantities (log-sum-exp shifts, congestion cell
+    indices) stay correct when the input coordinates change.
     """
-    return Tensor(np.asarray(data, dtype=np.float64), _parents=tuple(parents), _op=op, _ctx=ctx)
+    return Tensor._make(np.asarray(data, dtype=np.float64), tuple(parents), None, op, ctx=ctx)
 
 
 def detached_max(x: Tensor, axis: Optional[int] = None) -> Tensor:

@@ -7,10 +7,19 @@ overhead: the op sequence depends only on the graph topology and the
 model configuration, while only the input arrays change between
 iterations.
 
-:func:`compile_tape` lifts an already-built closure graph into a flat
-instruction program.  Compilation is *lifting*, not tracing: the eager
-closure forward runs once and the tape is derived from the graph it
-built, so tape and closure can never disagree about which ops ran.
+:func:`compile_tape` compiles a *recorded* forward into a flat
+instruction program.  The forward runs once, eagerly, inside a
+:class:`~repro.autodiff.tensor.Trace`: the same op code computes every
+value, but each result keeps only a :class:`~repro.autodiff.tensor.Node`
+(op, parent nodes, shape, dtype, op parameters, whether it has a
+backward rule) instead of parent tensors and a backward closure, so an
+intermediate value is freed the moment the model code drops it.  Only
+leaves — inputs, constants and constant-folded results, which the tape
+stores anyway — keep their data.  The record is the graph the closure
+engine would have built, node for node, so tape and closure can never
+disagree about which ops ran; on picorv32a the trace holds ≈7 MiB at
+its peak where the closure graph held ≈96 MiB.
+
 The compiler then plans aggressively, because everything the closure
 engine decides at runtime is static for a fixed topology:
 
@@ -67,7 +76,8 @@ Replay parity with the closure engine is *bitwise* (asserted by
 and every gradient matches ``np.array_equal`` with the reference,
 which tolerates only ±0.0 sign differences (e.g. a duplicate-free
 scatter assigns ``-0.0`` where ``0.0 + -0.0`` would give ``+0.0``).
-Graphs containing an op the compiler does not know raise
+Records containing an op the compiler does not know (or a tensor the
+closure engine built before the trace began) raise
 :class:`TapeUnsupported`; callers fall back to the closure engine
 (see ``timing_model/compiled.py``).
 """
@@ -80,11 +90,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, _unbroadcast
+from repro.autodiff.tensor import Node, Tensor, Trace, _unbroadcast
 
 
 class TapeUnsupported(RuntimeError):
-    """The recorded graph uses an op the tape compiler cannot replay."""
+    """The recorded trace uses an op the tape compiler cannot replay."""
 
 
 #: Ops the forward emitter understands; anything else aborts compilation.
@@ -424,19 +434,22 @@ def _ctx_key(ctx):
 
 
 def compile_tape(
+    trace: Trace,
     root: Tensor,
     inputs: Dict[str, Tensor],
     outputs: Optional[Dict[str, Tensor]] = None,
     grad_targets: Optional[Sequence[str]] = None,
 ) -> Tape:
-    """Lift the closure graph under ``root`` into a :class:`Tape`.
+    """Compile the ops ``trace`` recorded under ``root`` into a :class:`Tape`.
 
-    ``inputs`` binds leaf tensors (by object identity) to named slots
-    whose values are read live at every replay; gradient-carrying
-    inputs get adjoints readable via :meth:`Tape.grad`.  ``outputs``
-    names interior values to expose (each also records a forward prefix
-    length so it can be computed without running the full tape).
-    ``root`` is the scalar the backward pass seeds with ones.
+    ``root`` (the scalar the backward pass seeds with ones) and every
+    tensor in ``outputs`` must be results built inside ``trace``.
+    ``inputs`` binds leaf tensors the trace read (by object identity)
+    to named slots whose values are read live at every replay;
+    gradient-carrying inputs get adjoints readable via
+    :meth:`Tape.grad`.  ``outputs`` names interior values to expose
+    (each also records a forward prefix length so it can be computed
+    without running the full tape).
 
     ``grad_targets`` names the inputs whose gradients the caller will
     read (default: every gradient-carrying input).  The adjoint program
@@ -445,28 +458,35 @@ def compile_tape(
     itself reached, so no contribution to a needed adjoint is ever
     dropped; ``grad`` on a non-target input returns ``None``.
     """
-    if not isinstance(root, Tensor) or not root.requires_grad:
-        raise TapeUnsupported("tape root must be a Tensor with requires_grad=True")
+    if not isinstance(root, Tensor) or not root.requires_grad or root._rec is None:
+        raise TapeUnsupported("tape root must be a traced Tensor with requires_grad=True")
     if root.data.size != 1:
         raise TapeUnsupported("tape root must be a scalar")
-    outputs = dict(outputs or {})
-    roots: List[Tuple[str, Tensor]] = [(n, t) for n, t in outputs.items()]
-    roots.append(("__root__", root))
+    root = root._rec  # from here on the compiler reads nodes only
+    output_nodes = {name: trace.node(t) for name, t in (outputs or {}).items()}
+    roots: List[Tuple[str, Node]] = list(output_nodes.items()) + [("__root__", root)]
 
-    input_names: Dict[int, str] = {}
+    input_nodes: Dict[str, Optional[Node]] = {}  # None: the trace never read it
+    input_names: Dict[int, str] = {}  # node id -> input name
+    bound: Set[int] = set()
     for name, t in inputs.items():
         if not isinstance(t, Tensor):
             raise TapeUnsupported(f"input {name!r} is not a Tensor")
-        if id(t) in input_names:
+        if t._rec is not None:
+            raise TapeUnsupported(f"input {name!r} is not a leaf tensor")
+        if id(t) in bound:
             raise TapeUnsupported(f"tensor bound to two input names ({name!r})")
-        input_names[id(t)] = name
+        bound.add(id(t))
+        node = input_nodes[name] = trace.leaf(t)
+        if node is not None:
+            input_names[id(node)] = name
 
     # ---- phase 1: collect every reachable node, parents-first ----
-    post: List[Tensor] = []
+    post: List[Node] = []
     marks: List[int] = []  # node count after traversing each root
     visited: Set[int] = set()
     for _, r in roots:
-        stack: List[Tuple[Tensor, bool]] = [(r, False)]
+        stack: List[Tuple[Node, bool]] = [(r, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -476,37 +496,37 @@ def compile_tape(
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         marks.append(len(post))
 
     for node in post:
-        if node._parents and node._op not in _KNOWN_OPS:
-            raise TapeUnsupported(f"op {node._op!r} has no tape rule")
-        nid = id(node)
-        if nid in input_names and node._parents:
-            raise TapeUnsupported(f"input {input_names[nid]!r} is not a leaf tensor")
+        if node.parents and node.op not in _KNOWN_OPS:
+            raise TapeUnsupported(f"op {node.op!r} has no tape rule")
+        if not node.parents and node.tensor._parents:
+            # A graph the closure engine built before the trace began.
+            raise TapeUnsupported(f"trace read a {node.tensor._op!r} result built outside it")
 
     # ---- phase 2: adjoint pruning (root -> grad-target paths) ----
     if grad_targets is None:
-        target_ids = {id(t) for t in inputs.values() if t.requires_grad}
+        grad_targets = [n for n, t in inputs.items() if t.requires_grad]
     else:
         unknown = [n for n in grad_targets if n not in inputs]
         if unknown:
             raise TapeUnsupported(f"grad targets {unknown} are not inputs")
-        target_ids = {id(inputs[n]) for n in grad_targets}
+    target_ids = {id(input_nodes[n]) for n in grad_targets if input_nodes[n] is not None}
     reach: Set[int] = set()
     for node in post:  # parents precede children, so one pass suffices
         if node.requires_grad and (
-            id(node) in target_ids or any(id(p) in reach for p in node._parents)
+            id(node) in target_ids or any(id(p) in reach for p in node.parents)
         ):
             reach.add(id(node))
 
     # ---- phase 3: backward rule order (replicate Tensor.backward) ----
-    border: List[Tensor] = []
+    border: List[Node] = []
     bvisited: Set[int] = set()
-    bstack: List[Tuple[Tensor, bool]] = [(root, False)]
+    bstack: List[Tuple[Node, bool]] = [(root, False)]
     while bstack:
         node, processed = bstack.pop()
         if processed:
@@ -516,7 +536,7 @@ def compile_tape(
             continue
         bvisited.add(id(node))
         bstack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if parent.requires_grad and id(parent) not in bvisited:
                 bstack.append((parent, False))
     exec_nodes = list(reversed(border))
@@ -525,7 +545,7 @@ def compile_tape(
     # count mirrors the closure engine's ``node.grad is not None`` guard
     # and first-write-copies semantics; both are structural, never
     # data-dependent, so the whole schedule is resolved here.
-    plans: List[Tuple[Tensor, List[Tuple[int, Tensor, str, bool]]]] = []
+    plans: List[Tuple[Node, List[Tuple[int, Node, str, bool]]]] = []
     adj_buf: Dict[int, np.ndarray] = {}
     slab = _Slab()
     adj_pool = _Pool(slab)
@@ -535,30 +555,30 @@ def compile_tape(
     n_alias = 0
     count: Dict[int, int] = {}
 
-    def _concat_slicers(node: Tensor) -> List[Tuple[slice, ...]]:
-        axis = node._ctx
-        sizes = [p.data.shape[axis] for p in node._parents]
+    def _concat_slicers(node: Node) -> List[Tuple[slice, ...]]:
+        axis = node.ctx
+        sizes = [p.shape[axis] for p in node.parents]
         offsets = np.cumsum([0] + sizes)
         out = []
         for start, stop in zip(offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * node.data.ndim
+            slicer = [slice(None)] * node.ndim
             slicer[axis] = slice(int(start), int(stop))
             out.append(tuple(slicer))
         return out
 
     if id(root) in reach:
-        root_adj = slab.empty(root.data.shape)
+        root_adj = slab.empty(root.shape)
         adj_buf[id(root)] = root_adj
         count[id(root)] = 1
         for node in exec_nodes:
             nid = id(node)
-            if nid not in reach or count.get(nid, 0) == 0 or node._backward is None:
+            if nid not in reach or count.get(nid, 0) == 0 or not node.parents:
                 continue
-            op = node._op
+            op = node.op
             g = adj_buf[nid]
-            plist: List[Tuple[int, Tensor, str, bool]] = []
+            plist: List[Tuple[int, Node, str, bool]] = []
             slicers = _concat_slicers(node) if op == "concat" else None
-            for side, p in enumerate(node._parents):
+            for side, p in enumerate(node.parents):
                 pid = id(p)
                 if pid not in reach:
                     continue
@@ -567,12 +587,12 @@ def compile_tape(
                 aliased = False
                 if first:
                     view: Optional[np.ndarray] = None
-                    if op == "add" and p.data.shape == node.data.shape:
+                    if op == "add" and p.shape == node.shape:
                         view = g
-                    elif op == "sub" and side == 0 and p.data.shape == node.data.shape:
+                    elif op == "sub" and side == 0 and p.shape == node.shape:
                         view = g
                     elif op == "reshape":
-                        v = g.reshape(p.data.shape)
+                        v = g.reshape(p.shape)
                         if np.shares_memory(v, g):
                             view = v
                     elif op == "concat":
@@ -586,19 +606,19 @@ def compile_tape(
                         aliased = True
                         n_alias += 1
                     else:
-                        buf = adj_pool.take(p.data.shape)
+                        buf = adj_pool.take(p.shape)
                         adj_buf[pid] = buf
                         adj_owned[pid] = buf
                 plist.append((side, p, "init" if first else "acc", aliased))
                 # Which forward values will this contribution read?
                 if op == "mul" or op == "matmul":
-                    needed_fwd.add(id(node._parents[1 - side]))
+                    needed_fwd.add(id(node.parents[1 - side]))
                 elif op == "div":
-                    needed_fwd.add(id(node._parents[1]))
+                    needed_fwd.add(id(node.parents[1]))
                     if side == 1:
-                        needed_fwd.add(id(node._parents[0]))
+                        needed_fwd.add(id(node.parents[0]))
                 elif op in ("pow", "log", "abs"):
-                    needed_fwd.add(id(node._parents[0]))
+                    needed_fwd.add(id(node.parents[0]))
                 elif op in ("exp", "sqrt", "tanh", "sigmoid"):
                     needed_fwd.add(nid)
             if plist:
@@ -609,7 +629,6 @@ def compile_tape(
 
     # ---- phase 5a: forward analysis (CSE, views, liveness) ----
     rep: Dict[int, int] = {}  # node id -> representative node id (CSE)
-    node_by_id: Dict[int, Tensor] = {id(n): n for n in post}
     kind: Dict[int, str] = {}  # input | const | op | view | cse
     dynamic: Set[int] = set()  # storage rebinds per run (inputs + views of them)
     owner: Dict[int, int] = {}  # node id -> id of node owning its storage
@@ -627,13 +646,13 @@ def compile_tape(
             dynamic.add(nid)
             owner[nid] = nid
             continue
-        if not node._parents:
+        if not node.parents:
             kind[nid] = "const"
             owner[nid] = nid
             continue
-        op = node._op
+        op = node.op
         if nid not in reach:
-            key = (op, tuple(_rep(id(p)) for p in node._parents), _ctx_key(node._ctx))
+            key = (op, tuple(_rep(id(p)) for p in node.parents), _ctx_key(node.ctx))
             hit = cse_tab.get(key)
             if hit is not None:
                 rep[nid] = hit
@@ -644,15 +663,15 @@ def compile_tape(
             cse_tab[key] = nid
         if op in _VIEW_OPS:
             kind[nid] = "view"
-            powner = owner[_rep(id(node._parents[0]))]
+            powner = owner[_rep(id(node.parents[0]))]
             owner[nid] = powner
-            if powner in dynamic or _rep(id(node._parents[0])) in dynamic:
+            if powner in dynamic or _rep(id(node.parents[0])) in dynamic:
                 dynamic.add(nid)
-            last_read[owner[_rep(id(node._parents[0]))]] = pos
+            last_read[owner[_rep(id(node.parents[0]))]] = pos
             continue
         kind[nid] = "op"
         owner[nid] = nid
-        for p in node._parents:
+        for p in node.parents:
             last_read[owner[_rep(id(p))]] = pos
 
     persistent: Set[int] = {owner[_rep(id(r))] for _, r in roots}
@@ -674,20 +693,20 @@ def compile_tape(
         values.append(arr)
         return len(values) - 1
 
-    def _release_dead(node: Tensor, pos: int) -> None:
-        for p in node._parents:
+    def _release_dead(node: Node, pos: int) -> None:
+        for p in node.parents:
             o = owner[_rep(id(p))]
             if last_read.get(o) == pos and o not in persistent:
                 buf = poolable.pop(o, None)
                 if buf is not None:
                     fwd_pool.give(buf)
 
-    def _alloc_out(node: Tensor, pos: int) -> np.ndarray:
+    def _alloc_out(node: Node, pos: int) -> np.ndarray:
         nid = id(node)
-        inplace = node._op in _INPLACE_SAFE
+        inplace = node.op in _INPLACE_SAFE
         if inplace:
             _release_dead(node, pos)
-        buf = fwd_pool.take(node.data.shape)
+        buf = fwd_pool.take(node.shape)
         if nid not in persistent:
             poolable[nid] = buf
         if not inplace:
@@ -706,7 +725,7 @@ def compile_tape(
         if k == "input":
             slot = _new_slot(None)
             slot_of[nid] = slot
-            input_specs.append((input_names[nid], slot, node))
+            input_specs.append((input_names[nid], slot, node.tensor))
             instr_count_at.append(len(fwd))
             continue
         if k == "const":
@@ -714,11 +733,11 @@ def compile_tape(
             instr_count_at.append(len(fwd))
             continue
         if k == "view":
-            a = slot_of[id(node._parents[0])]
+            a = slot_of[id(node.parents[0])]
             slot = _new_slot(None)
             slot_of[nid] = slot
-            op = node._op
-            shape, ctx = node.data.shape, node._ctx
+            op = node.op
+            shape, ctx = node.shape, node.ctx
             if nid in dynamic:
                 if op == "reshape":
                     def f(vals=vals, slot=slot, a=a, shape=shape):
@@ -754,10 +773,10 @@ def compile_tape(
             continue
 
         # ---- real op ----
-        op = node._op
-        ctx = node._ctx
-        ps = [slot_of[id(p)] for p in node._parents]
-        shape = node.data.shape
+        op = node.op
+        ctx = node.ctx
+        ps = [slot_of[id(p)] for p in node.parents]
+        shape = node.shape
         f = _emit_forward(
             node, op, ctx, ps, shape, vals, _alloc_out, pos, packs, slot_of, aux, slab
         )
@@ -780,7 +799,7 @@ def compile_tape(
     # per temporary a rule keeps at once (at most two), sized for the
     # largest node; pages past the largest request are never touched.
     scratch_cap = max(
-        (max(n.data.size, p.data.size) for n, plist in plans for _, p, _, _ in plist),
+        (max(n.size, p.size) for n, plist in plans for _, p, _, _ in plist),
         default=0,
     )
     regions: Dict[int, np.ndarray] = {}
@@ -809,15 +828,15 @@ def compile_tape(
                     node, side, p, mode, g, dst, vals, slot_of, scratch, aux
                 )
                 bwd.append(fn)
-                bwd_ops.append(node._op)
+                bwd_ops.append(node.op)
 
     input_slots: Dict[str, Optional[int]] = {
-        name: slot_of.get(id(t)) for name, t in inputs.items()
+        name: slot_of.get(id(n)) for name, n in input_nodes.items()
     }
-    output_slots = {name: slot_of[id(t)] for name, t in outputs.items()}
+    output_slots = {name: slot_of[id(n)] for name, n in output_nodes.items()}
     grad_bufs: Dict[str, Optional[np.ndarray]] = {}
-    for name, t in inputs.items():
-        grad_bufs[name] = adj_buf.get(id(t)) if count.get(id(t), 0) > 0 else None
+    for name, n in input_nodes.items():
+        grad_bufs[name] = adj_buf.get(id(n)) if count.get(id(n), 0) > 0 else None
 
     stats = {
         "fwd_instructions": len(fwd),
@@ -854,13 +873,13 @@ def compile_tape(
 # Forward instruction emission
 # ----------------------------------------------------------------------
 def _emit_forward(
-    node: Tensor,
+    node: Node,
     op: str,
     ctx,
     ps: List[int],
     shape: Tuple[int, ...],
     vals: List[Optional[np.ndarray]],
-    alloc_out: Callable[[Tensor, int], np.ndarray],
+    alloc_out: Callable[[Node, int], np.ndarray],
     pos: int,
     packs: Dict[tuple, dict],
     slot_of: Dict[int, int],
@@ -1003,13 +1022,13 @@ def _emit_forward(
 
     if op == "concat":
         axis = ctx
-        sizes = [p.data.shape[axis] for p in node._parents]
+        sizes = [p.shape[axis] for p in node.parents]
         offsets = np.cumsum([0] + sizes)
         buf = alloc_out(node, pos)
         out_slot(buf)
         pieces = []
         for slot_p, start, stop in zip(ps, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * node.data.ndim
+            slicer = [slice(None)] * node.ndim
             slicer[axis] = slice(int(start), int(stop))
             pieces.append((slot_p, buf[tuple(slicer)]))
 
@@ -1023,7 +1042,7 @@ def _emit_forward(
         (a,) = ps
         seg, _num = ctx
         seg = np.asarray(seg, dtype=np.int64)
-        plan = _ScatterPlan(seg, shape, node._parents[0].data.ndim)
+        plan = _ScatterPlan(seg, shape, node.parents[0].ndim)
         buf = alloc_out(node, pos)
         out_slot(buf)
 
@@ -1037,7 +1056,7 @@ def _emit_forward(
         seg, num_segments, fill = ctx
         seg = np.asarray(seg, dtype=np.int64)
         empty = ~np.isin(np.arange(num_segments), seg)
-        winner = slab.empty(node._parents[0].data.shape, bool)
+        winner = slab.empty(node.parents[0].shape, bool)
         aux[id(node)] = (seg, winner)
         buf = alloc_out(node, pos)
         out_slot(buf)
@@ -1150,9 +1169,9 @@ def _store(dst: np.ndarray, mode: str) -> Callable[[np.ndarray], None]:
 
 
 def _emit_contribution(
-    node: Tensor,
+    node: Node,
     side: int,
-    p: Tensor,
+    p: Node,
     mode: str,
     g: np.ndarray,
     dst: np.ndarray,
@@ -1170,10 +1189,10 @@ def _emit_contribution(
     value.  ``mode`` bakes the first-write/accumulate decision; alias
     contributions never reach this function.
     """
-    op = node._op
-    ctx = node._ctx
-    shape = node.data.shape
-    pshape = p.data.shape
+    op = node.op
+    ctx = node.ctx
+    shape = node.shape
+    pshape = p.shape
     eq = pshape == shape
     init = mode == "init"
     store = _store(dst, mode)
@@ -1198,7 +1217,7 @@ def _emit_contribution(
         return f
 
     if op == "mul":
-        b = slot_of[id(node._parents[1 - side])]
+        b = slot_of[id(node.parents[1 - side])]
 
         if eq and init:
             return lambda dst=dst, g=g, vals=vals, b=b: np.multiply(g, vals[b], out=dst)
@@ -1211,7 +1230,7 @@ def _emit_contribution(
 
     if op == "div":
         if side == 0:
-            b = slot_of[id(node._parents[1])]
+            b = slot_of[id(node.parents[1])]
             if eq and init:
                 return lambda dst=dst, g=g, vals=vals, b=b: np.divide(g, vals[b], out=dst)
 
@@ -1220,8 +1239,8 @@ def _emit_contribution(
                 store(_unbroadcast(s, pshape))
 
             return f
-        a = slot_of[id(node._parents[0])]
-        b = slot_of[id(node._parents[1])]
+        a = slot_of[id(node.parents[0])]
+        b = slot_of[id(node.parents[1])]
 
         def f(
             store=store, g=g, vals=vals, a=a, b=b, pshape=pshape,
@@ -1359,7 +1378,7 @@ def _emit_contribution(
         return lambda dst=dst, bview=bview: np.add(dst, bview, out=dst)
 
     if op == "matmul":
-        other = slot_of[id(node._parents[1 - side])]
+        other = slot_of[id(node.parents[1 - side])]
         if side == 0:
             if init:
                 return lambda dst=dst, g=g, vals=vals, b=other: np.matmul(
@@ -1400,9 +1419,9 @@ def _emit_contribution(
 
     if op == "concat":
         axis = ctx
-        sizes = [q.data.shape[axis] for q in node._parents]
+        sizes = [q.shape[axis] for q in node.parents]
         offsets = np.cumsum([0] + sizes)
-        slicer = [slice(None)] * node.data.ndim
+        slicer = [slice(None)] * node.ndim
         slicer[axis] = slice(int(offsets[side]), int(offsets[side + 1]))
         gv = g[tuple(slicer)]
         if init:

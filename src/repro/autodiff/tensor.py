@@ -11,12 +11,20 @@ All data lives in ``float64`` numpy arrays by default.  Double precision
 matters here: the adaptive-stepsize scheme of TSteiner divides two
 gradient-difference norms (Eq. (9) of the paper), which is numerically
 fragile in ``float32`` for nearly-converged points.
+
+Inside a :class:`Trace` the same op code *records* instead: every result
+keeps its value but no parents and no closure, and a small :class:`Node`
+(op, parent nodes, shape, dtype, op parameters) describes how it was
+made.  The tape compiler (``autodiff/tape.py``) builds its program from
+those nodes, and each intermediate value is freed as soon as the model
+code drops its tensor.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+import math
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +53,86 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED[-1]
 
 
+class Node:
+    """How one value of a recorded trace was made.
+
+    Op results carry their ``op``, the parent nodes in operand order,
+    the result's ``shape``/``dtype``, the op parameters ``ctx`` and
+    ``requires_grad`` (the op has a backward rule).  Leaves (op
+    ``"leaf"``, no parents) are the tensors the trace read but did not
+    build: inputs, constants and constant-folded results, whose
+    ``tensor`` (and so its data) the node keeps.  A node never holds an
+    op result's value.
+    """
+
+    __slots__ = ("op", "parents", "shape", "dtype", "ctx", "requires_grad", "tensor")
+
+    def __init__(self, op, parents, shape, dtype, ctx, requires_grad, tensor=None) -> None:
+        self.op = op
+        self.parents: Tuple["Node", ...] = parents
+        self.shape: Tuple[int, ...] = shape
+        self.dtype = dtype
+        self.ctx = ctx
+        self.requires_grad = requires_grad
+        self.tensor: Optional["Tensor"] = tensor
+
+    @property
+    def data(self) -> np.ndarray:
+        """A leaf's value (op results keep none)."""
+        return self.tensor.data
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+
+#: Active traces, innermost last (see :class:`Trace`).
+_TRACES: List["Trace"] = []
+
+
+class Trace:
+    """Record the ops run inside ``with Trace() as trace:``.
+
+    While the trace is active, :meth:`Tensor._make` gives every op
+    result a :class:`Node` instead of parent links and a backward
+    closure, so values are computed as usual but freed by reference
+    counting once the caller drops them.  ``compile_tape`` turns the
+    record into a replayable program; :meth:`node` maps a tensor the
+    trace saw to its node.
+    """
+
+    def __init__(self) -> None:
+        # id(tensor) -> leaf node; the node keeps the tensor (so the id
+        # stays unique for the trace's lifetime).
+        self._leaves: Dict[int, Node] = {}
+
+    def __enter__(self) -> "Trace":
+        _TRACES.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _TRACES.remove(self)
+
+    def node(self, t: "Tensor") -> Node:
+        """``t``'s node: its op record, or its leaf node (made on first use)."""
+        rec = t._rec
+        if rec is not None:
+            return rec
+        rec = self._leaves.get(id(t))
+        if rec is None:
+            rec = Node("leaf", (), t.data.shape, t.data.dtype, None, t.requires_grad, t)
+            self._leaves[id(t)] = rec
+        return rec
+
+    def leaf(self, t: "Tensor") -> Optional[Node]:
+        """The leaf node of ``t`` if the trace read it, else ``None``."""
+        return self._leaves.get(id(t))
+
+
 def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -69,7 +157,7 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy-backed array that records operations for backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_ctx")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_rec")
     __array_priority__ = 200  # numpy defers binary ops to Tensor
 
     def __init__(
@@ -79,18 +167,15 @@ class Tensor:
         _parents: Tuple["Tensor", ...] = (),
         _backward: Optional[Callable[[np.ndarray], None]] = None,
         _op: str = "leaf",
-        _ctx=None,
     ) -> None:
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: Optional[np.ndarray] = None
-        self._parents = _parents if self.requires_grad or _parents else ()
+        self._parents = _parents if self.requires_grad else ()
         self._backward = _backward
         self._op = _op
-        # Op parameters (axis, clip bounds, indices, ...) recorded so the
-        # tape compiler (autodiff/tape.py) can re-derive the op's exact
-        # semantics from the built graph; unused by the closure engine.
-        self._ctx = _ctx
+        #: The op record of a result built inside a :class:`Trace`.
+        self._rec: Optional[Node] = None
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -133,16 +218,35 @@ class Tensor:
     def _make(
         data: np.ndarray,
         parents: Tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], None],
+        backward: Optional[Callable[[np.ndarray], None]],
         op: str,
         ctx=None,
     ) -> "Tensor":
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+        """Build an op result — the one place every op result is made.
+
+        ``backward=None`` makes a *detached* node: no gradient flows
+        through it.  A result no parent's gradient reaches, and a
+        detached one, is a constant to the closure engine.  Inside a
+        :class:`Trace` the result instead gets a :class:`Node` (``ctx``
+        holds the op parameters the compiler re-derives it from) and no
+        parent links or closure; a detached node is recorded with its
+        parents, so a compiled tape recomputes it from live values (see
+        ``functional._detached``), while a constant-folded result is
+        recorded as a leaf when an op reads it.
+        """
+        detached = backward is None
+        requires = not detached and is_grad_enabled() and any(p.requires_grad for p in parents)
+        if _TRACES and (requires or detached):
+            trace = _TRACES[-1]
+            out = Tensor(data, requires_grad=requires, _op=op)
+            out._rec = Node(
+                op, tuple(trace.node(p) for p in parents),
+                out.data.shape, out.data.dtype, ctx, requires,
+            )
+            return out
         if not requires:
-            return Tensor(data, _op=op, _ctx=ctx)
-        return Tensor(
-            data, requires_grad=True, _parents=parents, _backward=backward, _op=op, _ctx=ctx
-        )
+            return Tensor(data, _op=op)
+        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward, _op=op)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -152,6 +256,8 @@ class Tensor:
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate from this tensor through the recorded graph."""
+        if self._rec is not None:
+            raise RuntimeError("backward() called on a traced tensor; compile its trace instead")
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:

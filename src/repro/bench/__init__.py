@@ -411,9 +411,14 @@ def bench_evaluator(netlist, forest, repeats: int = 5) -> Dict[str, float]:
 
     Both kernels produce the per-pin arrival array for the same
     coordinates; ``speedup`` is closure time over (warm) tape time.
-    ``compile_ms`` is the one-off tape build a cold graph pays — it is
-    informational, not part of the speedup ratio.
+    ``compile_ms`` is the one-off tape build a cold graph pays, and
+    ``trace_peak_mib`` the tracemalloc peak of one more cold build (the
+    recorded trace plus the compiler's heap; the tape's mmap slab is
+    not traced), measured apart so it does not perturb ``compile_ms``.
+    Both are informational, not part of the speedup ratio.
     """
+    import tracemalloc
+
     from repro.core.penalty import PenaltyConfig
     from repro.timing_model.compiled import get_compiled_objective, release_shared
 
@@ -432,10 +437,17 @@ def bench_evaluator(netlist, forest, repeats: int = 5) -> Dict[str, float]:
         get_compiled_objective(model, graph, PenaltyConfig().gamma)
 
     compile_s = _best(compile_cold, max(1, repeats - 2))
+    tracemalloc.start()
+    try:
+        compile_cold()
+        trace_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "closure_ms": closure_s * 1e3,
         "tape_ms": tape_s * 1e3,
         "compile_ms": compile_s * 1e3,
+        "trace_peak_mib": trace_peak / 2**20,
         "speedup": closure_s / tape_s,
         "arrival_delta": float(np.max(np.abs(ref_arrival - tape_arrival))),
     }
@@ -765,7 +777,7 @@ _KERNEL_RUNS: Tuple[Tuple[str, Callable[..., Dict], Tuple[str, ...], str], ...] 
         lambda nl, fo, name, reps, q: bench_evaluator(nl, fo, repeats=reps),
         ("closure_ms", "tape_ms", "speedup"),
         "closure {closure_ms:.2f} ms, tape {tape_ms:.2f} ms  ({speedup:.1f}x; "
-        "compile {compile_ms:.1f} ms)",
+        "compile {compile_ms:.1f} ms, trace peak {trace_peak_mib:.1f} MiB)",
     ),
     (
         "evaluator_backward",

@@ -21,6 +21,7 @@ The loop mirrors the pseudocode line for line:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -65,6 +66,8 @@ PROPOSAL_SCHEDULE = ((1.0, 1.0), (0.3, 0.5), (0.08, 0.3), (0.02, 0.15))
 # points per probe, by one of POLISH_STEPS (GCell units, cycled).
 POLISH_TOP_K = 24
 POLISH_STEPS = (0.5, 1.0, 2.0)
+# Evaluator results an oracle keeps for exact repeat queries (LRU).
+ORACLE_MEMO_ENTRIES = 8
 
 
 @dataclass
@@ -176,6 +179,17 @@ class _Oracle:
     (one per active mask under MCMM).  The closure engine runs instead
     only when the graph cannot be compiled or the model exposes no
     ``named_parameters()`` for the tape to read live.
+
+    A run queries some points twice: the adaptive stepsize's first
+    gradient is the loop's first, a rejected step re-differentiates the
+    same point, and a validated revert (and the polish after it) returns
+    to the real anchor.  So compiled-path results are kept — the last
+    ``ORACLE_MEMO_ENTRIES`` in LRU order, and beyond them every result
+    at the current :meth:`anchor` until it moves — keyed on everything they
+    depend on: the coordinate bytes, the penalty weights and gamma, the
+    MCMM active mask (gradients) and the parameter bytes (a change
+    clears the memo).  A repeat returns the stored result, bit for bit
+    what recomputing would give, and counts ``evaluator.memo_hits``.
     """
 
     def __init__(self, model: TimingEvaluator, graph: TimingGraph, gamma: float, scenarios, tel) -> None:
@@ -193,6 +207,9 @@ class _Oracle:
             self.scenario_names = list(scenarios.names)
             self.merge = ScenarioPenalty(graph, scenarios)
             self.pruner = DominancePruner(scenarios.names, telemetry=tel)
+        self._memo: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._anchor: Optional[bytes] = None
+        self._memo_params: Optional[bytes] = None
 
     @property
     def _active(self) -> Optional[np.ndarray]:
@@ -219,6 +236,39 @@ class _Oracle:
         self.last_wns_vector, _, wns, tns = self.merge.hard_all(arrival)
         return wns, tns
 
+    def anchor(self, coords: np.ndarray) -> None:
+        """Keep the results at ``coords`` (the run's real anchor, which
+        reverts and polish return to) until another anchor replaces it."""
+        self._anchor = np.ascontiguousarray(coords, dtype=np.float64).tobytes()
+
+    def _memo_key(self, kind: str, coords: np.ndarray, *rest) -> Optional[tuple]:
+        """The memo key of a compiled-path query, or ``None`` (no memo)."""
+        if not self.compilable:
+            return None
+        params = b"".join([p.data.tobytes() for _, p in self.model.named_parameters()])
+        if params != self._memo_params:
+            self._memo.clear()
+            self._memo_params = params
+        return (kind, np.ascontiguousarray(coords, dtype=np.float64).tobytes()) + rest
+
+    def _recall(self, key: Optional[tuple]) -> Optional[tuple]:
+        hit = None if key is None else self._memo.get(key)
+        if hit is not None:
+            self._memo.move_to_end(key)
+            self.last_wns_vector = hit[-1]
+            self.tel.count("evaluator.memo_hits")
+        return hit
+
+    def _remember(self, key: Optional[tuple], value: tuple) -> None:
+        if key is None:
+            return
+        self._memo[key] = value + (self.last_wns_vector,)
+        if len(self._memo) > ORACLE_MEMO_ENTRIES:
+            # The least recently used result not at the anchor goes.
+            old = next((k for k in self._memo if k[1] != self._anchor), None)
+            if old is not None:
+                del self._memo[old]
+
     def gradient(
         self, coords: np.ndarray, pcfg: PenaltyConfig
     ) -> Tuple[np.ndarray, float, float, float]:
@@ -226,26 +276,45 @@ class _Oracle:
         with self.tel.span("refine.gradient"):
             if self.pruner is not None:
                 self.pruner.tick()
+            active = self._active
+            key = self._memo_key(
+                "gradient", coords,
+                float(pcfg.lambda_wns), float(pcfg.lambda_tns), float(pcfg.gamma),
+                None if active is None else active.tobytes(),
+            )
+            hit = self._recall(key)
+            if hit is not None:
+                grad, wns, tns, penalty, _ = hit
+                return grad.copy(), wns, tns, penalty
             obj = self._compiled()
             if obj is not None:
                 grad, arrival, penalty = obj.gradient(coords, pcfg)
             else:
                 t_coords = Tensor(coords, requires_grad=True)
                 out = self.model(self.graph, t_coords)
-                root = refinement_penalty(out["arrival"], self.graph, pcfg, self.merge, self._active)
+                root = refinement_penalty(out["arrival"], self.graph, pcfg, self.merge, active)
                 root.backward()
                 grad = t_coords.grad if t_coords.grad is not None else np.zeros_like(coords)
                 arrival, penalty = out["arrival"].data, root.item()
             self.tel.count("evaluator.backward")
             wns, tns = self._hard(arrival)
-        return np.asarray(grad, dtype=np.float64), wns, tns, float(penalty)
+            grad = np.asarray(grad, dtype=np.float64)
+            self._remember(key, (grad.copy(), wns, tns, float(penalty)))
+        return grad, wns, tns, float(penalty)
 
     def evaluate(self, coords: np.ndarray) -> Tuple[float, float]:
         with self.tel.span("refine.evaluate"):
+            key = self._memo_key("evaluate", coords)
+            hit = self._recall(key)
+            if hit is not None:
+                return hit[0], hit[1]
             obj = self._compiled()
             if obj is not None:
-                return self._hard(obj.evaluate(coords))
-            return self._hard(self.model.predict_arrivals(self.graph, coords))
+                wns, tns = self._hard(obj.evaluate(coords))
+            else:
+                wns, tns = self._hard(self.model.predict_arrivals(self.graph, coords))
+            self._remember(key, (wns, tns))
+        return wns, tns
 
     def on_accept(self) -> None:
         """Feed the accepted candidate's per-scenario WNS to the pruner."""
@@ -271,8 +340,9 @@ class _Oracle:
             self.pruner.load_state_arrays(arrays)
 
     def invalidate(self) -> None:
-        """Drop cached static evaluator tensors bound to ``self.graph``
-        and the model's shared compiled objectives."""
+        """Drop cached static evaluator tensors bound to ``self.graph``,
+        the model's shared compiled objectives and the query memo."""
+        self._memo.clear()
         static = getattr(self.graph, "_static", None)
         if static is not None:
             static.clear()
@@ -384,6 +454,7 @@ class _Refinement:
         ckpt = self._load(coords) if resume else None
         self.resumed = ckpt is not None
         if ckpt is None:
+            self.oracle.anchor(coords)
             # Lines 1-2: initial evaluated metrics.
             init_wns, init_tns = self.oracle.evaluate(coords)
             # Line 3: adaptive stepsize (Eq. 8-9).
@@ -410,6 +481,7 @@ class _Refinement:
         else:
             self.s = RefineState.from_arrays(ckpt)
             self.s.validator_on = self.s.validator_on and self.validator is not None
+            self.oracle.anchor(self.s.real_coords)
 
         s = self.s
         # Line 5: optimizer.
@@ -545,6 +617,7 @@ class _Refinement:
         if self.score(*probed) > self.score(s.real_wns, s.real_tns):
             s.real_wns, s.real_tns = probed
             s.real_coords = rounded.copy()
+            self.oracle.anchor(s.real_coords)
         else:
             s.validated_reverts += 1
             s.coords = s.real_coords.copy()
@@ -706,6 +779,7 @@ class _Refinement:
                 break
             if self.score(*probed) > self.score(s.real_wns, s.real_tns):
                 s.real_coords = candidate
+                self.oracle.anchor(candidate)
                 s.real_wns, s.real_tns = probed
                 grad, order = ranked()
                 cursor = 0

@@ -34,6 +34,7 @@ from repro.sta.engine import STAEngine, TimingReport
 if TYPE_CHECKING:
     from repro.eco.driver import EcoResult
 from repro.steiner.edge_shifting import shift_edges
+from repro.steiner.flat_forest import flat_forest_of
 from repro.steiner.forest import SteinerForest, build_forest
 from repro.timing_model.dataset import DesignSample, make_sample
 from repro.timing_model.model import TimingEvaluator
@@ -123,7 +124,9 @@ def run_routing_flow(
     """Route and sign off one design; optionally run TSteiner first.
 
     The input ``forest`` is not mutated — the flow operates on a copy,
-    so a single prepared design can feed both arms of Table II.
+    so a single prepared design can feed both arms of Table II.  The
+    input is flattened first (``flat_forest_of``), so every copy and
+    every later flow on it shares that one flattening.
 
     ``timing_graph`` optionally hands TSteiner a prebuilt
     :class:`~repro.timing_model.graph.TimingGraph` for this design
@@ -158,6 +161,7 @@ def run_routing_flow(
     the routed flow metrics above stay untouched.
     """
     tel = telemetry if telemetry is not None else get_telemetry()
+    flat_forest_of(forest)  # the copy shares the entry, not a re-gather
     work = forest.copy()
     runtimes: Dict[str, float] = {}
     refinement: Optional[RefinementResult] = None

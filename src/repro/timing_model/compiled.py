@@ -14,10 +14,11 @@ every call:
 Both objectives have a fixed op sequence per ``(graph content, model,
 smoothing gamma)`` — plus, under MCMM, the scenario set and the
 dominance pruner's active mask: only the input arrays change between
-calls.  This module traces each objective once with the closure
-engine, lifts the recorded graph into a :class:`~repro.autodiff.tape.Tape`,
-and caches the result on ``graph._static`` — the same topology-identity
-cache the flat STA kernels key on.
+calls.  This module records each objective once
+(:class:`~repro.autodiff.tensor.Trace`), compiles the record into a
+:class:`~repro.autodiff.tape.Tape`, and caches the result on
+``graph._static`` — the same topology-identity cache the flat STA
+kernels key on.
 
 A refinement objective is also shared across graphs: each model keeps
 one *shared entry*, the objectives compiled for one design content,
@@ -47,7 +48,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.autodiff.tape import Tape, TapeUnsupported, compile_tape
-from repro.autodiff.tensor import Tensor
+from repro.autodiff.tensor import Tensor, Trace
 from repro.obs import get_telemetry
 from repro.timing_model.model import TimingEvaluator
 
@@ -102,7 +103,7 @@ class CompiledObjective:
 
         self.gamma = float(gamma)
 
-        # ---- trace: one closure-engine forward defines the program ----
+        # ---- trace: one recorded forward defines the program ----
         coords_t = Tensor(np.zeros((graph.num_steiner, 2)), requires_grad=True)
         # The lambdas are gradient-carrying leaves so that every op on
         # them is recorded: the MCMM merge subtracts a zero-slack baseline
@@ -112,8 +113,9 @@ class CompiledObjective:
         lam_w = Tensor(np.asarray(-1.0), requires_grad=True)
         lam_t = Tensor(np.asarray(-1.0), requires_grad=True)
         pcfg = _TensorPenaltyConfig(lam_w, lam_t, self.gamma)
-        out = model(graph, coords_t)
-        penalty = refinement_penalty(out["arrival"], graph, pcfg, merge, active)
+        with Trace() as trace:
+            arrival = model(graph, coords_t)["arrival"]
+            penalty = refinement_penalty(arrival, graph, pcfg, merge, active)
 
         inputs: Dict[str, Tensor] = {"coords": coords_t, "lam_w": lam_w, "lam_t": lam_t}
         for name, p in model.named_parameters():
@@ -123,7 +125,7 @@ class CompiledObjective:
         # GEMM the closure reference wastes time on (bitwise-safe; see
         # compile_tape).
         self.tape: Tape = compile_tape(
-            penalty, inputs, outputs={"arrival": out["arrival"]}, grad_targets=("coords",)
+            trace, penalty, inputs, outputs={"arrival": arrival}, grad_targets=("coords",)
         )
         self._params = [p for _, p in model.named_parameters()]
         self._n_prefix = self.tape.prefix_length("arrival")
@@ -190,17 +192,18 @@ class CompiledObjective:
 class CompiledLoss:
     """A per-sample training loss compiled to a tape.
 
-    ``loss_fn(model, sample)`` builds the closure loss once at trace
-    time; replays read the parameters live and write their gradients
-    back through ``Tensor._accumulate`` — final ``p.grad`` values are
-    bitwise what ``loss.backward()`` would have produced.
+    ``loss_fn(model, sample)`` runs once, recorded; replays read the
+    parameters live and write their gradients back through
+    ``Tensor._accumulate`` — final ``p.grad`` values are bitwise what
+    the closure engine's ``loss.backward()`` would have produced.
     """
 
     def __init__(self, model: TimingEvaluator, sample, loss_fn) -> None:
         self._params = list(model.named_parameters())
-        loss = loss_fn(model, sample)
+        with Trace() as trace:
+            loss = loss_fn(model, sample)
         inputs = {f"param/{name}": p for name, p in self._params}
-        self.tape: Tape = compile_tape(loss, inputs)
+        self.tape: Tape = compile_tape(trace, loss, inputs)
 
     def loss_backward(self) -> float:
         """One fused forward+backward; accumulates grads, returns the loss."""

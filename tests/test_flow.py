@@ -229,3 +229,34 @@ class TestTrainingSamples:
     def test_congestion_attached(self):
         samples = make_training_samples(["spm"], train_names=["spm"], augment=0)
         assert samples[0].graph.congestion is not None
+
+
+def test_second_flow_reuses_the_prepared_forests_flattening():
+    """``run_routing_flow`` flattens the caller's forest before copying
+    it, so every copy shares that one memo entry: a second flow on one
+    prepared forest books no whole-forest ``steiner.flatten`` span, and
+    its results equal the first's bit for bit."""
+    from repro.core.refine import RefinementConfig
+    from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
+
+    netlist, forest = prepare_design("spm")
+    model = TimingEvaluator(EvaluatorConfig(seed=0))
+    cfg = RefinementConfig(max_iterations=4, validate_every=2, polish_probes=2)
+
+    def flow():
+        with Telemetry() as tel, telemetry_session(tel):
+            result = run_routing_flow(netlist, forest, model=model, refinement_config=cfg)
+        full = [
+            e for e in tel.events
+            if e["kind"] == "span_start" and e["name"] == "steiner.flatten"
+            and "spliced" not in e["attrs"]
+        ]
+        assert not result.stage_errors
+        return result, len(full)
+
+    first, first_full = flow()
+    second, second_full = flow()
+    assert (first_full, second_full) == (1, 0)
+    assert (first.wns, first.tns, first.wirelength) == (second.wns, second.tns, second.wirelength)
+    assert first.refinement.coords.tobytes() == second.refinement.coords.tobytes()
+    assert first.refinement.history == second.refinement.history

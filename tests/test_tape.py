@@ -17,7 +17,7 @@ import pytest
 
 from repro.autodiff import functional as F
 from repro.autodiff.tape import _MAX_SCATTER_ROUNDS, _ScatterPlan, compile_tape
-from repro.autodiff.tensor import Tensor, concatenate
+from repro.autodiff.tensor import Tensor, Trace, concatenate
 from repro.core.penalty import PenaltyConfig, smoothed_penalty
 from repro.core.refine import RefinementConfig, refine
 from repro.runtime.errors import FaultInjected
@@ -99,7 +99,7 @@ class TestScatterPlan:
 
 
 # ----------------------------------------------------------------------
-# Synthetic graph: compile_tape vs Tensor.backward
+# Synthetic graph: the recorded tape vs Tensor.backward
 # ----------------------------------------------------------------------
 def test_compile_tape_synthetic_bitwise():
     rng = np.random.default_rng(5)
@@ -123,10 +123,12 @@ def test_compile_tape_synthetic_bitwise():
     root = build(x, w)
     root.backward()
 
-    # Tape over the same expression.
+    # Tape over the same expression, recorded.
     xt = Tensor(x_data.copy(), requires_grad=True)
     wt = Tensor(w_data.copy(), requires_grad=True)
-    tape = compile_tape(build(xt, wt), {"x": xt, "w": wt})
+    with Trace() as trace:
+        root_t = build(xt, wt)
+    tape = compile_tape(trace, root_t, {"x": xt, "w": wt})
     tape.run_forward()
     tape.run_backward()
     assert tape.root_value() == root.item()
@@ -149,7 +151,9 @@ def test_grad_target_pruning_returns_none():
     rng = np.random.default_rng(6)
     x = Tensor(rng.normal(size=(5,)), requires_grad=True)
     w = Tensor(rng.normal(size=(5,)), requires_grad=True)
-    tape = compile_tape((x * w).sum(), {"x": x, "w": w}, grad_targets=("x",))
+    with Trace() as trace:
+        root = (x * w).sum()
+    tape = compile_tape(trace, root, {"x": x, "w": w}, grad_targets=("x",))
     tape.run_forward()
     tape.run_backward()
     assert tape.grad("w") is None
