@@ -78,8 +78,8 @@ which tolerates only ±0.0 sign differences (e.g. a duplicate-free
 scatter assigns ``-0.0`` where ``0.0 + -0.0`` would give ``+0.0``).
 Records containing an op the compiler does not know (or a tensor the
 closure engine built before the trace began) raise
-:class:`TapeUnsupported`; callers fall back to the closure engine
-(see ``timing_model/compiled.py``).
+:class:`TapeUnsupported`, and so does every caller: the tape is the one
+production gradient path (see ``timing_model/compiled.py``).
 """
 
 from __future__ import annotations

@@ -401,8 +401,6 @@ def _evaluator_setup(netlist, forest):
     model = TimingEvaluator(EvaluatorConfig(seed=0))
     coords = forest.get_steiner_coords()
     obj = get_compiled_objective(model, graph, PenaltyConfig().gamma)
-    if obj is None:  # pragma: no cover - every bench design compiles
-        raise RuntimeError("tape compilation fell back; nothing to benchmark")
     return graph, model, obj, coords
 
 

@@ -80,8 +80,9 @@ def refinement_penalty(
     The Eq. (6) penalty over ``graph``'s endpoints, or with ``merge`` (a
     ``repro.mcmm.ScenarioPenalty``) the LSE merge of the per-scenario
     penalties over the scenarios ``active`` selects.  The compiled tape
-    traces it and the closure fallback runs it, so both descend one
-    objective.
+    traces it and the closure reference
+    (``repro.testing.parity.ClosureObjective``) runs it, so both descend
+    one objective.
     """
     if merge is None:
         return smoothed_penalty(arrival, graph.endpoints, graph.required, config)[0]

@@ -29,9 +29,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.autodiff.optim import AccumulatingSO, PaperSO
-from repro.autodiff.tensor import Tensor
 from repro.core.adaptive import adaptive_theta
-from repro.core.penalty import PenaltyConfig, hard_metrics, refinement_penalty
+from repro.core.penalty import PenaltyConfig, hard_metrics
 from repro.obs import SCHEMA_VERSION, get_telemetry
 from repro.runtime import (
     Budget,
@@ -175,20 +174,24 @@ class _Oracle:
     verdict over *all* scenarios, so the Algorithm 1 accept/revert rule
     judges sign-off across every corner.
 
-    Both replay the compiled tape cached on the graph's topology cache
-    (one per active mask under MCMM).  The closure engine runs instead
-    only when the graph cannot be compiled or the model exposes no
-    ``named_parameters()`` for the tape to read live.
+    Both query the objective the model hands out
+    (``model.objective(...)``, one per active mask under MCMM):
+    ``gradient(coords, pcfg)`` returns ``(grad, arrival, penalty)``,
+    ``evaluate(coords)`` the arrival and ``fingerprint()`` the bytes its
+    results depend on besides the query.  A
+    :class:`~repro.timing_model.model.TimingEvaluator` hands out its
+    compiled tape.
 
     A run queries some points twice: the adaptive stepsize's first
     gradient is the loop's first, a rejected step re-differentiates the
     same point, and a validated revert (and the polish after it) returns
-    to the real anchor.  So compiled-path results are kept — the last
+    to the real anchor.  So results are kept — the last
     ``ORACLE_MEMO_ENTRIES`` in LRU order, and beyond them every result
     at the current :meth:`anchor` until it moves — keyed on everything they
     depend on: the coordinate bytes, the penalty weights and gamma, the
-    MCMM active mask (gradients) and the parameter bytes (a change
-    clears the memo).  A repeat returns the stored result, bit for bit
+    MCMM active mask (gradients) and the objective's fingerprint (a
+    change clears the memo; an objective whose fingerprint is ``None``
+    gets no memo).  A repeat returns the stored result, bit for bit
     what recomputing would give, and counts ``evaluator.memo_hits``.
     """
 
@@ -197,7 +200,6 @@ class _Oracle:
         self.graph = graph
         self.tel = tel
         self.gamma = gamma
-        self.compilable = callable(getattr(model, "named_parameters", None))
         self.merge = self.pruner = self.scenario_names = None
         self.last_wns_vector: Optional[np.ndarray] = None
         if scenarios is not None and not scenarios.is_single_neutral():
@@ -215,19 +217,8 @@ class _Oracle:
     def _active(self) -> Optional[np.ndarray]:
         return None if self.pruner is None else self.pruner.active
 
-    def _compiled(self):
-        if not self.compilable:
-            return None
-        from repro.timing_model.compiled import get_compiled_objective
-
-        return get_compiled_objective(
-            self.model,
-            self.graph,
-            self.gamma,
-            telemetry=self.tel,
-            merge=self.merge,
-            active=self._active,
-        )
+    def _objective(self):
+        return self.model.objective(self.graph, self.gamma, self.tel, self.merge, self._active)
 
     def _hard(self, arrival: np.ndarray) -> Tuple[float, float]:
         if self.merge is None:
@@ -241,11 +232,11 @@ class _Oracle:
         reverts and polish return to) until another anchor replaces it."""
         self._anchor = np.ascontiguousarray(coords, dtype=np.float64).tobytes()
 
-    def _memo_key(self, kind: str, coords: np.ndarray, *rest) -> Optional[tuple]:
-        """The memo key of a compiled-path query, or ``None`` (no memo)."""
-        if not self.compilable:
+    def _memo_key(self, obj, kind: str, coords: np.ndarray, *rest) -> Optional[tuple]:
+        """The memo key of a query to ``obj``, or ``None`` (no memo)."""
+        params = obj.fingerprint()
+        if params is None:
             return None
-        params = b"".join([p.data.tobytes() for _, p in self.model.named_parameters()])
         if params != self._memo_params:
             self._memo.clear()
             self._memo_params = params
@@ -277,8 +268,9 @@ class _Oracle:
             if self.pruner is not None:
                 self.pruner.tick()
             active = self._active
+            obj = self._objective()
             key = self._memo_key(
-                "gradient", coords,
+                obj, "gradient", coords,
                 float(pcfg.lambda_wns), float(pcfg.lambda_tns), float(pcfg.gamma),
                 None if active is None else active.tobytes(),
             )
@@ -286,16 +278,7 @@ class _Oracle:
             if hit is not None:
                 grad, wns, tns, penalty, _ = hit
                 return grad.copy(), wns, tns, penalty
-            obj = self._compiled()
-            if obj is not None:
-                grad, arrival, penalty = obj.gradient(coords, pcfg)
-            else:
-                t_coords = Tensor(coords, requires_grad=True)
-                out = self.model(self.graph, t_coords)
-                root = refinement_penalty(out["arrival"], self.graph, pcfg, self.merge, active)
-                root.backward()
-                grad = t_coords.grad if t_coords.grad is not None else np.zeros_like(coords)
-                arrival, penalty = out["arrival"].data, root.item()
+            grad, arrival, penalty = obj.gradient(coords, pcfg)
             self.tel.count("evaluator.backward")
             wns, tns = self._hard(arrival)
             grad = np.asarray(grad, dtype=np.float64)
@@ -304,15 +287,12 @@ class _Oracle:
 
     def evaluate(self, coords: np.ndarray) -> Tuple[float, float]:
         with self.tel.span("refine.evaluate"):
-            key = self._memo_key("evaluate", coords)
+            obj = self._objective()
+            key = self._memo_key(obj, "evaluate", coords)
             hit = self._recall(key)
             if hit is not None:
                 return hit[0], hit[1]
-            obj = self._compiled()
-            if obj is not None:
-                wns, tns = self._hard(obj.evaluate(coords))
-            else:
-                wns, tns = self._hard(self.model.predict_arrivals(self.graph, coords))
+            wns, tns = self._hard(obj.evaluate(coords))
             self._remember(key, (wns, tns))
         return wns, tns
 
@@ -346,10 +326,9 @@ class _Oracle:
         static = getattr(self.graph, "_static", None)
         if static is not None:
             static.clear()
-        if self.compilable:
-            from repro.timing_model.compiled import release_shared
+        from repro.timing_model.compiled import release_shared
 
-            release_shared(self.model)
+        release_shared(self.model)
 
 
 Validator = Callable[[np.ndarray], Tuple[float, float]]

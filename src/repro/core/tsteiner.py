@@ -73,8 +73,9 @@ class TSteiner:
         the evaluator still sees this run's routing pressure.  The new
         congestion array drops the graph's cached tape, but neither a
         memoized nor a fresh graph recompiles while the content is
-        unchanged: the lookup adopts the model's shared objective
-        (:func:`~repro.timing_model.compiled.get_compiled_objective`).
+        unchanged: ``model.objective`` adopts the model's shared
+        compiled objective
+        (:meth:`~repro.timing_model.model.TimingEvaluator.objective`).
 
         ``budget``/``checkpoint_path``/``resume`` are forwarded to
         :func:`repro.core.refine.refine` (see docs/RESILIENCE.md), and

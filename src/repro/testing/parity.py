@@ -1,17 +1,20 @@
 """Bitwise parity checks between the compiled tape and the closure engine.
 
-Refinement has one production path: the evaluator replays its compiled
-tape (``repro.timing_model.compiled``) and falls back to the closure
-autodiff engine only when a graph cannot be compiled or the model
-exposes no ``named_parameters()`` for the tape to read live.  Tests and
-the perf bench reach the closure reference by handing ``refine()`` a
-:class:`ClosureOnly` proxy of the same model, then compare the two runs
-with :func:`assert_same_trajectory`.
+Refinement and training have one production gradient path: the
+evaluator replays its compiled tape (``repro.timing_model.compiled``).
+The closure autodiff engine stays as the bitwise reference.  A
+:class:`ClosureModel` hands ``refine()`` a :class:`ClosureObjective`
+instead of a tape; tests and the perf bench reach the reference by
+handing ``refine()`` a :class:`ClosureOnly` proxy of the same model,
+then compare the two runs with :func:`assert_same_trajectory`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.autodiff.tensor import Tensor
+from repro.core.penalty import refinement_penalty
 
 
 class TapeParityError(AssertionError):
@@ -29,12 +32,50 @@ def assert_bitwise_equal(name: str, tape_value, closure_value) -> None:
         )
 
 
-class ClosureOnly:
-    """Evaluator proxy without ``named_parameters()``.
+class ClosureObjective:
+    """The refinement objective on the closure engine.
 
-    ``refine()`` cannot bind such a model into a tape, so it runs the
-    closure reference engine on the wrapped model's weights.
+    The same contract as
+    :class:`~repro.timing_model.compiled.CompiledObjective`, computed by
+    running ``model`` forward, the refinement penalty and
+    ``Tensor.backward`` on every query.  Its :meth:`fingerprint` is
+    ``None``, so ``refine()`` memoizes nothing and every query reaches
+    the model.
     """
+
+    def __init__(self, model, graph, merge=None, active=None) -> None:
+        self.model = model
+        self.graph = graph
+        self.merge = merge
+        self.active = active
+
+    def gradient(self, coords, pcfg):
+        """(dP/dcoords, arrival, penalty value) at ``coords``."""
+        t_coords = Tensor(coords, requires_grad=True)
+        arrival = self.model(self.graph, t_coords)["arrival"]
+        root = refinement_penalty(arrival, self.graph, pcfg, self.merge, self.active)
+        root.backward()
+        grad = t_coords.grad if t_coords.grad is not None else np.zeros_like(coords)
+        return grad, arrival.data, root.item()
+
+    def evaluate(self, coords):
+        return self.model.predict_arrivals(self.graph, coords)
+
+    def fingerprint(self):
+        return None
+
+
+class ClosureModel:
+    """Base of evaluators ``refine()`` differentiates on the closure
+    engine: subclasses provide ``__call__(graph, coords)`` (a dict with
+    an ``"arrival"`` Tensor) and ``predict_arrivals(graph, coords)``."""
+
+    def objective(self, graph, gamma, telemetry=None, merge=None, active=None):
+        return ClosureObjective(self, graph, merge, active)
+
+
+class ClosureOnly(ClosureModel):
+    """Runs ``model``'s weights through the closure reference engine."""
 
     def __init__(self, model) -> None:
         self.model = model

@@ -1,7 +1,6 @@
 """Compiled tape objectives for the timing evaluator.
 
-Two hot paths rebuild the evaluator's closure graph from scratch on
-every call:
+Two hot paths differentiate the evaluator on every call:
 
 * the refinement oracle (``core/refine.py``), which differentiates its
   objective w.r.t. the Steiner coordinates once per Algorithm 1
@@ -34,8 +33,10 @@ clears both caches, so a checkpoint restore recompiles from clean
 state.
 
 Replay is bitwise identical to the closure engine (tape.py replicates
-its accumulation order); graphs using an op the tape compiler does not
-know cache an *unsupported* marker and callers fall back to closures.
+its accumulation order).  A model whose forward uses an op the tape
+compiler does not know raises
+:class:`~repro.autodiff.tape.TapeUnsupported`: there is no second
+gradient path to fall back to.
 """
 
 from __future__ import annotations
@@ -47,19 +48,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.autodiff.tape import Tape, TapeUnsupported, compile_tape
+from repro.autodiff.tape import Tape, compile_tape
 from repro.autodiff.tensor import Tensor, Trace
 from repro.obs import get_telemetry
 from repro.timing_model.model import TimingEvaluator
-
-
-class _Unsupported:
-    """Cached marker: this (graph, model) cannot be tape-compiled."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
 
 
 class _TensorPenaltyConfig:
@@ -137,11 +129,16 @@ class CompiledObjective:
         self._fwd_state: Optional[Tuple[np.ndarray, bytes]] = None
 
     # ------------------------------------------------------------------
-    def _fingerprint(self) -> bytes:
-        # Parameter bytes, not array identities: an optimizer step
-        # writes ``p.data`` in place (``autodiff/optim.py``), which keeps
-        # every id and would leave a stale prefix looking valid.  ≈12 µs
-        # for the 13.7k parameters of a 32-hidden evaluator.
+    def fingerprint(self) -> bytes:
+        """The model's parameter bytes: results at equal coordinates and
+        equal fingerprints are equal (``refine()``'s query memo keys on
+        it, the arrival-prefix reuse below checks it).
+
+        Bytes, not array identities: an optimizer step writes ``p.data``
+        in place (``autodiff/optim.py``), which keeps every id and would
+        leave a stale result looking valid.  ≈12 µs for the 13.7k
+        parameters of a 32-hidden evaluator.
+        """
         return b"".join([p.data.tobytes() for p in self._params])
 
     def _overrides(self, coords: np.ndarray, pcfg=None) -> Dict[str, np.ndarray]:
@@ -164,7 +161,7 @@ class CompiledObjective:
         tape = self.tape
         ov = self._overrides(coords, pcfg)
         state, self._fwd_state = self._fwd_state, None
-        fp = self._fingerprint()
+        fp = self.fingerprint()
         if state is not None and state[1] == fp and np.array_equal(state[0], ov["coords"]):
             # The arrival prefix was already replayed at these exact
             # coordinates (the accept path: evaluate(c) then gradient(c)).
@@ -185,7 +182,7 @@ class CompiledObjective:
         ov = self._overrides(coords)
         self._fwd_state = None
         self.tape.run_forward(ov, upto="arrival")
-        self._fwd_state = (ov["coords"].copy(), self._fingerprint())
+        self._fwd_state = (ov["coords"].copy(), self.fingerprint())
         return self.tape.value("arrival")
 
 
@@ -306,8 +303,8 @@ def get_compiled_objective(
     telemetry=None,
     merge=None,
     active: Optional[np.ndarray] = None,
-) -> Optional[CompiledObjective]:
-    """Cached :class:`CompiledObjective`, or ``None`` if unsupported.
+) -> CompiledObjective:
+    """Cached :class:`CompiledObjective` (compiled on a miss).
 
     Keyed by ``(model identity, gamma)`` on the graph's topology cache,
     plus the scenario set, merge temperature and active mask under MCMM
@@ -326,14 +323,14 @@ def get_compiled_objective(
     ``tape_compile`` span; it becomes the model's shared entry (another
     design's compile replaces it).  ``_Oracle.invalidate()`` clears
     ``graph._static`` and the shared entry on checkpoint restore.
+    A forward the tape cannot compile raises
+    :class:`~repro.autodiff.tape.TapeUnsupported`.
     """
     sub = (float(gamma),)
     if merge is not None:
         sub += (merge.scenarios, merge.mcmm_gamma, None if active is None else active.tobytes())
     key = ("tape", id(model)) + sub
     cached, tel = _cache_lookup(graph, key, model, telemetry)
-    if isinstance(cached, _Unsupported):
-        return None
     if cached is not None:
         return cached
     digest = _design_digest(graph)
@@ -348,14 +345,7 @@ def get_compiled_objective(
     if tel.enabled:
         tel.count("tape.cache_misses")
     with tel.span("tape_compile", what="objective", gamma=float(gamma)) as span:
-        try:
-            obj = CompiledObjective(model, graph, gamma, merge=merge, active=active)
-        except TapeUnsupported as exc:
-            if tel.enabled:
-                tel.count("tape.fallbacks")
-                span.annotate(unsupported=str(exc))
-            _bind(graph, key, model, _Unsupported(str(exc)))
-            return None
+        obj = CompiledObjective(model, graph, gamma, merge=merge, active=active)
         span.annotate(**_span_attrs(obj.tape))
     if entry is None or entry[0] != digest:
         entry = _SHARED[model] = (digest, {})
@@ -366,26 +356,19 @@ def get_compiled_objective(
 
 def get_compiled_loss(
     model: TimingEvaluator, sample, loss_fn, telemetry=None
-) -> Optional[CompiledLoss]:
-    """Cached per-sample :class:`CompiledLoss`, or ``None`` if unsupported."""
+) -> CompiledLoss:
+    """Cached per-sample :class:`CompiledLoss` (compiled on a miss; a
+    forward the tape cannot compile raises
+    :class:`~repro.autodiff.tape.TapeUnsupported`)."""
     graph = sample.graph
     key = ("tape-loss", id(model))
     cached, tel = _cache_lookup(graph, key, model, telemetry)
-    if isinstance(cached, _Unsupported):
-        return None
     if cached is not None:
         return cached
     if tel.enabled:
         tel.count("tape.cache_misses")
     with tel.span("tape_compile", what="loss", sample=getattr(sample, "name", "?")) as span:
-        try:
-            compiled = CompiledLoss(model, sample, loss_fn)
-        except TapeUnsupported as exc:
-            if tel.enabled:
-                tel.count("tape.fallbacks")
-                span.annotate(unsupported=str(exc))
-            _bind(graph, key, model, _Unsupported(str(exc)))
-            return None
+        compiled = CompiledLoss(model, sample, loss_fn)
         span.annotate(**_span_attrs(compiled.tape))
     _bind(graph, key, model, compiled)
     return compiled

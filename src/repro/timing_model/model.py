@@ -369,6 +369,17 @@ class TimingEvaluator(nn.Module):
         return h[safe] * Tensor(mask)
 
     # ------------------------------------------------------------------
+    def objective(self, graph: TimingGraph, gamma: float, telemetry=None, merge=None, active=None):
+        """The refinement objective ``refine()`` queries on ``graph``: the
+        cached :class:`~repro.timing_model.compiled.CompiledObjective`
+        for ``gamma`` (and, under MCMM, the ``merge`` scenario penalty
+        over the ``active`` mask), compiled on first use."""
+        from repro.timing_model.compiled import get_compiled_objective
+
+        return get_compiled_objective(
+            self, graph, gamma, telemetry=telemetry, merge=merge, active=active
+        )
+
     def predict_arrivals(self, graph: TimingGraph, steiner_coords: np.ndarray) -> np.ndarray:
         """Inference-only helper returning a numpy arrival array."""
         from repro.autodiff.tensor import no_grad

@@ -103,17 +103,11 @@ def _loss_backward(model: TimingEvaluator, sample: DesignSample, telemetry=None)
     """Forward+backward on one sample; grads land on the parameters.
 
     Replays the per-sample compiled loss, cached on the sample graph's
-    topology cache so every epoch after the first replays for free; the
-    closure engine runs only when the graph cannot be compiled.
+    topology cache so every epoch after the first replays for free.
     """
     from repro.timing_model.compiled import get_compiled_loss
 
-    compiled = get_compiled_loss(model, sample, _sample_loss, telemetry=telemetry)
-    if compiled is not None:
-        return compiled.loss_backward()
-    loss = _sample_loss(model, sample)
-    loss.backward()
-    return loss.item()
+    return get_compiled_loss(model, sample, _sample_loss, telemetry=telemetry).loss_backward()
 
 
 def train_evaluator(

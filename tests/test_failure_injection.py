@@ -28,6 +28,7 @@ from repro.runtime import Budget, ManualClock, NumericalError, StageError, fault
 from repro.sta.engine import STAEngine
 from repro.steiner.forest import SteinerForest, build_forest
 from repro.steiner.rsmt import construct_tree
+from repro.testing.parity import ClosureModel
 from repro.timing_model.graph import build_timing_graph
 
 
@@ -128,7 +129,7 @@ class TestZeroGradientRefinement:
         netlist, forest = prepare_design("spm")
         graph = build_timing_graph(netlist, forest)
 
-        class ConstantModel:
+        class ConstantModel(ClosureModel):
             def __call__(self, g, coords):
                 # No dependence on coords: zero gradient everywhere.
                 return {"arrival": Tensor(np.zeros(g.n_pins)) + coords.sum() * 0.0}
@@ -178,7 +179,7 @@ class TestEmptyStructures:
 # ---------------------------------------------------------------------------
 
 
-class _QuadraticModel:
+class _QuadraticModel(ClosureModel):
     """Differentiable toy evaluator: uniform arrival = scale * sum(coords^2).
 
     Moving any Steiner point toward the origin lowers every arrival, so
@@ -198,7 +199,7 @@ class _QuadraticModel:
         return np.zeros(graph.n_pins) + float((c * c).sum()) * self.scale
 
 
-class _FaultyModel:
+class _FaultyModel(ClosureModel):
     """Routes a model's forward pass through the fault harness.
 
     ``model(...)`` resolves ``__call__`` on the *type*, so instance-level

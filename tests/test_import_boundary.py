@@ -5,6 +5,11 @@ Only the perf bench (``repro.bench``, which times each kernel against
 its oracle) and ``repro.testing`` itself may import it, so a reference
 kernel can never come back into production dispatch.
 
+Production has one gradient path, the compiled tape: outside the
+autodiff engine, its reference (``repro.testing``) and the bench, no
+module runs the closure engine's ``.backward()`` or catches
+``TapeUnsupported`` to fall back to it.
+
 ``repro.serve`` runs every job in the event loop's process on one warm
 cache (docs/SERVING.md), so no serve module may import a process or
 thread pool.
@@ -18,6 +23,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: Packages allowed to import ``repro.testing``.
 ALLOWED = ("bench", "testing")
 
+
+#: Packages that may call ``.backward()`` or catch ``TapeUnsupported``.
+CLOSURE_ALLOWED = ("autodiff", "bench", "testing")
 
 #: Modules no ``repro.serve`` module may import.
 SERVE_FORBIDDEN = ("concurrent.futures", "multiprocessing")
@@ -55,6 +63,53 @@ def test_production_code_does_not_import_repro_testing():
         "production modules import repro.testing (oracles are test/bench "
         "only):\n" + "\n".join(violations)
     )
+
+
+def _closure_fallbacks(tree: ast.AST):
+    """Line of every ``.backward(...)`` call and every ``except`` clause
+    that names ``TapeUnsupported``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "backward"
+        ):
+            yield node.lineno
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node.type)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if "TapeUnsupported" in names:
+                yield node.lineno
+
+
+def test_production_has_no_closure_gradient_fallback():
+    violations = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC)
+        if rel.parts[0] in CLOSURE_ALLOWED:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        violations += [f"{rel}:{line}" for line in _closure_fallbacks(tree)]
+    assert violations == [], (
+        "production modules run the closure engine's backward or catch "
+        "TapeUnsupported (the compiled tape is the one gradient path):\n"
+        + "\n".join(violations)
+    )
+
+
+def test_closure_fallback_rule_catches_each_form():
+    for source in (
+        "loss.backward()",
+        "model(g, c)['arrival'].sum().backward()",
+        "try:\n    f()\nexcept TapeUnsupported:\n    pass",
+        "try:\n    f()\nexcept (ValueError, tape.TapeUnsupported) as exc:\n    pass",
+    ):
+        assert list(_closure_fallbacks(ast.parse(source))), source
+    for source in ("backward = 1", "try:\n    f()\nexcept RuntimeError:\n    pass"):
+        assert not list(_closure_fallbacks(ast.parse(source))), source
 
 
 def test_serve_imports_no_process_or_thread_pool():

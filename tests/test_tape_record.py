@@ -19,12 +19,13 @@ import pytest
 from repro.autodiff.tape import TapeUnsupported, compile_tape
 from repro.autodiff.tensor import Tensor, Trace
 from repro.core.penalty import PenaltyConfig, refinement_penalty
+from repro.core.refine import RefinementConfig, refine
 from repro.flow.pipeline import make_training_samples, prepare_design
 from repro.mcmm import ScenarioPenalty, ScenarioSet
 from repro.timing_model.compiled import CompiledLoss, CompiledObjective, _TensorPenaltyConfig
 from repro.timing_model.graph import build_timing_graph
 from repro.timing_model.model import EvaluatorConfig, TimingEvaluator
-from repro.timing_model.train import _sample_loss
+from repro.timing_model.train import TrainerConfig, _sample_loss, train_evaluator
 
 
 def _stats(fwd_instructions, bwd_instructions, slots, cse_hits, alias_contributions,
@@ -168,6 +169,34 @@ def test_trace_reading_a_closure_graph_is_unsupported():
         root = (outside * x).sum()
     with pytest.raises(TapeUnsupported):
         compile_tape(trace, root, {"x": x})
+
+
+class _MaxEvaluator(TimingEvaluator):
+    """An evaluator whose forward uses ``Tensor.max``, an op the tape
+    compiler has no rule for."""
+
+    def forward(self, graph, steiner_coords):
+        out = super().forward(graph, steiner_coords)
+        arrival = out["arrival"]
+        return {**out, "arrival": arrival + arrival.max() * 0.0}
+
+
+def test_refine_raises_on_a_forward_the_tape_cannot_compile():
+    """Refinement has one gradient path: an evaluator the tape cannot
+    compile is an error, not a silent closure-engine run."""
+    netlist, forest = prepare_design("spm")
+    graph = build_timing_graph(netlist, forest)
+    cfg = RefinementConfig(max_iterations=2, acceptance="evaluator", polish_probes=0)
+    model = _MaxEvaluator(EvaluatorConfig(hidden=8, seed=0))
+    with pytest.raises(TapeUnsupported, match="'max'"):
+        refine(model, graph, forest.get_steiner_coords(), cfg)
+
+
+def test_train_raises_on_a_forward_the_tape_cannot_compile():
+    sample = make_training_samples(names=["spm"], train_names=["spm"], augment=0)[0]
+    model = _MaxEvaluator(EvaluatorConfig(hidden=8, seed=0))
+    with pytest.raises(TapeUnsupported, match="'max'"):
+        train_evaluator(model, [sample], TrainerConfig(epochs=1))
 
 
 def _trace_peak(graph, model, record: bool) -> int:
