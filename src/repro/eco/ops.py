@@ -9,11 +9,12 @@ holds by construction).
 Two invariants make accept/revert cheap and exact:
 
 * **Tree-identity caching** — ``flat_forest_of`` validates the forest's
-  one cap-free flattening per tree (``tree._topo`` and ``tree.pin_xy``
-  identity), not per forest object or STA engine, so swapping one entry
-  of ``forest.trees`` invalidates it, an op that only changes the
-  netlist (a resize) keeps it, and ``revert()`` restores the *original
-  tree objects* and the original coordinates bitwise.
+  one cap-free flattening per edited slot (``tree._topo`` and
+  ``tree.pin_xy`` identity at the slots ``refresh_offsets`` stamped),
+  not per forest object or STA engine, so swapping one entry of
+  ``forest.trees`` invalidates it, an op that only changes the netlist
+  (a resize) keeps it, and ``revert()`` restores the *original tree
+  objects* and the original coordinates bitwise.
 * **List-tail construction** — ``Netlist.add_cell``/``add_net`` only
   append, so a structural revert is ``del list[tail:]`` plus restoring
   the one spliced sink, leaving every pre-existing object untouched.

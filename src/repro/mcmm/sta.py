@@ -10,14 +10,15 @@ what is the merged verdict?*  It owns:
 * **check blocks** — setup scenarios batch into one ``(S_setup, n_pins)``
   latest-arrival propagation, hold scenarios into one earliest-arrival
   propagation (the batched kernels of repro.sta.engine);
-* **incremental state** — dirty trees are found by exact coordinate
-  (pre-route) or per-edge RC (routed) comparison, re-Elmored alone,
-  and a levelized frontier re-times only the pins whose inputs changed
-  bitwise.  A new flattening or levelization re-gathers the whole
-  forest and re-times from the prior state the same way.  Every
-  answer comes from the one PERT kernel
-  (:func:`~repro.sta.engine.propagate_from_batched`) and is
-  bitwise-identical to a full pass; no caller ever resets the state.
+* **incremental state** — one re-time path (:meth:`ScenarioSTA._retime`):
+  the trees an edit re-gathered into the flattening or whose sink caps
+  a new levelization changed, plus those found dirty by exact
+  coordinate (pre-route) or per-edge RC (routed) comparison, are
+  re-gathered and re-Elmored alone, and a levelized frontier re-times
+  only the pins whose inputs changed bitwise.  Every answer comes from
+  the one PERT kernel (:func:`~repro.sta.engine.propagate_from_batched`)
+  and is bitwise-identical to a full pass; no caller ever resets the
+  state.
 
 This is the one place a timing pass is put together and finalized.
 A single-corner query is simply S=1 over the neutral set
@@ -57,7 +58,7 @@ from repro.sta.engine import (
     propagate_from_batched,
 )
 from repro.sta.metrics import timing_metrics
-from repro.steiner.flat_forest import FlatForest, flat_forest_of
+from repro.steiner.flat_forest import Carry, FlatForest, flat_forest_of, spliced_slots
 from repro.steiner.forest import SteinerForest
 from repro.mcmm.scenario import Scenario, ScenarioSet
 
@@ -126,17 +127,26 @@ class BatchState:
     slew_hold: Optional[np.ndarray]
 
 
+def _grown(rows: np.ndarray, n: int, fill: float) -> np.ndarray:
+    """A copy of ``(k, n0)`` per-pin or per-net ``rows`` widened to ``n``
+    columns, the new ones ``fill``."""
+    out = np.empty((rows.shape[0], n))
+    out[:, : rows.shape[1]] = rows
+    out[:, rows.shape[1] :] = fill
+    return out
+
+
 class ScenarioSTA:
     """MCMM STA query object bound to one (netlist, forest) pair.
 
     Callers move Steiner points on ``forest``, re-route, edit trees or
-    the netlist, and re-query; the object keeps itself in sync.  Moved
-    or re-routed trees re-time incrementally (:meth:`_incremental`).
-    A topology edit (a new flattening) or a netlist edit that appends
-    (an engine taken over by :meth:`adopt`) re-gathers the whole
-    forest and re-times from the previous state (:meth:`_rebuild`),
-    pre-route or routed alike.  Only the first query, or one after a
-    netlist edit that removed pins or nets, makes a full pass
+    the netlist, and re-query; the object keeps itself in sync.  Every
+    query re-times only the trees that changed (:meth:`_retime`):
+    moved or re-routed trees, the trees a topology edit (a new
+    flattening) re-gathered, and those a netlist edit (an engine taken
+    over by :meth:`adopt`) changed sink caps of, pre-route or routed
+    alike.  Only the first query, or one after a netlist edit that
+    removed pins or nets, makes a full pass
     (``num_full``).  Any exception mid-update (including a budget
     timeout) drops the cache before propagating, so an interrupted
     query never leaves a stale dirty set behind (docs/RESILIENCE.md).
@@ -157,9 +167,13 @@ class ScenarioSTA:
         self._seeds = np.zeros(0, dtype=np.int64)
         self.num_queries = 0
         self.num_full = 0
+        #: Trees the last query re-timed.
         self.last_dirty_trees = 0
         #: Per-probe dirty-tree counts of the last :meth:`probe_batch`.
         self.last_probe_dirty: List[int] = []
+        #: Elmore scratch of subset re-times (:meth:`_scratch_for`), in a
+        #: holder the objects :meth:`adopt` derives share.
+        self._scratch: List[tuple] = []
 
         # Wire groups: scenarios sharing (r_derate, c_derate) share one
         # Elmore pass.  First-occurrence order keeps the neutral group
@@ -231,7 +245,7 @@ class ScenarioSTA:
         Returns a new object; this one is not changed, so an undo can
         put it back.  Their states are separate too: the new object's
         next query re-times from this one's state into a new
-        ``BatchState`` (:meth:`_rebuild`), without a full pass.
+        ``BatchState`` (:meth:`_carry`), without a full pass.
         """
         out = copy.copy(self)
         out._bind(engine)
@@ -264,33 +278,27 @@ class ScenarioSTA:
         utilization: Optional[np.ndarray] = None,
     ) -> BatchState:
         """Bring the propagated state up to the forest's current
-        coordinates and return it.
+        coordinates and return it (:meth:`_retime`).
 
-        Two paths: with no state, or after a new flattening or
-        levelization, :meth:`_rebuild` gathers the whole forest afresh;
-        otherwise :meth:`_incremental` re-times the trees that moved or
-        re-routed.  Both re-time from the prior state when there is
-        one.  The returned state is live and owned by this object: read
-        its ``(S_block, n_pins)`` arrays before the next query.
+        The returned state is live and owned by this object: read its
+        ``(S_block, n_pins)`` arrays before the next query.
         """
         self.num_queries += 1
         tel = get_telemetry()
         if tel.enabled:
             tel.count("mcmm.sta_queries")
         flat = flat_forest_of(self.forest)
-        coords = self.forest.coords
-        st = self._state
         try:
-            if st is None or st.flat is not flat or st.pert is not self.engine.pert():
-                return self._rebuild(st, flat, coords, route_result, utilization)
-            self._incremental(st, coords, route_result, utilization)
+            self._state = self._retime(
+                self._state, flat, self.forest.coords, route_result, utilization
+            )
         except Exception:
             self._state = None
             raise
-        return st
+        return self._state
 
     # ------------------------------------------------------------------
-    def _rebuild(
+    def _retime(
         self,
         st: Optional[BatchState],
         flat: FlatForest,
@@ -298,137 +306,246 @@ class ScenarioSTA:
         route_result: Optional[GlobalRouteResult],
         utilization: Optional[np.ndarray],
     ) -> BatchState:
-        """A new state on ``flat``, re-timed from ``st`` (not written).
+        """The one re-time path: re-time the trees that changed since
+        ``st`` was timed, and the cones they feed.
 
-        Geometry, caps, pre-route or routed edge RC and every wire
-        group's Elmore rows are gathered afresh over the whole forest.
-        With no usable prior state (none, or the levelization lost
-        pins or nets) every pin is seeded from launch: a full pass.
-        Otherwise per-pin rows extend for appended pins (unreached) and
-        nets, and the frontier is seeded with the appended pins, the
-        pins whose fan-in arcs changed (``adopt``'s seeds), the sinks
-        whose wire delay, slew term or tree membership differ bitwise
-        from ``st``, and the drivers of nets whose load does.  One
-        :func:`propagate_from_batched` sweep per block then re-times
-        their cones.  A pin outside those cones keeps its committed
-        value, which is what a full pass computes for it, so the result
-        is bitwise a full pass over the edited design.
+        Three starting points, one procedure:
+
+        * no usable prior state (none, or the levelization lost pins or
+          nets): a blank state on ``flat`` where every tree changed and
+          every pin is seeded from launch, a full pass;
+        * ``st`` on this flattening and levelization: ``st`` itself,
+          re-timed in place;
+        * otherwise a new state carried over from ``st`` (not written;
+          an undo may put it back, :meth:`_carry`), whose *edited* trees
+          are those the flattening re-gathered since ``st``'s
+          (:func:`~repro.steiner.flat_forest.spliced_slots`) and those
+          with a sink whose pin cap the new levelization changed.
+
+        The trees to re-time are the edited ones plus, pre-route, the
+        trees with a Steiner point that differs from the committed one,
+        or, routed (or leaving routed mode), the trees with an edge whose
+        RC differs bitwise.  Only their rows are re-gathered and
+        re-Elmored, and the frontier is seeded with the sinks and
+        drivers whose wire delay, slew term or load changed bitwise
+        (plus :meth:`_carry`'s seeds); one
+        :func:`propagate_from_batched` sweep per block re-times their
+        cones.  A pin outside those cones keeps its committed value,
+        which is what a full pass computes for it, so the result is
+        bitwise a full pass (the whole-forest rebuild
+        ``repro.testing.oracles.rebuilt_state`` is the oracle).  Books
+        one ``sta.retime`` span (``trees`` re-timed, ``full``) and one
+        ``mcmm.dirty_trees`` sample.
         """
         tel = get_telemetry()
-        engine = self.engine
-        pert = engine.pert()
-        caps = flatmod.flat_caps(flat, pert.pin_cap)
-        xy = flat.node_positions(coords)
+        pert = self.engine.pert()
         routed = route_result is not None
-        if routed:
-            base_r, base_c = flatmod.routed_edge_rc(
-                flat, engine.technology, xy, route_result,
-                utilization, engine.COUPLING_K,
-            )
-        else:
-            base_r, base_c = flatmod.preroute_edge_rc(flat, engine.technology, xy)
-        new = self._timed_state(flat, pert, caps, xy, routed, base_r, base_c)
-        self.last_dirty_trees = flat.n_trees
-
         full = st is None or pert.n_pins < st.pert.n_pins or pert.n_nets < st.pert.n_nets
-        if full:
-            self.num_full += 1
-            if tel.enabled:
-                tel.count("mcmm.full_rebuilds")
-            recompute = np.ones(pert.n_pins, dtype=bool)
-        else:
-            if tel.enabled:
-                tel.count("mcmm.patched_states")
-            recompute = self._changed_pins(st, new)
-
-        for idx, early, rows, derate in self._blocks:
+        with tel.span("sta.retime", full=full) as span:
             if full:
-                arrival, slew = pert.launch([self._clocks[s] for s in idx])
+                self.num_full += 1
+                if tel.enabled:
+                    tel.count("mcmm.full_rebuilds")
+                new = self._blank(flat, pert, coords, route_result, utilization)
+                dirty = np.arange(flat.n_trees, dtype=np.int64)
+                recompute = np.ones(pert.n_pins, dtype=bool)
             else:
-                old_arr = st.arr_hold if early else st.arr_setup
-                n0 = old_arr.shape[1]
-                arrival = np.full((len(idx), pert.n_pins), np.nan)
-                slew = np.full((len(idx), pert.n_pins), DEFAULT_INPUT_SLEW)
-                arrival[:, :n0] = old_arr
-                slew[:, :n0] = st.slew_hold if early else st.slew_setup
-            levels = propagate_from_batched(
-                pert, arrival, slew, new.wire_delay_G[rows], new.wire_deg_G[rows],
-                new.net_load_G[rows], new.net_has_tree, derate, recompute,
-                early=early,
-            )
-            if tel.enabled and not full:
-                tel.hist("mcmm.frontier_levels", levels)
-            self._set_block(new, early, arrival, slew)
+                if st.flat is flat and st.pert is pert:
+                    new, edited = st, np.zeros(0, dtype=np.int64)
+                    recompute = np.zeros(pert.n_pins, dtype=bool)
+                else:
+                    if tel.enabled:
+                        tel.count("mcmm.patched_states")
+                    new, edited, recompute = self._carry(st, flat, pert)
+                    if edited.size:
+                        flatmod.update_caps(flat, pert.pin_cap, new.caps, edited)
+                dirty = self._regeometry(new, edited, coords, route_result, utilization)
+            self.last_dirty_trees = int(dirty.size)
+            if tel.enabled:
+                tel.hist("mcmm.dirty_trees", int(dirty.size))
+                span.annotate(trees=int(dirty.size))
+            if dirty.size:
+                self._seed(
+                    flat, dirty,
+                    self._wire_timing(flat, new.caps, new.base_r, new.base_c, dirty),
+                    [
+                        (g, new.wire_delay_G[g], new.wire_deg_G[g], new.net_load_G[g])
+                        for g in range(len(self._wire_keys))
+                    ],
+                    recompute,
+                )
+            if recompute.any():
+                for idx, early, rows, derate in self._blocks:
+                    levels = propagate_from_batched(
+                        pert,
+                        new.arr_hold if early else new.arr_setup,
+                        new.slew_hold if early else new.slew_setup,
+                        new.wire_delay_G[rows], new.wire_deg_G[rows], new.net_load_G[rows],
+                        new.net_has_tree, derate, recompute, early=early,
+                    )
+                    if tel.enabled and not full:
+                        tel.hist("mcmm.frontier_levels", levels)
         self._seeds = self._seeds[:0]
-        self._state = new
         return new
 
-    def _changed_pins(self, st: BatchState, new: BatchState) -> np.ndarray:
-        """Seed mask of a re-time from ``st`` to ``new`` (see
-        :meth:`_rebuild`)."""
-        pert = new.pert
-        n0, m0 = st.pert.n_pins, st.pert.n_nets
-        recompute = np.zeros(pert.n_pins, dtype=bool)
-        recompute[n0:] = True
-        recompute[self._seeds] = True
-        recompute[:n0] |= np.any(
-            (new.wire_delay_G[:, :n0] != st.wire_delay_G)
-            | (new.wire_deg_G[:, :n0] != st.wire_deg_G),
-            axis=0,
-        )
-        # A sink's slew is PERI-degraded only on a net with a tree.
-        was_sink = np.zeros(pert.n_pins, dtype=bool)
-        was_sink[st.flat.sink_pin] = True
-        now_sink = np.zeros(pert.n_pins, dtype=bool)
-        now_sink[new.flat.sink_pin] = True
-        recompute |= was_sink != now_sink
-        load_ch = np.ones(pert.n_nets, dtype=bool)
-        load_ch[:m0] = np.any(new.net_load_G[:, :m0] != st.net_load_G, axis=0)
-        recompute[pert.net_driver[load_ch]] = True
-        return recompute
-
-    def _timed_state(
+    def _blank(
         self,
         flat: FlatForest,
         pert: LevelizedPins,
-        caps: flatmod.FlatCaps,
-        xy: np.ndarray,
-        routed: bool,
-        base_r: np.ndarray,
-        base_c: np.ndarray,
+        coords: np.ndarray,
+        route_result: Optional[GlobalRouteResult],
+        utilization: Optional[np.ndarray],
     ) -> BatchState:
-        """A state with every wire group's Elmore rows over the whole
-        forest, and no propagated blocks yet."""
+        """A state on ``flat`` with the whole forest's geometry, caps and
+        edge RC, launch arrivals, and wire timing not yet written (zero
+        at every pin, lumped loads at every net)."""
+        engine = self.engine
+        xy = flat.node_positions(coords)
+        if route_result is not None:
+            base_r, base_c = flatmod.routed_edge_rc(
+                flat, engine.technology, xy, route_result, utilization, engine.COUPLING_K,
+            )
+        else:
+            base_r, base_c = flatmod.preroute_edge_rc(flat, engine.technology, xy)
         G = len(self._wire_keys)
-        n_pins = pert.n_pins
-        wire_delay_G = np.zeros((G, n_pins))
-        wire_deg_G = np.zeros((G, n_pins))
-        net_load_G = np.empty((G, pert.n_nets))
-        timing = self._wire_timing(flat, caps, base_r, base_c)
-        for g, (delay, deg, load) in enumerate(timing):
-            wire_delay_G[g, flat.sink_pin] = delay
-            wire_deg_G[g, flat.sink_pin] = deg
-            net_load_G[g] = pert.lumped_net_cap
-            net_load_G[g, flat.net_of_tree] = load
         net_has_tree = np.zeros(pert.n_nets, dtype=bool)
         net_has_tree[flat.net_of_tree] = True
-        return BatchState(
-            flat=flat,
-            pert=pert,
-            caps=caps,
-            xy=xy,
-            routed=routed,
-            base_r=base_r,
-            base_c=base_c,
-            wire_delay_G=wire_delay_G,
-            wire_deg_G=wire_deg_G,
-            net_load_G=net_load_G,
+        new = BatchState(
+            flat=flat, pert=pert, caps=flatmod.flat_caps(flat, pert.pin_cap), xy=xy,
+            routed=route_result is not None, base_r=base_r, base_c=base_c,
+            wire_delay_G=np.zeros((G, pert.n_pins)),
+            wire_deg_G=np.zeros((G, pert.n_pins)),
+            net_load_G=np.tile(pert.lumped_net_cap, (G, 1)),
             net_has_tree=net_has_tree,
-            arr_setup=None,
-            slew_setup=None,
-            arr_hold=None,
-            slew_hold=None,
+            arr_setup=None, slew_setup=None, arr_hold=None, slew_hold=None,
         )
+        for idx, early, _, _ in self._blocks:
+            self._set_block(new, early, *pert.launch([self._clocks[s] for s in idx]))
+        return new
+
+    def _carry(
+        self, st: BatchState, flat: FlatForest, pert: LevelizedPins
+    ) -> Tuple[BatchState, np.ndarray, np.ndarray]:
+        """``(state, edited trees, seed mask)``: ``st`` carried onto
+        ``flat`` and ``pert`` in new arrays.
+
+        Kept trees keep their rows (geometry, caps, edge RC); per-pin
+        and per-net rows extend for appended pins (unreached) and nets.
+        Pins that stop being a sink of a re-gathered tree get zero wire
+        timing; those and the pins that start being one are seeded, as
+        are the appended pins, the pins whose fan-in arcs changed
+        (``adopt``'s seeds) and the drivers of treeless nets whose
+        lumped load changed.  Only rows an edit can change are compared.  The edited trees' rows are left to
+        :meth:`_retime`.
+        """
+        old = st.flat
+        T0, T1 = old.n_trees, flat.n_trees
+        slots = np.zeros(0, dtype=np.int64) if old is flat else spliced_slots(old, flat)
+        if slots is None:
+            slots = np.arange(T1, dtype=np.int64)
+        if old is flat:
+            rows = lambda kind, values: values.copy()  # noqa: E731
+        else:
+            rows = Carry(old, flat, slots).rows
+        n0, m0 = st.pert.n_pins, st.pert.n_nets
+        wire_delay_G = _grown(st.wire_delay_G, pert.n_pins, 0.0)
+        wire_deg_G = _grown(st.wire_deg_G, pert.n_pins, 0.0)
+        net_has_tree = np.zeros(pert.n_nets, dtype=bool)
+        net_has_tree[flat.net_of_tree] = True
+        new = BatchState(
+            flat=flat, pert=pert,
+            caps=flatmod.FlatCaps(
+                node_base_cap=rows("node", st.caps.node_base_cap),
+                lumped_cap=rows("tree", st.caps.lumped_cap),
+            ),
+            xy=rows("node", st.xy), routed=st.routed,
+            base_r=rows("edge", st.base_r), base_c=rows("edge", st.base_c),
+            wire_delay_G=wire_delay_G, wire_deg_G=wire_deg_G,
+            # Appended nets get their load below or from their new tree.
+            net_load_G=_grown(st.net_load_G, pert.n_nets, np.nan),
+            net_has_tree=net_has_tree,
+            arr_setup=None, slew_setup=None, arr_hold=None, slew_hold=None,
+        )
+        for idx, early, _, _ in self._blocks:
+            self._set_block(
+                new, early,
+                _grown(st.arr_hold if early else st.arr_setup, pert.n_pins, np.nan),
+                _grown(st.slew_hold if early else st.slew_setup, pert.n_pins, DEFAULT_INPUT_SLEW),
+            )
+
+        recompute = np.zeros(pert.n_pins, dtype=bool)
+        recompute[n0:] = True
+        recompute[self._seeds] = True
+        # Sinks of the trees that left (replaced or cut from the tail)
+        # against those of the trees that came in.
+        gone = np.concatenate([slots[slots < T0], np.arange(T1, T0, dtype=np.int64)])
+        was = set(old.sink_pin[old.sink_rows_of_trees(gone)].tolist())
+        now = set(flat.sink_pin[flat.sink_rows_of_trees(slots)].tolist())
+        stale = np.array(sorted(was - now), dtype=np.int64)
+        wire_delay_G[:, stale] = 0.0
+        wire_deg_G[:, stale] = 0.0
+        recompute[np.array(sorted(was ^ now), dtype=np.int64)] = True
+        # Treeless nets load their driver with their lumped sink caps:
+        # the nets that lost their tree, are new, or whose lumped cap
+        # the new levelization changed.
+        lumped = [old.net_of_tree[gone], np.arange(m0, pert.n_nets, dtype=np.int64)]
+        if pert is not st.pert:
+            lumped.append(np.flatnonzero(pert.lumped_net_cap[:m0] != st.pert.lumped_net_cap))
+        lumped = np.unique(np.concatenate(lumped))
+        lumped = lumped[~net_has_tree[lumped]]
+        new.net_load_G[:, lumped] = pert.lumped_net_cap[lumped]
+        kept = lumped[lumped < m0]
+        load_ch = np.any(new.net_load_G[:, kept] != st.net_load_G[:, kept], axis=0)
+        recompute[pert.net_driver[kept[load_ch]]] = True
+
+        edited = slots
+        if pert is not st.pert:
+            pins = np.concatenate([
+                np.flatnonzero(pert.pin_cap[:n0] != st.pert.pin_cap),
+                np.arange(n0, pert.n_pins, dtype=np.int64),
+            ])
+            if pins.size:
+                hit = flat.sink_tree[np.isin(flat.sink_pin, pins)]
+                edited = np.union1d(edited, hit).astype(np.int64)
+        return new, edited, recompute
+
+    def _regeometry(
+        self,
+        st: BatchState,
+        edited: np.ndarray,
+        coords: np.ndarray,
+        route_result: Optional[GlobalRouteResult],
+        utilization: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """Bring ``st``'s geometry and edge RC up to ``coords`` (and the
+        routes) and return the trees to re-time: ``edited`` plus the
+        trees whose inputs differ from the committed ones."""
+        flat = st.flat
+        engine = self.engine
+        routed = route_result is not None
+        xy = st.xy
+        if edited.size:
+            nodes = flat.node_rows_of_trees(edited)
+            xy[nodes] = flat.base_xy[nodes]
+        if routed or st.routed:
+            # Routed (or a mode switch): per-edge RC diffing is the exact
+            # dirtiness criterion — it catches coordinate moves (fallback
+            # edges), re-routes, layer changes and coupling.
+            xy[flat.steiner_rows] = coords
+            if routed:
+                new_r, new_c = flatmod.routed_edge_rc(
+                    flat, engine.technology, xy, route_result, utilization, engine.COUPLING_K,
+                )
+            else:
+                new_r, new_c = flatmod.preroute_edge_rc(flat, engine.technology, xy)
+            diff = (new_r != st.base_r) | (new_c != st.base_c)
+            dirty = np.union1d(edited, flat.edge_tree[diff])
+            st.base_r, st.base_c = new_r, new_c
+        else:
+            dirty = np.union1d(edited, self._moved(flat, xy[flat.steiner_rows], coords))
+            self._place(flat, dirty, coords, xy, st.base_r, st.base_c)
+        st.routed = routed
+        return dirty.astype(np.int64, copy=False)
 
     @staticmethod
     def _set_block(st: BatchState, early: bool, arrival: np.ndarray, slew: np.ndarray) -> None:
@@ -438,31 +555,37 @@ class ScenarioSTA:
             st.arr_setup, st.slew_setup = arrival, slew
 
     # ------------------------------------------------------------------
-    def _moved_trees(
+    @staticmethod
+    def _moved(flat: FlatForest, committed: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """Trees with a Steiner point (a row of ``coords``) that differs
+        from ``committed``, ascending: one compare of the two matrices
+        (in-place coordinate writes are not reported, so it is the only
+        exact test)."""
+        ne = coords != committed
+        moved = np.zeros(flat.n_trees, dtype=bool)
+        moved[flat.steiner_tree[ne[:, 0] | ne[:, 1]]] = True
+        return np.flatnonzero(moved)
+
+    def _place(
         self,
-        st: BatchState,
-        committed: np.ndarray,
+        flat: FlatForest,
+        trees: np.ndarray,
         coords: np.ndarray,
         xy: np.ndarray,
         r: np.ndarray,
         c: np.ndarray,
-    ) -> np.ndarray:
-        """Trees with a Steiner point that differs bitwise from
-        ``committed`` (``st.xy``'s Steiner rows).  Writes all of their
-        points into ``xy`` and their pre-route edge RC into ``r`` /
-        ``c``; other rows are untouched."""
-        flat = st.flat
-        dirty_mask = np.zeros(flat.n_trees, dtype=bool)
-        dirty_mask[flat.steiner_tree[np.any(coords != committed, axis=1)]] = True
-        dirty = np.flatnonzero(dirty_mask)
-        if dirty.size:
-            m = dirty_mask[flat.steiner_tree]
-            xy[flat.steiner_rows[m]] = coords[m]
-            flatmod.preroute_edge_rc(
-                flat, self.engine.technology, xy,
-                edge_rows=flat.edge_rows_of_trees(dirty), out_r=r, out_c=c,
-            )
-        return dirty
+    ) -> None:
+        """Write ``trees``' Steiner points (from ``coords``) into ``xy``
+        and their pre-route edge RC into ``r`` / ``c``; other rows are
+        untouched."""
+        if trees.size == 0:
+            return
+        points = flat.steiner_rows_of_trees(trees)
+        xy[flat.steiner_rows[points]] = coords[points]
+        flatmod.preroute_edge_rc(
+            flat, self.engine.technology, xy,
+            edge_rows=flat.edge_rows_of_trees(trees), out_r=r, out_c=c,
+        )
 
     def _wire_timing(
         self,
@@ -470,26 +593,26 @@ class ScenarioSTA:
         caps: flatmod.FlatCaps,
         r: np.ndarray,
         c: np.ndarray,
-        trees: Optional[np.ndarray] = None,
+        trees: np.ndarray,
     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per wire group, ``(sink delay, sink slew term, driver load)``
-        of ``trees`` (every tree when None), in ``sink_rows_of_trees`` /
+        of ``trees`` (ascending, unique), in ``sink_rows_of_trees`` /
         ``trees`` order, from nominal edge RC ``r`` / ``c``.
 
-        A subset is re-Elmored by ``elmore_update`` into scratch arrays:
-        it reads only the subset's rows of ``r`` / ``c``, and its values
-        are bitwise those of the full pass.
+        Every tree is one batched pass per group; a subset is re-Elmored
+        by ``elmore_update`` into a scratch kept on this object (it reads
+        and writes only the subset's rows, so any large enough scratch
+        serves), and its values are bitwise those of the full pass.
         """
         out = []
-        if trees is None:
+        if trees.size == flat.n_trees:
             for rd, cd in self._wire_keys:
                 el = flatmod.elmore_forest(flat, caps, r * rd, c * cd)
                 out.append((el.sink_delay, el.sink_slew_deg, el.total_cap))
             return out
+        el, group_r, group_c = self._scratch_for(flat)
         e_rows = flat.edge_rows_of_trees(trees)
         sink_sel = flat.sink_rows_of_trees(trees)
-        el = flatmod.ElmoreState.zeros(flat)
-        group_r, group_c = np.zeros_like(r), np.zeros_like(c)
         for rd, cd in self._wire_keys:
             group_r[e_rows] = r[e_rows] * rd
             group_c[e_rows] = c[e_rows] * cd
@@ -499,9 +622,32 @@ class ScenarioSTA:
             )
         return out
 
+    def _scratch_for(
+        self, flat: FlatForest
+    ) -> Tuple[flatmod.ElmoreState, np.ndarray, np.ndarray]:
+        """Elmore and edge-RC scratch at least as large as ``flat``'s
+        (grown with headroom, so ECO appends rarely reallocate)."""
+        if self._scratch:
+            el, group_r, _ = scratch = self._scratch[0]
+            if (
+                el.node_cap.size >= flat.n_nodes
+                and el.total_cap.size >= flat.n_trees
+                and el.sink_delay.size >= flat.sink_rows.size
+                and group_r.size >= flat.n_edges
+            ):
+                return scratch
+        pad = lambda n: n + n // 16 + 64  # noqa: E731
+        N, T, K, E = pad(flat.n_nodes), pad(flat.n_trees), pad(flat.sink_rows.size), pad(flat.n_edges)
+        el = flatmod.ElmoreState(
+            node_cap=np.zeros(N), subtree_cap=np.zeros(N), delay=np.zeros(N),
+            total_cap=np.zeros(T), sink_delay=np.zeros(K), sink_slew_deg=np.zeros(K),
+        )
+        self._scratch[:] = [(el, np.zeros(E), np.zeros(E))]
+        return self._scratch[0]
+
     def _seed(
         self,
-        st: BatchState,
+        flat: FlatForest,
         trees: np.ndarray,
         timing: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         targets: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]],
@@ -510,86 +656,19 @@ class ScenarioSTA:
         """Write ``timing`` of ``trees`` (from :meth:`_wire_timing`) into
         each ``(group, wire delay, slew term, net load)`` target row and
         mark in ``recompute`` the sinks and drivers whose values differ
-        from the committed state ``st``."""
-        flat = st.flat
+        from the ones the row held."""
         pins = flat.sink_pin[flat.sink_rows_of_trees(trees)]
         nets = flat.net_of_tree[trees]
         net_driver = self.engine.pert().net_driver
         for g, wire_delay, wire_deg, net_load in targets:
             new_wd, new_deg, new_load = timing[g]
-            w_ch = (st.wire_delay_G[g, pins] != new_wd) | (
-                st.wire_deg_G[g, pins] != new_deg
-            )
+            w_ch = (wire_delay[pins] != new_wd) | (wire_deg[pins] != new_deg)
             recompute[pins[w_ch]] = True
-            l_ch = st.net_load_G[g, nets] != new_load
+            l_ch = net_load[nets] != new_load
             recompute[net_driver[nets[l_ch]]] = True
             wire_delay[pins] = new_wd
             wire_deg[pins] = new_deg
             net_load[nets] = new_load
-
-    def _incremental(
-        self,
-        st: BatchState,
-        coords: np.ndarray,
-        route_result: Optional[GlobalRouteResult],
-        utilization: Optional[np.ndarray],
-    ) -> None:
-        engine = self.engine
-        pert = engine.pert()
-        flat = st.flat
-        routed = route_result is not None
-
-        if routed or st.routed:
-            # Post-route (or a mode switch): per-edge RC diffing is the
-            # exact dirtiness criterion — it catches coordinate moves
-            # (fallback edges), re-routes, layer changes and coupling.
-            xy = st.xy
-            xy[flat.steiner_rows] = coords
-            if routed:
-                new_r, new_c = flatmod.routed_edge_rc(
-                    flat, engine.technology, xy, route_result,
-                    utilization, engine.COUPLING_K,
-                )
-            else:
-                new_r, new_c = flatmod.preroute_edge_rc(flat, engine.technology, xy)
-            diff = (new_r != st.base_r) | (new_c != st.base_c)
-            dirty = np.unique(flat.edge_tree[diff])
-            st.base_r, st.base_c = new_r, new_c
-        else:
-            # Pre-route: dirty = trees with any coordinate that changed
-            # bitwise since the last query.
-            dirty = self._moved_trees(
-                st, st.xy[flat.steiner_rows], coords, st.xy, st.base_r, st.base_c
-            )
-        st.routed = routed
-
-        self.last_dirty_trees = int(dirty.size)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.hist("mcmm.dirty_trees", int(dirty.size))
-        if dirty.size == 0:
-            return
-        recompute = np.zeros(pert.n_pins, dtype=bool)
-        self._seed(
-            st, dirty, self._wire_timing(flat, st.caps, st.base_r, st.base_c, dirty),
-            [
-                (g, st.wire_delay_G[g], st.wire_deg_G[g], st.net_load_G[g])
-                for g in range(len(self._wire_keys))
-            ],
-            recompute,
-        )
-        if not recompute.any():
-            return
-        for idx, early, rows, derate in self._blocks:
-            levels = propagate_from_batched(
-                pert,
-                st.arr_hold if early else st.arr_setup,
-                st.slew_hold if early else st.slew_setup,
-                st.wire_delay_G[rows], st.wire_deg_G[rows], st.net_load_G[rows],
-                st.net_has_tree, derate, recompute, early=early,
-            )
-            if tel.enabled:
-                tel.hist("mcmm.frontier_levels", levels)
 
     # ------------------------------------------------------------------
     def _setup_metrics(
@@ -697,7 +776,7 @@ class ScenarioSTA:
         typically the committed coordinates with one point moved — and
         becomes its own row group of the ``(K * S_block, n_pins)`` check
         blocks.  Per probe the dirty trees are re-timed by the same
-        moved-tree and wire-timing helpers as :meth:`_incremental`, on
+        moved-tree and wire-timing helpers as :meth:`_retime`, on
         scratch copies of the geometry, and one shared
         :func:`propagate_from_batched` sweep with the **union**
         recompute mask re-times every probe row at once.  Rows whose
@@ -746,12 +825,14 @@ class ScenarioSTA:
         # Scratch geometry: a probe writes every Steiner point and edge
         # RC row of its dirty trees and reads no other rows, so one copy
         # serves all K probes and the committed state is only read.
+        flat = st.flat
         xy, r, c = st.xy.copy(), st.base_r.copy(), st.base_c.copy()
-        committed = st.xy[st.flat.steiner_rows]
+        committed = st.xy[flat.steiner_rows]
         recompute = np.zeros(pert.n_pins, dtype=bool)
         for k in range(K):
             coords = np.asarray(coords_list[k], dtype=np.float64)
-            dirty = self._moved_trees(st, committed, coords, xy, r, c)
+            dirty = self._moved(flat, committed, coords)
+            self._place(flat, dirty, coords, xy, r, c)
             self.last_probe_dirty.append(int(dirty.size))
             if dirty.size == 0:
                 continue
@@ -761,7 +842,7 @@ class ScenarioSTA:
                 for row, s in enumerate(b["idx"], start=k * len(b["idx"]))
             ]
             self._seed(
-                st, dirty, self._wire_timing(st.flat, st.caps, r, c, dirty),
+                flat, dirty, self._wire_timing(flat, st.caps, r, c, dirty),
                 targets, recompute,
             )
 

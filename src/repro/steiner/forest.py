@@ -7,15 +7,20 @@ tree's ``steiner_xy`` is a view of its rows, written through slices or
 the forest API, never rebound.  A tree belongs to one forest (building
 a forest from another's trees re-binds them), and ``refresh_offsets``
 re-lays the rows after every tree-list edit (from the first edited
-slot on, in place), so hold ``coords`` only briefly.  The forest also
-clamps against the routing grid and runs the final rounding step
+slot on, in place), so hold ``coords`` only briefly.  The forest
+keeps a net -> slot map (``tree_slot`` is one lookup) and, per slot,
+the clock of the last edit that may have changed the tree's
+flattening, which the flat memo reads instead of sweeping the trees.
+It also clamps against the routing grid and runs the final rounding step
 Fig. 4 of the paper describes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import OrderedDict
+from operator import is_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,11 +41,26 @@ class SteinerForest:
         self._flat_memo: Optional[tuple] = None
         #: The trees the last ``refresh_offsets`` bound, in slot order.
         self._bound: Optional[List[SteinerTree]] = None
+        #: Edit clock, and per slot the clock of the last edit that may
+        #: have changed its tree's flattening (the flat memo re-checks
+        #: only slots stamped after its entry).
+        self._clock = 0
+        self._stamps = np.zeros(0, dtype=np.int64)
+        #: net index -> slot (built lazily, kept by ``refresh_offsets``).
+        self._slot_of: Optional[Dict[int, int]] = None
+        self._ref = weakref.ref(self)
         self.refresh_offsets()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_ref"]
+        return state
 
     def __setstate__(self, state: dict) -> None:
         # Unpickled trees hold copies, not views: re-join them.
         self.__dict__.update(state)
+        self._slot_of = None
+        self._ref = weakref.ref(self)
         self._bound = None
         self.refresh_offsets()
 
@@ -54,69 +74,135 @@ class SteinerForest:
         views untouched.  ``coords`` is a view of a buffer with spare
         rows, so while the buffer has room the rows from ``start`` on
         are re-laid in place: the runs of trees the last call bound
-        there move as blocks, and only trees that are new or whose rows
-        moved are re-bound.  A new forest (or a full buffer) joins every
-        tree into a new buffer.  A tree that leaves the list from
-        ``start`` on is handed a private copy of its points first, so
-        an undo that puts it back finds them intact.
+        there (found by one identity compare, and whose row counts are
+        the old offsets) move as blocks, and only trees that are new or
+        whose rows moved are re-bound.  A new forest (or a full buffer)
+        joins every tree into a new buffer.  A tree that leaves the list
+        from ``start`` on is handed a private copy of its points first,
+        so an undo that puts it back finds them intact.  Each slot that
+        holds a new tree is stamped for the flat memo, and the net ->
+        slot map follows the edit.
         """
         trees = self.trees
         bound = self._bound
-        start = min(start, len(trees), len(bound)) if bound is not None else 0
+        self._clock += 1
+        if bound is None:
+            counts = np.fromiter((len(t.steiner_xy) for t in trees), np.int64, len(trees))
+            offsets = _offsets(counts)
+            rows = int(offsets[-1])
+            values = np.concatenate([np.empty((0, 2))] + [t.steiner_xy for t in trees])
+            buf = self._buffer = np.empty((rows + max(rows // 16, 64), 2))
+            buf[:rows] = values
+            owner = self._ref
+            for t, a, b in zip(trees, offsets[:-1].tolist(), offsets[1:].tolist()):
+                t.steiner_xy = buf[a:b]
+                t._owner = owner
+            self._stamps = np.full(len(trees), self._clock, dtype=np.int64)
+            self._slot_of = None
+            self._commit(offsets, rows)
+            return
+
+        start = min(start, len(trees), len(bound))
         tail = trees[start:]
-        counts = np.fromiter((len(t.steiner_xy) for t in tail), np.int64, len(tail))
+        n = min(len(tail), len(bound) - start)
+        # Trees the last call bound here that are still in place.
+        kept = np.zeros(len(tail), dtype=bool)
+        kept[:n] = np.fromiter(map(is_, bound[start : start + n], tail), bool, n)
+        fresh = np.flatnonzero(~kept).tolist()
+        old = self._offsets
+        counts = np.empty(len(tail), dtype=np.int64)
+        counts[:n] = np.diff(old[start : start + n + 1])
+        for i in fresh:
+            counts[i] = len(tail[i].steiner_xy)
         offsets = np.empty(len(trees) + 1, dtype=np.int64)
-        offsets[: start + 1] = self._offsets[: start + 1] if start else 0
+        offsets[: start + 1] = old[: start + 1]
         np.cumsum(counts, out=offsets[start + 1 :])
         offsets[start + 1 :] += offsets[start]
         rows = int(offsets[-1])
-        if bound is not None and rows > self._buffer.shape[0]:
+        if rows > self._buffer.shape[0]:
             self._bound = None  # the buffer is full: start over
             self.refresh_offsets()
             return
-        if bound is not None:
-            # Trees the last call bound here that are still in place.
-            buf, old = self._buffer, self._offsets
-            kept = np.zeros(len(tail), dtype=bool)
-            kept[: len(bound) - start] = [
-                o is t and t.steiner_xy.base is buf for o, t in zip(bound[start:], tail)
-            ]
-            gone = [o for o, k in zip(bound[start:], kept) if not k]
-            gone += bound[start + len(tail) :]
-            if gone:
-                staying = set(map(id, tail))
-                for tree in gone:
-                    if id(tree) not in staying:
-                        tree.steiner_xy = tree.steiner_xy.copy()
-        if bound is None:
-            values = np.concatenate([np.empty((0, 2))] + [t.steiner_xy for t in tail])
-            self._buffer = np.empty((rows + max(rows // 16, 64), 2))
-            rebind = range(len(tail))
-        else:
-            # Kept runs move as blocks, other trees one by one; all are
-            # read before any row is written.
-            parts, i = [], 0
-            for j in np.flatnonzero(~kept).tolist() + [len(tail)]:
-                if j > i:
-                    parts.append(buf[old[start + i] : old[start + j]])
-                if j < len(tail):
-                    parts.append(tail[j].steiner_xy)
-                i = j + 1
-            values = np.concatenate([np.empty((0, 2))] + parts)
-            n = min(len(tail), old.size - 1 - start)
-            moved = np.ones(len(tail), dtype=bool)
-            moved[:n] = ~kept[:n] | (offsets[start : start + n] != old[start : start + n])
-            rebind = np.flatnonzero(moved).tolist()
+        gone = [bound[start + i] for i in fresh if i < n] + bound[start + len(tail) :]
+        if gone:
+            staying = {id(tail[i]) for i in fresh}
+            for tree in gone:
+                if id(tree) not in staying:
+                    tree.steiner_xy = tree.steiner_xy.copy()
+        # Kept runs move as blocks, other trees one by one; all are read
+        # before any row is written.
         buf = self._buffer
-        buf[offsets[start] : rows] = values
-        for i in rebind:
+        parts, i = [], 0
+        for j in fresh + [len(tail)]:
+            if j > i:
+                parts.append(buf[old[start + i] : old[start + j]])
+            if j < len(tail):
+                parts.append(tail[j].steiner_xy)
+            i = j + 1
+        buf[offsets[start] : rows] = np.concatenate([np.empty((0, 2))] + parts)
+        moved = np.ones(len(tail), dtype=bool)
+        moved[:n] = ~kept[:n] | (offsets[start : start + n] != old[start : start + n])
+        for i in np.flatnonzero(moved).tolist():
             k = start + i
             tail[i].steiner_xy = buf[offsets[k] : offsets[k + 1]]
+        owner = self._ref
+        for i in fresh:
+            tail[i]._owner = owner
+
+        stamps = self._stamps
+        if stamps.size != len(trees):
+            stamps = np.zeros(len(trees), dtype=np.int64)
+            keep = min(len(trees), self._stamps.size)
+            stamps[:keep] = self._stamps[:keep]
+            self._stamps = stamps
+        stamps[[start + i for i in fresh]] = self._clock
+        self._remap_slots(start, gone, fresh)
+        self._commit(offsets, rows)
+
+    def _commit(self, offsets: np.ndarray, rows: int) -> None:
         self._offsets = offsets
-        self._bound = list(trees)
+        self._bound = list(self.trees)
         #: (S, 2) float64: every Steiner point of the design (a view of
         #: the first S rows of a buffer with spare rows).
-        self.coords = buf[:rows]
+        self.coords = self._buffer[:rows]
+
+    def _remap_slots(self, start: int, gone: List[SteinerTree], fresh: List[int]) -> None:
+        """Keep the net -> slot map through one ``refresh_offsets`` edit:
+        the nets of trees that left their slot go, the new trees' come
+        in.  A map that held (or would hold) two trees of one net is
+        dropped and rebuilt on the next lookup."""
+        slot_of = self._slot_of
+        if slot_of is None:
+            return
+        if len(slot_of) != len(self._bound):
+            self._slot_of = None  # built over duplicate nets
+            return
+        bound = self._bound
+        for tree in gone:
+            slot = slot_of.get(tree.net_index)
+            if slot is not None and slot < len(bound) and bound[slot] is tree:
+                del slot_of[tree.net_index]
+        trees = self.trees
+        for i in fresh:
+            slot_of[trees[start + i].net_index] = start + i
+        if len(slot_of) != len(trees):
+            self._slot_of = None
+
+    def _touch(self, tree: SteinerTree) -> None:
+        """Stamp ``tree``'s slot: its flattening changed in place (an
+        edge rewrite or a new ``pin_xy``).  A tree no longer in the
+        list is ignored."""
+        trees = self.trees
+        try:
+            slot = self.tree_slot(tree.net_index)
+        except KeyError:
+            slot = None
+        if slot is None or slot >= len(trees) or trees[slot] is not tree:
+            slot = next((i for i, t in enumerate(trees) if t is tree), None)
+        # A slot past the stamps awaits ``refresh_offsets``, which stamps it.
+        if slot is not None and slot < self._stamps.size:
+            self._clock += 1
+            self._stamps[slot] = self._clock
 
     # ------------------------------------------------------------------
     @property
@@ -132,11 +218,18 @@ class SteinerForest:
         return sum(len(t.edges) for t in self.trees)
 
     def tree_slot(self, net_index: int) -> int:
-        """Index into ``trees`` of net ``net_index``'s tree."""
-        for i, tree in enumerate(self.trees):
-            if tree.net_index == net_index:
-                return i
-        raise KeyError(f"no tree for net {net_index}")
+        """Index into ``trees`` of net ``net_index``'s tree (the first,
+        should two trees share a net): one lookup in the net -> slot map
+        ``refresh_offsets`` keeps."""
+        slot_of = self._slot_of
+        if slot_of is None:
+            slot_of = self._slot_of = {}
+            for i in range(len(self.trees) - 1, -1, -1):
+                slot_of[self.trees[i].net_index] = i
+        slot = slot_of.get(net_index)
+        if slot is None:
+            raise KeyError(f"no tree for net {net_index}")
+        return slot
 
     def tree_for_net(self, net_index: int) -> SteinerTree:
         return self.trees[self.tree_slot(net_index)]
@@ -215,6 +308,8 @@ class SteinerForest:
             trees.append(c)
         out = SteinerForest(self.netlist, trees)
         out._flat_memo = self._flat_memo
+        # Edits pending against the shared entry stay pending in the copy.
+        out._clock, out._stamps = self._clock, self._stamps.copy()
         return out
 
     def validate(self) -> None:
@@ -225,7 +320,13 @@ class SteinerForest:
         """Re-read pin coordinates from the netlist (after re-placement)."""
         pos = self.netlist.pin_positions()
         for tree in self.trees:
-            tree.pin_xy = pos[np.array(tree.pin_ids, dtype=np.int64)]
+            tree.pin_xy = pos[np.array(tree.pin_ids, dtype=np.int64)]  # stamps its slot
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 #: Forest memo keyed by (geometry digest, skip_degenerate).

@@ -9,12 +9,18 @@ Edges are undirected pairs; a valid tree has exactly
 ``n_nodes - 1`` edges and is connected.  Edge length is rectilinear
 (L1), matching how each two-pin segment is realized as an L-shaped
 route.
+
+A tree bound into a :class:`~repro.steiner.forest.SteinerForest` tells
+it about every edit that changes its flattening: an edge rewrite
+(:meth:`SteinerTree.invalidate_topology`) and a new ``pin_xy`` array
+(re-placement assigns one), so the forest's flat memo learns the
+edited slot without a sweep over the trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import ClassVar, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +54,9 @@ class SteinerTree:
     _topo: Optional[TreeTopology] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Weak reference to the forest that bound this tree (set by
+    #: ``SteinerForest.refresh_offsets``), told about flattening edits.
+    _owner: ClassVar[Optional["weakref.ref"]] = None
 
     def __post_init__(self) -> None:
         self.pin_xy = np.asarray(self.pin_xy, dtype=np.float64).reshape(-1, 2)
@@ -75,11 +84,24 @@ class SteinerTree:
         tree = cls.__new__(cls)
         tree.net_index = net_index
         tree.pin_ids = pin_ids
-        tree.pin_xy = pin_xy
+        tree._pin_xy = pin_xy
         tree.steiner_xy = steiner_xy
         tree.edges = edges
         tree._topo = None
         return tree
+
+    def __getstate__(self) -> dict:
+        # The owner is a weak reference; the forest re-binds on unpickle.
+        state = self.__dict__.copy()
+        state.pop("_owner", None)
+        return state
+
+    def _edited(self) -> None:
+        """Tell the owning forest this tree's flattening changed."""
+        owner = self._owner
+        forest = owner() if owner is not None else None
+        if forest is not None:
+            forest._touch(self)
 
     # ------------------------------------------------------------------
     @property
@@ -169,6 +191,7 @@ class SteinerTree:
     def invalidate_topology(self) -> None:
         """Drop memoized topology after an edge rewrite."""
         self._topo = None
+        self._edited()
 
     def adjacency(self) -> List[List[int]]:
         adj: List[List[int]] = [[] for _ in range(self.n_nodes)]
@@ -292,3 +315,18 @@ class SteinerTree:
         remap = lambda u: u - 1 if u > node else u
         self.edges = [(remap(u), remap(v)) for u, v in new_edges]
         self.invalidate_topology()
+
+
+def _get_pin_xy(tree: SteinerTree) -> np.ndarray:
+    return tree._pin_xy
+
+
+def _set_pin_xy(tree: SteinerTree, value: np.ndarray) -> None:
+    tree._pin_xy = value
+    tree._edited()
+
+
+# Installed after the dataclass is built, so ``pin_xy`` stays an
+# ``__init__`` field: (n_pins, 2) fixed pin coordinates, read-only
+# (re-placement assigns a new array, which the owning forest is told).
+SteinerTree.pin_xy = property(_get_pin_xy, _set_pin_xy)

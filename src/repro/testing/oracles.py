@@ -60,6 +60,11 @@ under ``src/repro`` may import this module (tests/test_import_boundary.py).
   (tests/test_flat_sta.py).  :func:`segment_routes` gives either route
   form as :class:`SegmentRoute` objects, which is how the per-net
   oracles read a production route.
+* :func:`rebuilt_state` — a :class:`~repro.mcmm.sta.ScenarioSTA`'s
+  state rebuilt from scratch: a fresh flattening, the whole forest's
+  caps, edge RC and Elmore rows, and one full pass.  Every array of
+  the state its re-time path keeps must equal it bitwise after any
+  sequence of edits (tests/test_retime.py).
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ from repro.groute.router import (
     SegmentKey,
 )
 from repro.mcmm.scenario import NEUTRAL_HOLD
-from repro.mcmm.sta import ScenarioMetrics
+from repro.mcmm.sta import BatchState, ScenarioMetrics, ScenarioSTA
 from repro.netlist.netlist import Netlist, PinDirection
 from repro.pdk.corners import DEFAULT_HOLD_TIME
 from repro.pdk.technology import Technology
@@ -90,9 +95,17 @@ from repro.sta.engine import (
     PertLevel,
     STAEngine,
     TimingReport,
+    propagate_from_batched,
 )
-from repro.sta.flat import LN9, FlatCaps, preroute_edge_rc
-from repro.steiner.flat_forest import FlatForest
+from repro.sta.flat import (
+    LN9,
+    FlatCaps,
+    elmore_forest,
+    flat_caps,
+    preroute_edge_rc,
+    routed_edge_rc,
+)
+from repro.steiner.flat_forest import FlatForest, build_flat_forest
 from repro.steiner.forest import SteinerForest
 from repro.steiner.rsmt import construct_tree
 from repro.steiner.tree import SteinerTree
@@ -1242,6 +1255,7 @@ def reference_flat_forest(
         node_offset=node_offset,
         tree_of_node=tree_of_node,
         parent=parent,
+        depth=depth,
         levels=levels,
         edge_child=edge_child,
         edge_tree=edge_tree,
@@ -1630,6 +1644,62 @@ def pattern_route_reference(
     )
 
 
+# ----------------------------------------------------------------------
+# Whole-forest STA state
+# ----------------------------------------------------------------------
+def rebuilt_state(
+    sta: ScenarioSTA,
+    route_result: Optional[GlobalRouteResult] = None,
+    utilization: Optional[np.ndarray] = None,
+) -> BatchState:
+    """``sta``'s state at the forest's current coordinates, rebuilt from
+    scratch: a fresh flattening (no memo), the engine's pin caps on it,
+    every node position and edge's RC, every wire group's Elmore rows
+    over the whole forest, and a full pass (every pin seeded from
+    launch) per check block.  ``sta`` is only read."""
+    engine = sta.engine
+    pert = engine.pert()
+    flat = build_flat_forest(sta.forest)
+    caps = flat_caps(flat, pert.pin_cap)
+    xy = flat.node_positions(sta.forest.coords)
+    if route_result is not None:
+        base_r, base_c = routed_edge_rc(
+            flat, engine.technology, xy, route_result, utilization, engine.COUPLING_K
+        )
+    else:
+        base_r, base_c = preroute_edge_rc(flat, engine.technology, xy)
+    G = len(sta._wire_keys)
+    wire_delay_G = np.zeros((G, pert.n_pins))
+    wire_deg_G = np.zeros((G, pert.n_pins))
+    net_load_G = np.empty((G, pert.n_nets))
+    for g, (rd, cd) in enumerate(sta._wire_keys):
+        el = elmore_forest(flat, caps, base_r * rd, base_c * cd)
+        wire_delay_G[g, flat.sink_pin] = el.sink_delay
+        wire_deg_G[g, flat.sink_pin] = el.sink_slew_deg
+        net_load_G[g] = pert.lumped_net_cap
+        net_load_G[g, flat.net_of_tree] = el.total_cap
+    net_has_tree = np.zeros(pert.n_nets, dtype=bool)
+    net_has_tree[flat.net_of_tree] = True
+    state = BatchState(
+        flat=flat, pert=pert, caps=caps, xy=xy, routed=route_result is not None,
+        base_r=base_r, base_c=base_c, wire_delay_G=wire_delay_G,
+        wire_deg_G=wire_deg_G, net_load_G=net_load_G, net_has_tree=net_has_tree,
+        arr_setup=None, slew_setup=None, arr_hold=None, slew_hold=None,
+    )
+    everything = np.ones(pert.n_pins, dtype=bool)
+    for idx, early, rows, derate in sta._blocks:
+        arrival, slew = pert.launch([sta._clocks[s] for s in idx])
+        propagate_from_batched(
+            pert, arrival, slew, wire_delay_G[rows], wire_deg_G[rows],
+            net_load_G[rows], net_has_tree, derate, everything, early=early,
+        )
+        if early:
+            state.arr_hold, state.slew_hold = arrival, slew
+        else:
+            state.arr_setup, state.slew_setup = arrival, slew
+    return state
+
+
 __all__ = [
     "NetTiming",
     "ReferenceGlobalRouter",
@@ -1645,6 +1715,7 @@ __all__ = [
     "reference_routed_edge_rc",
     "reference_sta",
     "reference_timing_graph",
+    "rebuilt_state",
     "segment_rc",
     "segment_routes",
 ]
